@@ -10,8 +10,16 @@ from conftest import print_rows
 from repro.experiments import run_fig2_premature_freezing
 
 
+#: The final accuracies are read on 16 validation samples and move by +-0.2
+#: from seed to seed, so the shape check compares means over these seeds.
+_SEEDS = (0, 1, 2)
+
+
 def test_fig2_premature_freezing(benchmark, scale):
-    result = benchmark.pedantic(lambda: run_fig2_premature_freezing(scale=scale), rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: [run_fig2_premature_freezing(scale=scale, seed=seed) for seed in _SEEDS],
+        rounds=1, iterations=1)
+    result = results[0]
 
     rows = [
         {"system": name, "final_accuracy": final,
@@ -27,6 +35,6 @@ def test_fig2_premature_freezing(benchmark, scale):
     assert result["frozen_fraction"]["static_freeze"] > 0.0
     # Shape check: the aggressive freezing baselines do not *beat* the full
     # baseline, and at least one of them loses accuracy (the paper's ~1-2%).
-    baseline = result["final"]["no_freeze"]
-    assert result["final"]["static_freeze"] <= baseline + 0.05
-    assert result["final"]["gradient_metric"] <= baseline + 0.05
+    final = {name: sum(r["final"][name] for r in results) / len(results) for name in result["final"]}
+    assert final["static_freeze"] <= final["no_freeze"] + 0.05
+    assert final["gradient_metric"] <= final["no_freeze"] + 0.05

@@ -36,7 +36,7 @@ __all__ = ["GradientFreezeTrainer", "module_gradient_norm"]
 def module_gradient_norm(layer_module: LayerModule) -> float:
     """L2 norm of all gradients currently stored in a layer module."""
     total = 0.0
-    for block in layer_module.blocks:
+    for block in layer_module.owned:
         for param in block.parameters():
             if param.grad is not None:
                 total += float(np.sum(param.grad.astype(np.float64) ** 2))

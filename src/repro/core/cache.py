@@ -6,20 +6,18 @@ saves the frozen prefix's output activations to disk, keyed by sample ID,
 and prefetches the activations of upcoming mini-batches into GPU memory —
 the data loader "knows the future" sample indices.  Only the most recent few
 mini-batches are kept in memory (the paper keeps five); the bulk lives on
-disk.
+disk.  :class:`ActivationCache` is that disk store plus the bounded in-memory
+table, with the hit/miss/byte accounting of the §6.5 overhead analysis;
+:class:`Prefetcher` warms the table with the next mini-batches' activations.
 
-Two classes:
-
-* :class:`ActivationCache` — the disk store + bounded in-memory table, with
-  hit/miss/byte accounting used by the §6.5 overhead analysis (activation
-  storage is 1.5x–5.3x the input size for ResNet-50);
-* :class:`Prefetcher` — pulls the activations for the next mini-batches
-  (obtained from ``DataLoader.peek_future_indices``) into the in-memory table
-  ahead of time.
-
-Cache entries are invalidated whenever the frozen prefix changes (a new module
-freezes, or an unfreeze occurs) because the cached tensor is the output of a
-specific prefix of layers.
+The disk store is one memory-mapped **slab** per cache generation: a
+``float32`` file ``slab_g<generation>.f32`` whose row ``i`` is sample ``i``'s
+activation, plus a presence bitmap saying which rows were written.  A
+mini-batch is therefore one scattered write (:meth:`store_batch`) or one
+gather (:meth:`load_batch`, :meth:`warm`) whatever its size; the file is
+sparse, so only written rows take disk space.  Everything is invalidated
+whenever the frozen prefix changes (a module freezes, or an unfreeze occurs)
+because a cached tensor is the output of one specific prefix of layers.
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from contextlib import suppress
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -53,15 +51,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidations": self.invalidations,
-            "bytes_written": self.bytes_written,
-            "prefetches": self.prefetches,
-            "hit_rate": self.hit_rate,
-        }
+        return {**self.__dict__, "hit_rate": self.hit_rate}
 
 
 class ActivationCache:
@@ -70,14 +60,14 @@ class ActivationCache:
     Parameters
     ----------
     cache_dir:
-        Directory for the ``.npy`` files; a temporary directory is created
-        (and removed on :meth:`close`) when omitted.
+        Directory for the slab file; a temporary directory is created (and
+        removed on :meth:`close`) when omitted.
     memory_batches:
         Number of recent/prefetched mini-batches' activations kept in the
         in-memory table (the simulated GPU-memory hash table of Figure 7).
     batch_size:
         Used only to size the in-memory table (``memory_batches * batch_size``
-        entries).
+        rows; the oldest rows are overwritten first).
     max_disk_bytes:
         Optional storage budget; stores beyond the budget are rejected
         (counted as misses later) — the paper lets users cap activation
@@ -100,10 +90,16 @@ class ActivationCache:
         #: numerically recurs (e.g. refreezing back to the same prefix length
         #: after an unfreeze) can never alias entries from an earlier era.
         self.generation = 0
-        self._memory: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self._on_disk: Dict[int, str] = {}
-        self._entry_bytes: Dict[int, int] = {}
-        self._disk_bytes = 0
+        #: The generation's slab, ``(rows, *row_shape)``; mapped on first store.
+        self._slab: Optional[np.memmap] = None
+        #: Per sample id (both grow with the ids seen): row written this
+        #: generation / its slot in the in-memory table, -1 when not resident.
+        self._present = np.zeros(0, dtype=bool)
+        self._slot = np.zeros(0, dtype=np.int64)
+        #: The in-memory table: a ring of rows and the sample id each slot holds (-1: empty).
+        self._table: Optional[np.ndarray] = None
+        self._table_ids = np.full(self.memory_capacity, -1, dtype=np.int64)
+        self._cursor = 0
 
     # ------------------------------------------------------------------ #
     # Keying / versioning
@@ -128,92 +124,125 @@ class ActivationCache:
 
     def invalidate(self) -> None:
         """Drop all cached activations (memory and disk)."""
-        self._memory.clear()
-        for path in self._on_disk.values():
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        self._on_disk.clear()
-        self._entry_bytes.clear()
-        self._disk_bytes = 0
+        self._forget()
+        with suppress(OSError):  # no file: nothing was stored this generation
+            os.remove(self._slab_path())
         self.stats.invalidations += 1
 
-    def _path_for(self, sample_id: int) -> str:
-        return os.path.join(self.cache_dir, f"sample_{int(sample_id)}_g{self.generation}.npy")
+    def _forget(self) -> None:
+        self._slab = self._table = None
+        self._present[:] = False
+        self._slot[:] = -1
+        self._table_ids[:] = -1
+
+    def _slab_path(self) -> str:
+        return os.path.join(self.cache_dir, f"slab_g{self.generation}.f32")
+
+    def _ids(self, sample_ids: Sequence[int]) -> np.ndarray:
+        """``sample_ids`` as an index array, with the per-id tables grown to cover it."""
+        ids = np.asarray(sample_ids, dtype=np.int64).reshape(-1)
+        grow = (int(ids.max()) + 1 if ids.size else 0) - len(self._present)
+        if grow > 0:
+            grow = max(grow, len(self._present))  # at least double: amortised growth
+            self._present = np.concatenate([self._present, np.zeros(grow, dtype=bool)])
+            self._slot = np.concatenate([self._slot, np.full(grow, -1, dtype=np.int64)])
+        return ids
+
+    def _map_slab(self, row_shape: Sequence[int]) -> None:
+        """Map the slab with a row for every known id, creating or extending the (sparse) file."""
+        path, shape = self._slab_path(), (len(self._present), *row_shape)
+        self._slab = None
+        with open(path, "ab") as handle:  # never shrinks: another mapping of the file may be live
+            if handle.tell() < int(np.prod(shape)) * 4:
+                handle.truncate(int(np.prod(shape)) * 4)
+        self._slab = np.memmap(path, dtype=np.float32, mode="r+", shape=shape)
+        if self._table is None:
+            self._table = np.empty((self.memory_capacity, *row_shape), dtype=np.float32)
 
     # ------------------------------------------------------------------ #
     # Store / load
     # ------------------------------------------------------------------ #
-    def store(self, sample_id: int, activation: np.ndarray) -> bool:
-        """Persist one sample's frozen-prefix activation to disk.
-
-        Re-storing an existing sample id overwrites its file, so only the
-        *delta* counts against ``max_disk_bytes`` and ``_disk_bytes`` —
-        previously the old array's bytes were double-counted, silently
-        shrinking the storage budget and inflating ``storage_ratio()``.
-        """
-        sample_id = int(sample_id)
-        array = np.asarray(activation, dtype=np.float32)
-        previous_bytes = self._entry_bytes.get(sample_id, 0)
-        if self.max_disk_bytes is not None and \
-                self._disk_bytes - previous_bytes + array.nbytes > self.max_disk_bytes:
-            return False
-        path = self._path_for(sample_id)
-        np.save(path, array)
-        self._on_disk[sample_id] = path
-        self._entry_bytes[sample_id] = array.nbytes
-        self._disk_bytes += array.nbytes - previous_bytes
-        if sample_id in self._memory:
-            # Keep the in-memory table coherent with the overwritten file.
-            self._memory[sample_id] = array
-        self.stats.stores += 1
-        self.stats.bytes_written += array.nbytes
-        return True
-
     def store_batch(self, sample_ids: Sequence[int], activations: np.ndarray) -> int:
-        """Store a whole mini-batch; returns how many samples were persisted."""
-        stored = 0
-        for row, sample_id in enumerate(sample_ids):
-            if self.store(int(sample_id), activations[row]):
-                stored += 1
-        return stored
+        """Persist a mini-batch (one slab write); returns how many samples were stored.
 
-    def contains(self, sample_id: int) -> bool:
-        sample_id = int(sample_id)
-        return sample_id in self._memory or sample_id in self._on_disk
-
-    def load(self, sample_id: int) -> Optional[np.ndarray]:
-        """Load one sample's activation (memory first, then disk)."""
-        sample_id = int(sample_id)
-        if sample_id in self._memory:
-            self.stats.hits += 1
-            self._memory.move_to_end(sample_id)
-            return self._memory[sample_id]
-        path = self._on_disk.get(sample_id)
-        if path is None or not os.path.exists(path):
-            self.stats.misses += 1
-            return None
-        activation = np.load(path)
-        self.stats.hits += 1
-        self._insert_memory(sample_id, activation)
-        return activation
+        Re-storing a present sample id overwrites its row, so only *new* rows
+        count against ``max_disk_bytes``.  Rows beyond the budget, or of
+        another shape than the generation's slab, are rejected and simply
+        miss (and are recomputed) later.
+        """
+        ids = self._ids(sample_ids)
+        rows = np.asarray(activations, dtype=np.float32)
+        if not ids.size or (self._slab is not None and rows.shape[1:] != self._slab.shape[1:]):
+            return 0
+        if self.max_disk_bytes is not None:
+            fresh = ~self._present[ids]
+            room = (self.max_disk_bytes - self.disk_bytes) // rows[0].nbytes
+            keep = ~fresh | (np.cumsum(fresh) <= room)
+            ids, rows = ids[keep], rows[keep]
+            if not ids.size:
+                return 0
+        if self._slab is None or len(self._slab) < len(self._present):
+            self._map_slab(rows.shape[1:])
+        self._slab[ids] = rows
+        self._present[ids] = True
+        resident = self._slot[ids] >= 0
+        self._table[self._slot[ids[resident]]] = rows[resident]  # keep the table coherent
+        self.stats.stores += len(ids)
+        self.stats.bytes_written += rows.nbytes
+        return len(ids)
 
     def load_batch(self, sample_ids: Sequence[int]) -> Optional[np.ndarray]:
-        """Load a full mini-batch; returns ``None`` unless *every* sample hits."""
-        rows: List[np.ndarray] = []
-        for sample_id in sample_ids:
-            activation = self.load(int(sample_id))
-            if activation is None:
-                return None
-            rows.append(activation)
-        return np.stack(rows, axis=0)
+        """Load a full mini-batch (one gather); ``None`` unless *every* sample hits.
 
-    def _insert_memory(self, sample_id: int, activation: np.ndarray) -> None:
-        self._memory[sample_id] = activation
-        self._memory.move_to_end(sample_id)
-        while len(self._memory) > self.memory_capacity:
-            self._memory.popitem(last=False)
+        Accounting is per sample: a full batch counts one hit each, a batch that
+        misses counts the samples before its first absent one, then a single miss.
+        """
+        ids = self._ids(sample_ids)
+        present = self._present[ids]
+        if not present.all():
+            self.stats.hits += int(np.argmin(present))
+            self.stats.misses += 1
+            return None
+        self.stats.hits += len(ids)
+        slots = self._slot[ids]
+        if (slots >= 0).all():
+            return self._table[slots]
+        rows = np.asarray(self._slab[ids])
+        self._remember(ids, rows)
+        return rows
+
+    def warm(self, sample_ids: Sequence[int]) -> int:
+        """Pull the persisted, not yet resident rows of ``sample_ids`` into memory (one gather)."""
+        ids = np.unique(self._ids(sample_ids))
+        ids = ids[self._present[ids] & (self._slot[ids] < 0)]
+        if ids.size:
+            self._remember(ids, np.asarray(self._slab[ids]))
+        self.stats.prefetches += len(ids)
+        return len(ids)
+
+    def _remember(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Write ``rows`` (distinct ``ids``) over the oldest slots of the in-memory table."""
+        ids, rows = ids[-self.memory_capacity:], rows[-self.memory_capacity:]
+        old = self._slot[ids]
+        self._table_ids[old[old >= 0]] = -1
+        slots = (self._cursor + np.arange(len(ids))) % self.memory_capacity
+        evicted = self._table_ids[slots]
+        self._slot[evicted[evicted >= 0]] = -1
+        self._table_ids[slots], self._slot[ids], self._table[slots] = ids, slots, rows
+        self._cursor = int(slots[-1] + 1) % self.memory_capacity
+
+    def store(self, sample_id: int, activation: np.ndarray) -> bool:
+        """Persist one sample's frozen-prefix activation (a one-row batch)."""
+        return self.store_batch([sample_id], np.asarray(activation)[None]) == 1
+
+    def load(self, sample_id: int) -> Optional[np.ndarray]:
+        """Load one sample's activation (a one-row batch)."""
+        batch = self.load_batch([sample_id])
+        return None if batch is None else batch[0]
+
+    def resident(self, sample_ids: Sequence[int]) -> np.ndarray:
+        """Per sample id: whether its row is in the in-memory table."""
+        return self._slot[self._ids(sample_ids)] >= 0
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -221,81 +250,63 @@ class ActivationCache:
     def manifest(self) -> Dict[str, object]:
         """Serializable description of the cache contents (not the tensors).
 
-        The activations themselves live on disk and are *reconstructable* (a
-        cache miss just recomputes the frozen prefix), so a checkpoint only
-        records the manifest: versioning counters, statistics and the byte
-        sizes of the on-disk entries.  Restoring into a cache pointed at the
-        same ``cache_dir`` re-attaches any entry whose file survived.
+        The activations live on disk and are *reconstructable* (a miss just
+        recomputes the frozen prefix), so a checkpoint records only this:
+        versioning counters, statistics and, under ``entries``, the slab's row
+        shape and which rows are present.  Restoring into a cache on the same
+        ``cache_dir`` re-attaches those rows if the slab file survived.
         """
         return {
             "generation": int(self.generation),
             "prefix_version": int(self.prefix_version),
-            "stats": {
-                "hits": int(self.stats.hits),
-                "misses": int(self.stats.misses),
-                "stores": int(self.stats.stores),
-                "invalidations": int(self.stats.invalidations),
-                "bytes_written": int(self.stats.bytes_written),
-                "prefetches": int(self.stats.prefetches),
-            },
-            "entries": {str(sample_id): int(nbytes)
-                        for sample_id, nbytes in sorted(self._entry_bytes.items())},
+            "stats": {key: int(value) for key, value in self.stats.__dict__.items()},
+            "entries": {} if self._slab is None else {"row_shape": list(self._slab.shape[1:]),
+                                                      "samples": np.flatnonzero(self._present).tolist()},
         }
 
     def load_manifest(self, manifest: Dict[str, object]) -> int:
-        """Restore versioning/statistics and re-attach surviving disk entries.
+        """Restore versioning/statistics and re-attach the surviving slab rows.
 
-        Returns the number of entries re-attached; entries whose files are
-        gone (e.g. the checkpoint was restored on another machine) are simply
-        dropped and will be recomputed as misses.
+        Returns the number of rows re-attached; rows a missing or shorter
+        slab file lacks (e.g. the checkpoint was restored on another machine)
+        are simply dropped and will be recomputed as misses.
         """
-        self._memory.clear()
-        self._on_disk.clear()
-        self._entry_bytes.clear()
-        self._disk_bytes = 0
+        self._forget()
         self.generation = int(manifest["generation"])
         self.prefix_version = int(manifest["prefix_version"])
-        stats = dict(manifest.get("stats") or {})
-        self.stats = CacheStats(
-            hits=int(stats.get("hits", 0)),
-            misses=int(stats.get("misses", 0)),
-            stores=int(stats.get("stores", 0)),
-            invalidations=int(stats.get("invalidations", 0)),
-            bytes_written=int(stats.get("bytes_written", 0)),
-            prefetches=int(stats.get("prefetches", 0)),
-        )
-        reattached = 0
-        for key, nbytes in dict(manifest.get("entries") or {}).items():
-            sample_id = int(key)
-            path = self._path_for(sample_id)
-            if os.path.exists(path):
-                self._on_disk[sample_id] = path
-                self._entry_bytes[sample_id] = int(nbytes)
-                self._disk_bytes += int(nbytes)
-                reattached += 1
-        return reattached
+        self.stats = CacheStats(**{key: int(value) for key, value in dict(manifest.get("stats") or {}).items()})
+        entries = dict(manifest.get("entries") or {})
+        path = self._slab_path()
+        if "row_shape" not in entries or not os.path.exists(path):
+            return 0
+        row_shape = tuple(int(n) for n in entries["row_shape"])
+        rows_on_disk = os.path.getsize(path) // (int(np.prod(row_shape)) * 4)
+        ids = self._ids([i for i in entries["samples"] if int(i) < rows_on_disk])
+        if ids.size:
+            self._map_slab(row_shape)
+            self._present[ids] = True
+        return len(ids)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     @property
     def disk_bytes(self) -> int:
-        """Bytes currently stored on disk."""
-        return self._disk_bytes
+        """Bytes of activations currently stored on disk (present rows only)."""
+        return 0 if self._slab is None else int(self._present.sum()) * self._slab[0].nbytes
 
     @property
     def memory_entries(self) -> int:
-        return len(self._memory)
+        return int((self._table_ids >= 0).sum())
 
     def storage_ratio(self, input_bytes_per_sample: int) -> float:
         """Activation bytes per cached sample relative to the raw input size (§6.5)."""
-        if not self._on_disk or input_bytes_per_sample <= 0:
-            return 0.0
-        per_sample = self._disk_bytes / len(self._on_disk)
-        return per_sample / input_bytes_per_sample
+        cached = self.disk_bytes > 0 and input_bytes_per_sample > 0
+        return self._slab[0].nbytes / input_bytes_per_sample if cached else 0.0
 
     def close(self) -> None:
-        """Remove the temporary cache directory if this cache owns it."""
+        """Unmap the slab and remove the temporary cache directory if this cache owns it."""
+        self._slab = None
         if self._owns_dir and os.path.isdir(self.cache_dir):
             shutil.rmtree(self.cache_dir, ignore_errors=True)
 
@@ -309,11 +320,10 @@ class ActivationCache:
 class Prefetcher:
     """Warms the cache's in-memory table with upcoming mini-batches' activations.
 
-    ``prefetch(future_index_batches)`` walks the index lists returned by
-    ``DataLoader.peek_future_indices`` and pulls every already-persisted
-    activation into memory, so the training loop's ``load_batch`` call is a
-    pure memory lookup — modelling the paper's overlap of disk access with
-    GPU compute.
+    ``prefetch`` takes the index lists of ``DataLoader.peek_future_indices``
+    and pulls every already-persisted activation into memory in one gather,
+    so the training loop's ``load_batch`` is a pure memory lookup — modelling
+    the paper's overlap of disk access with GPU compute.
     """
 
     def __init__(self, cache: ActivationCache, lookahead_batches: int = 2):
@@ -322,16 +332,5 @@ class Prefetcher:
 
     def prefetch(self, future_index_batches: Iterable[Sequence[int]]) -> int:
         """Prefetch the given future batches; returns the number of samples loaded."""
-        loaded = 0
-        for batch_indices in list(future_index_batches)[: self.lookahead_batches]:
-            for sample_id in batch_indices:
-                sample_id = int(sample_id)
-                if sample_id in self.cache._memory:
-                    continue
-                path = self.cache._on_disk.get(sample_id)
-                if path is None or not os.path.exists(path):
-                    continue
-                self.cache._insert_memory(sample_id, np.load(path))
-                loaded += 1
-        self.cache.stats.prefetches += loaded
-        return loaded
+        batches = [np.asarray(batch, dtype=np.int64) for batch in future_index_batches][: self.lookahead_batches]
+        return self.cache.warm(np.concatenate(batches)) if batches else 0

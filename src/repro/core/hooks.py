@@ -6,6 +6,11 @@ set is added to both so their activations can be compared layer by layer
 (§5).  :class:`ActivationRecorder` wraps that pattern: attach it to a set of
 module paths, run a forward pass, read the captured activations, detach when
 done.
+
+Activations are captured *by reference*: no op of :mod:`repro.nn` mutates a
+tensor's ``.data`` in place, so the recorded array stays valid, and whoever
+keeps it beyond the iteration (the evaluation queue, the activation cache)
+makes the copy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,11 @@ import numpy as np
 
 from ..nn.module import Module
 
-__all__ = ["ActivationRecorder"]
+__all__ = ["ActivationRecorder", "StopForward"]
+
+
+class StopForward(Exception):
+    """Raised from a recorder hook once every monitored path has been captured."""
 
 
 class ActivationRecorder:
@@ -30,15 +39,16 @@ class ActivationRecorder:
         Dotted paths (as accepted by ``Module.get_submodule``) of the blocks
         whose output activations should be recorded.  For Egeria these are the
         *tail* blocks of the layer modules being monitored.
-    detach:
-        Store plain numpy copies (default) rather than graph-connected
-        tensors; plasticity evaluation never needs gradients.
+    stop_when_complete:
+        Raise :class:`StopForward` from the hook that captures the last
+        missing path, so a caller that only wants these activations (the
+        reference model) can abandon the rest of the forward pass.
     """
 
-    def __init__(self, model: Module, module_paths: Iterable[str], detach: bool = True):
+    def __init__(self, model: Module, module_paths: Iterable[str], stop_when_complete: bool = False):
         self.model = model
         self.module_paths: List[str] = list(module_paths)
-        self.detach = detach
+        self.stop_when_complete = stop_when_complete
         self._activations: Dict[str, np.ndarray] = {}
         self._handles = []
         self._attach()
@@ -48,8 +58,9 @@ class ActivationRecorder:
             module = self.model.get_submodule(path)
 
             def hook(_module, _inputs, output, _path=path):
-                data = output.data if hasattr(output, "data") else np.asarray(output)
-                self._activations[_path] = np.array(data, copy=True) if self.detach else data
+                self._activations[_path] = output.data if hasattr(output, "data") else np.asarray(output)
+                if self.stop_when_complete and len(self._activations) == len(self.module_paths):
+                    raise StopForward
 
             self._handles.append(module.register_forward_hook(hook))
 

@@ -11,7 +11,11 @@ stages 1 and 2 (5% / 20%) are each evaluated as a whole.
 
 1. obtain the ordered building blocks either from the model's
    ``module_sequence`` attribute (all models in :mod:`repro.models` provide
-   one) or from its top-level children;
+   one) or from its top-level children; parameterised *glue* that runs
+   between blocks (a stem BatchNorm, an embedding LayerNorm, the final
+   encoder norm) is assigned through the model's ``module_glue`` mapping to
+   the block it freezes with, so a frozen prefix has no trainable tensor
+   upstream of its tail and autograd builds no graph for it;
 2. optionally filter/split by a user regular expression (the paper's
    configuration hook, "e.g. evaluating every convolutional layer");
 3. group consecutive blocks so that no group exceeds ``max_fraction`` of the
@@ -46,9 +50,13 @@ class LayerModule:
     blocks:
         The corresponding submodules, in forward order.
     num_params:
-        Total scalar parameter count of the group.
+        Total scalar parameter count of the group (blocks and glue).
     index:
         Position of this module in the front-to-back ordering.
+    glue:
+        Parameterised submodules that execute between building blocks and
+        freeze with this group (the model's ``module_glue`` entries of its
+        blocks); they are no building blocks, so never a tail.
     """
 
     name: str
@@ -56,20 +64,26 @@ class LayerModule:
     blocks: List[Module]
     num_params: int
     index: int = 0
+    glue: List[Module] = field(default_factory=list)
+
+    @property
+    def owned(self) -> List[Module]:
+        """Every submodule that freezes with the group: its blocks, then its glue."""
+        return self.blocks + self.glue
 
     def freeze(self) -> None:
         """Set ``requires_grad = False`` on every parameter of the group."""
-        for block in self.blocks:
-            block.freeze()
+        for module in self.owned:
+            module.freeze()
 
     def unfreeze(self) -> None:
         """Re-enable gradients for every parameter of the group."""
-        for block in self.blocks:
-            block.unfreeze()
+        for module in self.owned:
+            module.unfreeze()
 
     def is_frozen(self) -> bool:
-        """True when every parameterised block in the group is frozen."""
-        frozen_states = [block.is_frozen() for block in self.blocks if any(True for _ in block.parameters())]
+        """True when every parameterised block (and glue) in the group is frozen."""
+        frozen_states = [module.is_frozen() for module in self.owned if any(True for _ in module.parameters())]
         return bool(frozen_states) and all(frozen_states)
 
     @property
@@ -143,7 +157,10 @@ def parse_layer_modules(model: Module, max_fraction: float = 0.25, pattern: Opti
         paths = paths[:-1]
 
     blocks = [(path, model.get_submodule(path)) for path in paths]
-    counts = [_param_count(block) for _, block in blocks]
+    glue_paths = getattr(model, "module_glue", {})
+    glue = [[model.get_submodule(p) for p in glue_paths.get(path, ())] for path in paths]
+    counts = [_param_count(block) + sum(_param_count(g) for g in glue[idx])
+              for idx, (_, block) in enumerate(blocks)]
     total = sum(counts)
     if total == 0:
         raise ValueError("model has no parameters in its building blocks")
@@ -192,6 +209,7 @@ def parse_layer_modules(model: Module, max_fraction: float = 0.25, pattern: Opti
             blocks=group_blocks,
             num_params=sum(counts[i] for i in group),
             index=module_index,
+            glue=[module for i in group for module in glue[i]],
         ))
     return layer_modules
 

@@ -27,7 +27,8 @@ import numpy as np
 from ..nn.module import Module
 from ..nn.tensor import no_grad
 from ..quantization import PRECISIONS, QuantizationSpec, quantize_state_dict
-from .hooks import ActivationRecorder
+from .hooks import ActivationRecorder, StopForward
+from .modules import building_blocks
 
 __all__ = ["ReferenceModel", "ReferenceModelStats"]
 
@@ -39,6 +40,9 @@ class ReferenceModelStats:
     generations: int = 0
     updates: int = 0
     forward_passes: int = 0
+    #: Building blocks executed over all forward passes (a deterministic work
+    #: counter: the early exit shows here as fewer blocks per pass).
+    blocks_executed: int = 0
     total_generation_seconds: float = 0.0
     total_forward_seconds: float = 0.0
     last_snapshot_iteration: int = -1
@@ -48,6 +52,7 @@ class ReferenceModelStats:
             "generations": self.generations,
             "updates": self.updates,
             "forward_passes": self.forward_passes,
+            "blocks_executed": self.blocks_executed,
             "total_generation_seconds": self.total_generation_seconds,
             "total_forward_seconds": self.total_forward_seconds,
             "last_snapshot_iteration": self.last_snapshot_iteration,
@@ -90,16 +95,25 @@ class ReferenceModel:
         start = time.perf_counter()
         snapshot = training_model.state_dict()
         quantized = quantize_state_dict(snapshot, self.spec)
-        self.model = self.model_factory()
-        self.model.load_state_dict(quantized)
-        self.model.eval()
-        if self._monitored_paths:
-            self.recorder = ActivationRecorder(self.model, self._monitored_paths)
+        self._install(quantized)
         elapsed = time.perf_counter() - start
         self.stats.generations += 1
         self.stats.total_generation_seconds += elapsed
         self.stats.last_snapshot_iteration = iteration
         return self.model
+
+    def _install(self, weights: Dict[str, np.ndarray]) -> None:
+        """Build a fresh reference model from ``weights`` and hook it."""
+        self.model = self.model_factory()
+        self.model.load_state_dict(weights)
+        self.model.eval()
+        for path in building_blocks(self.model):
+            self.model.get_submodule(path).register_forward_hook(self._count_block)
+        self.recorder = None
+        self.monitor(self._monitored_paths)
+
+    def _count_block(self, _module, _inputs, _output) -> None:
+        self.stats.blocks_executed += 1
 
     def update(self, training_model: Module, iteration: int) -> Module:
         """Refresh the reference from the latest snapshot (periodic update)."""
@@ -137,23 +151,17 @@ class ReferenceModel:
             generations=int(stats.get("generations", 0)),
             updates=int(stats.get("updates", 0)),
             forward_passes=int(stats.get("forward_passes", 0)),
+            blocks_executed=int(stats.get("blocks_executed", 0)),
             total_generation_seconds=float(stats.get("total_generation_seconds", 0.0)),
             total_forward_seconds=float(stats.get("total_forward_seconds", 0.0)),
             last_snapshot_iteration=int(stats.get("last_snapshot_iteration", -1)),
         )
         self._monitored_paths = list(state.get("monitored_paths") or [])
-        if self.recorder is not None:
-            self.recorder.remove()
-            self.recorder = None
         snapshot = state.get("model")
         if snapshot is None:
-            self.model = None
-            return
-        self.model = self.model_factory()
-        self.model.load_state_dict(snapshot)
-        self.model.eval()
-        if self._monitored_paths:
-            self.recorder = ActivationRecorder(self.model, self._monitored_paths)
+            self.model = self.recorder = None
+        else:
+            self._install(snapshot)
 
     def staleness(self, current_iteration: int) -> int:
         """Iterations elapsed since the last snapshot was taken."""
@@ -166,17 +174,23 @@ class ReferenceModel:
     # ------------------------------------------------------------------ #
     def monitor(self, module_paths: List[str]) -> None:
         """Hook the given module paths on the reference model."""
+        if self.recorder is not None and list(module_paths) == self._monitored_paths:
+            return
         self._monitored_paths = list(module_paths)
-        if self.model is not None:
-            if self.recorder is not None:
-                self.recorder.remove()
-            self.recorder = ActivationRecorder(self.model, self._monitored_paths)
+        if self.recorder is not None:
+            self.recorder.remove()
+            self.recorder = None
+        if self.model is not None and self._monitored_paths:
+            self.recorder = ActivationRecorder(self.model, self._monitored_paths, stop_when_complete=True)
 
     def forward(self, *inputs) -> Dict[str, np.ndarray]:
         """Run a forward pass and return the hooked activations.
 
         The pass runs under ``no_grad`` — the reference model only ever
-        performs inference (that is what makes int8 quantization applicable).
+        performs inference (that is what makes int8 quantization applicable)
+        — and stops as soon as every monitored path has been captured:
+        plasticity only reads the frontmost active module's tail, so the
+        layers behind it are never executed.
         """
         if self.model is None:
             raise RuntimeError("reference model has not been generated yet")
@@ -185,7 +199,10 @@ class ReferenceModel:
         start = time.perf_counter()
         self.recorder.clear()
         with no_grad():
-            self.model(*inputs)
+            try:
+                self.model(*inputs)
+            except StopForward:
+                pass
         self.stats.forward_passes += 1
         self.stats.total_forward_seconds += time.perf_counter() - start
         return self.recorder.activations()

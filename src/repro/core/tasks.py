@@ -18,7 +18,8 @@ Each adapter implements:
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+import contextlib
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -34,6 +35,25 @@ __all__ = [
     "QuestionAnsweringTask",
     "make_task",
 ]
+
+
+@contextlib.contextmanager
+def inference_mode(model: nn.Module) -> Iterator[None]:
+    """Evaluate ``model`` under ``eval()`` + ``no_grad``, then restore each submodule's own mode.
+
+    A blanket ``model.train()`` afterwards would flip the BatchNorm/Dropout
+    layers of *frozen* layer modules back to training mode, so they would
+    normalise with batch statistics again and cached activations (§4.3) would
+    no longer match a recomputed prefix.
+    """
+    modes = [(module, module.training) for module in model.modules()]
+    model.eval()
+    try:
+        with nn.no_grad():
+            yield
+    finally:
+        for module, training in modes:
+            module.training = training
 
 
 class TaskAdapter:
@@ -77,14 +97,12 @@ class ClassificationTask(TaskAdapter):
         return nn.cross_entropy(outputs, batch.targets)
 
     def evaluate(self, model: nn.Module, loader: Iterable[Batch]) -> float:
-        model.eval()
         correct, total = 0, 0
-        with nn.no_grad():
+        with inference_mode(model):
             for batch in loader:
                 logits = self.forward(model, batch)
                 correct += int((logits.data.argmax(axis=-1) == batch.targets).sum())
                 total += len(batch)
-        model.train()
         return correct / total if total else 0.0
 
 
@@ -104,14 +122,12 @@ class SegmentationTask(TaskAdapter):
         return nn.cross_entropy(outputs, batch.targets)
 
     def evaluate(self, model: nn.Module, loader: Iterable[Batch]) -> float:
-        model.eval()
         predictions, targets = [], []
-        with nn.no_grad():
+        with inference_mode(model):
             for batch in loader:
                 logits = self.forward(model, batch)
                 predictions.append(logits.data.argmax(axis=-1))
                 targets.append(batch.targets)
-        model.train()
         if not predictions:
             return 0.0
         return mean_iou(np.concatenate(predictions), np.concatenate(targets), self.num_classes)
@@ -140,13 +156,11 @@ class TranslationTask(TaskAdapter):
                                 ignore_index=self.pad_token)
 
     def evaluate(self, model: nn.Module, loader: Iterable[Batch]) -> float:
-        model.eval()
         losses = []
-        with nn.no_grad():
+        with inference_mode(model):
             for batch in loader:
                 outputs = self.forward(model, batch)
                 losses.append(nn.cross_entropy(outputs, batch.targets, ignore_index=self.pad_token).item())
-        model.train()
         if not losses:
             return float("inf")
         return perplexity_from_loss(float(np.mean(losses)))
@@ -167,15 +181,13 @@ class QuestionAnsweringTask(TaskAdapter):
         return loss_fn(start_logits, end_logits, starts, ends)
 
     def evaluate(self, model: nn.Module, loader: Iterable[Batch]) -> float:
-        model.eval()
         f1_scores = []
-        with nn.no_grad():
+        with inference_mode(model):
             for batch in loader:
                 start_logits, end_logits = self.forward(model, batch)
                 pred_starts = start_logits.data.argmax(axis=-1)
                 pred_ends = end_logits.data.argmax(axis=-1)
                 f1_scores.append(f1_spans(pred_starts, pred_ends, batch.targets[:, 0], batch.targets[:, 1]))
-        model.train()
         return float(np.mean(f1_scores)) if f1_scores else 0.0
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from ..data.dataloader import DataLoader
 from ..metrics.tracking import EpochRecord, RunHistory
 from ..nn.module import Module
+from ..nn.tensor import Tensor
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
 from ..sim.cost_model import CostModel
@@ -138,6 +139,9 @@ class BaseTrainer:
 
         self.iteration = 0
         self.simulated_time = 0.0
+        #: Autograd nodes visited by every ``backward()`` so far — a
+        #: deterministic work counter: frozen layers show as fewer nodes.
+        self.backward_nodes = 0
         self.history = RunHistory(name=name, metric_name=task.metric_name,
                                   higher_is_better=task.higher_is_better)
         self._wall_start: Optional[float] = None
@@ -180,12 +184,16 @@ class BaseTrainer:
     # ------------------------------------------------------------------ #
     # Core loop
     # ------------------------------------------------------------------ #
+    def forward_batch(self, batch):
+        """The model outputs for one training mini-batch."""
+        return self.task.forward(self.model, batch)
+
     def train_one_iteration(self, batch) -> float:
         """Forward, loss, backward and optimizer step for one mini-batch."""
-        outputs = self.task.forward(self.model, batch)
+        outputs = self.forward_batch(batch)
         loss = self.task.loss(outputs, batch)
         self.optimizer.zero_grad()
-        loss.backward()
+        self.backward_nodes += loss.backward()
         self.optimizer.step()
         return float(loss.item())
 
@@ -347,6 +355,7 @@ class BaseTrainer:
             "name": self.name,
             "iteration": int(self.iteration),
             "simulated_time": float(self.simulated_time),
+            "backward_nodes": int(self.backward_nodes),
             "next_epoch": int(self._next_epoch),
             "model": dict(self.model.state_dict()),
             "optimizer": self.optimizer.state_dict(),
@@ -363,6 +372,7 @@ class BaseTrainer:
             self.scheduler.load_state_dict(state["scheduler"])
         self.iteration = int(state["iteration"])
         self.simulated_time = float(state["simulated_time"])
+        self.backward_nodes = int(state["backward_nodes"])
         self._next_epoch = int(state["next_epoch"])
         _restore_rng_state(state["rng"])
         _restore_module_rng_states(self.model, dict(state.get("module_rng") or {}))
@@ -417,7 +427,11 @@ class EgeriaTrainer(BaseTrainer):
         self._bootstrap_losses: List[float] = []
         self._bootstrap_window_means: List[float] = []
         self._num_frozen_seen = 0
+        #: Iterations whose frozen-prefix forward pass was served from the
+        #: cache, and full training forward passes actually run; they add up
+        #: to ``iteration``.
         self.fp_skipped_iterations = 0
+        self.training_forwards = 0
         self.stage_transitions: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------ #
@@ -427,9 +441,23 @@ class EgeriaTrainer(BaseTrainer):
         return self.engine.frozen_prefix_length()
 
     def uses_cached_fp(self) -> bool:
-        if not self.config.enable_fp_caching:
-            return False
-        return self.frozen_prefix() >= self.config.min_cached_modules
+        return self._resume_path() is not None
+
+    def _resume_path(self) -> Optional[str]:
+        """Tail of the frozen prefix when its forward pass can be served from the cache.
+
+        ``None`` while FP caching is off, the prefix is shorter than
+        ``min_cached_modules``, or the model cannot resume past that tail
+        (no ``forward_from``, or e.g. a Transformer prefix reaching into the
+        decoder) — then the prefix is recomputed and the simulated account
+        charges it, like the host.
+        """
+        prefix = self.frozen_prefix()
+        if not self.config.enable_fp_caching or prefix < max(self.config.min_cached_modules, 1):
+            return None
+        tail_path = self.layer_modules[prefix - 1].tail_path
+        can_resume = getattr(self.model, "can_resume_from", None)
+        return tail_path if can_resume is not None and can_resume(tail_path) else None
 
     def frozen_fraction(self) -> float:
         return self.engine.frozen_parameter_fraction()
@@ -501,42 +529,52 @@ class EgeriaTrainer(BaseTrainer):
             self._retarget_cache_recorder()
             self._num_frozen_seen = num_frozen
 
-        self._maybe_cache_activations(batch)
+        if self._cache_recorder is not None:
+            self._store_and_prefetch(batch)
 
     # ------------------------------------------------------------------ #
     # Activation caching / prefetching
     # ------------------------------------------------------------------ #
     def _retarget_cache_recorder(self) -> None:
         """Hook the tail of the frozen prefix so its output can be cached."""
-        prefix = self.engine.frozen_prefix_length()
-        if not self.config.enable_fp_caching or prefix < self.config.min_cached_modules:
+        tail_path = self._resume_path()
+        if tail_path is None:
             if self._cache_recorder is not None:
                 self._cache_recorder.remove()
                 self._cache_recorder = None
-            return
-        tail_path = self.layer_modules[prefix - 1].tail_path
-        if self._cache_recorder is None:
+        elif self._cache_recorder is None:
             self._cache_recorder = ActivationRecorder(self.model, [tail_path])
         else:
             self._cache_recorder.retarget([tail_path])
 
-    def _maybe_cache_activations(self, batch) -> None:
-        if self._cache_recorder is None:
-            return
-        # Read path: a full-batch hit means this iteration's frozen-prefix
-        # forward pass could be served from the cache (the saving the cost
-        # model accounts for when ``uses_cached_fp`` is True).
-        cached = self.cache.load_batch(batch.indices)
-        if cached is not None:
-            self.fp_skipped_iterations += 1
-        tail_path = self._cache_recorder.module_paths[0]
-        activation = self._cache_recorder.get(tail_path)
-        if activation is None:
-            return
-        if cached is None:
+    def forward_batch(self, batch):
+        """Forward pass that skips the frozen prefix when the cache holds its output.
+
+        The batch is looked up *before* the forward pass.  On a full-batch
+        hit the model resumes from the cached tail activation
+        (``model.forward_from``), so the prefix costs neither forward nor
+        graph construction; on a miss the whole model runs and the recorder
+        keeps the tail activation for :meth:`_store_and_prefetch`.
+        """
+        if self._cache_recorder is not None:
+            cached = self.cache.load_batch(batch.indices)
+            if cached is not None:
+                self.fp_skipped_iterations += 1
+                self._cache_recorder.clear()  # a served batch leaves nothing to store
+                return self.model.forward_from(self._cache_recorder.module_paths[0], Tensor(cached),
+                                               *self.task.input_tensors(batch))
+        self.training_forwards += 1
+        return self.task.forward(self.model, batch)
+
+    def _store_and_prefetch(self, batch) -> None:
+        """After the iteration's decisions: persist a missed batch's tail, warm the next batches."""
+        # None after a hit, and after a prefix change this iteration (the
+        # recorder was retargeted): that activation belongs to the old prefix.
+        activation = self._cache_recorder.get(self._cache_recorder.module_paths[0])
+        if activation is not None:
             self.cache.store_batch(batch.indices, activation)
-        future = self.train_loader.peek_future_indices(num_batches=self.prefetcher.lookahead_batches)
-        self.prefetcher.prefetch(future)
+        self.prefetcher.prefetch(
+            self.train_loader.peek_future_indices(num_batches=self.prefetcher.lookahead_batches))
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -549,6 +587,7 @@ class EgeriaTrainer(BaseTrainer):
             "bootstrap_window_means": [float(v) for v in self._bootstrap_window_means],
             "num_frozen_seen": int(self._num_frozen_seen),
             "fp_skipped_iterations": int(self.fp_skipped_iterations),
+            "training_forwards": int(self.training_forwards),
             "stage_transitions": [dict(t) for t in self.stage_transitions],
             "engine": self.engine.state_dict(),
             "controller": {
@@ -568,6 +607,7 @@ class EgeriaTrainer(BaseTrainer):
         self._bootstrap_losses = [float(v) for v in egeria["bootstrap_losses"]]
         self._bootstrap_window_means = [float(v) for v in egeria["bootstrap_window_means"]]
         self.fp_skipped_iterations = int(egeria["fp_skipped_iterations"])
+        self.training_forwards = int(egeria["training_forwards"])
         self.stage_transitions = [dict(t) for t in egeria["stage_transitions"]]
 
         # Engine first (it sets the requires_grad flags the worker reads) ...
@@ -608,6 +648,9 @@ class EgeriaTrainer(BaseTrainer):
             "frozen_prefix": self.frozen_prefix(),
             "frozen_fraction": self.frozen_fraction(),
             "fp_skipped_iterations": self.fp_skipped_iterations,
+            "training_forwards": self.training_forwards,
+            "backward_nodes": self.backward_nodes,
+            "reference_blocks_executed": self.reference.stats.blocks_executed,
             "controller": self.controller.summary(),
             "cache": self.cache.stats.as_dict(),
             "stage_transitions": self.stage_transitions,

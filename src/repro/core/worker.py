@@ -98,7 +98,7 @@ class EgeriaWorker:
         accepted_output = self.channels.training_output_queue.put({
             "iteration": iteration,
             "path": self._monitored_path,
-            "activation": activation,
+            "activation": activation.copy(),  # captured by reference; the queue keeps its own
             "worker_id": self.worker_id,
         })
         return accepted_output
@@ -133,7 +133,7 @@ class EgeriaWorker:
         that cached activations remain valid.
         """
         switched = 0
-        for block in layer_module.blocks:
+        for block in layer_module.owned:
             for submodule in block.modules():
                 if isinstance(submodule, (BatchNorm2d, Dropout)) and submodule.training:
                     submodule.eval()

@@ -14,11 +14,12 @@ The paper's question-answering task fine-tunes a *pre-trained* BERT-Base
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import nn
+from .chain import ChainModel
 
 __all__ = ["BertLite", "BertForQuestionAnswering", "bert_lite", "bert_qa_lite", "pretrain_bert_lite"]
 
@@ -43,7 +44,7 @@ class BertEncoderLayer(nn.Module):
         return self.norm2(x + self.dropout(ff))
 
 
-class BertLite(nn.Module):
+class BertLite(ChainModel):
     """Encoder-only Transformer with BERT's embedding + block structure."""
 
     def __init__(self, vocab_size: int = 128, d_model: int = 32, num_heads: int = 4, d_ff: int = 64,
@@ -57,24 +58,24 @@ class BertLite(nn.Module):
         self.token_embed = nn.Embedding(vocab_size, d_model, rng=rng)
         self.position_embed = nn.Embedding(max_len, d_model, rng=rng)
         self.embed_norm = nn.LayerNorm(d_model)
-        self.layers = nn.ModuleList(
-            [BertEncoderLayer(d_model, num_heads, d_ff, dropout=dropout, rng=rng) for _ in range(num_layers)]
+        self.layers = nn.Sequential(
+            *[BertEncoderLayer(d_model, num_heads, d_ff, dropout=dropout, rng=rng) for _ in range(num_layers)]
         )
 
-        self.module_sequence: List[str] = ["token_embed"] + [f"layers.{i}" for i in range(num_layers)]
+        self.set_stages(["token_embed", "layers"])
+        #: Position embeddings and the embedding LayerNorm freeze with the token table.
+        self.module_glue = {"token_embed": ["position_embed", "embed_norm"]}
 
-    def forward(self, token_ids: np.ndarray) -> nn.Tensor:
-        """Return contextual embeddings ``(N, S, d_model)``."""
-        ids = np.asarray(token_ids.data if isinstance(token_ids, nn.Tensor) else token_ids, dtype=np.int64)
-        positions = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        x = self.token_embed(ids) + self.position_embed(positions)
-        x = self.embed_norm(x)
-        for layer in self.layers:
-            x = layer(x)
+    def before(self, stage: str, x):
+        if stage == "token_embed":
+            return np.asarray(x.data if isinstance(x, nn.Tensor) else x, dtype=np.int64)
+        if stage == "layers":
+            positions = np.broadcast_to(np.arange(x.shape[1]), x.shape[:2])
+            return self.embed_norm(x + self.position_embed(positions))
         return x
 
 
-class BertForQuestionAnswering(nn.Module):
+class BertForQuestionAnswering(ChainModel):
     """BERT encoder plus a two-logit span head (start / end positions)."""
 
     def __init__(self, encoder: Optional[BertLite] = None, seed: int = 0, **encoder_kwargs):
@@ -82,15 +83,17 @@ class BertForQuestionAnswering(nn.Module):
         rng = np.random.default_rng(seed + 1)
         self.encoder = encoder if encoder is not None else BertLite(seed=seed, **encoder_kwargs)
         self.qa_head = nn.Linear(self.encoder.d_model, 2, rng=rng)
-        self.module_sequence: List[str] = [f"encoder.{name}" for name in self.encoder.module_sequence] + ["qa_head"]
+        self.set_stages([f"encoder.{stage}" for stage in self.encoder.stages] + ["qa_head"])
+        self.module_glue = {f"encoder.{path}": [f"encoder.{glue}" for glue in owned]
+                            for path, owned in self.encoder.module_glue.items()}
 
-    def forward(self, token_ids: np.ndarray) -> Tuple[nn.Tensor, nn.Tensor]:
+    def before(self, stage: str, x):
+        return self.encoder.before(stage[len("encoder."):], x) if stage.startswith("encoder.") else x
+
+    def forward_from(self, tail_path, hidden, *inputs) -> Tuple[nn.Tensor, nn.Tensor]:
         """Return ``(start_logits, end_logits)``, each of shape ``(N, S)``."""
-        hidden = self.encoder(token_ids)
-        logits = self.qa_head(hidden)
-        start_logits = logits[:, :, 0]
-        end_logits = logits[:, :, 1]
-        return start_logits, end_logits
+        logits = super().forward_from(tail_path, hidden)
+        return logits[:, :, 0], logits[:, :, 1]
 
 
 def bert_lite(num_layers: int = 12, seed: int = 0, **kwargs) -> BertLite:

@@ -11,12 +11,11 @@ resolution.  The backbone/head split matches the paper's 49 layer modules
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from .. import nn
 from ..nn import functional as F
+from .chain import ChainModel
 from .resnet import CifarResNet
 
 __all__ = ["ASPPLite", "DeepLabV3Lite", "deeplabv3_lite"]
@@ -49,7 +48,7 @@ class ASPPLite(nn.Module):
         return self.project(merged)
 
 
-class DeepLabV3Lite(nn.Module):
+class DeepLabV3Lite(ChainModel):
     """Backbone + ASPP head + per-pixel classifier, with output upsampling."""
 
     def __init__(self, num_classes: int = 8, backbone_depth: int = 20, backbone_width: float = 1.0,
@@ -65,19 +64,16 @@ class DeepLabV3Lite(nn.Module):
         #: upsampled back to the input resolution.
         self.output_stride = 4
 
-        blocks_per_stage = (backbone_depth - 2) // 6
-        self.module_sequence: List[str] = (
-            ["backbone.conv1"]
-            + [f"backbone.layer1.{i}" for i in range(blocks_per_stage)]
-            + [f"backbone.layer2.{i}" for i in range(blocks_per_stage)]
-            + [f"backbone.layer3.{i}" for i in range(blocks_per_stage)]
-            + ["head", "classifier"]
-        )
+        # The backbone's stages (all but its unused fc) and glue, then the head.
+        self.set_stages([f"backbone.{stage}" for stage in self.backbone.stages[:-1]] + ["head", "classifier"])
+        self.module_glue = {f"backbone.{path}": [f"backbone.{glue}" for glue in owned]
+                            for path, owned in self.backbone.module_glue.items()}
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        features = self.backbone.features(x)
-        features = self.head(features)
-        logits = self.classifier(features)
+    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
+        return self.backbone.before(stage[len("backbone."):], x) if stage.startswith("backbone.") else x
+
+    def forward_from(self, tail_path, hidden, *inputs) -> nn.Tensor:
+        logits = super().forward_from(tail_path, hidden)
         logits = F.upsample_nearest(logits, self.output_stride)
         # Returns (N, num_classes, H, W); the loss flattens spatial dims.
         return logits.transpose(0, 2, 3, 1)

@@ -9,11 +9,12 @@ schedule shape — is preserved.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .. import nn
+from .chain import ChainModel
 
 __all__ = ["MobileNetV2", "mobilenet_v2_lite"]
 
@@ -30,7 +31,7 @@ _DEFAULT_SCHEDULE: Tuple[Tuple[int, int, int, int], ...] = (
 )
 
 
-class MobileNetV2(nn.Module):
+class MobileNetV2(ChainModel):
     """MobileNetV2 composed of a stem, inverted-residual stages and a classifier."""
 
     def __init__(self, num_classes: int = 10, schedule: Sequence[Tuple[int, int, int, int]] = _DEFAULT_SCHEDULE,
@@ -54,16 +55,10 @@ class MobileNetV2(nn.Module):
         self.flatten = nn.Flatten()
         self.classifier = nn.Linear(last_channels, num_classes, rng=rng)
 
-        self.module_sequence: List[str] = (
-            ["stem"] + [f"blocks.{i}" for i in range(len(blocks))] + ["head", "classifier"]
-        )
+        self.set_stages(["stem", "blocks", "head", "classifier"])
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.stem(x)
-        out = self.blocks(out)
-        out = self.head(out)
-        out = self.flatten(self.avgpool(out))
-        return self.classifier(out)
+    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
+        return self.flatten(self.avgpool(x)) if stage == "classifier" else x
 
     @property
     def num_building_blocks(self) -> int:

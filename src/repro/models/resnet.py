@@ -10,16 +10,17 @@ seconds, but the relative stage sizes are preserved.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .. import nn
+from .chain import ChainModel
 
 __all__ = ["CifarResNet", "resnet56", "resnet20", "resnet8", "ImageNetResNet", "resnet50_lite", "resnet18_lite"]
 
 
-class CifarResNet(nn.Module):
+class CifarResNet(ChainModel):
     """CIFAR-style ResNet with three stages of :class:`~repro.nn.BasicBlock`.
 
     ``depth`` must be ``6n + 2`` (e.g. 56 → n = 9, 20 → n = 3, 8 → n = 1).
@@ -47,15 +48,9 @@ class CifarResNet(nn.Module):
         self.flatten = nn.Flatten()
         self.fc = nn.Linear(channels[2], num_classes, rng=rng)
 
-        #: Ordered building blocks (dotted paths) in forward order — consumed
-        #: by :func:`repro.core.modules.parse_layer_modules`.
-        self.module_sequence: List[str] = (
-            ["conv1"]
-            + [f"layer1.{i}" for i in range(blocks_per_stage)]
-            + [f"layer2.{i}" for i in range(blocks_per_stage)]
-            + [f"layer3.{i}" for i in range(blocks_per_stage)]
-            + ["fc"]
-        )
+        self.set_stages(["conv1", "layer1", "layer2", "layer3", "fc"])
+        #: The stem BatchNorm runs on the way into ``layer1`` and freezes with ``conv1``.
+        self.module_glue = {"conv1": ["bn1"]}
 
     @staticmethod
     def _make_stage(in_channels: int, out_channels: int, num_blocks: int, stride: int,
@@ -64,20 +59,16 @@ class CifarResNet(nn.Module):
         blocks.extend(nn.BasicBlock(out_channels, out_channels, rng=rng) for _ in range(num_blocks - 1))
         return nn.Sequential(*blocks)
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.layer1(out)
-        out = self.layer2(out)
-        out = self.layer3(out)
-        out = self.flatten(self.avgpool(out))
-        return self.fc(out)
+    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
+        if stage == "layer1":
+            return self.relu(self.bn1(x))
+        if stage == "fc":
+            return self.flatten(self.avgpool(x))
+        return x
 
     def features(self, x: nn.Tensor) -> nn.Tensor:
-        """Backbone features before global pooling (used by DeepLabv3-lite)."""
-        out = self.relu(self.bn1(self.conv1(x)))
-        out = self.layer1(out)
-        out = self.layer2(out)
-        return self.layer3(out)
+        """Backbone features before global pooling."""
+        return self.run_stages(x, stop=-1)
 
 
 def resnet56(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
@@ -95,7 +86,7 @@ def resnet8(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarRe
     return CifarResNet(depth=8, num_classes=num_classes, width=width, seed=seed)
 
 
-class ImageNetResNet(nn.Module):
+class ImageNetResNet(ChainModel):
     """ImageNet-style ResNet built from :class:`~repro.nn.Bottleneck` blocks.
 
     ResNet-50 has stages of (3, 4, 6, 3) bottleneck blocks (48 residual
@@ -132,23 +123,15 @@ class ImageNetResNet(nn.Module):
         self.fc = nn.Linear(in_ch, num_classes, rng=rng)
         self.out_channels = in_ch
 
-        self.module_sequence: List[str] = ["conv1"]
-        for stage_idx, num_blocks in enumerate(stage_blocks, start=1):
-            self.module_sequence.extend(f"layer{stage_idx}.{i}" for i in range(num_blocks))
-        self.module_sequence.append("fc")
+        self.set_stages(["conv1", "layer1", "layer2", "layer3", "layer4", "fc"])
+        self.module_glue = {"conv1": ["bn1"]}
 
-    def forward(self, x: nn.Tensor) -> nn.Tensor:
-        out = self.features(x)
-        out = self.flatten(self.avgpool(out))
-        return self.fc(out)
-
-    def features(self, x: nn.Tensor) -> nn.Tensor:
-        """Backbone feature map (used as the DeepLabv3 backbone)."""
-        out = self.maxpool(self.relu(self.bn1(self.conv1(x))))
-        out = self.layer1(out)
-        out = self.layer2(out)
-        out = self.layer3(out)
-        return self.layer4(out)
+    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
+        if stage == "layer1":
+            return self.maxpool(self.relu(self.bn1(x)))
+        if stage == "fc":
+            return self.flatten(self.avgpool(x))
+        return x
 
 
 def resnet50_lite(num_classes: int = 100, base_width: int = 8, seed: int = 0) -> ImageNetResNet:

@@ -57,12 +57,32 @@ class TransformerMT(nn.Module):
             + [f"decoder.{i}" for i in range(num_decoder_layers)]
             + ["generator"]
         )
+        #: Parameterised glue (see ``parse_layer_modules``): each final norm
+        #: freezes with the last layer of its stack, and the target embedding
+        #: with the first decoder layer, so no frozen prefix has a trainable
+        #: tensor upstream of its tail.
+        self.module_glue = {f"encoder.{num_encoder_layers - 1}": ["encoder_norm"], "decoder.0": ["tgt_embed"]}
+        self.module_glue.setdefault(f"decoder.{num_decoder_layers - 1}", []).append("decoder_norm")
 
-    def encode(self, src_tokens: np.ndarray) -> nn.Tensor:
-        """Run the encoder stack over integer source tokens ``(N, S)``."""
-        x = self.positional(self.src_embed(src_tokens))
-        for layer in self.encoder:
-            x = layer(x)
+    def can_resume_from(self, path: str) -> bool:
+        """Only encoder-side tails: a decoder layer's output alone lacks the encoder memory."""
+        return path == "src_embed" or path.startswith("encoder.")
+
+    def encode(self, src_tokens: np.ndarray, tail_path: Optional[str] = None,
+               hidden: Optional[nn.Tensor] = None) -> nn.Tensor:
+        """Run the encoder stack over integer source tokens ``(N, S)``.
+
+        With ``tail_path`` the stack resumes just past that building block
+        from its output ``hidden`` instead of embedding ``src_tokens``.
+        """
+        first_layer = 0
+        if tail_path is None:
+            hidden = self.src_embed(src_tokens)
+        elif tail_path != "src_embed":
+            first_layer = int(tail_path.rpartition(".")[2]) + 1
+        x = self.positional(hidden) if first_layer == 0 else hidden
+        for index in range(first_layer, self.num_encoder_layers):
+            x = self.encoder[index](x)
         return self.encoder_norm(x)
 
     def decode(self, tgt_tokens: np.ndarray, memory: nn.Tensor) -> nn.Tensor:
@@ -80,9 +100,14 @@ class TransformerMT(nn.Module):
         When ``tgt_tokens`` is omitted the source tokens double as the target
         prefix (useful for quick smoke tests).
         """
+        return self.forward_from(None, None, src_tokens, tgt_tokens)
+
+    def forward_from(self, tail_path: Optional[str], hidden: Optional[nn.Tensor], src_tokens: np.ndarray,
+                     tgt_tokens: Optional[np.ndarray] = None) -> nn.Tensor:
+        """The forward pass, resumed past encoder-side block ``tail_path`` when given."""
         if tgt_tokens is None:
             tgt_tokens = src_tokens
-        memory = self.encode(src_tokens)
+        memory = self.encode(src_tokens, tail_path, hidden)
         decoded = self.decode(tgt_tokens, memory)
         return self.generator(decoded)
 

@@ -15,6 +15,7 @@ pieces of ``torch.nn.Module`` that Egeria's paper relies on:
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -220,8 +221,9 @@ class Sequential(Module):
         for idx, module in enumerate(modules):
             setattr(self, str(idx), module)
 
-    def forward(self, x):
-        for module in self._modules.values():
+    def forward(self, x, start: int = 0):
+        """Apply the chain; ``start`` skips the first modules (``x`` is then the output of module ``start - 1``)."""
+        for module in islice(self._modules.values(), start, None):
             x = module(x)
         return x
 

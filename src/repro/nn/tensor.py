@@ -445,13 +445,14 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Backward pass
     # ------------------------------------------------------------------ #
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+    def backward(self, grad: Optional[np.ndarray] = None) -> int:
+        """Run reverse-mode autodiff from this tensor; returns the number of graph nodes visited.
 
         Nodes whose subtree contains no ``requires_grad`` leaf are never
         visited, which is precisely how frozen layer modules drop out of the
         backward pass: once Egeria sets ``requires_grad=False`` on their
-        parameters, their portion of the graph is pruned here.
+        parameters, their portion of the graph is pruned here.  The node
+        count is the deterministic measure of that pruning.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -477,6 +478,7 @@ class Tensor:
 
         for node in reversed(topo):
             node._backward()
+        return len(topo)
 
     def zero_grad(self) -> None:
         """Clear any accumulated gradient."""

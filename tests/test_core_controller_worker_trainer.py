@@ -278,13 +278,14 @@ class TestEgeriaTrainer:
         batch = loader.next_batch()
         trainer.iteration = 3  # odd: skips the periodic evaluation submission
         trainer.on_iteration_end(batch, loss_value=1.0)  # syncs version + recorder
-        trainer.task.forward(trainer.model, batch)       # fills the recorder hook
+        trainer.forward_batch(batch)                     # miss: the full forward fills the recorder hook
         trainer.on_iteration_end(batch, loss_value=1.0)  # stores the batch
         stores_before_unfreeze = trainer.cache.stats.stores
         assert stores_before_unfreeze > 0
-        trainer.task.forward(trainer.model, batch)
-        trainer.on_iteration_end(batch, loss_value=1.0)  # legitimate full hit
+        trainer.forward_batch(batch)                     # legitimate full hit: resumes past the prefix
+        trainer.on_iteration_end(batch, loss_value=1.0)  # ... and leaves nothing to store
         assert trainer.fp_skipped_iterations == 1
+        assert trainer.cache.stats.stores == stores_before_unfreeze
 
         # 10x LR drop -> the real epoch hook unfreezes everything.
         trainer.on_epoch_start(epoch=1, lr=0.01)
@@ -292,7 +293,7 @@ class TestEgeriaTrainer:
         # The recorder must be gone: the prefix trains again, so recording
         # (and serving) its tail would be stale immediately.
         assert trainer._cache_recorder is None
-        trainer.task.forward(trainer.model, batch)
+        trainer.forward_batch(batch)
         trainer.on_iteration_end(batch, loss_value=1.0)
         assert trainer.cache.stats.stores == stores_before_unfreeze  # no post-unfreeze stores
 

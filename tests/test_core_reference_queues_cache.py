@@ -246,6 +246,86 @@ class TestActivationCache:
                 assert cache.load(sample_id) is not None
 
 
+class TestSlabCache:
+    """Batch-granular properties of the memory-mapped slab layout."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=24, unique=True),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_property_batch_round_trip(self, sample_ids, memory_batches):
+        rng = np.random.default_rng(len(sample_ids))
+        rows = rng.standard_normal((len(sample_ids), 3, 2)).astype(np.float32)
+        with ActivationCache(memory_batches=memory_batches, batch_size=4) as cache:
+            assert cache.store_batch(sample_ids, rows) == len(sample_ids)
+            assert os.listdir(cache.cache_dir) == [f"slab_g{cache.generation}.f32"]  # one file, not one per sample
+            for _ in range(2):  # from the slab, then (what fits) from the in-memory table
+                assert np.array_equal(cache.load_batch(sample_ids), rows)
+            assert np.array_equal(cache.load_batch(sample_ids[::-1]), rows[::-1])
+            assert cache.memory_entries <= cache.memory_capacity
+            assert cache.stats.hits == 3 * len(sample_ids) and cache.stats.misses == 0
+            assert cache.load_batch(sample_ids + [301]) is None
+            assert cache.stats.hits == 4 * len(sample_ids) and cache.stats.misses == 1
+
+    def test_overwrite_counts_only_the_delta_against_the_budget(self, tmp_path, rng):
+        rows = rng.standard_normal((4, 10)).astype(np.float32)
+        cache = ActivationCache(cache_dir=str(tmp_path), max_disk_bytes=6 * rows[0].nbytes)
+        assert cache.store_batch([0, 1, 2, 3], rows) == 4
+        assert cache.store_batch([0, 1, 2, 3], rows + 1.0) == 4      # all overwrites: no new bytes
+        assert cache.disk_bytes == 4 * rows[0].nbytes
+        # Two overwrites and two of the three new rows fit; the rejected one misses later.
+        assert cache.store_batch([2, 3, 7, 8, 9], np.concatenate([rows, rows[:1]]) + 2.0) == 4
+        assert cache.disk_bytes == 6 * rows[0].nbytes == cache.max_disk_bytes
+        assert np.array_equal(cache.load_batch([0, 2, 7, 8]), np.stack([rows[0] + 1, rows[0] + 2, rows[2] + 2, rows[3] + 2]))
+        assert cache.load(9) is None
+        assert cache.stats.bytes_written == 12 * rows[0].nbytes
+
+    def test_new_generation_never_serves_an_earlier_row(self, tmp_path, rng):
+        cache = ActivationCache(cache_dir=str(tmp_path), memory_batches=2, batch_size=4)
+        stale = rng.standard_normal((4, 5)).astype(np.float32)
+        cache.store_batch([0, 1, 2, 3], stale)
+        cache.load_batch([0, 1, 2, 3])           # resident in the in-memory table too
+        old_slab = os.path.join(str(tmp_path), f"slab_g{cache.generation}.f32")
+        cache.new_generation()
+        assert not os.path.exists(old_slab)
+        assert cache.load_batch([0, 1, 2, 3]) is None and cache.memory_entries == 0
+        assert cache.warm([0, 1, 2, 3]) == 0
+        cache.store_batch([1], stale[:1] + 1.0)   # the new generation may use another row shape, too
+        assert cache.load_batch([0, 1]) is None
+        assert np.array_equal(cache.load(1), stale[0] + 1.0)
+
+    def test_manifest_round_trip_reattaches_surviving_rows(self, tmp_path, rng):
+        rows = rng.standard_normal((6, 2, 3)).astype(np.float32)
+        cache = ActivationCache(cache_dir=str(tmp_path / "a"))
+        cache.set_prefix_version(2)
+        cache.store_batch([5, 1, 9, 0, 40, 3], rows)
+        cache.load_batch([5, 1])
+        manifest = cache.manifest()
+        assert manifest["entries"] == {"row_shape": [2, 3], "samples": [0, 1, 3, 5, 9, 40]}
+
+        same_dir = ActivationCache(cache_dir=str(tmp_path / "a"))
+        assert same_dir.load_manifest(manifest) == 6
+        assert (same_dir.generation, same_dir.prefix_version) == (cache.generation, 2)
+        assert same_dir.stats == cache.stats and same_dir.disk_bytes == cache.disk_bytes
+        assert np.array_equal(same_dir.load_batch([5, 1, 9, 0, 40, 3]), rows)
+        assert same_dir.manifest()["entries"] == manifest["entries"]
+
+        elsewhere = ActivationCache(cache_dir=str(tmp_path / "b"))   # e.g. restored on another machine
+        assert elsewhere.load_manifest(manifest) == 0
+        assert elsewhere.load_batch([5, 1]) is None and elsewhere.generation == cache.generation
+        assert elsewhere.store_batch([5], rows[:1]) == 1             # and it caches again from there
+
+    def test_slab_grows_when_a_larger_sample_id_arrives(self, tmp_path, rng):
+        cache = ActivationCache(cache_dir=str(tmp_path), memory_batches=1, batch_size=2)
+        rows = rng.standard_normal((3, 4)).astype(np.float32)
+        cache.store_batch([0, 1, 2], rows)
+        cache.load_batch([1, 2])
+        assert cache.load(5000) is None                     # a lookup past the end is a plain miss
+        assert cache.store(5000, rows[0] * 2.0)
+        assert np.array_equal(cache.load_batch([5000, 0, 1, 2]), np.concatenate([rows[:1] * 2.0, rows]))
+        assert cache.disk_bytes == 4 * rows[0].nbytes        # the file is sparse: holes are not "stored"
+        assert cache.resident([1, 2, 5000, 77]).tolist() == [True, True, False, False]
+
+
 class TestPrefetcher:
     def test_prefetch_pulls_future_batches_into_memory(self, tmp_path, rng):
         dataset = make_dataset("synthetic_cifar10", num_samples=32, seed=0)
@@ -254,14 +334,14 @@ class TestPrefetcher:
         cache = ActivationCache(cache_dir=str(tmp_path), memory_batches=4, batch_size=8)
         for i in range(32):
             cache.store(i, rng.standard_normal(4).astype(np.float32))
-        cache._memory.clear()
+        assert cache.memory_entries == 0  # storing alone makes nothing resident
         prefetcher = Prefetcher(cache, lookahead_batches=2)
         loaded = prefetcher.prefetch(loader.peek_future_indices(num_batches=2))
         assert loaded == 16
         assert cache.stats.prefetches == 16
         # The prefetched samples hit in memory without another disk read.
         future = loader.peek_future_indices(num_batches=1)[0]
-        assert all(int(i) in cache._memory for i in future)
+        assert cache.resident(future).all()
 
     def test_prefetch_skips_missing_entries(self, tmp_path):
         cache = ActivationCache(cache_dir=str(tmp_path))
