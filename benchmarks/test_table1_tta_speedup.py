@@ -36,13 +36,8 @@ def test_table1_tta_speedup(benchmark, scale):
     assert all(row["egeria_reached_target"] for row in rows)
     # And at least the CNN workloads (where the deep stages dominate the
     # parameter count and training is long enough for freezing to engage)
-    # must show a positive TTA speedup.  At this scale the epoch that first
-    # reaches the target is decided by one of 16 validation samples, so
-    # ResNet-56 — the only CNN whose target is above chance here — is also
-    # read at two more seeds.
+    # must show a positive TTA speedup.
     cnn_rows = [row for row in rows if row["workload"].startswith(("resnet", "mobilenet"))]
-    for seed in (1, 2):
-        cnn_rows += run_table1_tta(scale=scale, workload_names=("resnet56_cifar10",), seed=seed)
     assert any(row["measured_tta_speedup"] is not None and row["measured_tta_speedup"] > 0.0
                for row in cnn_rows)
 

@@ -1,13 +1,13 @@
 """Activation cache with prefetching to skip the frozen layers' forward pass.
 
 §4.3 of the paper: once the front layer modules are frozen they produce the
-same output for the same (deterministically augmented) input, so Egeria
-saves the frozen prefix's output activations to disk, keyed by sample ID,
-and prefetches the activations of upcoming mini-batches into GPU memory —
-the data loader "knows the future" sample indices.  Only the most recent few
-mini-batches are kept in memory (the paper keeps five); the bulk lives on
-disk.  :class:`ActivationCache` is that disk store plus the bounded in-memory
-table, with the hit/miss/byte accounting of the §6.5 overhead analysis;
+same output for the same (deterministically augmented) input, so Egeria saves
+the frozen prefix's output activations to disk, keyed by sample ID, and
+prefetches those of upcoming mini-batches into GPU memory — the data loader
+"knows the future" sample indices.  Only the most recent few mini-batches are
+kept in memory (the paper keeps five); the bulk lives on disk.
+:class:`ActivationCache` is that disk store plus the bounded in-memory table,
+with the hit/miss/byte accounting of the §6.5 overhead analysis;
 :class:`Prefetcher` warms the table with the next mini-batches' activations.
 
 The disk store is one memory-mapped **slab** per cache generation: a
@@ -15,9 +15,12 @@ The disk store is one memory-mapped **slab** per cache generation: a
 activation, plus a presence bitmap saying which rows were written.  A
 mini-batch is therefore one scattered write (:meth:`store_batch`) or one
 gather (:meth:`load_batch`, :meth:`warm`) whatever its size; the file is
-sparse, so only written rows take disk space.  Everything is invalidated
-whenever the frozen prefix changes (a module freezes, or an unfreeze occurs)
-because a cached tensor is the output of one specific prefix of layers.
+sparse, so only written rows take disk space.  Rows keep the memory order the
+model produced them in (a convolution's output is channels-last) and are
+handed back in it, so downstream reductions sum in the same order and a
+cache-served iteration is bit-identical to a recomputed one.  Everything is
+invalidated whenever the frozen prefix changes (freeze or unfreeze) because a
+cached tensor is the output of one specific prefix of layers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import shutil
 import tempfile
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,8 +63,7 @@ class ActivationCache:
     Parameters
     ----------
     cache_dir:
-        Directory for the slab file; a temporary directory is created (and
-        removed on :meth:`close`) when omitted.
+        Directory for the slab file; a temporary one (removed on :meth:`close`) when omitted.
     memory_batches:
         Number of recent/prefetched mini-batches' activations kept in the
         in-memory table (the simulated GPU-memory hash table of Figure 7).
@@ -69,9 +71,8 @@ class ActivationCache:
         Used only to size the in-memory table (``memory_batches * batch_size``
         rows; the oldest rows are overwritten first).
     max_disk_bytes:
-        Optional storage budget; stores beyond the budget are rejected
-        (counted as misses later) — the paper lets users cap activation
-        storage at up to one epoch's worth.
+        Optional storage budget; stores beyond it are rejected (and miss later) —
+        the paper lets users cap activation storage at up to one epoch's worth.
     """
 
     def __init__(self, cache_dir: Optional[str] = None, memory_batches: int = 5, batch_size: int = 16,
@@ -85,15 +86,15 @@ class ActivationCache:
         #: Length of the frozen prefix the cached activations belong to
         #: (descriptive only; validity is keyed by ``generation``).
         self.prefix_version = 0
-        #: Monotonically increasing generation counter.  Every prefix change
-        #: — freeze *or* unfreeze — bumps it, so a version number that
-        #: numerically recurs (e.g. refreezing back to the same prefix length
-        #: after an unfreeze) can never alias entries from an earlier era.
+        #: Monotonically increasing; every prefix change — freeze *or* unfreeze
+        #: — bumps it, so a prefix length that recurs after an unfreeze can
+        #: never alias entries from an earlier era.
         self.generation = 0
-        #: The generation's slab, ``(rows, *row_shape)``; mapped on first store.
+        #: The generation's slab ``(rows, *row_shape)``, mapped on first store, and the
+        #: axis order (see :meth:`store_batch`) that turns an activation batch into its rows.
         self._slab: Optional[np.memmap] = None
-        #: Per sample id (both grow with the ids seen): row written this
-        #: generation / its slot in the in-memory table, -1 when not resident.
+        self._order: Tuple[int, ...] = ()
+        #: Per sample id (grown with the ids seen): row written this generation / table slot or -1.
         self._present = np.zeros(0, dtype=bool)
         self._slot = np.zeros(0, dtype=np.int64)
         #: The in-memory table: a ring of rows and the sample id each slot holds (-1: empty).
@@ -113,10 +114,9 @@ class ActivationCache:
     def new_generation(self) -> int:
         """Unconditionally start a fresh cache generation (drops everything).
 
-        Unlike :meth:`set_prefix_version` this invalidates even when the
-        nominal prefix length is unchanged — the unfreeze path relies on it,
-        because after unfreeze → refreeze the prefix *length* may repeat while
-        the frozen weights (and hence the cached activations) differ.
+        Unlike :meth:`set_prefix_version` this invalidates even when the prefix
+        length is unchanged — after unfreeze → refreeze the *length* may repeat
+        while the frozen weights (and hence the cached activations) differ.
         """
         self.invalidate()
         self.generation += 1
@@ -131,9 +131,7 @@ class ActivationCache:
 
     def _forget(self) -> None:
         self._slab = self._table = None
-        self._present[:] = False
-        self._slot[:] = -1
-        self._table_ids[:] = -1
+        self._present[:], self._slot[:], self._table_ids[:] = False, -1, -1
 
     def _slab_path(self) -> str:
         return os.path.join(self.cache_dir, f"slab_g{self.generation}.f32")
@@ -148,10 +146,10 @@ class ActivationCache:
             self._slot = np.concatenate([self._slot, np.full(grow, -1, dtype=np.int64)])
         return ids
 
-    def _map_slab(self, row_shape: Sequence[int]) -> None:
+    def _map_slab(self, row_shape: Sequence[int], order: Sequence[int]) -> None:
         """Map the slab with a row for every known id, creating or extending the (sparse) file."""
         path, shape = self._slab_path(), (len(self._present), *row_shape)
-        self._slab = None
+        self._slab, self._order = None, tuple(order)
         with open(path, "ab") as handle:  # never shrinks: another mapping of the file may be live
             if handle.tell() < int(np.prod(shape)) * 4:
                 handle.truncate(int(np.prod(shape)) * 4)
@@ -167,12 +165,15 @@ class ActivationCache:
 
         Re-storing a present sample id overwrites its row, so only *new* rows
         count against ``max_disk_bytes``.  Rows beyond the budget, or of
-        another shape than the generation's slab, are rejected and simply
-        miss (and are recomputed) later.
+        another shape or memory order than the generation's slab, are rejected
+        and simply miss (and are recomputed) later.
         """
         ids = self._ids(sample_ids)
         rows = np.asarray(activations, dtype=np.float32)
-        if not ids.size or (self._slab is not None and rows.shape[1:] != self._slab.shape[1:]):
+        # Slab rows are in memory order: the row axes by decreasing stride.
+        order = (0, *(1 + np.argsort([-stride for stride in rows.strides[1:]], kind="stable")).tolist())
+        rows = rows.transpose(order)
+        if not ids.size or (self._slab is not None and (rows.shape[1:], order) != (self._slab.shape[1:], self._order)):
             return 0
         if self.max_disk_bytes is not None:
             fresh = ~self._present[ids]
@@ -182,7 +183,7 @@ class ActivationCache:
             if not ids.size:
                 return 0
         if self._slab is None or len(self._slab) < len(self._present):
-            self._map_slab(rows.shape[1:])
+            self._map_slab(rows.shape[1:], order)
         self._slab[ids] = rows
         self._present[ids] = True
         resident = self._slot[ids] >= 0
@@ -194,8 +195,8 @@ class ActivationCache:
     def load_batch(self, sample_ids: Sequence[int]) -> Optional[np.ndarray]:
         """Load a full mini-batch (one gather); ``None`` unless *every* sample hits.
 
-        Accounting is per sample: a full batch counts one hit each, a batch that
-        misses counts the samples before its first absent one, then a single miss.
+        Per-sample accounting: a full batch is one hit each, a batch that misses
+        counts the samples before its first absent one, then a single miss.
         """
         ids = self._ids(sample_ids)
         present = self._present[ids]
@@ -206,10 +207,11 @@ class ActivationCache:
         self.stats.hits += len(ids)
         slots = self._slot[ids]
         if (slots >= 0).all():
-            return self._table[slots]
-        rows = np.asarray(self._slab[ids])
-        self._remember(ids, rows)
-        return rows
+            rows = self._table[slots]
+        else:
+            rows = np.asarray(self._slab[ids])
+            self._remember(ids, rows)
+        return rows.transpose(np.argsort(self._order))
 
     def warm(self, sample_ids: Sequence[int]) -> int:
         """Pull the persisted, not yet resident rows of ``sample_ids`` into memory (one gather)."""
@@ -240,10 +242,6 @@ class ActivationCache:
         batch = self.load_batch([sample_id])
         return None if batch is None else batch[0]
 
-    def resident(self, sample_ids: Sequence[int]) -> np.ndarray:
-        """Per sample id: whether its row is in the in-memory table."""
-        return self._slot[self._ids(sample_ids)] >= 0
-
     # ------------------------------------------------------------------ #
     # Checkpointing
     # ------------------------------------------------------------------ #
@@ -253,23 +251,26 @@ class ActivationCache:
         The activations live on disk and are *reconstructable* (a miss just
         recomputes the frozen prefix), so a checkpoint records only this:
         versioning counters, statistics and, under ``entries``, the slab's row
-        shape and which rows are present.  Restoring into a cache on the same
-        ``cache_dir`` re-attaches those rows if the slab file survived.
+        shape and order and which rows are present (flushed first, so a listed
+        row is on disk).  Restoring into a cache on the same ``cache_dir``
+        re-attaches those rows if the slab file survived.
         """
+        if self._slab is not None:
+            self._slab.flush()
         return {
             "generation": int(self.generation),
             "prefix_version": int(self.prefix_version),
             "stats": {key: int(value) for key, value in self.stats.__dict__.items()},
             "entries": {} if self._slab is None else {"row_shape": list(self._slab.shape[1:]),
+                                                      "row_order": [int(axis) for axis in self._order],
                                                       "samples": np.flatnonzero(self._present).tolist()},
         }
 
     def load_manifest(self, manifest: Dict[str, object]) -> int:
         """Restore versioning/statistics and re-attach the surviving slab rows.
 
-        Returns the number of rows re-attached; rows a missing or shorter
-        slab file lacks (e.g. the checkpoint was restored on another machine)
-        are simply dropped and will be recomputed as misses.
+        Returns the number of rows re-attached; rows a missing or shorter slab
+        file lacks (e.g. restored on another machine) are recomputed as misses.
         """
         self._forget()
         self.generation = int(manifest["generation"])
@@ -283,7 +284,7 @@ class ActivationCache:
         rows_on_disk = os.path.getsize(path) // (int(np.prod(row_shape)) * 4)
         ids = self._ids([i for i in entries["samples"] if int(i) < rows_on_disk])
         if ids.size:
-            self._map_slab(row_shape)
+            self._map_slab(row_shape, entries["row_order"])
             self._present[ids] = True
         return len(ids)
 
@@ -321,9 +322,9 @@ class Prefetcher:
     """Warms the cache's in-memory table with upcoming mini-batches' activations.
 
     ``prefetch`` takes the index lists of ``DataLoader.peek_future_indices``
-    and pulls every already-persisted activation into memory in one gather,
-    so the training loop's ``load_batch`` is a pure memory lookup — modelling
-    the paper's overlap of disk access with GPU compute.
+    and pulls every already-persisted activation into memory in one gather, so
+    the training loop's ``load_batch`` is a pure memory lookup — modelling the
+    paper's overlap of disk access with GPU compute.
     """
 
     def __init__(self, cache: ActivationCache, lookahead_batches: int = 2):

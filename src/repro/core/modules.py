@@ -13,9 +13,11 @@ stages 1 and 2 (5% / 20%) are each evaluated as a whole.
    ``module_sequence`` attribute (all models in :mod:`repro.models` provide
    one) or from its top-level children; parameterised *glue* that runs
    between blocks (a stem BatchNorm, an embedding LayerNorm, the final
-   encoder norm) is assigned through the model's ``module_glue`` mapping to
-   the block it freezes with, so a frozen prefix has no trainable tensor
-   upstream of its tail and autograd builds no graph for it;
+   encoder norm) is assigned through the model's ``module_glue`` mapping
+   (derived from the stage declaration of a
+   :class:`~repro.models.chain.ChainModel`) to the block it freezes with, so
+   a frozen prefix has no trainable tensor upstream of its tail and autograd
+   builds no graph for it;
 2. optionally filter/split by a user regular expression (the paper's
    configuration hook, "e.g. evaluating every convolutional layer");
 3. group consecutive blocks so that no group exceeds ``max_fraction`` of the

@@ -372,7 +372,7 @@ class BaseTrainer:
             self.scheduler.load_state_dict(state["scheduler"])
         self.iteration = int(state["iteration"])
         self.simulated_time = float(state["simulated_time"])
-        self.backward_nodes = int(state["backward_nodes"])
+        self.backward_nodes = int(state.get("backward_nodes", 0))  # work counter: absent before it existed
         self._next_epoch = int(state["next_epoch"])
         _restore_rng_state(state["rng"])
         _restore_module_rng_states(self.model, dict(state.get("module_rng") or {}))
@@ -607,7 +607,7 @@ class EgeriaTrainer(BaseTrainer):
         self._bootstrap_losses = [float(v) for v in egeria["bootstrap_losses"]]
         self._bootstrap_window_means = [float(v) for v in egeria["bootstrap_window_means"]]
         self.fp_skipped_iterations = int(egeria["fp_skipped_iterations"])
-        self.training_forwards = int(egeria["training_forwards"])
+        self.training_forwards = int(egeria.get("training_forwards", 0))
         self.stage_transitions = [dict(t) for t in egeria["stage_transitions"]]
 
         # Engine first (it sets the requires_grad flags the worker reads) ...

@@ -44,6 +44,14 @@ class BertEncoderLayer(nn.Module):
         return self.norm2(x + self.dropout(ff))
 
 
+class LearnedPositions(nn.Embedding):
+    """Learned position table, added to the token embeddings it is called on."""
+
+    def forward(self, x: nn.Tensor) -> nn.Tensor:
+        positions = np.broadcast_to(np.arange(x.shape[1]), x.shape[:2])
+        return x + super().forward(positions)
+
+
 class BertLite(ChainModel):
     """Encoder-only Transformer with BERT's embedding + block structure."""
 
@@ -56,23 +64,14 @@ class BertLite(ChainModel):
         self.num_layers = num_layers
 
         self.token_embed = nn.Embedding(vocab_size, d_model, rng=rng)
-        self.position_embed = nn.Embedding(max_len, d_model, rng=rng)
+        self.position_embed = LearnedPositions(max_len, d_model, rng=rng)
         self.embed_norm = nn.LayerNorm(d_model)
         self.layers = nn.Sequential(
             *[BertEncoderLayer(d_model, num_heads, d_ff, dropout=dropout, rng=rng) for _ in range(num_layers)]
         )
 
-        self.set_stages(["token_embed", "layers"])
-        #: Position embeddings and the embedding LayerNorm freeze with the token table.
-        self.module_glue = {"token_embed": ["position_embed", "embed_norm"]}
-
-    def before(self, stage: str, x):
-        if stage == "token_embed":
-            return np.asarray(x.data if isinstance(x, nn.Tensor) else x, dtype=np.int64)
-        if stage == "layers":
-            positions = np.broadcast_to(np.arange(x.shape[1]), x.shape[:2])
-            return self.embed_norm(x + self.position_embed(positions))
-        return x
+        # Position embeddings and the embedding LayerNorm run on the way into the first layer.
+        self.set_stages(["token_embed", ("layers", ["position_embed", "embed_norm"])])
 
 
 class BertForQuestionAnswering(ChainModel):
@@ -83,12 +82,7 @@ class BertForQuestionAnswering(ChainModel):
         rng = np.random.default_rng(seed + 1)
         self.encoder = encoder if encoder is not None else BertLite(seed=seed, **encoder_kwargs)
         self.qa_head = nn.Linear(self.encoder.d_model, 2, rng=rng)
-        self.set_stages([f"encoder.{stage}" for stage in self.encoder.stages] + ["qa_head"])
-        self.module_glue = {f"encoder.{path}": [f"encoder.{glue}" for glue in owned]
-                            for path, owned in self.encoder.module_glue.items()}
-
-    def before(self, stage: str, x):
-        return self.encoder.before(stage[len("encoder."):], x) if stage.startswith("encoder.") else x
+        self.set_stages(self.encoder.stage_specs("encoder.") + ["qa_head"])
 
     def forward_from(self, tail_path, hidden, *inputs) -> Tuple[nn.Tensor, nn.Tensor]:
         """Return ``(start_logits, end_logits)``, each of shape ``(N, S)``."""

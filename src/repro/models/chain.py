@@ -9,43 +9,57 @@ only the active suffix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import nn
 
 __all__ = ["ChainModel"]
 
+#: A stage declaration: the dotted path of one building block or of an
+#: ``nn.Sequential`` of building blocks, optionally paired with its *entry* —
+#: the submodule paths applied, in order, to the stage's input.
+Stage = Union[str, Tuple[str, Sequence[str]]]
+
 
 class ChainModel(nn.Module):
     """A model whose forward pass chains its ``stages``.
 
-    A stage is the dotted path of either one building block or an
-    ``nn.Sequential`` of building blocks; subclasses declare them with
-    :meth:`set_stages`, which also derives ``module_sequence`` (the building
-    blocks in forward order, consumed by
-    :func:`repro.core.modules.parse_layer_modules`).  They name in
-    ``module_glue`` the parameterised submodules that run between blocks
-    (block path -> paths of the glue that executes right after it and freezes
-    with it) and override :meth:`before` with what runs on the way into a
-    stage.  ``forward`` and ``forward_from`` are then the same loop, entered
-    at different blocks.
+    Subclasses declare the chain once, with :meth:`set_stages`; everything
+    else is derived from that declaration:
+
+    * ``forward`` / ``forward_from`` — one loop, entered at different blocks:
+      each stage's entry runs on its input, then the stage itself;
+    * ``module_sequence`` — the building blocks in forward order, consumed by
+      :func:`repro.core.modules.parse_layer_modules`;
+    * ``module_glue`` — block path -> the parameterised entry submodules that
+      freeze with it.  An entry belongs to the first block of the stage it
+      feeds: it runs *after* the previous block's output (the tail a resumed
+      forward pass starts from), so it stays trainable until the block behind
+      it freezes, and no frozen prefix has a trainable tensor upstream of its
+      tail.
     """
 
     stages: List[str]
+    stage_entry: Dict[str, List[str]]
     module_sequence: List[str]
-    module_glue: Dict[str, List[str]] = {}
+    module_glue: Dict[str, List[str]]
 
-    def set_stages(self, stages: Sequence[str]) -> None:
-        self.stages = list(stages)
-        self.module_sequence = []
-        for stage in self.stages:
-            module = self.get_submodule(stage)
-            self.module_sequence.extend(
-                [f"{stage}.{i}" for i in range(len(module))] if isinstance(module, nn.Sequential) else [stage])
+    def set_stages(self, stages: Sequence[Stage]) -> None:
+        self.stages, self.stage_entry, self.module_sequence, self.module_glue = [], {}, [], {}
+        for stage in stages:
+            path, entry = (stage, ()) if isinstance(stage, str) else stage
+            module = self.get_submodule(path)
+            blocks = [f"{path}.{i}" for i in range(len(module))] if isinstance(module, nn.Sequential) else [path]
+            self.stages.append(path)
+            self.stage_entry[path] = list(entry)
+            self.module_sequence.extend(blocks)
+            glue = [p for p in entry if any(True for _ in self.get_submodule(p).parameters())]
+            if glue:
+                self.module_glue[blocks[0]] = glue
 
-    def before(self, stage: str, x):
-        """Glue applied to the input of ``stage`` (default: none)."""
-        return x
+    def stage_specs(self, prefix: str) -> List[Stage]:
+        """This chain's declaration with every path under ``prefix`` — for a model that embeds it."""
+        return [(prefix + path, [prefix + p for p in self.stage_entry[path]]) for path in self.stages]
 
     def can_resume_from(self, path: str) -> bool:
         """Whether :meth:`forward_from` accepts ``path`` as its tail."""
@@ -73,7 +87,9 @@ class ChainModel(nn.Module):
             if offset:
                 hidden, offset = module(hidden, start=offset), 0
             else:
-                hidden = module(self.before(stage, hidden))
+                for path in self.stage_entry[stage]:
+                    hidden = self.get_submodule(path)(hidden)
+                hidden = module(hidden)
         return hidden
 
     def forward_from(self, tail_path: Optional[str], hidden, *inputs):

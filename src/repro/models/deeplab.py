@@ -64,13 +64,8 @@ class DeepLabV3Lite(ChainModel):
         #: upsampled back to the input resolution.
         self.output_stride = 4
 
-        # The backbone's stages (all but its unused fc) and glue, then the head.
-        self.set_stages([f"backbone.{stage}" for stage in self.backbone.stages[:-1]] + ["head", "classifier"])
-        self.module_glue = {f"backbone.{path}": [f"backbone.{glue}" for glue in owned]
-                            for path, owned in self.backbone.module_glue.items()}
-
-    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
-        return self.backbone.before(stage[len("backbone."):], x) if stage.startswith("backbone.") else x
+        # The backbone's stages (all but its unused fc), then the head.
+        self.set_stages(self.backbone.stage_specs("backbone.")[:-1] + ["head", "classifier"])
 
     def forward_from(self, tail_path, hidden, *inputs) -> nn.Tensor:
         logits = super().forward_from(tail_path, hidden)

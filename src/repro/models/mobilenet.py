@@ -55,10 +55,7 @@ class MobileNetV2(ChainModel):
         self.flatten = nn.Flatten()
         self.classifier = nn.Linear(last_channels, num_classes, rng=rng)
 
-        self.set_stages(["stem", "blocks", "head", "classifier"])
-
-    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
-        return self.flatten(self.avgpool(x)) if stage == "classifier" else x
+        self.set_stages(["stem", "blocks", "head", ("classifier", ["avgpool", "flatten"])])
 
     @property
     def num_building_blocks(self) -> int:

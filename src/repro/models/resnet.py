@@ -48,9 +48,8 @@ class CifarResNet(ChainModel):
         self.flatten = nn.Flatten()
         self.fc = nn.Linear(channels[2], num_classes, rng=rng)
 
-        self.set_stages(["conv1", "layer1", "layer2", "layer3", "fc"])
-        #: The stem BatchNorm runs on the way into ``layer1`` and freezes with ``conv1``.
-        self.module_glue = {"conv1": ["bn1"]}
+        # The stem BatchNorm runs on the way into ``layer1`` and freezes with its first block.
+        self.set_stages(["conv1", ("layer1", ["bn1", "relu"]), "layer2", "layer3", ("fc", ["avgpool", "flatten"])])
 
     @staticmethod
     def _make_stage(in_channels: int, out_channels: int, num_blocks: int, stride: int,
@@ -58,13 +57,6 @@ class CifarResNet(ChainModel):
         blocks = [nn.BasicBlock(in_channels, out_channels, stride=stride, rng=rng)]
         blocks.extend(nn.BasicBlock(out_channels, out_channels, rng=rng) for _ in range(num_blocks - 1))
         return nn.Sequential(*blocks)
-
-    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
-        if stage == "layer1":
-            return self.relu(self.bn1(x))
-        if stage == "fc":
-            return self.flatten(self.avgpool(x))
-        return x
 
     def features(self, x: nn.Tensor) -> nn.Tensor:
         """Backbone features before global pooling."""
@@ -123,15 +115,8 @@ class ImageNetResNet(ChainModel):
         self.fc = nn.Linear(in_ch, num_classes, rng=rng)
         self.out_channels = in_ch
 
-        self.set_stages(["conv1", "layer1", "layer2", "layer3", "layer4", "fc"])
-        self.module_glue = {"conv1": ["bn1"]}
-
-    def before(self, stage: str, x: nn.Tensor) -> nn.Tensor:
-        if stage == "layer1":
-            return self.maxpool(self.relu(self.bn1(x)))
-        if stage == "fc":
-            return self.flatten(self.avgpool(x))
-        return x
+        self.set_stages(["conv1", ("layer1", ["bn1", "relu", "maxpool"]), "layer2", "layer3", "layer4",
+                         ("fc", ["avgpool", "flatten"])])
 
 
 def resnet50_lite(num_classes: int = 100, base_width: int = 8, seed: int = 0) -> ImageNetResNet:

@@ -300,7 +300,7 @@ class TestSlabCache:
         cache.store_batch([5, 1, 9, 0, 40, 3], rows)
         cache.load_batch([5, 1])
         manifest = cache.manifest()
-        assert manifest["entries"] == {"row_shape": [2, 3], "samples": [0, 1, 3, 5, 9, 40]}
+        assert manifest["entries"] == {"row_shape": [2, 3], "row_order": [0, 1, 2], "samples": [0, 1, 3, 5, 9, 40]}
 
         same_dir = ActivationCache(cache_dir=str(tmp_path / "a"))
         assert same_dir.load_manifest(manifest) == 6
@@ -314,6 +314,20 @@ class TestSlabCache:
         assert elsewhere.load_batch([5, 1]) is None and elsewhere.generation == cache.generation
         assert elsewhere.store_batch([5], rows[:1]) == 1             # and it caches again from there
 
+    def test_rows_come_back_in_the_memory_order_they_were_stored_in(self, tmp_path, rng):
+        """A convolution's output is a channels-last view; a reduction over a C-ordered copy rounds differently."""
+        batch = rng.standard_normal((4, 5, 5, 3)).astype(np.float32).transpose(0, 3, 1, 2)
+        cache = ActivationCache(cache_dir=str(tmp_path / "a"), memory_batches=1, batch_size=2)
+        cache.store_batch([3, 0, 2, 1], batch)
+        assert cache.store_batch([4], np.ascontiguousarray(batch[:1])) == 0  # another order: rejected, recomputed later
+        restored = ActivationCache(cache_dir=str(tmp_path / "a"))
+        restored.load_manifest(cache.manifest())
+        for source in (cache, cache, restored):  # from the slab, from the table, after a restore
+            loaded = source.load_batch([3, 0, 2, 1])
+            assert np.array_equal(loaded, batch) and loaded.strides == batch.strides
+            assert np.array_equal(loaded.sum(axis=(0, 2, 3)), batch.sum(axis=(0, 2, 3)))
+        assert source.load(2).strides == batch[2].strides
+
     def test_slab_grows_when_a_larger_sample_id_arrives(self, tmp_path, rng):
         cache = ActivationCache(cache_dir=str(tmp_path), memory_batches=1, batch_size=2)
         rows = rng.standard_normal((3, 4)).astype(np.float32)
@@ -323,7 +337,7 @@ class TestSlabCache:
         assert cache.store(5000, rows[0] * 2.0)
         assert np.array_equal(cache.load_batch([5000, 0, 1, 2]), np.concatenate([rows[:1] * 2.0, rows]))
         assert cache.disk_bytes == 4 * rows[0].nbytes        # the file is sparse: holes are not "stored"
-        assert cache.resident([1, 2, 5000, 77]).tolist() == [True, True, False, False]
+        assert cache.memory_entries == cache.memory_capacity == 2
 
 
 class TestPrefetcher:
@@ -341,7 +355,8 @@ class TestPrefetcher:
         assert cache.stats.prefetches == 16
         # The prefetched samples hit in memory without another disk read.
         future = loader.peek_future_indices(num_batches=1)[0]
-        assert cache.resident(future).all()
+        assert cache.memory_entries == 16
+        assert cache.load_batch(future) is not None and cache.memory_entries == 16  # nothing new was read
 
     def test_prefetch_skips_missing_entries(self, tmp_path):
         cache = ActivationCache(cache_dir=str(tmp_path))

@@ -112,7 +112,7 @@ def test_frozen_batchnorm_stays_in_inference_mode_across_epochs_and_restore():
     trainer = build_trainer("egeria", workload)
     trainer.configure_checkpointing(CheckpointManager(MemoryBackend()), checkpoint_every=1)
     seen_frozen = 0
-    for epoch in range(1, 11):
+    for epoch in range(1, 15):  # the prefix first reaches a BatchNorm (module 1) in epoch 12
         trainer.fit(epoch)  # each epoch ends with an evaluation
         layers = _frozen_norm_layers(trainer)
         seen_frozen += len(layers)
@@ -173,6 +173,13 @@ def test_counters_survive_restore():
     resumed.restore()
     for key in ("training_forwards", "backward_nodes", "fp_skipped_iterations", "reference_blocks_executed"):
         assert resumed.summary()[key] == trainer.summary()[key] > 0
+
+    # A checkpoint written before the counters existed restores, with them at zero.
+    state = trainer.state_dict()
+    del state["backward_nodes"], state["egeria"]["training_forwards"]
+    resumed.load_state_dict(state)
+    assert (resumed.backward_nodes, resumed.training_forwards) == (0, 0)
+    assert resumed.iteration == trainer.iteration
     trainer.close()
     resumed.close()
 
