@@ -108,24 +108,29 @@ class DataLoader:
                             position: Optional[int] = None) -> List[np.ndarray]:
         """Return the sample indices of the next ``num_batches`` mini-batches.
 
-        Does not advance the iterator.  When the remaining batches of the
-        current epoch are fewer than requested, indices from the beginning of
-        the *next* epoch (with its own deterministic order) are appended, so
-        the prefetcher can warm the cache across the epoch boundary.
+        Does not advance the iterator, and follows exactly the rule of
+        :meth:`next_batch` — including the short tail batch when
+        ``drop_last`` is False.  When the remaining batches of the current
+        epoch are fewer than requested, indices from the beginning of the
+        *next* epoch (with its own deterministic order) are appended, so the
+        prefetcher can warm the cache across the epoch boundary.  A loader
+        whose epochs hold no batch at all (``batch_size > len(dataset)`` with
+        ``drop_last``) has no future: the result is empty.
         """
+        if len(self) == 0:
+            return []
         epoch = self.epoch if epoch is None else epoch
         position = self._position if position is None else position
         order = self._order if (epoch == self.epoch and self._order is not None) else self._epoch_order(epoch)
 
         batches: List[np.ndarray] = []
-        current_order, current_pos, current_epoch = order, position, epoch
         while len(batches) < num_batches:
-            end = current_pos + self.batch_size
-            if end > len(current_order):
-                current_epoch += 1
-                current_order = self._epoch_order(current_epoch)
-                current_pos = 0
+            end = position + self.batch_size
+            if position >= len(order) or (end > len(order) and self.drop_last):
+                epoch += 1
+                order = self._epoch_order(epoch)
+                position = 0
                 continue
-            batches.append(current_order[current_pos:end].copy())
-            current_pos = end
+            batches.append(order[position:end].copy())
+            position = end
         return batches

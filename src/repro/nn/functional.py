@@ -1,9 +1,9 @@
 """Functional neural-network operations built on the autograd :class:`Tensor`.
 
 These are the numerical workhorses used by the layer classes in
-:mod:`repro.nn.layers`: convolution via im2col, pooling, softmax,
-normalisation statistics, embedding lookup, and nearest-neighbour upsampling
-(needed by the DeepLabv3-lite head).
+:mod:`repro.nn.layers`: convolution as GEMMs over a patch matrix, pooling via
+im2col, softmax, normalisation statistics, embedding lookup, and
+nearest-neighbour upsampling (needed by the DeepLabv3-lite head).
 
 Each function returns a :class:`~repro.nn.tensor.Tensor` wired into the
 autograd graph, with a hand-written backward closure where the op cannot be
@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _unbroadcast, is_grad_enabled
+from .tensor import Tensor, _make
 
 __all__ = [
     "linear",
@@ -95,12 +96,89 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+def _windows(xp: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int) -> np.ndarray:
+    """Read-only ``(c, kernel, kernel, n, out_h, out_w)`` view of the convolution windows of ``xp``."""
+    n, c = xp.shape[:2]
+    s_n, s_c, s_h, s_w = xp.strides
+    return as_strided(xp, (c, kernel, kernel, n, out_h, out_w),
+                      (s_c, s_h, s_w, s_n, s_h * stride, s_w * stride), writeable=False)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0,
            groups: int = 1) -> Tensor:
-    """2-D convolution using an im2col + matmul formulation.
+    """2-D convolution as one GEMM per pass over a patch-major matrix.
 
-    Supports grouped convolution (``groups > 1``) which MobileNetV2's
-    depthwise convolutions rely on.
+    With ``p`` the ``n * out_h * out_w`` output positions and ``f`` the
+    ``c_in * kernel * kernel`` features of a patch: forward is
+    ``cols[p, f] @ w_mat[c_out, f].T``, returned as a channels-last *view* of
+    shape ``(n, c_out, out_h, out_w)``; ``grad_w = cols_t[f, p] @ grad[p,
+    c_out]``, transposed; ``grad_cols = grad[p, c_out] @ w_mat``, scattered
+    back in ``(ki, kj)`` order.  Operand contiguity and output layouts are
+    those of the reference formulation (``tests/oracles/nn_reference.py``) and
+    part of the contract (``docs/performance.md``, "Training substrate"):
+    they fix the bits BLAS returns and the order downstream reductions run in.
+
+    Grouped convolution (``groups > 1``, MobileNetV2's depthwise layers) has
+    its own formulation, see :func:`_grouped_conv2d`.
+    """
+    if groups != 1:
+        return _grouped_conv2d(x, weight, bias, stride, padding, groups)
+    n, c_in, h, w = x.shape
+    c_out, c_in_weight, kernel, _ = weight.shape
+    assert c_in == c_in_weight, f"weight expects {c_in_weight} in-channels, input has {c_in}"
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    positions = n * out_h * out_w
+    features = c_in * kernel * kernel
+
+    xp = x.data
+    padded_shape = (n, c_in, h + 2 * padding, w + 2 * padding)
+    if padding > 0:
+        xp = np.zeros(padded_shape, dtype=np.float32)
+        xp[:, :, padding:-padding, padding:-padding] = x.data
+    # Gathered feature-major (long contiguous runs), then transposed: both
+    # matrices are C-contiguous, as the GEMMs need them.
+    cols_t = np.ascontiguousarray(_windows(xp, kernel, stride, out_h, out_w).reshape(features, positions))
+    cols = np.ascontiguousarray(cols_t.T)
+    out_data = (cols @ weight.data.reshape(c_out, -1).T).reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+
+    out = _make(out_data, (x, weight) if bias is None else (x, weight, bias), "conv2d")
+    if not out.requires_grad:
+        return out
+
+    def _backward(grad):
+        grad = grad.reshape(n, c_out, out_h * out_w)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2)), fresh=True)
+        grad_mat = grad.transpose(0, 2, 1).reshape(positions, c_out)
+        if weight.requires_grad:
+            weight._accumulate((cols_t @ grad_mat).T.reshape(weight.shape), fresh=True)
+        if x.requires_grad:
+            grad_cols = (grad_mat @ weight.data.reshape(c_out, -1)).reshape(n, out_h, out_w, c_in, kernel, kernel)
+            grad_xp = np.zeros(padded_shape, dtype=np.float32)
+            for ki in range(kernel):
+                i_end = ki + stride * out_h
+                for kj in range(kernel):
+                    j_end = kj + stride * out_w
+                    grad_xp[:, :, ki:i_end:stride, kj:j_end:stride] += grad_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+            if padding > 0:
+                grad_xp = np.ascontiguousarray(grad_xp[:, :, padding:-padding, padding:-padding])
+            x._accumulate(grad_xp, fresh=True)
+
+    out._backward = _backward
+    return out
+
+
+def _grouped_conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor], stride: int, padding: int,
+                    groups: int) -> Tensor:
+    """Grouped convolution: im2col + one batched einsum contraction per pass.
+
+    Not lowered to explicit GEMMs like :func:`conv2d`: on the 1x1 feature maps
+    of the tiny MobileNetV2 einsum drops the size-1 indices and hands BLAS
+    strided views whose results the plain recipe does not reproduce bit for
+    bit (``tests/test_nn_bit_identity.py``).
     """
     n, c_in, h, w = x.shape
     c_out, c_in_per_group, kernel, _ = weight.shape
@@ -108,50 +186,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     assert c_in // groups == c_in_per_group, (
         f"weight expects {c_in_per_group} in-channels per group, input has {c_in // groups}"
     )
+    group_out = c_out // groups
+    features = c_in_per_group * kernel * kernel
 
     cols, out_h, out_w = im2col(x.data, kernel, stride, padding)
-    if groups == 1:
-        w_mat = weight.data.reshape(c_out, -1)
-        out_data = np.einsum("of,nfp->nop", w_mat, cols, optimize=True)
-    else:
-        group_in = c_in // groups
-        group_out = c_out // groups
-        cols_g = cols.reshape(n, groups, group_in * kernel * kernel, out_h * out_w)
-        w_g = weight.data.reshape(groups, group_out, group_in * kernel * kernel)
-        out_data = np.einsum("gof,ngfp->ngop", w_g, cols_g, optimize=True).reshape(n, c_out, out_h * out_w)
-    out_data = out_data.reshape(n, c_out, out_h, out_w)
+    cols_g = cols.reshape(n, groups, features, out_h * out_w)
+    w_g = weight.data.reshape(groups, group_out, features)
+    out_data = np.einsum("gof,ngfp->ngop", w_g, cols_g, optimize=True).reshape(n, c_out, out_h, out_w)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
-    prev = (x, weight) if bias is None else (x, weight, bias)
-    requires = is_grad_enabled() and any(p.requires_grad for p in prev)
-    out = Tensor(out_data, requires_grad=requires, _prev=prev if requires else (), _op="conv2d")
+    out = _make(out_data, (x, weight) if bias is None else (x, weight, bias), "conv2d")
+    if not out.requires_grad:
+        return out
 
-    def _backward():
-        grad = out.grad.reshape(n, c_out, out_h * out_w)
+    def _backward(grad):
+        grad = grad.reshape(n, c_out, out_h * out_w)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2)))
-        if groups == 1:
-            w_mat_local = weight.data.reshape(c_out, -1)
-            if weight.requires_grad:
-                grad_w = np.einsum("nop,nfp->of", grad, cols, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                grad_cols = np.einsum("of,nop->nfp", w_mat_local, grad, optimize=True)
-                x._accumulate(col2im(grad_cols, x.shape, kernel, stride, padding))
-        else:
-            group_in = c_in // groups
-            group_out = c_out // groups
-            grad_g = grad.reshape(n, groups, group_out, out_h * out_w)
-            cols_g = cols.reshape(n, groups, group_in * kernel * kernel, out_h * out_w)
-            w_g = weight.data.reshape(groups, group_out, group_in * kernel * kernel)
-            if weight.requires_grad:
-                grad_w = np.einsum("ngop,ngfp->gof", grad_g, cols_g, optimize=True)
-                weight._accumulate(grad_w.reshape(weight.shape))
-            if x.requires_grad:
-                grad_cols = np.einsum("gof,ngop->ngfp", w_g, grad_g, optimize=True)
-                grad_cols = grad_cols.reshape(n, c_in * kernel * kernel, out_h * out_w)
-                x._accumulate(col2im(grad_cols, x.shape, kernel, stride, padding))
+            bias._accumulate(grad.sum(axis=(0, 2)), fresh=True)
+        grad_g = grad.reshape(n, groups, group_out, out_h * out_w)
+        w_g = weight.data.reshape(groups, group_out, features)
+        if weight.requires_grad:
+            grad_w = np.einsum("ngop,ngfp->gof", grad_g, cols_g, optimize=True)
+            weight._accumulate(grad_w.reshape(weight.shape))
+        if x.requires_grad:
+            grad_cols = np.einsum("gof,ngop->ngfp", w_g, grad_g, optimize=True)
+            grad_cols = grad_cols.reshape(n, c_in * kernel * kernel, out_h * out_w)
+            x._accumulate(col2im(grad_cols, x.shape, kernel, stride, padding))
 
     out._backward = _backward
     return out
@@ -168,19 +229,18 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     argmax = cols.argmax(axis=2)
     out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).reshape(n, c, out_h, out_w)
 
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="max_pool2d")
+    out = _make(out_data, (x,), "max_pool2d")
+    if out.requires_grad:
+        def _backward(grad):
+            if not x.requires_grad:
+                return
+            grad_cols = np.zeros((n, c, kernel * kernel, out_h * out_w), dtype=np.float32)
+            np.put_along_axis(grad_cols, argmax[:, :, None, :], grad.reshape(n, c, 1, out_h * out_w), axis=2)
+            grad_cols = grad_cols.reshape(n * c, kernel * kernel, out_h * out_w)
+            grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
+            x._accumulate(grad_x.reshape(n, c, h, w), fresh=True)
 
-    def _backward():
-        if not x.requires_grad:
-            return
-        grad_cols = np.zeros((n, c, kernel * kernel, out_h * out_w), dtype=np.float32)
-        np.put_along_axis(grad_cols, argmax[:, :, None, :], out.grad.reshape(n, c, 1, out_h * out_w), axis=2)
-        grad_cols = grad_cols.reshape(n * c, kernel * kernel, out_h * out_w)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
-        x._accumulate(grad_x.reshape(n, c, h, w))
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 
@@ -194,20 +254,19 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
     out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
 
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="avg_pool2d")
+    out = _make(out_data, (x,), "avg_pool2d")
+    if out.requires_grad:
+        def _backward(grad):
+            if not x.requires_grad:
+                return
+            grad = grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
+            grad_cols = np.broadcast_to(grad, (n, c, kernel * kernel, out_h * out_w)).reshape(
+                n * c, kernel * kernel, out_h * out_w
+            )
+            grad_x = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w), kernel, stride, 0)
+            x._accumulate(grad_x.reshape(n, c, h, w), fresh=True)
 
-    def _backward():
-        if not x.requires_grad:
-            return
-        grad = out.grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
-        grad_cols = np.broadcast_to(grad, (n, c, kernel * kernel, out_h * out_w)).reshape(
-            n * c, kernel * kernel, out_h * out_w
-        )
-        grad_x = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w), kernel, stride, 0)
-        x._accumulate(grad_x.reshape(n, c, h, w))
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 
@@ -238,17 +297,16 @@ def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:
     """Look up rows of ``weight`` for integer ``indices`` (any shape)."""
     idx = np.asarray(indices, dtype=np.int64)
     out_data = weight.data[idx]
-    requires = is_grad_enabled() and weight.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(weight,) if requires else (), _op="embedding")
+    out = _make(out_data, (weight,), "embedding")
+    if out.requires_grad:
+        def _backward(grad):
+            if not weight.requires_grad:
+                return
+            scattered = np.zeros_like(weight.data)
+            np.add.at(scattered, idx.reshape(-1), grad.reshape(-1, weight.shape[1]))
+            weight._accumulate(scattered, fresh=True)
 
-    def _backward():
-        if not weight.requires_grad:
-            return
-        grad = np.zeros_like(weight.data)
-        np.add.at(grad, idx.reshape(-1), out.grad.reshape(-1, weight.shape[1]))
-        weight._accumulate(grad)
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 
@@ -256,16 +314,13 @@ def upsample_nearest(x: Tensor, scale: int) -> Tensor:
     """Nearest-neighbour spatial upsampling by an integer factor."""
     n, c, h, w = x.shape
     out_data = x.data.repeat(scale, axis=2).repeat(scale, axis=3)
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="upsample")
+    out = _make(out_data, (x,), "upsample")
+    if out.requires_grad:
+        def _backward(grad):
+            if x.requires_grad:
+                x._accumulate(grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)), fresh=True)
 
-    def _backward():
-        if not x.requires_grad:
-            return
-        grad = out.grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(grad)
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 

@@ -93,8 +93,9 @@ class Module:
 
     def __call__(self, *inputs, **kwargs):
         output = self.forward(*inputs, **kwargs)
-        for hook in list(self._forward_hooks.values()):
-            hook(self, inputs, output)
+        if self._forward_hooks:
+            for hook in list(self._forward_hooks.values()):  # a hook may remove itself
+                hook(self, inputs, output)
         return output
 
     def register_forward_hook(self, hook: HookFn) -> RemovableHandle:

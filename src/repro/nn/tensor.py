@@ -11,15 +11,27 @@ semantics that the Egeria reproduction relies on:
 * a :func:`no_grad` context manager used by the reference model and by the
   activation cache.
 
-The design intentionally favours clarity over raw speed; all heavy math is
-delegated to numpy, and the models used in tests/benchmarks are scaled to a
-size where this engine trains them in seconds.
+All heavy math is delegated to numpy.  Three rules keep the bookkeeping around
+it out of the way (``docs/performance.md``, "Training substrate"):
+
+* **Acyclic graph.**  A backward closure receives its node's gradient as an
+  argument and never captures its own output tensor (an op that needs the
+  output *value* captures the array), so a graph is a DAG that reference
+  counting frees the moment the loss is dropped; tensors that do not require
+  grad carry no closure at all.
+* **Adopt fresh gradients, copy pass-through ones.**  ``_accumulate(grad,
+  fresh=True)`` takes ownership of a float32 temporary the op just computed;
+  a gradient that is (a view of) another tensor's ``.grad`` is copied, so no
+  two ``.grad`` arrays ever share memory.
+* **Same bits, same layouts.**  Training is chaotic in a single ulp and numpy
+  reduces in stride order, so every op reproduces the values *and memory
+  layouts* of its reference formulation (``tests/oracles/nn_reference.py``).
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -97,12 +109,16 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
     __array_priority__ = 200  # numpy should defer to Tensor's operators
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, _prev: Iterable["Tensor"] = (), _op: str = ""):
-        self.data: np.ndarray = _as_array(data)
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, _prev: Tuple["Tensor", ...] = (), _op: str = ""):
+        if type(data) is not np.ndarray or data.dtype != np.float32:
+            data = _as_array(data)
+        self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] = lambda: None
-        self._prev: Tuple[Tensor, ...] = tuple(_prev) if self.requires_grad or any(p.requires_grad for p in _prev) else ()
+        # ``_backward(grad)`` pushes this node's gradient to ``_prev``.  It must
+        # not capture this tensor (module docstring, "Acyclic graph").
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._prev: Tuple[Tensor, ...] = _prev if self.requires_grad else ()
         self._op: str = _op
 
     # ------------------------------------------------------------------ #
@@ -149,28 +165,21 @@ class Tensor:
 
     def clone(self) -> "Tensor":
         """Return a copy of this tensor participating in the graph."""
-        out = self._make(self.data.copy(), (self,), "clone")
-
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad)
-
-        out._backward = _backward
+        out = _make(self.data.copy(), (self,), "clone")
+        if out.requires_grad:
+            out._backward = self._accumulate
         return out
 
-    # ------------------------------------------------------------------ #
-    # Graph construction helpers
-    # ------------------------------------------------------------------ #
-    def _make(self, data: np.ndarray, prev: Tuple["Tensor", ...], op: str) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in prev)
-        out = Tensor(data, requires_grad=requires, _prev=prev if requires else (), _op=op)
-        return out
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
 
-    def _accumulate(self, grad: Optional[np.ndarray]) -> None:
-        if grad is None:
-            return
+        ``fresh`` promises that ``grad`` is a temporary the caller just
+        computed and nobody else references, so a first gradient is adopted
+        instead of copied.  A pass-through gradient (another tensor's
+        ``.grad``, or a view of it) must come with ``fresh=False``.
+        """
         if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
+            self.grad = grad if fresh and grad.dtype == np.float32 else grad.astype(np.float32)
         else:
             self.grad += grad
 
@@ -179,28 +188,28 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = self._make(self.data + other.data, (self, other), "add")
+        out = _make(self.data + other.data, (self, other), "add")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(_unbroadcast(grad, self.shape))
+                if other.requires_grad:
+                    other._accumulate(_unbroadcast(grad, other.shape))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = self._make(self.data * other.data, (self, other), "mul")
+        out = _make(self.data * other.data, (self, other), "mul")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(_unbroadcast(grad * other.data, self.shape), fresh=True)
+                if other.requires_grad:
+                    other._accumulate(_unbroadcast(grad * self.data, other.shape), fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def __neg__(self) -> "Tensor":
@@ -222,13 +231,13 @@ class Tensor:
 
     def __pow__(self, power: Number) -> "Tensor":
         assert isinstance(power, (int, float)), "only scalar powers are supported"
-        out = self._make(self.data ** power, (self,), f"pow{power}")
+        out = _make(self.data ** power, (self,), f"pow{power}")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(power * self.data ** (power - 1) * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(power * self.data ** (power - 1) * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     __radd__ = __add__
@@ -240,45 +249,38 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product supporting batched operands (numpy @ semantics)."""
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = self._make(self.data @ other.data, (self, other), "matmul")
+        out = _make(self.data @ other.data, (self, other), "matmul")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    if other.data.ndim == 1:
+                        self_grad = np.outer(grad, other.data) if self.data.ndim == 2 else grad[..., None] * other.data
+                    else:
+                        self_grad = grad @ np.swapaxes(other.data, -1, -2)
+                    self._accumulate(_unbroadcast(self_grad, self.shape), fresh=True)
+                if other.requires_grad:
+                    if self.data.ndim == 1:
+                        other_grad = np.outer(self.data, grad)
+                    else:
+                        other_grad = np.swapaxes(self.data, -1, -2) @ grad
+                    other._accumulate(_unbroadcast(other_grad, other.shape), fresh=True)
 
-        def _backward():
-            grad = out.grad
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self_grad = np.outer(grad, other.data) if self.data.ndim == 2 else grad[..., None] * other.data
-                else:
-                    self_grad = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(self_grad, self.shape))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other_grad = np.outer(self.data, grad)
-                else:
-                    other_grad = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(other_grad, other.shape))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = self._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    if axis is not None and not keepdims:
+                        grad = np.expand_dims(grad, axis=axis)
+                    self._accumulate(np.broadcast_to(grad, self.shape).astype(np.float32), fresh=True)
 
-        def _backward():
-            if not self.requires_grad:
-                return
-            grad = out.grad
-            if axis is None:
-                grad = np.broadcast_to(grad, self.shape)
-            else:
-                if not keepdims:
-                    grad = np.expand_dims(grad, axis=axis)
-                grad = np.broadcast_to(grad, self.shape)
-            self._accumulate(grad.astype(np.float32))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -297,105 +299,104 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(out_data, (self,), "max")
+        out = _make(out_data, (self,), "max")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    expanded = out_data
+                    if axis is not None and not keepdims:
+                        grad = np.expand_dims(grad, axis=axis)
+                        expanded = np.expand_dims(out_data, axis=axis)
+                    mask = (self.data == expanded).astype(np.float32)
+                    mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+                    self._accumulate(mask * grad, fresh=True)
 
-        def _backward():
-            if not self.requires_grad:
-                return
-            grad = out.grad
-            expanded = out_data
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-                expanded = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == expanded).astype(np.float32)
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     # ------------------------------------------------------------------ #
     # Elementwise non-linearities
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        out = self._make(np.exp(self.data), (self,), "exp")
+        out_data = np.exp(self.data)
+        out = _make(out_data, (self,), "exp")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(out_data * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.data * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def log(self) -> "Tensor":
-        out = self._make(np.log(self.data + 1e-12), (self,), "log")
+        out = _make(np.log(self.data + 1e-12), (self,), "log")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(grad / (self.data + 1e-12), fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad / (self.data + 1e-12))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def relu(self) -> "Tensor":
-        out = self._make(np.maximum(self.data, 0.0), (self,), "relu")
+        out = _make(np.maximum(self.data, 0.0), (self,), "relu")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate((self.data > 0) * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate((self.data > 0).astype(np.float32) * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def sigmoid(self) -> "Tensor":
         sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(sig, (self,), "sigmoid")
+        out = _make(sig, (self,), "sigmoid")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(sig * (1.0 - sig) * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(sig * (1.0 - sig) * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def tanh(self) -> "Tensor":
         t = np.tanh(self.data)
-        out = self._make(t, (self,), "tanh")
+        out = _make(t, (self,), "tanh")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate((1.0 - t * t) * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate((1.0 - t * t) * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def clip(self, low: float, high: float) -> "Tensor":
-        out = self._make(np.clip(self.data, low, high), (self,), "clip")
+        out = _make(np.clip(self.data, low, high), (self,), "clip")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    mask = ((self.data >= low) & (self.data <= high)).astype(np.float32)
+                    self._accumulate(mask * grad, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                mask = ((self.data >= low) & (self.data <= high)).astype(np.float32)
-                self._accumulate(mask * out.grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     # ------------------------------------------------------------------ #
-    # Shape manipulation
+    # Shape manipulation (pass-through gradients: views of ``grad``, copied)
     # ------------------------------------------------------------------ #
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = self._make(self.data.reshape(shape), (self,), "reshape")
+        out = _make(self.data.reshape(shape), (self,), "reshape")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(grad.reshape(self.shape))
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -403,14 +404,15 @@ class Tensor:
             axes = tuple(reversed(range(self.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        out = self._make(self.data.transpose(axes), (self,), "transpose")
-        inverse = np.argsort(axes)
+        out = _make(self.data.transpose(axes), (self,), "transpose")
+        if out.requires_grad:
+            inverse = np.argsort(axes)
 
-        def _backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
+            def _backward(grad):
+                if self.requires_grad:
+                    self._accumulate(grad.transpose(inverse))
 
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
@@ -419,27 +421,27 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def __getitem__(self, index) -> "Tensor":
-        out = self._make(self.data[index], (self,), "getitem")
+        out = _make(self.data[index], (self,), "getitem")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    scattered = np.zeros_like(self.data)
+                    np.add.at(scattered, index, grad)
+                    self._accumulate(scattered, fresh=True)
 
-        def _backward():
-            if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     def pad(self, pad_width) -> "Tensor":
         """Zero-pad the tensor.  ``pad_width`` follows ``np.pad`` convention."""
-        out = self._make(np.pad(self.data, pad_width), (self,), "pad")
+        out = _make(np.pad(self.data, pad_width), (self,), "pad")
+        if out.requires_grad:
+            def _backward(grad):
+                if self.requires_grad:
+                    slices = tuple(slice(p[0], p[0] + s) for p, s in zip(pad_width, self.shape))
+                    self._accumulate(grad[slices])
 
-        def _backward():
-            if self.requires_grad:
-                slices = tuple(slice(p[0], p[0] + s) for p, s in zip(pad_width, self.shape))
-                self._accumulate(out.grad[slices])
-
-        out._backward = _backward
+            out._backward = _backward
         return out
 
     # ------------------------------------------------------------------ #
@@ -453,6 +455,11 @@ class Tensor:
         backward pass: once Egeria sets ``requires_grad=False`` on their
         parameters, their portion of the graph is pruned here.  The node
         count is the deterministic measure of that pruning.
+
+        Nothing is torn down afterwards: calling ``backward()`` again on the
+        same graph accumulates into the same ``.grad`` arrays, and the graph
+        (a DAG, see the module docstring) is freed by reference counting when
+        the last tensor pointing into it is dropped.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -477,12 +484,22 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in reversed(topo):
-            node._backward()
+            if node._backward is not None:
+                node._backward(node.grad)
         return len(topo)
 
     def zero_grad(self) -> None:
         """Clear any accumulated gradient."""
         self.grad = None
+
+
+def _make(data: np.ndarray, prev: Sequence[Tensor], op: str) -> Tensor:
+    """A graph node over ``prev``: requires grad iff tracking is on and a parent does."""
+    if _GRAD_ENABLED:
+        for parent in prev:
+            if parent.requires_grad:
+                return Tensor(data, True, tuple(prev), op)
+    return Tensor(data, False, (), op)
 
 
 # ---------------------------------------------------------------------- #
@@ -492,20 +509,19 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else (), _op="concat")
+    out = _make(data, tensors, "concat")
+    if out.requires_grad:
+        def _backward(grad):
+            start = 0
+            for t in tensors:
+                size = t.shape[axis]
+                idx = [slice(None)] * data.ndim
+                idx[axis] = slice(start, start + size)
+                if t.requires_grad:
+                    t._accumulate(grad[tuple(idx)])
+                start += size
 
-    def _backward():
-        start = 0
-        for t in tensors:
-            size = t.shape[axis]
-            idx = [slice(None)] * data.ndim
-            idx[axis] = slice(start, start + size)
-            if t.requires_grad:
-                t._accumulate(out.grad[tuple(idx)])
-            start += size
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 
@@ -513,17 +529,16 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    requires = _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, _prev=tuple(tensors) if requires else (), _op="stack")
+    out = _make(data, tensors, "stack")
+    if out.requires_grad:
+        def _backward(grad):
+            for i, t in enumerate(tensors):
+                if t.requires_grad:
+                    idx = [slice(None)] * data.ndim
+                    idx[axis] = i
+                    t._accumulate(grad[tuple(idx)])
 
-    def _backward():
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                idx = [slice(None)] * data.ndim
-                idx[axis] = i
-                t._accumulate(out.grad[tuple(idx)])
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 
@@ -532,17 +547,15 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    data = np.where(cond, a.data, b.data)
-    requires = _GRAD_ENABLED and (a.requires_grad or b.requires_grad)
-    out = Tensor(data, requires_grad=requires, _prev=(a, b) if requires else (), _op="where")
+    out = _make(np.where(cond, a.data, b.data), (a, b), "where")
+    if out.requires_grad:
+        def _backward(grad):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(np.where(cond, grad, 0.0), a.shape), fresh=True)
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.shape), fresh=True)
 
-    def _backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(cond, out.grad, 0.0), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(cond, 0.0, out.grad), b.shape))
-
-    out._backward = _backward
+        out._backward = _backward
     return out
 
 

@@ -1,0 +1,179 @@
+"""The ``nn`` substrate's convolution, pooling and gradient accumulation as they were before PR 15.
+
+``conv2d`` here is the im2col + ``np.einsum(optimize=True)`` formulation,
+``max_pool2d``/``avg_pool2d`` the pooling ops over the same helpers and
+``accumulate`` the copy-always gradient accumulation, all moved verbatim from
+``repro.nn`` (only the backward closures' signature follows the acyclic-graph
+rule: they receive the node's gradient instead of reading ``out.grad``).  They
+are slow and obviously correct; ``tests/test_nn_bit_identity.py`` requires the
+production code to reproduce their values *and memory layouts* exactly,
+because training is chaotic in a single ulp and because downstream reductions
+(BatchNorm statistics, the slab cache's rows) run in stride order.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.nn.functional import conv_output_size
+from repro.nn.tensor import Tensor, is_grad_enabled
+
+
+def accumulate(self: Tensor, grad: Optional[np.ndarray], fresh: bool = False) -> None:
+    """Copy-always accumulation: ``fresh`` is accepted and ignored."""
+    if grad is None:
+        return
+    if self.grad is None:
+        self.grad = grad.astype(np.float32, copy=True)
+    else:
+        self.grad += grad
+
+
+def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
+    """Rearrange ``(N, C, H, W)`` patches into ``(N, C * kernel * kernel, out_h * out_w)`` columns."""
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, kernel, kernel, out_h, out_w), dtype=x.dtype)
+    for ki in range(kernel):
+        i_end = ki + stride * out_h
+        for kj in range(kernel):
+            j_end = kj + stride * out_w
+            cols[:, :, ki, kj, :, :] = x[:, :, ki:i_end:stride, kj:j_end:stride]
+    return cols.reshape(n, c * kernel * kernel, out_h * out_w), out_h, out_w
+
+
+def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel: int, stride: int, padding: int) -> np.ndarray:
+    """Inverse of :func:`im2col`: scatter columns back, accumulating overlaps."""
+    n, c, h, w = x_shape
+    out_h = conv_output_size(h, kernel, stride, padding)
+    out_w = conv_output_size(w, kernel, stride, padding)
+    cols = cols.reshape(n, c, kernel, kernel, out_h, out_w)
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for ki in range(kernel):
+        i_end = ki + stride * out_h
+        for kj in range(kernel):
+            j_end = kj + stride * out_w
+            padded[:, :, ki:i_end:stride, kj:j_end:stride] += cols[:, :, ki, kj, :, :]
+    if padding > 0:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int = 1, padding: int = 0,
+           groups: int = 1) -> Tensor:
+    """2-D convolution using an im2col + einsum formulation."""
+    n, c_in, h, w = x.shape
+    c_out, c_in_per_group, kernel, _ = weight.shape
+    assert c_in % groups == 0 and c_out % groups == 0, "channels must divide groups"
+    assert c_in // groups == c_in_per_group, (
+        f"weight expects {c_in_per_group} in-channels per group, input has {c_in // groups}"
+    )
+
+    cols, out_h, out_w = im2col(x.data, kernel, stride, padding)
+    if groups == 1:
+        w_mat = weight.data.reshape(c_out, -1)
+        out_data = np.einsum("of,nfp->nop", w_mat, cols, optimize=True)
+    else:
+        group_in = c_in // groups
+        group_out = c_out // groups
+        cols_g = cols.reshape(n, groups, group_in * kernel * kernel, out_h * out_w)
+        w_g = weight.data.reshape(groups, group_out, group_in * kernel * kernel)
+        out_data = np.einsum("gof,ngfp->ngop", w_g, cols_g, optimize=True).reshape(n, c_out, out_h * out_w)
+    out_data = out_data.reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+
+    prev = (x, weight) if bias is None else (x, weight, bias)
+    requires = is_grad_enabled() and any(p.requires_grad for p in prev)
+    out = Tensor(out_data, requires_grad=requires, _prev=prev if requires else (), _op="conv2d")
+
+    def _backward(out_grad):
+        grad = out_grad.reshape(n, c_out, out_h * out_w)
+        if bias is not None and bias.requires_grad:
+            accumulate(bias, grad.sum(axis=(0, 2)))
+        if groups == 1:
+            w_mat_local = weight.data.reshape(c_out, -1)
+            if weight.requires_grad:
+                grad_w = np.einsum("nop,nfp->of", grad, cols, optimize=True)
+                accumulate(weight, grad_w.reshape(weight.shape))
+            if x.requires_grad:
+                grad_cols = np.einsum("of,nop->nfp", w_mat_local, grad, optimize=True)
+                accumulate(x, col2im(grad_cols, x.shape, kernel, stride, padding))
+        else:
+            group_in = c_in // groups
+            group_out = c_out // groups
+            grad_g = grad.reshape(n, groups, group_out, out_h * out_w)
+            cols_g = cols.reshape(n, groups, group_in * kernel * kernel, out_h * out_w)
+            w_g = weight.data.reshape(groups, group_out, group_in * kernel * kernel)
+            if weight.requires_grad:
+                grad_w = np.einsum("ngop,ngfp->gof", grad_g, cols_g, optimize=True)
+                accumulate(weight, grad_w.reshape(weight.shape))
+            if x.requires_grad:
+                grad_cols = np.einsum("gof,ngop->ngfp", w_g, grad_g, optimize=True)
+                grad_cols = grad_cols.reshape(n, c_in * kernel * kernel, out_h * out_w)
+                accumulate(x, col2im(grad_cols, x.shape, kernel, stride, padding))
+
+    if requires:
+        out._backward = _backward
+    return out
+
+
+def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+    """Max pooling over im2col windows."""
+    stride = stride or kernel
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, 0)
+    out_w = conv_output_size(w, kernel, stride, 0)
+    cols, _, _ = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
+    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
+    argmax = cols.argmax(axis=2)
+    out_data = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).reshape(n, c, out_h, out_w)
+
+    requires = is_grad_enabled() and x.requires_grad
+    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="max_pool2d")
+
+    def _backward(out_grad):
+        if not x.requires_grad:
+            return
+        grad_cols = np.zeros((n, c, kernel * kernel, out_h * out_w), dtype=np.float32)
+        np.put_along_axis(grad_cols, argmax[:, :, None, :], out_grad.reshape(n, c, 1, out_h * out_w), axis=2)
+        grad_cols = grad_cols.reshape(n * c, kernel * kernel, out_h * out_w)
+        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
+        accumulate(x, grad_x.reshape(n, c, h, w))
+
+    if requires:
+        out._backward = _backward
+    return out
+
+
+def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
+    """Average pooling over im2col windows."""
+    stride = stride or kernel
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kernel, stride, 0)
+    out_w = conv_output_size(w, kernel, stride, 0)
+    cols, _, _ = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
+    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
+    out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
+
+    requires = is_grad_enabled() and x.requires_grad
+    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="avg_pool2d")
+
+    def _backward(out_grad):
+        if not x.requires_grad:
+            return
+        grad = out_grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
+        grad_cols = np.broadcast_to(grad, (n, c, kernel * kernel, out_h * out_w)).reshape(
+            n * c, kernel * kernel, out_h * out_w
+        )
+        grad_x = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w), kernel, stride, 0)
+        accumulate(x, grad_x.reshape(n, c, h, w))
+
+    if requires:
+        out._backward = _backward
+    return out

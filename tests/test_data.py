@@ -136,6 +136,32 @@ class TestDataLoader:
         future = loader.peek_future_indices(num_batches=3)
         assert len(future) == 3  # 1 left in epoch 0 + 2 from epoch 1
 
+    def test_peek_without_any_full_batch_returns_nothing(self):
+        # Regression: batch_size > len(dataset) with drop_last used to loop forever.
+        ds = make_dataset("synthetic_cifar10", num_samples=10, seed=0)
+        loader = DataLoader(ds, batch_size=16, seed=0)
+        assert len(loader) == 0 and loader.next_batch() is None
+        assert loader.peek_future_indices(num_batches=3) == []
+        # Without drop_last the single short batch is every epoch's future.
+        loader = DataLoader(ds, batch_size=16, seed=0, drop_last=False)
+        future = loader.peek_future_indices(num_batches=2)
+        assert [len(f) for f in future] == [10, 10]
+
+    def test_peek_includes_the_short_tail_batch(self):
+        # Regression: with drop_last=False peek skipped the tail next_batch yields.
+        ds = make_dataset("synthetic_cifar10", num_samples=10, seed=0)
+        loader = DataLoader(ds, batch_size=4, seed=0, drop_last=False)
+        future = loader.peek_future_indices(num_batches=5)
+        actual = [batch.indices for _ in range(2) for batch in loader][:5]
+        assert [len(f) for f in future] == [4, 4, 2, 4, 4]
+        for f, a in zip(future, actual):
+            assert np.array_equal(f, a)
+        # Mid-epoch, from the tail onwards.
+        loader.set_epoch(0)
+        loader.next_batch(), loader.next_batch()
+        future = loader.peek_future_indices(num_batches=2)
+        assert np.array_equal(future[0], loader.next_batch().indices) and len(future[1]) == 4
+
     def test_invalid_batch_size(self):
         ds = make_dataset("synthetic_cifar10", num_samples=8)
         with pytest.raises(ValueError):

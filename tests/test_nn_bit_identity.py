@@ -1,0 +1,190 @@
+"""The ``nn`` substrate reproduces its reference formulation bit for bit, layouts included.
+
+Training here is chaotic in a single ulp (one different conv contraction
+moves a final loss outside ``bench/golden.json``'s tolerance) and numpy
+reduces in stride order, so "same result" means ``np.array_equal`` values *and*
+equal ``.strides``: BatchNorm sums the conv output in memory order and the
+slab cache stores activation rows in memory order.  The reference
+(``tests/oracles/nn_reference.py``) is the im2col + ``einsum(optimize=True)``
+convolution and the copy-always gradient accumulation.
+
+Strides are compared on axes longer than 1 (a length-1 axis never addresses
+memory, and numpy reports whatever the last reshape left there).  Bit-identity
+holds whenever the batch, the patch size ``c_in * k * k`` and ``c_out`` all
+exceed 1; einsum drops length-1 indices before lowering and then hands BLAS
+differently transposed operands, so those degenerate shapes only agree to
+float32 rounding.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import nn_reference
+
+from repro.experiments import available_workloads, build_trainer, build_workload
+from repro.nn import Tensor
+from repro.nn import functional as F
+
+
+def _layout(array, kind):
+    """``array`` re-laid in memory: C order, channels-last, or first axis fastest (what ``weight.grad`` has)."""
+    if kind == "c":
+        return np.ascontiguousarray(array)
+    if kind == "last":
+        return np.ascontiguousarray(array.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(array.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def _strides(array):
+    return tuple(stride for stride, size in zip(array.strides, array.shape) if size != 1)
+
+
+def _conv_results(conv, x, weight, bias, upstream, stride, padding, groups):
+    """Forward output and every gradient of one convolution, on private copies of the operands."""
+    x = Tensor(x.copy(order="K"), requires_grad=True)
+    weight = Tensor(weight.copy(order="K"), requires_grad=True)
+    bias = None if bias is None else Tensor(bias.copy(), requires_grad=True)
+    out = conv(x, weight, bias, stride=stride, padding=padding, groups=groups)
+    out.backward(upstream.copy(order="K"))
+    grads = [x.grad, weight.grad] + ([] if bias is None else [bias.grad])
+    return [out.data] + grads
+
+
+def _assert_conv_matches_oracle(x_shape, w_shape, use_bias, stride, padding, groups, exact=True, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    weight = rng.standard_normal(w_shape).astype(np.float32)
+    bias = rng.standard_normal(w_shape[0]).astype(np.float32) if use_bias else None
+    out_shape = (x_shape[0], w_shape[0],
+                 F.conv_output_size(x_shape[2], w_shape[2], stride, padding),
+                 F.conv_output_size(x_shape[3], w_shape[2], stride, padding))
+    upstream = rng.standard_normal(out_shape).astype(np.float32)
+    # Every layout the operands take in training (activations and their
+    # gradients are C-ordered or channels-last, weights C-ordered), plus a
+    # weight laid out like its own gradient, first axis fastest.
+    for x_kind, w_kind, g_kind in itertools.product(("c", "last"), ("c", "first"), ("c", "last")):
+        operands = (_layout(x, x_kind), _layout(weight, w_kind), bias, _layout(upstream, g_kind))
+        expected = _conv_results(nn_reference.conv2d, *operands, stride, padding, groups)
+        actual = _conv_results(F.conv2d, *operands, stride, padding, groups)
+        for name, want, got in zip(("output", "x.grad", "weight.grad", "bias.grad"), expected, actual):
+            where = f"{name} of conv {x_shape} * {w_shape} s{stride} p{padding} g{groups}, layouts {x_kind}/{w_kind}/{g_kind}"
+            if exact:
+                assert np.array_equal(want, got), f"values differ: {where}"
+                assert _strides(want) == _strides(got), f"strides differ: {where}"
+            else:
+                assert np.allclose(want, got, rtol=1e-5, atol=1e-5), f"values differ: {where}"
+
+
+def _registry_conv_shapes():
+    """Every distinct ``conv2d`` call of one training forward of each registry workload (tiny scale)."""
+    seen = set()
+    original = F.conv2d
+
+    def spy(x, weight, bias=None, stride=1, padding=0, groups=1):
+        seen.add((x.shape, weight.shape, bias is not None, stride, padding, groups))
+        return original(x, weight, bias, stride=stride, padding=padding, groups=groups)
+
+    F.conv2d = spy
+    try:
+        for name in available_workloads():
+            workload = build_workload(name, scale="tiny", seed=0)
+            trainer = build_trainer("vanilla", workload)
+            trainer.forward_batch(next(iter(trainer.train_loader)))
+    finally:
+        F.conv2d = original
+    return sorted(seen)
+
+
+REGISTRY_CONV_SHAPES = _registry_conv_shapes()
+
+
+def test_registry_covers_the_conv_variants_the_models_use():
+    variants = {(w_shape[2], stride, padding) for _, w_shape, _, stride, padding, _ in REGISTRY_CONV_SHAPES}
+    assert {(1, 1, 0), (1, 2, 0), (3, 1, 1), (3, 2, 1)} <= variants
+    assert {bias for _, _, bias, _, _, _ in REGISTRY_CONV_SHAPES} == {False, True}
+    assert any(groups > 1 and groups == x_shape[1] for x_shape, _, _, _, _, groups in REGISTRY_CONV_SHAPES)
+    assert any(x_shape[2] == 1 for x_shape, *_ in REGISTRY_CONV_SHAPES), "1x1 feature maps are the einsum corner case"
+
+
+@pytest.mark.parametrize("x_shape,w_shape,use_bias,stride,padding,groups", REGISTRY_CONV_SHAPES)
+def test_conv2d_is_bit_identical_on_registry_shapes(x_shape, w_shape, use_bias, stride, padding, groups):
+    _assert_conv_matches_oracle(x_shape, w_shape, use_bias, stride, padding, groups)
+
+
+@st.composite
+def _conv_cases(draw, degenerate):
+    groups = draw(st.sampled_from([1, 1, 1, 2, 3]))
+    kernel = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    stride = draw(st.integers(1, 2))
+    height = draw(st.integers(max(1, kernel - 2 * padding), 7))
+    width = draw(st.integers(max(1, kernel - 2 * padding), 7))
+    if degenerate:
+        batch, c_in, c_out = draw(st.sampled_from([(1, 3, 4), (3, 2, 1), (1, 1, 1), (2, 1, 3)]))
+        groups, kernel = 1, (1 if c_in == 1 else kernel)
+        height, width = max(height, kernel), max(width, kernel)
+    else:
+        batch = draw(st.integers(2, 4))
+        c_in = groups * draw(st.integers(1 if kernel > 1 else 2, 4))
+        c_out = groups * draw(st.integers(2, 4))
+    return ((batch, c_in, height, width), (c_out, c_in // groups, kernel, kernel),
+            draw(st.booleans()), stride, padding, groups, draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conv_cases(degenerate=False))
+def test_conv2d_is_bit_identical_on_drawn_shapes(case):
+    *shape, seed = case
+    _assert_conv_matches_oracle(*shape, seed=seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_conv_cases(degenerate=True))
+def test_conv2d_agrees_to_rounding_on_degenerate_shapes(case):
+    *shape, seed = case
+    _assert_conv_matches_oracle(*shape, exact=False, seed=seed)
+
+
+@pytest.mark.parametrize("pool", ["max_pool2d", "avg_pool2d"])
+@pytest.mark.parametrize("shape,kernel,stride", [
+    ((2, 3, 8, 8), 2, None), ((2, 4, 7, 7), 3, 2), ((3, 2, 6, 6), 3, 1), ((2, 5, 4, 4), 4, None), ((1, 1, 5, 5), 2, 2),
+])
+@pytest.mark.parametrize("kind", ["c", "last"])
+def test_pooling_is_unchanged(pool, shape, kernel, stride, kind):
+    rng = np.random.default_rng(0)
+    data = _layout(rng.standard_normal(shape).astype(np.float32), kind)
+    results = []
+    for module in (nn_reference, F):
+        x = Tensor(data.copy(order="K"), requires_grad=True)
+        out = getattr(module, pool)(x, kernel, stride)
+        upstream = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
+        out.backward(_layout(upstream, kind))
+        results.append((out.data, x.grad))
+    for want, got in zip(*results):
+        assert np.array_equal(want, got) and _strides(want) == _strides(got)
+
+
+def _trajectory(name, system, seed, tmp_path):
+    overrides = {"cache_dir": str(tmp_path / f"{name}-{system}-{seed}")} if system == "egeria" else {}
+    trainer = build_trainer(system, build_workload(name, scale="tiny", seed=seed), **overrides)
+    history = trainer.fit(2)
+    outcome = (history.losses(), history.metrics(), trainer.backward_nodes)
+    if system == "egeria":
+        trainer.close()
+    return outcome
+
+
+@pytest.mark.parametrize("name", ["resnet56_cifar10", "transformer_base_wmt16"])
+@pytest.mark.parametrize("system", ["egeria", "vanilla"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp_path, monkeypatch):
+    actual = _trajectory(name, system, seed, tmp_path / "actual")
+    monkeypatch.setattr(F, "conv2d", nn_reference.conv2d)
+    monkeypatch.setattr(F, "max_pool2d", nn_reference.max_pool2d)
+    monkeypatch.setattr(F, "avg_pool2d", nn_reference.avg_pool2d)
+    monkeypatch.setattr(Tensor, "_accumulate", nn_reference.accumulate)
+    expected = _trajectory(name, system, seed, tmp_path / "oracle")
+    assert actual == expected

@@ -259,3 +259,104 @@ class TestConstructors:
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
         assert "requires_grad" in repr(t)
         assert len(t) == 3
+
+
+# ---------------------------------------------------------------------- #
+# Graph lifetime and gradient aliasing (the substrate's acyclic-graph and
+# fresh-vs-pass-through rules, see the repro.nn.tensor module docstring)
+# ---------------------------------------------------------------------- #
+def _registry_model_and_inputs(name):
+    from repro.models import WORKLOADS
+
+    rng = np.random.default_rng(0)
+    model = WORKLOADS[name].model_factory()
+    if WORKLOADS[name].task == "machine_translation":
+        tokens = rng.integers(1, 30, size=(2, 6))
+        return model, (tokens, tokens[:, ::-1].copy())
+    return model, (Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32)),)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("name", ["resnet56_cifar10", "transformer_tiny_wmt16"])
+    def test_graph_is_freed_by_refcount_when_the_loss_is_dropped(self, name):
+        import gc
+        import weakref
+
+        model, inputs = _registry_model_and_inputs(name)
+        captured = []
+        handle = next(model.children()).register_forward_hook(lambda _m, _i, out: captured.append(out))
+        gc.collect()
+        gc.disable()
+        try:
+            outputs = model(*inputs)
+            handle.remove()
+            loss = (outputs * outputs).sum()
+            assert loss.backward() > 10
+            activation = captured.pop()
+            assert activation.requires_grad and activation.grad is not None
+            alive = [weakref.ref(activation.data), weakref.ref(activation.grad), weakref.ref(loss.data)]
+            del activation, outputs, loss
+            assert [ref() for ref in alive] == [None, None, None], "a reference cycle keeps the graph alive"
+            assert gc.collect() == 0, "the iteration left objects only the cyclic collector can free"
+        finally:
+            gc.enable()
+
+    def test_no_grad_and_frozen_forwards_attach_no_closure(self):
+        model, inputs = _registry_model_and_inputs("resnet56_cifar10")
+        captured = []
+        for module in model.modules():
+            module.register_forward_hook(lambda _m, _i, out: captured.append(out))
+        with no_grad():
+            model(*inputs)
+        model.freeze()
+        model(*inputs)
+        assert len(captured) > 20
+        assert all(out._backward is None and out._prev == () and not out.requires_grad for out in captured)
+
+    def test_backward_twice_accumulates(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        w = Tensor([0.5, 0.25, -1.0], requires_grad=True)
+        product = x * w
+        loss = product.sum()
+        assert loss.backward() == 4
+        assert np.allclose(x.grad, w.data) and np.allclose(w.grad, x.data)
+        # Nothing was torn down: the second pass re-seeds the root, adds into
+        # the intermediate gradient (now 2) and pushes that to the leaves.
+        assert loss.backward() == 4
+        assert np.allclose(product.grad, 2.0)
+        assert np.allclose(x.grad, 3 * w.data) and np.allclose(w.grad, 3 * x.data)
+
+
+class TestGradientAliasing:
+    @staticmethod
+    def _graph(accumulate=None):
+        """Fan-out and pass-through ops; returns every tensor of the graph after backward."""
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        y = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        doubled = x + x
+        mixed = x.reshape(3, 4) + y.transpose(1, 0).reshape(3, 4) + x.transpose(1, 0)
+        joined = concatenate([doubled.reshape(3, 4), mixed, y.clone()], axis=0)
+        picked = joined[np.array([0, 0, 5, 8])]
+        padded = picked.pad(((1, 0), (0, 2)))
+        stacked = stack([padded.sum(axis=0), padded[1]], axis=0)
+        loss = (stacked * stacked).sum() + where(y.data > 0, y, y * 0.5).sum()
+        loss.backward()
+        return [x, y, doubled, mixed, joined, picked, padded, stacked, loss]
+
+    def test_no_two_gradients_share_memory(self):
+        tensors = self._graph()
+        grads = [t.grad for t in tensors]
+        assert all(isinstance(g, np.ndarray) for g in grads)
+        for i, first in enumerate(grads):
+            for second in grads[i + 1:]:
+                assert not np.shares_memory(first, second)
+
+    def test_gradients_equal_the_copy_always_oracle(self, monkeypatch):
+        from oracles import nn_reference
+
+        adopted = [t.grad for t in self._graph()]
+        monkeypatch.setattr(Tensor, "_accumulate", nn_reference.accumulate)
+        copied = [t.grad for t in self._graph()]
+        for fresh, reference in zip(adopted, copied):
+            assert np.array_equal(fresh, reference) and fresh.strides == reference.strides
