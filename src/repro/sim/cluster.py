@@ -24,7 +24,7 @@ finite-bandwidth links and storage targets that concurrent jobs queue on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -109,6 +109,11 @@ class Cluster:
     into per-ToR uplinks plus a core resource, and
     :meth:`links_crossed` reports which of them a worker set's all-reduce
     traverses — rack-local jobs never touch the core.
+
+    The topology is **frozen after construction** (``nx.freeze``): degraded
+    links and ToR failures act on the shared resources' timelines, never on
+    graph edges, so every bandwidth query below is priced once and read
+    from a table afterwards.
     """
 
     #: Default shared-link resource name (the flat leaf–spine fabric).
@@ -128,6 +133,12 @@ class Cluster:
         self.graph = nx.Graph()
         #: Machine name -> index of the ToR switch its NIC uplinks to.
         self._machine_tor: Dict[str, int] = {}
+        #: Machine name -> NIC speed, the endpoint cap of storage transfers.
+        self._machine_nic_gbps: Dict[str, float] = {}
+        #: Bottleneck bandwidth per ordered node pair / ordered ring of
+        #: worker names, filled on first use (the graph cannot change).
+        self._path_gbps: Dict[Tuple[str, str], float] = {}
+        self._ring_gbps: Dict[Tuple[str, ...], float] = {}
         self._build_topology()
         self.resources: Dict[str, SharedResource] = {}
         self._build_default_resources()
@@ -181,7 +192,7 @@ class Cluster:
         return resource
 
     def _build_topology(self) -> None:
-        """Wire machines, ToR and core switches into the bandwidth graph."""
+        """Wire machines, ToR and core switches into the bandwidth graph, then freeze it."""
         spec = self.spec
         core_switches = [f"core{i}" for i in range(spec.num_core_switches)]
         tor_switches = [f"tor{i}" for i in range(spec.num_tor_switches)]
@@ -194,10 +205,12 @@ class Cluster:
             self.graph.add_node(machine.name, kind="machine")
             tor_index = index % len(tor_switches)
             self._machine_tor[machine.name] = tor_index
+            self._machine_nic_gbps[machine.name] = machine.nic_gbps
             self.graph.add_edge(machine.name, tor_switches[tor_index], gbps=machine.nic_gbps)
             for gpu in machine.gpus():
                 self.graph.add_node(gpu.name, kind="gpu")
                 self.graph.add_edge(gpu.name, machine.name, gbps=machine.pcie_gbps)
+        nx.freeze(self.graph)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -270,27 +283,58 @@ class Cluster:
         return [gpu for machine in machines for gpu in machine.gpus()[:per_machine]]
 
     def path_bandwidth_gbps(self, a: str, b: str) -> float:
-        """Bottleneck bandwidth along the shortest path between two nodes."""
+        """Bottleneck bandwidth along the shortest path between two nodes.
+
+        Priced once per ordered ``(a, b)``; an unknown node raises
+        ``KeyError`` (and is never remembered).
+        """
         if a == b:
             return float("inf")
-        path = nx.shortest_path(self.graph, a, b)
-        bandwidths = [self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:])]
-        return min(bandwidths)
+        gbps = self._path_gbps.get((a, b))
+        if gbps is None:
+            for node in (a, b):
+                if node not in self.graph:
+                    raise KeyError(f"unknown topology node {node!r}; known: {self._node_kinds()}")
+            path = nx.shortest_path(self.graph, a, b)
+            gbps = min(self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:]))
+            self._path_gbps[(a, b)] = gbps
+        return gbps
+
+    def _node_kinds(self) -> str:
+        """The graph's node kinds with their counts and one example each, for error messages."""
+        examples: Dict[str, List[str]] = {}
+        for node, kind in self.graph.nodes(data="kind"):
+            examples.setdefault(kind, []).append(node)
+        return ", ".join(f"{len(nodes)} {kind} nodes (e.g. {nodes[0]!r})"
+                         for kind, nodes in sorted(examples.items()))
 
     def worker_bottleneck_gbps(self, workers: List[GPUDevice]) -> float:
         """Bottleneck bandwidth across all pairs of the given workers.
 
         For ring all-reduce the slowest link on the ring bounds throughput;
         with a leaf–spine fabric that is the NIC (or the ToR uplink when
-        oversubscribed).
+        oversubscribed).  Priced once per ordered ring.
         """
         if len(workers) <= 1:
             return float("inf")
-        names = [w.name for w in workers]
-        bandwidth = float("inf")
-        for a, b in zip(names, names[1:] + names[:1]):
-            bandwidth = min(bandwidth, self.path_bandwidth_gbps(a, b))
+        names = tuple(w.name for w in workers)
+        bandwidth = self._ring_gbps.get(names)
+        if bandwidth is None:
+            bandwidth = float("inf")
+            for a, b in zip(names, names[1:] + names[:1]):
+                bandwidth = min(bandwidth, self.path_bandwidth_gbps(a, b))
+            self._ring_gbps[names] = bandwidth
         return bandwidth
+
+    def slowest_nic_gbps(self, workers: Optional[Sequence[object]]) -> Optional[float]:
+        """Slowest NIC among the workers' machines (``None`` without any placed GPU).
+
+        The endpoint-side cap of a storage transfer: a writer cannot outrun
+        its own uplink.  Bare worker names carry no placement and are ignored.
+        """
+        caps = [self._machine_nic_gbps[w.machine] for w in workers or ()
+                if isinstance(w, GPUDevice)]
+        return min(caps) if caps else None
 
     def is_single_machine(self, workers: List[GPUDevice]) -> bool:
         """Whether every worker sits on the same machine."""

@@ -404,23 +404,17 @@ class EventDrivenEngine:
             return 0.0
         if seconds_per_byte is not None:
             return num_bytes * float(seconds_per_byte)
-        if self.cluster is None or not workers:
+        nic_gbps = self._worker_nic_cap_gbps(workers)
+        if nic_gbps is None:
             return 0.0
-        machines = {w.machine for w in workers if isinstance(w, GPUDevice)}
-        if not machines:
-            return 0.0
-        nic_gbps = min(m.nic_gbps for m in self.cluster.machines if m.name in machines)
         latency = self.allreduce.latency_seconds if self.allreduce is not None else 0.0
         return latency + CostModel.transfer_seconds_at(num_bytes, nic_gbps)
 
     def _worker_nic_cap_gbps(self, workers: Optional[Sequence[WorkerLike]]) -> Optional[float]:
         """Slowest NIC among the workers' machines (endpoint-side bandwidth cap)."""
-        if self.cluster is None or not workers:
+        if self.cluster is None:
             return None
-        machines = {w.machine for w in workers if isinstance(w, GPUDevice)}
-        if not machines:
-            return None
-        return min(m.nic_gbps for m in self.cluster.machines if m.name in machines)
+        return self.cluster.slowest_nic_gbps(workers)
 
     def storage_transfer(self, num_bytes: int, start_time: float, resource: str,
                          workers: Optional[Sequence[WorkerLike]] = None,
