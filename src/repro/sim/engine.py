@@ -196,6 +196,32 @@ class _FastForwardEntry:
     cacheable: bool
 
 
+@dataclass(frozen=True)
+class _IterationPlan:
+    """Everything about one iteration that other jobs cannot change.
+
+    A pure function of the dynamics key (:meth:`EventDrivenEngine._cache_key`):
+    the compute segments, what each worker's GPU makes of them, and what each
+    gradient bucket costs on the ring and on every crossed link at its
+    current capacity.  The live loop adds only what depends on the links'
+    other traffic — reservations, the ``cacheable`` test and the event order.
+    """
+
+    #: ``(phase, module_index, nominal seconds)`` in execution order.
+    segments: Tuple[Tuple[str, int, float], ...]
+    #: ``durations[worker][segment]``: nominal seconds / the worker's speed factor.
+    durations: Tuple[Tuple[float, ...], ...]
+    #: Module index -> ``(transmit seconds, gradient bytes, occupancy seconds
+    #: per crossed link)``; the last is empty when the bucket reserves nothing.
+    buckets: Dict[int, Tuple[float, int, Tuple[float, ...]]]
+    #: ByteScheduler order (front modules first) instead of readiness order.
+    front_first: bool
+    forward: float
+    backward: float
+    cache_overhead: float
+    reference_overhead: float
+
+
 #: A worker handed to the engine: either a topology-aware GPU device or a
 #: bare name (single-node simulations that need no cluster graph).
 WorkerLike = Union[GPUDevice, str]
@@ -257,6 +283,10 @@ class EventDrivenEngine:
         #: Steady-state fast-forward switch (see :meth:`simulate_iteration`).
         self.memoize = bool(memoize)
         self._cache: Dict[Tuple, _FastForwardEntry] = {}
+        #: Static iteration plans under the same keys as ``_cache`` — kept
+        #: for contended (uncacheable) iterations too, which is where the
+        #: live loop spends its time.
+        self._plans: Dict[Tuple, _IterationPlan] = {}
         #: Lightweight perf counters: live events processed, iterations
         #: simulated event by event vs fast-forwarded from the cache.
         self.events_processed = 0
@@ -303,8 +333,9 @@ class EventDrivenEngine:
     # Fast-forward cache management and counters
     # ------------------------------------------------------------------ #
     def clear_fast_forward_cache(self) -> None:
-        """Drop every memoized iteration (e.g. after mutating a cost model)."""
+        """Drop every memoized iteration and plan (e.g. after mutating a cost model)."""
         self._cache.clear()
+        self._plans.clear()
 
     def perf_counters(self) -> Dict[str, object]:
         """Deterministic plain-data view of the engine's perf counters.
@@ -386,6 +417,44 @@ class EventDrivenEngine:
         if len(devices) != len(workers):
             return 0.0
         return self.allreduce.allreduce_seconds(num_bytes, list(devices))
+
+    def _build_plan(self, cost_model: CostModel, worker_list: List[WorkerLike], names: List[str],
+                    frozen_prefix: int, cached_fp: bool, policy: str,
+                    include_reference_overhead: bool, comm_seconds_per_byte: Optional[float],
+                    link_timelines: Sequence[BaseResourceTimeline]) -> _IterationPlan:
+        """Price the static half of one iteration (see :class:`_IterationPlan`)."""
+        segments, cache_overhead, reference_overhead = self._segments(
+            cost_model, frozen_prefix, cached_fp, include_reference_overhead)
+        buckets: Dict[int, Tuple[float, int, Tuple[float, ...]]] = {}
+        for phase, module_index, _nominal in segments:
+            if phase != "backward":
+                continue
+            transmit = self._bucket_seconds(cost_model, module_index, worker_list,
+                                            comm_seconds_per_byte)
+            num_bytes = cost_model.module_gradient_bytes(cost_model.layer_modules[module_index])
+            # Occupancy on a crossed link is at least the link's *own*
+            # serialization time of the bucket's bytes at its *effective*
+            # capacity (bandwidth term only — per-transfer latency stays
+            # priced once, by the all-reduce model, not per crossed link), so
+            # an oversubscribed or degraded link (core_gbps below the ToR
+            # aggregate, set_capacity) stretches delivery even without
+            # competing jobs.  A free bucket reserves nothing.
+            link_seconds = tuple(
+                max(transmit, CostModel.transfer_seconds_at(num_bytes, timeline.capacity_gbps))
+                for timeline in link_timelines) if transmit > 0.0 else ()
+            buckets[module_index] = (transmit, num_bytes, link_seconds)
+        return _IterationPlan(
+            segments=tuple(segments),
+            durations=tuple(tuple(nominal / self.speed_factor(name)
+                                  for _phase, _index, nominal in segments) for name in names),
+            buckets=buckets,
+            front_first=policy in (SchedulePolicy.BYTESCHEDULER,
+                                   SchedulePolicy.EGERIA_BYTESCHEDULER),
+            forward=sum(sec for phase, _i, sec in segments if phase == "forward"),
+            backward=sum(sec for phase, _i, sec in segments if phase == "backward"),
+            cache_overhead=cache_overhead,
+            reference_overhead=reference_overhead,
+        )
 
     def transfer_seconds(self, num_bytes: int, workers: Optional[Sequence[WorkerLike]] = None,
                          seconds_per_byte: Optional[float] = None) -> float:
@@ -516,6 +585,7 @@ class EventDrivenEngine:
         link_names, link_timelines = self._resolve_links(link_resource)
 
         key: Optional[Tuple] = None
+        plan: Optional[_IterationPlan] = None
         if self.memoize and trace is None:
             key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
                                   policy, include_reference_overhead, comm_seconds_per_byte,
@@ -533,10 +603,16 @@ class EventDrivenEngine:
                     self.observer.note_iteration(job_name, result, "replay",
                                                  frozen_prefix, num_modules)
                 return result
+            plan = self._plans.get(key)
 
-        entry = self._simulate_live(cost_model, worker_list, names, frozen_prefix, cached_fp,
+        if plan is None:
+            plan = self._build_plan(cost_model, worker_list, names, frozen_prefix, cached_fp,
                                     policy, include_reference_overhead, comm_seconds_per_byte,
-                                    start_time, trace, link_timelines, job_name, job_weight)
+                                    link_timelines)
+            if key is not None:
+                self._plans[key] = plan
+        entry = self._simulate_live(plan, names, start_time, trace, link_timelines,
+                                    job_name, job_weight)
         if key is not None and entry.cacheable:
             self._cache[key] = entry
         result = self._materialize(entry, names, start_time)
@@ -732,18 +808,17 @@ class EventDrivenEngine:
             finally:
                 timeline.sanitizer = attached
                 timeline.observer = watching
-        live = self._simulate_live(cost_model, worker_list, names, frozen_prefix,
-                                   cached_fp, policy, include_reference_overhead,
-                                   comm_seconds_per_byte, start_time, None, shadows,
-                                   job_name, job_weight)
+        # A plan priced afresh, so a stale table entry cannot vouch for itself.
+        plan = self._build_plan(cost_model, worker_list, names, frozen_prefix, cached_fp,
+                                policy, include_reference_overhead, comm_seconds_per_byte,
+                                shadows)
+        live = self._simulate_live(plan, names, start_time, None, shadows, job_name, job_weight)
         self.iterations_simulated, self.events_processed = saved_counters
         self.sanitizer.check_fast_forward(entry, live, job=job_name,
                                           start_time=start_time)
 
-    def _simulate_live(self, cost_model: CostModel, worker_list: List[WorkerLike],
-                       names: List[str], frozen_prefix: int, cached_fp: bool, policy: str,
-                       include_reference_overhead: bool, comm_seconds_per_byte: Optional[float],
-                       start_time: float, trace: Optional[List[SimEvent]],
+    def _simulate_live(self, plan: _IterationPlan, names: List[str], start_time: float,
+                       trace: Optional[List[SimEvent]],
                        link_timelines: List[BaseResourceTimeline], job_name: Optional[str],
                        job_weight: float) -> _FastForwardEntry:
         """Run the event loop once, in relative time, and record its resolution.
@@ -752,14 +827,15 @@ class EventDrivenEngine:
         ``start_time + rel`` as they happen.  A reservation that comes back
         delayed or stretched (another job's traffic on the link) feeds its
         completion back into the loop and marks the iteration uncacheable.
+        Everything the other jobs cannot change comes priced in ``plan``.
         """
-        segments, cache_overhead, reference_overhead = self._segments(
-            cost_model, frozen_prefix, cached_fp, include_reference_overhead)
-        bytescheduler = policy in (SchedulePolicy.BYTESCHEDULER, SchedulePolicy.EGERIA_BYTESCHEDULER)
+        segments, durations, buckets = plan.segments, plan.durations, plan.buckets
+        front_first = plan.front_first
+        num_workers, num_segments = len(names), len(segments)
 
         queue = EventQueue()
         num_events = 0
-        compute_end = {name: 0.0 for name in names}
+        compute_end = [0.0] * num_workers
         bucket_done_workers: Dict[int, int] = {}
         pending_buckets: List[Tuple[float, int]] = []  # min-heap of (priority, module_index)
         ready_counter = 0
@@ -785,12 +861,11 @@ class EventDrivenEngine:
             sanitizer.note("live_iteration", job=job_name, start_time=start_time)
 
         def start_segment(worker_pos: int, seg_index: int, now: float) -> None:
-            name = names[worker_pos]
-            phase, module_index, nominal = segments[seg_index]
-            duration = nominal / self.speed_factor(name)
+            duration = durations[worker_pos][seg_index]
             if sanitizer is not None:
+                phase, module_index, _nominal = segments[seg_index]
                 sanitizer.check_duration(duration, f"{phase} segment of module "
-                                                   f"{module_index} on {name}")
+                                                   f"{module_index} on {names[worker_pos]}")
             queue.push(now + duration, "segment_done", (worker_pos, seg_index))
 
         def start_next_bucket(now: float) -> None:
@@ -798,26 +873,15 @@ class EventDrivenEngine:
             if link_busy or not pending_buckets:
                 return
             _priority, module_index = heapq.heappop(pending_buckets)
-            transmit = self._bucket_seconds(cost_model, module_index, worker_list,
-                                            comm_seconds_per_byte)
+            transmit, num_bytes, link_seconds_of = buckets[module_index]
             end = now + transmit
-            if link_timelines and transmit > 0.0:
+            if link_seconds_of:
                 # Queue on every crossed shared link: the bucket may wait for
                 # (or share capacity with) other jobs' in-flight transfers,
                 # and completes when the slowest crossed link delivers it.
-                # Occupancy on a link is at least the link's *own*
-                # serialization time of the bucket's bytes (bandwidth term
-                # only — per-transfer latency stays priced once, by the
-                # all-reduce model, not per crossed link), so an
-                # oversubscribed link (core_gbps below the ToR aggregate)
-                # genuinely stretches delivery even without competing jobs.
-                num_bytes = cost_model.module_gradient_bytes(cost_model.layer_modules[module_index])
                 abs_request = start_time + now
                 for link_index, timeline in enumerate(link_timelines):
-                    # Floor at the link's *effective* capacity so a degraded
-                    # link (set_capacity) stretches occupancy immediately.
-                    link_seconds = max(transmit, CostModel.transfer_seconds_at(
-                        num_bytes, timeline.capacity_gbps))
+                    link_seconds = link_seconds_of[link_index]
                     # Clamp to this iteration's own previous window on the
                     # link: the loop serializes its buckets, so the link is
                     # genuinely free of our traffic at `now`, but with
@@ -844,8 +908,8 @@ class EventDrivenEngine:
             link_busy = True
             queue.push(end, "comm_done", (module_index, transmit))
 
-        for worker_pos in range(len(names)):
-            if segments:
+        if segments:
+            for worker_pos in range(num_workers):
                 start_segment(worker_pos, 0, 0.0)
 
         while queue:
@@ -857,22 +921,21 @@ class EventDrivenEngine:
                 sanitizer.check_event("engine", now, event.kind, job=job_name)
             if event.kind == "segment_done":
                 worker_pos, seg_index = event.payload
-                name = names[worker_pos]
+                compute_end[worker_pos] = now
                 phase, module_index, _nominal = segments[seg_index]
-                compute_end[name] = now
                 if phase == "backward":
                     done = bucket_done_workers.get(module_index, 0) + 1
                     bucket_done_workers[module_index] = done
-                    if done == len(names):
+                    if done == num_workers:
                         queue.push(now, "bucket_ready", (module_index,))
-                if seg_index + 1 < len(segments):
+                if seg_index + 1 < num_segments:
                     start_segment(worker_pos, seg_index + 1, now)
             elif event.kind == "bucket_ready":
                 (module_index,) = event.payload
                 # ByteScheduler transmits front (high-priority) modules first;
                 # the vanilla framework sends buckets in readiness order
                 # (back-to-front, as their backward passes complete).
-                priority = float(module_index) if bytescheduler else float(ready_counter)
+                priority = float(module_index) if front_first else float(ready_counter)
                 ready_counter += 1
                 heapq.heappush(pending_buckets, (priority, module_index))
                 start_next_bucket(now)
@@ -885,21 +948,18 @@ class EventDrivenEngine:
 
         self.iterations_simulated += 1
         self.events_processed += num_events
-        compute_end_max = max(compute_end.values()) if compute_end else 0.0
-        rel_end = max(compute_end_max, comm_end)
-        forward = sum(sec for phase, _i, sec in segments if phase == "forward")
-        backward = sum(sec for phase, _i, sec in segments if phase == "backward")
+        compute_end_max = max(compute_end) if compute_end else 0.0
         exposed = max(comm_end - compute_end_max, 0.0)
         return _FastForwardEntry(
-            forward=forward,
-            backward=backward,
+            forward=plan.forward,
+            backward=plan.backward,
             communication=comm_busy_total,
             exposed_communication=exposed,
-            cache_overhead=cache_overhead,
-            reference_overhead=reference_overhead,
-            rel_end=rel_end,
+            cache_overhead=plan.cache_overhead,
+            reference_overhead=plan.reference_overhead,
+            rel_end=max(compute_end_max, comm_end),
             num_events=num_events,
-            worker_rel_end=tuple(compute_end[name] for name in names),
+            worker_rel_end=tuple(compute_end),
             reservations=tuple(reservations),
             cacheable=cacheable,
         )
