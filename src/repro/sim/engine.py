@@ -834,6 +834,9 @@ class EventDrivenEngine:
         num_workers, num_segments = len(names), len(segments)
 
         queue = EventQueue()
+        #: Popped raw as ``(time, seq, kind, payload)``: a ``SimEvent`` is
+        #: built per event only for a requested trace.
+        heap = queue._heap
         num_events = 0
         compute_end = [0.0] * num_workers
         bucket_done_workers: Dict[int, int] = {}
@@ -847,11 +850,6 @@ class EventDrivenEngine:
         #: (the anti-self-contention clamp in start_next_bucket).
         own_link_ends = [0.0] * len(link_timelines)
         cacheable = True
-
-        def record(event: SimEvent) -> None:
-            if trace is not None:
-                trace.append(SimEvent(start_time + event.time, event.seq, event.kind,
-                                      event.payload))
 
         sanitizer = self.sanitizer
         if sanitizer is not None:
@@ -912,15 +910,15 @@ class EventDrivenEngine:
             for worker_pos in range(num_workers):
                 start_segment(worker_pos, 0, 0.0)
 
-        while queue:
-            event = queue.pop()
+        while heap:
+            now, seq, kind, payload = heapq.heappop(heap)
             num_events += 1
-            record(event)
-            now = event.time
+            if trace is not None:
+                trace.append(SimEvent(start_time + now, seq, kind, payload))
             if sanitizer is not None:
-                sanitizer.check_event("engine", now, event.kind, job=job_name)
-            if event.kind == "segment_done":
-                worker_pos, seg_index = event.payload
+                sanitizer.check_event("engine", now, kind, job=job_name)
+            if kind == "segment_done":
+                worker_pos, seg_index = payload
                 compute_end[worker_pos] = now
                 phase, module_index, _nominal = segments[seg_index]
                 if phase == "backward":
@@ -930,8 +928,8 @@ class EventDrivenEngine:
                         queue.push(now, "bucket_ready", (module_index,))
                 if seg_index + 1 < num_segments:
                     start_segment(worker_pos, seg_index + 1, now)
-            elif event.kind == "bucket_ready":
-                (module_index,) = event.payload
+            elif kind == "bucket_ready":
+                (module_index,) = payload
                 # ByteScheduler transmits front (high-priority) modules first;
                 # the vanilla framework sends buckets in readiness order
                 # (back-to-front, as their backward passes complete).
@@ -939,8 +937,8 @@ class EventDrivenEngine:
                 ready_counter += 1
                 heapq.heappush(pending_buckets, (priority, module_index))
                 start_next_bucket(now)
-            elif event.kind == "comm_done":
-                _module_index, duration = event.payload
+            elif kind == "comm_done":
+                _module_index, duration = payload
                 link_busy = False
                 comm_busy_total += duration
                 comm_end = max(comm_end, now)
