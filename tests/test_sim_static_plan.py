@@ -1,0 +1,453 @@
+"""The topology tables and the static iteration plan against their un-memoized oracle.
+
+``tests/oracles/sim_reference.py`` holds the formulation production had
+before prices were hoisted out of the live loop: a fresh shortest-path walk
+per bandwidth query and an event loop that re-derives segments, bucket bytes,
+transmit seconds and link floors in every iteration.  Four families of
+guarantees tie production to it:
+
+* **tables == oracle** — every GPU pair and every ring order (repeated,
+  reversed, with a repeated member) over hypothesis-drawn ``ClusterSpec``s;
+  failed lookups raise ``KeyError`` and are never remembered; the graph is
+  frozen after build;
+* **plan == recompute** — ``_build_plan`` and a whole iteration across policy
+  x ``frozen_prefix`` x ``cached_fp`` x ``include_reference_overhead`` x
+  ``comm_seconds_per_byte`` x straggler speeds;
+* **staleness matrix** — after ``set_gpu_speed``, ``set_capacity`` /
+  ``degrade_link``, ``fail_tor`` + recovery, elastic resize / migration and
+  ``clear_fast_forward_cache`` the next iteration equals, bit for bit, what an
+  engine that never keeps a plan (``memoize=False``) and the oracle compute;
+* **exact counters** — the benchmark's ``sim_contended`` seed-0 scenario
+  processes exactly the parent's events, and ``trace=`` yields the parent's
+  event list (``tests/fixtures/sim_live_trace.json``).
+"""
+
+import itertools
+import json
+from pathlib import Path
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import sim_reference
+
+from repro.core.modules import LayerModule
+from repro.sim import (
+    Cluster,
+    ClusterScheduler,
+    ClusterSpec,
+    CostModel,
+    EventDrivenEngine,
+    SchedulePolicy,
+    SimJob,
+    build_scenario,
+)
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def make_cost_model(param_counts=(40_000, 80_000, 60_000, 20_000), batch_size=16):
+    modules = [LayerModule(name=f"m{i}", paths=[], blocks=[], num_params=int(c), index=i)
+               for i, c in enumerate(param_counts)]
+    return CostModel(modules, batch_size=batch_size)
+
+
+def slow_fabric_cluster(**overrides):
+    """Per-ToR fair-share fabric slow enough that buckets outlast compute."""
+    spec = dict(num_machines=4, gpus_per_machine=2, num_tor_switches=2, nic_gbps=1.0,
+                tor_uplink_gbps=1.0, core_gbps=0.5, per_tor_fabric=True, fabric_policy="fair")
+    spec.update(overrides)
+    return Cluster(ClusterSpec(**spec))
+
+
+def windows(engine):
+    """Every shared resource's committed occupancy, for bit-for-bit comparison."""
+    return {name: engine.resource_timeline(name).records for name in engine.resources.names()}
+
+
+# --------------------------------------------------------------------------- #
+# Topology tables
+# --------------------------------------------------------------------------- #
+cluster_specs = st.builds(
+    ClusterSpec,
+    num_machines=st.integers(1, 6),
+    gpus_per_machine=st.integers(1, 3),
+    num_tor_switches=st.integers(1, 3),
+    num_core_switches=st.integers(1, 2),
+    nic_gbps=st.sampled_from([1.0, 10.0, 40.0, 200.0]),
+    # Below the NIC speed the ToR uplink, not the NIC, is the bottleneck.
+    tor_uplink_gbps=st.sampled_from([0.5, 25.0, 100.0]),
+    per_tor_fabric=st.booleans(),
+    core_gbps=st.sampled_from([None, 0.25, 400.0]),
+)
+
+
+class TestTopologyTables:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=cluster_specs)
+    def test_every_gpu_pair_equals_the_shortest_path_walk(self, spec):
+        cluster = Cluster(spec)
+        names = [gpu.name for gpu in cluster.all_gpus()]
+        for a, b in itertools.product(names, repeat=2):
+            expected = sim_reference.path_bandwidth_gbps(cluster, a, b)
+            assert cluster.path_bandwidth_gbps(a, b) == expected
+            assert cluster.path_bandwidth_gbps(a, b) == expected  # now read from the table
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=cluster_specs, data=st.data())
+    def test_every_ring_order_equals_the_hop_minimum(self, spec, data):
+        cluster = Cluster(spec)
+        gpus = cluster.all_gpus()
+        ring = data.draw(st.lists(st.sampled_from(gpus), min_size=1, max_size=6, unique=True)
+                         .flatmap(st.permutations))
+        for order in (ring, ring, ring[::-1], ring + ring[:1], ring[1:] + ring[:1]):
+            assert cluster.worker_bottleneck_gbps(order) == \
+                sim_reference.worker_bottleneck_gbps(cluster, order)
+
+    @settings(max_examples=20, deadline=None)
+    @given(spec=cluster_specs, data=st.data())
+    def test_slowest_nic_equals_a_scan_of_the_machines(self, spec, data):
+        cluster = Cluster(spec)
+        workers = data.draw(st.lists(st.sampled_from(cluster.all_gpus() + ["bare"]), max_size=5))
+        machines = {w.machine for w in workers if not isinstance(w, str)}
+        expected = min((m.nic_gbps for m in cluster.machines if m.name in machines), default=None)
+        assert cluster.slowest_nic_gbps(workers) == expected
+        assert cluster.slowest_nic_gbps(None) is None
+
+    def test_unknown_node_raises_keyerror_and_is_never_remembered(self):
+        cluster = Cluster()
+        for pair in (("node0:gpu0", "nope"), ("nope", "node0:gpu0")):
+            for _ in range(2):
+                with pytest.raises(KeyError) as error:
+                    cluster.path_bandwidth_gbps(*pair)
+                message = str(error.value)
+                assert "'nope'" in message
+                assert all(kind in message for kind in ("gpu", "machine", "switch"))
+        assert cluster._path_gbps == {}
+        with pytest.raises(KeyError):
+            cluster.worker_bottleneck_gbps([cluster.all_gpus()[0], _Named("nope")])
+        assert cluster._ring_gbps == {}
+        # The failures poisoned nothing: the same source node still prices.
+        assert cluster.path_bandwidth_gbps("node0:gpu0", "node1:gpu0") == 40.0
+
+    def test_identical_endpoints_are_infinite_without_touching_the_table(self):
+        cluster = Cluster()
+        assert cluster.path_bandwidth_gbps("node0:gpu0", "node0:gpu0") == float("inf")
+        assert cluster.path_bandwidth_gbps("nope", "nope") == float("inf")
+        assert cluster._path_gbps == {}
+
+    def test_mutating_the_graph_after_build_raises(self):
+        cluster = Cluster()
+        assert nx.is_frozen(cluster.graph)
+        for mutate in (lambda g: g.add_edge("node0", "core0", gbps=1.0),
+                       lambda g: g.remove_edge("node0", "tor0"),
+                       lambda g: g.add_node("node9"),
+                       lambda g: g.remove_node("core0")):
+            with pytest.raises(nx.NetworkXError):
+                mutate(cluster.graph)
+
+
+class _Named:
+    """A worker-like object carrying only a name."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+# --------------------------------------------------------------------------- #
+# Plan == per-iteration recompute
+# --------------------------------------------------------------------------- #
+def twin_engines(speeds=(), **cluster_overrides):
+    """A memoizing engine and an independent twin for the oracle loop to reserve on."""
+    engines = []
+    for memoize in (True, False):
+        cluster = slow_fabric_cluster(**cluster_overrides)
+        engine = EventDrivenEngine(cluster, memoize=memoize)
+        for position, factor in speeds:
+            engine.set_gpu_speed(cluster.all_gpus()[position].name, factor)
+        engines.append(engine)
+    return engines
+
+
+def assert_iteration_equals_oracle(engine, twin, cost_model, workers, **kwargs):
+    """One production iteration == the oracle loop, result and link windows alike."""
+    names = engine._worker_names(workers)
+    start_time = kwargs.get("start_time", 0.0)
+    result = engine.simulate_iteration(cost_model, workers=workers, **kwargs)
+    entry = sim_reference.simulate_live(twin, cost_model, workers=workers, **kwargs)
+    assert result.as_dict() == {
+        "forward": entry["forward"], "backward": entry["backward"],
+        "communication": entry["communication"],
+        "exposed_communication": entry["exposed_communication"],
+        "cache_overhead": entry["cache_overhead"],
+        "reference_overhead": entry["reference_overhead"],
+        "total": (start_time + entry["rel_end"]) - start_time,
+    }
+    assert result.end_time == start_time + entry["rel_end"]
+    assert result.num_events == entry["num_events"]
+    assert result.per_worker_compute_end == {
+        name: start_time + rel for name, rel in zip(names, entry["worker_rel_end"])}
+    assert windows(engine) == windows(twin)
+    return result
+
+
+class TestPlanEqualsRecompute:
+    GRID = list(itertools.product(
+        (0, 2, 4),                      # frozen_prefix
+        (False, True),                  # cached_fp
+        (False, True),                  # include_reference_overhead
+        (None, 2e-9),                   # comm_seconds_per_byte
+        ((), ((2, 0.5), (4, 1.75))),    # straggler / fast-GPU speed factors
+    ))
+
+    @pytest.mark.parametrize("policy", SchedulePolicy.ALL)
+    def test_plan_fields_equal_the_oracles_recompute(self, policy):
+        cost_model = make_cost_model()
+        for prefix, cached_fp, reference, per_byte, speeds in self.GRID:
+            engine, _twin = twin_engines(speeds)
+            cluster = engine.cluster
+            workers = cluster.workers(num_machines=3, gpus_per_machine=1)
+            names = [w.name for w in workers]
+            links = [engine.resource_timeline(name) for name in cluster.links_crossed(workers)]
+            plan = engine._build_plan(cost_model, workers, names, prefix, cached_fp, policy,
+                                      reference, per_byte, links)
+            segments, cache_overhead, reference_overhead = sim_reference.segments(
+                cost_model, prefix, cached_fp, reference)
+            assert list(plan.segments) == segments
+            assert (plan.cache_overhead, plan.reference_overhead) == \
+                (cache_overhead, reference_overhead)
+            assert plan.forward == sum(s for phase, _i, s in segments if phase == "forward")
+            assert plan.backward == sum(s for phase, _i, s in segments if phase == "backward")
+            assert plan.durations == tuple(
+                tuple(nominal / engine.speed_factor(name) for _p, _i, nominal in segments)
+                for name in names)
+            assert sorted(plan.buckets) == list(range(prefix, 4))
+            for module_index, (transmit, num_bytes, link_seconds) in plan.buckets.items():
+                assert transmit == sim_reference.bucket_seconds(
+                    engine, cost_model, module_index, workers, per_byte)
+                assert num_bytes == cost_model.layer_modules[module_index].num_params * 4
+                assert link_seconds == tuple(
+                    max(transmit, CostModel.transfer_seconds_at(num_bytes, t.capacity_gbps))
+                    for t in links)
+            assert plan.front_first == ("bytescheduler" in policy)
+
+    @pytest.mark.parametrize("policy", SchedulePolicy.ALL)
+    def test_iterations_equal_the_oracle_loop_live_contended_and_replayed(self, policy):
+        cost_model = make_cost_model()
+        for prefix, cached_fp, reference, per_byte, speeds in self.GRID:
+            engine, twin = twin_engines(speeds)
+            cluster = engine.cluster
+            job_a = cluster.workers(num_machines=3, gpus_per_machine=1)
+            job_b = cluster.workers()[1::2][:3]
+            common = dict(frozen_prefix=prefix, cached_fp=cached_fp, policy=policy,
+                          include_reference_overhead=reference, comm_seconds_per_byte=per_byte)
+            clock = 1.25
+            # a runs live, b meets a's windows on the core (its plan is kept
+            # although the iteration is not cacheable), both run again from
+            # their stored plans, then a replays on quiet links.
+            for workers, job, weight, advance in ((job_a, "a", 1.0, 1e-4), (job_b, "b", 2.0, 1e-4),
+                                                  (job_b, "b", 2.0, 1e-4), (job_a, "a", 1.0, 50.0),
+                                                  (job_a, "a", 1.0, 50.0)):
+                assert_iteration_equals_oracle(
+                    engine, twin, cost_model, workers, start_time=clock, job_name=job,
+                    job_weight=weight, link_resource=cluster.links_crossed(workers), **common)
+                clock += advance
+            assert len(engine._plans) == 2 and engine.iterations_fast_forwarded >= 1
+
+    def test_bare_names_and_private_links(self):
+        cost_model = make_cost_model()
+        engine, twin = EventDrivenEngine(), EventDrivenEngine(memoize=False)
+        for _ in range(2):
+            assert_iteration_equals_oracle(engine, twin, cost_model, ["w0", "w1"],
+                                           comm_seconds_per_byte=2e-9, start_time=0.5)
+            assert_iteration_equals_oracle(engine, twin, cost_model, None, frozen_prefix=4)
+
+
+# --------------------------------------------------------------------------- #
+# Staleness matrix
+# --------------------------------------------------------------------------- #
+class Lockstep:
+    """Drive a plan-keeping engine, a ``memoize=False`` engine and the oracle in step."""
+
+    def __init__(self):
+        self.kept, self.fresh = twin_engines()
+        self.oracle = EventDrivenEngine(slow_fabric_cluster(), memoize=False)
+        self.engines = (self.kept, self.fresh, self.oracle)
+        self.cost_model = make_cost_model()
+        self.clock = 0.0
+
+    def each(self, action):
+        for engine in self.engines:
+            action(engine)
+
+    def iterate(self, job, positions, **kwargs):
+        """One iteration of ``job`` on the GPUs at ``positions``; all three must agree."""
+        cluster = self.kept.cluster
+        workers = [cluster.all_gpus()[p] for p in positions]
+        kwargs.update(start_time=self.clock, job_name=job,
+                      link_resource=cluster.links_crossed(workers))
+        result = assert_iteration_equals_oracle(self.kept, self.oracle, self.cost_model,
+                                                workers, **kwargs)
+        fresh = self.fresh.simulate_iteration(self.cost_model, workers=workers, **kwargs)
+        assert (result.as_dict(), result.end_time, result.per_worker_compute_end) == \
+            (fresh.as_dict(), fresh.end_time, fresh.per_worker_compute_end)
+        assert windows(self.kept) == windows(self.fresh)
+        self.clock += 1e-4
+        return result
+
+    def warm(self):
+        """Two jobs meeting on the core, twice: plans stored, nothing cacheable for b."""
+        for _ in range(2):
+            self.iterate("a", (0, 2, 4))
+            self.iterate("b", (1, 3, 5))
+
+
+class TestStalenessMatrix:
+    def test_set_gpu_speed(self):
+        run = Lockstep()
+        run.warm()
+        before = run.iterate("a", (0, 2, 4))
+        run.each(lambda engine: engine.set_gpu_speed("node1:gpu0", 0.25))
+        after = run.iterate("a", (0, 2, 4))
+        assert after.per_worker_compute_end["node1:gpu0"] - after.start_time > \
+            before.per_worker_compute_end["node1:gpu0"] - before.start_time
+        run.each(lambda engine: engine.set_gpu_speed("node1:gpu0", 1.0))
+        run.iterate("a", (0, 2, 4))
+
+    def test_set_capacity_degrade_and_restore(self):
+        run = Lockstep()
+        run.warm()
+        for gbps in (0.05, 0.5):
+            run.each(lambda engine: engine.resource_timeline("core").set_capacity(run.clock, gbps))
+            run.iterate("a", (0, 2, 4))
+            run.iterate("b", (1, 3, 5))
+
+    def test_worker_set_change_resize_and_migration(self):
+        run = Lockstep()
+        run.warm()
+        run.iterate("a", (0, 2, 4, 6))   # elastic join
+        run.iterate("a", (0, 2))         # leave: now rack-local, the core is not crossed
+        run.iterate("a", (1, 3, 5))      # migration onto b's GPUs
+        run.iterate("a", (4, 2, 0))      # same GPUs as at first, another ring order
+
+    def test_clear_fast_forward_cache_after_mutating_the_cost_model(self):
+        run = Lockstep()
+        run.warm()
+        assert run.kept._plans
+        run.cost_model.layer_modules[1].num_params *= 3
+        run.each(lambda engine: engine.clear_fast_forward_cache())
+        assert not run.kept._plans and not run.kept._cache
+        run.iterate("a", (0, 2, 4))
+
+    def test_profile_change_freeze_and_policy(self):
+        run = Lockstep()
+        run.warm()
+        run.iterate("a", (0, 2, 4), frozen_prefix=2, cached_fp=True)
+        run.iterate("a", (0, 2, 4), frozen_prefix=2, cached_fp=True,
+                    policy=SchedulePolicy.EGERIA_BYTESCHEDULER, include_reference_overhead=True)
+        run.iterate("a", (0, 2, 4))
+
+    @pytest.mark.parametrize("transition", ["set_speed", "degrade_link", "fail_tor",
+                                            "resize", "migration"])
+    def test_scheduler_transitions_equal_an_engine_that_keeps_no_plan(self, transition):
+        """Three jobs contending on a slow per-ToR fabric, one transition mid-run."""
+
+        def run(memoize):
+            cluster = slow_fabric_cluster()
+            scheduler = ClusterScheduler(cluster, placement="round_robin",
+                                         engine=EventDrivenEngine(cluster, memoize=memoize))
+            checkpoint = 10 if transition == "migration" else None
+            for index in range(3):
+                scheduler.submit(SimJob(f"job{index}", make_cost_model(batch_size=16 + index),
+                                        num_workers=2, iterations=40,
+                                        checkpoint_every=checkpoint, weight=1.0 + index))
+            if transition == "set_speed":
+                scheduler.set_gpu_speed("node0:gpu0", 0.5, at_time=0.05)
+            elif transition == "degrade_link":
+                scheduler.degrade_link("core", 0.1, at_time=0.05, restore_at=0.4)
+            elif transition == "fail_tor":
+                scheduler.fail_tor(1, at_time=0.05, recover_at=0.3)
+            else:
+                scheduler.resize_job("job0", 2, at_time=0.05)
+                scheduler.resize_job("job0", -2, at_time=0.3)
+            result = scheduler.run()
+            payload = result.as_dict()
+            payload.pop("perf")
+            return payload, scheduler.engine
+
+        kept, engine = run(memoize=True)
+        reference, _ = run(memoize=False)
+        assert kept == reference
+        assert engine.iterations_simulated > len(engine._plans) > 0  # plans were re-used
+
+
+# --------------------------------------------------------------------------- #
+# Exact events: the trace fixture and the benchmark's contended scenario
+# --------------------------------------------------------------------------- #
+def trace_cases(simulate):
+    """The fixture's three iterations; ``simulate(engine, cost_model, **kwargs)`` runs one."""
+    cost_model = make_cost_model()
+    cluster = slow_fabric_cluster()
+    workers = cluster.workers(num_machines=3, gpus_per_machine=1)
+    others = cluster.workers()[1::2][:3]
+    engine = EventDrivenEngine(cluster)
+    engine.set_gpu_speed(workers[1].name, 0.5)
+    calls = {
+        "cross_rack_bytescheduler": (engine, dict(
+            workers=workers, frozen_prefix=1, cached_fp=True,
+            policy=SchedulePolicy.EGERIA_BYTESCHEDULER, include_reference_overhead=True,
+            start_time=1.25, link_resource=cluster.links_crossed(workers), job_name="a")),
+        # A second job whose buckets meet job a's windows on the shared core.
+        "contended_fair_share": (engine, dict(
+            workers=others, start_time=1.2501, link_resource=cluster.links_crossed(others),
+            job_name="b", job_weight=2.0)),
+        "linear_comm_vanilla": (EventDrivenEngine(), dict(
+            workers=["w0", "w1"], comm_seconds_per_byte=2e-9, start_time=0.5)),
+    }
+    cases = {}
+    for label, (target, kwargs) in calls.items():
+        trace = []
+        simulate(target, cost_model, trace=trace, **kwargs)
+        cases[label] = json.loads(json.dumps([event.as_dict() for event in trace]))
+    return cases
+
+
+def load_fixture(name):
+    with open(FIXTURES / name, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestExactEvents:
+    def test_trace_equals_the_parents_event_list(self):
+        expected = load_fixture("sim_live_trace.json")
+        assert trace_cases(EventDrivenEngine.simulate_iteration) == expected
+        assert trace_cases(sim_reference.simulate_live) == expected
+
+    def test_tracing_builds_a_plan_per_call_and_stores_none(self):
+        engine = EventDrivenEngine()
+        engine.simulate_iteration(make_cost_model(), trace=[])
+        assert not engine._plans and not engine._cache
+        reference = EventDrivenEngine(memoize=False)
+        reference.simulate_iteration(make_cost_model())
+        assert not reference._plans
+
+    def test_contended_benchmark_scenario_exact_counters(self, monkeypatch):
+        """``bench/run.py --workload sim_contended --seed 0 --dump-scenario``, committed:
+        no event moved, no table leaked."""
+        scheduler = build_scenario(load_fixture("sim_contended-seed0.json"))
+        engine = scheduler.engine
+
+        keys = set()
+        cache_key = engine._cache_key
+        monkeypatch.setattr(engine, "_cache_key",
+                            lambda *args: keys.add(key := cache_key(*args)) or key)
+        result = scheduler.run()
+        perf = result.perf
+        assert perf["events_processed"] == 28764
+        assert perf["iterations_simulated"] == 799
+        assert perf["fair_rewind_reserves"] == 3772
+        assert perf["fair_incremental_reserves"] == 1028
+        assert result.makespan == 72.6215840400001
+        assert 0 < len(engine._plans) <= len(keys)
+        assert set(engine._plans) <= keys
