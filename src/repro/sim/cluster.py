@@ -294,19 +294,19 @@ class Cluster:
         if gbps is None:
             for node in (a, b):
                 if node not in self.graph:
-                    raise KeyError(f"unknown topology node {node!r}; known: {self._node_kinds()}")
+                    raise KeyError(f"unknown topology node {node!r}; known kinds: "
+                                   f"{self._node_kinds()}")
             path = nx.shortest_path(self.graph, a, b)
             gbps = min(self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:]))
             self._path_gbps[(a, b)] = gbps
         return gbps
 
     def _node_kinds(self) -> str:
-        """The graph's node kinds with their counts and one example each, for error messages."""
-        examples: Dict[str, List[str]] = {}
+        """The graph's node kinds with one example each, for error messages."""
+        examples: Dict[str, str] = {}
         for node, kind in self.graph.nodes(data="kind"):
-            examples.setdefault(kind, []).append(node)
-        return ", ".join(f"{len(nodes)} {kind} nodes (e.g. {nodes[0]!r})"
-                         for kind, nodes in sorted(examples.items()))
+            examples.setdefault(kind, node)
+        return ", ".join(f"{kind} (e.g. {node!r})" for kind, node in sorted(examples.items()))
 
     def worker_bottleneck_gbps(self, workers: List[GPUDevice]) -> float:
         """Bottleneck bandwidth across all pairs of the given workers.

@@ -445,8 +445,8 @@ class EventDrivenEngine:
             buckets[module_index] = (transmit, num_bytes, link_seconds)
         return _IterationPlan(
             segments=tuple(segments),
-            durations=tuple(tuple(nominal / self.speed_factor(name)
-                                  for _phase, _index, nominal in segments) for name in names),
+            durations=tuple(tuple(nominal / speed for _phase, _index, nominal in segments)
+                            for speed in map(self.speed_factor, names)),
             buckets=buckets,
             front_first=policy in (SchedulePolicy.BYTESCHEDULER,
                                    SchedulePolicy.EGERIA_BYTESCHEDULER),

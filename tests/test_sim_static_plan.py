@@ -53,12 +53,11 @@ def make_cost_model(param_counts=(40_000, 80_000, 60_000, 20_000), batch_size=16
     return CostModel(modules, batch_size=batch_size)
 
 
-def slow_fabric_cluster(**overrides):
+def slow_fabric_cluster():
     """Per-ToR fair-share fabric slow enough that buckets outlast compute."""
-    spec = dict(num_machines=4, gpus_per_machine=2, num_tor_switches=2, nic_gbps=1.0,
-                tor_uplink_gbps=1.0, core_gbps=0.5, per_tor_fabric=True, fabric_policy="fair")
-    spec.update(overrides)
-    return Cluster(ClusterSpec(**spec))
+    return Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2, num_tor_switches=2,
+                               nic_gbps=1.0, tor_uplink_gbps=1.0, core_gbps=0.5,
+                               per_tor_fabric=True, fabric_policy="fair"))
 
 
 def windows(engine):
@@ -158,11 +157,11 @@ class _Named:
 # --------------------------------------------------------------------------- #
 # Plan == per-iteration recompute
 # --------------------------------------------------------------------------- #
-def twin_engines(speeds=(), **cluster_overrides):
+def twin_engines(speeds=()):
     """A memoizing engine and an independent twin for the oracle loop to reserve on."""
     engines = []
     for memoize in (True, False):
-        cluster = slow_fabric_cluster(**cluster_overrides)
+        cluster = slow_fabric_cluster()
         engine = EventDrivenEngine(cluster, memoize=memoize)
         for position, factor in speeds:
             engine.set_gpu_speed(cluster.all_gpus()[position].name, factor)
