@@ -728,7 +728,8 @@ class FairShareTimeline(BaseResourceTimeline):
         elif transfer.arrival < self._frontier:
             # Out-of-order arrival behind the frontier (interleaved jobs):
             # rewind to the snapshot before its slot and replay the suffix.
-            self._rewind_insert(transfer)
+            self._reintegrate(bisect.bisect(self._order_keys, (transfer.arrival, transfer.seq)),
+                              insert=transfer)
             self.rewind_reserves += 1
         else:
             self._advance(transfer.arrival)
@@ -762,17 +763,38 @@ class FairShareTimeline(BaseResourceTimeline):
         completions move earlier the moment the cancelled demand disappears.
         Returns the number of cancelled transfers.
         """
-        kept = [t for t in self._transfers
-                if not (t.job == job and t.arrival >= after_time)]
-        cancelled = len(self._transfers) - len(kept)
-        if cancelled:
-            if self.sanitizer is not None:
-                self.sanitizer.note_cancel(self, job, after_time)
-            self._transfers = kept
-            self._replay_all()
-            if self.sanitizer is not None:
-                self.sanitizer.note_cancelled(self)
-        return cancelled
+        if not self._incremental:
+            kept = [t for t in self._transfers
+                    if not (t.job == job and t.arrival >= after_time)]
+            cancelled = len(self._transfers) - len(kept)
+            if cancelled:
+                if self.sanitizer is not None:
+                    self.sanitizer.note_cancel(self, job, after_time)
+                self._transfers = kept
+                self._replay_all()
+                if self.sanitizer is not None:
+                    self.sanitizer.note_cancelled(self)
+            return cancelled
+        # Only admissions at or after ``after_time`` can be dropped: scan that
+        # suffix of the canonical order, not the whole history.
+        start = bisect.bisect_left(self._order_keys, (after_time,))
+        drop = {}
+        for position in range(start, len(self._order)):
+            transfer = self._order[position]
+            if transfer.job == job:
+                drop.setdefault(transfer.seq, position)
+        if not drop:
+            return 0
+        if self.sanitizer is not None:
+            self.sanitizer.note_cancel(self, job, after_time)
+        self._transfers = [t for t in self._transfers if t.seq not in drop]
+        for seq in drop:
+            del self._ends[seq]
+        self.full_resweeps += 1
+        self._reintegrate(min(drop.values()), drop=drop)
+        if self.sanitizer is not None:
+            self.sanitizer.note_cancelled(self)
+        return len(drop)
 
     def busy_seconds(self) -> float:
         """Total capacity-seconds of admitted demand (not wall-clock spans).
@@ -841,7 +863,11 @@ class FairShareTimeline(BaseResourceTimeline):
         capacity-independent, so relative fairness is preserved.
         """
         old, new = self._note_capacity_change(at_time, gbps)
-        self._replay_all()
+        if self._incremental:
+            self.full_resweeps += 1
+            self._reintegrate(bisect.bisect_right(self._order_keys, (at_time, float("inf"))))
+        else:
+            self._replay_all()
         if self.sanitizer is not None:
             self.sanitizer.note_capacity(self, at_time, old, new)
 
@@ -973,19 +999,20 @@ class FairShareTimeline(BaseResourceTimeline):
         self._snaps.append((self._frontier, dict(self._remaining),
                             dict(self._weights), self._done_max_end))
 
-    def _rewind_insert(self, transfer: _FairTransfer) -> None:
-        """Insert an arrival behind the frontier by snapshot rewind + replay.
+    def _reintegrate(self, position: int, insert: Optional[_FairTransfer] = None,
+                     drop: Optional[Dict[int, int]] = None) -> None:
+        """Re-integrate the schedule from canonical slot ``position`` onwards.
 
-        Restores the state captured right after the admission preceding the
-        new transfer's canonical slot, then replays the later admissions
-        through the same :meth:`_advance`/:meth:`_admit` steps a fully
-        in-order stream would take — so the rebuilt schedule (dict iteration
-        order included) is bit-identical to a from-scratch resweep of the
-        reordered stream, at a cost proportional to the rewind distance.
-        Ends finalized past the rewind point are recomputed on the way
-        forward; ends finalized before it are untouched.
+        Restores the state captured right after the admission preceding
+        ``position``, then replays the old suffix through the same
+        :meth:`_advance`/:meth:`_admit` steps a fully in-order stream would
+        take — skipping the transfers in ``drop`` and admitting ``insert``
+        first (its slot is ``position``) — so the rebuilt schedule (dict
+        iteration order included) is bit-identical to a from-scratch resweep
+        of the edited stream, at a cost proportional to the suffix.  Ends
+        finalized before ``position`` are untouched.
         """
-        position = bisect.bisect(self._order_keys, (transfer.arrival, transfer.seq))
+        replay = self._order[position:]
         if position == 0:
             self._frontier = 0.0
             self._remaining = {}
@@ -997,13 +1024,15 @@ class FairShareTimeline(BaseResourceTimeline):
             self._remaining = dict(remaining)
             self._weights = dict(weights)
             self._done_max_end = done_max_end
-        replay = self._order[position:]
         del self._order[position:]
         del self._order_keys[position:]
         del self._snaps[position:]
-        self._advance(transfer.arrival)
-        self._admit(transfer)
+        if insert is not None:
+            self._advance(insert.arrival)
+            self._admit(insert)
         for later in replay:
+            if drop and later.seq in drop:
+                continue
             self._advance(later.arrival)
             self._admit(later)
         self._project()
