@@ -999,20 +999,9 @@ class FairShareTimeline(BaseResourceTimeline):
         self._snaps.append((self._frontier, dict(self._remaining),
                             dict(self._weights), self._done_max_end))
 
-    def _reintegrate(self, position: int, insert: Optional[_FairTransfer] = None,
-                     drop: Optional[Dict[int, int]] = None) -> None:
-        """Re-integrate the schedule from canonical slot ``position`` onwards.
-
-        Restores the state captured right after the admission preceding
-        ``position``, then replays the old suffix through the same
-        :meth:`_advance`/:meth:`_admit` steps a fully in-order stream would
-        take — skipping the transfers in ``drop`` and admitting ``insert``
-        first (its slot is ``position``) — so the rebuilt schedule (dict
-        iteration order included) is bit-identical to a from-scratch resweep
-        of the edited stream, at a cost proportional to the suffix.  Ends
-        finalized before ``position`` are untouched.
-        """
-        replay = self._order[position:]
+    def _restore(self, position: int) -> None:
+        """Set the live state to the one right after admission ``position - 1``
+        (the empty timeline for ``position == 0``)."""
         if position == 0:
             self._frontier = 0.0
             self._remaining = {}
@@ -1024,17 +1013,61 @@ class FairShareTimeline(BaseResourceTimeline):
             self._remaining = dict(remaining)
             self._weights = dict(weights)
             self._done_max_end = done_max_end
+
+    def _reintegrate(self, position: int, insert: Optional[_FairTransfer] = None,
+                     drop: Optional[Dict[int, int]] = None) -> None:
+        """Re-integrate the schedule from canonical slot ``position`` onwards.
+
+        Restores the state captured right after the admission preceding
+        ``position``, then replays the old suffix through the same
+        :meth:`_advance`/:meth:`_admit` steps a fully in-order stream would
+        take — skipping the transfers in ``drop`` and admitting ``insert``
+        first (its slot is ``position``) — so the rebuilt schedule (dict
+        iteration order included) is bit-identical to a from-scratch resweep
+        of the edited stream.  Ends finalized before ``position`` are
+        untouched.
+
+        The replay **stops as soon as it is back on the old track**: once
+        nothing is left to insert or drop and the rebuilt state equals the
+        stored post-admission snapshot of the same transfer, every later
+        snapshot, finalized end, projected end and ``busy_until`` is already
+        right (equal state and equal later arrivals give an equal future),
+        so the old tail is spliced back instead of recomputed.  A call that
+        neither inserts nor drops is a capacity change: the profile itself
+        moved, so a momentarily equal state does not imply an equal future
+        and the whole suffix is replayed.
+        """
+        cut_off = insert is not None or bool(drop)
+        replay = self._order[position:]
+        old_keys = self._order_keys[position:]
+        old_snaps = self._snaps[position:]
+        self._restore(position)
         del self._order[position:]
         del self._order_keys[position:]
         del self._snaps[position:]
         if insert is not None:
             self._advance(insert.arrival)
             self._admit(insert)
-        for later in replay:
-            if drop and later.seq in drop:
+        pending = len(drop) if drop else 0
+        for index, later in enumerate(replay):
+            if pending and later.seq in drop:
+                pending -= 1
                 continue
             self._advance(later.arrival)
             self._admit(later)
+            if cut_off and not pending:
+                _frontier, old_remaining, _weights, old_done_max_end = old_snaps[index]
+                # Exact equality is the point: bit-equal state, bit-equal future.
+                if (self._done_max_end == old_done_max_end  # simlint: disable=SIM004 -- bit-exact convergence test
+                        and self._remaining == old_remaining
+                        and list(self._remaining) == list(old_remaining)):
+                    tail = index + 1
+                    if tail < len(replay):
+                        self._order.extend(replay[tail:])
+                        self._order_keys.extend(old_keys[tail:])
+                        self._snaps.extend(old_snaps[tail:])
+                        self._restore(len(self._order))
+                    return
         self._project()
 
     def _project(self) -> None:
