@@ -656,32 +656,37 @@ class FairShareTimeline(BaseResourceTimeline):
         arrival — bit-identical results, pre-incremental cost.
         """
         super().__init__(resource)
-        self._transfers: List[_FairTransfer] = []
+        #: seq -> admitted transfer, in admission order (what the accounting
+        #: sums iterate, so a cancel must not reorder the survivors).
+        self._transfers: Dict[int, _FairTransfer] = {}
         #: seq -> completion time for every admitted transfer.
         self._ends: Dict[int, float] = {}
+        #: seq -> fair-share weight for every admitted transfer.  A weight
+        #: never changes, so the integrator reads this one table in
+        #: ``_remaining``'s iteration order instead of carrying a per-state copy.
+        self._weights: Dict[int, float] = {}
         # Incremental integration state, frozen at the most recent admitted
-        # arrival (the *frontier*): remaining demand and weight of every
-        # transfer still in service there.  reserve() advances this state to
-        # the new arrival (finalizing the completions it crosses), admits the
-        # transfer, then *projects* the active set's completions on a scratch
-        # copy — the saved state is untouched, so the next arrival re-derives
-        # exactly the projected values on its way forward (bit-identity).
+        # arrival (the *frontier*): remaining demand of every transfer still
+        # in service there.  reserve() advances this state to the new arrival
+        # (finalizing the completions it crosses), admits the transfer, then
+        # *projects* the active set's completions on a scratch copy — the
+        # saved state is untouched, so the next arrival re-derives exactly
+        # the projected values on its way forward (bit-identity).
         self._frontier = 0.0
         self._remaining: Dict[int, float] = {}
-        self._weights: Dict[int, float] = {}
         #: Max end among *finalized* completions (immutable history); the
         #: busy watermark is this folded with the live projection's max, so
         #: it is an exact function of the current schedule in both modes.
         self._done_max_end = 0.0
         # Rewind support: admitted transfers in canonical (arrival, seq)
         # order, their sort keys (for bisect), and one state snapshot per
-        # admission — (frontier, remaining, weights, done_max_end) captured
-        # right after the transfer was admitted.  An out-of-order arrival
-        # restores the snapshot preceding its insertion point and replays
-        # only the admissions behind it.
+        # admission — (remaining, done_max_end) captured right after the
+        # transfer was admitted, when the frontier sits at its arrival.
+        # Whatever displaces part of the schedule restores the snapshot
+        # preceding the first slot it touches (see _reintegrate).
         self._order: List[_FairTransfer] = []
         self._order_keys: List[Tuple[float, int]] = []
-        self._snaps: List[Tuple[float, Dict[int, float], Dict[int, float], float]] = []
+        self._snaps: List[Tuple[Dict[int, float], float]] = []
         self._incremental = (FAIR_INCREMENTAL_DEFAULT if incremental is None
                              else bool(incremental))
         #: Perf counter: in-order arrivals integrated from the frontier.
@@ -698,7 +703,7 @@ class FairShareTimeline(BaseResourceTimeline):
         return tuple(sorted(
             (ResourceOccupancy(t.arrival, self._ends[t.seq], t.num_bytes, t.job, t.kind,
                                earliest_start=t.arrival, seq=t.seq)
-             for t in self._transfers),
+             for t in self._transfers.values()),
             key=lambda r: (r.start, r.seq)))
 
     def reserve(self, earliest_start: float, seconds: float, num_bytes: int = 0,
@@ -720,7 +725,8 @@ class FairShareTimeline(BaseResourceTimeline):
         transfer = _FairTransfer(float(earliest_start), float(seconds), int(num_bytes),
                                  job, kind, self._seq, weight=float(weight))
         self._seq += 1
-        self._transfers.append(transfer)
+        self._transfers[transfer.seq] = transfer
+        self._weights[transfer.seq] = transfer.weight
         active_depth: Optional[int] = None
         if not self._incremental:
             # Reference mode: rebuild the whole schedule from scratch.
@@ -745,7 +751,7 @@ class FairShareTimeline(BaseResourceTimeline):
             # Queue depth under processor sharing: transfers this arrival
             # shares capacity with (still draining at its arrival instant).
             if active_depth is None:
-                active_depth = sum(1 for other in self._transfers
+                active_depth = sum(1 for other in self._transfers.values()
                                    if other.seq != transfer.seq
                                    and other.arrival <= transfer.arrival
                                    and self._ends[other.seq] > transfer.arrival)
@@ -764,8 +770,8 @@ class FairShareTimeline(BaseResourceTimeline):
         Returns the number of cancelled transfers.
         """
         if not self._incremental:
-            kept = [t for t in self._transfers
-                    if not (t.job == job and t.arrival >= after_time)]
+            kept = {t.seq: t for t in self._transfers.values()
+                    if not (t.job == job and t.arrival >= after_time)}
             cancelled = len(self._transfers) - len(kept)
             if cancelled:
                 if self.sanitizer is not None:
@@ -787,9 +793,8 @@ class FairShareTimeline(BaseResourceTimeline):
             return 0
         if self.sanitizer is not None:
             self.sanitizer.note_cancel(self, job, after_time)
-        self._transfers = [t for t in self._transfers if t.seq not in drop]
         for seq in drop:
-            del self._ends[seq]
+            del self._transfers[seq], self._ends[seq], self._weights[seq]
         self.full_resweeps += 1
         self._reintegrate(min(drop.values()), drop=drop)
         if self.sanitizer is not None:
@@ -804,16 +809,16 @@ class FairShareTimeline(BaseResourceTimeline):
         sum equals what the FIFO discipline would report for the same
         request stream.
         """
-        return sum(t.demand for t in self._transfers)
+        return sum(t.demand for t in self._transfers.values())
 
     def total_bytes(self) -> int:
         """Total payload bytes across every admitted transfer."""
-        return sum(t.num_bytes for t in self._transfers)
+        return sum(t.num_bytes for t in self._transfers.values())
 
     def bytes_by_job(self) -> Dict[str, int]:
         """Payload bytes grouped by owning job (``<anonymous>`` if unowned)."""
         totals: Dict[str, int] = {}
-        for transfer in self._transfers:
+        for transfer in self._transfers.values():
             key = transfer.job if transfer.job is not None else "<anonymous>"
             totals[key] = totals.get(key, 0) + transfer.num_bytes
         return totals
@@ -821,7 +826,7 @@ class FairShareTimeline(BaseResourceTimeline):
     def bytes_by_kind(self) -> Dict[str, int]:
         """Payload bytes grouped by transfer kind (allreduce, checkpoint, ...)."""
         totals: Dict[str, int] = {}
-        for transfer in self._transfers:
+        for transfer in self._transfers.values():
             totals[transfer.kind] = totals.get(transfer.kind, 0) + transfer.num_bytes
         return totals
 
@@ -932,7 +937,7 @@ class FairShareTimeline(BaseResourceTimeline):
         """
         return tuple(sorted(
             (t.arrival, self._ends[t.seq], t.demand, t.weight)
-            for t in self._transfers))
+            for t in self._transfers.values()))
 
     def _advance(self, target: float) -> None:
         """Integrate the frontier state forward to ``target`` (the next arrival).
@@ -959,7 +964,6 @@ class FairShareTimeline(BaseResourceTimeline):
                 finish = self._end_time(now, remaining[solo_seq])
                 if finish <= target:
                     del remaining[solo_seq]
-                    del weights[solo_seq]
                     self._ends[solo_seq] = finish
                     self._done_max_end = max(self._done_max_end, finish)
                     now = finish
@@ -976,7 +980,6 @@ class FairShareTimeline(BaseResourceTimeline):
                     remaining[seq] -= min_ratio * weights[seq]
                 for seq in done:
                     del remaining[seq]
-                    del weights[seq]
                     self._ends[seq] = finish
                 self._done_max_end = max(self._done_max_end, finish)
                 now = finish
@@ -993,11 +996,9 @@ class FairShareTimeline(BaseResourceTimeline):
         """Enter an arrival (the frontier already sits at it) into the state,
         appending its canonical-order slot and post-admission snapshot."""
         self._remaining[transfer.seq] = transfer.demand
-        self._weights[transfer.seq] = transfer.weight
         self._order.append(transfer)
         self._order_keys.append((transfer.arrival, transfer.seq))
-        self._snaps.append((self._frontier, dict(self._remaining),
-                            dict(self._weights), self._done_max_end))
+        self._snaps.append((dict(self._remaining), self._done_max_end))
 
     def _restore(self, position: int) -> None:
         """Set the live state to the one right after admission ``position - 1``
@@ -1005,14 +1006,11 @@ class FairShareTimeline(BaseResourceTimeline):
         if position == 0:
             self._frontier = 0.0
             self._remaining = {}
-            self._weights = {}
             self._done_max_end = 0.0
         else:
-            frontier, remaining, weights, done_max_end = self._snaps[position - 1]
-            self._frontier = frontier
+            remaining, self._done_max_end = self._snaps[position - 1]
+            self._frontier = self._order[position - 1].arrival
             self._remaining = dict(remaining)
-            self._weights = dict(weights)
-            self._done_max_end = done_max_end
 
     def _reintegrate(self, position: int, insert: Optional[_FairTransfer] = None,
                      drop: Optional[Dict[int, int]] = None) -> None:
@@ -1056,7 +1054,7 @@ class FairShareTimeline(BaseResourceTimeline):
             self._advance(later.arrival)
             self._admit(later)
             if cut_off and not pending:
-                _frontier, old_remaining, _weights, old_done_max_end = old_snaps[index]
+                old_remaining, old_done_max_end = old_snaps[index]
                 # Exact equality is the point: bit-equal state, bit-equal future.
                 if (self._done_max_end == old_done_max_end  # simlint: disable=SIM004 -- bit-exact convergence test
                         and self._remaining == old_remaining
@@ -1119,7 +1117,6 @@ class FairShareTimeline(BaseResourceTimeline):
         """
         self._ends = {}
         self._remaining = {}
-        self._weights = {}
         self._frontier = 0.0
         self._busy_until = 0.0
         self._done_max_end = 0.0
@@ -1127,7 +1124,7 @@ class FairShareTimeline(BaseResourceTimeline):
         self._order_keys = []
         self._snaps = []
         self.full_resweeps += 1
-        for transfer in sorted(self._transfers, key=lambda t: (t.arrival, t.seq)):
+        for transfer in sorted(self._transfers.values(), key=lambda t: (t.arrival, t.seq)):
             self._advance(transfer.arrival)
             if self._incremental:
                 self._admit(transfer)
@@ -1135,7 +1132,6 @@ class FairShareTimeline(BaseResourceTimeline):
                 # Reference mode resweeps on every arrival; skip the
                 # canonical-order/snapshot bookkeeping it never reads.
                 self._remaining[transfer.seq] = transfer.demand
-                self._weights[transfer.seq] = transfer.weight
         self._project()
 
 

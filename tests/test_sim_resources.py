@@ -421,7 +421,7 @@ def test_incremental_fair_share_bit_identical_to_resweep_reference(ops):
     assert incremental.as_dict() == reference.as_dict()
     assert incremental.full_resweeps <= reference.full_resweeps
     # The surviving schedule also matches the standalone reference integrator.
-    swept = reference_fair_schedule(incremental._transfers)
+    swept = reference_fair_schedule(incremental._transfers.values())
     assert swept == incremental._ends
 
 
