@@ -7,8 +7,14 @@ runs; the default ``tiny`` keeps the whole suite in the minutes range.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+# The slow, obviously-right formulations live under tests/oracles/; benchmarks
+# that build a "before" side from them import ``oracles`` like the tests do.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @pytest.fixture(scope="session")

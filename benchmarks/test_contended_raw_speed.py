@@ -4,15 +4,17 @@ Eight two-worker jobs all cross one fair-share fabric link, so the link is
 never quiet: the fast-forward cache almost never replays and every live
 iteration queues its gradient buckets into an ever-growing open busy period.
 This is the workload where the *pre-optimization* engine was quadratic —
-``_sweep_open()`` re-integrated the whole busy period on every reserve —
-and where fast-forwarded iterations still cost one heap event each.
+every reserve re-integrated the whole admitted history from t = 0 — and
+where fast-forwarded iterations still cost one heap event each.
 
 The benchmark runs the same scenario twice:
 
-* **pre-PR mode** — incremental fair-share OFF (full resweep per reserve)
-  and batched fast-forward OFF, reproducing the engine before this PR;
-* **optimized mode** — the defaults: incremental integration, batched
-  fast-forward, O(active) per reserve.
+* **pre-PR mode** — fair-share timelines built from the from-scratch oracle
+  (``tests/oracles/sim_reference.ResweepFairShareTimeline``: full resweep
+  per reserve) and batched fast-forward OFF, reproducing the engine before
+  PR 8;
+* **optimized mode** — production: incremental integration with suffix
+  re-integration, batched fast-forward, O(active) per in-order reserve.
 
 and asserts the optimized run is **>= 5x** faster end to end with a
 **bit-identical** :class:`SchedulerResult`.
@@ -20,6 +22,8 @@ and asserts the optimized run is **>= 5x** faster end to end with a
 
 import time
 from contextlib import contextmanager
+
+from oracles import sim_reference
 
 from repro.core.modules import LayerModule
 from repro.sim import ClusterScheduler, CostModel, EventDrivenEngine, SimJob
@@ -46,13 +50,14 @@ def _cost_model(job_index):
 
 @contextmanager
 def _fair_integration(incremental):
-    """Flip the module default new FairShareTimelines are built with."""
-    saved = resources_mod.FAIR_INCREMENTAL_DEFAULT
-    resources_mod.FAIR_INCREMENTAL_DEFAULT = incremental
+    """Build new fair-share timelines from production or from the oracle."""
+    saved = resources_mod.build_timeline
+    if not incremental:
+        resources_mod.build_timeline = sim_reference.build_resweep_timeline
     try:
         yield
     finally:
-        resources_mod.FAIR_INCREMENTAL_DEFAULT = saved
+        resources_mod.build_timeline = saved
 
 
 def _run(optimized):

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from .cost_model import CostModel
 from .sanitizer import SimSanitizer
@@ -59,8 +59,6 @@ __all__ = [
     "BaseResourceTimeline",
     "ResourceTimeline",
     "FairShareTimeline",
-    "FAIR_INCREMENTAL_DEFAULT",
-    "reference_fair_schedule",
     "ResourcePool",
     "build_timeline",
 ]
@@ -534,75 +532,6 @@ class _FairTransfer:
     weight: float = 1.0
 
 
-#: Process-wide default for :class:`FairShareTimeline`'s integration mode.
-#: ``True`` (the production setting) advances the schedule incrementally from
-#: the last arrival breakpoint; ``False`` re-integrates the whole admitted
-#: history on every arrival — the pre-incremental reference behaviour, kept
-#: selectable because results are bit-identical either way and the contended
-#: benchmark measures exactly this before/after.
-FAIR_INCREMENTAL_DEFAULT = True
-
-
-def reference_fair_schedule(transfers: Iterable[_FairTransfer]) -> Dict[int, float]:
-    """Completion times of a processor-sharing schedule, swept from scratch.
-
-    The standalone reference integrator the incremental
-    :class:`FairShareTimeline` is tested against (the hypothesis equivalence
-    suite feeds both random arrival/cancel streams): one chronological sweep
-    over arrival/completion breakpoints, each active transfer draining at
-    ``weight / sum(active weights)`` of the line rate between breakpoints.
-    Returns ``{seq: completion time}`` for every transfer.
-    """
-    order = sorted(transfers, key=lambda t: (t.arrival, t.seq))
-    ends: Dict[int, float] = {}
-    remaining: Dict[int, float] = {}
-    weights: Dict[int, float] = {}
-    index, now = 0, 0.0
-    total = len(order)
-    while index < total or remaining:
-        if not remaining:
-            now = order[index].arrival
-        while index < total and order[index].arrival <= now:
-            remaining[order[index].seq] = order[index].demand
-            weights[order[index].seq] = order[index].weight
-            index += 1
-        if not remaining:
-            continue  # jump to the next arrival
-        next_arrival = order[index].arrival if index < total else float("inf")
-        if len(remaining) == 1:
-            # Sole active transfer: full line rate regardless of weight
-            # (work conservation), and exact arithmetic — the quiet-link
-            # case the engine's fast-forward replay relies on.
-            (solo_seq,) = remaining
-            finish = now + remaining[solo_seq]
-            if finish <= next_arrival:
-                del remaining[solo_seq]
-                ends[solo_seq] = finish
-                now = finish
-            else:
-                remaining[solo_seq] -= next_arrival - now
-                now = next_arrival
-            continue
-        total_weight = sum(weights[seq] for seq in remaining)
-        ratios = {seq: left / weights[seq] for seq, left in remaining.items()}
-        min_ratio = min(ratios.values())
-        finish = now + min_ratio * total_weight
-        if finish <= next_arrival:
-            done = [seq for seq, ratio in ratios.items() if ratio == min_ratio]
-            for seq in list(remaining):
-                remaining[seq] -= min_ratio * weights[seq]
-            for seq in done:
-                del remaining[seq]
-                ends[seq] = finish
-            now = finish
-        else:
-            elapsed = next_arrival - now
-            for seq in list(remaining):
-                remaining[seq] -= elapsed * weights[seq] / total_weight
-            now = next_arrival
-    return ends
-
-
 class FairShareTimeline(BaseResourceTimeline):
     """Processor-sharing occupancy of one shared resource.
 
@@ -625,36 +554,29 @@ class FairShareTimeline(BaseResourceTimeline):
     known at quote time and is the commitment earlier callers keep, while
     :attr:`records` always shows the fully re-flowed schedule.
 
-    The integration is **incremental**: the sweep state (per-transfer
-    remaining demand and weight of every transfer still in service) is kept
-    frozen at the most recent arrival breakpoint — the *frontier* — so an
-    in-order arrival only advances the schedule from the breakpoint it
-    perturbs (~O(active²) decrement steps) instead of re-integrating the
-    whole busy period.  Advancing the frontier performs exactly the
-    breakpoint arithmetic a from-scratch resweep performs, so the schedule
-    is bit-identical to :func:`reference_fair_schedule` — the hypothesis
-    equivalence suite and SimSan's rate-feasibility audit both assert this.
+    The integration is **incremental**: the sweep state (remaining demand of
+    every transfer still in service) is kept frozen at the most recent
+    arrival breakpoint — the *frontier* — so an in-order arrival only
+    advances the schedule from the breakpoint it perturbs (~O(active²)
+    decrement steps) instead of re-integrating the whole busy period.
+    Advancing the frontier performs exactly the breakpoint arithmetic a
+    from-scratch resweep performs, so the schedule is bit-identical to the
+    from-scratch oracle in ``tests/oracles/sim_reference.py`` — the
+    hypothesis equivalence suite and SimSan's rate-feasibility audit both
+    assert this.
 
-    An *out-of-order* arrival (behind the frontier — routine when several
-    jobs' live iterations interleave their bucket streams) **rewinds**
-    instead of resweeping: a post-admission state snapshot is kept per
-    transfer, so the schedule restores the snapshot just before the
-    insertion point and replays only the admissions behind it
-    (:attr:`rewind_reserves` counts these, and the work is proportional to
-    how far behind the frontier the arrival lands).  Only cancellations —
-    and every arrival in the ``incremental=False`` reference mode — pay a
-    full re-integration (:attr:`full_resweeps`, versus
-    :attr:`incremental_reserves`).
+    Whatever displaces part of the schedule — an *out-of-order* arrival
+    behind the frontier (routine when several jobs' live iterations
+    interleave their bucket streams, :attr:`rewind_reserves`), a
+    cancellation or a capacity change (:attr:`full_resweeps`) — goes through
+    one routine, :meth:`_reintegrate`: a post-admission state snapshot is
+    kept per transfer, so the schedule restores the snapshot just before the
+    first slot the edit touches, replays the admissions behind it, and
+    stops as soon as the rebuilt state is back on the stored track.
     """
 
-    def __init__(self, resource: SharedResource, incremental: Optional[bool] = None):
-        """Wrap ``resource`` with an empty processor-sharing schedule.
-
-        ``incremental`` selects the integration mode (``None``: the
-        module-level :data:`FAIR_INCREMENTAL_DEFAULT`); ``False`` is the
-        reference mode that re-integrates the whole history on every
-        arrival — bit-identical results, pre-incremental cost.
-        """
+    def __init__(self, resource: SharedResource):
+        """Wrap ``resource`` with an empty processor-sharing schedule."""
         super().__init__(resource)
         #: seq -> admitted transfer, in admission order (what the accounting
         #: sums iterate, so a cancel must not reorder the survivors).
@@ -665,18 +587,19 @@ class FairShareTimeline(BaseResourceTimeline):
         #: never changes, so the integrator reads this one table in
         #: ``_remaining``'s iteration order instead of carrying a per-state copy.
         self._weights: Dict[int, float] = {}
-        # Incremental integration state, frozen at the most recent admitted
-        # arrival (the *frontier*): remaining demand of every transfer still
-        # in service there.  reserve() advances this state to the new arrival
-        # (finalizing the completions it crosses), admits the transfer, then
-        # *projects* the active set's completions on a scratch copy — the
-        # saved state is untouched, so the next arrival re-derives exactly
-        # the projected values on its way forward (bit-identity).
+        # Incremental integration state, frozen at the last admission in
+        # canonical order (the *frontier*): remaining demand of every
+        # transfer still in service there.  An in-order reserve() advances
+        # this state to the new arrival (finalizing the completions it
+        # crosses), admits the transfer, then *projects* the active set's
+        # completions on a scratch copy — the saved state is untouched, so
+        # the next arrival re-derives exactly the projected values on its
+        # way forward (bit-identity).
         self._frontier = 0.0
         self._remaining: Dict[int, float] = {}
         #: Max end among *finalized* completions (immutable history); the
         #: busy watermark is this folded with the live projection's max, so
-        #: it is an exact function of the current schedule in both modes.
+        #: it is an exact function of the current schedule.
         self._done_max_end = 0.0
         # Rewind support: admitted transfers in canonical (arrival, seq)
         # order, their sort keys (for bisect), and one state snapshot per
@@ -687,14 +610,12 @@ class FairShareTimeline(BaseResourceTimeline):
         self._order: List[_FairTransfer] = []
         self._order_keys: List[Tuple[float, int]] = []
         self._snaps: List[Tuple[Dict[int, float], float]] = []
-        self._incremental = (FAIR_INCREMENTAL_DEFAULT if incremental is None
-                             else bool(incremental))
         #: Perf counter: in-order arrivals integrated from the frontier.
         self.incremental_reserves = 0
         #: Perf counter: out-of-order arrivals served by a snapshot rewind.
         self.rewind_reserves = 0
-        #: Perf counter: full from-scratch re-integrations (cancels, and
-        #: every arrival in the reference mode).
+        #: Perf counter: re-integrations caused by a cancel or capacity
+        #: change; suffix-only.
         self.full_resweeps = 0
 
     @property
@@ -727,36 +648,24 @@ class FairShareTimeline(BaseResourceTimeline):
         self._seq += 1
         self._transfers[transfer.seq] = transfer
         self._weights[transfer.seq] = transfer.weight
-        active_depth: Optional[int] = None
-        if not self._incremental:
-            # Reference mode: rebuild the whole schedule from scratch.
-            self._replay_all()
-        elif transfer.arrival < self._frontier:
-            # Out-of-order arrival behind the frontier (interleaved jobs):
-            # rewind to the snapshot before its slot and replay the suffix.
-            self._reintegrate(bisect.bisect(self._order_keys, (transfer.arrival, transfer.seq)),
-                              insert=transfer)
+        position = bisect.bisect(self._order_keys, (transfer.arrival, transfer.seq))
+        if position < len(self._order):
+            # Out-of-order arrival behind the frontier (interleaved jobs).
             self.rewind_reserves += 1
         else:
-            self._advance(transfer.arrival)
-            self._admit(transfer)
-            self._project()
             self.incremental_reserves += 1
-            active_depth = len(self._remaining) - 1
+        self._reintegrate(position, insert=transfer)
         end = self._ends[transfer.seq]
         if self.sanitizer is not None:
             self.sanitizer.note_reserve(self, transfer.arrival, transfer.arrival, end,
                                         seconds, num_bytes, job, kind)
         if self.observer is not None:
             # Queue depth under processor sharing: transfers this arrival
-            # shares capacity with (still draining at its arrival instant).
-            if active_depth is None:
-                active_depth = sum(1 for other in self._transfers.values()
-                                   if other.seq != transfer.seq
-                                   and other.arrival <= transfer.arrival
-                                   and self._ends[other.seq] > transfer.arrival)
+            # shares capacity with (still draining at its arrival instant) —
+            # the others in the state right after its own admission.
             self.observer.note_reserve(self, transfer.arrival, transfer.arrival, end,
-                                       int(num_bytes), job, kind, active_depth)
+                                       int(num_bytes), job, kind,
+                                       len(self._snaps[position][0]) - 1)
         return transfer.arrival, end
 
     def cancel(self, job: str, after_time: float) -> int:
@@ -764,42 +673,30 @@ class FairShareTimeline(BaseResourceTimeline):
 
         Transfers that arrived before ``after_time`` have been in (shared)
         service since their arrival, so they stay in full — the conservative
-        analogue of FIFO's "bytes on the wire" rule.  The surviving schedule
-        is recomputed, which re-flows every affected transfer automatically:
-        completions move earlier the moment the cancelled demand disappears.
-        Returns the number of cancelled transfers.
+        analogue of FIFO's "bytes on the wire" rule.  The schedule is
+        re-integrated from the first dropped transfer's slot, which re-flows
+        every affected transfer automatically: completions move earlier the
+        moment the cancelled demand disappears.  Returns the number of
+        cancelled transfers.
         """
-        if not self._incremental:
-            kept = {t.seq: t for t in self._transfers.values()
-                    if not (t.job == job and t.arrival >= after_time)}
-            cancelled = len(self._transfers) - len(kept)
-            if cancelled:
-                if self.sanitizer is not None:
-                    self.sanitizer.note_cancel(self, job, after_time)
-                self._transfers = kept
-                self._replay_all()
-                if self.sanitizer is not None:
-                    self.sanitizer.note_cancelled(self)
-            return cancelled
         # Only admissions at or after ``after_time`` can be dropped: scan that
         # suffix of the canonical order, not the whole history.
-        start = bisect.bisect_left(self._order_keys, (after_time,))
-        drop = {}
-        for position in range(start, len(self._order)):
-            transfer = self._order[position]
-            if transfer.job == job:
-                drop.setdefault(transfer.seq, position)
-        if not drop:
+        order = self._order
+        positions = [position for position in range(
+            bisect.bisect_left(self._order_keys, (after_time,)), len(order))
+            if order[position].job == job]
+        if not positions:
             return 0
         if self.sanitizer is not None:
             self.sanitizer.note_cancel(self, job, after_time)
-        for seq in drop:
+        dropped = [order[position].seq for position in positions]
+        for seq in dropped:
             del self._transfers[seq], self._ends[seq], self._weights[seq]
         self.full_resweeps += 1
-        self._reintegrate(min(drop.values()), drop=drop)
+        self._reintegrate(positions[0], drop=set(dropped))
         if self.sanitizer is not None:
             self.sanitizer.note_cancelled(self)
-        return len(drop)
+        return len(dropped)
 
     def busy_seconds(self) -> float:
         """Total capacity-seconds of admitted demand (not wall-clock spans).
@@ -859,20 +756,19 @@ class FairShareTimeline(BaseResourceTimeline):
         stored in nominal capacity-seconds and the integrator drains it at
         ``factor(t)`` (effective/nominal) nominal-units per second, so a
         capacity change is one more breakpoint in the piecewise-constant
-        rate.  The whole admitted history is re-integrated against the new
-        profile (an out-of-order admission behind a change point replays
-        correctly afterwards because the profile is indexed by absolute sim
-        time); service already rendered before ``at_time`` is untouched
-        because the factors before the change point are unchanged.  The
-        transfers' sharing fractions (``weight / sum(weights)``) are
-        capacity-independent, so relative fairness is preserved.
+        rate.  Every admission after ``at_time`` is re-integrated against
+        the new profile (an out-of-order admission behind a change point
+        replays correctly afterwards because the profile is indexed by
+        absolute sim time); service already rendered up to ``at_time`` is
+        untouched because the factors before the change point are unchanged
+        — :meth:`_end_time` and :meth:`_work` evaluate the same expressions
+        left of the new change point.  The transfers' sharing fractions
+        (``weight / sum(weights)``) are capacity-independent, so relative
+        fairness is preserved.
         """
         old, new = self._note_capacity_change(at_time, gbps)
-        if self._incremental:
-            self.full_resweeps += 1
-            self._reintegrate(bisect.bisect_right(self._order_keys, (at_time, float("inf"))))
-        else:
-            self._replay_all()
+        self.full_resweeps += 1
+        self._reintegrate(bisect.bisect_right(self._order_keys, (at_time, float("inf"))))
         if self.sanitizer is not None:
             self.sanitizer.note_capacity(self, at_time, old, new)
 
@@ -992,14 +888,6 @@ class FairShareTimeline(BaseResourceTimeline):
         # way the frontier now sits at the arrival about to be admitted.
         self._frontier = target
 
-    def _admit(self, transfer: _FairTransfer) -> None:
-        """Enter an arrival (the frontier already sits at it) into the state,
-        appending its canonical-order slot and post-admission snapshot."""
-        self._remaining[transfer.seq] = transfer.demand
-        self._order.append(transfer)
-        self._order_keys.append((transfer.arrival, transfer.seq))
-        self._snaps.append((dict(self._remaining), self._done_max_end))
-
     def _restore(self, position: int) -> None:
         """Set the live state to the one right after admission ``position - 1``
         (the empty timeline for ``position == 0``)."""
@@ -1013,59 +901,62 @@ class FairShareTimeline(BaseResourceTimeline):
             self._remaining = dict(remaining)
 
     def _reintegrate(self, position: int, insert: Optional[_FairTransfer] = None,
-                     drop: Optional[Dict[int, int]] = None) -> None:
+                     drop: Optional[Set[int]] = None) -> None:
         """Re-integrate the schedule from canonical slot ``position`` onwards.
 
-        Restores the state captured right after the admission preceding
-        ``position``, then replays the old suffix through the same
-        :meth:`_advance`/:meth:`_admit` steps a fully in-order stream would
-        take — skipping the transfers in ``drop`` and admitting ``insert``
-        first (its slot is ``position``) — so the rebuilt schedule (dict
-        iteration order included) is bit-identical to a from-scratch resweep
-        of the edited stream.  Ends finalized before ``position`` are
-        untouched.
+        The one integration routine: an in-order arrival is the degenerate
+        call with ``position == len(self._order)`` (nothing to rewind).
+        Otherwise the state captured right after the admission preceding
+        ``position`` is restored and the old suffix replays through the same
+        :meth:`_advance` steps a fully in-order stream would take — admitting
+        ``insert`` at ``position`` first, removing the transfers whose seq is
+        in ``drop`` — so the rebuilt schedule (dict iteration order included)
+        is bit-identical to a from-scratch resweep of the edited stream.
+        Ends finalized before ``position`` are untouched.
 
         The replay **stops as soon as it is back on the old track**: once
         nothing is left to insert or drop and the rebuilt state equals the
         stored post-admission snapshot of the same transfer, every later
         snapshot, finalized end, projected end and ``busy_until`` is already
         right (equal state and equal later arrivals give an equal future),
-        so the old tail is spliced back instead of recomputed.  A call that
-        neither inserts nor drops is a capacity change: the profile itself
-        moved, so a momentarily equal state does not imply an equal future
-        and the whole suffix is replayed.
+        so the old tail stays as it is.  A call that neither inserts nor
+        drops is a capacity change: the profile itself moved, so a
+        momentarily equal state does not imply an equal future and the
+        whole suffix is replayed.
         """
+        order, keys, snaps = self._order, self._order_keys, self._snaps
+        remaining = self._remaining
+        if position < len(order):
+            self._restore(position)
+            remaining = self._remaining
         cut_off = insert is not None or bool(drop)
-        replay = self._order[position:]
-        old_keys = self._order_keys[position:]
-        old_snaps = self._snaps[position:]
-        self._restore(position)
-        del self._order[position:]
-        del self._order_keys[position:]
-        del self._snaps[position:]
         if insert is not None:
             self._advance(insert.arrival)
-            self._admit(insert)
+            remaining[insert.seq] = insert.demand
+            order.insert(position, insert)
+            keys.insert(position, (insert.arrival, insert.seq))
+            snaps.insert(position, (dict(remaining), self._done_max_end))
+            position += 1
         pending = len(drop) if drop else 0
-        for index, later in enumerate(replay):
+        while position < len(order):
+            later = order[position]
             if pending and later.seq in drop:
+                del order[position], keys[position], snaps[position]
                 pending -= 1
                 continue
             self._advance(later.arrival)
-            self._admit(later)
+            remaining[later.seq] = later.demand
             if cut_off and not pending:
-                old_remaining, old_done_max_end = old_snaps[index]
+                old_remaining, old_done_max_end = snaps[position]
                 # Exact equality is the point: bit-equal state, bit-equal future.
                 if (self._done_max_end == old_done_max_end  # simlint: disable=SIM004 -- bit-exact convergence test
-                        and self._remaining == old_remaining
-                        and list(self._remaining) == list(old_remaining)):
-                    tail = index + 1
-                    if tail < len(replay):
-                        self._order.extend(replay[tail:])
-                        self._order_keys.extend(old_keys[tail:])
-                        self._snaps.extend(old_snaps[tail:])
-                        self._restore(len(self._order))
+                        and remaining == old_remaining
+                        and list(remaining) == list(old_remaining)):
+                    if position + 1 < len(order):
+                        self._restore(len(order))
                     return
+            snaps[position] = (dict(remaining), self._done_max_end)
+            position += 1
         self._project()
 
     def _project(self) -> None:
@@ -1104,35 +995,6 @@ class FairShareTimeline(BaseResourceTimeline):
             max_end = finish
             now = finish
         self._busy_until = max(self._done_max_end, max_end)
-
-    def _replay_all(self) -> None:
-        """Re-integrate the whole admitted history from scratch.
-
-        Used on cancellation (and on every arrival in the
-        ``incremental=False`` reference mode): transfers replay
-        chronologically through the same :meth:`_advance`/admit steps an
-        in-order arrival stream takes, followed by one final projection —
-        so the rebuilt schedule is bit-identical to the incrementally
-        maintained one (and to :func:`reference_fair_schedule`).
-        """
-        self._ends = {}
-        self._remaining = {}
-        self._frontier = 0.0
-        self._busy_until = 0.0
-        self._done_max_end = 0.0
-        self._order = []
-        self._order_keys = []
-        self._snaps = []
-        self.full_resweeps += 1
-        for transfer in sorted(self._transfers.values(), key=lambda t: (t.arrival, t.seq)):
-            self._advance(transfer.arrival)
-            if self._incremental:
-                self._admit(transfer)
-            else:
-                # Reference mode resweeps on every arrival; skip the
-                # canonical-order/snapshot bookkeeping it never reads.
-                self._remaining[transfer.seq] = transfer.demand
-        self._project()
 
 
 def build_timeline(resource: SharedResource) -> BaseResourceTimeline:
@@ -1214,10 +1076,10 @@ class ResourcePool:
         ``fair_incremental_reserves`` counts fair-share arrivals integrated
         incrementally from the frontier; ``fair_rewind_reserves`` counts
         out-of-order arrivals served by a snapshot rewind;
-        ``fair_full_resweeps`` counts full from-scratch re-integrations
-        (cancels, and every arrival when a timeline runs in the reference
-        mode) — the incremental-vs-resweep savings readout.  Pure
-        observability: the counters never influence scheduling.
+        ``fair_full_resweeps`` counts re-integrations caused by a cancel or
+        capacity change (suffix-only; the name is kept for the benchmark's
+        ledger).  Pure observability: the counters never influence
+        scheduling.
         """
         incremental = rewinds = resweeps = 0
         for timeline in self._timelines.values():

@@ -11,16 +11,29 @@ and the perf counters stay untouched).  They are slow and obviously right;
 ``tests/test_sim_static_plan.py`` requires ``Cluster``'s tables,
 ``EventDrivenEngine._build_plan`` and the plan-driven loop to reproduce them
 bit for bit.
+
+The fair-share discipline's oracle lives here too:
+:func:`reference_fair_schedule` integrates a whole processor-sharing schedule
+from t = 0 in one chronological sweep (capacity profile included), and
+:class:`ResweepFairShareTimeline` is the timeline production had before it
+kept any state between calls — every ``reserve`` / ``cancel`` /
+``set_capacity`` throws the schedule away and sweeps it again.
+``tests/test_sim_resources.py`` requires ``FairShareTimeline``'s suffix
+re-integration to equal both with ``==``, and
+``benchmarks/test_contended_raw_speed.py`` builds its "pre-optimisation" side
+from the stand-in.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.sim import CostModel, EventQueue, GPUDevice, SchedulePolicy, SimEvent
+from repro.sim import (CostModel, EventQueue, FairShareTimeline, GPUDevice, SchedulePolicy,
+                       SimEvent)
+from repro.sim.resources import ResourceTimeline, _FairTransfer
 
 
 def path_bandwidth_gbps(cluster, a: str, b: str) -> float:
@@ -219,3 +232,178 @@ def simulate_live(engine, cost_model: CostModel, workers: Optional[Sequence[obje
         "reservations": tuple(reservations),
         "cacheable": cacheable,
     }
+
+
+# --------------------------------------------------------------------------- #
+# Fair share: the whole schedule integrated from t = 0
+# --------------------------------------------------------------------------- #
+def _end_time(profile: Sequence[Tuple[float, float]], now: float, work: float) -> float:
+    """When ``work`` nominal capacity-seconds served from ``now`` are done.
+
+    ``profile`` is the time-ordered ``(at_time, factor of nominal)`` change
+    log; the factor is 1.0 before the first change point.
+    """
+    if not profile:
+        return now + work
+    if work <= 0.0:
+        return now
+    factor = 1.0
+    for at_time, next_factor in profile:
+        if at_time <= now:
+            factor = next_factor
+            continue
+        segment_work = (at_time - now) * factor
+        if segment_work >= work:
+            break
+        work -= segment_work
+        now = at_time
+        factor = next_factor
+    return now + work / factor
+
+
+def _work(profile: Sequence[Tuple[float, float]], now: float, target: float) -> float:
+    """Nominal capacity-seconds served over ``[now, target]`` under ``profile``."""
+    if not profile:
+        return target - now
+    if target <= now:
+        return 0.0
+    served, factor = 0.0, 1.0
+    for at_time, next_factor in profile:
+        if at_time <= now:
+            factor = next_factor
+            continue
+        if now >= target:
+            break
+        upto = min(at_time, target)
+        served += (upto - now) * factor
+        now = upto
+        factor = next_factor
+    if now < target:
+        served += (target - now) * factor
+    return served
+
+
+def reference_fair_schedule(transfers: Iterable[_FairTransfer],
+                            capacity_profile: Sequence[Tuple[float, float]] = ()
+                            ) -> Dict[int, float]:
+    """Completion times of a processor-sharing schedule, swept from scratch.
+
+    One chronological sweep over arrival/completion breakpoints, each active
+    transfer draining at ``weight / sum(active weights)`` of the line rate —
+    itself scaled by ``capacity_profile`` (``FairShareTimeline.capacity_profile()``
+    rows) — between breakpoints.  Arrivals enter one at a time in
+    ``(arrival, seq)`` order.  Returns ``{seq: completion time}`` for every
+    transfer.
+    """
+    order = sorted(transfers, key=lambda t: (t.arrival, t.seq))
+    ends: Dict[int, float] = {}
+    remaining: Dict[int, float] = {}
+    weights: Dict[int, float] = {}
+    index, now = 0, 0.0
+    total = len(order)
+    while index < total or remaining:
+        if not remaining:
+            now = order[index].arrival
+        if index < total and order[index].arrival <= now:
+            # One admission per step: between two simultaneous arrivals the
+            # sweep takes a zero-length step, in which a transfer whose
+            # remaining demand rounds to nothing at ``now`` completes first.
+            remaining[order[index].seq] = order[index].demand
+            weights[order[index].seq] = order[index].weight
+            index += 1
+        next_arrival = order[index].arrival if index < total else float("inf")
+        if len(remaining) == 1:
+            # Sole active transfer: full line rate regardless of weight
+            # (work conservation), and exact arithmetic.
+            (solo_seq,) = remaining
+            finish = _end_time(capacity_profile, now, remaining[solo_seq])
+            if finish <= next_arrival:
+                del remaining[solo_seq]
+                ends[solo_seq] = finish
+                now = finish
+            else:
+                remaining[solo_seq] -= _work(capacity_profile, now, next_arrival)
+                now = next_arrival
+            continue
+        total_weight = sum(weights[seq] for seq in remaining)
+        ratios = {seq: left / weights[seq] for seq, left in remaining.items()}
+        min_ratio = min(ratios.values())
+        finish = _end_time(capacity_profile, now, min_ratio * total_weight)
+        if finish <= next_arrival:
+            done = [seq for seq, ratio in ratios.items() if ratio == min_ratio]
+            for seq in list(remaining):
+                remaining[seq] -= min_ratio * weights[seq]
+            for seq in done:
+                del remaining[seq]
+                ends[seq] = finish
+            now = finish
+        else:
+            served = _work(capacity_profile, now, next_arrival)
+            for seq in list(remaining):
+                remaining[seq] -= served * weights[seq] / total_weight
+            now = next_arrival
+    return ends
+
+
+class ResweepFairShareTimeline(FairShareTimeline):
+    """``FairShareTimeline`` with no memory: every call resweeps from t = 0.
+
+    Accounting (``records``, byte totals, ``transfer_schedule``) is inherited;
+    every completion time comes from :func:`reference_fair_schedule` over the
+    whole admitted history, and the observer's queue depth from a scan of it.
+    Only ``full_resweeps`` ever counts.
+    """
+
+    def _resweep(self) -> None:
+        self._ends = reference_fair_schedule(self._transfers.values(), self.capacity_profile())
+        self._busy_until = max(self._ends.values(), default=0.0)
+        self.full_resweeps += 1
+
+    def reserve(self, earliest_start, seconds, num_bytes=0, job=None, kind="transfer",
+                weight=1.0):
+        if seconds < 0:
+            raise ValueError("cannot reserve a negative duration")
+        if weight <= 0:
+            raise ValueError("fair-share weight must be positive")
+        transfer = _FairTransfer(float(earliest_start), float(seconds), int(num_bytes),
+                                 job, kind, self._seq, weight=float(weight))
+        self._seq += 1
+        self._transfers[transfer.seq] = transfer
+        self._resweep()
+        end = self._ends[transfer.seq]
+        if self.sanitizer is not None:
+            self.sanitizer.note_reserve(self, transfer.arrival, transfer.arrival, end,
+                                        seconds, num_bytes, job, kind)
+        if self.observer is not None:
+            depth = sum(1 for other in self._transfers.values()
+                        if other.seq != transfer.seq and other.arrival <= transfer.arrival
+                        and self._ends[other.seq] > transfer.arrival)
+            self.observer.note_reserve(self, transfer.arrival, transfer.arrival, end,
+                                       int(num_bytes), job, kind, depth)
+        return transfer.arrival, end
+
+    def cancel(self, job, after_time):
+        kept = {seq: t for seq, t in self._transfers.items()
+                if not (t.job == job and t.arrival >= after_time)}
+        cancelled = len(self._transfers) - len(kept)
+        if cancelled:
+            if self.sanitizer is not None:
+                self.sanitizer.note_cancel(self, job, after_time)
+            self._transfers = kept
+            self._resweep()
+            if self.sanitizer is not None:
+                self.sanitizer.note_cancelled(self)
+        return cancelled
+
+    def set_capacity(self, at_time, gbps):
+        old, new = self._note_capacity_change(at_time, gbps)
+        self._resweep()
+        if self.sanitizer is not None:
+            self.sanitizer.note_capacity(self, at_time, old, new)
+
+
+def build_resweep_timeline(resource):
+    """``repro.sim.resources.build_timeline`` with the stand-in for fair-share resources."""
+    if resource.policy == "fair":
+        return ResweepFairShareTimeline(resource)
+    return ResourceTimeline(resource)

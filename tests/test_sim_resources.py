@@ -19,8 +19,9 @@ Four families of guarantees:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sim_reference
 
 from repro.ckpt import CheckpointManager, MemoryBackend
 from repro.core import ClassificationTask
@@ -374,6 +375,41 @@ class TestWeightedFairShare:
             {n: r["total_bytes"] for n, r in even.resources.items()}
 
 
+def lockstep(ops, production=FairShareTimeline):
+    """Apply ``ops`` to ``production`` and to the from-scratch oracle in step.
+
+    ``("reserve", arrival, seconds, num_bytes, job, weight)``,
+    ``("cancel", job, after_time)`` and ``("capacity", at_time, factor)``;
+    every quote, cancel count and — after every op — the whole schedule,
+    ``busy_until`` and the summary must be exactly equal (``==``, not
+    approx), and the surviving schedule must equal one standalone sweep.
+    Returns ``(production timeline, oracle timeline)``.
+    """
+    resource = SharedResource("link", 10.0, policy="fair")
+    timeline = production(resource)
+    oracle = sim_reference.ResweepFairShareTimeline(resource)
+    for op in ops:
+        if op[0] == "reserve":
+            _, arrival, seconds, num_bytes, job, weight = op
+            assert timeline.reserve(arrival, seconds, num_bytes, job=job, weight=weight) == \
+                oracle.reserve(arrival, seconds, num_bytes, job=job, weight=weight)
+        elif op[0] == "cancel":
+            _, job, after_time = op
+            assert timeline.cancel(job, after_time) == oracle.cancel(job, after_time)
+        else:
+            _, at_time, factor = op
+            timeline.set_capacity(at_time, 10.0 * factor)
+            oracle.set_capacity(at_time, 10.0 * factor)
+        assert timeline.transfer_schedule() == oracle.transfer_schedule()
+        assert timeline.busy_until == oracle.busy_until
+        assert timeline.as_dict() == oracle.as_dict()
+    assert timeline.capacity_profile() == oracle.capacity_profile()
+    assert timeline.full_resweeps <= oracle.full_resweeps
+    assert timeline._ends == sim_reference.reference_fair_schedule(
+        timeline._transfers.values(), timeline.capacity_profile())
+    return timeline, oracle
+
+
 @given(ops=st.lists(
     st.one_of(
         st.tuples(st.just("reserve"),
@@ -385,44 +421,142 @@ class TestWeightedFairShare:
         st.tuples(st.just("cancel"),
                   st.sampled_from(["a", "b", "c"]),
                   st.floats(min_value=0.0, max_value=40.0, allow_nan=False)),
+        st.tuples(st.just("capacity"),
+                  st.floats(min_value=0.0, max_value=40.0, allow_nan=False),
+                  st.floats(min_value=0.25, max_value=2.0, allow_nan=False)),
     ),
     min_size=1, max_size=30))
-@settings(max_examples=60, deadline=None)
+@example(ops=[
+    # Two arrivals at one instant, the first too small to outlast it: it
+    # completes in the zero-length step before the second is admitted.
+    ("reserve", 0.0, 0.0, 0, "a", 0.5), ("reserve", 2.0, 2.220446049250313e-16, 0, "a", 0.5),
+    ("reserve", 2.0, 1.0, 0, "a", 1.0)])
+@settings(max_examples=120, deadline=None)
 def test_incremental_fair_share_bit_identical_to_resweep_reference(ops):
-    """Incremental integration is an optimization, never a semantic change.
+    """Suffix re-integration is an optimization, never a semantic change.
 
-    The same random stream of weighted reserves (arrivals deliberately *not*
-    sorted, so out-of-order admissions exercise the snapshot-rewind path) and
-    cancels is applied to an incremental and a reference-mode
-    :class:`FairShareTimeline`; every quote and every piece of final state
-    must be exactly equal (``==``, not approx).  The surviving schedule is
-    additionally checked against the standalone from-scratch integrator
-    :func:`reference_fair_schedule`.
+    A random stream of weighted reserves (arrivals deliberately *not* sorted,
+    so out-of-order admissions rewind), cancels and capacity changes (which
+    the timeline requires in time order: the drawn times are handed out
+    sorted) runs through :func:`lockstep` against
+    ``tests/oracles/sim_reference.py``.
     """
-    from repro.sim.resources import reference_fair_schedule
+    times = iter(sorted(op[1] for op in ops if op[0] == "capacity"))
+    lockstep([("capacity", next(times), op[2]) if op[0] == "capacity" else op for op in ops])
 
-    resource = SharedResource("link", 10.0, policy="fair")
-    incremental = FairShareTimeline(resource, incremental=True)
-    reference = FairShareTimeline(resource, incremental=False)
-    for op in ops:
-        if op[0] == "reserve":
-            _, arrival, seconds, num_bytes, job, weight = op
-            quote_inc = incremental.reserve(arrival, seconds, num_bytes,
-                                            job=job, weight=weight)
-            quote_ref = reference.reserve(arrival, seconds, num_bytes,
-                                          job=job, weight=weight)
-            assert quote_inc == quote_ref
-        else:
-            _, job, after_time = op
-            assert incremental.cancel(job, after_time) == \
-                reference.cancel(job, after_time)
-    assert incremental.transfer_schedule() == reference.transfer_schedule()
-    assert incremental.busy_until == reference.busy_until
-    assert incremental.as_dict() == reference.as_dict()
-    assert incremental.full_resweeps <= reference.full_resweeps
-    # The surviving schedule also matches the standalone reference integrator.
-    swept = reference_fair_schedule(incremental._transfers.values())
-    assert swept == incremental._ends
+
+def reserve(arrival, seconds, job="a", weight=1.0):
+    return ("reserve", arrival, seconds, 1000, job, weight)
+
+
+def count_advances(monkeypatch):
+    """Counter of ``FairShareTimeline._advance`` calls from here on."""
+    calls = []
+    advance = FairShareTimeline._advance
+    monkeypatch.setattr(FairShareTimeline, "_advance",
+                        lambda self, target: calls.append(target) or advance(self, target))
+    return calls
+
+
+class TestSuffixReintegration:
+    """Directed cases for ``FairShareTimeline._reintegrate`` against the oracle."""
+
+    #: Capacity halves while the link idles between ``a`` and the later
+    #: transfers: the sweep state at ``b``'s admission is the stored one, but
+    #: every later completion moves.
+    IDLE_GAP = [reserve(0.0, 2.0), reserve(10.0, 2.0, "b"), reserve(10.5, 2.0, "c"),
+                ("capacity", 5.0, 0.5)]
+    #: One busy period from t = 0 past the last admission; the late arrival at
+    #: 5.0 takes service from ``a`` for good.
+    LONG_BUSY = [reserve(0.0, 100.0), reserve(10.0, 1.0, "b"), reserve(20.0, 1.0, "c"),
+                 reserve(5.0, 0.5, "x")]
+
+    def test_capacity_change_requotes_later_transfers_although_the_state_coincides(self):
+        timeline, _ = lockstep(self.IDLE_GAP)
+        ends = {row[0]: row[1] for row in timeline.transfer_schedule()}
+        assert ends == {0.0: 2.0, 10.0: 17.5, 10.5: 18.0}  # a at full rate, b and c at half
+
+    def test_capacity_change_never_takes_the_cut_off(self, monkeypatch):
+        calls = count_advances(monkeypatch)
+        lockstep(self.IDLE_GAP[:3])
+        del calls[:]
+        lockstep(self.IDLE_GAP[3:])  # on an empty timeline: no admission to replay
+        assert calls == []
+        timeline, _ = lockstep(self.IDLE_GAP[:3])
+        del calls[:]
+        timeline.set_capacity(5.0, 5.0)
+        assert calls == [10.0, 10.5]  # both admissions behind the change point
+
+    def test_cancel_whose_first_dropped_transfer_is_slot_zero(self):
+        timeline, _ = lockstep([reserve(0.0, 3.0), reserve(1.0, 2.0, "b"), reserve(2.0, 2.0),
+                                ("cancel", "a", 0.0)])
+        assert timeline.transfer_schedule() == ((1.0, 3.0, 2.0, 1.0),)
+
+    def test_cancel_that_empties_the_timeline(self):
+        timeline, _ = lockstep([reserve(0.0, 3.0), reserve(1.0, 2.0, "b"), ("cancel", "a", 0.0),
+                                ("cancel", "b", 1.0)])
+        assert timeline.busy_until == 0.0
+        assert timeline.records == () and timeline.as_dict()["num_transfers"] == 0
+        # ... and admits again from the empty state.
+        assert timeline.reserve(0.5, 1.0, job="c") == (0.5, 1.5)
+
+    def test_cancel_keeps_what_sits_before_after_time(self):
+        timeline, _ = lockstep([reserve(0.0, 4.0), reserve(1.0, 4.0, "b"), reserve(6.0, 1.0),
+                                reserve(7.0, 1.0, "b"), ("cancel", "a", 5.0)])
+        assert [row[0] for row in timeline.transfer_schedule()] == [0.0, 1.0, 7.0]
+
+    def test_insert_that_converges_at_the_last_admission(self, monkeypatch):
+        calls = count_advances(monkeypatch)
+        lockstep([reserve(0.0, 1.0), reserve(10.0, 1.0, "b"), reserve(20.0, 1.0, "c")])
+        del calls[:]
+        # c's end (6.0) is the finalized maximum until b completes at 11.0:
+        # only the state at the last admission equals the stored one.
+        lockstep([reserve(0.0, 1.0), reserve(10.0, 1.0, "b"), reserve(20.0, 1.0, "c"),
+                  reserve(5.0, 1.0, "x")])
+        assert calls[-3:] == [5.0, 10.0, 20.0]
+
+    def test_insert_that_converges_early_leaves_the_tail_alone(self, monkeypatch):
+        stream = [reserve(float(t), 1.0, "ab"[t % 2]) for t in range(0, 40, 2)]
+        calls = count_advances(monkeypatch)
+        timeline, _ = lockstep(stream + [reserve(3.25, 0.5, "x")])
+        # Back on track two admissions after its slot; 17 later ones untouched.
+        assert calls[-3:] == [3.25, 4.0, 6.0]
+        assert timeline.rewind_reserves == 1
+
+    def test_insert_that_never_converges(self, monkeypatch):
+        calls = count_advances(monkeypatch)
+        timeline, _ = lockstep(self.LONG_BUSY)
+        assert calls[-3:] == [5.0, 10.0, 20.0]
+        assert timeline.busy_until == 102.5
+
+    def test_out_of_order_insert_behind_a_capacity_change(self):
+        lockstep([reserve(0.0, 4.0), reserve(6.0, 4.0, "b"), ("capacity", 3.0, 0.5),
+                  reserve(1.0, 1.0, "x"), ("capacity", 8.0, 2.0), reserve(7.0, 1.0, "y"),
+                  ("cancel", "b", 2.0)])
+
+    @pytest.mark.parametrize("original, mutated, killed_by", [
+        # The cut-off compares the active set's keys, not their remaining demand.
+        ("and remaining == old_remaining\n",
+         "and remaining.keys() == old_remaining.keys()\n", "LONG_BUSY"),
+        # The cut-off is enabled for set_capacity.
+        ("cut_off = insert is not None or bool(drop)\n", "cut_off = True\n", "IDLE_GAP"),
+    ])
+    def test_hand_mutants_of_the_cut_off_fail_the_suite(self, original, mutated, killed_by):
+        import inspect
+        import textwrap
+        import repro.sim.resources as resources_module
+
+        source = textwrap.dedent(inspect.getsource(FairShareTimeline._reintegrate))
+        assert source.count(original) == 1
+        namespace = dict(vars(resources_module))
+        exec(source.replace(original, mutated), namespace)  # noqa: S102 - our own source
+        mutant = type("Mutant", (FairShareTimeline,),
+                      {"_reintegrate": namespace["_reintegrate"]})
+        for name in ("IDLE_GAP", "LONG_BUSY"):
+            if name == killed_by:
+                with pytest.raises(AssertionError):
+                    lockstep(getattr(self, name), production=mutant)
+            lockstep(getattr(self, name))
 
 
 @given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
