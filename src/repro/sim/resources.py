@@ -429,21 +429,18 @@ class ResourceTimeline(BaseResourceTimeline):
         not rewritten); the timeline is the audit of when the resource
         actually carried the bytes.
         """
-        kept: List[ResourceOccupancy] = []
-        cancelled = 0
-        for record in self._records:
-            if record.job == job and record.start >= after_time:
-                cancelled += 1
-            else:
-                kept.append(record)
-        if not cancelled:
+        # Records are sorted by start: only the suffix at or after
+        # ``after_time`` can hold a window to drop (usually it holds none).
+        records = self._records
+        index = bisect.bisect_left(self._starts, after_time)
+        if not any(records[position].job == job for position in range(index, len(records))):
             return 0
         if self.sanitizer is not None:
             self.sanitizer.note_cancel(self, job, after_time)
-        started = [r for r in kept if r.start < after_time]
-        queued = sorted((r for r in kept if r.start >= after_time),
+        queued = sorted((r for r in records[index:] if r.job != job),
                         key=lambda r: (r.start, r.seq))
-        self._records = sorted(started, key=lambda r: (r.start, r.seq))
+        cancelled = len(records) - index - len(queued)
+        self._records = sorted(records[:index], key=lambda r: (r.start, r.seq))
         self._starts = [r.start for r in self._records]
         self._busy_until = max((r.end for r in self._records), default=0.0)
         for record in queued:
@@ -485,19 +482,19 @@ class ResourceTimeline(BaseResourceTimeline):
         """
         old, new = self._note_capacity_change(at_time, gbps)
         ratio = old / new
-        closed: List[ResourceOccupancy] = []
+        # Records are sorted by start: everything before the bisect point has
+        # started (closed, or straddling and re-quoted), and only the suffix
+        # can still be queued (a zero-length window at exactly ``at_time`` is
+        # closed).
+        index = bisect.bisect_left(self._starts, at_time)
+        closed = [record if record.end <= at_time else
+                  ResourceOccupancy(record.start, at_time + (record.end - at_time) * ratio,
+                                    record.num_bytes, record.job, record.kind,
+                                    earliest_start=record.earliest_start, seq=record.seq)
+                  for record in self._records[:index]]
         queued: List[ResourceOccupancy] = []
-        for record in self._records:
-            if record.end <= at_time:
-                closed.append(record)
-            elif record.start < at_time:
-                new_end = at_time + (record.end - at_time) * ratio
-                closed.append(ResourceOccupancy(record.start, new_end, record.num_bytes,
-                                                record.job, record.kind,
-                                                earliest_start=record.earliest_start,
-                                                seq=record.seq))
-            else:
-                queued.append(record)
+        for record in self._records[index:]:
+            (closed if record.end <= at_time else queued).append(record)
         queued.sort(key=lambda r: (r.start, r.seq))
         self._records = sorted(closed, key=lambda r: (r.start, r.seq))
         self._starts = [r.start for r in self._records]
