@@ -679,9 +679,9 @@ class FairShareTimeline(BaseResourceTimeline):
         # Only admissions at or after ``after_time`` can be dropped: scan that
         # suffix of the canonical order, not the whole history.
         order = self._order
-        positions = [position for position in range(
-            bisect.bisect_left(self._order_keys, (after_time,)), len(order))
-            if order[position].job == job]
+        first = bisect.bisect_left(self._order_keys, (after_time,))
+        positions = [position for position in range(first, len(order))
+                     if order[position].job == job]
         if not positions:
             return 0
         if self.sanitizer is not None:

@@ -12,6 +12,7 @@ would and assert the checkers catch it.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.sim import (
     SimJob,
     SimObserver,
     Tracer,
+    build_scenario,
     check_metrics,
     check_trace,
     paper_testbed_cluster,
@@ -31,6 +33,8 @@ from repro.sim import (
     run_scenario,
     run_sweep,
 )
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 #: A fault-injection scenario exercising every observer hook: two jobs on a
 #: per-ToR fabric with checkpoints, a GPU failure with recovery, and a
@@ -268,6 +272,34 @@ class TestTransparency:
     def test_observe_key_rejects_unknown_pillars(self):
         with pytest.raises(ValueError, match="observe"):
             run_scenario(_scenario(observe={"tracing": True}))
+
+    def test_fair_share_depth_samples_equal_a_scan_of_the_history(self):
+        """The benchmark's ``sim_contended`` seed-0 scenario, observed: the queue
+        depth a fair-share reserve samples from its own post-admission state is
+        the number of earlier transfers still draining at its arrival — what a
+        scan of every admitted transfer counts — out-of-order arrivals included."""
+        with open(FIXTURES / "sim_contended-seed0.json", encoding="utf-8") as handle:
+            spec = json.load(handle)
+        plain = build_scenario(copy.deepcopy(spec)).run()
+        scheduler = build_scenario({**spec, "observe": {"trace": False, "metrics": True}})
+        observer = scheduler.engine.observer
+        note_reserve = observer.note_reserve
+        sampled, scanned = [], []
+
+        def checked(timeline, earliest_start, start, end, num_bytes, job, kind, depth):
+            newest = timeline._seq - 1
+            sampled.append(depth)
+            scanned.append(sum(1 for other in timeline._transfers.values()
+                               if other.seq != newest and other.arrival <= earliest_start
+                               and timeline._ends[other.seq] > earliest_start))
+            note_reserve(timeline, earliest_start, start, end, num_bytes, job, kind, depth)
+
+        observer.note_reserve = checked
+        observed = scheduler.run()
+        assert len(sampled) == 4800 and observed.perf["fair_rewind_reserves"] == 3772
+        assert sampled == scanned
+        assert max(sampled) > 0
+        assert observed.as_dict() == plain.as_dict()
 
 
 # --------------------------------------------------------------------------- #

@@ -17,9 +17,10 @@ guarantees tie production to it:
   ``degrade_link``, ``fail_tor`` + recovery, elastic resize / migration and
   ``clear_fast_forward_cache`` the next iteration equals, bit for bit, what an
   engine that never keeps a plan (``memoize=False``) and the oracle compute;
-* **exact counters** — the benchmark's ``sim_contended`` seed-0 scenario
-  processes exactly the parent's events, and ``trace=`` yields the parent's
-  event list (``tests/fixtures/sim_live_trace.json``).
+* **exact counters** — the benchmark's ``sim_contended`` and
+  ``sim_fault_storm`` seed-0 scenarios process exactly the parent's events
+  with a pinned number of fair-share integration steps, and ``trace=`` yields
+  the parent's event list (``tests/fixtures/sim_live_trace.json``).
 """
 
 import itertools
@@ -43,6 +44,7 @@ from repro.sim import (
     SimJob,
     build_scenario,
 )
+from repro.sim.resources import FairShareTimeline
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -417,6 +419,23 @@ def load_fixture(name):
         return json.load(handle)
 
 
+def count_advances(monkeypatch, scheduler):
+    """Wrap ``FairShareTimeline._advance`` at class level; returns a one-element
+    ``[calls]`` counter of the calls made on ``scheduler``'s own timelines (the
+    sanitizer's spot checks integrate on deep-copied shadows)."""
+    pool = scheduler.engine.resources
+    own = {id(pool.get(name)) for name in pool.names()}
+    calls = [0]
+    advance = FairShareTimeline._advance
+
+    def counted(self, target):
+        calls[0] += id(self) in own
+        return advance(self, target)
+
+    monkeypatch.setattr(FairShareTimeline, "_advance", counted)
+    return calls
+
+
 class TestExactEvents:
     def test_trace_equals_the_parents_event_list(self):
         expected = load_fixture("sim_live_trace.json")
@@ -433,7 +452,9 @@ class TestExactEvents:
 
     def test_contended_benchmark_scenario_exact_counters(self, monkeypatch):
         """``bench/run.py --workload sim_contended --seed 0 --dump-scenario``, committed:
-        no event moved, no table leaked."""
+        no event moved, no table leaked, and the 3 772 rewinds re-integrate
+        only until they are back on the stored track (53 758 ``_advance``
+        steps when each replayed every later admission)."""
         scheduler = build_scenario(load_fixture("sim_contended-seed0.json"))
         engine = scheduler.engine
 
@@ -441,12 +462,34 @@ class TestExactEvents:
         cache_key = engine._cache_key
         monkeypatch.setattr(engine, "_cache_key",
                             lambda *args: keys.add(key := cache_key(*args)) or key)
+        advances = count_advances(monkeypatch, scheduler)
         result = scheduler.run()
         perf = result.perf
         assert perf["events_processed"] == 28764
         assert perf["iterations_simulated"] == 799
         assert perf["fair_rewind_reserves"] == 3772
         assert perf["fair_incremental_reserves"] == 1028
+        assert perf["fair_full_resweeps"] == 0
         assert result.makespan == 72.6215840400001
+        assert advances == [12452]
         assert 0 < len(engine._plans) <= len(keys)
         assert set(engine._plans) <= keys
+
+    def test_fault_storm_benchmark_scenario_exact_counters(self, monkeypatch):
+        """``bench/run.py --workload sim_fault_storm --seed 0 --dump-scenario``, committed:
+        the 169 cancels and capacity changes that displace something
+        re-integrate the suffix behind the first slot they touch (62 982
+        ``_advance`` steps when each resweeped the history from t = 0)."""
+        scheduler = build_scenario(load_fixture("sim_fault_storm-seed0.json"))
+        advances = count_advances(monkeypatch, scheduler)
+        result = scheduler.run()
+        perf = result.perf
+        assert perf["events_processed"] == 26743
+        assert perf["iterations_simulated"] == 717
+        assert perf["fair_rewind_reserves"] == 975
+        assert perf["fair_incremental_reserves"] == 3920
+        assert perf["fair_full_resweeps"] == 169
+        assert result.makespan == 46.25304057434807
+        assert sum(record.failures for record in result.jobs.values()) == 97
+        assert sum(record.restores for record in result.jobs.values()) == 9
+        assert advances == [7034]
