@@ -922,10 +922,9 @@ class FairShareTimeline(BaseResourceTimeline):
         whole suffix is replayed.
         """
         order, keys, snaps = self._order, self._order_keys, self._snaps
-        remaining = self._remaining
         if position < len(order):
             self._restore(position)
-            remaining = self._remaining
+        remaining = self._remaining
         cut_off = insert is not None or bool(drop)
         if insert is not None:
             self._advance(insert.arrival)
