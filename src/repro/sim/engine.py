@@ -597,8 +597,8 @@ class EventDrivenEngine:
                                      cached_fp, policy, include_reference_overhead,
                                      comm_seconds_per_byte, start_time, link_timelines,
                                      job_name, job_weight)
-                result = self._fast_forward(entry, names, start_time, link_timelines,
-                                            job_name, job_weight)
+                self._fast_forward(entry, start_time, link_timelines, job_name, job_weight)
+                result = self._materialize(entry, names, start_time)
                 if self.observer is not None:
                     self.observer.note_iteration(job_name, result, "replay",
                                                  frozen_prefix, num_modules)
@@ -698,7 +698,7 @@ class EventDrivenEngine:
                            start_time: float = 0.0,
                            link_resource: Optional[Union[str, Sequence[str]]] = None,
                            job_name: Optional[str] = None,
-                           job_weight: float = 1.0) -> List[EngineIterationResult]:
+                           job_weight: float = 1.0) -> List[float]:
         """Replay up to ``count`` consecutive memoized iterations back to back.
 
         Each iteration goes through exactly the per-iteration fast-forward
@@ -710,7 +710,9 @@ class EventDrivenEngine:
         :meth:`simulate_iteration` calls.  The batch is truncated (possibly
         to empty) at the first iteration whose crossed links are no longer
         quiet — the caller must then fall back to live simulation for the
-        remainder.  Returns the committed per-iteration results.
+        remainder.  Returns the committed iterations' durations (each one
+        that call's ``result.total``); a full result is built only for an
+        attached observer.
         """
         names = self._worker_names(workers)
         worker_list = list(workers) if workers else list(names)
@@ -720,28 +722,30 @@ class EventDrivenEngine:
         key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
                               policy, include_reference_overhead, comm_seconds_per_byte,
                               link_names, link_timelines)
-        results: List[EngineIterationResult] = []
+        durations: List[float] = []
+        entry = self._cache.get(key) if self.memoize else None
+        if entry is None:
+            return durations
         start = start_time
         for _ in range(count):
-            entry = self._cache.get(key) if self.memoize else None
-            if entry is None or not all(t.busy_until <= start for t in link_timelines):
+            if not all(t.busy_until <= start for t in link_timelines):
                 break
             if self.sanitizer is not None and self.sanitizer.should_spot_check():
                 self._spot_check(entry, cost_model, worker_list, names, frozen_prefix,
                                  cached_fp, policy, include_reference_overhead,
                                  comm_seconds_per_byte, start, link_timelines,
                                  job_name, job_weight)
-            result = self._fast_forward(entry, names, start, link_timelines,
-                                        job_name, job_weight)
+            self._fast_forward(entry, start, link_timelines, job_name, job_weight)
             if self.observer is not None:
-                self.observer.note_iteration(job_name, result, "replay",
-                                             frozen_prefix, num_modules)
-            results.append(result)
-            start = start + result.total
-        if len(results) > 1:
+                self.observer.note_iteration(job_name, self._materialize(entry, names, start),
+                                             "replay", frozen_prefix, num_modules)
+            duration = (start + entry.rel_end) - start
+            durations.append(duration)
+            start = start + duration
+        if len(durations) > 1:
             self.fast_forward_batches += 1
-            self.iterations_batched += len(results)
-        return results
+            self.iterations_batched += len(durations)
+        return durations
 
     def _materialize(self, entry: _FastForwardEntry, names: List[str],
                      start_time: float) -> EngineIterationResult:
@@ -760,10 +764,10 @@ class EventDrivenEngine:
                                     for name, rel in zip(names, entry.worker_rel_end)},
         )
 
-    def _fast_forward(self, entry: _FastForwardEntry, names: List[str], start_time: float,
+    def _fast_forward(self, entry: _FastForwardEntry, start_time: float,
                       link_timelines: List[BaseResourceTimeline], job_name: Optional[str],
-                      job_weight: float) -> EngineIterationResult:
-        """Replay a memoized iteration at ``start_time`` in O(#reservations).
+                      job_weight: float) -> None:
+        """Commit a memoized iteration's traffic at ``start_time`` in O(#reservations).
 
         The cached link reservations are re-committed at their translated
         absolute times — the same ``start_time + rel`` arithmetic the live
@@ -780,7 +784,6 @@ class EventDrivenEngine:
                                                              num_bytes=num_bytes, job=job_name,
                                                              kind="allreduce", weight=job_weight)
             own_link_ends[link_index] = end
-        return self._materialize(entry, names, start_time)
 
     def _spot_check(self, entry: _FastForwardEntry, cost_model: CostModel,
                     worker_list: List[WorkerLike], names: List[str], frozen_prefix: int,

@@ -61,9 +61,10 @@ scenarios the closed-form model cannot express become one-liners:
   event-by-event path.  :attr:`SchedulerResult.perf` reports how much of
   the run was fast-forwarded.
 
-Everything is deterministic for a fixed seed: the event heap breaks ties by
-insertion order and the only randomness (optional placement jitter) comes
-from a seeded generator, so two runs with the same inputs produce identical
+Everything is deterministic for a fixed seed: events at one instant run
+cluster-level first (in push order), then each job's own in submission order
+of the jobs, and the only randomness (optional placement jitter) comes from a
+seeded generator, so two runs with the same inputs produce identical
 :class:`SchedulerResult` s — the property the multi-job benchmark asserts.
 """
 
@@ -85,6 +86,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from .observe.observer import SimObserver
 
 __all__ = ["SimJob", "JobRecord", "SchedulerResult", "ClusterScheduler"]
+
+#: Event kinds that only book a job's own progress.  Every other kind is a
+#: *barrier*: it may change placements, link traffic or speeds, so no batch
+#: of fast-forwarded iterations may run past one.
+_COMPLETIONS = frozenset(("iteration_done", "iteration_batch_done"))
 
 
 @dataclass
@@ -379,10 +385,21 @@ class ClusterScheduler:
         self._free: Dict[str, GPUDevice] = {gpu.name: gpu for gpu in self._all_gpus}
         self._gpu_names = {gpu.name for gpu in self._all_gpus}
         self._jobs: Dict[str, SimJob] = {}
+        #: 1-based submission order: the same-instant order of per-job events.
+        self._rank: Dict[str, int] = {}
         self._allocations: Dict[str, List[GPUDevice]] = {}
         self._pending: List[str] = []
-        self._heap: List[Tuple[float, int, str, Tuple]] = []
+        #: ``(time, rank, seq, kind, payload)``; see :meth:`_push` for the order.
+        self._heap: List[Tuple[float, int, int, str, Tuple]] = []
         self._seq = 0
+        #: Times of the pending barrier events (a heap), pushed and popped
+        #: alongside ``_heap`` so the earliest barrier is an O(1) read.
+        self._barriers: List[float] = []
+        #: Per placed job ``(crossed links, shared resources it loads)``, and
+        #: how many placed jobs load each resource — what tells a batch
+        #: whether another job could put traffic on a link it crosses.
+        self._routes: Dict[str, Tuple[Optional[List[str]], Tuple[str, ...]]] = {}
+        self._users: Dict[str, int] = {}
         #: Per-job schedule token; an iteration_done event is only honoured
         #: when its token matches, which drops in-flight iterations that a
         #: resize/failure/preemption invalidated and restarted.
@@ -419,8 +436,21 @@ class ClusterScheduler:
     # ------------------------------------------------------------------ #
     # Submission and scenario knobs
     # ------------------------------------------------------------------ #
-    def _push(self, time: float, kind: str, payload: Tuple = ()) -> None:
-        heapq.heappush(self._heap, (float(time), self._seq, kind, payload))
+    def _push(self, time: float, kind: str, payload: Tuple = (),
+              job: Optional[str] = None) -> None:
+        """Queue an event; ``job`` names the owner of a job's own event.
+
+        Events at one instant run cluster-level first (``job`` is ``None``;
+        push order), then per job in submission order.  A batch completion is
+        pushed many iterations before the per-iteration event it stands for,
+        so push order alone would let batching reorder two jobs that finish
+        an iteration at the same instant; submission order cannot.
+        """
+        time = float(time)
+        rank = 0 if job is None else self._rank[job]
+        heapq.heappush(self._heap, (time, rank, self._seq, kind, payload))
+        if kind not in _COMPLETIONS:
+            heapq.heappush(self._barriers, time)
         self._seq += 1
 
     def submit(self, job: SimJob) -> None:
@@ -444,6 +474,7 @@ class ClusterScheduler:
         if job.link is not None:
             self.engine.resource_timeline(job.link)
         self._jobs[job.name] = job
+        self._rank[job.name] = len(self._jobs)
         self.records[job.name] = JobRecord(name=job.name, arrival_time=job.arrival_time,
                                            history=job.run_history())
         self._push(job.arrival_time, "arrival", (job.name,))
@@ -731,6 +762,7 @@ class ClusterScheduler:
             for gpu in gpus:
                 del self._free[gpu.name]
             self._allocations[job.name] = gpus
+            self._route(job, gpus)
             record = self.records[job.name]
             if record.start_time is None:
                 record.start_time = now
@@ -767,6 +799,7 @@ class ClusterScheduler:
         job = self._jobs[job_name]
         record = self.records[job_name]
         workers = self._allocations.pop(job_name)
+        self._route(job)
         self._release(job_name, workers, now)
         self._iter_token[job_name] = self._iter_token.get(job_name, 0) + 1
         self._placement_epoch[job_name] = self._placement_epoch.get(job_name, 0) + 1
@@ -816,6 +849,27 @@ class ClusterScheduler:
             return crossed
         return [Cluster.FABRIC] if Cluster.FABRIC in self.engine.resources else None
 
+    def _route(self, job: SimJob, workers: Optional[Sequence[GPUDevice]] = None) -> None:
+        """Book the shared resources ``job`` loads from ``workers`` (``None``: off its GPUs).
+
+        Called wherever a placement changes (place, resize, deschedule,
+        finish), so :attr:`_users` always counts the placed jobs whose
+        all-reduce or checkpoint traffic can reach each resource.
+        """
+        _links, loads = self._routes.pop(job.name, (None, ()))
+        for name in loads:
+            self._users[name] -= 1
+        if workers is None:
+            return
+        links = self._links_for(job, workers)
+        loads = dict.fromkeys(links or ())
+        storage = self._storage_for(job)
+        if storage is not None:
+            loads[storage] = None
+        self._routes[job.name] = (links, tuple(loads))
+        for name in loads:
+            self._users[name] = self._users.get(name, 0) + 1
+
     def _storage_seconds(self, job: SimJob, num_bytes: int, start_time: float,
                          workers: Sequence[GPUDevice], kind: str) -> float:
         """Queue a checkpoint/restore transfer; returns its total duration
@@ -832,8 +886,9 @@ class ClusterScheduler:
         record = self.records[job.name]
         workers = self._allocations[job.name]
         iteration_index = record.iterations_done
+        links = self._routes[job.name][0]
         if (allow_batch and self.batch_fast_forward and job.steady_profile()
-                and self._schedule_iteration_batch(job, record, workers,
+                and self._schedule_iteration_batch(job, workers, links,
                                                    iteration_index, now)):
             return
         # Trainer-backed jobs run one *real* training iteration here; its
@@ -844,8 +899,7 @@ class ClusterScheduler:
             job.cost_model, workers=workers, frozen_prefix=prefix,
             cached_fp=cached_fp, policy=job.policy,
             include_reference_overhead=include_reference, start_time=now,
-            link_resource=self._links_for(job, workers), job_name=job.name,
-            job_weight=job.weight)
+            link_resource=links, job_name=job.name, job_weight=job.weight)
         duration = result.total
         # Periodic checkpoint: the iteration that completes a checkpoint
         # interval also writes the freezing-aware incremental snapshot (the
@@ -857,7 +911,7 @@ class ClusterScheduler:
                         and (iteration_index + 1) % job.checkpoint_every == 0)
         if not ckpt_due:
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, 0.0, 0, False))
+                       (job.name, token, duration, 0.0, 0, False), job.name)
             return
         ckpt_bytes = int(job.checkpoint_write_bytes(iteration_index, prefix))
         ckpt_seconds = self._storage_seconds(job, ckpt_bytes, now + duration, workers,
@@ -869,31 +923,39 @@ class ClusterScheduler:
             # iteration_done is pushed first so, on a time tie, progress is
             # booked before the checkpoint watermark advances.
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, 0.0, 0, False))
+                       (job.name, token, duration, 0.0, 0, False), job.name)
             samples_after = record.samples_processed + job.cost_model.batch_size * len(workers)
             self._push(now + duration + ckpt_seconds, "ckpt_done",
                        (job.name, self._placement_epoch.get(job.name, 0),
-                        iteration_index + 1, samples_after, ckpt_seconds, ckpt_bytes))
+                        iteration_index + 1, samples_after, ckpt_seconds, ckpt_bytes),
+                       job.name)
         else:
             duration += ckpt_seconds
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, ckpt_seconds, ckpt_bytes, True))
+                       (job.name, token, duration, ckpt_seconds, ckpt_bytes, True), job.name)
 
-    def _schedule_iteration_batch(self, job: SimJob, record: JobRecord,
-                                  workers: List[GPUDevice], iteration_index: int,
+    def _schedule_iteration_batch(self, job: SimJob, workers: List[GPUDevice],
+                                  links: Optional[List[str]], iteration_index: int,
                                   now: float) -> bool:
         """Commit a run of memo-cached iterations as **one** heap event.
 
         Plans the longest run ``K >= 2`` of upcoming iterations that (a)
         share one constant pricing profile, (b) end strictly before both the
-        next checkpoint-writing iteration and the earliest pending heap
-        event — so no knob event (arrival, resize, fault, speed change,
-        another job's completion, checkpoint drain) can intervene — and (c)
-        start from a quiet fast-forward cache hit.  The engine replays the K
+        next checkpoint-writing iteration and the *horizon*, and (c) start
+        from a quiet fast-forward cache hit.  The engine replays the K
         cached iterations back to back with the exact per-iteration float
         arithmetic of the unbatched path (each start is the previous start
-        plus that iteration's ``result.total``), re-committing every link
-        window, and a single ``iteration_batch_done`` event credits all K.
+        plus that iteration's duration), re-committing every link window,
+        and a single ``iteration_batch_done`` event credits all K.
+
+        The horizon is the earliest pending *barrier* — any event other than
+        an iteration completion (arrival, resize, fault, recovery, speed
+        change, checkpoint drain, requeue ...).  Another job's completion
+        inside the window is not a barrier when it cannot reach this job: the
+        admission queue is empty, so a finishing job places nobody, and no
+        other placed job loads a link this job crosses, so nothing it
+        schedules lands on them (both can only change at a barrier).
+        Otherwise the horizon is the next heap event of any kind.
 
         If a fair-share revision or re-flow moves a crossed transfer's end
         past a later iteration's start, the engine truncates the batch there:
@@ -908,17 +970,11 @@ class ClusterScheduler:
         iterations is possible; the caller falls back to the
         one-event-per-iteration path.
         """
-        horizon = self._heap[0][0] if self._heap else math.inf
+        if not self._pending and all(self._users[name] == 1 for name in links or ()):
+            horizon = self._barriers[0] if self._barriers else math.inf
+        else:
+            horizon = self._heap[0][0] if self._heap else math.inf
         if not now < horizon:
-            return False
-        prefix, cached_fp, include_reference = profile = job.iteration_profile(iteration_index)
-        links = self._links_for(job, workers)
-        entry = self.engine.can_fast_forward(
-            job.cost_model, workers=workers, frozen_prefix=prefix,
-            cached_fp=cached_fp, policy=job.policy,
-            include_reference_overhead=include_reference, start_time=now,
-            link_resource=links)
-        if entry is None:
             return False
         limit = job.iterations - iteration_index
         if job.checkpoint_every:
@@ -928,35 +984,41 @@ class ClusterScheduler:
                         - (iteration_index % job.checkpoint_every))
         if limit < 2:
             return False
-        starts: List[float] = []
+        prefix, cached_fp, include_reference = profile = job.iteration_profile(iteration_index)
+        entry = self.engine.can_fast_forward(
+            job.cost_model, workers=workers, frozen_prefix=prefix,
+            cached_fp=cached_fp, policy=job.policy,
+            include_reference_overhead=include_reference, start_time=now,
+            link_resource=links)
+        if entry is None:
+            return False
+        count = 0
         start = now
-        while len(starts) < limit:
-            if starts and job.iteration_profile(iteration_index + len(starts)) != profile:
+        while count < limit:
+            if count and job.iteration_profile(iteration_index + count) != profile:
                 break
             end = start + entry.rel_end
-            nxt = start + (end - start)
-            if not nxt < horizon:
+            start = start + (end - start)
+            if not start < horizon:
                 break
-            starts.append(start)
-            start = nxt
-        if len(starts) < 2:
+            count += 1
+        if count < 2:
             return False
-        for offset, planned_start in enumerate(starts):
-            job.begin_iteration(iteration_index + offset, sim_time=planned_start)
-        results = self.engine.fast_forward_batch(
-            job.cost_model, len(starts), workers=workers, frozen_prefix=prefix,
+        durations = self.engine.fast_forward_batch(
+            job.cost_model, count, workers=workers, frozen_prefix=prefix,
             cached_fp=cached_fp, policy=job.policy,
             include_reference_overhead=include_reference, start_time=now,
             link_resource=links, job_name=job.name, job_weight=job.weight)
-        if not results:
+        if not durations:
             return False
         token = self._iter_token.get(job.name, 0) + 1
         self._iter_token[job.name] = token
-        durations = tuple(result.total for result in results)
+        # The hook runs for what the engine committed, never for the plan.
         end = now
-        for duration in durations:
+        for offset, duration in enumerate(durations):
+            job.begin_iteration(iteration_index + offset, sim_time=end)
             end = end + duration
-        self._push(end, "iteration_batch_done", (job.name, token, durations))
+        self._push(end, "iteration_batch_done", (job.name, token, tuple(durations)), job.name)
         return True
 
     # ------------------------------------------------------------------ #
@@ -983,7 +1045,9 @@ class ClusterScheduler:
         makespan = 0.0
         sanitizer = self.engine.sanitizer
         while self._heap:
-            now, _seq, kind, payload = heapq.heappop(self._heap)
+            now, _rank, _seq, kind, payload = heapq.heappop(self._heap)
+            if kind not in _COMPLETIONS:
+                heapq.heappop(self._barriers)  # the earliest barrier is this event
             if sanitizer is not None:
                 sanitizer.check_event("scheduler", now, kind)
             # Only events that commit real work extend the makespan.  Knob
@@ -1015,10 +1079,6 @@ class ClusterScheduler:
                 record.samples_processed += job.cost_model.batch_size * len(workers)
                 for gpu in workers:
                     self.gpu_busy_seconds[gpu.name] += duration
-                if self._restart_count:
-                    # Completed progress resets the restart backoff (the
-                    # guard keeps the common no-faults path dict-op free).
-                    self._restart_count.pop(job_name, None)
                 if ckpt_taken:
                     record.checkpoints_taken += 1
                     record.checkpoint_seconds += ckpt_seconds
@@ -1028,16 +1088,7 @@ class ClusterScheduler:
                     self._trace(now, "checkpoint", job=job_name,
                                 iteration=record.iterations_done, seconds=ckpt_seconds,
                                 num_bytes=int(ckpt_bytes))
-                if record.iterations_done >= job.iterations:
-                    record.finish_time = now
-                    if record.placed_since is not None:
-                        record.placed_seconds += now - record.placed_since
-                        record.placed_since = None
-                    self._release(job_name, self._allocations.pop(job_name), now)
-                    self._trace(now, "job_finish", job=job_name)
-                    self._try_place(now)
-                else:
-                    self._schedule_iteration(job, now, allow_batch=True)
+                self._finish_or_continue(job, record, now)
             elif kind == "iteration_batch_done":
                 # A committed run of fast-forwarded iterations; credit each
                 # one with the exact per-event bookkeeping (same accumulation
@@ -1048,25 +1099,15 @@ class ClusterScheduler:
                 if token != self._iter_token.get(job_name) or job_name not in self._allocations:
                     continue  # stale event from before a resize/failure/preemption/finish
                 makespan = max(makespan, now)
-                workers = self._allocations[job_name]
+                names = [gpu.name for gpu in self._allocations[job_name]]
+                samples = job.cost_model.batch_size * len(names)
+                record.iterations_done += len(durations)
+                record.iteration_seconds.extend(durations)
                 for duration in durations:
-                    record.iterations_done += 1
-                    record.iteration_seconds.append(duration)
-                    record.samples_processed += job.cost_model.batch_size * len(workers)
-                    for gpu in workers:
-                        self.gpu_busy_seconds[gpu.name] += duration
-                if self._restart_count:
-                    self._restart_count.pop(job_name, None)
-                if record.iterations_done >= job.iterations:
-                    record.finish_time = now
-                    if record.placed_since is not None:
-                        record.placed_seconds += now - record.placed_since
-                        record.placed_since = None
-                    self._release(job_name, self._allocations.pop(job_name), now)
-                    self._trace(now, "job_finish", job=job_name)
-                    self._try_place(now)
-                else:
-                    self._schedule_iteration(job, now, allow_batch=True)
+                    record.samples_processed += samples
+                    for name in names:
+                        self.gpu_busy_seconds[name] += duration
+                self._finish_or_continue(job, record, now)
             elif kind == "set_speed":
                 gpu_name, factor = payload
                 self.engine.set_gpu_speed(gpu_name, factor)
@@ -1115,6 +1156,24 @@ class ClusterScheduler:
                                gpu_busy_seconds=dict(self.gpu_busy_seconds), trace=list(self.trace),
                                resources=self.engine.resources.summary(),
                                perf=self.engine.perf_counters())
+
+    def _finish_or_continue(self, job: SimJob, record: JobRecord, now: float) -> None:
+        """After booked progress: release a finished job, else schedule on."""
+        if self._restart_count:
+            # Completed progress resets the restart backoff (the guard keeps
+            # the common no-faults path dict-op free).
+            self._restart_count.pop(job.name, None)
+        if record.iterations_done < job.iterations:
+            self._schedule_iteration(job, now, allow_batch=True)
+            return
+        record.finish_time = now
+        if record.placed_since is not None:
+            record.placed_seconds += now - record.placed_since
+            record.placed_since = None
+        self._route(job)
+        self._release(job.name, self._allocations.pop(job.name), now)
+        self._trace(now, "job_finish", job=job.name)
+        self._try_place(now)
 
     def _apply_ckpt_done(self, payload: Tuple, now: float) -> bool:
         """Commit an async checkpoint once its storage write has drained.
@@ -1174,6 +1233,7 @@ class ClusterScheduler:
         # The resized worker set is the job's size from here on — a later
         # failure/preemption re-queues it at this size, not the submitted one.
         job.num_workers = len(workers)
+        self._route(job, workers)
         record.worker_names = [gpu.name for gpu in workers]
         # The invalidated in-flight iteration's pending transfers never
         # happen, and any async checkpoint still draining is superseded by
@@ -1344,7 +1404,7 @@ class ClusterScheduler:
         self._push(now + seconds, "ckpt_done",
                    (victim, self._placement_epoch.get(victim, 0),
                     record.iterations_done, record.samples_processed,
-                    seconds, ckpt_bytes))
+                    seconds, ckpt_bytes), victim)
         self._trace(now, "proactive_checkpoint", job=victim,
                     iteration=record.iterations_done, seconds=seconds,
                     num_bytes=ckpt_bytes)

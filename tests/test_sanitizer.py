@@ -148,8 +148,6 @@ class TestFairShareMutations:
 class TestSchedulerCausality:
     def test_stale_event_behind_the_clock_is_caught(self):
         """An event dequeued behind the scheduler clock is a causality bug."""
-        import heapq
-
         cluster = paper_testbed_cluster()
         engine = EventDrivenEngine(cluster, sanitize=True)
         scheduler = ClusterScheduler(cluster, engine=engine)
@@ -158,7 +156,7 @@ class TestSchedulerCausality:
             def begin_iteration(self, iteration, sim_time=0.0):
                 if iteration == 1:
                     # A bug pushing an event at t=0 after the clock passed it.
-                    heapq.heappush(scheduler._heap, (0.0, 10 ** 9, "arrival", ("ghost",)))
+                    scheduler._push(0.0, "arrival", ("ghost",))
 
         scheduler.submit(StaleEventJob(name="victim", cost_model=_cost_model(),
                                        num_workers=2, iterations=5))

@@ -38,6 +38,7 @@ from repro.sim import (
     paper_testbed_cluster,
     run_scenario,
 )
+from repro.sim.observe import SimObserver
 
 
 def make_cost_model(param_counts=(4000, 8000, 6000, 4000), batch_size=16):
@@ -52,6 +53,26 @@ def result_dict(scheduler_result):
     payload = scheduler_result.as_dict()
     payload.pop("perf")
     return payload
+
+
+def three_modes(configure, cluster_factory=paper_testbed_cluster, **scheduler_kwargs):
+    """``configure(scheduler)`` run batched, per-iteration and live.
+
+    Returns the three :class:`SchedulerResult` s after asserting the
+    refinement batched == per-iteration == live on :func:`result_dict`.
+    """
+    results = []
+    for memoize, batch in ((True, True), (True, False), (False, False)):
+        cluster = cluster_factory()
+        scheduler = ClusterScheduler(cluster,
+                                     engine=EventDrivenEngine(cluster, memoize=memoize),
+                                     batch_fast_forward=batch, **scheduler_kwargs)
+        configure(scheduler)
+        results.append(scheduler.run())
+    batched, memoized, live = results
+    assert result_dict(batched) == result_dict(memoized)
+    assert result_dict(memoized) == result_dict(live)
+    return batched, memoized, live
 
 
 # --------------------------------------------------------------------------- #
@@ -243,28 +264,34 @@ class TestEngineBatchedFastForward:
         assert disabled.can_fast_forward(cost_model, **kwargs) is None
 
     def test_batch_matches_per_iteration_replays_exactly(self):
+        """The batch returns bare durations; the full results it stands for
+        reach an attached observer, and both equal six separate replays."""
         def run(batched):
             cluster = paper_testbed_cluster()
-            engine = EventDrivenEngine(cluster)
+            observer = SimObserver()
+            engine = EventDrivenEngine(cluster, observe=observer)
             workers = cluster.workers(2, 2)
             kwargs = dict(workers=workers, link_resource=Cluster.FABRIC, job_name="a")
             seed = engine.simulate_iteration(make_cost_model(), **kwargs)
             if batched:
-                replays = engine.fast_forward_batch(make_cost_model(), 6,
-                                                    start_time=seed.end_time, **kwargs)
+                durations = engine.fast_forward_batch(make_cost_model(), 6,
+                                                      start_time=seed.end_time, **kwargs)
             else:
-                replays, clock = [], seed.end_time
+                durations, clock = [], seed.end_time
                 for _ in range(6):
-                    replays.append(engine.simulate_iteration(make_cost_model(),
-                                                             start_time=clock, **kwargs))
-                    clock = clock + replays[-1].total
+                    durations.append(engine.simulate_iteration(make_cost_model(),
+                                                               start_time=clock, **kwargs).total)
+                    clock = clock + durations[-1]
             links = [(r.start, r.end, r.num_bytes, r.job, r.kind)
                      for r in engine.resource_timeline(Cluster.FABRIC).records]
-            return [r.as_dict() for r in replays], links, engine.iterations_fast_forwarded
+            noted = [(job, result, mode) for job, result, mode, _p, _n in observer._iterations]
+            return durations, noted, links, engine.iterations_fast_forwarded
 
-        (batch_results, batch_links, batch_ff) = run(True)
-        (loop_results, loop_links, loop_ff) = run(False)
-        assert batch_results == loop_results  # totals, per-worker ends, everything
+        (batch_durations, batch_noted, batch_links, batch_ff) = run(True)
+        (loop_durations, loop_noted, loop_links, loop_ff) = run(False)
+        assert batch_durations == loop_durations
+        assert batch_noted == loop_noted      # totals, per-worker ends, everything
+        assert len(batch_noted) == 7 and batch_noted[-1][2] == "replay"
         assert batch_links == loop_links      # byte audit committed identically
         assert batch_ff == loop_ff == 6
 
@@ -305,24 +332,12 @@ class TestEngineBatchedFastForward:
 # Scheduler-level invalidation matrix (memoized == reference throughout)
 # --------------------------------------------------------------------------- #
 class TestSchedulerInvalidationMatrix:
-    def _run(self, configure, memoize, batch=True):
-        cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster,
-                                     engine=EventDrivenEngine(cluster, memoize=memoize),
-                                     batch_fast_forward=batch)
-        configure(scheduler)
-        return scheduler.run()
-
     def _check_transition(self, configure, job_name="a"):
         """The scenario must fast-forward some iterations, re-simulate at the
         transition (timing differs), and stay bit-identical to the reference —
         with batched fast-forward, per-iteration fast-forward, and the live
         event-by-event engine all producing the same result."""
-        batched = self._run(configure, memoize=True, batch=True)
-        memoized = self._run(configure, memoize=True, batch=False)
-        reference = self._run(configure, memoize=False)
-        assert result_dict(batched) == result_dict(reference)
-        assert result_dict(memoized) == result_dict(reference)
+        batched, memoized, _reference = three_modes(configure)
         assert memoized.perf["iterations_fast_forwarded"] > 0
         assert memoized.perf["iterations_simulated"] > 1  # the transition re-simulated
         assert memoized.perf["fast_forward_batches"] == 0  # batching was off
@@ -398,6 +413,237 @@ class TestSchedulerInvalidationMatrix:
 
 
 # --------------------------------------------------------------------------- #
+# Concurrent batching: quiet jobs fast-forward past each other
+# --------------------------------------------------------------------------- #
+def single_iteration_seconds(num_workers=2):
+    cluster = paper_testbed_cluster()
+    return EventDrivenEngine(cluster).simulate_iteration(
+        make_cost_model(), workers=cluster.all_gpus()[:num_workers]).total
+
+
+#: Comm-heavy modules: their all-reduce windows fill a good part of an iteration.
+HEAVY = (40_000, 80_000, 60_000)
+
+
+def racks_cluster(fabric_policy="fair"):
+    """4 machines on 2 ToRs with per-ToR links: ``tor_pack`` keeps a 4-worker
+    job on one rack's uplink, so two of them are link-disjoint."""
+    return Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2, num_tor_switches=2,
+                               per_tor_fabric=True, fabric_policy=fabric_policy))
+
+
+class TestConcurrentBatching:
+    """A steady job's batch runs past other jobs' iteration completions when
+    they cannot interact, and only then.
+
+    Two hand mutants of ``ClusterScheduler`` must (and do) fail this class and
+    the property below: a horizon that ignores barriers (``horizon = math.inf``
+    in the disjoint branch), and the tie key back to push order (``rank = 0``
+    for every event in ``_push``).  So do dropping the empty-queue guard, the
+    link-users guard, or the checkpoint store from a job's loads.
+    """
+
+    def test_link_free_jobs_batch_past_each_other(self):
+        def configure(scheduler):
+            for index, counts in enumerate([(4000, 8000, 6000, 4000), (9000, 3000, 5000),
+                                            (2000, 2000, 7000, 1000, 3000)]):
+                scheduler.submit(SimJob(f"job{index}", make_cost_model(counts),
+                                        num_workers=2, iterations=200, checkpoint_every=50))
+        batched, memoized, _live = three_modes(configure)
+        perf = batched.perf
+        # Each job: 1 live iteration, then runs of 48/49 between checkpoint writers.
+        assert perf["iterations_simulated"] == memoized.perf["iterations_simulated"] == 3
+        assert perf["iterations_batched"] >= 3 * (200 - 2 * 4)
+        assert perf["mean_batch_size"] > 40
+        assert perf["fast_forward_batches"] <= 3 * 5
+
+    def test_lockstep_async_checkpoints_keep_submission_order(self):
+        """The tie hazard: identical jobs finish iterations at the same
+        instants, and a batch completion is pushed long before the
+        per-iteration event it stands for.  ``b`` must reach the shared
+        ``ckpt-store`` before ``a`` at iteration 8 in every mode."""
+        def configure(scheduler):
+            scheduler.submit(SimJob("b", make_cost_model(), num_workers=2, iterations=40,
+                                    checkpoint_every=4, async_checkpoint=True))
+            scheduler.submit(SimJob("a", make_cost_model(), num_workers=2, iterations=40,
+                                    checkpoint_every=8, async_checkpoint=True))
+        batched, _memoized, _live = three_modes(configure)
+        assert batched.perf["iterations_batched"] > 40
+        assert batched.jobs["a"].finish_time == batched.jobs["b"].finish_time
+
+    @pytest.mark.parametrize("fabric_policy", ["fifo", "fair"])
+    def test_link_disjoint_jobs_batch_and_link_sharing_jobs_do_not(self, fabric_policy):
+        def configure(scheduler):
+            for name in ("a", "b"):
+                scheduler.submit(SimJob(name, make_cost_model(HEAVY),
+                                        num_workers=4, iterations=60))
+        packed, _, _ = three_modes(configure, lambda: racks_cluster(fabric_policy),
+                                   placement="tor_pack")
+        assert packed.perf["mean_batch_size"] > 20          # one uplink each
+        spread, _, _ = three_modes(configure, lambda: racks_cluster(fabric_policy),
+                                   placement="round_robin")
+        # Both cross both uplinks and the core: the next heap event bounds
+        # every batch, which is the other job's completion.
+        assert spread.perf["mean_batch_size"] < packed.perf["mean_batch_size"]
+
+    @pytest.mark.parametrize("storage_gbps", [None, 0.2])
+    def test_a_link_sharing_job_stalled_in_a_checkpoint_write_bounds_the_batch(self, storage_gbps):
+        """While ``c`` drains a synchronous checkpoint the shared fabric looks
+        quiet to ``a`` — but ``c``'s next iteration will load it again, so
+        ``a`` may batch up to ``c``'s completion and no further."""
+        def configure(scheduler):
+            scheduler.submit(SimJob("a", make_cost_model(HEAVY), num_workers=4, iterations=60))
+            scheduler.submit(SimJob("c", make_cost_model(HEAVY, batch_size=24), num_workers=4,
+                                    iterations=40, checkpoint_every=4))
+        three_modes(configure, lambda: Cluster(ClusterSpec(
+            num_machines=4, gpus_per_machine=2, storage_gbps=storage_gbps)))
+
+    def test_a_finish_that_admits_a_link_sharing_job_bounds_the_batch(self):
+        """8 GPUs: ``wide`` has the fabric to itself until the short jobs
+        finish and ``queued`` is admitted onto it — a foreign completion that
+        places somebody, so the admission queue must be empty to batch past."""
+        def configure(scheduler):
+            scheduler.submit(SimJob("wide", make_cost_model(), num_workers=4, iterations=60))
+            scheduler.submit(SimJob("s0", make_cost_model(), num_workers=1, iterations=12))
+            scheduler.submit(SimJob("s1", make_cost_model(), num_workers=1, iterations=14))
+            scheduler.submit(SimJob("queued", make_cost_model(), num_workers=4, iterations=30))
+        three_modes(configure, lambda: Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2)))
+
+    @pytest.mark.parametrize("param_counts, batch_size", [(HEAVY, 16), ((4_000_000,), 1)])
+    def test_a_job_checkpointing_onto_a_crossed_link_is_a_user_of_it(self, param_counts,
+                                                                     batch_size):
+        """``storage`` may name any resource; a store that is someone's link
+        must count as shared or its writes would land inside a batch."""
+        def configure(scheduler):
+            scheduler.submit(SimJob("a", make_cost_model(HEAVY), num_workers=4, iterations=60,
+                                    link="fabric"))
+            scheduler.submit(SimJob("b", make_cost_model(param_counts, batch_size=batch_size),
+                                    num_workers=2, iterations=90, checkpoint_every=5,
+                                    storage="fabric"))
+        three_modes(configure)
+
+    @pytest.mark.parametrize("barrier", ["arrival", "queued", "fault", "resize", "preempt",
+                                         "set_speed", "backoff"])
+    def test_no_batch_runs_past_a_barrier(self, barrier):
+        single = single_iteration_seconds()
+
+        def configure(scheduler):
+            for index in range(3):
+                scheduler.submit(SimJob(f"job{index}", make_cost_model(batch_size=16 + index),
+                                        num_workers=2, iterations=60 + 10 * index,
+                                        checkpoint_every=16, async_checkpoint=index == 1))
+            if barrier == "arrival":
+                scheduler.submit(SimJob("late", make_cost_model(), num_workers=2, iterations=20,
+                                        arrival_time=20.5 * single))
+            elif barrier == "queued":
+                # 10 GPUs: the fourth and fifth jobs wait for a foreign finish.
+                scheduler.submit(SimJob("wide", make_cost_model(), num_workers=4, iterations=20))
+                scheduler.submit(SimJob("tail", make_cost_model(), num_workers=4, iterations=20))
+            elif barrier == "fault":
+                scheduler.inject_failure("node1:gpu0", at_time=30.5 * single,
+                                         recover_at=45.0 * single)
+            elif barrier == "resize":
+                scheduler.resize_job("job2", +2, at_time=30.5 * single)
+            elif barrier == "preempt":
+                scheduler.preempt_job("job0", at_time=20.5 * single)
+                scheduler.resume_job("job0", at_time=33.0 * single)
+            elif barrier == "set_speed":
+                scheduler.set_gpu_speed("node2:gpu1", 0.5, at_time=25.5 * single)
+            else:
+                scheduler.set_restart_backoff(2.0 * single, 8.0 * single)
+                scheduler.inject_failure("node0:gpu1", at_time=30.5 * single,
+                                         recover_at=31.0 * single)
+        batched, _memoized, _live = three_modes(configure)
+        assert batched.perf["mean_batch_size"] > 5
+
+    def test_observed_equals_sanitized_equals_plain(self):
+        def run(**engine_kwargs):
+            cluster = racks_cluster()
+            scheduler = ClusterScheduler(cluster, placement="tor_pack",
+                                         engine=EventDrivenEngine(cluster, **engine_kwargs))
+            scheduler.submit(SimJob("a", make_cost_model(HEAVY),
+                                    num_workers=4, iterations=80, checkpoint_every=16))
+            scheduler.submit(SimJob("b", make_cost_model(), num_workers=2, iterations=120,
+                                    checkpoint_every=10, async_checkpoint=True))
+            scheduler.submit(SimJob("c", make_cost_model(), num_workers=2, iterations=120))
+            scheduler.inject_failure("node3:gpu1", at_time=60.5 * single_iteration_seconds())
+            return scheduler.run()
+
+        plain = run(sanitize=False)
+        assert plain.perf["mean_batch_size"] > 5
+        # The perf counters are part of the equality: neither attachment may
+        # change what was simulated, replayed or batched.
+        assert run(sanitize=True).as_dict() == plain.as_dict()
+        assert run(sanitize=False, observe=SimObserver()).as_dict() == plain.as_dict()
+
+
+class CountingJob(SimJob):
+    """A steady job whose hook records every ``(iteration, sim_time)`` it sees."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.begun = []
+        self.on_profile = None
+
+    def begin_iteration(self, iteration, sim_time=0.0):
+        self.begun.append((iteration, sim_time))
+
+    def iteration_profile(self, iteration):
+        if self.on_profile is not None:
+            self.on_profile(iteration)
+        return super().iteration_profile(iteration)
+
+
+class TestBatchCommitsBeforeTheHookRuns:
+    """``begin_iteration`` runs for the iterations the engine committed, at
+    their committed start times — not for the ones the scheduler planned."""
+
+    def _run(self, batch, sabotage=None):
+        cluster = paper_testbed_cluster()
+        scheduler = ClusterScheduler(cluster, batch_fast_forward=batch)
+        job = CountingJob("a", make_cost_model(), num_workers=4, iterations=12)
+        scheduler.submit(job)
+        if sabotage is not None:
+            sabotage(scheduler, job)
+        result = scheduler.run()
+        return job, result
+
+    def _assert_begun_once_each_at_its_start(self, job, result):
+        starts, clock = [], 0.0
+        for duration in result.jobs["a"].iteration_seconds:
+            starts.append(clock)
+            clock = clock + duration
+        assert job.begun == list(enumerate(starts))
+
+    def test_link_made_busy_mid_plan_empties_the_batch(self):
+        def sabotage(scheduler, job):
+            fabric = scheduler.engine.resource_timeline(Cluster.FABRIC)
+
+            def busy_once(iteration):
+                # Asked about iteration 4 only while planning a batch from 1:
+                # foreign traffic lands on the crossed link before the commit.
+                if iteration == 4 and not fabric.bytes_by_job().get("intruder"):
+                    fabric.reserve(fabric.busy_until + 1e-4, 1e-4, num_bytes=1, job="intruder")
+            job.on_profile = busy_once
+
+        job, result = self._run(True, sabotage)
+        assert result.resources[Cluster.FABRIC]["bytes_by_job"]["intruder"] == 1
+        assert result.perf["iterations_simulated"] >= 2   # iteration 1 ran live after all
+        self._assert_begun_once_each_at_its_start(job, result)
+
+    def test_engine_truncation_begins_only_the_committed_prefix(self, monkeypatch):
+        commit = EventDrivenEngine.fast_forward_batch
+        monkeypatch.setattr(EventDrivenEngine, "fast_forward_batch",
+                            lambda self, cost_model, count, **kw:
+                            commit(self, cost_model, min(count, 3), **kw))
+        job, result = self._run(True)
+        assert result.perf["iterations_batched"] == 11     # 3 + 3 + 3 + 2, never the planned 11
+        assert result.perf["fast_forward_batches"] == 4
+        self._assert_begun_once_each_at_its_start(job, result)
+        assert job.begun == self._run(False)[0].begun
+
+
+# --------------------------------------------------------------------------- #
 # Hypothesis property: fast-forward == event-by-event, end to end
 # --------------------------------------------------------------------------- #
 @given(
@@ -437,6 +683,68 @@ def test_fast_forward_makespan_equals_event_by_event(param_counts, num_workers, 
 
     assert run(True, batch=True) == run(False)
     assert run(True, batch=False) == run(False)
+
+
+FAMILIES = {
+    # Same instants throughout: every completion of one job ties with another's.
+    "identical": lambda index: make_cost_model(),
+    # Compute scales exactly 2x with the batch, so 1-worker jobs tie every other iteration.
+    "commensurate": lambda index: make_cost_model(batch_size=16 << (index % 2)),
+    "unrelated": lambda index: make_cost_model([3000 + 1700 * index, 9000 - 1100 * index, 5000]),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    shapes=st.lists(st.tuples(st.sampled_from([1, 2, 4]),            # workers
+                              st.integers(min_value=12, max_value=48),  # iterations
+                              st.sampled_from([None, 4, 8]),           # checkpoint_every
+                              st.booleans()),                          # async_checkpoint
+                    min_size=2, max_size=5),
+    topology=st.sampled_from(["flat", "racks_fifo", "racks_packed"]),
+    fabric_policy=st.sampled_from(["fifo", "fair"]),
+    storage_policy=st.sampled_from(["fifo", "fair"]),
+    late=st.booleans(),
+    knob=st.sampled_from([None, "fault", "resize", "preempt"]),
+    knob_at=st.floats(min_value=2.0, max_value=30.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_concurrent_batching_equals_per_iteration_equals_live(family, shapes, topology,
+                                                              fabric_policy, storage_policy,
+                                                              late, knob, knob_at):
+    """Batched == per-iteration == live when several steady jobs run side by side.
+
+    1/2/4 workers on 4 x 2 GPUs give link-free, link-disjoint and
+    link-sharing placements (and, past 8 GPUs, a queued job); coinciding
+    sync and async checkpoint cadences meet on a ``fifo`` or ``fair`` store;
+    a late arrival and one mid-run fault / resize / preempt are barriers no
+    batch may cross.  The existing single-job property never gets here: ten
+    iterations with ``checkpoint_every`` 2 cannot form a cross-job batch.
+    """
+    single = single_iteration_seconds(1)
+
+    def cluster():
+        return Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2, num_tor_switches=2,
+                                   per_tor_fabric=topology != "flat",
+                                   fabric_policy=fabric_policy, storage_policy=storage_policy))
+
+    def configure(scheduler):
+        for index, (workers, iterations, cadence, overlapped) in enumerate(shapes):
+            scheduler.submit(SimJob(
+                f"job{index}", FAMILIES[family](index), num_workers=workers,
+                iterations=iterations, checkpoint_every=cadence, async_checkpoint=overlapped,
+                arrival_time=knob_at * single / 2 if late and index == len(shapes) - 1 else 0.0))
+        if knob == "fault":
+            scheduler.inject_failure("node0:gpu1", at_time=knob_at * single,
+                                     recover_at=(knob_at + 6.0) * single)
+        elif knob == "resize":
+            scheduler.resize_job("job0", +1, at_time=knob_at * single)
+        elif knob == "preempt":
+            scheduler.preempt_job("job1", at_time=knob_at * single)
+            scheduler.resume_job("job1", at_time=(knob_at + 5.0) * single)
+
+    three_modes(configure, cluster,
+                placement="tor_pack" if topology == "racks_packed" else "fifo")
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,8 @@ guarantees tie production to it:
   engine that never keeps a plan (``memoize=False``) and the oracle compute;
 * **exact counters** — the benchmark's ``sim_contended`` and
   ``sim_fault_storm`` seed-0 scenarios process exactly the parent's events
-  with a pinned number of fair-share integration steps, and ``trace=`` yields
+  with a pinned number of fair-share integration steps, ``sim_steady``
+  commits all but its checkpoint writers in 64 batches, and ``trace=`` yields
   the parent's event list (``tests/fixtures/sim_live_trace.json``).
 """
 
@@ -436,6 +437,17 @@ def count_advances(monkeypatch, scheduler):
     return calls
 
 
+def count_calls(monkeypatch, owner, *names):
+    """Wrap ``owner``'s methods ``names`` at class level; returns the live ``{name: calls}``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class TestExactEvents:
     def test_trace_equals_the_parents_event_list(self):
         expected = load_fixture("sim_live_trace.json")
@@ -493,3 +505,22 @@ class TestExactEvents:
         assert sum(record.failures for record in result.jobs.values()) == 97
         assert sum(record.restores for record in result.jobs.values()) == 9
         assert advances == [7034]
+
+    def test_steady_benchmark_scenario_exact_counters(self, monkeypatch):
+        """``bench/run.py --workload sim_steady --seed 0 --dump-scenario``, committed:
+        four link-free jobs fast-forward past each other, so each run of 499
+        iterations between two checkpoint writers is one batch (2 batches of
+        379 and 31 358 per-iteration ``simulate_iteration`` calls when every
+        batch ended at the next job's completion)."""
+        scheduler = build_scenario(load_fixture("sim_steady-seed0.json"))
+        calls = count_calls(monkeypatch, EventDrivenEngine,
+                            "simulate_iteration", "can_fast_forward")
+        result = scheduler.run()
+        perf = result.perf
+        assert perf["events_processed"] == 144
+        assert perf["iterations_simulated"] == 4
+        assert perf["iterations_fast_forwarded"] == 31996
+        assert perf["fast_forward_batches"] == 64
+        assert perf["iterations_batched"] == 31932
+        assert result.makespan == 6921.927202988215
+        assert calls == {"simulate_iteration": 68, "can_fast_forward": 64}
