@@ -11,13 +11,15 @@ The benchmark runs the same scenario twice:
 
 * **pre-PR mode** — fair-share timelines built from the from-scratch oracle
   (``tests/oracles/sim_reference.ResweepFairShareTimeline``: full resweep
-  per reserve) and batched fast-forward OFF, reproducing the engine before
-  PR 8;
+  per reserve) under ``PerIterationScheduler``, reproducing the engine
+  before PR 8;
 * **optimized mode** — production: incremental integration with suffix
   re-integration, batched fast-forward, O(active) per in-order reserve.
 
-and asserts the optimized run is **>= 5x** faster end to end with a
-**bit-identical** :class:`SchedulerResult`.
+and asserts a **bit-identical** :class:`SchedulerResult` from a pinned number
+of integration steps: about two per reserve, where the oracle sweeps its
+whole history — 1 440 transfers on average — for each.  Seconds are printed
+for the reader and asserted nowhere.
 """
 
 import time
@@ -28,13 +30,15 @@ from oracles import sim_reference
 from repro.core.modules import LayerModule
 from repro.sim import ClusterScheduler, CostModel, EventDrivenEngine, SimJob
 from repro.sim.cluster import Cluster, ClusterSpec
+from repro.sim.resources import FairShareTimeline
 import repro.sim.resources as resources_mod
 
 #: Jobs sharing the fair fabric (the acceptance criterion asks for >= 8).
 _NUM_JOBS = 8
-#: Sized so the (quadratic) pre-PR mode runs a few seconds in CI; at this
-#: size the optimized engine is ~20x faster, far above the 5x gate.
+#: Sized so the (quadratic) pre-PR mode runs a few seconds in CI.
 _ITERATIONS = 60
+#: Gradient buckets (modules) per iteration: one fabric reserve each.
+_MODULES = 6
 
 
 def _cost_model(job_index):
@@ -43,7 +47,7 @@ def _cost_model(job_index):
     modules = [
         LayerModule(name=f"m{i}", paths=[], blocks=[],
                     num_params=200_000 * (i + 1) + 10_000 * job_index, index=i)
-        for i in range(6)
+        for i in range(_MODULES)
     ]
     return CostModel(modules, batch_size=32)
 
@@ -66,9 +70,8 @@ def _run(optimized):
     with _fair_integration(optimized):
         cluster = Cluster(spec)
         engine = EventDrivenEngine(cluster)
-        scheduler = ClusterScheduler(cluster, engine=engine,
-                                     placement="round_robin",
-                                     batch_fast_forward=optimized)
+        scheduler_cls = ClusterScheduler if optimized else sim_reference.PerIterationScheduler
+        scheduler = scheduler_cls(cluster, engine=engine, placement="round_robin")
         for index in range(_NUM_JOBS):
             scheduler.submit(SimJob(f"job{index}", _cost_model(index),
                                     num_workers=2, iterations=_ITERATIONS,
@@ -78,8 +81,15 @@ def _run(optimized):
     return time.perf_counter() - start, result
 
 
-def test_contended_fair_share_raw_speed(benchmark):
-    """>= 5x on the contended fair-share cluster, bit-identical results."""
+def test_contended_fair_share_raw_speed(benchmark, monkeypatch):
+    """Bit-identical results from ~2 integration steps per reserve, not a sweep of the history."""
+    advances, advance = [0], FairShareTimeline._advance
+
+    def counted(self, target):
+        advances[0] += 1
+        return advance(self, target)
+
+    monkeypatch.setattr(FairShareTimeline, "_advance", counted)
 
     def run_both():
         reference_seconds, reference = _run(optimized=False)
@@ -100,11 +110,17 @@ def test_contended_fair_share_raw_speed(benchmark):
     assert perf["fair_incremental_reserves"] > 0, perf
     assert reference.perf["fair_incremental_reserves"] == 0, reference.perf
 
-    speedup = reference_seconds / optimized_seconds
     print(f"\ncontended {_NUM_JOBS}-job fair-share cluster: pre-PR "
           f"{reference_seconds:.3f}s vs optimized {optimized_seconds:.3f}s "
-          f"-> {speedup:.1f}x (hit rate {perf['cache_hit_rate']:.0%}, "
+          f"(hit rate {perf['cache_hit_rate']:.0%}, "
           f"incremental reserves {perf['fair_incremental_reserves']}, "
           f"rewinds {perf['fair_rewind_reserves']}, "
-          f"full resweeps {perf['fair_full_resweeps']})")
-    assert speedup >= 5.0, f"contended speedup {speedup:.1f}x below the 5x floor"
+          f"full resweeps {perf['fair_full_resweeps']}, _advance steps {advances[0]})")
+    # The oracle re-integrates everything admitted so far on each of the
+    # 2 880 reserves (4 148 640 transfers swept in all); production admits
+    # each once from the frontier or a snapshot rewind, in 6 066 steps.
+    reserves = _NUM_JOBS * _ITERATIONS * _MODULES
+    assert reference.perf["fair_full_resweeps"] == reserves
+    assert perf["fair_incremental_reserves"] + perf["fair_rewind_reserves"] == reserves
+    assert perf["fair_full_resweeps"] == 0
+    assert advances[0] == 6066

@@ -7,7 +7,9 @@ prints the paper-vs-measured rows recorded in EXPERIMENTS.md.
 """
 
 from conftest import print_rows
+from oracles.sim_reference import closed_form_seconds
 
+from repro.core.trainer import BaseTrainer
 from repro.experiments import available_workloads, build_workload, run_table1_tta, run_trainer
 
 #: CV workloads show the clearest speedups at tiny scale; the NLP workloads
@@ -42,30 +44,37 @@ def test_table1_tta_speedup(benchmark, scale):
                for row in cnn_rows)
 
 
-def test_table1_event_backend_matches_closed_form_at_small_scale(benchmark):
-    """Drive the Table 1 workloads through ``sim_backend="event"`` at the
-    "small" scale and assert event/closed-form agreement within 5%.
+def test_table1_event_backend_matches_closed_form_at_small_scale(benchmark, monkeypatch):
+    """Drive the Table 1 workloads through the event engine at the "small"
+    scale and assert event/closed-form agreement within 5%.
 
-    Both runs share the training math (freezing decisions are independent of
-    the time-accounting backend), so the comparison isolates the simulated
-    clocks: the discrete-event engine replaying every iteration versus the
-    validated closed-form fast mode.
+    One training run per workload carries both clocks — the discrete-event
+    engine replaying every iteration, and ``CostModel.iteration`` summed
+    alongside it for the same freezing state — so the comparison isolates
+    the simulated time from the training math.
     """
     epochs = 4
+    closed_form = []
+    account = BaseTrainer._account_iteration_time
+
+    def account_both(trainer):
+        closed_form.append(closed_form_seconds(trainer))
+        account(trainer)
+
+    monkeypatch.setattr(BaseTrainer, "_account_iteration_time", account_both)
 
     def run():
         rows = []
         for name in _WORKLOADS:
             workload = build_workload(name, scale="small", seed=0)
-            event = run_trainer("egeria", workload, num_epochs=epochs, sim_backend="event")
-            closed = run_trainer("egeria", workload, num_epochs=epochs, sim_backend="closed_form")
-            deviation = (abs(event["simulated_time"] - closed["simulated_time"])
-                         / closed["simulated_time"]) if closed["simulated_time"] else 0.0
+            closed_form.clear()
+            event = run_trainer("egeria", workload, num_epochs=epochs)
+            closed = sum(closed_form)
             rows.append({
                 "workload": name,
                 "event_simulated_time": event["simulated_time"],
-                "closed_form_simulated_time": closed["simulated_time"],
-                "deviation": deviation,
+                "closed_form_simulated_time": closed,
+                "deviation": abs(event["simulated_time"] - closed) / closed if closed else 0.0,
             })
         return rows
 
@@ -74,6 +83,7 @@ def test_table1_event_backend_matches_closed_form_at_small_scale(benchmark):
     assert len(rows) == len(_WORKLOADS)
     for row in rows:
         assert row["event_simulated_time"] > 0.0
+        assert row["closed_form_simulated_time"] > 0.0
         assert row["deviation"] < 0.05, row
 
 

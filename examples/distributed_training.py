@@ -9,7 +9,7 @@ compares per-iteration timelines and throughput for:
 * Egeria (frozen layers skipped in backward compute *and* synchronization),
 * Egeria combined with ByteScheduler.
 
-Everything here is the analytical simulation substrate — no GPUs required.
+Everything here is the simulation substrate — no GPUs required.
 
 Run with::
 
@@ -20,12 +20,11 @@ from repro.baselines import DistributedThroughputComparison
 from repro.core import parse_layer_modules
 from repro.experiments import build_workload
 from repro.sim import (
-    AllReduceModel,
     ClusterScheduler,
     CostModel,
+    EventDrivenEngine,
     SchedulePolicy,
     SimJob,
-    TimelineSimulator,
     paper_testbed_cluster,
 )
 
@@ -40,10 +39,12 @@ def main() -> None:
     # Per-iteration timeline at 3 machines with the first few modules frozen.
     workers = cluster.workers(num_machines=3, gpus_per_machine=2)
     cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    simulator = TimelineSimulator(layer_modules, cost_model, AllReduceModel(cluster), workers)
+    engine = EventDrivenEngine(cluster)
     print("\nPer-iteration timeline on 3 machines (frozen prefix = 4 modules):")
     for policy in SchedulePolicy.ALL:
-        timeline = simulator.simulate(policy, frozen_prefix=4, cached_fp=True)
+        freezes = policy in (SchedulePolicy.EGERIA, SchedulePolicy.EGERIA_BYTESCHEDULER)
+        timeline = engine.simulate_iteration(cost_model, workers=workers, policy=policy,
+                                             frozen_prefix=4 if freezes else 0, cached_fp=freezes)
         print(f"  {policy:<22} forward={timeline.forward * 1e3:7.3f}ms backward={timeline.backward * 1e3:7.3f}ms "
               f"comm={timeline.communication * 1e3:7.3f}ms exposed={timeline.exposed_communication * 1e3:7.3f}ms "
               f"total={timeline.total * 1e3:7.3f}ms")

@@ -6,7 +6,7 @@ FreezeOut's schedule-based freezing, and the ByteScheduler communication
 scheduler used in the distributed experiments.
 """
 
-from .bytescheduler import ByteSchedulerModel, DistributedThroughputComparison
+from .bytescheduler import DistributedThroughputComparison
 from .freezeout import FreezeOutTrainer, freezeout_schedule
 from .gradient_freeze import GradientFreezeTrainer, module_gradient_norm
 from .skipconv import SkipConvTrainer
@@ -21,6 +21,5 @@ __all__ = [
     "SkipConvTrainer",
     "FreezeOutTrainer",
     "freezeout_schedule",
-    "ByteSchedulerModel",
     "DistributedThroughputComparison",
 ]

@@ -7,85 +7,51 @@ the backward pass but also with the *next iteration's forward pass* —
 "theoretically optimal scheduling without skipping any parameter and full
 accuracy" (§6.1).
 
-The class below wraps the :class:`~repro.sim.TimelineSimulator` policy into a
-trainer-compatible object so distributed benchmarks can compare:
+The class below compares, for a given cluster size:
 
 * vanilla all-reduce,
 * ByteScheduler,
 * Egeria (frozen layers excluded from synchronization),
 * Egeria + ByteScheduler,
 
-for a given cluster size — reproducing the bar groups of Figure 10.  It also
-reproduces the caveat the paper mentions: when communication is not the
-bottleneck, ByteScheduler's gain is limited and a slight throughput drop (its
-default-configuration overhead) is normal.
+reproducing the bar groups of Figure 10.  It also reproduces the caveat the
+paper mentions: when communication is not the bottleneck, ByteScheduler's
+gain is limited and a slight throughput drop (its default-configuration
+overhead) is normal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.modules import LayerModule
-from ..sim.allreduce import AllReduceModel
 from ..sim.cluster import Cluster, GPUDevice, paper_testbed_cluster
 from ..sim.cost_model import CostModel
-from ..sim.engine import EventDrivenEngine
-from ..sim.timeline import SchedulePolicy, TimelineSimulator
+from ..sim.engine import EventDrivenEngine, SchedulePolicy
 
-__all__ = ["ByteSchedulerModel", "DistributedThroughputComparison"]
-
-
-@dataclass
-class ByteSchedulerModel:
-    """Analytical model of ByteScheduler's communication overlap.
-
-    ``scheduling_overhead_fraction`` models the credit/partition bookkeeping
-    cost that makes ByteScheduler slightly slower than the baseline when the
-    network is not the bottleneck (§6.3, footnote about issue reports).
-    """
-
-    scheduling_overhead_fraction: float = 0.01
-
-    def iteration_time(self, simulator: TimelineSimulator, frozen_prefix: int = 0,
-                       cached_fp: bool = False, with_egeria: bool = False) -> float:
-        policy = SchedulePolicy.EGERIA_BYTESCHEDULER if with_egeria else SchedulePolicy.BYTESCHEDULER
-        timeline = simulator.simulate(policy, frozen_prefix=frozen_prefix, cached_fp=cached_fp)
-        return timeline.total * (1.0 + self.scheduling_overhead_fraction)
+__all__ = ["DistributedThroughputComparison"]
 
 
 class DistributedThroughputComparison:
     """Builds the Figure 10 comparison for one model and one cluster size.
 
-    ``backend`` selects how the per-policy iteration time is obtained:
-
-    * ``"event"`` (default) — the discrete-event engine replays several
-      iterations and reports the steady-state spacing, so bucket
-      serialization, the slowest-worker barrier and ByteScheduler's overlap
-      with the next forward pass all emerge from actual events;
-    * ``"closed_form"`` — the original analytical
-      :class:`~repro.sim.timeline.TimelineSimulator` (fast fallback, kept
-      validated against the engine).
+    The discrete-event engine replays several iterations per policy and
+    reports the steady-state spacing, so bucket serialization, the
+    slowest-worker barrier and ByteScheduler's overlap with the next forward
+    pass all emerge from actual events.  ``scheduling_overhead_fraction``
+    models the credit/partition bookkeeping cost that makes ByteScheduler
+    slightly slower than the baseline when the network is not the bottleneck
+    (§6.3, footnote about issue reports).
     """
 
-    BACKENDS = ("event", "closed_form")
-
     def __init__(self, layer_modules: Sequence[LayerModule], batch_size: int = 32,
-                 cluster: Optional[Cluster] = None, bytescheduler: Optional[ByteSchedulerModel] = None,
-                 backend: str = "event", engine: Optional[EventDrivenEngine] = None):
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {self.BACKENDS}")
+                 cluster: Optional[Cluster] = None, scheduling_overhead_fraction: float = 0.01,
+                 engine: Optional[EventDrivenEngine] = None):
         self.layer_modules = list(layer_modules)
         self.batch_size = batch_size
         self.cluster = cluster or paper_testbed_cluster()
-        self.bytescheduler = bytescheduler or ByteSchedulerModel()
-        self.backend = backend
+        self.scheduling_overhead_fraction = scheduling_overhead_fraction
         self.engine = engine or EventDrivenEngine(self.cluster)
-
-    def _simulator(self, workers: List[GPUDevice]) -> TimelineSimulator:
-        cost_model = CostModel(self.layer_modules, batch_size=self.batch_size)
-        allreduce = AllReduceModel(self.cluster)
-        return TimelineSimulator(self.layer_modules, cost_model, allreduce, workers)
 
     def _policy_seconds(self, policy: str, workers: List[GPUDevice], frozen_prefix: int,
                         cached_fp: bool) -> float:
@@ -93,8 +59,6 @@ class DistributedThroughputComparison:
         uses_freezing = policy in (SchedulePolicy.EGERIA, SchedulePolicy.EGERIA_BYTESCHEDULER)
         prefix = frozen_prefix if uses_freezing else 0
         cached = cached_fp if uses_freezing else False
-        if self.backend == "closed_form":
-            return self._simulator(workers).simulate(policy, frozen_prefix=prefix, cached_fp=cached).total
         cost_model = CostModel(self.layer_modules, batch_size=self.batch_size)
         return self.engine.steady_iteration_seconds(cost_model, workers=workers, frozen_prefix=prefix,
                                                     cached_fp=cached, policy=policy)
@@ -104,7 +68,7 @@ class DistributedThroughputComparison:
         """Samples/second for the four policies at the given cluster size."""
         workers = self.cluster.workers(num_machines=num_machines, gpus_per_machine=gpus_per_machine)
         samples_per_iteration = self.batch_size * len(workers)
-        overhead = 1.0 + self.bytescheduler.scheduling_overhead_fraction
+        overhead = 1.0 + self.scheduling_overhead_fraction
 
         results: Dict[str, float] = {}
         for policy in SchedulePolicy.ALL:

@@ -30,8 +30,7 @@ from ..nn.tensor import Tensor
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
 from ..sim.cost_model import CostModel
-from ..sim.engine import EventDrivenEngine
-from ..sim.timeline import SchedulePolicy
+from ..sim.engine import EventDrivenEngine, SchedulePolicy
 from .cache import ActivationCache, Prefetcher
 from .config import EgeriaConfig
 from .controller import EgeriaController
@@ -129,11 +128,9 @@ class BaseTrainer:
         self.comm_seconds_per_byte = comm_seconds_per_byte
         self.name = name
 
-        #: Simulated-time backend: "event" (discrete-event engine, the
-        #: default) or "closed_form" (analytical fast mode, validated against
-        #: the engine to within 5%); see :meth:`configure_simulation`.
-        self.sim_backend = "event"
-        self.sim_engine: Optional[EventDrivenEngine] = EventDrivenEngine()
+        #: Simulated time comes from the discrete-event engine; see
+        #: :meth:`configure_simulation` for pricing multi-worker runs.
+        self.sim_engine: EventDrivenEngine = EventDrivenEngine()
         self.sim_workers = None
         self.sim_policy = SchedulePolicy.VANILLA
 
@@ -197,26 +194,19 @@ class BaseTrainer:
         self.optimizer.step()
         return float(loss.item())
 
-    def configure_simulation(self, backend: str = "event", engine: Optional[EventDrivenEngine] = None,
+    def configure_simulation(self, engine: Optional[EventDrivenEngine] = None,
                              workers=None, policy: str = SchedulePolicy.VANILLA) -> None:
-        """Select how simulated iteration time is accounted.
+        """Select the engine, workers and policy that price simulated time.
 
-        ``backend="event"`` (the construction-time default) replays every
-        iteration through the discrete-event
+        Every iteration is replayed through the discrete-event
         :class:`~repro.sim.engine.EventDrivenEngine`, which prices per-GPU
         compute and per-link communication events and therefore reflects
         stragglers, heterogeneous GPU speeds and bucket serialization.
-        ``backend="closed_form"`` uses the analytical :class:`CostModel`
-        fast mode, validated against the engine to within 5% on single-job
-        configurations.
         """
-        if backend not in ("closed_form", "event"):
-            raise ValueError(f"unknown simulation backend {backend!r}")
-        self.sim_backend = backend
-        self.sim_engine = engine or (EventDrivenEngine() if backend == "event" else None)
+        self.sim_engine = engine or EventDrivenEngine()
         self.sim_workers = list(workers) if workers else None
         if self.sim_workers is not None and len(self.sim_workers) > 1 and \
-                (self.sim_engine is None or self.sim_engine.allreduce is None):
+                self.sim_engine.allreduce is None:
             # Without an all-reduce model every gradient bucket would be
             # priced at zero and communication silently vanish from the
             # simulated time — require a cluster-backed engine instead.
@@ -225,29 +215,20 @@ class BaseTrainer:
         self.sim_policy = policy
 
     def _account_iteration_time(self) -> None:
-        if self.sim_backend == "event":
-            # Multi-worker runs price communication through the engine's
-            # all-reduce model; single-worker runs reuse the trainer's linear
-            # per-byte coefficient so both backends stay comparable.
-            scalar_comm = self.comm_seconds_per_byte if self.sim_workers is None else None
-            result = self.sim_engine.simulate_iteration(
-                self.cost_model,
-                workers=self.sim_workers,
-                frozen_prefix=self.frozen_prefix(),
-                cached_fp=self.uses_cached_fp(),
-                policy=self.sim_policy,
-                include_reference_overhead=self.include_reference_overhead(),
-                comm_seconds_per_byte=scalar_comm,
-            )
-            self.simulated_time += result.total
-            return
-        breakdown = self.cost_model.iteration(
+        # Multi-worker runs price communication through the engine's
+        # all-reduce model; single-worker runs reuse the trainer's linear
+        # per-byte coefficient, as ``CostModel.iteration`` prices it.
+        scalar_comm = self.comm_seconds_per_byte if self.sim_workers is None else None
+        result = self.sim_engine.simulate_iteration(
+            self.cost_model,
+            workers=self.sim_workers,
             frozen_prefix=self.frozen_prefix(),
             cached_fp=self.uses_cached_fp(),
-            comm_seconds_per_byte=self.comm_seconds_per_byte,
+            policy=self.sim_policy,
             include_reference_overhead=self.include_reference_overhead(),
+            comm_seconds_per_byte=scalar_comm,
         )
-        self.simulated_time += breakdown.total
+        self.simulated_time += result.total
 
     def train_epoch(self, epoch: int) -> float:
         """Run one epoch; returns the mean training loss."""

@@ -57,7 +57,6 @@ from ..sim import (
     EventDrivenEngine,
     SchedulePolicy,
     SimJob,
-    TimelineSimulator,
     TrainerJob,
     paper_testbed_cluster,
     single_node_cluster,
@@ -84,6 +83,18 @@ __all__ = [
     "run_fig12_hyperparameters",
     "run_overhead_analysis",
 ]
+
+
+def _prefix_for_fraction(layer_modules: Sequence[LayerModule], frozen_fraction: float) -> int:
+    """Longest front run of modules holding at most ``frozen_fraction`` of the parameters."""
+    budget = sum(m.num_params for m in layer_modules) * frozen_fraction
+    prefix, running = 0, 0
+    for module in layer_modules:
+        if running + module.num_params > budget:
+            break
+        running += module.num_params
+        prefix += 1
+    return prefix
 
 
 # --------------------------------------------------------------------------- #
@@ -331,13 +342,7 @@ def run_fig9_breakdown(workload_names: Optional[Sequence[str]] = None, scale: st
         model = workload.make_model()
         layer_modules = parse_layer_modules(model)
         cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-        total_params = sum(m.num_params for m in layer_modules)
-        prefix, running = 0, 0
-        for module in layer_modules:
-            if running + module.num_params > total_params * frozen_fraction:
-                break
-            running += module.num_params
-            prefix += 1
+        prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
         baseline = engine.simulate_iteration(cost_model, frozen_prefix=0, cached_fp=False,
                                              include_reference_overhead=False).total
         freeze_only = engine.simulate_iteration(cost_model, frozen_prefix=prefix, cached_fp=False,
@@ -371,15 +376,9 @@ def run_fig10_distributed(workload_name: str = "resnet50_imagenet", scale: str =
     workload = build_workload(workload_name, scale=scale, seed=seed)
     model = workload.make_model()
     layer_modules = parse_layer_modules(model)
-    total_params = sum(m.num_params for m in layer_modules)
-    prefix, running = 0, 0
-    for module in layer_modules:
-        if running + module.num_params > total_params * frozen_fraction:
-            break
-        running += module.num_params
-        prefix += 1
+    prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
     comparison = DistributedThroughputComparison(layer_modules, batch_size=workload.batch_size,
-                                                 cluster=paper_testbed_cluster(), backend="event")
+                                                 cluster=paper_testbed_cluster())
     rows = comparison.scaling_sweep(machine_counts, gpus_per_machine=2, frozen_prefix=prefix, cached_fp=True)
     return {
         "workload": workload_name,
@@ -409,13 +408,7 @@ def run_multijob_cluster(workload_name: str = "resnet50_imagenet", scale: str = 
     workload = build_workload(workload_name, scale=scale, seed=seed)
     layer_modules = parse_layer_modules(workload.make_model())
     cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    total_params = sum(m.num_params for m in layer_modules)
-    prefix, running = 0, 0
-    for module in layer_modules:
-        if running + module.num_params > total_params * frozen_fraction:
-            break
-        running += module.num_params
-        prefix += 1
+    prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
 
     cluster = paper_testbed_cluster()
     scheduler = ClusterScheduler(cluster, placement=placement, seed=seed)
@@ -551,13 +544,7 @@ def run_fault_tolerance(workload_name: str = "resnet50_imagenet", scale: str = "
     workload = build_workload(workload_name, scale=scale, seed=seed)
     layer_modules = parse_layer_modules(workload.make_model())
     cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    total_params = sum(m.num_params for m in layer_modules)
-    prefix, running = 0, 0
-    for module in layer_modules:
-        if running + module.num_params > total_params * frozen_fraction:
-            break
-        running += module.num_params
-        prefix += 1
+    prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
 
     def scenario(ckpt_every: Optional[int]) -> Dict[str, object]:
         cluster = paper_testbed_cluster()

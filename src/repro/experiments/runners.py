@@ -25,7 +25,7 @@ from ..baselines import (
 from ..core.config import EgeriaConfig
 from ..core.trainer import BaseTrainer, EgeriaTrainer
 from ..metrics.tracking import RunHistory, tta_speedup
-from ..sim import Cluster, EventDrivenEngine, SchedulePolicy
+from ..sim import Cluster, EventDrivenEngine
 from .workloads import Workload
 
 __all__ = ["SYSTEMS", "build_trainer", "run_trainer", "compare_systems", "ComparisonRow"]
@@ -79,39 +79,32 @@ def build_trainer(system: str, workload: Workload, comm_seconds_per_byte: float 
 
 def run_trainer(system: str, workload: Workload, num_epochs: Optional[int] = None,
                 comm_seconds_per_byte: float = 0.0, config: Optional[EgeriaConfig] = None,
-                sim_backend: str = "event", sim_cluster: Optional[Cluster] = None,
+                sim_cluster: Optional[Cluster] = None,
                 sim_num_machines: Optional[int] = None, sim_gpus_per_machine: Optional[int] = None,
                 checkpoint_manager=None, checkpoint_every: int = 1,
                 **overrides) -> Dict[str, object]:
     """Train one system on one workload; returns history, trainer summary, etc.
 
-    ``sim_backend="event"`` (the default) accounts simulated time through
-    the discrete-event engine; with a ``sim_cluster`` the engine also prices
-    per-link communication for ``sim_num_machines`` x
-    ``sim_gpus_per_machine`` workers (otherwise the single-GPU compute
-    timeline is replayed event by event).  ``sim_backend="closed_form"``
-    selects the validated analytical fast mode.
+    Simulated time is accounted through the discrete-event engine; with a
+    ``sim_cluster`` the engine also prices per-link communication for
+    ``sim_num_machines`` x ``sim_gpus_per_machine`` workers (otherwise the
+    single-GPU compute timeline is replayed event by event).
 
     With a ``checkpoint_manager`` (see :mod:`repro.ckpt`) the trainer saves a
     full training-state snapshot every ``checkpoint_every`` epochs; the
     result dict then carries the per-checkpoint ``"checkpoints"`` history.
     """
     trainer = build_trainer(system, workload, comm_seconds_per_byte, config, **overrides)
-    if sim_backend != trainer.sim_backend or sim_cluster is not None:
-        engine = EventDrivenEngine(sim_cluster) if sim_backend == "event" else None
-        workers = None
-        if sim_cluster is not None:
-            workers = sim_cluster.workers(num_machines=sim_num_machines,
-                                          gpus_per_machine=sim_gpus_per_machine)
-        trainer.configure_simulation(backend=sim_backend, engine=engine, workers=workers,
-                                     policy=SchedulePolicy.VANILLA)
+    if sim_cluster is not None:
+        workers = sim_cluster.workers(num_machines=sim_num_machines,
+                                      gpus_per_machine=sim_gpus_per_machine)
+        trainer.configure_simulation(engine=EventDrivenEngine(sim_cluster), workers=workers)
     if checkpoint_manager is not None:
         trainer.configure_checkpointing(checkpoint_manager, checkpoint_every=checkpoint_every)
     history = trainer.fit(num_epochs or workload.num_epochs)
     result: Dict[str, object] = {
         "system": system,
         "workload": workload.name,
-        "sim_backend": trainer.sim_backend,
         "history": history,
         "final_metric": history.final_metric(),
         "best_metric": history.best_metric(),

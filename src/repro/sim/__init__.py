@@ -1,14 +1,13 @@
 """``repro.sim`` — cost models, cluster topology and cluster-level simulation.
 
-Substitutes the paper's GPU testbed.  Two simulation paths coexist:
-
-* the closed-form :class:`CostModel` / :class:`TimelineSimulator` — fast
-  analytical accounting for single homogeneous jobs (the default trainer
-  path), and
-* the discrete-event :class:`EventDrivenEngine` / :class:`ClusterScheduler`
-  — per-GPU compute events and per-link communication events over the
-  cluster graph, expressing stragglers, heterogeneous GPUs, multi-job
-  sharing and elastic worker membership.
+Substitutes the paper's GPU testbed.  One timer, one stepper: the
+discrete-event :class:`EventDrivenEngine` prices every iteration — per-GPU
+compute events and per-link communication events over the cluster graph,
+expressing stragglers, heterogeneous GPUs, multi-job sharing and elastic
+worker membership — and :class:`ClusterScheduler` advances jobs through it.
+The closed-form :meth:`CostModel.iteration` is the reference the engine is
+checked against (``EventDrivenEngine.closed_form_deviation`` within 5% on
+the single-job configurations), not a mode to select.
 
 Cross-job contention is a first-class concept: clusters carry named
 finite-bandwidth :class:`SharedResource` s (the leaf–spine fabric —
@@ -36,9 +35,6 @@ the event-by-event path, invalidated by any state transition — and
 with deterministic per-cell seeds and a worker-count-independent merged
 result table.
 
-The closed-form path is validated against the engine to within 5% on the
-single-job configurations (see ``EventDrivenEngine.closed_form_deviation``).
-
 Correctness tooling (``docs/correctness.md``): SimLint (``tools/simlint``)
 statically forbids determinism-breaking code patterns, and SimSan
 (:class:`SimSanitizer`, enabled via ``EventDrivenEngine(sanitize=True)`` or
@@ -59,7 +55,8 @@ the simulator's own hot functions under ``cProfile``.
 from .allreduce import AllReduceModel
 from .cluster import Cluster, ClusterSpec, GPUDevice, Machine, paper_testbed_cluster, single_node_cluster
 from .cost_model import CostModel, GPUSpec, IterationBreakdown
-from .engine import EngineIterationResult, EventDrivenEngine, EventQueue, SimEvent
+from .engine import (EngineIterationResult, EventDrivenEngine, EventQueue, SchedulePolicy,
+                     SimEvent)
 from .resources import (
     BaseResourceTimeline,
     FairShareTimeline,
@@ -94,7 +91,6 @@ from .scenario import build_scenario, preview_faults, run_scenario
 from .scheduler import ClusterScheduler, JobRecord, SchedulerResult, SimJob
 from .simtime import TIME_EPS, time_geq, time_leq, times_close
 from .sweep import build_cells, expand_grid, run_sweep, shutdown_pool
-from .timeline import IterationTimeline, SchedulePolicy, TimelineSimulator
 from .trainer_job import TrainerJob
 
 __all__ = [
@@ -109,8 +105,6 @@ __all__ = [
     "single_node_cluster",
     "AllReduceModel",
     "SchedulePolicy",
-    "IterationTimeline",
-    "TimelineSimulator",
     "EventDrivenEngine",
     "EngineIterationResult",
     "EventQueue",

@@ -53,11 +53,12 @@ no randomness is used, so two runs with identical inputs produce identical
 timelines.  The event loop runs in *relative* time (anchored at 0) and
 translates to absolute time only at the edges — shared-resource reservations
 and the returned result — which makes a fast-forwarded iteration
-bit-identical to the event-by-event simulation it replays.  For single-job
-configurations without communication it reproduces the closed-form
-:class:`CostModel` totals exactly (see
-:meth:`EventDrivenEngine.closed_form_deviation`), which keeps the cheap
-closed-form path usable as a validated fast mode.
+bit-identical to the event-by-event simulation it replays.  The engine is
+the only production timer: the closed-form :meth:`CostModel.iteration` is
+kept as the reference it must stay within 5 % of on single-job
+configurations (:meth:`EventDrivenEngine.closed_form_deviation`), and the
+memo-less event-by-event loop the replay must equal is an oracle subclass
+in ``tests/oracles/sim_reference.py``.
 """
 
 from __future__ import annotations
@@ -72,12 +73,30 @@ from .cluster import Cluster, GPUDevice
 from .cost_model import CostModel
 from .resources import BaseResourceTimeline, ResourcePool, SharedResource
 from .sanitizer import SimSanitizer, sanitize_from_env
-from .timeline import SchedulePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - observers are attached, never imported here
     from .observe.observer import SimObserver
 
-__all__ = ["SimEvent", "EventQueue", "EngineIterationResult", "EventDrivenEngine"]
+__all__ = ["SchedulePolicy", "SimEvent", "EventQueue", "EngineIterationResult",
+           "EventDrivenEngine"]
+
+
+class SchedulePolicy:
+    """Names of the computation/communication schedules Figure 10 compares.
+
+    ``vanilla`` issues each layer's all-reduce as its backward pass finishes;
+    the ByteScheduler policies send front-module buckets first and may hide
+    leftover communication behind the next iteration's forward pass; the
+    Egeria policies exclude frozen layers from backward compute and
+    gradient synchronization.
+    """
+
+    VANILLA = "vanilla"
+    BYTESCHEDULER = "bytescheduler"
+    EGERIA = "egeria"
+    EGERIA_BYTESCHEDULER = "egeria+bytescheduler"
+
+    ALL = (VANILLA, BYTESCHEDULER, EGERIA, EGERIA_BYTESCHEDULER)
 
 
 @dataclass(frozen=True)
@@ -238,11 +257,6 @@ class EventDrivenEngine:
     allreduce:
         Communication model used to price gradient buckets; built from
         ``cluster`` when omitted.
-    memoize:
-        Enables the steady-state fast-forward cache (on by default).  With
-        it off every iteration is simulated event by event — the reference
-        path the equality tests and the fast-forward microbenchmark compare
-        against.
     sanitize:
         Enables SimSan (:mod:`repro.sim.sanitizer`): runtime invariant
         checks on every event, reservation and cancellation, plus periodic
@@ -261,7 +275,7 @@ class EventDrivenEngine:
     """
 
     def __init__(self, cluster: Optional[Cluster] = None, allreduce: Optional[AllReduceModel] = None,
-                 memoize: bool = True, sanitize: Optional[bool] = None,
+                 sanitize: Optional[bool] = None,
                  observe: Optional["SimObserver"] = None):
         """Bind the engine to a cluster's topology and shared resources."""
         self.cluster = cluster
@@ -280,8 +294,7 @@ class EventDrivenEngine:
         #: Per-GPU relative speed (1.0 = nominal; 0.5 = half speed, i.e. a
         #: straggler whose compute segments take twice as long).
         self.gpu_speed: Dict[str, float] = {}
-        #: Steady-state fast-forward switch (see :meth:`simulate_iteration`).
-        self.memoize = bool(memoize)
+        #: Steady-state fast-forward cache (see :meth:`simulate_iteration`).
         self._cache: Dict[Tuple, _FastForwardEntry] = {}
         #: Static iteration plans under the same keys as ``_cache`` — kept
         #: for contended (uncacheable) iterations too, which is where the
@@ -538,8 +551,8 @@ class EventDrivenEngine:
             :meth:`simulate_run`).
         comm_seconds_per_byte:
             Linear per-byte cost overriding the all-reduce model — the hook
-            the trainers use so the event path and the closed-form path price
-            communication identically.
+            single-worker trainers use, priced the way
+            :meth:`CostModel.iteration` prices it.
         link_resource:
             Shared link resource(s) to queue buckets on — one name, or a
             sequence of names for topology-aware routing (every fabric link
@@ -564,7 +577,7 @@ class EventDrivenEngine:
             resources (capacity splits proportionally to weight; the default
             1.0 keeps the even split).
 
-        With ``memoize`` on, an iteration whose complete dynamics state
+        An iteration whose complete dynamics state
         (cost model, frozen prefix, cached-FP mode, policy, reference
         overhead, communication pricing, worker names and speed factors,
         crossed links) matches a previously simulated one is
@@ -586,7 +599,7 @@ class EventDrivenEngine:
 
         key: Optional[Tuple] = None
         plan: Optional[_IterationPlan] = None
-        if self.memoize and trace is None:
+        if trace is None:
             key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
                                   policy, include_reference_overhead, comm_seconds_per_byte,
                                   link_names, link_timelines)
@@ -668,14 +681,12 @@ class EventDrivenEngine:
         """The cached entry :meth:`simulate_iteration` would replay, or ``None``.
 
         A non-``None`` return is the exact precondition for a fast-forward at
-        ``start_time``: memoization is on, the complete dynamics key has a
-        cached (cacheable) entry, and every crossed link is quiet at or after
-        ``start_time``.  Pure lookup — commits nothing and counts nothing —
-        so a scheduler can use it to plan a multi-iteration batch before
-        committing via :meth:`fast_forward_batch`.
+        ``start_time``: the complete dynamics key has a cached (cacheable)
+        entry and every crossed link is quiet at or after ``start_time``.
+        Pure lookup — commits nothing and counts nothing — so a scheduler
+        can use it to plan a multi-iteration batch before committing via
+        :meth:`fast_forward_batch`.
         """
-        if not self.memoize:
-            return None
         names = self._worker_names(workers)
         worker_list = list(workers) if workers else list(names)
         num_modules = len(cost_model.layer_modules)
@@ -723,7 +734,7 @@ class EventDrivenEngine:
                               policy, include_reference_overhead, comm_seconds_per_byte,
                               link_names, link_timelines)
         durations: List[float] = []
-        entry = self._cache.get(key) if self.memoize else None
+        entry = self._cache.get(key)
         if entry is None:
             return durations
         start = start_time
@@ -983,9 +994,9 @@ class EventDrivenEngine:
         soon as compute finishes and only communication still exposed after
         the forward window delays the backward pass.
 
-        With ``memoize`` on, every iteration after the first is a cache hit
-        (the dynamics state never changes mid-run), so an N-iteration run
-        costs one event-loop execution plus N - 1 O(1) replays.
+        Every iteration after the first is a cache hit (the dynamics state
+        never changes mid-run), so an N-iteration run costs one event-loop
+        execution plus N - 1 O(1) replays.
         """
         if iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -1036,16 +1047,15 @@ class EventDrivenEngine:
         return (results[-1].end_time - first) / measured
 
     # ------------------------------------------------------------------ #
-    # Validation against the closed-form fast path
+    # Validation against the closed-form reference
     # ------------------------------------------------------------------ #
     def closed_form_deviation(self, cost_model: CostModel, frozen_prefix: int = 0,
                               cached_fp: bool = False, include_reference_overhead: bool = True,
                               comm_seconds_per_byte: float = 0.0) -> float:
         """Relative |engine - closed form| / closed form for a single-job iteration.
 
-        This is the contract that keeps the closed-form path usable as a fast
-        mode: the benchmarks assert the deviation stays within 5% on the
-        Figure 9 configurations.
+        The single closed-form ⊑ event check: the benchmarks assert the
+        deviation stays within 5% on the Figure 9 configurations.
         """
         closed = cost_model.iteration(frozen_prefix=frozen_prefix, cached_fp=cached_fp,
                                       comm_seconds_per_byte=comm_seconds_per_byte,

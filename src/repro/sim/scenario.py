@@ -18,7 +18,6 @@ Scenario schema (all keys optional unless noted)::
                      "latency_seconds": 0.0001, "policy": "fifo"}],
       "placement": "fifo",
       "seed": 0,
-      "memoize": true,
       "observe": false,                     # or {"trace": true, "metrics": true}
       "jobs": [
         {"name": "a",                       # required, unique
@@ -67,13 +66,9 @@ a job contends on).
 
 Per-job ``weight`` sets the job's fair-share weight on processor-sharing
 resources (capacity split ∝ weight; default 1.0).  The top-level
-``memoize`` flag (default ``true``) toggles the engine's steady-state
-fast-forward cache — results are bit-identical either way (the equality the
-fast-forward test suite asserts); turning it off only makes the run slower.
-The top-level ``sanitize`` flag attaches SimSan, the runtime invariant
-sanitizer (:mod:`repro.sim.sanitizer`); omitted, it defers to the
-``REPRO_SIMSAN`` environment variable.  Sanitized results are bit-identical
-to plain ones.
+``sanitize`` flag attaches SimSan, the runtime invariant sanitizer
+(:mod:`repro.sim.sanitizer`); omitted, it defers to the ``REPRO_SIMSAN``
+environment variable.  Sanitized results are bit-identical to plain ones.
 
 The top-level ``observe`` key attaches SimScope (:mod:`repro.sim.observe`):
 ``true`` enables the sim-time tracer and metrics registry, an object
@@ -110,7 +105,7 @@ _JOB_KEYS = {"name", "workload", "scale", "modules", "batch_size", "num_workers"
              "storage", "link", "async_checkpoint", "weight"}
 _SCENARIO_KEYS = {"cluster", "resources", "placement", "seed", "jobs",
                   "gpu_speeds", "failures", "resizes", "preemptions", "resumes",
-                  "faults", "memoize", "sanitize", "observe", "batch_fast_forward"}
+                  "faults", "sanitize", "observe"}
 _OBSERVE_KEYS = {"trace", "metrics"}
 
 
@@ -193,13 +188,12 @@ def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterS
         cluster.add_resource(SharedResource(**resource_spec))
 
     sanitize = spec.get("sanitize")
-    engine = EventDrivenEngine(cluster, memoize=bool(spec.get("memoize", True)),
+    engine = EventDrivenEngine(cluster,
                                sanitize=None if sanitize is None else bool(sanitize),
                                observe=_build_observer(spec.get("observe")))
     scheduler = ClusterScheduler(cluster, engine=engine,
                                  placement=str(spec.get("placement", "fifo")),
-                                 seed=int(spec.get("seed", 0)),
-                                 batch_fast_forward=bool(spec.get("batch_fast_forward", True)))
+                                 seed=int(spec.get("seed", 0)))
     jobs = spec.get("jobs") or []
     if not jobs:
         raise ValueError("scenario has no jobs")

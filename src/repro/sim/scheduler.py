@@ -55,11 +55,13 @@ scenarios the closed-form model cannot express become one-liners:
   even split, FIFO resources ignore it).
 * **Steady-state fast-forward** — identical back-to-back iterations are
   served from the engine's memoized timing in O(1) instead of re-running
-  the event loop; any state transition (freeze/unfreeze, resize, migrate,
-  speed change, another job's traffic on a crossed link, cancel/re-flow)
-  forces a live re-simulation, so results are bit-identical to the
-  event-by-event path.  :attr:`SchedulerResult.perf` reports how much of
-  the run was fast-forwarded.
+  the event loop, a quiet run of them as one ``iteration_done`` heap event;
+  any state transition (freeze/unfreeze, resize, migrate, speed change,
+  another job's traffic on a crossed link, cancel/re-flow) forces a live
+  re-simulation, so results are bit-identical to the one-event-per-iteration
+  and event-by-event references (``tests/oracles/sim_reference.py``).
+  :attr:`SchedulerResult.perf` reports how much of the run was
+  fast-forwarded.
 
 Everything is deterministic for a fixed seed: events at one instant run
 cluster-level first (in push order), then each job's own in submission order
@@ -77,9 +79,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, TYPE_
 
 from .cluster import Cluster, GPUDevice
 from .cost_model import CostModel
-from .engine import EventDrivenEngine
+from .engine import EventDrivenEngine, SchedulePolicy
 from .simtime import times_close
-from .timeline import SchedulePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from ..metrics.tracking import RunHistory
@@ -87,10 +88,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
 
 __all__ = ["SimJob", "JobRecord", "SchedulerResult", "ClusterScheduler"]
 
-#: Event kinds that only book a job's own progress.  Every other kind is a
-#: *barrier*: it may change placements, link traffic or speeds, so no batch
-#: of fast-forwarded iterations may run past one.
-_COMPLETIONS = frozenset(("iteration_done", "iteration_batch_done"))
+#: The one event kind that only books a job's own progress.  Every other kind
+#: is a *barrier*: it may change placements, link traffic or speeds, so no
+#: batch of fast-forwarded iterations may run past one.
+_COMPLETION = "iteration_done"
 
 
 @dataclass
@@ -364,22 +365,14 @@ class ClusterScheduler:
     TOR_DOWN_GBPS = 1e-3
 
     def __init__(self, cluster: Cluster, engine: Optional[EventDrivenEngine] = None,
-                 placement: str = "fifo", seed: int = 0,
-                 batch_fast_forward: bool = True):
-        """Wire the scheduler to a cluster and (optionally) a shared engine.
-
-        ``batch_fast_forward`` lets steady-state runs of memo-cached
-        iterations commit as a single heap event per batch (see
-        :meth:`_schedule_iteration_batch`); ``False`` forces the legacy
-        one-event-per-iteration path.  Results are bit-identical either way.
-        """
+                 placement: str = "fifo", seed: int = 0):
+        """Wire the scheduler to a cluster and (optionally) a shared engine."""
         if placement not in self.PLACEMENTS:
             raise ValueError(f"unknown placement {placement!r}; expected one of {self.PLACEMENTS}")
         self.cluster = cluster
         self.engine = engine or EventDrivenEngine(cluster)
         self.placement = placement
         self.seed = seed
-        self.batch_fast_forward = bool(batch_fast_forward)
 
         self._all_gpus: List[GPUDevice] = cluster.all_gpus()
         self._free: Dict[str, GPUDevice] = {gpu.name: gpu for gpu in self._all_gpus}
@@ -449,7 +442,7 @@ class ClusterScheduler:
         time = float(time)
         rank = 0 if job is None else self._rank[job]
         heapq.heappush(self._heap, (time, rank, self._seq, kind, payload))
-        if kind not in _COMPLETIONS:
+        if kind != _COMPLETION:
             heapq.heappush(self._barriers, time)
         self._seq += 1
 
@@ -887,7 +880,7 @@ class ClusterScheduler:
         workers = self._allocations[job.name]
         iteration_index = record.iterations_done
         links = self._routes[job.name][0]
-        if (allow_batch and self.batch_fast_forward and job.steady_profile()
+        if (allow_batch and job.steady_profile()
                 and self._schedule_iteration_batch(job, workers, links,
                                                    iteration_index, now)):
             return
@@ -911,7 +904,7 @@ class ClusterScheduler:
                         and (iteration_index + 1) % job.checkpoint_every == 0)
         if not ckpt_due:
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, 0.0, 0, False), job.name)
+                       (job.name, token, (duration,), 0.0, 0, False), job.name)
             return
         ckpt_bytes = int(job.checkpoint_write_bytes(iteration_index, prefix))
         ckpt_seconds = self._storage_seconds(job, ckpt_bytes, now + duration, workers,
@@ -923,7 +916,7 @@ class ClusterScheduler:
             # iteration_done is pushed first so, on a time tie, progress is
             # booked before the checkpoint watermark advances.
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, 0.0, 0, False), job.name)
+                       (job.name, token, (duration,), 0.0, 0, False), job.name)
             samples_after = record.samples_processed + job.cost_model.batch_size * len(workers)
             self._push(now + duration + ckpt_seconds, "ckpt_done",
                        (job.name, self._placement_epoch.get(job.name, 0),
@@ -932,7 +925,7 @@ class ClusterScheduler:
         else:
             duration += ckpt_seconds
             self._push(now + duration, "iteration_done",
-                       (job.name, token, duration, ckpt_seconds, ckpt_bytes, True), job.name)
+                       (job.name, token, (duration,), ckpt_seconds, ckpt_bytes, True), job.name)
 
     def _schedule_iteration_batch(self, job: SimJob, workers: List[GPUDevice],
                                   links: Optional[List[str]], iteration_index: int,
@@ -946,7 +939,7 @@ class ClusterScheduler:
         cached iterations back to back with the exact per-iteration float
         arithmetic of the unbatched path (each start is the previous start
         plus that iteration's duration), re-committing every link window,
-        and a single ``iteration_batch_done`` event credits all K.
+        and a single ``iteration_done`` event credits all K.
 
         The horizon is the earliest pending *barrier* — any event other than
         an iteration completion (arrival, resize, fault, recovery, speed
@@ -1018,7 +1011,8 @@ class ClusterScheduler:
         for offset, duration in enumerate(durations):
             job.begin_iteration(iteration_index + offset, sim_time=end)
             end = end + duration
-        self._push(end, "iteration_batch_done", (job.name, token, tuple(durations)), job.name)
+        self._push(end, "iteration_done",
+                   (job.name, token, tuple(durations), 0.0, 0, False), job.name)
         return True
 
     # ------------------------------------------------------------------ #
@@ -1046,7 +1040,7 @@ class ClusterScheduler:
         sanitizer = self.engine.sanitizer
         while self._heap:
             now, _rank, _seq, kind, payload = heapq.heappop(self._heap)
-            if kind not in _COMPLETIONS:
+            if kind != _COMPLETION:
                 heapq.heappop(self._barriers)  # the earliest barrier is this event
             if sanitizer is not None:
                 sanitizer.check_event("scheduler", now, kind)
@@ -1067,33 +1061,10 @@ class ClusterScheduler:
                 if self._apply_ckpt_done(payload, now):
                     makespan = max(makespan, now)
             elif kind == "iteration_done":
-                job_name, token, duration, ckpt_seconds, ckpt_bytes, ckpt_taken = payload
-                job = self._jobs[job_name]
-                record = self.records[job_name]
-                if token != self._iter_token.get(job_name) or job_name not in self._allocations:
-                    continue  # stale event from before a resize/failure/preemption/finish
-                makespan = max(makespan, now)
-                record.iterations_done += 1
-                record.iteration_seconds.append(duration)
-                workers = self._allocations[job_name]
-                record.samples_processed += job.cost_model.batch_size * len(workers)
-                for gpu in workers:
-                    self.gpu_busy_seconds[gpu.name] += duration
-                if ckpt_taken:
-                    record.checkpoints_taken += 1
-                    record.checkpoint_seconds += ckpt_seconds
-                    record.checkpoint_bytes_written += int(ckpt_bytes)
-                    record.checkpoint_iteration = record.iterations_done
-                    record.samples_at_checkpoint = record.samples_processed
-                    self._trace(now, "checkpoint", job=job_name,
-                                iteration=record.iterations_done, seconds=ckpt_seconds,
-                                num_bytes=int(ckpt_bytes))
-                self._finish_or_continue(job, record, now)
-            elif kind == "iteration_batch_done":
-                # A committed run of fast-forwarded iterations; credit each
-                # one with the exact per-event bookkeeping (same accumulation
-                # order) the unbatched path would have performed.
-                job_name, token, durations = payload
+                # One live iteration or a committed run of fast-forwarded
+                # ones; each is credited in the same accumulation order, so
+                # how the K iterations were stepped never shows in the sums.
+                job_name, token, durations, ckpt_seconds, ckpt_bytes, ckpt_taken = payload
                 job = self._jobs[job_name]
                 record = self.records[job_name]
                 if token != self._iter_token.get(job_name) or job_name not in self._allocations:
@@ -1107,6 +1078,15 @@ class ClusterScheduler:
                     record.samples_processed += samples
                     for name in names:
                         self.gpu_busy_seconds[name] += duration
+                if ckpt_taken:
+                    record.checkpoints_taken += 1
+                    record.checkpoint_seconds += ckpt_seconds
+                    record.checkpoint_bytes_written += int(ckpt_bytes)
+                    record.checkpoint_iteration = record.iterations_done
+                    record.samples_at_checkpoint = record.samples_processed
+                    self._trace(now, "checkpoint", job=job_name,
+                                iteration=record.iterations_done, seconds=ckpt_seconds,
+                                num_bytes=int(ckpt_bytes))
                 self._finish_or_continue(job, record, now)
             elif kind == "set_speed":
                 gpu_name, factor = payload

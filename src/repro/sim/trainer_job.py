@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ..metrics.tracking import EpochRecord, RunHistory
+from .engine import SchedulePolicy
 from .scheduler import SimJob
-from .timeline import SchedulePolicy
 
 __all__ = ["TrainerJob"]
 

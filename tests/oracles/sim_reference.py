@@ -22,6 +22,12 @@ kept any state between calls — every ``reserve`` / ``cancel`` /
 re-integration to equal both with ``==``, and
 ``benchmarks/test_contended_raw_speed.py`` builds its "pre-optimisation" side
 from the stand-in.
+
+The stepping references close the file: :class:`LiveEngine` runs every
+iteration through the event loop (no memo, no kept plan) and
+:class:`PerIterationScheduler` commits one heap event per iteration.
+``tests/test_sim_fastforward.py`` requires production (memo + batched
+commits) to equal both bit for bit.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.sim import (CostModel, EventQueue, FairShareTimeline, GPUDevice, SchedulePolicy,
-                       SimEvent)
+from repro.sim import (ClusterScheduler, CostModel, EventDrivenEngine, EventQueue,
+                       FairShareTimeline, GPUDevice, SchedulePolicy, SimEvent)
 from repro.sim.resources import ResourceTimeline, _FairTransfer
 
 
@@ -407,3 +413,29 @@ def build_resweep_timeline(resource):
     if resource.policy == "fair":
         return ResweepFairShareTimeline(resource)
     return ResourceTimeline(resource)
+
+
+class LiveEngine(EventDrivenEngine):
+    """Every iteration simulated event by event: nothing is replayed, no plan is kept."""
+
+    def simulate_iteration(self, *args, **kwargs):
+        self.clear_fast_forward_cache()
+        return super().simulate_iteration(*args, **kwargs)
+
+    def can_fast_forward(self, *args, **kwargs):
+        return None
+
+
+class PerIterationScheduler(ClusterScheduler):
+    """One heap event per iteration: a batch never forms."""
+
+    def _schedule_iteration_batch(self, *args, **kwargs):
+        return False
+
+
+def closed_form_seconds(trainer) -> float:
+    """``CostModel.iteration`` total of the iteration ``trainer`` is about to account."""
+    return trainer.cost_model.iteration(
+        frozen_prefix=trainer.frozen_prefix(), cached_fp=trainer.uses_cached_fp(),
+        comm_seconds_per_byte=trainer.comm_seconds_per_byte,
+        include_reference_overhead=trainer.include_reference_overhead()).total

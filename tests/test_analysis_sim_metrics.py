@@ -30,8 +30,6 @@ from repro.sim import (
     AllReduceModel,
     CostModel,
     GPUSpec,
-    SchedulePolicy,
-    TimelineSimulator,
     paper_testbed_cluster,
     single_node_cluster,
 )
@@ -210,36 +208,6 @@ class TestClusterAndAllReduce:
         allreduce = AllReduceModel(cluster)
         assert allreduce.seconds_per_byte(cluster.workers(num_machines=2)) > 0
         assert allreduce.seconds_per_byte([cluster.workers()[0]]) == 0.0
-
-
-class TestTimeline:
-    def _simulator(self, num_machines=3):
-        model = models.resnet8(num_classes=4, seed=0)
-        modules = parse_layer_modules(model)
-        cluster = paper_testbed_cluster()
-        workers = cluster.workers(num_machines=num_machines)
-        return TimelineSimulator(modules, CostModel(modules, batch_size=16), AllReduceModel(cluster), workers)
-
-    def test_egeria_faster_than_vanilla(self):
-        sim = self._simulator()
-        vanilla = sim.simulate(SchedulePolicy.VANILLA)
-        egeria = sim.simulate(SchedulePolicy.EGERIA, frozen_prefix=2, cached_fp=True)
-        assert egeria.total < vanilla.total
-
-    def test_bytescheduler_hides_more_communication(self):
-        sim = self._simulator()
-        vanilla = sim.simulate(SchedulePolicy.VANILLA)
-        bytesched = sim.simulate(SchedulePolicy.BYTESCHEDULER)
-        assert bytesched.exposed_communication <= vanilla.exposed_communication
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            self._simulator().simulate("magic")
-
-    def test_throughput_sweep(self):
-        sweep = self._simulator().throughput_sweep(frozen_prefix=1)
-        assert set(sweep) == set(SchedulePolicy.ALL)
-        assert all(v > 0 for v in sweep.values())
 
 
 class TestMetrics:

@@ -5,7 +5,6 @@ import pytest
 
 from repro import models, optim
 from repro.baselines import (
-    ByteSchedulerModel,
     DistributedThroughputComparison,
     FreezeOutTrainer,
     GradientFreezeTrainer,
@@ -136,13 +135,14 @@ class TestByteScheduler:
             assert row[SchedulePolicy.EGERIA] >= row[SchedulePolicy.VANILLA]
 
     def test_bytescheduler_model_overhead(self):
-        model = models.resnet8(num_classes=4, seed=0)
-        layer_modules = parse_layer_modules(model)
-        from repro.sim import AllReduceModel, CostModel, TimelineSimulator
-        cluster = paper_testbed_cluster()
-        workers = cluster.workers(num_machines=2)
-        simulator = TimelineSimulator(layer_modules, CostModel(layer_modules, batch_size=16),
-                                      AllReduceModel(cluster), workers)
-        zero_overhead = ByteSchedulerModel(scheduling_overhead_fraction=0.0)
-        with_overhead = ByteSchedulerModel(scheduling_overhead_fraction=0.05)
-        assert with_overhead.iteration_time(simulator) > zero_overhead.iteration_time(simulator)
+        layer_modules = parse_layer_modules(models.resnet8(num_classes=4, seed=0))
+
+        def throughputs(fraction):
+            return DistributedThroughputComparison(
+                layer_modules, batch_size=16,
+                scheduling_overhead_fraction=fraction).throughputs(num_machines=2)
+
+        zero_overhead, with_overhead = throughputs(0.0), throughputs(0.05)
+        for policy in (SchedulePolicy.BYTESCHEDULER, SchedulePolicy.EGERIA_BYTESCHEDULER):
+            assert with_overhead[policy] == pytest.approx(zero_overhead[policy] / 1.05)
+        assert with_overhead[SchedulePolicy.VANILLA] == zero_overhead[SchedulePolicy.VANILLA]

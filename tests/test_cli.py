@@ -152,6 +152,14 @@ class TestSimCommands:
         assert main(["sim", "run", self._write(tmp_path, bad_policy)]) == 2
         assert "policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["memoize", "batch_fast_forward"])
+    def test_sim_run_rejects_the_removed_stepping_keys(self, tmp_path, capsys, key):
+        """How iterations are stepped is not a scenario setting: exit 2, key named."""
+        assert main(["sim", "run", self._write(tmp_path, dict(self.SCENARIO, **{key: False}))]) == 2
+        captured = capsys.readouterr()
+        assert f"unknown scenario keys ['{key}']" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+
     def test_sim_run_policy_override(self, tmp_path, capsys):
         scenario = self._write(tmp_path, self.SCENARIO)
         assert main(["sim", "run", scenario, "--policy", "fair"]) == 0

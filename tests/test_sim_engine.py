@@ -19,6 +19,8 @@ from repro.sim import (
     paper_testbed_cluster,
 )
 
+from oracles.sim_reference import closed_form_seconds
+
 
 @pytest.fixture
 def cost_model():
@@ -303,35 +305,32 @@ class TestTrainerEventBackend:
         return VanillaTrainer(model, ClassificationTask(), train_loader, None, optimizer)
 
     def test_event_backend_is_the_default(self):
-        trainer = self._trainer()
-        assert trainer.sim_backend == "event"
-        assert trainer.sim_engine is not None
+        assert isinstance(self._trainer().sim_engine, EventDrivenEngine)
 
-    def test_event_backend_matches_closed_form_within_5pct(self):
-        closed = self._trainer()
-        closed.configure_simulation(backend="closed_form")
-        closed.fit(num_epochs=2)
-        event = self._trainer()
-        event.configure_simulation(backend="event")
-        event.fit(num_epochs=2)
-        assert event.simulated_time == pytest.approx(closed.simulated_time, rel=0.05)
+    def test_event_backend_matches_closed_form_within_5pct(self, monkeypatch):
+        """One run, two clocks: the engine's, and ``CostModel.iteration`` summed alongside."""
+        trainer = self._trainer()
+        closed, account = [], trainer._account_iteration_time
+
+        def account_both():
+            closed.append(closed_form_seconds(trainer))
+            account()
+
+        monkeypatch.setattr(trainer, "_account_iteration_time", account_both)
+        trainer.fit(num_epochs=2)
+        assert closed and trainer.simulated_time == pytest.approx(sum(closed), rel=0.05)
 
     def test_event_backend_with_cluster_workers_adds_comm(self):
         cluster = paper_testbed_cluster()
         trainer = self._trainer()
-        trainer.configure_simulation(backend="event", engine=EventDrivenEngine(cluster),
+        trainer.configure_simulation(engine=EventDrivenEngine(cluster),
                                      workers=cluster.workers(2, 2))
         trainer.fit(num_epochs=1)
         single = self._trainer()
-        single.configure_simulation(backend="event")
         single.fit(num_epochs=1)
         assert trainer.simulated_time > single.simulated_time
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            self._trainer().configure_simulation(backend="quantum")
 
     def test_multi_worker_without_cluster_engine_rejected(self):
         # Without an all-reduce model the buckets would silently cost zero.
         with pytest.raises(ValueError):
-            self._trainer().configure_simulation(backend="event", workers=["gpu0", "gpu1"])
+            self._trainer().configure_simulation(workers=["gpu0", "gpu1"])

@@ -2,11 +2,13 @@
 
 Three families of guarantees:
 
-* **Bit-identity** — an engine with memoization on produces results (totals,
-  per-worker ends, makespans, per-link bytes, checkpoint bytes) exactly
-  equal to the event-by-event reference path, at the engine, scheduler,
-  trainer-backed-job and scenario levels — with batched fast-forward on or
-  off — plus a hypothesis property over randomized multi-job scenarios.
+* **Bit-identity** — production (memoized replay, batched commits) produces
+  results (totals, per-worker ends, makespans, per-link bytes, checkpoint
+  bytes) exactly equal to the references in ``tests/oracles/sim_reference.py``
+  — ``PerIterationScheduler`` (one heap event per iteration) and
+  ``LiveEngine`` (every iteration event by event) — at the engine, scheduler
+  and trainer-backed-job levels, plus a hypothesis property over randomized
+  multi-job scenarios.
 * **Invalidation matrix** — every dynamics transition forces a live
   re-simulation whose timing differs from the cached steady state: a freeze
   event, an elastic resize, a checkpointed migration, a second job arriving
@@ -40,6 +42,13 @@ from repro.sim import (
 )
 from repro.sim.observe import SimObserver
 
+from oracles.sim_reference import LiveEngine, PerIterationScheduler
+
+#: ``(engine, scheduler)`` classes: production, per-iteration replay, live.
+MODES = ((EventDrivenEngine, ClusterScheduler),
+         (EventDrivenEngine, PerIterationScheduler),
+         (LiveEngine, PerIterationScheduler))
+
 
 def make_cost_model(param_counts=(4000, 8000, 6000, 4000), batch_size=16):
     modules = [LayerModule(name=f"m{i}", paths=[], blocks=[], num_params=int(c), index=i)
@@ -62,11 +71,9 @@ def three_modes(configure, cluster_factory=paper_testbed_cluster, **scheduler_kw
     refinement batched == per-iteration == live on :func:`result_dict`.
     """
     results = []
-    for memoize, batch in ((True, True), (True, False), (False, False)):
+    for engine_cls, scheduler_cls in MODES:
         cluster = cluster_factory()
-        scheduler = ClusterScheduler(cluster,
-                                     engine=EventDrivenEngine(cluster, memoize=memoize),
-                                     batch_fast_forward=batch, **scheduler_kwargs)
+        scheduler = scheduler_cls(cluster, engine=engine_cls(cluster), **scheduler_kwargs)
         configure(scheduler)
         results.append(scheduler.run())
     batched, memoized, live = results
@@ -81,7 +88,7 @@ def three_modes(configure, cluster_factory=paper_testbed_cluster, **scheduler_kw
 class TestEngineFastForward:
     def test_simulate_run_hits_cache_and_is_bit_identical(self):
         cost_model = make_cost_model()
-        reference = EventDrivenEngine(memoize=False)
+        reference = LiveEngine()
         memoized = EventDrivenEngine()
         kwargs = dict(frozen_prefix=1, cached_fp=True, include_reference_overhead=True,
                       comm_seconds_per_byte=1e-10)
@@ -165,9 +172,9 @@ class TestEngineFastForward:
     def test_replay_commits_identical_link_occupancy(self):
         """Fast-forward must not skip the byte audit: per-link windows and
         bytes equal the event-by-event reference exactly."""
-        def occupancy(memoize):
+        def occupancy(engine_cls):
             cluster = paper_testbed_cluster()
-            engine = EventDrivenEngine(cluster, memoize=memoize)
+            engine = engine_cls(cluster)
             workers = cluster.workers(2, 2)
             clock = 0.0
             for _ in range(5):
@@ -178,7 +185,7 @@ class TestEngineFastForward:
             timeline = engine.resource_timeline(Cluster.FABRIC)
             return [(r.start, r.end, r.num_bytes, r.job, r.kind) for r in timeline.records]
 
-        assert occupancy(True) == occupancy(False)
+        assert occupancy(EventDrivenEngine) == occupancy(LiveEngine)
 
     def test_trace_bypasses_cache(self):
         engine = EventDrivenEngine()
@@ -259,9 +266,6 @@ class TestEngineBatchedFastForward:
             first.end_time, 10 * first.total, num_bytes=1, job="b")
         assert engine.can_fast_forward(cost_model, start_time=first.end_time,
                                        **kwargs) is None
-        disabled = EventDrivenEngine(cluster, memoize=False)
-        disabled.simulate_iteration(cost_model, job_name="a", **kwargs)
-        assert disabled.can_fast_forward(cost_model, **kwargs) is None
 
     def test_batch_matches_per_iteration_replays_exactly(self):
         """The batch returns bare durations; the full results it stands for
@@ -340,7 +344,7 @@ class TestSchedulerInvalidationMatrix:
         batched, memoized, _reference = three_modes(configure)
         assert memoized.perf["iterations_fast_forwarded"] > 0
         assert memoized.perf["iterations_simulated"] > 1  # the transition re-simulated
-        assert memoized.perf["fast_forward_batches"] == 0  # batching was off
+        assert memoized.perf["fast_forward_batches"] == 0  # one event per iteration
         durations = memoized.jobs[job_name].iteration_seconds
         assert len(set(durations)) > 1, "transition did not change iteration timing"
         return batched
@@ -598,9 +602,9 @@ class TestBatchCommitsBeforeTheHookRuns:
     """``begin_iteration`` runs for the iterations the engine committed, at
     their committed start times — not for the ones the scheduler planned."""
 
-    def _run(self, batch, sabotage=None):
+    def _run(self, scheduler_cls, sabotage=None):
         cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster, batch_fast_forward=batch)
+        scheduler = scheduler_cls(cluster)
         job = CountingJob("a", make_cost_model(), num_workers=4, iterations=12)
         scheduler.submit(job)
         if sabotage is not None:
@@ -626,7 +630,7 @@ class TestBatchCommitsBeforeTheHookRuns:
                     fabric.reserve(fabric.busy_until + 1e-4, 1e-4, num_bytes=1, job="intruder")
             job.on_profile = busy_once
 
-        job, result = self._run(True, sabotage)
+        job, result = self._run(ClusterScheduler, sabotage)
         assert result.resources[Cluster.FABRIC]["bytes_by_job"]["intruder"] == 1
         assert result.perf["iterations_simulated"] >= 2   # iteration 1 ran live after all
         self._assert_begun_once_each_at_its_start(job, result)
@@ -636,11 +640,11 @@ class TestBatchCommitsBeforeTheHookRuns:
         monkeypatch.setattr(EventDrivenEngine, "fast_forward_batch",
                             lambda self, cost_model, count, **kw:
                             commit(self, cost_model, min(count, 3), **kw))
-        job, result = self._run(True)
+        job, result = self._run(ClusterScheduler)
         assert result.perf["iterations_batched"] == 11     # 3 + 3 + 3 + 2, never the planned 11
         assert result.perf["fast_forward_batches"] == 4
         self._assert_begun_once_each_at_its_start(job, result)
-        assert job.begun == self._run(False)[0].begun
+        assert job.begun == self._run(PerIterationScheduler)[0].begun
 
 
 # --------------------------------------------------------------------------- #
@@ -667,12 +671,10 @@ def test_fast_forward_makespan_equals_event_by_event(param_counts, num_workers, 
     equal between the memoized and the event-by-event engines, across
     policies, disciplines, freezing schedules and checkpoint cadences.
     """
-    def run(memoize, batch=False):
+    def run(engine_cls, scheduler_cls):
         cluster = Cluster(ClusterSpec(num_machines=3, gpus_per_machine=2,
                                       fabric_policy=fabric_policy))
-        scheduler = ClusterScheduler(cluster,
-                                     engine=EventDrivenEngine(cluster, memoize=memoize),
-                                     batch_fast_forward=batch)
+        scheduler = scheduler_cls(cluster, engine=engine_cls(cluster))
         prefix = (lambda i: min(i // 2, prefix_cap)) if prefix_cap else 0
         scheduler.submit(SimJob("a", make_cost_model(param_counts), num_workers=num_workers,
                                 iterations=iterations, policy=policy, frozen_prefix=prefix,
@@ -681,8 +683,9 @@ def test_fast_forward_makespan_equals_event_by_event(param_counts, num_workers, 
                                 iterations=max(1, iterations // 2)))
         return result_dict(scheduler.run())
 
-    assert run(True, batch=True) == run(False)
-    assert run(True, batch=False) == run(False)
+    batched, memoized, live = (run(*mode) for mode in MODES)
+    assert batched == live
+    assert memoized == live
 
 
 FAMILIES = {
@@ -766,24 +769,6 @@ class TestIntegration:
         assert 0.0 < perf["cache_hit_rate"] <= 1.0
         assert perf["events_processed"] > 0
 
-    def test_scenario_memoize_flag_disables_cache_with_identical_results(self):
-        plain = run_scenario(self.SCENARIO)
-        reference = run_scenario(dict(self.SCENARIO, memoize=False))
-        assert reference["perf"]["iterations_fast_forwarded"] == 0
-        for key in ("makespan", "jobs", "resources", "utilization"):
-            assert plain[key] == reference[key]
-
-    def test_scenario_batch_fast_forward_flag(self):
-        """``"batch_fast_forward": false`` falls back to one-event-per-
-        iteration replay with bit-identical results; the default batches."""
-        batched = run_scenario(self.SCENARIO)
-        unbatched = run_scenario(dict(self.SCENARIO, batch_fast_forward=False))
-        assert batched["perf"]["fast_forward_batches"] > 0
-        assert unbatched["perf"]["fast_forward_batches"] == 0
-        assert unbatched["perf"]["iterations_batched"] == 0
-        for key in ("makespan", "jobs", "resources", "utilization"):
-            assert batched[key] == unbatched[key]
-
     def _trainer(self):
         full = make_dataset("synthetic_cifar10", num_samples=48, num_classes=4,
                             image_size=8, noise=0.8, seed=0)
@@ -796,18 +781,17 @@ class TestIntegration:
     def test_trainer_job_bit_identical_under_memoization(self):
         """A real trainer inside the scheduler: same makespan, same real
         content-addressed checkpoint bytes, with and without fast-forward."""
-        def run(memoize):
+        def run(engine_cls):
             trainer = self._trainer()
             manager = CheckpointManager(MemoryBackend())
             trainer.configure_checkpointing(manager, checkpoint_every=1)
             job = TrainerJob("t", trainer, iterations=8, num_workers=2, checkpoint_every=3)
             cluster = paper_testbed_cluster()
-            scheduler = ClusterScheduler(cluster,
-                                         engine=EventDrivenEngine(cluster, memoize=memoize))
+            scheduler = ClusterScheduler(cluster, engine=engine_cls(cluster))
             scheduler.submit(job)
             return scheduler.run()
 
-        memoized, reference = run(True), run(False)
+        memoized, reference = run(EventDrivenEngine), run(LiveEngine)
         assert result_dict(memoized) == result_dict(reference)
         assert memoized.jobs["t"].checkpoint_bytes_written == \
             reference.jobs["t"].checkpoint_bytes_written > 0

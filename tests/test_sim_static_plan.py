@@ -16,7 +16,7 @@ guarantees tie production to it:
 * **staleness matrix** — after ``set_gpu_speed``, ``set_capacity`` /
   ``degrade_link``, ``fail_tor`` + recovery, elastic resize / migration and
   ``clear_fast_forward_cache`` the next iteration equals, bit for bit, what an
-  engine that never keeps a plan (``memoize=False``) and the oracle compute;
+  engine that never re-uses a plan (``sim_reference.LiveEngine``) and the oracle compute;
 * **exact counters** — the benchmark's ``sim_contended`` and
   ``sim_fault_storm`` seed-0 scenarios process exactly the parent's events
   with a pinned number of fair-share integration steps, ``sim_steady``
@@ -163,9 +163,9 @@ class _Named:
 def twin_engines(speeds=()):
     """A memoizing engine and an independent twin for the oracle loop to reserve on."""
     engines = []
-    for memoize in (True, False):
+    for engine_cls in (EventDrivenEngine, sim_reference.LiveEngine):
         cluster = slow_fabric_cluster()
-        engine = EventDrivenEngine(cluster, memoize=memoize)
+        engine = engine_cls(cluster)
         for position, factor in speeds:
             engine.set_gpu_speed(cluster.all_gpus()[position].name, factor)
         engines.append(engine)
@@ -259,7 +259,7 @@ class TestPlanEqualsRecompute:
 
     def test_bare_names_and_private_links(self):
         cost_model = make_cost_model()
-        engine, twin = EventDrivenEngine(), EventDrivenEngine(memoize=False)
+        engine, twin = EventDrivenEngine(), sim_reference.LiveEngine()
         for _ in range(2):
             assert_iteration_equals_oracle(engine, twin, cost_model, ["w0", "w1"],
                                            comm_seconds_per_byte=2e-9, start_time=0.5)
@@ -270,11 +270,11 @@ class TestPlanEqualsRecompute:
 # Staleness matrix
 # --------------------------------------------------------------------------- #
 class Lockstep:
-    """Drive a plan-keeping engine, a ``memoize=False`` engine and the oracle in step."""
+    """Drive a plan-keeping engine, a ``LiveEngine`` and the oracle in step."""
 
     def __init__(self):
         self.kept, self.fresh = twin_engines()
-        self.oracle = EventDrivenEngine(slow_fabric_cluster(), memoize=False)
+        self.oracle = sim_reference.LiveEngine(slow_fabric_cluster())
         self.engines = (self.kept, self.fresh, self.oracle)
         self.cost_model = make_cost_model()
         self.clock = 0.0
@@ -355,10 +355,10 @@ class TestStalenessMatrix:
     def test_scheduler_transitions_equal_an_engine_that_keeps_no_plan(self, transition):
         """Three jobs contending on a slow per-ToR fabric, one transition mid-run."""
 
-        def run(memoize):
+        def run(engine_cls):
             cluster = slow_fabric_cluster()
             scheduler = ClusterScheduler(cluster, placement="round_robin",
-                                         engine=EventDrivenEngine(cluster, memoize=memoize))
+                                         engine=engine_cls(cluster))
             checkpoint = 10 if transition == "migration" else None
             for index in range(3):
                 scheduler.submit(SimJob(f"job{index}", make_cost_model(batch_size=16 + index),
@@ -378,8 +378,8 @@ class TestStalenessMatrix:
             payload.pop("perf")
             return payload, scheduler.engine
 
-        kept, engine = run(memoize=True)
-        reference, _ = run(memoize=False)
+        kept, engine = run(EventDrivenEngine)
+        reference, _ = run(sim_reference.LiveEngine)
         assert kept == reference
         assert engine.iterations_simulated > len(engine._plans) > 0  # plans were re-used
 
@@ -458,9 +458,6 @@ class TestExactEvents:
         engine = EventDrivenEngine()
         engine.simulate_iteration(make_cost_model(), trace=[])
         assert not engine._plans and not engine._cache
-        reference = EventDrivenEngine(memoize=False)
-        reference.simulate_iteration(make_cost_model())
-        assert not reference._plans
 
     def test_contended_benchmark_scenario_exact_counters(self, monkeypatch):
         """``bench/run.py --workload sim_contended --seed 0 --dump-scenario``, committed:
