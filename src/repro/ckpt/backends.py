@@ -35,10 +35,15 @@ class CheckpointBackend:
         raise NotImplementedError
 
     def write_object(self, digest: str, array: np.ndarray) -> int:
-        """Persist one tensor; returns the bytes written (0 when deduplicated)."""
+        """Persist one tensor; returns the bytes written (0 when deduplicated).
+
+        ``array`` stays the caller's (``split_state`` hands out the arrays of
+        the state it was given): copy or serialise it, do not keep it.
+        """
         raise NotImplementedError
 
     def read_object(self, digest: str) -> np.ndarray:
+        """The stored tensor as a fresh array the caller owns (a model adopts it without copying)."""
         raise NotImplementedError
 
     def write_manifest(self, checkpoint_id: str, manifest: Dict) -> None:

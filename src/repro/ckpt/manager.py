@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .backends import CheckpointBackend
-from .serialization import TENSOR_KEY, jsonify_scalars, join_state, split_state
+from .serialization import jsonify_scalars, join_state, split_state
 
 __all__ = ["CheckpointInfo", "CheckpointManager"]
 
@@ -74,22 +74,34 @@ class CheckpointManager:
         surfaced by :meth:`inspect` (e.g. epoch, frozen prefix length).
         """
         checkpoint_id = f"ckpt-{int(step):010d}"
-        tree, tensors = split_state(state)
-        bytes_written = 0
-        num_new = 0
-        new_digests = set()
-        for digest, array in tensors.items():
-            written = self.backend.write_object(digest, array)
-            if written:
-                num_new += 1
-                bytes_written += written
-                new_digests.add(digest)
-        payload_bytes = sum(int(array.nbytes) for array in tensors.values())
-        section_bytes = self._section_bytes(tree, tensors, new_digests)
+        # A dict-shaped state is split one top-level section at a time, so the
+        # walk that builds the manifest tree also says which tensors each
+        # section holds; any other state is one nameless part.
+        sectioned = isinstance(state, dict)
+        parts = ({str(key): split_state(value) for key, value in state.items()} if sectioned
+                 else {"": split_state(state)})
+        # New bytes per section are what the overhead curve plots: ``model``
+        # and ``optimizer`` shrink exactly with the frozen prefix, the
+        # quantized reference snapshot rewrites on its own update cadence.  A
+        # digest shared between sections is stored once and counted in each.
+        new_nbytes: Dict[str, int] = {}  # distinct digest -> its size if this save stored it, else 0
+        section_bytes = dict.fromkeys(parts, 0)
+        payload_bytes = bytes_written = num_new = 0
+        for key, (_, tensors) in parts.items():
+            for digest, array in tensors.items():
+                if digest not in new_nbytes:
+                    nbytes = int(array.nbytes)
+                    payload_bytes += nbytes
+                    written = self.backend.write_object(digest, array)
+                    new_nbytes[digest] = nbytes if written else 0
+                    if written:
+                        num_new += 1
+                        bytes_written += written
+                section_bytes[key] += new_nbytes[digest]
         info = CheckpointInfo(
             checkpoint_id=checkpoint_id,
             step=int(step),
-            num_tensors=len(tensors),
+            num_tensors=len(new_nbytes),
             num_new_tensors=num_new,
             payload_bytes=payload_bytes,
             bytes_written=bytes_written,
@@ -105,45 +117,13 @@ class CheckpointManager:
                 "num_new_tensors": info.num_new_tensors,
                 "payload_bytes": info.payload_bytes,
                 "bytes_written": info.bytes_written,
-                "bytes_written_by_section": section_bytes,
+                "bytes_written_by_section": section_bytes if sectioned else {},
             },
-            "state": jsonify_scalars(tree),
+            # JSON-native as split_state returns it.
+            "state": {key: tree for key, (tree, _) in parts.items()} if sectioned else parts[""][0],
         }
         self.backend.write_manifest(checkpoint_id, manifest)
         return info
-
-    @staticmethod
-    def _section_bytes(tree: Any, tensors: Dict[str, Any], new_digests) -> Dict[str, int]:
-        """New bytes attributed to each top-level key of a dict-shaped state.
-
-        This is what the overhead curve plots per section: the ``model`` and
-        ``optimizer`` sections shrink exactly with the frozen prefix, while
-        e.g. the quantized reference snapshot rewrites on its own update
-        cadence.  A digest shared between sections is counted in each.  Works
-        on the already-split placeholder ``tree``, so no tensor is copied or
-        hashed a second time.
-        """
-        if not isinstance(tree, dict):
-            return {}
-
-        def collect(node: Any, into: set) -> None:
-            if isinstance(node, dict):
-                if set(node.keys()) == {TENSOR_KEY}:
-                    into.add(node[TENSOR_KEY])
-                    return
-                for value in node.values():
-                    collect(value, into)
-            elif isinstance(node, list):
-                for value in node:
-                    collect(value, into)
-
-        section_bytes: Dict[str, int] = {}
-        for key, value in tree.items():
-            digests: set = set()
-            collect(value, digests)
-            section_bytes[str(key)] = sum(
-                int(tensors[digest].nbytes) for digest in digests if digest in new_digests)
-        return section_bytes
 
     # ------------------------------------------------------------------ #
     # Restore / inspect

@@ -31,12 +31,16 @@ TENSOR_KEY = "__tensor__"
 
 
 def tensor_digest(array: np.ndarray) -> str:
-    """Content digest of an array (dtype + shape + raw bytes)."""
+    """Content digest of an array (dtype + shape + raw bytes).
+
+    Digests are object names in a store, so this is a format: the SHA-1 of
+    ``dtype.str``, ``repr(shape)`` and the C-order bytes of
+    ``np.ascontiguousarray(array)`` (which makes a 0-d array shape ``(1,)``).
+    The bytes are hashed in place through the buffer protocol, not copied out.
+    """
     array = np.ascontiguousarray(array)
-    digest = hashlib.sha1()
-    digest.update(array.dtype.str.encode("ascii"))
-    digest.update(repr(array.shape).encode("ascii"))
-    digest.update(array.tobytes())
+    digest = hashlib.sha1((array.dtype.str + repr(array.shape)).encode("ascii"))
+    digest.update(array)
     return digest.hexdigest()
 
 
@@ -56,15 +60,17 @@ def split_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
 
     Returns ``(tree, tensors)`` where every ndarray leaf of ``state`` appears
     in ``tree`` as ``{"__tensor__": digest}`` and in ``tensors`` under that
-    digest.  Identical arrays (same content) share one table entry.
+    digest.  Identical arrays (same content) share one table entry.  The
+    table holds the arrays of ``state`` themselves, not copies: whoever keeps
+    one (a backend's ``write_object``) copies or serialises it.  ``tree`` is
+    JSON-native as returned — string keys, lists, Python scalars.
     """
     tensors: Dict[str, np.ndarray] = {}
 
     def walk(value: Any) -> Any:
         if isinstance(value, np.ndarray):
             digest = tensor_digest(value)
-            if digest not in tensors:
-                tensors[digest] = np.array(value, copy=True)
+            tensors.setdefault(digest, value)
             return {TENSOR_KEY: digest}
         if isinstance(value, np.generic):
             return value.item()
@@ -82,7 +88,7 @@ def split_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
 def join_state(tree: Any, read_tensor) -> Any:
     """Inverse of :func:`split_state`: resolve placeholders via ``read_tensor``."""
     if isinstance(tree, dict):
-        if set(tree.keys()) == {TENSOR_KEY}:
+        if len(tree) == 1 and TENSOR_KEY in tree:
             return read_tensor(tree[TENSOR_KEY])
         return {k: join_state(v, read_tensor) for k, v in tree.items()}
     if isinstance(tree, list):

@@ -94,6 +94,8 @@ class ActivationCache:
         #: axis order (see :meth:`store_batch`) that turns an activation batch into its rows.
         self._slab: Optional[np.memmap] = None
         self._order: Tuple[int, ...] = ()
+        #: A row was written since the slab file was last flushed (see :meth:`manifest`).
+        self._unflushed = False
         #: Per sample id (grown with the ids seen): row written this generation / table slot or -1.
         self._present = np.zeros(0, dtype=bool)
         self._slot = np.zeros(0, dtype=np.int64)
@@ -131,6 +133,7 @@ class ActivationCache:
 
     def _forget(self) -> None:
         self._slab = self._table = None
+        self._unflushed = False
         self._present[:], self._slot[:], self._table_ids[:] = False, -1, -1
 
     def _slab_path(self) -> str:
@@ -185,6 +188,7 @@ class ActivationCache:
         if self._slab is None or len(self._slab) < len(self._present):
             self._map_slab(rows.shape[1:], order)
         self._slab[ids] = rows
+        self._unflushed = True
         self._present[ids] = True
         resident = self._slot[ids] >= 0
         self._table[self._slot[ids[resident]]] = rows[resident]  # keep the table coherent
@@ -251,12 +255,14 @@ class ActivationCache:
         The activations live on disk and are *reconstructable* (a miss just
         recomputes the frozen prefix), so a checkpoint records only this:
         versioning counters, statistics and, under ``entries``, the slab's row
-        shape and order and which rows are present (flushed first, so a listed
-        row is on disk).  Restoring into a cache on the same ``cache_dir``
-        re-attaches those rows if the slab file survived.
+        shape and order and which rows are present (flushed first if a row was
+        written since the last flush, so a listed row is on disk).  Restoring
+        into a cache on the same ``cache_dir`` re-attaches those rows if the
+        slab file survived.
         """
-        if self._slab is not None:
+        if self._unflushed:
             self._slab.flush()
+            self._unflushed = False
         return {
             "generation": int(self.generation),
             "prefix_version": int(self.prefix_version),
@@ -307,7 +313,7 @@ class ActivationCache:
 
     def close(self) -> None:
         """Unmap the slab and remove the temporary cache directory if this cache owns it."""
-        self._slab = None
+        self._slab, self._unflushed = None, False
         if self._owns_dir and os.path.isdir(self.cache_dir):
             shutil.rmtree(self.cache_dir, ignore_errors=True)
 

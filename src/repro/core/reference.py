@@ -24,6 +24,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..nn import init
 from ..nn.module import Module
 from ..nn.tensor import no_grad
 from ..quantization import PRECISIONS, QuantizationSpec, quantize_state_dict
@@ -103,13 +104,28 @@ class ReferenceModel:
         return self.model
 
     def _install(self, weights: Dict[str, np.ndarray]) -> None:
-        """Build a fresh reference model from ``weights`` and hook it."""
-        self.model = self.model_factory()
-        self.model.load_state_dict(weights)
-        self.model.eval()
-        for path in building_blocks(self.model):
-            self.model.get_submodule(path).register_forward_hook(self._count_block)
-        self.recorder = None
+        """Load ``weights`` into the reference model and (re-)hook it.
+
+        An existing model is reused (an in-place rollback restores into a live
+        trainer); the first one is built without drawing initial weights,
+        since every parameter is overwritten — which is checked: a snapshot
+        that misses one is refused, never run on stale or uninitialised values.
+        """
+        model = self.model
+        if model is None:
+            with init.skip_random_init():
+                model = self.model_factory()
+            model.eval()
+            for path in building_blocks(model):
+                model.get_submodule(path).register_forward_hook(self._count_block)
+        missing = [name for name, _ in model.named_parameters() if name not in weights]
+        if missing:
+            raise KeyError(f"reference snapshot lacks parameter(s) {missing}")
+        model.load_state_dict(weights)
+        self.model = model
+        if self.recorder is not None:
+            self.recorder.remove()
+            self.recorder = None
         self.monitor(self._monitored_paths)
 
     def _count_block(self, _module, _inputs, _output) -> None:

@@ -4,12 +4,18 @@ Provides Kaiming (He) and Xavier (Glorot) initialisers along with simple
 uniform/normal/constant fills.  All initialisers take an explicit
 ``numpy.random.Generator`` so model construction is fully deterministic given
 a seed — a requirement for reproducible benchmark runs.
+
+A model built only to receive a snapshot (the reference model) is constructed
+under :func:`skip_random_init`: its random initialisers then hand back
+uninitialised storage of the right shape and draw nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Optional, Tuple
+from contextlib import contextmanager
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +29,36 @@ __all__ = [
     "zeros",
     "ones",
     "compute_fans",
+    "skip_random_init",
 ]
+
+_SKIP_RANDOM = False
+
+
+@contextmanager
+def skip_random_init() -> Iterator[None]:
+    """Inside, the random initialisers return ``np.empty`` float32 arrays and touch no generator.
+
+    For building a model whose every parameter is about to be overwritten by
+    ``load_state_dict``; the caller must check that the snapshot names them
+    all.  The constant fills (:func:`zeros`, :func:`ones`) are unaffected.
+    """
+    global _SKIP_RANDOM
+    previous, _SKIP_RANDOM = _SKIP_RANDOM, True
+    try:
+        yield
+    finally:
+        _SKIP_RANDOM = previous
+
+
+def _random(initialiser):
+    """Mark ``initialiser(shape, ...)`` as one :func:`skip_random_init` switches off."""
+    @functools.wraps(initialiser)
+    def wrapper(shape, *args, **kwargs):
+        if _SKIP_RANDOM:
+            return np.empty(shape, dtype=np.float32)
+        return initialiser(shape, *args, **kwargs)
+    return wrapper
 
 
 def compute_fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
@@ -47,6 +82,7 @@ def _rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
     return rng if rng is not None else np.random.default_rng()
 
 
+@_random
 def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
     """He-uniform initialisation suited to ReLU networks."""
     fan_in, _ = compute_fans(shape)
@@ -54,6 +90,7 @@ def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None, gain: floa
     return _rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+@_random
 def kaiming_normal(shape, rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
     """He-normal initialisation suited to ReLU networks."""
     fan_in, _ = compute_fans(shape)
@@ -61,6 +98,7 @@ def kaiming_normal(shape, rng: Optional[np.random.Generator] = None, gain: float
     return (_rng(rng).standard_normal(shape) * std).astype(np.float32)
 
 
+@_random
 def xavier_uniform(shape, rng: Optional[np.random.Generator] = None, gain: float = 1.0) -> np.ndarray:
     """Glorot-uniform initialisation suited to tanh/linear/attention layers."""
     fan_in, fan_out = compute_fans(shape)
@@ -68,6 +106,7 @@ def xavier_uniform(shape, rng: Optional[np.random.Generator] = None, gain: float
     return _rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
 
 
+@_random
 def xavier_normal(shape, rng: Optional[np.random.Generator] = None, gain: float = 1.0) -> np.ndarray:
     """Glorot-normal initialisation."""
     fan_in, fan_out = compute_fans(shape)
@@ -75,10 +114,12 @@ def xavier_normal(shape, rng: Optional[np.random.Generator] = None, gain: float 
     return (_rng(rng).standard_normal(shape) * std).astype(np.float32)
 
 
+@_random
 def uniform(shape, low: float = -0.1, high: float = 0.1, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     return _rng(rng).uniform(low, high, size=shape).astype(np.float32)
 
 
+@_random
 def normal(shape, mean: float = 0.0, std: float = 0.02, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     return (mean + std * _rng(rng).standard_normal(shape)).astype(np.float32)
 

@@ -195,17 +195,21 @@ class Module:
         return state
 
     def load_state_dict(self, state: Dict[str, np.ndarray], prefix: str = "") -> None:
-        """Load a snapshot previously produced by :meth:`state_dict`."""
+        """Load a snapshot previously produced by :meth:`state_dict`.
+
+        The module adopts the arrays of ``state`` (float32 parameters and all
+        buffers are not copied): :meth:`state_dict`, a checkpoint backend's
+        ``read_object`` and ``quantize_state_dict`` each hand out fresh arrays,
+        so load one snapshot into one module.
+        """
         for name, param in self._parameters.items():
             key = prefix + name
             if key in state:
                 param.data = np.asarray(state[key], dtype=np.float32).reshape(param.shape)
-        for name in list(self._buffers.keys()):
+        for name in self._buffers:
             key = prefix + name
             if key in state:
-                new_val = np.array(state[key], copy=True)
-                self._buffers[name] = new_val
-                object.__setattr__(self, name, new_val)
+                self.register_buffer(name, np.asarray(state[key]))
         for mod_name, module in self._modules.items():
             module.load_state_dict(state, prefix=f"{prefix}{mod_name}.")
 

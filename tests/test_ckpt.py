@@ -2,9 +2,15 @@
 
 import json
 import os
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles.ckpt_reference import ReferenceCheckpointManager, reference_tensor_digest
 
 from repro.ckpt import (
     CheckpointManager,
@@ -14,6 +20,7 @@ from repro.ckpt import (
     split_state,
     tensor_digest,
 )
+from repro.core import ActivationCache, ReferenceModel
 from repro.core.modules import parse_layer_modules
 from repro.experiments import build_trainer, build_workload
 from repro.models import resnet8
@@ -209,19 +216,45 @@ def _history_rows(history):
              r.frozen_fraction, r.cached_fp) for r in history.records]
 
 
-@pytest.mark.parametrize("system,total_epochs,resume_epoch", [
-    ("vanilla", 6, 3),
-    ("egeria", 8, 4),
+def _enable_dropout(trainer, p=0.1):
+    """The registry models build their Dropout layers with p = 0 (no draw) and unseeded; switch them on."""
+    from repro import nn
+
+    layers = [module for module in trainer.model.modules() if isinstance(module, nn.Dropout)]
+    for index, layer in enumerate(layers):
+        layer.p = p
+        layer.reseed(1000 + index)
+    return layers
+
+
+@pytest.mark.parametrize("workload_name,system,total_epochs,resume_epoch,in_place", [
+    pytest.param("resnet56_cifar10", "vanilla", 6, 3, False, id="vanilla-6-3"),
+    pytest.param("resnet56_cifar10", "egeria", 8, 4, False, id="egeria-8-4"),
+    pytest.param("transformer_tiny_wmt16", "egeria", 8, 4, False, id="egeria-dropout-8-4"),
+    pytest.param("resnet56_cifar10", "egeria", 12, 6, True, id="egeria-in-place-12-6"),
+    pytest.param("transformer_tiny_wmt16", "egeria", 8, 4, True, id="egeria-dropout-in-place-8-4"),
 ])
-def test_trainer_resume_is_bit_exact(system, total_epochs, resume_epoch):
+def test_trainer_resume_is_bit_exact(workload_name, system, total_epochs, resume_epoch, in_place):
     """Restoring mid-run reproduces the uninterrupted run's exact trajectory.
 
-    The Egeria variant checkpoints *before* the first freeze fires, so the
+    ``egeria-8-4`` checkpoints *before* the first freeze fires, so the
     restored run must also reproduce the same freezing decisions afterwards.
+    The transformer runs with its Dropout layers switched on: the per-layer
+    generators resume mid-stream, and installing the restored reference model
+    must not disturb them.  ``in_place`` is the ``TrainerJob`` rollback: the
+    trainer that saved trains two epochs further, restores into itself (its
+    reference model, if it has one by then, is reused) and goes on.
     """
-    workload = build_workload("resnet56_cifar10", scale="tiny", seed=0)
+    workload = build_workload(workload_name, scale="tiny", seed=0)
+    dropout = workload_name == "transformer_tiny_wmt16"
 
-    uninterrupted = build_trainer(system, workload)
+    def build():
+        trainer = build_trainer(system, workload)
+        if dropout:
+            assert _enable_dropout(trainer)
+        return trainer
+
+    uninterrupted = build()
     full_history = uninterrupted.fit(total_epochs)
     full_timeline = (uninterrupted.freezing_timeline()
                      if hasattr(uninterrupted, "freezing_timeline") else [])
@@ -229,16 +262,24 @@ def test_trainer_resume_is_bit_exact(system, total_epochs, resume_epoch):
         uninterrupted.close()
 
     manager = CheckpointManager(MemoryBackend())
-    first_leg = build_trainer(system, workload)
+    first_leg = build()
     first_leg.configure_checkpointing(manager, checkpoint_every=resume_epoch)
     first_leg.fit(resume_epoch)
-    if hasattr(first_leg, "close"):
-        first_leg.close()
-    assert manager.latest() is not None
+    checkpoint_id = manager.latest()
+    assert checkpoint_id is not None
 
-    resumed = build_trainer(system, workload)
-    resumed.configure_checkpointing(manager)
-    resumed.restore()
+    if in_place:
+        first_leg.fit(resume_epoch + 2)
+        assert first_leg.reference.model is not None, "scenario needs a live reference model to roll back"
+        reference_model = first_leg.reference.model
+        resumed = first_leg.restore(checkpoint_id)
+        assert resumed.reference.model in (reference_model, None)
+    else:
+        if hasattr(first_leg, "close"):
+            first_leg.close()
+        resumed = build()
+        resumed.configure_checkpointing(manager)
+        resumed.restore()
     resumed_history = resumed.fit(total_epochs)
     resumed_timeline = (resumed.freezing_timeline()
                         if hasattr(resumed, "freezing_timeline") else [])
@@ -340,6 +381,390 @@ def test_checkpoint_bytes_shrink_as_prefix_advances():
     assert len(prefixes) >= 2, "scenario needs the prefix to advance"
     for smaller, larger in zip(prefixes, prefixes[1:]):
         assert best_by_prefix[larger] < best_by_prefix[smaller]
+
+
+# --------------------------------------------------------------------------- #
+# The save path against its oracle (tests/oracles/ckpt_reference.py)
+# --------------------------------------------------------------------------- #
+def _store_contents(backend):
+    """``(manifest text by checkpoint id, object bytes by digest)`` of either backend."""
+    if isinstance(backend, MemoryBackend):
+        return (dict(backend._manifests),
+                {digest: (array.dtype.str, array.shape, array.tobytes())
+                 for digest, array in backend._objects.items()})
+
+    def read(directory):
+        contents = {}
+        for name in os.listdir(directory):
+            with open(os.path.join(directory, name), "rb") as handle:
+                contents[name] = handle.read()
+        return contents
+
+    return read(backend.manifests_dir), read(backend.objects_dir)
+
+
+def _egeria_life_cycle(epochs=18):
+    """Yield a seed-0 ``EgeriaTrainer`` after each epoch of the benchmark's CNN run.
+
+    18 tiny-scale epochs pass through bootstrapping, the first freeze, both
+    LR-drop unfreezes with their refreezes, and several reference updates.
+    """
+    workload = build_workload("resnet56_cifar10", scale="tiny", seed=0)
+    trainer = build_trainer("egeria", workload)
+    try:
+        for epoch in range(1, epochs + 1):
+            trainer.fit(epoch)
+            yield trainer
+        actions = Counter(event["action"] for event in trainer.freezing_timeline())
+        assert actions["freeze"] + actions["refreeze"] >= 2 and actions["unfreeze"] >= 1
+        assert trainer.controller.reference_updates >= 1
+    finally:
+        trainer.close()
+
+
+def test_save_leaves_the_store_the_oracle_leaves(tmp_path):
+    """Manifest text, object names and object bytes equal the four-pass oracle's, on both backends."""
+    pairs = [(CheckpointManager(MemoryBackend()), ReferenceCheckpointManager(MemoryBackend())),
+             (CheckpointManager(DirectoryBackend(str(tmp_path / "new"))),
+              ReferenceCheckpointManager(DirectoryBackend(str(tmp_path / "oracle"))))]
+    saved = []
+    for trainer in _egeria_life_cycle():
+        state = trainer.state_dict()
+        meta = {"epoch": len(saved), "frozen_prefix": trainer.frozen_prefix(),
+                "frozen_fraction": np.float64(trainer.frozen_fraction())}
+        infos = [manager.save(state, step=trainer.iteration, meta=meta)
+                 for pair in pairs for manager in pair]
+        assert all(info == infos[0] for info in infos)
+        saved.append(split_state(state)[0])
+    assert 0 < infos[0].num_new_tensors < infos[0].num_tensors  # the last save wrote some tensors, not all
+
+    for manager, oracle in pairs:
+        manifests, objects = _store_contents(manager.backend)
+        oracle_manifests, oracle_objects = _store_contents(oracle.backend)
+        assert manifests == oracle_manifests
+        assert objects.keys() == oracle_objects.keys()
+        assert objects == oracle_objects
+        # Either side's store restores under the other: same ids, same states.
+        crossed = CheckpointManager(oracle.backend), ReferenceCheckpointManager(manager.backend)
+        for reader in crossed:
+            assert reader.list_checkpoints() == manager.list_checkpoints()
+            for checkpoint_id, tree in zip(reader.list_checkpoints(), saved):
+                assert split_state(reader.restore(checkpoint_id))[0] == tree
+
+
+def test_save_of_a_non_dict_state_matches_the_oracle():
+    state = [np.arange(4, dtype=np.float32), {"x": np.float32(2.5), "y": (1, np.arange(4, dtype=np.float32))}]
+    manager, oracle = CheckpointManager(MemoryBackend()), ReferenceCheckpointManager(MemoryBackend())
+    assert manager.save(state, step=3) == oracle.save(state, step=3)
+    assert _store_contents(manager.backend) == _store_contents(oracle.backend)
+    assert manager.inspect()["bytes_written_by_section"] == {}
+
+
+_LAYOUTS = {
+    "c": np.ascontiguousarray,
+    "f": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2] if a.ndim else a,
+    "reversed": lambda a: a[..., ::-1] if a.ndim else a,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(array=hnp.arrays(dtype=st.one_of(hnp.boolean_dtypes(), hnp.integer_dtypes(), hnp.unsigned_integer_dtypes(),
+                                        hnp.floating_dtypes(), hnp.complex_number_dtypes(),
+                                        hnp.datetime64_dtypes()),
+                        shape=hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5)),
+       layout=st.sampled_from(sorted(_LAYOUTS)))
+def test_tensor_digest_names_every_array_as_the_oracle_does(array, layout):
+    """Digests are object names on disk: dtype x shape (0-d and 0-size too) x memory layout."""
+    array = _LAYOUTS[layout](array)
+    assert tensor_digest(array) == reference_tensor_digest(array)
+
+
+def test_zero_dim_array_digests_as_shape_one():
+    assert tensor_digest(np.array(3.0, dtype=np.float32)) == tensor_digest(np.full((1,), 3.0, dtype=np.float32))
+
+
+# --------------------------------------------------------------------------- #
+# Exact work counters of a round trip (no wall clock)
+# --------------------------------------------------------------------------- #
+def _count_nodes(value):
+    """``(nodes, array leaves)`` of a nested state."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        counts = [_count_nodes(child) for child in value]
+        return 1 + sum(c[0] for c in counts), sum(c[1] for c in counts)
+    return 1, int(isinstance(value, np.ndarray))
+
+
+def _ckpt_calls(fn, *args, **kwargs):
+    """Run ``fn`` counting the Python calls into ``repro/ckpt/{manager,serialization}.py`` by name."""
+    calls = Counter()
+    files = tuple(os.path.join("repro", "ckpt", name) for name in ("manager.py", "serialization.py"))
+
+    def profiler(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.endswith(files):
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_save_walks_the_state_once_and_digests_each_array_once():
+    workload = build_workload("resnet56_cifar10", scale="tiny", seed=0)
+    trainer = build_trainer("egeria", workload)
+    trainer.fit(6)  # past the first freeze: reference snapshot and cache entries are in the state
+    state = trainer.state_dict()
+    trainer.close()
+    meta = {"epoch": 5, "frozen_fraction": np.float64(0.25), "nested": {"a": [1, 2]}}
+    nodes, arrays = _count_nodes(state)
+    assert arrays > 100
+
+    info, calls = _ckpt_calls(CheckpointManager(MemoryBackend()).save, state, 42, meta)
+    comprehensions = {name for name in calls if name.startswith("<")}  # inlined from Python 3.12 on
+    assert set(calls) - comprehensions == {"save", "split_state", "walk", "tensor_digest", "jsonify_scalars"}
+    assert calls["save"] == 1
+    assert calls["split_state"] == len(state)             # one per top-level section
+    assert calls["walk"] == nodes - 1                     # every node below the top-level dict, once
+    assert calls["tensor_digest"] == arrays
+    assert calls["jsonify_scalars"] == _count_nodes(meta)[0]  # the meta only, never the state tree
+    assert info.num_tensors <= arrays
+    assert not hasattr(CheckpointManager, "_section_bytes")
+
+
+def test_restore_walks_the_tree_once_and_reads_each_placeholder_once():
+    state = {"a": {"w": np.ones(3, dtype=np.float32), "v": np.ones(3, dtype=np.float32)}, "b": [1, 2.0, None]}
+    manager = CheckpointManager(MemoryBackend())
+    manager.save(state, step=1)
+    reads = []
+    read_object = manager.backend.read_object
+    manager.backend.read_object = lambda digest: reads.append(digest) or read_object(digest)
+    restored, calls = _ckpt_calls(manager.restore)
+    assert calls["join_state"] == _count_nodes(state)[0]
+    assert len(reads) == 2 and len(set(reads)) == 1  # one stored object, two independent copies
+    assert restored["a"]["w"] is not restored["a"]["v"]
+    restored["a"]["w"][:] = 7.0
+    assert np.array_equal(manager.restore()["a"]["w"], np.ones(3, dtype=np.float32))
+
+
+def test_split_state_table_holds_the_callers_arrays_and_backends_copy():
+    array = np.arange(6, dtype=np.float32)
+    _, tensors = split_state({"w": array})
+    assert next(iter(tensors.values())) is array
+    manager = CheckpointManager(MemoryBackend())
+    manager.save({"w": array}, step=1)
+    array[:] = -1.0  # the caller's array is its own again after save()
+    assert np.array_equal(manager.restore()["w"], np.arange(6, dtype=np.float32))
+
+
+def _slab_rows(cache_dir, manifest):
+    """The listed rows of the manifest's slab file, read through a fresh mapping."""
+    entries = manifest["entries"]
+    path = os.path.join(cache_dir, f"slab_g{manifest['generation']}.f32")
+    row_shape = tuple(entries["row_shape"])
+    rows_on_disk = os.path.getsize(path) // (int(np.prod(row_shape)) * 4)
+    slab = np.memmap(path, dtype=np.float32, mode="r", shape=(rows_on_disk, *row_shape))
+    return {sample: np.array(slab[sample]) for sample in entries["samples"]}
+
+
+def test_clean_slab_is_not_flushed_and_listed_rows_are_on_disk(monkeypatch):
+    """Over the seed-0 run ``mmap.flush`` runs on the saves that stored a still-listed row, no other."""
+    flushes = []
+    flush = np.memmap.flush
+    monkeypatch.setattr(np.memmap, "flush", lambda self: flushes.append(1) or flush(self))
+    stored = {}      # sample id -> its slab row as stored, this cache generation
+    pending = set()  # of those, the ones stored since the last manifest()
+    store_batch, invalidate = ActivationCache.store_batch, ActivationCache.invalidate
+
+    def recording_store_batch(self, sample_ids, activations):
+        count = store_batch(self, sample_ids, activations)
+        if count:
+            rows = np.asarray(activations, dtype=np.float32).transpose(self._order)
+            stored.update(zip(np.asarray(sample_ids).tolist(), np.array(rows)))
+            pending.update(np.asarray(sample_ids).tolist())
+        return count
+
+    def recording_invalidate(self):
+        stored.clear()
+        pending.clear()
+        invalidate(self)
+
+    monkeypatch.setattr(ActivationCache, "store_batch", recording_store_batch)
+    monkeypatch.setattr(ActivationCache, "invalidate", recording_invalidate)
+
+    flushed_saves, listed_saves = [], []
+    for epoch, trainer in enumerate(_egeria_life_cycle(), start=1):
+        before = len(flushes)
+        manifest = trainer.cache.manifest()
+        assert len(flushes) - before == bool(pending), epoch
+        if pending:
+            flushed_saves.append(epoch)
+        pending.clear()
+        before = len(flushes)
+        if manifest["entries"]:
+            listed_saves.append(epoch)
+            on_disk = _slab_rows(trainer.cache.cache_dir, manifest)
+            assert sorted(on_disk) == sorted(stored)
+            assert all(np.array_equal(row, stored[sample]) for sample, row in on_disk.items()), epoch
+        # A second manifest() right away finds the slab clean and says the same.
+        assert trainer.cache.manifest() == manifest and len(flushes) == before
+    assert flushed_saves == [5, 6, 11, 13, 15, 16, 17]
+    # Flushing whenever a slab is mapped (before PR 23) flushed on all of these:
+    assert len(listed_saves) == 13
+
+
+def test_unflushed_rows_survive_a_remap_and_are_flushed_by_the_next_manifest(tmp_path, monkeypatch):
+    flushes = []
+    flush = np.memmap.flush
+    monkeypatch.setattr(np.memmap, "flush", lambda self: flushes.append(1) or flush(self))
+    rng = np.random.default_rng(0)
+    with ActivationCache(cache_dir=str(tmp_path), batch_size=4) as cache:
+        assert cache.manifest()["entries"] == {} and not flushes
+        first = rng.standard_normal((4, 3, 2)).astype(np.float32)
+        cache.store_batch([0, 1, 2, 3], first)
+        later = rng.standard_normal((4, 3, 2)).astype(np.float32)
+        cache.store_batch([40, 41, 42, 43], later)  # grows the id tables: the slab is re-mapped
+        manifest = cache.manifest()
+        assert len(flushes) == 1
+        on_disk = _slab_rows(str(tmp_path), manifest)
+        assert sorted(on_disk) == [0, 1, 2, 3, 40, 41, 42, 43]
+        assert np.array_equal(np.stack([on_disk[i] for i in (0, 1, 2, 3)]), first)
+        assert np.array_equal(np.stack([on_disk[i] for i in (40, 41, 42, 43)]), later)
+        cache.manifest()
+        assert len(flushes) == 1
+        cache.store_batch([1], first[:1])
+        cache.new_generation()  # the dirty slab is dropped with its file: nothing left to flush
+        assert cache.manifest()["entries"] == {} and len(flushes) == 1
+        cache.store_batch([5], first[:1])
+        cache.load_manifest(manifest)  # forgets the unflushed row with its mapping
+        cache.manifest()
+        assert len(flushes) == 1
+
+
+# --------------------------------------------------------------------------- #
+# Installing the reference model from a snapshot
+# --------------------------------------------------------------------------- #
+class _CountingGenerator:
+    """Stands in for ``np.random.default_rng(seed)``: counts every method call, then delegates."""
+
+    draws = Counter()
+
+    def __init__(self, *args, **kwargs):
+        self._generator = _DEFAULT_RNG(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attribute = getattr(self._generator, name)
+        if not callable(attribute):
+            return attribute
+
+        def counted(*args, **kwargs):
+            _CountingGenerator.draws[name] += 1
+            return attribute(*args, **kwargs)
+        return counted
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+def test_restore_into_a_fresh_trainer_draws_no_initial_weights(monkeypatch):
+    """``_install`` builds the reference without a random draw and leaves every RNG stream alone."""
+    workload = build_workload("transformer_tiny_wmt16", scale="tiny", seed=0)
+    manager = CheckpointManager(MemoryBackend())
+    trainer = build_trainer("egeria", workload)
+    _enable_dropout(trainer)
+    trainer.configure_checkpointing(manager, checkpoint_every=4)
+    trainer.fit(4)
+    snapshot = trainer.reference.state_dict()["model"]
+    assert snapshot is not None, "scenario needs a reference model by epoch 4"
+    trainer.close()
+
+    fresh = build_trainer("egeria", workload)
+    dropouts = _enable_dropout(fresh)
+    observed = {}
+    install = ReferenceModel._install
+
+    def observing_install(self, weights):
+        streams = lambda: (np.random.get_state(), [layer._rng.bit_generator.state for layer in dropouts])
+        before = streams()
+        _CountingGenerator.draws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", _CountingGenerator)
+            install(self, weights)
+        observed["draws"] = dict(_CountingGenerator.draws)
+        after = streams()
+        observed["global_untouched"] = all(np.array_equal(a, b) for a, b in zip(before[0], after[0]))
+        observed["layers_untouched"] = before[1] == after[1]
+
+    monkeypatch.setattr(ReferenceModel, "_install", observing_install)
+    fresh.configure_checkpointing(manager)
+    fresh.restore()
+    assert observed == {"draws": {}, "global_untouched": True, "layers_untouched": True}
+    # The installed reference is the snapshot, bit for bit, in the snapshot's key order.
+    installed = fresh.reference.model.state_dict()
+    assert list(installed) == list(snapshot)
+    assert all(np.array_equal(installed[key], snapshot[key]) and installed[key].dtype == snapshot[key].dtype
+               for key in snapshot)
+    fresh.close()
+
+    # The counter does count: the same factory outside _install draws its initial weights.
+    monkeypatch.setattr(np.random, "default_rng", _CountingGenerator)
+    _CountingGenerator.draws.clear()
+    workload.model_factory()
+    assert _CountingGenerator.draws["uniform"] + _CountingGenerator.draws["standard_normal"] > 0
+
+
+def test_reference_refuses_a_snapshot_that_lacks_a_parameter():
+    factory = lambda: resnet8(num_classes=4, width=0.5, seed=0)
+    snapshot = factory().state_dict()
+    missing = "layer1.0.conv1.weight"
+    assert missing in snapshot
+    partial = {key: value for key, value in snapshot.items() if key != missing}
+
+    reference = ReferenceModel(factory, precision="float32")
+    with pytest.raises(KeyError, match=missing):
+        reference.load_state_dict({"model": partial, "monitored_paths": [], "stats": {}})
+    assert reference.model is None  # nothing half-built is left to run
+
+    class Truncated:  # a training model of another architecture: its snapshot lacks the stem
+        def state_dict(self):
+            return partial
+
+    with pytest.raises(KeyError, match=missing):
+        reference.generate(Truncated())
+    assert reference.model is None
+
+    reference.load_state_dict({"model": snapshot, "monitored_paths": [], "stats": {}})
+    installed = reference.model
+    with pytest.raises(KeyError, match=missing):  # reusing the live model: refused before anything is loaded
+        reference.load_state_dict({"model": {**partial, "conv1.weight": snapshot["conv1.weight"] + 1.0},
+                                   "monitored_paths": [], "stats": {}})
+    assert reference.model is installed
+    assert all(np.array_equal(value, snapshot[key]) for key, value in installed.state_dict().items())
+
+
+def test_skip_random_init_only_inside_the_context():
+    from repro.nn import init
+
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with init.skip_random_init():
+        for initialiser in (init.kaiming_uniform, init.kaiming_normal, init.xavier_uniform,
+                            init.xavier_normal, init.uniform, init.normal):
+            out = initialiser((3, 4), rng=rng)
+            assert out.shape == (3, 4) and out.dtype == np.float32
+        assert np.array_equal(init.zeros((2,)), np.zeros(2)) and np.array_equal(init.ones((2,)), np.ones(2))
+    assert rng.bit_generator.state == state
+    drawn = init.kaiming_uniform((3, 4), rng=rng)
+    assert rng.bit_generator.state != state
+    assert np.array_equal(drawn, init.kaiming_uniform((3, 4), rng=np.random.default_rng(0)))
+    with pytest.raises(RuntimeError):
+        with init.skip_random_init():
+            raise RuntimeError
+    assert init.kaiming_uniform((2, 2), rng=np.random.default_rng(1)).std() > 0  # switched back on
 
 
 # --------------------------------------------------------------------------- #
