@@ -292,6 +292,11 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What a malformed scenario file can raise while it is read, built or run;
+#: ``sim run``, ``sim profile`` and ``sim faults`` turn these into exit code 2.
+_SCENARIO_ERRORS = (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError)
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
     if args.sim_command == "sweep":
         return _cmd_sim_sweep(args)
@@ -308,7 +313,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         report = run_scenario(args.scenario,
                               default_policy=args.policy,
                               trace_out=args.trace_out, metrics_out=args.metrics_out)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as error:
+    except _SCENARIO_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     payload = json.dumps(report, indent=2, sort_keys=True)
@@ -332,7 +337,7 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _cmd_sim_faults(args: argparse.Namespace) -> int:
     try:
         plan = preview_faults(args.scenario, default_policy=args.policy)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
+    except _SCENARIO_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     payload = json.dumps(plan, indent=2, sort_keys=True)
@@ -349,7 +354,7 @@ def _cmd_sim_profile(args: argparse.Namespace) -> int:
     try:
         report = profile_scenario(args.scenario, top=args.top, sort=args.sort,
                                   default_policy=args.policy)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as error:
+    except _SCENARIO_ERRORS as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     diff = None

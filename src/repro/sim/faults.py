@@ -44,22 +44,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cluster import Cluster
 from .scheduler import ClusterScheduler
 
-__all__ = ["FaultEvent", "FaultPlan", "parse_faults", "generate_fault_events",
-           "apply_fault_plan"]
-
-#: Every fault-event kind the model understands, in dispatch order.
-EVENT_KINDS = ("fail_gpu", "fail_machine", "fail_rack", "fail_tor",
-               "degrade_link", "spot_evict")
-
-#: Stochastic-generator domain names and the event kind each emits.
-GENERATOR_DOMAINS = {"gpu": "fail_gpu", "machine": "fail_machine",
-                     "rack": "fail_rack", "tor": "fail_tor",
-                     "link": "degrade_link", "spot": "spot_evict"}
+__all__ = ["FaultEvent", "FaultPlan", "FAULT_KINDS", "parse_faults",
+           "generate_fault_events", "apply_fault_plan"]
 
 _FAULTS_KEYS = ("events", "spot", "backoff", "seed", "horizon_seconds",
                 "mttf_seconds", "mttf_hours", "mttr_seconds", "domains",
@@ -129,47 +120,131 @@ def _check_keys(mapping: Dict[str, object], allowed: Sequence[str],
                              f"expected one of {sorted(allowed)}")
 
 
+def _gpu_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    return [gpu.name for gpu in cluster.all_gpus()]
+
+
+def _machine_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    return [machine.name for machine in cluster.machines]
+
+
+def _rack_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    return [str(index) for index in range(cluster.spec.num_tor_switches)]
+
+
+def _tor_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    if not cluster.has_per_tor_fabric:
+        raise ValueError("domain 'tor' requires per_tor_fabric topology")
+    return _rack_pool(cluster, spot_gpus)
+
+
+def _link_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    pool = sorted(name for name, resource in cluster.resources.items()
+                  if resource.kind == "link")
+    if not pool:
+        raise ValueError("domain 'link' needs at least one link resource")
+    return pool
+
+
+def _spot_pool(cluster: Cluster, spot_gpus: Sequence[str]) -> List[str]:
+    if not spot_gpus:
+        raise ValueError("domain 'spot' needs faults.spot.gpus to pick victims from")
+    return list(spot_gpus)
+
+
+def _check_gpu(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+               context: str) -> None:
+    gpu_names = _gpu_pool(cluster, spot_gpus)
+    if event.target not in gpu_names:
+        raise ValueError(f"{context}: unknown GPU {event.target!r}; "
+                         f"known: {sorted(gpu_names)}")
+
+
+def _check_spot(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+                context: str) -> None:
+    _check_gpu(event, cluster, spot_gpus, context)
+    if event.target not in spot_gpus:
+        raise ValueError(f"{context}: spot_evict target {event.target!r} is not "
+                         f"in faults.spot.gpus {sorted(spot_gpus)}; only "
+                         f"preemptible GPUs can be spot-evicted")
+
+
+def _check_machine(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+                   context: str) -> None:
+    cluster.gpus_on_machine(event.target)  # KeyError with known names
+
+
+def _check_rack(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+                context: str) -> None:
+    try:
+        tor_index = int(event.target)
+    except (TypeError, ValueError):
+        raise ValueError(f"{context}: {event.kind} target must be a ToR index, "
+                         f"got {event.target!r}") from None
+    cluster.machines_on_tor(tor_index)  # KeyError if out of range
+
+
+def _check_tor(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+               context: str) -> None:
+    _check_rack(event, cluster, spot_gpus, context)
+    if not cluster.has_per_tor_fabric:
+        raise ValueError(f"{context}: fail_tor requires per_tor_fabric "
+                         f"topology (the ToR uplink resource is the "
+                         f"failure's whole effect)")
+
+
+def _check_link(event: FaultEvent, cluster: Cluster, spot_gpus: Sequence[str],
+                context: str) -> None:
+    if event.target not in cluster.resources:
+        raise ValueError(f"{context}: unknown resource {event.target!r}; "
+                         f"known: {sorted(cluster.resources)}")
+    if event.gbps is None or event.gbps <= 0:
+        raise ValueError(f"{context}: degrade_link needs a positive 'gbps', "
+                         f"got {event.gbps!r}")
+
+
+class _FaultKind(NamedTuple):
+    """Everything the parser, the generator and the applier know about a kind."""
+
+    #: Stochastic-generator domain name that emits this kind.
+    domain: str
+    #: ``(cluster, spot_gpus)`` -> the ordered targets the generator draws
+    #: from; raises ``ValueError`` when the topology offers the domain none.
+    pool: Callable[[Cluster, Sequence[str]], List[str]]
+    #: ``(event, cluster, spot_gpus, context)`` -> validates the target.
+    check: Callable[[FaultEvent, Cluster, Sequence[str], str], None]
+    #: :class:`ClusterScheduler` knob, called ``(target, at_time, recover_at)``.
+    method: str
+    #: The knob takes a degraded capacity between ``target`` and ``at_time``.
+    gbps: bool = False
+
+
+#: One row per fault kind, in dispatch order — the only place the kinds are
+#: listed (``docs/faults.md``, "Adding a fault kind").
+FAULT_KINDS: Dict[str, _FaultKind] = {
+    "fail_gpu": _FaultKind("gpu", _gpu_pool, _check_gpu, "inject_failure"),
+    "fail_machine": _FaultKind("machine", _machine_pool, _check_machine, "fail_machine"),
+    "fail_rack": _FaultKind("rack", _rack_pool, _check_rack, "fail_rack"),
+    "fail_tor": _FaultKind("tor", _tor_pool, _check_tor, "fail_tor"),
+    "degrade_link": _FaultKind("link", _link_pool, _check_link, "degrade_link", gbps=True),
+    "spot_evict": _FaultKind("spot", _spot_pool, _check_spot, "evict_spot"),
+}
+
+
 def _validate_event(event: FaultEvent, cluster: Cluster,
                     spot_gpus: Sequence[str], context: str) -> None:
     """Validate one event's kind, target and times against the topology."""
-    if event.kind not in EVENT_KINDS:
+    row = FAULT_KINDS.get(event.kind)
+    if row is None:
         raise ValueError(f"{context}: unknown fault kind {event.kind!r}; "
-                         f"expected one of {sorted(EVENT_KINDS)}")
+                         f"expected one of {sorted(FAULT_KINDS)}")
     if event.at_time < 0:
         raise ValueError(f"{context}: at_time must be >= 0, got {event.at_time}")
     if event.recover_at is not None and event.recover_at <= event.at_time:
         raise ValueError(f"{context}: recover_at ({event.recover_at}) must come "
                          f"after at_time ({event.at_time})")
-    gpu_names = {gpu.name for gpu in cluster.all_gpus()}
-    if event.kind in ("fail_gpu", "spot_evict"):
-        if event.target not in gpu_names:
-            raise ValueError(f"{context}: unknown GPU {event.target!r}; "
-                             f"known: {sorted(gpu_names)}")
-        if event.kind == "spot_evict" and event.target not in spot_gpus:
-            raise ValueError(f"{context}: spot_evict target {event.target!r} is not "
-                             f"in faults.spot.gpus {sorted(spot_gpus)}; only "
-                             f"preemptible GPUs can be spot-evicted")
-    elif event.kind == "fail_machine":
-        cluster.gpus_on_machine(event.target)  # KeyError with known names
-    elif event.kind in ("fail_rack", "fail_tor"):
-        try:
-            tor_index = int(event.target)
-        except (TypeError, ValueError):
-            raise ValueError(f"{context}: {event.kind} target must be a ToR index, "
-                             f"got {event.target!r}") from None
-        cluster.machines_on_tor(tor_index)  # KeyError if out of range
-        if event.kind == "fail_tor" and not cluster.has_per_tor_fabric:
-            raise ValueError(f"{context}: fail_tor requires per_tor_fabric "
-                             f"topology (the ToR uplink resource is the "
-                             f"failure's whole effect)")
-    elif event.kind == "degrade_link":
-        if event.target not in cluster.resources:
-            raise ValueError(f"{context}: unknown resource {event.target!r}; "
-                             f"known: {sorted(cluster.resources)}")
-        if event.gbps is None or event.gbps <= 0:
-            raise ValueError(f"{context}: degrade_link needs a positive 'gbps', "
-                             f"got {event.gbps!r}")
-    if event.kind != "degrade_link" and event.gbps is not None:
+    row.check(event, cluster, spot_gpus, context)
+    if not row.gbps and event.gbps is not None:
         raise ValueError(f"{context}: 'gbps' only applies to degrade_link events")
 
 
@@ -201,23 +276,13 @@ def generate_fault_events(seed: int, horizon_seconds: float, cluster: Cluster,
         raise ValueError("link_gbps_factor must be in (0, 1)")
     if not domains:
         raise ValueError("domains must name at least one failure domain")
+    by_domain = {row.domain: (kind, row) for kind, row in FAULT_KINDS.items()}
     for domain in domains:
-        if domain not in GENERATOR_DOMAINS:
+        if domain not in by_domain:
             raise ValueError(f"unknown failure domain {domain!r}; expected one "
-                             f"of {sorted(GENERATOR_DOMAINS)}")
-    if "spot" in domains and not spot_gpus:
-        raise ValueError("domain 'spot' needs faults.spot.gpus to pick victims from")
-    if "tor" in domains and not cluster.has_per_tor_fabric:
-        raise ValueError("domain 'tor' requires per_tor_fabric topology")
+                             f"of {sorted(by_domain)}")
     # Ordered target pools, derived once from the topology.
-    gpu_pool = [gpu.name for gpu in cluster.all_gpus()]
-    machine_pool = [machine.name for machine in cluster.machines]
-    rack_pool = [str(index) for index in range(cluster.spec.num_tor_switches)]
-    link_pool = sorted(name for name, resource in cluster.resources.items()
-                       if resource.kind == "link")
-    spot_pool = list(spot_gpus)
-    if "link" in domains and not link_pool:
-        raise ValueError("domain 'link' needs at least one link resource")
+    pools = {domain: by_domain[domain][1].pool(cluster, spot_gpus) for domain in domains}
     rng = random.Random(int(seed))
     domain_list = list(domains)
     events: List[FaultEvent] = []
@@ -227,22 +292,15 @@ def generate_fault_events(seed: int, horizon_seconds: float, cluster: Cluster,
         if elapsed >= horizon_seconds:
             return events
         domain = domain_list[rng.randrange(len(domain_list))]
-        kind = GENERATOR_DOMAINS[domain]
+        kind, row = by_domain[domain]
         recover: Optional[float] = None
         if mttr_seconds is not None:
             recover = elapsed + rng.expovariate(1.0 / mttr_seconds)
+        pool = pools[domain]
+        target = pool[rng.randrange(len(pool))]
         gbps: Optional[float] = None
-        if domain == "gpu":
-            target = gpu_pool[rng.randrange(len(gpu_pool))]
-        elif domain == "machine":
-            target = machine_pool[rng.randrange(len(machine_pool))]
-        elif domain in ("rack", "tor"):
-            target = rack_pool[rng.randrange(len(rack_pool))]
-        elif domain == "link":
-            target = link_pool[rng.randrange(len(link_pool))]
+        if row.gbps:
             gbps = cluster.resources[target].bandwidth_gbps * link_gbps_factor
-        else:  # spot
-            target = spot_pool[rng.randrange(len(spot_pool))]
         events.append(FaultEvent(kind=kind, at_time=elapsed, target=target,
                                  recover_at=recover, gbps=gbps))
 
@@ -356,23 +414,9 @@ def apply_fault_plan(scheduler: ClusterScheduler, plan: FaultPlan) -> None:
     if plan.backoff is not None:
         scheduler.set_restart_backoff(*plan.backoff)
     for event in plan.events:
-        if event.kind == "fail_gpu":
-            scheduler.inject_failure(event.target, event.at_time,
-                                     recover_at=event.recover_at)
-        elif event.kind == "fail_machine":
-            scheduler.fail_machine(event.target, event.at_time,
-                                   recover_at=event.recover_at)
-        elif event.kind == "fail_rack":
-            scheduler.fail_rack(int(event.target), event.at_time,
-                                recover_at=event.recover_at)
-        elif event.kind == "fail_tor":
-            scheduler.fail_tor(int(event.target), event.at_time,
-                               recover_at=event.recover_at)
-        elif event.kind == "degrade_link":
-            scheduler.degrade_link(event.target, float(event.gbps or 0.0),
-                                   event.at_time, restore_at=event.recover_at)
-        elif event.kind == "spot_evict":
-            scheduler.evict_spot(event.target, event.at_time,
-                                 rejoin_at=event.recover_at)
-        else:  # pragma: no cover - parse_faults rejects unknown kinds
+        row = FAULT_KINDS.get(event.kind)
+        if row is None:
             raise ValueError(f"unknown fault kind {event.kind!r}")
+        capacity = (float(event.gbps or 0.0),) if row.gbps else ()
+        getattr(scheduler, row.method)(event.target, *capacity, event.at_time,
+                                       event.recover_at)

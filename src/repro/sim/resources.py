@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from .cost_model import CostModel
 from .sanitizer import SimSanitizer
@@ -291,18 +291,23 @@ class BaseResourceTimeline:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
+    def _accounted(self) -> Collection:
+        """What the byte accounting sums: every committed window or admitted
+        transfer, as objects with ``num_bytes``/``job``/``kind``."""
+        return self._records
+
     def busy_seconds(self) -> float:
         """Total capacity-seconds of work committed to the resource."""
         return sum(r.seconds for r in self._records)
 
     def total_bytes(self) -> int:
         """Total payload bytes across every committed window."""
-        return sum(r.num_bytes for r in self._records)
+        return sum(r.num_bytes for r in self._accounted())
 
     def bytes_by_job(self) -> Dict[str, int]:
         """Payload bytes grouped by owning job (``<anonymous>`` if unowned)."""
         totals: Dict[str, int] = {}
-        for record in self._records:
+        for record in self._accounted():
             key = record.job if record.job is not None else "<anonymous>"
             totals[key] = totals.get(key, 0) + record.num_bytes
         return totals
@@ -310,7 +315,7 @@ class BaseResourceTimeline:
     def bytes_by_kind(self) -> Dict[str, int]:
         """Payload bytes grouped by transfer kind (allreduce, checkpoint, ...)."""
         totals: Dict[str, int] = {}
-        for record in self._records:
+        for record in self._accounted():
             totals[record.kind] = totals.get(record.kind, 0) + record.num_bytes
         return totals
 
@@ -320,7 +325,7 @@ class BaseResourceTimeline:
             "resource": self.resource.as_dict(),
             "busy_seconds": self.busy_seconds(),
             "busy_until": self.busy_until,
-            "num_transfers": len(self._records),
+            "num_transfers": len(self._accounted()),
             "total_bytes": self.total_bytes(),
             "bytes_by_job": dict(sorted(self.bytes_by_job().items())),
             "bytes_by_kind": dict(sorted(self.bytes_by_kind().items())),
@@ -705,36 +710,8 @@ class FairShareTimeline(BaseResourceTimeline):
         """
         return sum(t.demand for t in self._transfers.values())
 
-    def total_bytes(self) -> int:
-        """Total payload bytes across every admitted transfer."""
-        return sum(t.num_bytes for t in self._transfers.values())
-
-    def bytes_by_job(self) -> Dict[str, int]:
-        """Payload bytes grouped by owning job (``<anonymous>`` if unowned)."""
-        totals: Dict[str, int] = {}
-        for transfer in self._transfers.values():
-            key = transfer.job if transfer.job is not None else "<anonymous>"
-            totals[key] = totals.get(key, 0) + transfer.num_bytes
-        return totals
-
-    def bytes_by_kind(self) -> Dict[str, int]:
-        """Payload bytes grouped by transfer kind (allreduce, checkpoint, ...)."""
-        totals: Dict[str, int] = {}
-        for transfer in self._transfers.values():
-            totals[transfer.kind] = totals.get(transfer.kind, 0) + transfer.num_bytes
-        return totals
-
-    def as_dict(self) -> Dict[str, object]:
-        """Deterministic plain-data summary of the timeline's occupancy."""
-        return {
-            "resource": self.resource.as_dict(),
-            "busy_seconds": self.busy_seconds(),
-            "busy_until": self.busy_until,
-            "num_transfers": len(self._transfers),
-            "total_bytes": self.total_bytes(),
-            "bytes_by_job": dict(sorted(self.bytes_by_job().items())),
-            "bytes_by_kind": dict(sorted(self.bytes_by_kind().items())),
-        }
+    def _accounted(self) -> Collection:
+        return self._transfers.values()
 
     def _quote_gbps(self) -> float:
         """Fair-share demand is priced at the *nominal* bandwidth.

@@ -107,6 +107,17 @@ _SCENARIO_KEYS = {"cluster", "resources", "placement", "seed", "jobs",
                   "gpu_speeds", "failures", "resizes", "preemptions", "resumes",
                   "faults", "sanitize", "observe"}
 _OBSERVE_KEYS = {"trace", "metrics"}
+#: Scenario knob list -> (scheduler method, required keys, optional keys).  The
+#: keys are the method's positional arguments, in order.
+_KNOBS = {
+    "gpu_speeds": ("set_gpu_speed", ("gpu", "factor"), ("at_time",)),
+    "failures": ("inject_failure", ("gpu", "at_time"), ("recover_at",)),
+    "resizes": ("resize_job", ("job", "delta", "at_time"), ()),
+    "preemptions": ("preempt_job", ("job", "at_time"), ()),
+    "resumes": ("resume_job", ("job", "at_time"), ()),
+}
+_KNOB_CASTS = {"gpu": str, "job": str, "factor": float, "delta": int,
+               "at_time": float, "recover_at": float}
 
 
 def _build_observer(value: object) -> Optional["SimObserver"]:
@@ -162,14 +173,16 @@ def _job_cost_model(spec: Dict) -> CostModel:
     return CostModel(modules, batch_size=int(spec.get("batch_size", workload.batch_size)))
 
 
-def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterScheduler:
-    """Construct a fully-wired :class:`ClusterScheduler` from a scenario dict.
+def _read_spec(scenario: Union[str, Dict]) -> Dict:
+    """A scenario given as a dict (copied) or as the path of a JSON file."""
+    if isinstance(scenario, str):
+        with open(scenario, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    return dict(scenario)
 
-    ``default_policy`` (``"fifo"``/``"fair"``) applies to every resource the
-    scenario does not pin explicitly — the cluster defaults' policies when
-    ``fabric_policy``/``storage_policy`` are absent, and each extra
-    resource's discipline when its ``policy`` key is absent.
-    """
+
+def _build_cluster(spec: Dict, default_policy: Optional[str]) -> Cluster:
+    """Check a scenario's top-level keys and build its cluster and resources."""
     _check_keys(spec, _SCENARIO_KEYS, "scenario")
     if default_policy is not None and default_policy not in SharedResource.POLICIES:
         raise ValueError(f"unknown default policy {default_policy!r}; "
@@ -186,7 +199,18 @@ def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterS
         if default_policy is not None:
             resource_spec.setdefault("policy", default_policy)
         cluster.add_resource(SharedResource(**resource_spec))
+    return cluster
 
+
+def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterScheduler:
+    """Construct a fully-wired :class:`ClusterScheduler` from a scenario dict.
+
+    ``default_policy`` (``"fifo"``/``"fair"``) applies to every resource the
+    scenario does not pin explicitly — the cluster defaults' policies when
+    ``fabric_policy``/``storage_policy`` are absent, and each extra
+    resource's discipline when its ``policy`` key is absent.
+    """
+    cluster = _build_cluster(spec, default_policy)
     sanitize = spec.get("sanitize")
     engine = EventDrivenEngine(cluster,
                                sanitize=None if sanitize is None else bool(sanitize),
@@ -195,9 +219,13 @@ def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterS
                                  placement=str(spec.get("placement", "fifo")),
                                  seed=int(spec.get("seed", 0)))
     jobs = spec.get("jobs") or []
+    if not isinstance(jobs, list):
+        raise ValueError(f"scenario 'jobs' must be a list of objects, got {type(jobs).__name__}")
     if not jobs:
         raise ValueError("scenario has no jobs")
-    for job_spec in jobs:
+    for index, job_spec in enumerate(jobs):
+        if not isinstance(job_spec, dict):
+            raise ValueError(f"jobs[{index}]: expected an object, got {type(job_spec).__name__}")
         _check_keys(job_spec, _JOB_KEYS, "job")
         if "name" not in job_spec:
             raise ValueError("every job needs a 'name'")
@@ -219,34 +247,32 @@ def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterS
             weight=float(job_spec.get("weight", 1.0)),
         ))
 
-    for knob in spec.get("gpu_speeds") or []:
-        scheduler.set_gpu_speed(knob["gpu"], float(knob["factor"]),
-                                at_time=float(knob.get("at_time", 0.0)))
-    for knob in spec.get("failures") or []:
-        recover_at = knob.get("recover_at")
-        scheduler.inject_failure(knob["gpu"], at_time=float(knob["at_time"]),
-                                 recover_at=None if recover_at is None else float(recover_at))
-    for knob in spec.get("resizes") or []:
-        scheduler.resize_job(knob["job"], int(knob["delta"]), at_time=float(knob["at_time"]))
     first_preempt: Dict[str, float] = {}
-    for knob in spec.get("preemptions") or []:
-        at_time = float(knob["at_time"])
-        job_name = str(knob["job"])
-        if job_name not in first_preempt or at_time < first_preempt[job_name]:
-            first_preempt[job_name] = at_time
-        scheduler.preempt_job(job_name, at_time=at_time)
-    for knob in spec.get("resumes") or []:
-        at_time = float(knob["at_time"])
-        job_name = str(knob["job"])
-        # Resume-before-preempt is a scenario bug: the event would pop first
-        # and be ignored, silently leaving the job paused forever.
-        if job_name not in first_preempt:
-            raise ValueError(f"resume of job {job_name!r} at {at_time} has no "
-                             f"matching entry in 'preemptions'")
-        if at_time <= first_preempt[job_name]:
-            raise ValueError(f"resume of job {job_name!r} at {at_time} must come "
-                             f"after its first preemption at {first_preempt[job_name]}")
-        scheduler.resume_job(job_name, at_time=at_time)
+    for name, (method, required, optional) in _KNOBS.items():
+        for index, knob in enumerate(spec.get(name) or []):
+            where = f"{name}[{index}]"
+            if not isinstance(knob, dict):
+                raise ValueError(f"{where}: expected an object, got {type(knob).__name__}")
+            _check_keys(knob, set(required + optional), where)
+            missing = [key for key in required if key not in knob]
+            if missing:
+                raise ValueError(f"{where}: missing required keys {missing}")
+            args = [_KNOB_CASTS[key](knob[key]) for key in required + optional
+                    if key in required or knob.get(key) is not None]
+            if name == "preemptions":
+                job_name, at_time = args
+                first_preempt[job_name] = min(at_time, first_preempt.get(job_name, at_time))
+            elif name == "resumes":
+                # Resume-before-preempt is a scenario bug: the event would pop
+                # first and be ignored, silently leaving the job paused forever.
+                job_name, at_time = args
+                if job_name not in first_preempt:
+                    raise ValueError(f"resume of job {job_name!r} at {at_time} has no "
+                                     f"matching entry in 'preemptions'")
+                if at_time <= first_preempt[job_name]:
+                    raise ValueError(f"resume of job {job_name!r} at {at_time} must come "
+                                     f"after its first preemption at {first_preempt[job_name]}")
+            getattr(scheduler, method)(*args)
     faults_spec = spec.get("faults")
     if faults_spec is not None:
         apply_fault_plan(scheduler, parse_faults(dict(faults_spec), cluster))
@@ -262,22 +288,8 @@ def preview_faults(scenario: Union[str, Dict],
     plan as plain data, so a fault storm can be inspected (or diffed across
     seeds) before committing to a full run.
     """
-    if isinstance(scenario, str):
-        with open(scenario, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    else:
-        spec = dict(scenario)
-    _check_keys(spec, _SCENARIO_KEYS, "scenario")
-    cluster_spec = dict(spec.get("cluster") or {})
-    _check_keys(cluster_spec, _CLUSTER_KEYS, "cluster")
-    if default_policy is not None:
-        cluster_spec.setdefault("fabric_policy", default_policy)
-        cluster_spec.setdefault("storage_policy", default_policy)
-    cluster = Cluster(ClusterSpec(**cluster_spec))
-    for resource_spec in spec.get("resources") or []:
-        resource_spec = dict(resource_spec)
-        _check_keys(resource_spec, _RESOURCE_KEYS, "resource")
-        cluster.add_resource(SharedResource(**resource_spec))
+    spec = _read_spec(scenario)
+    cluster = _build_cluster(spec, default_policy)
     plan = parse_faults(dict(spec.get("faults") or {}), cluster)
     return {"cluster": {"machines": len(cluster.machines),
                         "gpus": len(cluster.all_gpus()),
@@ -307,11 +319,7 @@ def run_scenario(scenario: Union[str, Dict], include_trace: bool = False,
     ``metrics_out`` the full metric time-series (JSON, or CSV when the path
     ends in ``.csv``); either implies ``observe=True``.
     """
-    if isinstance(scenario, str):
-        with open(scenario, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    else:
-        spec = dict(scenario)
+    spec = _read_spec(scenario)
     if observe or trace_out is not None or metrics_out is not None:
         if not spec.get("observe"):
             spec["observe"] = True

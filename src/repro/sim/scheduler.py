@@ -75,7 +75,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+                    TYPE_CHECKING)
 
 from .cluster import Cluster, GPUDevice
 from .cost_model import CostModel
@@ -92,6 +93,31 @@ __all__ = ["SimJob", "JobRecord", "SchedulerResult", "ClusterScheduler"]
 #: is a *barrier*: it may change placements, link traffic or speeds, so no
 #: batch of fast-forwarded iterations may run past one.
 _COMPLETION = "iteration_done"
+
+
+class _Cause(NamedTuple):
+    """How one cause of GPU-capacity loss reads in the decision log."""
+
+    down: str            #: decision logged when the GPUs go down ...
+    up: str              #: ... and when they come back
+    victim: str          #: decision logged per descheduled job
+    counter: str         #: the :class:`JobRecord` field each victim increments
+    victim_key: Optional[str]  #: payload key naming the fault on the victim's entry
+    #: One GPU (logged as ``gpu=``, and bringing up a GPU that is not down is
+    #: logged as ``gpu_recover_ignored``) or a domain (``label/cause/gpus``).
+    single_gpu: bool
+
+
+#: Every way GPUs leave and rejoin the pool: one row per cause, read by the one
+#: take-down (:meth:`ClusterScheduler._apply_gpus_down`) and the one bring-up.
+_CAUSES: Dict[str, _Cause] = {
+    "gpu": _Cause("gpu_failure", "gpu_recovered", "job_failed", "failures", None, True),
+    "spot": _Cause("spot_evicted", "gpu_recovered", "job_evicted", "evictions", "gpu", True),
+    "machine": _Cause("domain_failure", "domain_recovered", "job_failed", "failures",
+                      "cause", False),
+    "rack": _Cause("domain_failure", "domain_recovered", "job_failed", "failures",
+                   "cause", False),
+}
 
 
 @dataclass
@@ -375,8 +401,8 @@ class ClusterScheduler:
         self.seed = seed
 
         self._all_gpus: List[GPUDevice] = cluster.all_gpus()
-        self._free: Dict[str, GPUDevice] = {gpu.name: gpu for gpu in self._all_gpus}
-        self._gpu_names = {gpu.name for gpu in self._all_gpus}
+        self._gpus: Dict[str, GPUDevice] = {gpu.name: gpu for gpu in self._all_gpus}
+        self._free: Dict[str, GPUDevice] = dict(self._gpus)
         self._jobs: Dict[str, SimJob] = {}
         #: 1-based submission order: the same-instant order of per-job events.
         self._rank: Dict[str, int] = {}
@@ -393,10 +419,6 @@ class ClusterScheduler:
         #: whether another job could put traffic on a link it crosses.
         self._routes: Dict[str, Tuple[Optional[List[str]], Tuple[str, ...]]] = {}
         self._users: Dict[str, int] = {}
-        #: Per-job schedule token; an iteration_done event is only honoured
-        #: when its token matches, which drops in-flight iterations that a
-        #: resize/failure/preemption invalidated and restarted.
-        self._iter_token: Dict[str, int] = {}
         #: Fault-tolerance state: GPUs currently down, preempted jobs
         #: awaiting resume, and jobs that must pay a checkpoint-restore read
         #: before their next iteration.  Insertion-ordered dicts used as
@@ -405,9 +427,11 @@ class ClusterScheduler:
         self._failed_gpus: Dict[str, None] = {}
         self._paused: Dict[str, None] = {}
         self._needs_restore: Dict[str, None] = {}
-        #: Per-job placement generation; bumped whenever the job is taken off
-        #: its GPUs so in-flight async checkpoint completions from the old
-        #: placement are recognised as stale.
+        #: Per-job placement generation, bumped whenever the job is taken off
+        #: its GPUs or resized.  ``iteration_done`` and ``ckpt_done`` carry the
+        #: epoch they were scheduled under and are honoured only while it is
+        #: current, which drops the in-flight iteration and any draining async
+        #: checkpoint of a placement a resize/failure/preemption ended.
         self._placement_epoch: Dict[str, int] = {}
         #: Spot-capacity state: preemptible GPUs (name -> eviction-notice
         #: seconds), consecutive-failure counters for the capped-exponential
@@ -468,6 +492,7 @@ class ClusterScheduler:
             self.engine.resource_timeline(job.link)
         self._jobs[job.name] = job
         self._rank[job.name] = len(self._jobs)
+        self._placement_epoch[job.name] = 0
         self.records[job.name] = JobRecord(name=job.name, arrival_time=job.arrival_time,
                                            history=job.run_history())
         self._push(job.arrival_time, "arrival", (job.name,))
@@ -475,8 +500,8 @@ class ClusterScheduler:
     def _require_gpu(self, gpu_name: str) -> str:
         """Validate a GPU name at call time (events must not fire into the void)."""
         gpu_name = str(gpu_name)
-        if gpu_name not in self._gpu_names:
-            raise KeyError(f"unknown GPU {gpu_name!r}; known: {sorted(self._gpu_names)}")
+        if gpu_name not in self._gpus:
+            raise KeyError(f"unknown GPU {gpu_name!r}; known: {sorted(self._gpus)}")
         return gpu_name
 
     def _require_job(self, job_name: str) -> str:
@@ -513,11 +538,8 @@ class ClusterScheduler:
         placed again.
         """
         gpu_name = self._require_gpu(gpu_name)
-        if recover_at is not None and recover_at <= at_time:
-            raise ValueError("recover_at must come after at_time")
-        self._push(at_time, "gpu_fail", (gpu_name,))
-        if recover_at is not None:
-            self._push(recover_at, "gpu_recover", (gpu_name,))
+        self._require_recovery(at_time, recover_at)
+        self._push_outage(gpu_name, "gpu", (gpu_name,), at_time, recover_at)
 
     def preempt_job(self, job_name: str, at_time: float) -> None:
         """Preempt a running job at ``at_time``: its GPUs are released and it
@@ -531,19 +553,22 @@ class ClusterScheduler:
     # ------------------------------------------------------------------ #
     # Fault-model knobs: correlated domains, degraded links, spot capacity
     # ------------------------------------------------------------------ #
-    def _require_machine(self, machine: str) -> str:
-        """Validate a machine name at call time (events must not fire into the void)."""
-        machine = str(machine)
-        if not any(m.name == machine for m in self.cluster.machines):
-            raise KeyError(f"unknown machine {machine!r}; known: "
-                           f"{sorted(m.name for m in self.cluster.machines)}")
-        return machine
-
     @staticmethod
     def _require_recovery(at_time: float, recover_at: Optional[float]) -> None:
-        """Shared ``recover_at`` ordering check for every domain-failure knob."""
+        """Shared ``recover_at`` ordering check for every fault knob."""
         if recover_at is not None and recover_at <= at_time:
             raise ValueError("recover_at must come after at_time")
+
+    def _push_outage(self, label: str, cause: str, gpus: Tuple[str, ...],
+                     at_time: float, recover_at: Optional[float]) -> None:
+        """Lower a GPU-capacity fault to ``gpus_down`` (and ``gpus_up``) events.
+
+        ``cause`` names the row of :data:`_CAUSES` the handlers read; ``label``
+        is what the decision log calls the fault (a GPU, machine or rack).
+        """
+        self._push(at_time, "gpus_down", (label, cause, gpus))
+        if recover_at is not None:
+            self._push(recover_at, "gpus_up", (label, cause, gpus))
 
     def fail_machine(self, machine: str, at_time: float,
                      recover_at: Optional[float] = None) -> None:
@@ -553,12 +578,10 @@ class ClusterScheduler:
         event, so a job packed onto the machine loses all its local workers
         at once while spread placements lose only one worker per machine.
         """
-        machine = self._require_machine(machine)
+        resident = self.cluster.gpus_on_machine(machine)  # KeyError if unknown
         self._require_recovery(at_time, recover_at)
-        gpus = tuple(gpu.name for gpu in self.cluster.gpus_on_machine(machine))
-        self._push(at_time, "domain_fail", (machine, "machine", gpus))
-        if recover_at is not None:
-            self._push(recover_at, "domain_recover", (machine, "machine", gpus))
+        gpus = tuple(gpu.name for gpu in resident)
+        self._push_outage(str(machine), "machine", gpus, at_time, recover_at)
 
     def fail_rack(self, tor_index: int, at_time: float,
                   recover_at: Optional[float] = None) -> None:
@@ -588,13 +611,13 @@ class ClusterScheduler:
         has_uplink = self.cluster.has_per_tor_fabric and uplink in self.engine.resources
         if has_uplink:
             self._push(at_time, "link_set_capacity",
-                       (uplink, self.TOR_DOWN_GBPS, "tor_down"))
-        self._push(at_time, "domain_fail", (label, "rack", gpus))
+                       (uplink, self.TOR_DOWN_GBPS, "tor_failure"))
+        self._push(at_time, "gpus_down", (label, "rack", gpus))
         if recover_at is not None:
             if has_uplink:
                 nominal = self.engine.resource_timeline(uplink).resource.bandwidth_gbps
-                self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_up"))
-            self._push(recover_at, "domain_recover", (label, "rack", gpus))
+                self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_recovered"))
+            self._push(recover_at, "gpus_up", (label, "rack", gpus))
 
     def fail_tor(self, tor_index: int, at_time: float,
                  recover_at: Optional[float] = None) -> None:
@@ -614,9 +637,9 @@ class ClusterScheduler:
             raise ValueError(f"fail_tor requires per-ToR fabric resources; "
                              f"{uplink!r} is not registered on this cluster")
         nominal = self.engine.resource_timeline(uplink).resource.bandwidth_gbps
-        self._push(at_time, "link_set_capacity", (uplink, self.TOR_DOWN_GBPS, "tor_down"))
+        self._push(at_time, "link_set_capacity", (uplink, self.TOR_DOWN_GBPS, "tor_failure"))
         if recover_at is not None:
-            self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_up"))
+            self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_recovered"))
 
     def degrade_link(self, resource: str, gbps: float, at_time: float,
                      restore_at: Optional[float] = None) -> None:
@@ -635,10 +658,10 @@ class ClusterScheduler:
             raise ValueError("degraded capacity must be positive (use a small "
                              "floor like 1e-3 Gbps for a dead link)")
         self._require_recovery(at_time, restore_at)
-        self._push(at_time, "link_set_capacity", (resource, float(gbps), "degraded"))
+        self._push(at_time, "link_set_capacity", (resource, float(gbps), "link_degraded"))
         if restore_at is not None:
             self._push(restore_at, "link_set_capacity",
-                       (resource, timeline.resource.bandwidth_gbps, "restored"))
+                       (resource, timeline.resource.bandwidth_gbps, "link_restored"))
 
     def mark_preemptible(self, gpu_names: Sequence[str],
                          notice_seconds: float = 0.0) -> None:
@@ -675,9 +698,7 @@ class ClusterScheduler:
         notice = self._preemptible[gpu_name]
         if notice > 0.0:
             self._push(max(0.0, at_time - notice), "spot_notice", (gpu_name, float(at_time)))
-        self._push(at_time, "spot_evict", (gpu_name,))
-        if rejoin_at is not None:
-            self._push(rejoin_at, "gpu_recover", (gpu_name,))
+        self._push_outage(gpu_name, "spot", (gpu_name,), at_time, rejoin_at)
 
     def set_restart_backoff(self, base_seconds: float, cap_seconds: float) -> None:
         """Enable capped-exponential restart backoff for failed/evicted jobs.
@@ -785,23 +806,26 @@ class ClusterScheduler:
                 self._free[gpu.name] = gpu
         self._trace(now, "gpus_released", job=job_name, workers=[g.name for g in gpus])
 
-    def _deschedule(self, job_name: str, now: float) -> List[GPUDevice]:
-        """Take a job off its GPUs: release them, invalidate the in-flight
-        iteration, roll progress back to the last checkpoint and close the
-        placed interval.  Returns the released GPUs."""
-        job = self._jobs[job_name]
-        record = self.records[job_name]
-        workers = self._allocations.pop(job_name)
+    def _vacate(self, job: SimJob, now: float) -> None:
+        """Take ``job`` off its GPUs (finished or descheduled): un-route it,
+        free the GPUs and close the placed interval."""
+        record = self.records[job.name]
         self._route(job)
-        self._release(job_name, workers, now)
-        self._iter_token[job_name] = self._iter_token.get(job_name, 0) + 1
-        self._placement_epoch[job_name] = self._placement_epoch.get(job_name, 0) + 1
-        # The invalidated iteration's transfers that have not started yet are
-        # cancelled off every shared resource (the bytes never hit the wire).
-        self.engine.resources.cancel_job(job_name, now)
+        self._release(job.name, self._allocations.pop(job.name), now)
         if record.placed_since is not None:
             record.placed_seconds += now - record.placed_since
             record.placed_since = None
+
+    def _deschedule(self, job_name: str, now: float) -> None:
+        """Take a running job off its GPUs: release them, invalidate the
+        in-flight iteration and roll progress back to the last checkpoint."""
+        job = self._jobs[job_name]
+        record = self.records[job_name]
+        self._vacate(job, now)
+        self._placement_epoch[job_name] += 1
+        # The invalidated iteration's transfers that have not started yet are
+        # cancelled off every shared resource (the bytes never hit the wire).
+        self.engine.resources.cancel_job(job_name, now)
         # The rollback target is whatever snapshot last committed — periodic
         # cadence or a proactive spot-notice write; jobs with neither keep
         # checkpoint_iteration at 0 and restart from scratch.
@@ -813,7 +837,6 @@ class ClusterScheduler:
         if rollback_to > 0:
             self._needs_restore[job_name] = None
         record.worker_names = []
-        return workers
 
     # ------------------------------------------------------------------ #
     # Iteration advancement
@@ -898,13 +921,12 @@ class ClusterScheduler:
         # interval also writes the freezing-aware incremental snapshot (the
         # active suffix only) onto the shared storage resource, queueing
         # behind any concurrent checkpointer.
-        token = self._iter_token.get(job.name, 0) + 1
-        self._iter_token[job.name] = token
+        epoch = self._placement_epoch[job.name]
         ckpt_due = bool(job.checkpoint_every
                         and (iteration_index + 1) % job.checkpoint_every == 0)
         if not ckpt_due:
             self._push(now + duration, "iteration_done",
-                       (job.name, token, (duration,), 0.0, 0, False), job.name)
+                       (job.name, epoch, (duration,), 0.0, 0, False), job.name)
             return
         ckpt_bytes = int(job.checkpoint_write_bytes(iteration_index, prefix))
         ckpt_seconds = self._storage_seconds(job, ckpt_bytes, now + duration, workers,
@@ -916,16 +938,16 @@ class ClusterScheduler:
             # iteration_done is pushed first so, on a time tie, progress is
             # booked before the checkpoint watermark advances.
             self._push(now + duration, "iteration_done",
-                       (job.name, token, (duration,), 0.0, 0, False), job.name)
+                       (job.name, epoch, (duration,), 0.0, 0, False), job.name)
             samples_after = record.samples_processed + job.cost_model.batch_size * len(workers)
             self._push(now + duration + ckpt_seconds, "ckpt_done",
-                       (job.name, self._placement_epoch.get(job.name, 0),
-                        iteration_index + 1, samples_after, ckpt_seconds, ckpt_bytes),
+                       (job.name, epoch, iteration_index + 1, samples_after,
+                        ckpt_seconds, ckpt_bytes),
                        job.name)
         else:
             duration += ckpt_seconds
             self._push(now + duration, "iteration_done",
-                       (job.name, token, (duration,), ckpt_seconds, ckpt_bytes, True), job.name)
+                       (job.name, epoch, (duration,), ckpt_seconds, ckpt_bytes, True), job.name)
 
     def _schedule_iteration_batch(self, job: SimJob, workers: List[GPUDevice],
                                   links: Optional[List[str]], iteration_index: int,
@@ -1004,26 +1026,28 @@ class ClusterScheduler:
             link_resource=links, job_name=job.name, job_weight=job.weight)
         if not durations:
             return False
-        token = self._iter_token.get(job.name, 0) + 1
-        self._iter_token[job.name] = token
         # The hook runs for what the engine committed, never for the plan.
         end = now
         for offset, duration in enumerate(durations):
             job.begin_iteration(iteration_index + offset, sim_time=end)
             end = end + duration
         self._push(end, "iteration_done",
-                   (job.name, token, tuple(durations), 0.0, 0, False), job.name)
+                   (job.name, self._placement_epoch[job.name], tuple(durations), 0.0, 0, False),
+                   job.name)
         return True
 
     # ------------------------------------------------------------------ #
     # Event loop
     # ------------------------------------------------------------------ #
     def _trace(self, time: float, kind: str, **payload: object) -> None:
+        """Append one decision to :attr:`trace`, the run's only decision log.
+
+        The single instrumentation point: nothing else writes the log, and
+        the SimScope observer reads each entry from here.
+        """
         entry: Dict[str, object] = {"time": time, "kind": kind}
         entry.update(payload)
         self.trace.append(entry)
-        # Single instrumentation point: every scheduling decision reaches
-        # both the legacy decision log above and the SimScope observer.
         observer = self.engine.observer
         if observer is not None:
             observer.scheduler_event(time, kind, entry)
@@ -1049,82 +1073,10 @@ class ClusterScheduler:
             # last completed work, and a *stale* completion — an iteration
             # invalidated by a failure/preemption/eviction — may carry a
             # quoted end far beyond the real end of work (e.g. an iteration
-            # priced across a dead ToR uplink), so each completion kind
-            # checks its validity guard before counting.
-            if kind == "arrival":
+            # priced across a dead ToR uplink), so each completion handler
+            # checks its validity guard and reports whether it committed.
+            if self._HANDLERS[kind](self, *payload, now):
                 makespan = max(makespan, now)
-                (job_name,) = payload
-                self._pending.append(job_name)
-                self._trace(now, "arrival", job=job_name)
-                self._try_place(now)
-            elif kind == "ckpt_done":
-                if self._apply_ckpt_done(payload, now):
-                    makespan = max(makespan, now)
-            elif kind == "iteration_done":
-                # One live iteration or a committed run of fast-forwarded
-                # ones; each is credited in the same accumulation order, so
-                # how the K iterations were stepped never shows in the sums.
-                job_name, token, durations, ckpt_seconds, ckpt_bytes, ckpt_taken = payload
-                job = self._jobs[job_name]
-                record = self.records[job_name]
-                if token != self._iter_token.get(job_name) or job_name not in self._allocations:
-                    continue  # stale event from before a resize/failure/preemption/finish
-                makespan = max(makespan, now)
-                names = [gpu.name for gpu in self._allocations[job_name]]
-                samples = job.cost_model.batch_size * len(names)
-                record.iterations_done += len(durations)
-                record.iteration_seconds.extend(durations)
-                for duration in durations:
-                    record.samples_processed += samples
-                    for name in names:
-                        self.gpu_busy_seconds[name] += duration
-                if ckpt_taken:
-                    record.checkpoints_taken += 1
-                    record.checkpoint_seconds += ckpt_seconds
-                    record.checkpoint_bytes_written += int(ckpt_bytes)
-                    record.checkpoint_iteration = record.iterations_done
-                    record.samples_at_checkpoint = record.samples_processed
-                    self._trace(now, "checkpoint", job=job_name,
-                                iteration=record.iterations_done, seconds=ckpt_seconds,
-                                num_bytes=int(ckpt_bytes))
-                self._finish_or_continue(job, record, now)
-            elif kind == "set_speed":
-                gpu_name, factor = payload
-                self.engine.set_gpu_speed(gpu_name, factor)
-                self._trace(now, "set_speed", gpu=gpu_name, factor=factor)
-            elif kind == "resize":
-                job_name, delta = payload
-                self._apply_resize(job_name, delta, now)
-            elif kind == "gpu_fail":
-                (gpu_name,) = payload
-                self._apply_gpu_failure(gpu_name, now)
-            elif kind == "gpu_recover":
-                (gpu_name,) = payload
-                self._apply_gpu_recovery(gpu_name, now)
-            elif kind == "preempt":
-                (job_name,) = payload
-                self._apply_preemption(job_name, now)
-            elif kind == "resume":
-                (job_name,) = payload
-                self._apply_resume(job_name, now)
-            elif kind == "domain_fail":
-                label, cause, gpus = payload
-                self._apply_domain_failure(label, cause, gpus, now)
-            elif kind == "domain_recover":
-                label, cause, gpus = payload
-                self._apply_domain_recovery(label, cause, gpus, now)
-            elif kind == "link_set_capacity":
-                resource, gbps, reason = payload
-                self._apply_link_capacity(resource, gbps, reason, now)
-            elif kind == "spot_notice":
-                gpu_name, evict_at = payload
-                self._apply_spot_notice(gpu_name, evict_at, now)
-            elif kind == "spot_evict":
-                (gpu_name,) = payload
-                self._apply_spot_eviction(gpu_name, now)
-            elif kind == "requeue":
-                (job_name,) = payload
-                self._apply_requeue(job_name, now)
         if sanitizer is not None:
             sanitizer.verify_pool(self.engine.resources)
         if self.engine.observer is not None:
@@ -1137,6 +1089,45 @@ class ClusterScheduler:
                                resources=self.engine.resources.summary(),
                                perf=self.engine.perf_counters())
 
+    def _apply_arrival(self, job_name: str, now: float) -> bool:
+        self._pending.append(job_name)
+        self._trace(now, "arrival", job=job_name)
+        self._try_place(now)
+        return True
+
+    def _apply_iteration_done(self, job_name: str, epoch: int, durations: Tuple[float, ...],
+                              ckpt_seconds: float, ckpt_bytes: int, ckpt_taken: bool,
+                              now: float) -> bool:
+        """Book one live iteration or a committed run of fast-forwarded ones.
+
+        Each is credited in the same accumulation order, so how the K
+        iterations were stepped never shows in the sums.  Returns ``False``
+        for a stale event from before a resize/failure/preemption/finish.
+        """
+        if epoch != self._placement_epoch[job_name]:
+            return False
+        job = self._jobs[job_name]
+        record = self.records[job_name]
+        names = [gpu.name for gpu in self._allocations[job_name]]
+        samples = job.cost_model.batch_size * len(names)
+        record.iterations_done += len(durations)
+        record.iteration_seconds.extend(durations)
+        for duration in durations:
+            record.samples_processed += samples
+            for name in names:
+                self.gpu_busy_seconds[name] += duration
+        if ckpt_taken:
+            self._commit_checkpoint(record, record.iterations_done, record.samples_processed,
+                                    ckpt_seconds, ckpt_bytes)
+            self._trace(now, "checkpoint", job=job_name, iteration=record.iterations_done,
+                        seconds=ckpt_seconds, num_bytes=int(ckpt_bytes))
+        self._finish_or_continue(job, record, now)
+        return True
+
+    def _apply_set_speed(self, gpu_name: str, factor: float, now: float) -> None:
+        self.engine.set_gpu_speed(gpu_name, factor)
+        self._trace(now, "set_speed", gpu=gpu_name, factor=factor)
+
     def _finish_or_continue(self, job: SimJob, record: JobRecord, now: float) -> None:
         """After booked progress: release a finished job, else schedule on."""
         if self._restart_count:
@@ -1147,22 +1138,29 @@ class ClusterScheduler:
             self._schedule_iteration(job, now, allow_batch=True)
             return
         record.finish_time = now
-        if record.placed_since is not None:
-            record.placed_seconds += now - record.placed_since
-            record.placed_since = None
-        self._route(job)
-        self._release(job.name, self._allocations.pop(job.name), now)
+        self._vacate(job, now)
         self._trace(now, "job_finish", job=job.name)
         self._try_place(now)
 
-    def _apply_ckpt_done(self, payload: Tuple, now: float) -> bool:
+    @staticmethod
+    def _commit_checkpoint(record: JobRecord, iteration: int, samples: float,
+                           seconds: float, num_bytes: int) -> None:
+        """Book a written snapshot: it is the job's rollback target from here."""
+        record.checkpoints_taken += 1
+        record.checkpoint_seconds += seconds
+        record.checkpoint_bytes_written += int(num_bytes)
+        record.checkpoint_iteration = int(iteration)
+        record.samples_at_checkpoint = float(samples)
+
+    def _apply_ckpt_done(self, job_name: str, epoch: int, iteration_index: int,
+                         samples_after: float, seconds: float, num_bytes: int,
+                         now: float) -> bool:
         """Commit an async checkpoint once its storage write has drained.
 
         Returns whether the write committed (dropped writes must not extend
         the makespan)."""
-        job_name, epoch, iteration_index, samples_after, seconds, num_bytes = payload
         record = self.records[job_name]
-        if epoch != self._placement_epoch.get(job_name, 0) \
+        if epoch != self._placement_epoch[job_name] \
                 or record.iterations_done < iteration_index \
                 or iteration_index <= record.checkpoint_iteration:
             # The job was descheduled/resized (stale epoch), rolled back past
@@ -1171,11 +1169,7 @@ class ClusterScheduler:
             # watermark or double-count.
             self._trace(now, "checkpoint_dropped", job=job_name, iteration=iteration_index)
             return False
-        record.checkpoints_taken += 1
-        record.checkpoint_seconds += seconds
-        record.checkpoint_bytes_written += int(num_bytes)
-        record.checkpoint_iteration = int(iteration_index)
-        record.samples_at_checkpoint = float(samples_after)
+        self._commit_checkpoint(record, iteration_index, samples_after, seconds, num_bytes)
         self._trace(now, "checkpoint", job=job_name, iteration=int(iteration_index),
                     seconds=seconds, num_bytes=int(num_bytes), overlapped=True)
         return True
@@ -1220,10 +1214,10 @@ class ClusterScheduler:
         # the migration checkpoint below — bump the placement epoch so its
         # ckpt_done is recognised as stale (no double commit).
         self.engine.resources.cancel_job(job_name, now)
-        self._placement_epoch[job_name] = self._placement_epoch.get(job_name, 0) + 1
+        self._placement_epoch[job_name] += 1
         # The in-flight iteration (scheduled with the old worker set) is
-        # invalidated; restart it under the new configuration.  Bumping the
-        # schedule token in _schedule_iteration drops the stale event.
+        # invalidated with the old epoch; restart it under the new
+        # configuration.
         #
         # For checkpointed jobs a resize is a *migration*: the old worker set
         # writes a synchronized incremental checkpoint and the new set reads
@@ -1239,14 +1233,11 @@ class ClusterScheduler:
             read_seconds = self._storage_seconds(job, read_bytes, now + write_seconds, workers,
                                                  kind="restore")
             delay = write_seconds + read_seconds
-            record.checkpoints_taken += 1
-            record.checkpoint_seconds += write_seconds
-            record.checkpoint_bytes_written += write_bytes
+            self._commit_checkpoint(record, record.iterations_done, record.samples_processed,
+                                    write_seconds, write_bytes)
             record.restores += 1
             record.restore_seconds += read_seconds
             record.restore_bytes_read += read_bytes
-            record.checkpoint_iteration = record.iterations_done
-            record.samples_at_checkpoint = record.samples_processed
             self._trace(now, "migrate", job=job_name, seconds=delay)
         self._schedule_iteration(job, now + delay)
 
@@ -1282,62 +1273,55 @@ class ClusterScheduler:
         self._trace(now, "job_requeued", job=job_name)
         self._try_place(now)
 
-    def _apply_gpu_failure(self, gpu_name: str, now: float) -> None:
-        self._failed_gpus[gpu_name] = None
-        self._free.pop(gpu_name, None)
-        self._trace(now, "gpu_failure", gpu=gpu_name)
-        victims = [name for name, gpus in self._allocations.items()
-                   if any(gpu.name == gpu_name for gpu in gpus)]
-        for job_name in victims:
-            record = self.records[job_name]
-            record.failures += 1
-            self._deschedule(job_name, now)
-            self._trace(now, "job_failed", job=job_name,
-                        restart_iteration=record.iterations_done)
-            self._requeue_after_failure(job_name, now)
-        if victims:
-            self._try_place(now)
-
-    def _apply_domain_failure(self, label: str, cause: str,
-                              gpus: Tuple[str, ...], now: float) -> None:
-        """Atomically fail every GPU of a correlated domain (machine/rack).
+    def _apply_gpus_down(self, label: str, cause: str, gpus: Tuple[str, ...],
+                         now: float) -> None:
+        """Take GPUs out of the pool — one GPU, a spot reclaim or a whole domain.
 
         All GPUs are marked down *before* any victim is descheduled, so a
         job spanning several of them is descheduled exactly once and none
         of its surviving workers leak back into the free pool mid-event.
+        Victims roll back, count the fault on their record and re-queue.
         """
+        spec = _CAUSES[cause]
         for gpu_name in gpus:
             self._failed_gpus[gpu_name] = None
             self._free.pop(gpu_name, None)
-        self._trace(now, "domain_failure", label=label, cause=cause, gpus=list(gpus))
+        if spec.single_gpu:
+            self._trace(now, spec.down, gpu=label)
+        else:
+            self._trace(now, spec.down, label=label, cause=cause, gpus=list(gpus))
         down = frozenset(gpus)
         victims = [name for name, alloc in self._allocations.items()
                    if any(gpu.name in down for gpu in alloc)]
+        named = {} if spec.victim_key is None else {spec.victim_key: label}
         for job_name in victims:
             record = self.records[job_name]
-            record.failures += 1
+            setattr(record, spec.counter, getattr(record, spec.counter) + 1)
             self._deschedule(job_name, now)
-            self._trace(now, "job_failed", job=job_name,
-                        restart_iteration=record.iterations_done, cause=label)
+            self._trace(now, spec.victim, job=job_name,
+                        restart_iteration=record.iterations_done, **named)
             self._requeue_after_failure(job_name, now)
         if victims:
             self._try_place(now)
 
-    def _apply_domain_recovery(self, label: str, cause: str,
-                               gpus: Tuple[str, ...], now: float) -> None:
-        """Return a failed domain's GPUs to the pool (skipping any already back)."""
-        restored: List[str] = []
-        for gpu_name in gpus:
-            if gpu_name not in self._failed_gpus:
-                continue
-            self._failed_gpus.pop(gpu_name, None)
-            self._free[gpu_name] = next(g for g in self._all_gpus if g.name == gpu_name)
-            restored.append(gpu_name)
-        self._trace(now, "domain_recovered", label=label, cause=cause, gpus=restored)
+    def _apply_gpus_up(self, label: str, cause: str, gpus: Tuple[str, ...],
+                       now: float) -> None:
+        """Return downed GPUs to the pool (skipping any already back)."""
+        spec = _CAUSES[cause]
+        restored = [gpu_name for gpu_name in gpus if gpu_name in self._failed_gpus]
+        for gpu_name in restored:
+            del self._failed_gpus[gpu_name]
+            self._free[gpu_name] = self._gpus[gpu_name]
+        if not spec.single_gpu:
+            self._trace(now, spec.up, label=label, cause=cause, gpus=restored)
+        elif restored:
+            self._trace(now, spec.up, gpu=label)
+        else:
+            self._trace(now, "gpu_recover_ignored", gpu=label)
         if restored:
             self._try_place(now)
 
-    def _apply_link_capacity(self, resource: str, gbps: float, reason: str,
+    def _apply_link_capacity(self, resource: str, gbps: float, decision: str,
                              now: float) -> None:
         """Apply a mid-run capacity change to a shared resource's timeline.
 
@@ -1348,11 +1332,8 @@ class ClusterScheduler:
         the new rate (the engine's memo-cache key includes per-link
         capacity, so stale steady-state entries cannot replay).
         """
-        timeline = self.engine.resource_timeline(resource)
-        timeline.set_capacity(now, gbps)
-        kind = {"degraded": "link_degraded", "restored": "link_restored",
-                "tor_down": "tor_failure", "tor_up": "tor_recovered"}[reason]
-        self._trace(now, kind, resource=resource, gbps=gbps)
+        self.engine.resource_timeline(resource).set_capacity(now, gbps)
+        self._trace(now, decision, resource=resource, gbps=gbps)
 
     def _apply_spot_notice(self, gpu_name: str, evict_at: float, now: float) -> None:
         """React to an eviction notice with a proactive checkpoint.
@@ -1382,39 +1363,12 @@ class ClusterScheduler:
         seconds = self._storage_seconds(job, ckpt_bytes, now, self._allocations[victim],
                                         kind="checkpoint")
         self._push(now + seconds, "ckpt_done",
-                   (victim, self._placement_epoch.get(victim, 0),
+                   (victim, self._placement_epoch[victim],
                     record.iterations_done, record.samples_processed,
                     seconds, ckpt_bytes), victim)
         self._trace(now, "proactive_checkpoint", job=victim,
                     iteration=record.iterations_done, seconds=seconds,
                     num_bytes=ckpt_bytes)
-
-    def _apply_spot_eviction(self, gpu_name: str, now: float) -> None:
-        """Reclaim a spot GPU: like a failure, but counted as an eviction."""
-        self._failed_gpus[gpu_name] = None
-        self._free.pop(gpu_name, None)
-        self._trace(now, "spot_evicted", gpu=gpu_name)
-        victims = [name for name, alloc in self._allocations.items()
-                   if any(gpu.name == gpu_name for gpu in alloc)]
-        for job_name in victims:
-            record = self.records[job_name]
-            record.evictions += 1
-            self._deschedule(job_name, now)
-            self._trace(now, "job_evicted", job=job_name,
-                        restart_iteration=record.iterations_done, gpu=gpu_name)
-            self._requeue_after_failure(job_name, now)
-        if victims:
-            self._try_place(now)
-
-    def _apply_gpu_recovery(self, gpu_name: str, now: float) -> None:
-        if gpu_name not in self._failed_gpus:
-            self._trace(now, "gpu_recover_ignored", gpu=gpu_name)
-            return
-        self._failed_gpus.pop(gpu_name, None)
-        gpu = next(g for g in self._all_gpus if g.name == gpu_name)
-        self._free[gpu_name] = gpu
-        self._trace(now, "gpu_recovered", gpu=gpu_name)
-        self._try_place(now)
 
     def _apply_preemption(self, job_name: str, now: float) -> None:
         record = self.records.get(job_name)
@@ -1436,3 +1390,23 @@ class ClusterScheduler:
         self._pending.append(job_name)
         self._trace(now, "job_resumed", job=job_name)
         self._try_place(now)
+
+    #: The event table: every heap kind :meth:`_push` may be given and the
+    #: handler :meth:`run` calls for it as ``handler(self, *payload, now)``.
+    #: A handler returns true when it committed work (see :meth:`run`).  Plain
+    #: functions, not bound methods: a per-instance table would tie every
+    #: scheduler into a reference cycle only the cyclic collector frees.
+    _HANDLERS: Dict[str, Callable[..., Optional[bool]]] = {
+        "arrival": _apply_arrival,
+        _COMPLETION: _apply_iteration_done,
+        "ckpt_done": _apply_ckpt_done,
+        "set_speed": _apply_set_speed,
+        "resize": _apply_resize,
+        "gpus_down": _apply_gpus_down,
+        "gpus_up": _apply_gpus_up,
+        "preempt": _apply_preemption,
+        "resume": _apply_resume,
+        "link_set_capacity": _apply_link_capacity,
+        "spot_notice": _apply_spot_notice,
+        "requeue": _apply_requeue,
+    }

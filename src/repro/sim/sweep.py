@@ -46,7 +46,7 @@ import multiprocessing
 import os
 from typing import Dict, List, Optional, Tuple, Union
 
-from .scenario import _check_keys, run_scenario
+from .scenario import _check_keys, _read_spec, run_scenario
 
 __all__ = ["expand_grid", "build_cells", "run_sweep", "shutdown_pool"]
 
@@ -115,8 +115,7 @@ def _resolve_base(sweep: Dict, base_dir: Optional[str] = None) -> Tuple[Dict, in
         path = str(sweep["scenario_file"])
         if base_dir is not None and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        with open(path, "r", encoding="utf-8") as handle:
-            base_scenario = json.load(handle)
+        base_scenario = _read_spec(path)
     else:
         base_scenario = sweep["scenario"]
     base_seed = int(sweep.get("seed", base_scenario.get("seed", 0)))
@@ -263,13 +262,8 @@ def run_sweep(sweep: Union[str, Dict], workers: Optional[int] = None) -> Dict[st
     the pool transparently; :func:`shutdown_pool` (also registered atexit)
     reaps it.
     """
-    base_dir = None
-    if isinstance(sweep, str):
-        base_dir = os.path.dirname(os.path.abspath(sweep))
-        with open(sweep, "r", encoding="utf-8") as handle:
-            spec = json.load(handle)
-    else:
-        spec = dict(sweep)
+    base_dir = os.path.dirname(os.path.abspath(sweep)) if isinstance(sweep, str) else None
+    spec = _read_spec(sweep)
     base_scenario, base_seed = _resolve_base(spec, base_dir)
     deltas = [(index, params, base_seed + index)
               for index, params in enumerate(expand_grid(dict(spec.get("grid") or {})))]

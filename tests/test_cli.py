@@ -151,6 +151,33 @@ class TestSimCommands:
                                     "policy": "lottery"}]
         assert main(["sim", "run", self._write(tmp_path, bad_policy)]) == 2
         assert "policy" in capsys.readouterr().err
+        self._assert_wrong_types_rejected("run", tmp_path, capsys)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"gpu_speeds": [{"gpu": "node0:gpu0", "factor": 0.5, "at_tme": 3.0}]},
+         "unknown gpu_speeds[0] keys ['at_tme']"),
+        ({"failures": [{"gpu": "node0:gpu0", "at_time": 1.0},
+                       {"gpu": "node0:gpu1", "at_time": 1.0, "recover": 2.0}]},
+         "unknown failures[1] keys ['recover']"),
+        ({"failures": [{"gpus": "node0:gpu0", "at_time": 1.0}]},
+         "unknown failures[0] keys ['gpus']"),
+        ({"resizes": [{"job": "a", "at_time": 1.0}]},
+         "resizes[0]: missing required keys ['delta']"),
+    ])
+    def test_sim_run_rejects_misspelt_knob_keys(self, tmp_path, capsys, knobs, message):
+        """Knob lists obey the module's "unknown keys raise" contract: the
+        error names the list, the index and the key (it used to run with the
+        typo read as a default, or print the bare ``error: 'gpu'``)."""
+        assert main(["sim", "run", self._write(tmp_path, dict(self.SCENARIO, **knobs))]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
+    def _assert_wrong_types_rejected(self, command, tmp_path, capsys):
+        """A value of the wrong JSON type is a reported error, not a traceback."""
+        for wrong in ({"cluster": {"num_machines": "two"}}, {"jobs": 5}, {"jobs": [7]}):
+            assert main(["sim", command, self._write(tmp_path, dict(self.SCENARIO, **wrong))]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("key", ["memoize", "batch_fast_forward"])
     def test_sim_run_rejects_the_removed_stepping_keys(self, tmp_path, capsys, key):
@@ -226,6 +253,7 @@ class TestSimCommands:
         bad_key = dict(self.SCENARIO, warp=1)
         assert main(["sim", "profile", self._write(tmp_path, bad_key)]) == 2
         assert "unknown scenario keys" in capsys.readouterr().err
+        self._assert_wrong_types_rejected("profile", tmp_path, capsys)
 
 
 class TestCommands:

@@ -8,11 +8,18 @@ in fresh interpreters under three different hash seeds must produce the
 byte-identical result, including the event trace.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+from repro.sim import run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 #: A scenario leaning on every converted field: GPU failures (with
 #: recovery), preemption/resume and checkpoint restores.
@@ -104,3 +111,31 @@ def test_fault_storm_scenario_is_hash_seed_independent():
     assert "proactive_checkpoint" in reference
     for seed, output in outputs.items():
         assert output == reference, f"PYTHONHASHSEED={seed} changed the result"
+
+
+#: sha256 of ``json.dumps(run_scenario(path, include_trace=True), sort_keys=True)``
+#: measured at f6e0509 (before the event-table refactor): the report *and*
+#: the full decision log, so a scheduler change that moves any counter, any
+#: float or any trace entry shows here.
+_PINNED_REPORTS = {
+    "examples/scenario_fault_storm.json":
+        "f48a45a04359a28881e43b03cc21daadf4ab7843208d2ce47e8bf52b22eeb0b3",
+    "examples/scenario_faults.json":
+        "a63ec07de2603e1dd79b4eb866449939d5303a8484b25f25a1ae96bd665e1a1b",
+    "tests/fixtures/sim_fault_storm-seed0.json":
+        "6a263cfb8434324a17bc4311ff812aabc0959f871fcdba54ed8c43c1fd7b3ab7",
+    "tests/fixtures/sim_contended-seed0.json":
+        "c1942399b3708e8d7f7bbbccaf112aec62cfebb68113360449e1a452fec36adf",
+}
+
+
+@pytest.mark.parametrize("simsan", ["plain", "simsan"])
+@pytest.mark.parametrize("path", sorted(_PINNED_REPORTS))
+def test_trace_inclusive_report_hash_is_pinned(path, simsan, monkeypatch):
+    if simsan == "simsan":
+        monkeypatch.setenv("REPRO_SIMSAN", "1")
+    else:
+        monkeypatch.delenv("REPRO_SIMSAN", raising=False)
+    report = run_scenario(str(ROOT / path), include_trace=True)
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == _PINNED_REPORTS[path]
