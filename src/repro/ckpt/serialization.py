@@ -66,23 +66,26 @@ def split_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     JSON-native as returned — string keys, lists, Python scalars.
     """
     tensors: Dict[str, np.ndarray] = {}
+    return _walk(state, tensors), tensors
 
-    def walk(value: Any) -> Any:
-        if isinstance(value, np.ndarray):
-            digest = tensor_digest(value)
-            tensors.setdefault(digest, value)
-            return {TENSOR_KEY: digest}
-        if isinstance(value, np.generic):
-            return value.item()
-        if isinstance(value, dict):
-            return {str(k): walk(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [walk(v) for v in value]
-        if value is None or isinstance(value, (bool, int, float, str)):
-            return value
-        raise TypeError(f"state leaf of type {type(value).__name__} is not checkpointable")
 
-    return walk(state), tensors
+def _walk(value: Any, tensors: Dict[str, np.ndarray]) -> Any:
+    # A module-level function, not a closure: a closure that calls itself is a
+    # reference cycle, which would keep ``tensors`` (the state's arrays) alive
+    # until the cyclic collector runs.
+    if isinstance(value, np.ndarray):
+        digest = tensor_digest(value)
+        tensors.setdefault(digest, value)
+        return {TENSOR_KEY: digest}
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {str(k): _walk(v, tensors) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_walk(v, tensors) for v in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"state leaf of type {type(value).__name__} is not checkpointable")
 
 
 def join_state(tree: Any, read_tensor) -> Any:

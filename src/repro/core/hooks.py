@@ -15,6 +15,7 @@ makes the copy.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -54,12 +55,19 @@ class ActivationRecorder:
         self._attach()
 
     def _attach(self) -> None:
+        # The hooks live on the model, which this recorder references: they
+        # hold the recorder weakly so the two are not a cycle that only the
+        # cyclic collector frees.
+        owner = weakref.ref(self)
         for path in self.module_paths:
             module = self.model.get_submodule(path)
 
             def hook(_module, _inputs, output, _path=path):
-                self._activations[_path] = output.data if hasattr(output, "data") else np.asarray(output)
-                if self.stop_when_complete and len(self._activations) == len(self.module_paths):
+                recorder = owner()
+                if recorder is None:
+                    return
+                recorder._activations[_path] = output.data if hasattr(output, "data") else np.asarray(output)
+                if recorder.stop_when_complete and len(recorder._activations) == len(recorder.module_paths):
                     raise StopForward
 
             self._handles.append(module.register_forward_hook(hook))

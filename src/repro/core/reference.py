@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -58,6 +59,22 @@ class ReferenceModelStats:
             "total_forward_seconds": self.total_forward_seconds,
             "last_snapshot_iteration": self.last_snapshot_iteration,
         }
+
+
+def _block_counter(owner: "weakref.ref[ReferenceModel]"):
+    """A forward hook counting executed building blocks into ``owner``'s current stats.
+
+    The hook lives on the reference model's modules, so it holds its owner
+    weakly (a bound method would make model and owner a cycle that only the
+    cyclic collector frees), and it looks ``stats`` up on every call because
+    :meth:`ReferenceModel.load_state_dict` replaces that object.
+    """
+    def count_block(_module, _inputs, _output) -> None:
+        reference = owner()
+        if reference is not None:
+            reference.stats.blocks_executed += 1
+
+    return count_block
 
 
 class ReferenceModel:
@@ -116,8 +133,9 @@ class ReferenceModel:
             with init.skip_random_init():
                 model = self.model_factory()
             model.eval()
+            count_block = _block_counter(weakref.ref(self))
             for path in building_blocks(model):
-                model.get_submodule(path).register_forward_hook(self._count_block)
+                model.get_submodule(path).register_forward_hook(count_block)
         missing = [name for name, _ in model.named_parameters() if name not in weights]
         if missing:
             raise KeyError(f"reference snapshot lacks parameter(s) {missing}")
@@ -127,9 +145,6 @@ class ReferenceModel:
             self.recorder.remove()
             self.recorder = None
         self.monitor(self._monitored_paths)
-
-    def _count_block(self, _module, _inputs, _output) -> None:
-        self.stats.blocks_executed += 1
 
     def update(self, training_model: Module, iteration: int) -> Module:
         """Refresh the reference from the latest snapshot (periodic update)."""

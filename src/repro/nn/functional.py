@@ -1,13 +1,16 @@
 """Functional neural-network operations built on the autograd :class:`Tensor`.
 
 These are the numerical workhorses used by the layer classes in
-:mod:`repro.nn.layers`: convolution as GEMMs over a patch matrix, pooling via
-im2col, softmax, normalisation statistics, embedding lookup, and
-nearest-neighbour upsampling (needed by the DeepLabv3-lite head).
+:mod:`repro.nn.layers`: linear layers, convolution as GEMMs over a patch
+matrix, pooling via im2col, softmax, layer and batch normalisation, embedding
+lookup, and nearest-neighbour upsampling (needed by the DeepLabv3-lite head).
 
 Each function returns a :class:`~repro.nn.tensor.Tensor` wired into the
 autograd graph, with a hand-written backward closure where the op cannot be
-expressed as a composition of primitive tensor ops.
+expressed as a composition of primitive tensor ops.  ``linear``, ``softmax``,
+``layer_norm`` and ``batch_norm`` could be; each is one graph node that replays
+the numpy calls of its composite (``tests/oracles/nn_reference.py``), because
+per-node bookkeeping, not arithmetic, dominates their cost.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import Tensor, _make
+from .tensor import Tensor, _make, _unbroadcast
 
 __all__ = [
     "linear",
@@ -27,6 +30,8 @@ __all__ = [
     "adaptive_avg_pool2d",
     "softmax",
     "log_softmax",
+    "layer_norm",
+    "batch_norm",
     "embedding",
     "upsample_nearest",
     "dropout",
@@ -35,6 +40,9 @@ __all__ = [
     "col2im",
     "conv_output_size",
 ]
+
+#: ``Tensor(-1.0)``, the factor ``x - y`` applies to ``y`` as ``x + y * -1.0``.
+_NEG_ONE = np.float32(-1.0)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -89,10 +97,34 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel: int, st
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine transform ``x @ weight.T + bias`` for 2-D or 3-D inputs."""
-    out = x.matmul(weight.transpose())
-    if bias is not None:
-        out = out + bias
+    """Affine transform ``x @ weight.T + bias`` for 2-D or 3-D inputs, as one graph node.
+
+    Replays the composite ``x.matmul(weight.transpose()) + bias`` (rule 4 in
+    ``docs/performance.md``, "Training substrate"): the add node's copy of
+    the gradient is the matmul's operand, and ``weight.grad`` is the
+    transpose node's pass-through copy, first axis fastest.
+    """
+    weight_t = weight.data.T
+    product = x.data @ weight_t
+    out = _make(product if bias is None else product + bias.data,
+                (x, weight) if bias is None else (x, weight, bias), "linear")
+    if not out.requires_grad:
+        return out
+
+    def _backward(grad):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+        if not (x.requires_grad or weight.requires_grad):
+            return
+        if bias is not None:
+            grad = grad.astype(np.float32)
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(grad @ weight_t.T, x.shape), fresh=True)
+        if weight.requires_grad:
+            weight_t_grad = _unbroadcast(np.swapaxes(x.data, -1, -2) @ grad, weight_t.shape)
+            weight._accumulate(weight_t_grad.T)
+
+    out._backward = _backward
     return out
 
 
@@ -281,16 +313,112 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``, as one graph node.
+
+    Replays the composite ``exp(x - max) / sum(exp(x - max))`` (rule 4 in
+    ``docs/performance.md``): the division is ``exp * total ** -1.0`` and the
+    sum's broadcast is added into the exponential's gradient.
+    """
+    exp = np.exp(x.data + x.data.max(axis=axis, keepdims=True) * _NEG_ONE)
+    total = exp.sum(axis=axis, keepdims=True)
+    inv_total = total ** -1.0
+    out = _make(exp * inv_total, (x,), "softmax")
+    if not out.requires_grad:
+        return out
+
+    def _backward(grad):
+        exp_grad = grad * inv_total
+        inv_total_grad = _unbroadcast(grad * exp, inv_total.shape)
+        exp_grad += np.broadcast_to(-1.0 * total ** -2.0 * inv_total_grad, exp.shape).astype(np.float32)
+        x._accumulate(exp * exp_grad)
+
+    out._backward = _backward
+    return out
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer normalisation over the last axis, scaled by ``weight`` and shifted by ``bias``."""
+    return _normalize(x, weight, bias, eps, -1, weight.shape, None, "layer_norm")
+
+
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float, running_mean: Optional[np.ndarray] = None,
+               running_var: Optional[np.ndarray] = None) -> Tensor:
+    """Batch normalisation over the channel axis of ``(N, C, H, W)``.
+
+    Normalises with the batch's statistics (training mode), or with
+    ``running_mean`` / ``running_var`` when they are given (inference mode);
+    updating the running statistics is the caller's business.
+    """
+    running = None if running_mean is None else (running_mean, running_var)
+    return _normalize(x, weight, bias, eps, (0, 2, 3), (1, weight.shape[0], 1, 1), running, "batch_norm")
+
+
+def _normalize(x: Tensor, weight: Tensor, bias: Tensor, eps: float, axis, shape: Tuple[int, ...],
+               running: Optional[Tuple[np.ndarray, np.ndarray]], op: str) -> Tensor:
+    """``(x - mean) / (var + eps) ** 0.5 * weight + bias`` as one graph node.
+
+    ``weight`` and ``bias`` are viewed as ``shape``; ``mean`` and ``var`` are
+    ``x``'s over ``axis`` (``Tensor.mean`` / ``Tensor.var``) unless the
+    ``running`` statistics are given.  Forward and backward replay the
+    composite (rule 4 in ``docs/performance.md``): the same numpy calls in the
+    composite's reverse-topological order, its pass-through copies included.
+    With batch statistics ``x`` receives four gradients, in this order: from
+    ``x - mean``, from ``mean``'s sum, from ``var``'s ``x - mu``, from ``mu``'s
+    sum (``mu`` is the mean ``var`` recomputes, equal to ``mean``).
+    """
+    data = x.data
+    if running is None:
+        total = data.sum(axis=axis, keepdims=True)
+        scale = np.float32(1.0 / (data.size // total.size))
+        centered = data + total * scale * _NEG_ONE
+        var = (centered * centered).sum(axis=axis, keepdims=True) * scale
+    else:
+        centered = data + running[0].reshape(shape) * _NEG_ONE
+        var = running[1].reshape(shape)
+    shifted = var + np.float32(eps)
+    std = shifted ** 0.5
+    inv_std = std ** -1.0
+    x_hat = centered * inv_std
+    weight_data = weight.data.reshape(shape)
+    out = _make(x_hat * weight_data + bias.data.reshape(shape), (x, weight, bias), op)
+    if not out.requires_grad:
+        return out
+
+    def _backward(grad):
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, shape).reshape(bias.shape))
+        if not (x.requires_grad or weight.requires_grad):
+            return
+        grad = grad.astype(np.float32)
+        if weight.requires_grad:
+            weight._accumulate(_unbroadcast(grad * x_hat, shape).reshape(weight.shape), fresh=True)
+        if not x.requires_grad:
+            return
+        hat_grad = grad * weight_data
+        centered_grad = hat_grad * inv_std
+        x._accumulate(centered_grad)
+        if running is not None:
+            return
+        mean_grad = _unbroadcast(centered_grad, var.shape).astype(np.float32) * _NEG_ONE
+        x._accumulate(np.broadcast_to(mean_grad * scale, data.shape).astype(np.float32), fresh=True)
+        inv_std_grad = _unbroadcast(hat_grad * centered, inv_std.shape)
+        std_grad = -1.0 * std ** -2.0 * inv_std_grad
+        var_grad = (0.5 * shifted ** -0.5 * std_grad).astype(np.float32)
+        square_grad = np.broadcast_to(var_grad * scale, data.shape).astype(np.float32)
+        centered_grad = square_grad * centered
+        centered_grad += square_grad * centered
+        x._accumulate(centered_grad)
+        mu_grad = _unbroadcast(centered_grad, var.shape).astype(np.float32) * _NEG_ONE
+        x._accumulate(np.broadcast_to(mu_grad * scale, data.shape).astype(np.float32), fresh=True)
+
+    out._backward = _backward
+    return out
 
 
 def embedding(indices: np.ndarray, weight: Tensor) -> Tensor:

@@ -104,23 +104,16 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            batch_mean = x.data.mean(axis=(0, 2, 3))
-            batch_var = x.data.var(axis=(0, 2, 3))
-            # In-place update keeps the registered buffer and attribute in sync.
-            self.running_mean *= (1.0 - self.momentum)
-            self.running_mean += self.momentum * batch_mean
-            self.running_var *= (1.0 - self.momentum)
-            self.running_var += self.momentum * batch_var
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
-        x_hat = (x - mean) / (var + self.eps) ** 0.5
-        weight = self.weight.reshape(1, self.num_features, 1, 1)
-        bias = self.bias.reshape(1, self.num_features, 1, 1)
-        return x_hat * weight + bias
+        if not self.training:
+            return F.batch_norm(x, self.weight, self.bias, self.eps, self.running_mean, self.running_var)
+        batch_mean = x.data.mean(axis=(0, 2, 3))
+        batch_var = x.data.var(axis=(0, 2, 3))
+        # In-place update keeps the registered buffer and attribute in sync.
+        self.running_mean *= (1.0 - self.momentum)
+        self.running_mean += self.momentum * batch_mean
+        self.running_var *= (1.0 - self.momentum)
+        self.running_var += self.momentum * batch_var
+        return F.batch_norm(x, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
@@ -137,10 +130,7 @@ class LayerNorm(Module):
         self.bias = Parameter(init.zeros((normalized_shape,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        x_hat = (x - mean) / (var + self.eps) ** 0.5
-        return x_hat * self.weight + self.bias
+        return F.layer_norm(x, self.weight, self.bias, self.eps)
 
     def __repr__(self) -> str:
         return f"LayerNorm({self.normalized_shape})"

@@ -40,10 +40,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, label_smoothing: float = 
     flat_targets = targets.reshape(-1)
 
     if ignore_index is not None:
-        keep = flat_targets != ignore_index
-        if not np.any(keep):
-            return Tensor(np.zeros((), dtype=np.float32))
-        flat_logits = flat_logits[np.nonzero(keep)[0]]
+        keep = np.nonzero(flat_targets != ignore_index)[0]
+        flat_logits = flat_logits[keep]
+        if not keep.size:
+            # Every target is padding: the sum over no positions is a zero
+            # loss that is still a node over the logits, so backward() runs
+            # and hands them a zero gradient.
+            return flat_logits.sum()
         flat_targets = flat_targets[keep]
 
     log_probs = F.log_softmax(flat_logits, axis=-1)

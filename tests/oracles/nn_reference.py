@@ -1,14 +1,18 @@
-"""The ``nn`` substrate's convolution, pooling and gradient accumulation as they were before PR 15.
+"""The ``nn`` substrate's reference formulations: slow, obviously correct, moved verbatim from ``repro.nn``.
 
 ``conv2d`` here is the im2col + ``np.einsum(optimize=True)`` formulation,
 ``max_pool2d``/``avg_pool2d`` the pooling ops over the same helpers and
-``accumulate`` the copy-always gradient accumulation, all moved verbatim from
-``repro.nn`` (only the backward closures' signature follows the acyclic-graph
-rule: they receive the node's gradient instead of reading ``out.grad``).  They
-are slow and obviously correct; ``tests/test_nn_bit_identity.py`` requires the
-production code to reproduce their values *and memory layouts* exactly,
-because training is chaotic in a single ulp and because downstream reductions
-(BatchNorm statistics, the slab cache's rows) run in stride order.
+``accumulate`` the copy-always gradient accumulation (only the backward
+closures' signature follows the acyclic-graph rule: they receive the node's
+gradient instead of reading ``out.grad``).  ``linear``, ``softmax``,
+``layer_norm`` and ``batch_norm`` are the composites of primitive ``Tensor``
+ops that ``repro.nn`` computes as one graph node each: ``linear``/``softmax``
+as ``repro.nn.functional`` had them, ``layer_norm``/``batch_norm`` as
+``LayerNorm.forward``/``BatchNorm2d.forward`` wrote them after the running
+statistics update.  ``tests/test_nn_bit_identity.py`` requires the production
+code to reproduce their values *and memory layouts* exactly, because training
+is chaotic in a single ulp and because downstream reductions (BatchNorm
+statistics, the slab cache's rows) run in stride order.
 """
 
 from __future__ import annotations
@@ -177,3 +181,42 @@ def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     if requires:
         out._backward = _backward
     return out
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Affine transform ``x @ weight.T + bias`` for 2-D or 3-D inputs."""
+    out = x.matmul(weight.transpose())
+    if bias is not None:
+        out = out + bias
+    return out
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    shifted = x - x.max(axis=axis, keepdims=True).detach()
+    exp = shifted.exp()
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Layer normalisation over the last axis."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    x_hat = (x - mean) / (var + eps) ** 0.5
+    return x_hat * weight + bias
+
+
+def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float, running_mean: Optional[np.ndarray] = None,
+               running_var: Optional[np.ndarray] = None) -> Tensor:
+    """Batch normalisation over the channel axis: batch statistics, or the running ones when given."""
+    if running_mean is None:
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), keepdims=True)
+    else:
+        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
+        var = Tensor(running_var.reshape(1, -1, 1, 1))
+    x_hat = (x - mean) / (var + eps) ** 0.5
+    num_features = weight.shape[0]
+    weight = weight.reshape(1, num_features, 1, 1)
+    bias = bias.reshape(1, num_features, 1, 1)
+    return x_hat * weight + bias

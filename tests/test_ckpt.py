@@ -1,8 +1,10 @@
 """Tests for the freezing-aware checkpoint & fault-tolerance subsystem."""
 
+import gc
 import json
 import os
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -290,6 +292,43 @@ def test_trainer_resume_is_bit_exact(workload_name, system, total_epochs, resume
     assert resumed_timeline == full_timeline
 
 
+def test_egeria_trainer_is_freed_without_the_cyclic_collector_and_counts_on_after_an_in_place_restore():
+    """The reference model's block counter and the activation recorders hold
+    their owners weakly: a bound-method hook made the reference model and its
+    ``ReferenceModel`` a cycle, and the recorder's hook closure did the same
+    with the training model, so a discarded trainer's two models lived until a
+    cyclic collection.  The counter still counts into the stats object an
+    in-place ``restore()`` installs (a hook holding the old one read 11 blocks
+    instead of 38 at epoch 8)."""
+    keys = ("reference_blocks_executed", "training_forwards")
+    workload = build_workload("resnet56_cifar10", scale="tiny", seed=0)
+    uninterrupted = build_trainer("egeria", workload)
+    uninterrupted.fit(8)
+    expected = {key: uninterrupted.summary()[key] for key in keys}
+    uninterrupted.close()
+
+    manager = CheckpointManager(MemoryBackend())
+    trainer = build_trainer("egeria", workload)
+    trainer.configure_checkpointing(manager, checkpoint_every=4)
+    trainer.fit(4)
+    saved = {key: trainer.summary()[key] for key in keys}
+    trainer.fit(6)
+    assert trainer.reference.model is not None
+    assert trainer.restore(manager.latest()) is trainer
+    assert {key: trainer.summary()[key] for key in keys} == saved
+    trainer.fit(8)
+    assert {key: trainer.summary()[key] for key in keys} == expected
+    trainer.close()
+
+    gc.disable()
+    try:
+        alive = [weakref.ref(trainer.model), weakref.ref(trainer.reference.model)]
+        del trainer
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_egeria_resume_after_freeze_keeps_frozen_state():
     """Checkpointing *after* modules froze restores the frozen prefix, the
     BatchNorm inference mode and the monitored-module cursor."""
@@ -526,10 +565,10 @@ def test_save_walks_the_state_once_and_digests_each_array_once():
 
     info, calls = _ckpt_calls(CheckpointManager(MemoryBackend()).save, state, 42, meta)
     comprehensions = {name for name in calls if name.startswith("<")}  # inlined from Python 3.12 on
-    assert set(calls) - comprehensions == {"save", "split_state", "walk", "tensor_digest", "jsonify_scalars"}
+    assert set(calls) - comprehensions == {"save", "split_state", "_walk", "tensor_digest", "jsonify_scalars"}
     assert calls["save"] == 1
     assert calls["split_state"] == len(state)             # one per top-level section
-    assert calls["walk"] == nodes - 1                     # every node below the top-level dict, once
+    assert calls["_walk"] == nodes - 1                    # every node below the top-level dict, once
     assert calls["tensor_digest"] == arrays
     assert calls["jsonify_scalars"] == _count_nodes(meta)[0]  # the meta only, never the state tree
     assert info.num_tensors <= arrays
@@ -549,6 +588,19 @@ def test_restore_walks_the_tree_once_and_reads_each_placeholder_once():
     assert restored["a"]["w"] is not restored["a"]["v"]
     restored["a"]["w"][:] = 7.0
     assert np.array_equal(manager.restore()["a"]["w"], np.ones(3, dtype=np.float32))
+
+
+def test_split_state_leaves_no_reference_cycle():
+    """A self-calling closure kept every table it built (the state's arrays)
+    alive until a cyclic collection: once the collector ran a tenth as often,
+    ``ckpt_cycle`` peaked at 78.7 MB instead of 71.3 MB."""
+    gc.collect()
+    gc.disable()
+    try:
+        split_state({"a": {"w": np.ones(3, dtype=np.float32)}, "b": [np.zeros(2), 1.0]})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_split_state_table_holds_the_callers_arrays_and_backends_copy():

@@ -1,5 +1,7 @@
 """Tests for the controller/worker protocol, task adapters and trainers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,22 @@ class TestTaskAdapters:
         assert loss.item() > 0
         ppl = task.evaluate(model, iter(DataLoader(dataset, batch_size=4, shuffle=False)))
         assert ppl > 1.0
+
+    def test_translation_loss_of_an_all_padding_batch_backpropagates_zero(self):
+        """Such a loss used to be a constant outside the graph, and the
+        trainer's ``loss.backward()`` raised ``RuntimeError``."""
+        task = TranslationTask()
+        model = models.transformer_tiny(vocab_size=16, seed=0)
+        dataset = make_dataset("synthetic_wmt16", num_samples=16, vocab_size=16, seq_len=6, seed=0)
+        batch = dataset.get_batch(np.arange(4))
+        batch = dataclasses.replace(batch, targets=np.full_like(batch.targets, task.pad_token))
+        logits = task.forward(model, batch)
+        loss = task.loss(logits, batch)
+        assert loss.item() == 0.0
+        assert loss.backward() > 1
+        assert logits.grad.shape == logits.shape and not logits.grad.any()
+        grads = [param.grad for param in model.parameters() if param.grad is not None]
+        assert grads and not any(grad.any() for grad in grads)
 
     def test_qa_task(self):
         task = QuestionAnsweringTask()

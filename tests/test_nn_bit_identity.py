@@ -5,15 +5,26 @@ moves a final loss outside ``bench/golden.json``'s tolerance) and numpy
 reduces in stride order, so "same result" means ``np.array_equal`` values *and*
 equal ``.strides``: BatchNorm sums the conv output in memory order and the
 slab cache stores activation rows in memory order.  The reference
-(``tests/oracles/nn_reference.py``) is the im2col + ``einsum(optimize=True)``
-convolution and the copy-always gradient accumulation.
+(``tests/oracles/nn_reference.py``) has one row per production op:
+
+* ``conv2d`` / ``max_pool2d`` / ``avg_pool2d`` — im2col +
+  ``einsum(optimize=True)``; ``accumulate`` — the copy-always gradient
+  accumulation;
+* ``linear`` / ``softmax`` / ``layer_norm`` / ``batch_norm`` (both modes) —
+  the composites of primitive ``Tensor`` ops that production computes as one
+  graph node each, replaying the composite's numpy calls in its
+  reverse-topological order.  Their op-level cases draw every memory layout of
+  ``x`` and of the upstream gradient, every trainable/frozen combination of
+  ``x``, ``weight`` and ``bias``, and a residual consumer of ``x`` whose
+  gradient arrives before or after the op's four (``x.grad`` sums them in
+  graph order).
 
 Strides are compared on axes longer than 1 (a length-1 axis never addresses
 memory, and numpy reports whatever the last reshape left there).  Bit-identity
 holds whenever the batch, the patch size ``c_in * k * k`` and ``c_out`` all
 exceed 1; einsum drops length-1 indices before lowering and then hands BLAS
 differently transposed operands, so those degenerate shapes only agree to
-float32 rounding.
+float32 rounding.  The fused ops are bit-identical on every shape.
 """
 
 import itertools
@@ -34,8 +45,13 @@ def _layout(array, kind):
     if kind == "c":
         return np.ascontiguousarray(array)
     if kind == "last":
-        return np.ascontiguousarray(array.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(array.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        return _laid_out(array, (0, 2, 3, 1))
+    return _laid_out(array, (1, 2, 3, 0))
+
+
+def _laid_out(array, order):
+    """``array`` with its axes stored in memory in ``order``, slowest first."""
+    return np.ascontiguousarray(array.transpose(order)).transpose(np.argsort(order))
 
 
 def _strides(array):
@@ -167,24 +183,123 @@ def test_pooling_is_unchanged(pool, shape, kernel, stride, kind):
         assert np.array_equal(want, got) and _strides(want) == _strides(got)
 
 
+FUSED_OPS = ["linear", "softmax", "layer_norm", "batch_norm", "batch_norm_running"]
+
+
+@st.composite
+def _fused_op_cases(draw, op):
+    """A shape, memory layouts, the trainable inputs and a residual consumer of ``x`` for one fused op."""
+    if op.startswith("batch_norm"):
+        x_shape = tuple(draw(st.integers(1, 4)) for _ in range(4))
+    else:
+        x_shape = tuple(draw(st.integers(1, 5)) for _ in range(draw(st.integers(2, 4 if op == "softmax" else 3))))
+    return {
+        "op": op,
+        "x_shape": x_shape,
+        "out_features": draw(st.integers(1, 5)),
+        "bias": op != "linear" or draw(st.booleans()),
+        "axis": draw(st.integers(-len(x_shape), len(x_shape) - 1)),
+        "x_order": draw(st.permutations(range(len(x_shape)))),
+        "grad_order": draw(st.permutations(range(len(x_shape)))),
+        "weight_order": draw(st.permutations(range(2))),
+        "trainable": draw(st.tuples(st.booleans(), st.booleans(), st.booleans())),
+        "residual": draw(st.sampled_from([None, "before", "after"])),
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+
+
+def _fused_op_results(module, case):
+    """Output and every gradient of one op run through ``module``, on fresh operands laid out as ``case`` says."""
+    op, x_shape = case["op"], case["x_shape"]
+    rng = np.random.default_rng(case["seed"])
+    x = Tensor(_laid_out(rng.standard_normal(x_shape).astype(np.float32), case["x_order"]),
+               requires_grad=case["trainable"][0])
+    if op == "linear":
+        params = [_laid_out(rng.standard_normal((case["out_features"], x_shape[-1])).astype(np.float32),
+                            case["weight_order"]),
+                  rng.standard_normal(case["out_features"]).astype(np.float32) if case["bias"] else None]
+    else:
+        features = x_shape[-1] if op == "layer_norm" else x_shape[1]
+        params = [] if op == "softmax" else [rng.standard_normal(features).astype(np.float32) for _ in range(2)]
+    params = [None if p is None else Tensor(p, requires_grad=trainable)
+              for p, trainable in zip(params, case["trainable"][1:])]
+    if op == "linear":
+        out = module.linear(x, *params)
+    elif op == "softmax":
+        out = module.softmax(x, axis=case["axis"])
+    elif op == "layer_norm":
+        out = module.layer_norm(x, *params, 1e-5)
+    elif op == "batch_norm":
+        out = module.batch_norm(x, *params, 1e-5)
+    else:
+        running_mean = rng.standard_normal(x_shape[1]).astype(np.float32)
+        running_var = (rng.random(x_shape[1]) + 0.5).astype(np.float32)
+        out = module.batch_norm(x, *params, 1e-5, running_mean, running_var)
+    # A second consumer of x: the graph orders its gradient before or after the op's.
+    total = out
+    if case["residual"] is not None:
+        side = (x * Tensor(rng.standard_normal(x_shape).astype(np.float32))).sum()
+        total = out + side if case["residual"] == "after" else side + out
+    if total.requires_grad:
+        total.backward(_laid_out(rng.standard_normal(out.shape).astype(np.float32), case["grad_order"]))
+    return [out.data, x.grad] + [None if p is None else p.grad for p in params]
+
+
+@pytest.mark.parametrize("op", FUSED_OPS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fused_op_is_bit_identical_to_its_composite(op, data):
+    case = data.draw(_fused_op_cases(op))
+    expected = _fused_op_results(nn_reference, case)
+    actual = _fused_op_results(F, case)
+    for name, want, got in zip(("output", "x.grad", "weight.grad", "bias.grad"), expected, actual):
+        assert (want is None) == (got is None), f"{name} of {case}"
+        if want is not None:
+            assert np.array_equal(want, got), f"values differ: {name} of {case}"
+            assert _strides(want) == _strides(got), f"strides differ: {name} of {case}"
+
+
 def _trajectory(name, system, seed, tmp_path):
+    """A 2-epoch run: ``(losses, metrics, freezing timeline, final parameter bytes), backward_nodes``."""
     overrides = {"cache_dir": str(tmp_path / f"{name}-{system}-{seed}")} if system == "egeria" else {}
     trainer = build_trainer(system, build_workload(name, scale="tiny", seed=seed), **overrides)
     history = trainer.fit(2)
-    outcome = (history.losses(), history.metrics(), trainer.backward_nodes)
+    timeline = trainer.freezing_timeline() if system == "egeria" else []
+    parameters = [(path, param.data.tobytes()) for path, param in trainer.model.named_parameters()]
     if system == "egeria":
         trainer.close()
-    return outcome
+    return (history.losses(), history.metrics(), timeline, parameters), trainer.backward_nodes
 
 
-@pytest.mark.parametrize("name", ["resnet56_cifar10", "transformer_base_wmt16"])
+@pytest.mark.parametrize("name", available_workloads())
 @pytest.mark.parametrize("system", ["egeria", "vanilla"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp_path, monkeypatch):
-    actual = _trajectory(name, system, seed, tmp_path / "actual")
+    """``backward_nodes`` is left out: one fused node counts once where its composite counted up to 19."""
+    actual, _ = _trajectory(name, system, seed, tmp_path / "actual")
     monkeypatch.setattr(F, "conv2d", nn_reference.conv2d)
     monkeypatch.setattr(F, "max_pool2d", nn_reference.max_pool2d)
     monkeypatch.setattr(F, "avg_pool2d", nn_reference.avg_pool2d)
+    monkeypatch.setattr(F, "linear", nn_reference.linear)
+    monkeypatch.setattr(F, "softmax", nn_reference.softmax)
+    monkeypatch.setattr(F, "layer_norm", nn_reference.layer_norm)
+    monkeypatch.setattr(F, "batch_norm", nn_reference.batch_norm)
     monkeypatch.setattr(Tensor, "_accumulate", nn_reference.accumulate)
-    expected = _trajectory(name, system, seed, tmp_path / "oracle")
+    expected, _ = _trajectory(name, system, seed, tmp_path / "oracle")
     assert actual == expected
+
+
+@pytest.mark.parametrize("name,nodes,composite_nodes", [
+    ("resnet56_cifar10", 1022, 3318),
+    ("transformer_base_wmt16", 8424, 17964),
+])
+@pytest.mark.parametrize("system", ["egeria", "vanilla"])
+def test_backward_nodes_are_pinned(name, nodes, composite_nodes, system, tmp_path, monkeypatch):
+    """Seed 0, two epochs: the autograd nodes every ``backward()`` visited, an
+    exact work counter.  ``composite_nodes`` is the count with the oracle's
+    composite ``linear`` / ``softmax`` / ``layer_norm`` / ``batch_norm``."""
+    _, fused = _trajectory(name, system, 0, tmp_path / "fused")
+    for op in ("linear", "softmax", "layer_norm", "batch_norm"):
+        monkeypatch.setattr(F, op, getattr(nn_reference, op))
+    _, composite = _trajectory(name, system, 0, tmp_path / "composite")
+    assert (fused, composite) == (nodes, composite_nodes)
