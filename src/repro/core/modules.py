@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
-from ..nn.module import Module
+from ..nn.module import Module, Parameter
 
 __all__ = ["LayerModule", "parse_layer_modules", "building_blocks"]
 
@@ -83,10 +84,15 @@ class LayerModule:
         for module in self.owned:
             module.unfreeze()
 
+    @cached_property
+    def params(self) -> List[Parameter]:
+        """Every parameter of the group's blocks and glue, collected once (a model's parameters are fixed)."""
+        return [param for module in self.owned for param in module.parameters()]
+
     def is_frozen(self) -> bool:
         """True when every parameterised block (and glue) in the group is frozen."""
-        frozen_states = [module.is_frozen() for module in self.owned if any(True for _ in module.parameters())]
-        return bool(frozen_states) and all(frozen_states)
+        params = self.params
+        return bool(params) and not any(param.requires_grad for param in params)
 
     @property
     def tail_block(self) -> Module:

@@ -1,9 +1,13 @@
 """Stochastic gradient descent with momentum and weight decay.
 
 SGD is the optimizer used by the paper for all CNN workloads (ResNet-50/56,
-MobileNetV2, DeepLabv3).  The implementation keys momentum buffers by
-parameter identity so that freezing/unfreezing a layer (which only flips
-``requires_grad``) never loses optimizer state.
+MobileNetV2, DeepLabv3).  The momentum buffers are one flat float32 array
+over the optimizer's index space, with a has-velocity flag per parameter
+*position* rather than per parameter identity, so freezing/unfreezing a
+layer (which only flips ``requires_grad``) never loses optimizer state.  A
+step updates runs of consecutive parameters (see
+:mod:`repro.optim.optimizer`); a buffer that does not exist yet reads zero,
+which is what a fresh buffer held.
 """
 
 from __future__ import annotations
@@ -43,51 +47,44 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.nesterov = nesterov
-        self._velocity: Dict[int, np.ndarray] = {}
+        self._velocity = np.zeros(self._offsets[-1], dtype=np.float32)
+        self._has_velocity: List[bool] = [False] * len(self.params)
 
-    def step(self) -> None:
-        """Apply one update to every parameter that has a gradient.
-
-        Frozen parameters (``requires_grad == False``) never receive
-        gradients, so they are skipped automatically — exactly the paper's
-        "exclude the subgraph from gradient computation" behaviour.
-        """
-        for param in self.params:
-            if not param.requires_grad or param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                buf = self._velocity.get(id(param))
-                if buf is None:
-                    buf = np.zeros_like(param.data)
-                    self._velocity[id(param)] = buf
-                buf *= self.momentum
-                buf += grad
-                grad = grad + self.momentum * buf if self.nesterov else buf
-            param.data = param.data - self.lr * grad
-        self._step_count += 1
+    def _update_run(self, start: int, stop: int, data: np.ndarray, grad: np.ndarray, scratch: np.ndarray) -> None:
+        if self.weight_decay:
+            grad += np.multiply(data, self.weight_decay, out=scratch)
+        direction = grad
+        if self.momentum:
+            buf = self._velocity[self._span(start, stop)]
+            self._has_velocity[start:stop] = [True] * (stop - start)
+            buf *= self.momentum
+            buf += grad
+            if self.nesterov:
+                grad += np.multiply(buf, self.momentum, out=scratch)
+            else:
+                direction = buf
+        np.subtract(data, np.multiply(direction, self.lr, out=scratch), out=grad)
 
     def _buffer_state(self) -> Dict[str, object]:
-        velocity = {}
-        for position, param in enumerate(self.params):
-            buf = self._velocity.get(id(param))
-            if buf is not None:
-                velocity[str(position)] = buf.copy()
+        velocity = {str(position): self._velocity[self._span(position)].reshape(self._shapes[position]).copy()
+                    for position, has in enumerate(self._has_velocity) if has}
         return {"velocity": velocity}
 
     def _load_buffer_state(self, buffers: Dict[str, object]) -> None:
-        self._velocity = {}
-        for position, buf in dict(buffers.get("velocity") or {}).items():
-            param = self.params[int(position)]
-            self._velocity[id(param)] = np.array(buf, dtype=param.data.dtype, copy=True)
+        entries = [self._saved_buffer("velocity", key, buf)
+                   for key, buf in dict(buffers.get("velocity") or {}).items()]
+        self._velocity = np.zeros_like(self._velocity)
+        self._has_velocity = [False] * len(self.params)
+        for position, buf in entries:
+            self._velocity[self._span(position)] = buf
+            self._has_velocity[position] = True
 
     def state_summary(self) -> Dict[str, float]:
         """Small diagnostic summary (used in tests and logging)."""
-        velocities: List[float] = [float(np.abs(v).mean()) for v in self._velocity.values()]
+        velocities = [float(np.abs(self._velocity[self._span(position)]).mean())
+                      for position, has in enumerate(self._has_velocity) if has]
         return {
             "lr": self.lr,
-            "num_velocity_buffers": float(len(self._velocity)),
+            "num_velocity_buffers": float(len(velocities)),
             "mean_velocity_magnitude": float(np.mean(velocities)) if velocities else 0.0,
         }

@@ -19,6 +19,10 @@ slab cache stores activation rows in memory order.  The reference
   gradient arrives before or after the op's four (``x.grad`` sums them in
   graph order).
 
+The two-epoch trajectories also train with the per-tensor optimizers of
+``tests/oracles/optim_reference.py`` (their own suite is
+``tests/test_optim_flat.py``).
+
 Strides are compared on axes longer than 1 (a length-1 axis never addresses
 memory, and numpy reports whatever the last reshape left there).  Bit-identity
 holds whenever the batch, the patch size ``c_in * k * k`` and ``c_out`` all
@@ -33,9 +37,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import nn_reference
+from oracles import nn_reference, optim_reference
 
-from repro.experiments import available_workloads, build_trainer, build_workload
+from repro.experiments import available_workloads, build_trainer, build_workload, workloads
 from repro.nn import Tensor
 from repro.nn import functional as F
 
@@ -285,6 +289,8 @@ def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp
     monkeypatch.setattr(F, "layer_norm", nn_reference.layer_norm)
     monkeypatch.setattr(F, "batch_norm", nn_reference.batch_norm)
     monkeypatch.setattr(Tensor, "_accumulate", nn_reference.accumulate)
+    for optimizer in ("SGD", "Adam", "AdamW"):
+        monkeypatch.setattr(workloads, optimizer, getattr(optim_reference, optimizer))
     expected, _ = _trajectory(name, system, seed, tmp_path / "oracle")
     assert actual == expected
 
