@@ -14,7 +14,11 @@ surrogate with the same tensor shapes and task structure:
   so the mapping is learnable by a small Transformer;
 * QA examples embed the answer span's position in the token content.
 
-All datasets are deterministic functions of their seed.
+All datasets are deterministic functions of their seed.  The token datasets
+are generated whole in ``__init__``; the image datasets build a sample from
+its own seeded generator (``get_sample``) the first time a batch asks for it
+and keep it, so an epoch after the first copies rows out of a store instead
+of re-drawing every image.
 """
 
 from __future__ import annotations
@@ -111,7 +115,38 @@ class SubsetDataset:
         return getattr(self.parent, name)
 
 
-class SyntheticImageClassification(_SyntheticDataset):
+class _StoredImageDataset(_SyntheticDataset):
+    """Images built one sample at a time by ``get_sample`` and kept once built.
+
+    ``get_sample`` is a pure function of the index, so each sample is
+    materialised once, on the first batch that asks for it, into one
+    ``(num_samples, C, H, W)`` float32 store plus an int64 target store.  A
+    batch is a fancy-index copy of the stores: a caller that mutates it
+    cannot change a later batch.  Train and eval views of one dataset share
+    its stores.
+    """
+
+    def _allocate_store(self, target_shape: Tuple[int, ...]) -> None:
+        size = self.image_size
+        self._images = np.empty((self.num_samples, self.channels, size, size), dtype=np.float32)
+        self._targets = np.empty((self.num_samples,) + target_shape, dtype=np.int64)
+        self._filled = np.zeros(self.num_samples, dtype=bool)
+
+    def get_batch(self, indices: np.ndarray) -> Batch:
+        rows = np.asarray(indices, dtype=np.intp)
+        # Not np.unique: its first call imports numpy.ma (+1.1 MB peak RSS).
+        for index in rows[~self._filled[rows]]:
+            if not self._filled[index]:  # an index repeated in this batch
+                self._images[index], self._targets[index] = self.get_sample(int(index))
+                self._filled[index] = True
+        return Batch(inputs=self._images[rows], targets=self._targets[rows], indices=np.asarray(indices))
+
+    def input_nbytes_per_sample(self) -> int:
+        """Raw input size in bytes (used for the cache-overhead analysis)."""
+        return self.channels * self.image_size * self.image_size * 4
+
+
+class SyntheticImageClassification(_StoredImageDataset):
     """Class-conditional images: per-class template + structured noise.
 
     Each class has a fixed low-frequency template; a sample is the template
@@ -133,6 +168,7 @@ class SyntheticImageClassification(_SyntheticDataset):
         self.templates = coarse.repeat(reps, axis=2).repeat(reps, axis=3)
         self.labels = rng.integers(0, num_classes, size=num_samples)
         self._noise_seeds = rng.integers(0, 2 ** 31 - 1, size=num_samples)
+        self._allocate_store(())
 
     def get_sample(self, index: int) -> Tuple[np.ndarray, int]:
         """Deterministically materialise sample ``index``."""
@@ -142,19 +178,8 @@ class SyntheticImageClassification(_SyntheticDataset):
         image = self.templates[label] + self.noise * noise
         return image, label
 
-    def get_batch(self, indices: np.ndarray) -> Batch:
-        images = np.empty((len(indices), self.channels, self.image_size, self.image_size), dtype=np.float32)
-        labels = np.empty(len(indices), dtype=np.int64)
-        for row, index in enumerate(indices):
-            images[row], labels[row] = self.get_sample(int(index))
-        return Batch(inputs=images, targets=labels, indices=np.asarray(indices))
 
-    def input_nbytes_per_sample(self) -> int:
-        """Raw input size in bytes (used for the cache-overhead analysis)."""
-        return self.channels * self.image_size * self.image_size * 4
-
-
-class SyntheticSegmentation(_SyntheticDataset):
+class SyntheticSegmentation(_StoredImageDataset):
     """Images with per-pixel labels derived from geometric foreground masks."""
 
     def __init__(self, num_samples: int = 128, num_classes: int = 8, image_size: int = 16,
@@ -167,6 +192,7 @@ class SyntheticSegmentation(_SyntheticDataset):
         rng = np.random.default_rng(seed)
         self.class_colors = rng.standard_normal((num_classes, channels)).astype(np.float32)
         self._sample_seeds = rng.integers(0, 2 ** 31 - 1, size=num_samples)
+        self._allocate_store((image_size, image_size))
 
     def get_sample(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(int(self._sample_seeds[index]))
@@ -181,16 +207,6 @@ class SyntheticSegmentation(_SyntheticDataset):
         image = self.class_colors[mask].transpose(2, 0, 1).astype(np.float32)
         image += self.noise * rng.standard_normal(image.shape).astype(np.float32)
         return image, mask
-
-    def get_batch(self, indices: np.ndarray) -> Batch:
-        images = np.empty((len(indices), self.channels, self.image_size, self.image_size), dtype=np.float32)
-        masks = np.empty((len(indices), self.image_size, self.image_size), dtype=np.int64)
-        for row, index in enumerate(indices):
-            images[row], masks[row] = self.get_sample(int(index))
-        return Batch(inputs=images, targets=masks, indices=np.asarray(indices))
-
-    def input_nbytes_per_sample(self) -> int:
-        return self.channels * self.image_size * self.image_size * 4
 
 
 class SyntheticTranslation(_SyntheticDataset):

@@ -145,10 +145,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
     ``cols[p, f] @ w_mat[c_out, f].T``, returned as a channels-last *view* of
     shape ``(n, c_out, out_h, out_w)``; ``grad_w = cols_t[f, p] @ grad[p,
     c_out]``, transposed; ``grad_cols = grad[p, c_out] @ w_mat``, scattered
-    back in ``(ki, kj)`` order.  Operand contiguity and output layouts are
-    those of the reference formulation (``tests/oracles/nn_reference.py``) and
-    part of the contract (``docs/performance.md``, "Training substrate"):
-    they fix the bits BLAS returns and the order downstream reductions run in.
+    back in ``(ki, kj)`` order into a channels-last buffer that is converted
+    to NCHW once (the same adds per element as an NCHW scatter, over rows
+    ``c_in`` floats long instead of ``out_w``).  Operand contiguity and
+    output layouts are those of the reference formulation
+    (``tests/oracles/nn_reference.py``) and part of the contract
+    (``docs/performance.md``, "Training substrate"): they fix the bits BLAS
+    returns and the order downstream reductions run in.
 
     Grouped convolution (``groups > 1``, MobileNetV2's depthwise layers) has
     its own formulation, see :func:`_grouped_conv2d`.
@@ -189,15 +192,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
             weight._accumulate((cols_t @ grad_mat).T.reshape(weight.shape), fresh=True)
         if x.requires_grad:
             grad_cols = (grad_mat @ weight.data.reshape(c_out, -1)).reshape(n, out_h, out_w, c_in, kernel, kernel)
-            grad_xp = np.zeros(padded_shape, dtype=np.float32)
+            # Scattered channels-last, so each add runs over long rows: every
+            # element receives the same adds in the same order, from +0.0.
+            src = grad_cols.transpose(4, 5, 0, 1, 2, 3)
+            buf = np.zeros((n, h + 2 * padding, w + 2 * padding, c_in), dtype=np.float32)
             for ki in range(kernel):
                 i_end = ki + stride * out_h
                 for kj in range(kernel):
                     j_end = kj + stride * out_w
-                    grad_xp[:, :, ki:i_end:stride, kj:j_end:stride] += grad_cols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-            if padding > 0:
-                grad_xp = np.ascontiguousarray(grad_xp[:, :, padding:-padding, padding:-padding])
-            x._accumulate(grad_xp, fresh=True)
+                    buf[:, ki:i_end:stride, kj:j_end:stride] += src[ki, kj]
+            grad_x = np.ascontiguousarray(buf[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+            x._accumulate(grad_x, fresh=True)
 
     out._backward = _backward
     return out
@@ -454,12 +459,18 @@ def upsample_nearest(x: Tensor, scale: int) -> Tensor:
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout.  A seeded ``rng`` makes the mask stateless/replayable,
-    which the activation cache relies on for deterministic augmentation."""
-    if not training or p <= 0.0:
+    which the activation cache relies on for deterministic augmentation.
+
+    ``p == 1`` drops everything: the mask is all zeros (it draws as any other
+    ``p`` does, so the generator's stream does not depend on ``p``).
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1], got {p}")
+    if not training or p == 0.0:
         return x
     gen = rng if rng is not None else np.random.default_rng()
-    mask = (gen.random(x.shape) >= p).astype(np.float32) / (1.0 - p)
-    return x * Tensor(mask)
+    keep = (gen.random(x.shape) >= p).astype(np.float32)
+    return x * Tensor(keep / (1.0 - p) if p < 1.0 else keep)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

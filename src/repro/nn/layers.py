@@ -158,6 +158,8 @@ class Dropout(Module):
 
     def __init__(self, p: float = 0.1, seed: Optional[int] = None):
         super().__init__()
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"dropout probability must be in [0, 1], got {p}")
         self.p = p
         self.seed = seed
         self._rng = np.random.default_rng(seed)

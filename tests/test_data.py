@@ -88,6 +88,98 @@ class TestDatasets:
         assert ds.input_nbytes_per_sample() == 3 * 8 * 8 * 4
 
 
+def _counting_get_sample(monkeypatch, cls):
+    """Wrap ``cls.get_sample`` to count its calls; returns the one-element counter list."""
+    calls = [0]
+    original = cls.get_sample
+
+    def counting(self, index):
+        calls[0] += 1
+        return original(self, index)
+
+    monkeypatch.setattr(cls, "get_sample", counting)
+    return calls
+
+
+IMAGE_DATASETS = [
+    pytest.param(lambda: SyntheticImageClassification(num_samples=12, num_classes=4, image_size=8, seed=2),
+                 id="classification"),
+    pytest.param(lambda: SyntheticSegmentation(num_samples=12, num_classes=4, image_size=8, seed=2),
+                 id="segmentation"),
+]
+
+
+class TestSampleStore:
+    """The image datasets build each sample once; a batch is a copy out of the store."""
+
+    @pytest.mark.parametrize("make", IMAGE_DATASETS)
+    @pytest.mark.parametrize("indices", [
+        np.array([7, 2, 11, 0, 5]),
+        np.array([3, 3, 9, 3, 9]),
+        np.array([-1, 11, -12, 0]),
+        np.array([], dtype=np.int64),
+        [],
+    ], ids=["shuffled", "repeated", "negative", "empty", "empty-list"])
+    def test_batch_bytes_equal_the_stacked_samples(self, make, indices):
+        ds = make()
+        for _ in range(2):  # filling, then served from the store
+            batch = ds.get_batch(indices)
+            samples = [ds.get_sample(int(index)) for index in indices]
+            shape = (ds.channels, ds.image_size, ds.image_size)
+            images = np.stack([image for image, _ in samples]) if samples else np.empty((0,) + shape, np.float32)
+            targets = np.array([target for _, target in samples], dtype=np.int64)
+            assert batch.inputs.dtype == np.float32 and batch.inputs.tobytes() == images.tobytes()
+            assert batch.inputs.shape == (len(indices),) + shape
+            assert batch.targets.dtype == np.int64 and batch.targets.tobytes() == targets.tobytes()
+            assert np.array_equal(batch.indices, np.asarray(indices))
+
+    @pytest.mark.parametrize("make", IMAGE_DATASETS)
+    def test_train_and_eval_views_fill_one_store(self, make, monkeypatch):
+        ds = make()
+        calls = _counting_get_sample(monkeypatch, type(ds))
+        train, evaluation = ds.split(eval_fraction=0.25)
+        for _ in range(3):
+            train.get_batch(np.arange(len(train))[::-1])
+            evaluation.get_batch(np.arange(len(evaluation)))
+        assert calls[0] == ds.num_samples
+        ds.get_batch(np.arange(ds.num_samples))
+        assert calls[0] == ds.num_samples
+
+    @pytest.mark.parametrize("make", IMAGE_DATASETS)
+    def test_mutating_a_batch_leaves_later_batches_unchanged(self, make):
+        ds = make()
+        first = ds.get_batch(np.array([4, 1]))
+        expected_inputs, expected_targets = first.inputs.copy(), first.targets.copy()
+        first.inputs[...] = np.nan
+        first.targets[...] = -7
+        again = ds.get_batch(np.array([4, 1]))
+        assert again.inputs.tobytes() == expected_inputs.tobytes()
+        assert np.array_equal(again.targets, expected_targets)
+
+    @pytest.mark.parametrize("make", IMAGE_DATASETS)
+    @pytest.mark.parametrize("bad", [12, 40, -13])
+    def test_out_of_range_indices_raise(self, make, bad):
+        ds = make()
+        with pytest.raises(IndexError):
+            ds.get_batch(np.array([0, bad]))
+
+    @pytest.mark.parametrize("system", ["egeria", "vanilla"])
+    def test_an_18_epoch_fit_materialises_each_sample_once(self, system, monkeypatch, tmp_path):
+        """Exact work counter: tiny ``resnet56_cifar10`` trains on 112 samples and
+        evaluates on the first 16 of its 28 every epoch (one unshuffled full
+        batch).  Re-materialising every batch made 18 x 128 = 2 304
+        ``get_sample`` calls."""
+        from repro.experiments import build_trainer, build_workload
+
+        calls = _counting_get_sample(monkeypatch, SyntheticImageClassification)
+        overrides = {"cache_dir": str(tmp_path)} if system == "egeria" else {}
+        trainer = build_trainer(system, build_workload("resnet56_cifar10", scale="tiny", seed=0), **overrides)
+        trainer.fit(18)
+        if system == "egeria":
+            trainer.close()
+        assert calls[0] == 128
+
+
 class TestDataLoader:
     def test_batches_cover_dataset_without_replacement(self):
         ds = make_dataset("synthetic_cifar10", num_samples=32, seed=0)

@@ -9,7 +9,9 @@ slab cache stores activation rows in memory order.  The reference
 
 * ``conv2d`` / ``max_pool2d`` / ``avg_pool2d`` — im2col +
   ``einsum(optimize=True)``; ``accumulate`` — the copy-always gradient
-  accumulation;
+  accumulation.  Every conv case runs each layout of ``x``, ``weight`` and
+  the upstream gradient under every trainable/frozen combination of ``x``,
+  ``weight`` and ``bias`` but all frozen;
 * ``linear`` / ``softmax`` / ``layer_norm`` / ``batch_norm`` (both modes) —
   the composites of primitive ``Tensor`` ops that production computes as one
   graph node each, replaying the composite's numpy calls in its
@@ -62,15 +64,30 @@ def _strides(array):
     return tuple(stride for stride, size in zip(array.strides, array.shape) if size != 1)
 
 
-def _conv_results(conv, x, weight, bias, upstream, stride, padding, groups):
-    """Forward output and every gradient of one convolution, on private copies of the operands."""
-    x = Tensor(x.copy(order="K"), requires_grad=True)
-    weight = Tensor(weight.copy(order="K"), requires_grad=True)
-    bias = None if bias is None else Tensor(bias.copy(), requires_grad=True)
+def _conv_results(conv, x, weight, bias, upstream, stride, padding, groups, trainable):
+    """Forward output and every gradient of one convolution, on private copies of the operands.
+
+    ``trainable`` says which of ``x``, ``weight``, ``bias`` require grad; a
+    frozen operand's gradient is ``None``.
+    """
+    x = Tensor(x.copy(order="K"), requires_grad=trainable[0])
+    weight = Tensor(weight.copy(order="K"), requires_grad=trainable[1])
+    bias = None if bias is None else Tensor(bias.copy(), requires_grad=trainable[2])
     out = conv(x, weight, bias, stride=stride, padding=padding, groups=groups)
     out.backward(upstream.copy(order="K"))
     grads = [x.grad, weight.grad] + ([] if bias is None else [bias.grad])
     return [out.data] + grads
+
+
+def _trainable_combinations(use_bias):
+    """Every trainable/frozen combination of ``x``, ``weight`` and ``bias`` but all frozen.
+
+    Training runs them all: the stem conv's input needs no gradient, and
+    Egeria's frozen prefix freezes weights while a later layer still needs
+    ``x.grad``.  Without a bias its flag is fixed to frozen.
+    """
+    combinations = itertools.product((True, False), (True, False), (True, False) if use_bias else (False,))
+    return [trainable for trainable in combinations if any(trainable)]
 
 
 def _assert_conv_matches_oracle(x_shape, w_shape, use_bias, stride, padding, groups, exact=True, seed=0):
@@ -85,12 +102,17 @@ def _assert_conv_matches_oracle(x_shape, w_shape, use_bias, stride, padding, gro
     # Every layout the operands take in training (activations and their
     # gradients are C-ordered or channels-last, weights C-ordered), plus a
     # weight laid out like its own gradient, first axis fastest.
-    for x_kind, w_kind, g_kind in itertools.product(("c", "last"), ("c", "first"), ("c", "last")):
+    layouts = itertools.product(("c", "last"), ("c", "first"), ("c", "last"))
+    for (x_kind, w_kind, g_kind), trainable in itertools.product(layouts, _trainable_combinations(use_bias)):
         operands = (_layout(x, x_kind), _layout(weight, w_kind), bias, _layout(upstream, g_kind))
-        expected = _conv_results(nn_reference.conv2d, *operands, stride, padding, groups)
-        actual = _conv_results(F.conv2d, *operands, stride, padding, groups)
+        expected = _conv_results(nn_reference.conv2d, *operands, stride, padding, groups, trainable)
+        actual = _conv_results(F.conv2d, *operands, stride, padding, groups, trainable)
         for name, want, got in zip(("output", "x.grad", "weight.grad", "bias.grad"), expected, actual):
-            where = f"{name} of conv {x_shape} * {w_shape} s{stride} p{padding} g{groups}, layouts {x_kind}/{w_kind}/{g_kind}"
+            where = (f"{name} of conv {x_shape} * {w_shape} s{stride} p{padding} g{groups}, "
+                     f"layouts {x_kind}/{w_kind}/{g_kind}, trainable {trainable}")
+            assert (want is None) == (got is None), f"gradient presence differs: {where}"
+            if want is None:
+                continue
             if exact:
                 assert np.array_equal(want, got), f"values differ: {where}"
                 assert _strides(want) == _strides(got), f"strides differ: {where}"

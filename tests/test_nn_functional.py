@@ -1,4 +1,6 @@
-"""Tests for repro.nn.functional: conv, pooling, softmax, embedding, upsample."""
+"""Tests for repro.nn.functional: conv, pooling, softmax, embedding, upsample, dropout."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -158,3 +160,29 @@ class TestUpsampleDropout:
         kept = out.data[out.data > 0]
         assert np.allclose(kept, 2.0)
         assert 0.3 < (out.data > 0).mean() < 0.7
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.999])
+    def test_dropout_mask_is_the_inverted_draw_bit_for_bit(self, rng, p):
+        data = rng.standard_normal((3, 7)).astype(np.float32)
+        out = F.dropout(Tensor(data), p, training=True, rng=np.random.default_rng(4))
+        mask = (np.random.default_rng(4).random(data.shape) >= p).astype(np.float32) / (1.0 - p)
+        assert np.array_equal(out.data, data * mask)
+
+    def test_dropout_of_everything_is_zeros_and_draws_as_usual(self, rng):
+        x = Tensor(rng.standard_normal((4, 5)).astype(np.float32), requires_grad=True)
+        gen = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = F.dropout(x, 1.0, training=True, rng=gen)
+            out.sum().backward()
+        assert np.array_equal(out.data, np.zeros((4, 5), dtype=np.float32))
+        assert np.array_equal(x.grad, np.zeros((4, 5), dtype=np.float32))
+        reference = np.random.default_rng(3)
+        reference.random((4, 5))
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_dropout_rejects_a_probability_outside_0_1(self, p, training):
+        with pytest.raises(ValueError, match="dropout probability"):
+            F.dropout(Tensor(np.ones(3, dtype=np.float32)), p, training=training)

@@ -136,6 +136,16 @@ class TestLayers:
         second = drop(x).data.copy()
         assert np.allclose(first, second)
 
+    @pytest.mark.parametrize("p", [-0.5, 1.5, float("nan")])
+    def test_dropout_rejects_a_probability_outside_0_1(self, p):
+        with pytest.raises(ValueError, match="dropout probability"):
+            nn.Dropout(p)
+
+    def test_dropout_of_everything_outputs_zeros(self):
+        drop = nn.Dropout(1.0, seed=0)
+        out = drop(Tensor(np.ones((2, 3), dtype=np.float32)))
+        assert np.array_equal(out.data, np.zeros((2, 3), dtype=np.float32))
+
     def test_activations_shapes(self, rng):
         x = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
         for layer in (nn.ReLU(), nn.ReLU6(), nn.GELU(), nn.Tanh(), nn.Sigmoid()):

@@ -7,4 +7,8 @@ dispatcher (see ``repro.cli``):
   (``python -m tools.simlint src/`` or ``repro lint``);
 * :mod:`tools.check_docs` — the documentation gate (markdown link check +
   README quickstart execution; ``repro lint --docs``).
+
+:mod:`tools.ledger` prints the committed ``BENCH_<n>.json`` series, median
+and spread per workload and end-to-end metric
+(``python tools/ledger.py BENCH_*.json``); it gates nothing.
 """
