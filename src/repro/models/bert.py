@@ -108,7 +108,13 @@ def pretrain_bert_lite(model: BertLite, num_steps: int = 30, batch_size: int = 8
     randomly initialised weights would make it a from-scratch workload and
     change which baselines look good (AutoFreeze is competitive only for
     fine-tuning).  This cheap pre-training pass preserves that distinction.
+
+    Under :func:`repro.nn.init.skip_random_init` (a model built only to
+    receive a snapshot, such as Egeria's reference model) it does nothing:
+    the weights are uninitialised memory about to be overwritten.
     """
+    if nn.init.random_init_skipped():
+        return model
     from ..optim import Adam  # local import to avoid a package cycle
 
     rng = np.random.default_rng(seed)

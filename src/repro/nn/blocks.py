@@ -142,36 +142,20 @@ class MultiHeadAttention(Module):
             raise ValueError("d_model must be divisible by num_heads")
         self.d_model = d_model
         self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
         self.q_proj = Linear(d_model, d_model, rng=rng)
         self.k_proj = Linear(d_model, d_model, rng=rng)
         self.v_proj = Linear(d_model, d_model, rng=rng)
         self.out_proj = Linear(d_model, d_model, rng=rng)
         self.dropout = Dropout(dropout)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x: Tensor) -> Tensor:
-        batch, heads, seq, dim = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * dim)
-
     def forward(self, query: Tensor, key: Optional[Tensor] = None, value: Optional[Tensor] = None,
                 mask: Optional[np.ndarray] = None) -> Tensor:
+        """Attend from ``query`` over ``key`` (default ``query``) with ``value`` (default ``key``)."""
         key = key if key is not None else query
-        value = value if value is not None else query
-        q = self._split_heads(self.q_proj(query))
-        k = self._split_heads(self.k_proj(key))
-        v = self._split_heads(self.v_proj(value))
-
-        scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(self.head_dim))
-        if mask is not None:
-            scores = scores + Tensor(np.where(mask, 0.0, -1e9).astype(np.float32))
-        attn = F.softmax(scores, axis=-1)
-        attn = self.dropout(attn)
-        context = attn.matmul(v)
-        return self.out_proj(self._merge_heads(context))
+        value = value if value is not None else key
+        context = F.attention(self.q_proj(query), self.k_proj(key), self.v_proj(value), self.num_heads, mask,
+                              self.dropout)
+        return self.out_proj(context)
 
 
 class FeedForward(Module):

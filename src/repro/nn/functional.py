@@ -8,13 +8,15 @@ lookup, and nearest-neighbour upsampling (needed by the DeepLabv3-lite head).
 Each function returns a :class:`~repro.nn.tensor.Tensor` wired into the
 autograd graph, with a hand-written backward closure where the op cannot be
 expressed as a composition of primitive tensor ops.  ``linear``, ``softmax``,
-``layer_norm`` and ``batch_norm`` could be; each is one graph node that replays
-the numpy calls of its composite (``tests/oracles/nn_reference.py``), because
-per-node bookkeeping, not arithmetic, dominates their cost.
+``layer_norm``, ``batch_norm`` and ``attention`` could be; each is one graph
+node that replays the numpy calls of its composite
+(``tests/oracles/nn_reference.py``), because per-node bookkeeping, not
+arithmetic, dominates their cost.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "adaptive_avg_pool2d",
     "softmax",
     "log_softmax",
+    "attention",
     "layer_norm",
     "batch_norm",
     "embedding",
@@ -324,27 +327,107 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     ``docs/performance.md``): the division is ``exp * total ** -1.0`` and the
     sum's broadcast is added into the exponential's gradient.
     """
-    exp = np.exp(x.data + x.data.max(axis=axis, keepdims=True) * _NEG_ONE)
-    total = exp.sum(axis=axis, keepdims=True)
-    inv_total = total ** -1.0
+    exp, total, inv_total = _softmax_parts(x.data, axis)
     out = _make(exp * inv_total, (x,), "softmax")
     if not out.requires_grad:
         return out
 
     def _backward(grad):
-        exp_grad = grad * inv_total
-        inv_total_grad = _unbroadcast(grad * exp, inv_total.shape)
-        exp_grad += np.broadcast_to(-1.0 * total ** -2.0 * inv_total_grad, exp.shape).astype(np.float32)
-        x._accumulate(exp * exp_grad)
+        x._accumulate(_softmax_input_grad(grad, exp, total, inv_total))
 
     out._backward = _backward
     return out
+
+
+def _softmax_parts(data: np.ndarray, axis: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(data - max)``, its sum over ``axis`` and the sum's ``** -1.0``; the softmax is ``exp * inv_total``."""
+    exp = np.exp(data + data.max(axis=axis, keepdims=True) * _NEG_ONE)
+    total = exp.sum(axis=axis, keepdims=True)
+    return exp, total, total ** -1.0
+
+
+def _softmax_input_grad(grad: np.ndarray, exp: np.ndarray, total: np.ndarray, inv_total: np.ndarray) -> np.ndarray:
+    """The softmax input's gradient for the output gradient ``grad``, from :func:`_softmax_parts`."""
+    exp_grad = grad * inv_total
+    inv_total_grad = _unbroadcast(grad * exp, inv_total.shape)
+    exp_grad += np.broadcast_to(-1.0 * total ** -2.0 * inv_total_grad, exp.shape).astype(np.float32)
+    return exp * exp_grad
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask: Optional[np.ndarray] = None,
+              dropout=None) -> Tensor:
+    """Scaled dot-product attention over ``num_heads`` heads, as one graph node.
+
+    ``q`` is ``(batch, s_q, d_model)`` and ``k``, ``v`` are ``(batch, s_k,
+    d_model)``, already projected; the result is the heads' context merged
+    back to ``(batch, s_q, d_model)``.  ``mask`` (broadcast to ``(batch,
+    heads, s_q, s_k)``) is true where a query may attend; ``dropout`` is the
+    ``nn.Dropout`` applied to the attention weights, whose mask is drawn from
+    its generator when it is training with ``p > 0``.
+
+    Replays ``MultiHeadAttention``'s composite (rule 7 in
+    ``docs/performance.md``): the heads are ``reshape`` + ``transpose`` views,
+    the products the same batched ``@`` on the same strided operands, the
+    softmax :func:`softmax`'s expressions.  Backward runs the composite's
+    closures in its reverse-topological order, pass-through ``astype`` copies
+    included, and hands ``q``, ``k``, ``v`` their gradients in that order,
+    so a tensor passed twice, or an input all three are projected from,
+    sums them as the composite did.
+    """
+    batch, s_q, d_model = q.shape
+    s_k = k.shape[1]
+    dim = d_model // num_heads
+    qt = q.data.reshape((batch, s_q, num_heads, dim)).transpose((0, 2, 1, 3))
+    kt = k.data.reshape((batch, s_k, num_heads, dim)).transpose((0, 2, 1, 3))
+    vt = v.data.reshape((batch, s_k, num_heads, dim)).transpose((0, 2, 1, 3))
+    kt_t = kt.transpose((0, 1, 3, 2))
+    scale = np.asarray(1.0 / math.sqrt(dim), dtype=np.float32)  # the composite's Tensor(1 / sqrt(d))
+    scores = (qt @ kt_t) * scale
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, -1e9).astype(np.float32)
+    exp, total, inv_total = _softmax_parts(scores, -1)
+    weights = exp * inv_total
+    keep = None
+    if dropout is not None and dropout.training and dropout.p > 0.0:
+        keep = _dropout_mask(weights.shape, dropout.p, dropout._rng)
+        weights = weights * keep
+    context = weights @ vt
+    out = _make(context.transpose((0, 2, 1, 3)).reshape((batch, s_q, num_heads * dim)), (q, k, v), "attention")
+    if not out.requires_grad:
+        return out
+
+    def _backward(grad):
+        # The merge's reshape and transpose nodes: pass-through copies, order K.
+        grad = grad.reshape((batch, s_q, num_heads, dim)).astype(np.float32)
+        grad = grad.transpose((0, 2, 1, 3)).astype(np.float32)
+        if v.requires_grad:
+            v_grad = np.swapaxes(weights, -1, -2) @ grad
+        if q.requires_grad or k.requires_grad:
+            weights_grad = grad @ np.swapaxes(vt, -1, -2)
+            if keep is not None:
+                weights_grad = weights_grad * keep
+            # Softmax's copy into its input's gradient, then the mask add's copy.
+            scores_grad = _softmax_input_grad(weights_grad, exp, total, inv_total).astype(np.float32)
+            if mask is not None:
+                scores_grad = scores_grad.astype(np.float32)
+            scores_grad = scores_grad * scale
+            if q.requires_grad:
+                q_grad = scores_grad @ np.swapaxes(kt_t, -1, -2)
+                q._accumulate(q_grad.transpose((0, 2, 1, 3)).astype(np.float32).reshape(q.shape))
+            if k.requires_grad:
+                k_grad = (np.swapaxes(qt, -1, -2) @ scores_grad).transpose((0, 1, 3, 2)).astype(np.float32)
+                k._accumulate(k_grad.transpose((0, 2, 1, 3)).astype(np.float32).reshape(k.shape))
+        if v.requires_grad:
+            v._accumulate(v_grad.transpose((0, 2, 1, 3)).astype(np.float32).reshape(v.shape))
+
+    out._backward = _backward
+    return out
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -468,9 +551,13 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
         raise ValueError(f"dropout probability must be in [0, 1], got {p}")
     if not training or p == 0.0:
         return x
-    gen = rng if rng is not None else np.random.default_rng()
-    keep = (gen.random(x.shape) >= p).astype(np.float32)
-    return x * Tensor(keep / (1.0 - p) if p < 1.0 else keep)
+    return x * Tensor(_dropout_mask(x.shape, p, rng if rng is not None else np.random.default_rng()))
+
+
+def _dropout_mask(shape: Tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout's multiplier: ``0`` where dropped, ``1 / (1 - p)`` where kept."""
+    keep = (rng.random(shape) >= p).astype(np.float32)
+    return keep / (1.0 - p) if p < 1.0 else keep
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:

@@ -7,7 +7,9 @@ a seed — a requirement for reproducible benchmark runs.
 
 A model built only to receive a snapshot (the reference model) is constructed
 under :func:`skip_random_init`: its random initialisers then hand back
-uninitialised storage of the right shape and draw nothing.
+uninitialised storage of the right shape and draw nothing, and code that
+would train those weights first (BERT-lite's pre-training) checks
+:func:`random_init_skipped` and does not.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "ones",
     "compute_fans",
     "skip_random_init",
+    "random_init_skipped",
 ]
 
 _SKIP_RANDOM = False
@@ -49,6 +52,11 @@ def skip_random_init() -> Iterator[None]:
         yield
     finally:
         _SKIP_RANDOM = previous
+
+
+def random_init_skipped() -> bool:
+    """Whether a :func:`skip_random_init` block is active: code that would train the new weights can skip it."""
+    return _SKIP_RANDOM
 
 
 def _random(initialiser):

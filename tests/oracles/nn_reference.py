@@ -5,22 +5,27 @@
 ``accumulate`` the copy-always gradient accumulation (only the backward
 closures' signature follows the acyclic-graph rule: they receive the node's
 gradient instead of reading ``out.grad``).  ``linear``, ``softmax``,
-``layer_norm`` and ``batch_norm`` are the composites of primitive ``Tensor``
-ops that ``repro.nn`` computes as one graph node each: ``linear``/``softmax``
-as ``repro.nn.functional`` had them, ``layer_norm``/``batch_norm`` as
-``LayerNorm.forward``/``BatchNorm2d.forward`` wrote them after the running
-statistics update.  ``tests/test_nn_bit_identity.py`` requires the production
-code to reproduce their values *and memory layouts* exactly, because training
-is chaotic in a single ulp and because downstream reductions (BatchNorm
-statistics, the slab cache's rows) run in stride order.
+``layer_norm``, ``batch_norm`` and ``attention`` are the composites of
+primitive ``Tensor`` ops that ``repro.nn`` computes as one graph node each:
+``linear``/``softmax`` as ``repro.nn.functional`` had them,
+``layer_norm``/``batch_norm`` as ``LayerNorm.forward``/``BatchNorm2d.forward``
+wrote them after the running statistics update, ``attention`` (with
+``split_heads``/``merge_heads``) as ``MultiHeadAttention.forward`` computed
+it between its input and output projections.
+``tests/test_nn_bit_identity.py`` requires the production code to reproduce
+their values *and memory layouts* exactly, because training is chaotic in a
+single ulp and because downstream reductions (BatchNorm statistics, the slab
+cache's rows) run in stride order.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.functional import conv_output_size
 from repro.nn.tensor import Tensor, is_grad_enabled
 
@@ -220,3 +225,32 @@ def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float, running_mean
     weight = weight.reshape(1, num_features, 1, 1)
     bias = bias.reshape(1, num_features, 1, 1)
     return x_hat * weight + bias
+
+
+def split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """``(batch, seq, d_model)`` -> ``(batch, heads, seq, head_dim)``: a reshape node, then a transpose node."""
+    batch, seq, d_model = x.shape
+    return x.reshape(batch, seq, num_heads, d_model // num_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """Inverse of :func:`split_heads`."""
+    batch, heads, seq, dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(batch, seq, heads * dim)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask: Optional[np.ndarray] = None,
+              dropout=None) -> Tensor:
+    """Scaled dot-product attention over the projected ``q``, ``k``, ``v``; ``F.softmax`` is looked up per call."""
+    q = split_heads(q, num_heads)
+    k = split_heads(k, num_heads)
+    v = split_heads(v, num_heads)
+
+    scores = q.matmul(k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + Tensor(np.where(mask, 0.0, -1e9).astype(np.float32))
+    attn = F.softmax(scores, axis=-1)
+    if dropout is not None:
+        attn = dropout(attn)
+    context = attn.matmul(v)
+    return merge_heads(context)

@@ -140,6 +140,30 @@ class TestBert:
         models.pretrain_bert_lite(model, num_steps=5, batch_size=4, seq_len=8, seed=0)
         assert not np.allclose(before, model.token_embed.weight.data)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_model_skips_pretraining(self, seed, monkeypatch):
+        """The reference model is built under ``skip_random_init``: pre-training
+        its uninitialised weights overflowed, and ``load_state_dict`` discarded it."""
+        from repro.core.reference import ReferenceModel
+        from repro.experiments import build_workload
+        from repro.optim import Adam
+
+        steps = [0]
+        original = Adam.step
+
+        def counting(self):
+            steps[0] += 1
+            original(self)
+
+        monkeypatch.setattr(Adam, "step", counting)
+        workload = build_workload("bert_squad", scale="tiny", seed=seed)
+        training_model = workload.make_model()
+        assert steps[0] == 15
+        with np.errstate(over="raise", invalid="raise"):
+            reference = ReferenceModel(workload.model_factory).generate(training_model)
+        assert steps[0] == 15
+        assert reference is not training_model
+
     def test_module_sequence_has_12_layers_by_default(self):
         model = models.bert_qa_lite()
         encoder_layers = [p for p in model.module_sequence if p.startswith("encoder.layers.")]

@@ -19,7 +19,15 @@ slab cache stores activation rows in memory order.  The reference
   ``x`` and of the upstream gradient, every trainable/frozen combination of
   ``x``, ``weight`` and ``bias``, and a residual consumer of ``x`` whose
   gradient arrives before or after the op's four (``x.grad`` sums them in
-  graph order).
+  graph order);
+* ``attention`` — ``MultiHeadAttention``'s core between its projections, one
+  node in production.  Its cases draw every layout of the three inputs and of
+  the upstream gradient, ``s_q != s_k``, no mask / a causal mask / a padding
+  mask, no dropout or a seeded ``Dropout`` with ``p`` 0 or 0.3 in train and
+  eval mode, every trainable/frozen combination, and three ways to make
+  ``q``, ``k``, ``v``: separate tensors, three projections of one input
+  (whose gradients must arrive in the composite's order), or one tensor
+  passed three times — each with a residual consumer.
 
 The two-epoch trajectories also train with the per-tensor optimizers of
 ``tests/oracles/optim_reference.py`` (their own suite is
@@ -42,7 +50,7 @@ from hypothesis import strategies as st
 from oracles import nn_reference, optim_reference
 
 from repro.experiments import available_workloads, build_trainer, build_workload, workloads
-from repro.nn import Tensor
+from repro.nn import Dropout, Tensor, no_grad
 from repro.nn import functional as F
 
 
@@ -209,12 +217,104 @@ def test_pooling_is_unchanged(pool, shape, kernel, stride, kind):
         assert np.array_equal(want, got) and _strides(want) == _strides(got)
 
 
-FUSED_OPS = ["linear", "softmax", "layer_norm", "batch_norm", "batch_norm_running"]
+@st.composite
+def _attention_cases(draw):
+    """Heads, sequence lengths, how q/k/v are made, layouts, mask, dropout, trainable inputs and a residual."""
+    inputs = draw(st.sampled_from(["separate", "projected", "same"]))
+    s_q = draw(st.integers(1, 4))
+    return {
+        "inputs": inputs,
+        "batch": draw(st.integers(1, 3)),
+        "heads": draw(st.integers(1, 3)),
+        "head_dim": draw(st.integers(1, 3)),
+        "s_q": s_q,
+        "s_k": draw(st.integers(1, 4)) if inputs == "separate" else s_q,
+        "orders": draw(st.tuples(*[st.permutations(range(3)) for _ in range(3)])),
+        "grad_order": draw(st.permutations(range(3))),
+        "mask": draw(st.sampled_from([None, "causal", "padding"])),
+        "dropout": draw(st.sampled_from([None, 0.0, 0.3])),
+        "training": draw(st.booleans()),
+        # separate: q, k, v; projected: x, w_q, w_k, w_v; same: the one tensor.
+        "trainable": draw(st.tuples(*[st.booleans() for _ in range(4)])),
+        "residual": draw(st.sampled_from([None, "before", "after"])),
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+
+
+def _attention_results(module, case):
+    """Output and every leaf gradient of one attention through ``module``, on fresh operands."""
+    rng = np.random.default_rng(case["seed"])
+    batch, heads, s_q, s_k = case["batch"], case["heads"], case["s_q"], case["s_k"]
+    d_model = heads * case["head_dim"]
+    trainable = case["trainable"]
+
+    def activation(seq, order, requires_grad):
+        data = rng.standard_normal((batch, seq, d_model)).astype(np.float32)
+        return Tensor(_laid_out(data, order), requires_grad=requires_grad)
+
+    if case["inputs"] == "separate":
+        leaves = [activation(seq, order, flag) for seq, order, flag in zip((s_q, s_k, s_k), case["orders"], trainable)]
+        q, k, v = leaves
+    elif case["inputs"] == "projected":
+        # One input projected three times: the three gradients of x arrive in the composite's order.
+        x = activation(s_q, case["orders"][0], trainable[0])
+        weights = [Tensor(rng.standard_normal((d_model, d_model)).astype(np.float32), requires_grad=flag)
+                   for flag in trainable[1:]]
+        leaves = [x] + weights
+        q, k, v = (F.linear(x, weight) for weight in weights)
+    else:
+        leaves = [activation(s_q, case["orders"][0], trainable[0])]
+        q = k = v = leaves[0]
+    mask = None
+    if case["mask"] == "causal":
+        mask = np.tril(np.ones((s_q, s_k), dtype=bool))
+    elif case["mask"] == "padding":
+        mask = rng.random((batch, 1, 1, s_k)) < 0.7
+    dropout = None
+    if case["dropout"] is not None:
+        dropout = Dropout(case["dropout"], seed=case["seed"]).train(case["training"])
+    out = module.attention(q, k, v, heads, mask, dropout)
+    total = out
+    if case["residual"] is not None:
+        first = leaves[0]
+        side = (first * Tensor(rng.standard_normal(first.shape).astype(np.float32))).sum()
+        total = out + side if case["residual"] == "after" else side + out
+    upstream = _laid_out(rng.standard_normal(out.shape).astype(np.float32), case["grad_order"])
+    if total.requires_grad:
+        total.backward(upstream)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+def test_fused_attention_draws_its_dropout_mask_as_the_dropout_module_does():
+    rng = np.random.default_rng(3)
+    q, k, v = (Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32), requires_grad=True) for _ in range(3))
+    streams = []
+    for module in (nn_reference, F):
+        dropout = Dropout(0.5, seed=11)
+        module.attention(q, k, v, 2, None, dropout)
+        streams.append(dropout._rng.random(4))
+    assert np.array_equal(*streams)
+    assert not np.array_equal(streams[0], Dropout(0.5, seed=11)._rng.random(4))
+
+
+def test_fused_attention_builds_no_closure_without_grad():
+    rng = np.random.default_rng(0)
+    q, k, v = (Tensor(rng.standard_normal((1, 2, 4)).astype(np.float32), requires_grad=True) for _ in range(3))
+    with no_grad():
+        out = F.attention(q, k, v, 2)
+    assert not out.requires_grad and out._backward is None and out._prev == ()
+    frozen = F.attention(*(Tensor(t.data) for t in (q, k, v)), 2)
+    assert not frozen.requires_grad and frozen._backward is None
+
+
+FUSED_OPS = ["linear", "softmax", "layer_norm", "batch_norm", "batch_norm_running", "attention"]
 
 
 @st.composite
 def _fused_op_cases(draw, op):
     """A shape, memory layouts, the trainable inputs and a residual consumer of ``x`` for one fused op."""
+    if op == "attention":
+        return {"op": op, **draw(_attention_cases())}
     if op.startswith("batch_norm"):
         x_shape = tuple(draw(st.integers(1, 4)) for _ in range(4))
     else:
@@ -236,6 +336,8 @@ def _fused_op_cases(draw, op):
 
 def _fused_op_results(module, case):
     """Output and every gradient of one op run through ``module``, on fresh operands laid out as ``case`` says."""
+    if case["op"] == "attention":
+        return _attention_results(module, case)
     op, x_shape = case["op"], case["x_shape"]
     rng = np.random.default_rng(case["seed"])
     x = Tensor(_laid_out(rng.standard_normal(x_shape).astype(np.float32), case["x_order"]),
@@ -278,7 +380,9 @@ def test_fused_op_is_bit_identical_to_its_composite(op, data):
     case = data.draw(_fused_op_cases(op))
     expected = _fused_op_results(nn_reference, case)
     actual = _fused_op_results(F, case)
-    for name, want, got in zip(("output", "x.grad", "weight.grad", "bias.grad"), expected, actual):
+    names = ("output", "x.grad", "weight.grad", "bias.grad") if op != "attention" else \
+        ("output",) + tuple(f"grad of leaf {i}" for i in range(4))
+    for name, want, got in zip(names, expected, actual):
         assert (want is None) == (got is None), f"{name} of {case}"
         if want is not None:
             assert np.array_equal(want, got), f"values differ: {name} of {case}"
@@ -310,6 +414,7 @@ def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp
     monkeypatch.setattr(F, "softmax", nn_reference.softmax)
     monkeypatch.setattr(F, "layer_norm", nn_reference.layer_norm)
     monkeypatch.setattr(F, "batch_norm", nn_reference.batch_norm)
+    monkeypatch.setattr(F, "attention", nn_reference.attention)
     monkeypatch.setattr(Tensor, "_accumulate", nn_reference.accumulate)
     for optimizer in ("SGD", "Adam", "AdamW"):
         monkeypatch.setattr(workloads, optimizer, getattr(optim_reference, optimizer))
@@ -319,15 +424,16 @@ def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp
 
 @pytest.mark.parametrize("name,nodes,composite_nodes", [
     ("resnet56_cifar10", 1022, 3318),
-    ("transformer_base_wmt16", 8424, 17964),
+    ("transformer_base_wmt16", 5760, 17964),
 ])
 @pytest.mark.parametrize("system", ["egeria", "vanilla"])
 def test_backward_nodes_are_pinned(name, nodes, composite_nodes, system, tmp_path, monkeypatch):
     """Seed 0, two epochs: the autograd nodes every ``backward()`` visited, an
     exact work counter.  ``composite_nodes`` is the count with the oracle's
-    composite ``linear`` / ``softmax`` / ``layer_norm`` / ``batch_norm``."""
+    composite ``linear`` / ``softmax`` / ``layer_norm`` / ``batch_norm`` /
+    ``attention``."""
     _, fused = _trajectory(name, system, 0, tmp_path / "fused")
-    for op in ("linear", "softmax", "layer_norm", "batch_norm"):
+    for op in ("linear", "softmax", "layer_norm", "batch_norm", "attention"):
         monkeypatch.setattr(F, op, getattr(nn_reference, op))
     _, composite = _trajectory(name, system, 0, tmp_path / "composite")
     assert (fused, composite) == (nodes, composite_nodes)

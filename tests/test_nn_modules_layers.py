@@ -202,6 +202,15 @@ class TestBlocks:
         out = attn(x, mask=mask)
         assert out.shape == (1, 4, 8)
 
+    def test_attention_value_defaults_to_key(self, rng):
+        attn = nn.MultiHeadAttention(8, 2, rng=rng)
+        query = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32))
+        memory = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32))
+        out = attn(query, key=memory)
+        assert out.shape == (2, 3, 8)
+        assert np.array_equal(out.data, attn(query, key=memory, value=memory).data)
+        assert np.array_equal(attn(query).data, attn(query, key=query, value=query).data)
+
     def test_attention_invalid_heads(self):
         with pytest.raises(ValueError):
             nn.MultiHeadAttention(10, 3)

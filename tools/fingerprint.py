@@ -106,7 +106,7 @@ def fingerprint_run(workload: str, system: str, seed: int, epochs: Optional[int]
             for epoch in range(epochs if epochs is not None else built.num_epochs):
                 try:
                     record = trainer.fit(epoch + 1).records[-1]
-                except (ArithmeticError, ValueError) as exc:
+                except ValueError as exc:  # a diverged run: "non-finite plasticity reading"
                     error = f"epoch {epoch}: {type(exc).__name__}: {exc}"
                     break
                 rows.append({"epoch": epoch, "loss": record.train_loss, "metric": record.metric,
@@ -136,11 +136,10 @@ def fingerprint_run(workload: str, system: str, seed: int, epochs: Optional[int]
                 trainer.close()
 
 
-def fingerprints(seeds: int, workloads: Optional[Sequence[str]] = None, log=None) -> Dict[str, object]:
+def fingerprints(seeds: int, log=None) -> Dict[str, object]:
     """Every row for seeds ``0 .. seeds-1``: workloads in registry order, then systems, then seeds."""
-    names = list(workloads) if workloads else available_workloads()
     runs = []
-    for name in names:
+    for name in available_workloads():
         for system in SYSTEMS:
             for seed in range(seeds):
                 runs.append(fingerprint_run(name, system, seed))
