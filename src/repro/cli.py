@@ -50,13 +50,6 @@ Four subcommands mirror the typical workflows:
     run them across a multiprocessing pool.  The merged result table is
     identical no matter how many workers ran it — parallelism only buys
     wall-clock time.
-
-``python -m repro.cli lint [paths...] [--format json] [--docs]``
-    The repository's correctness gates from one dispatcher: by default runs
-    SimLint (``tools/simlint``), the determinism lint pass over the
-    simulator core (exit 1 on findings); ``--docs`` runs the documentation
-    gate (``tools/check_docs.py``) instead.  ``--list-rules`` prints the
-    SIM rule catalog.  See ``docs/correctness.md``.
 """
 
 from __future__ import annotations
@@ -180,17 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the merged output is identical at any worker count")
     sim_sweep.add_argument("--out", default=None, help="write the merged table here instead of stdout")
 
-    lint = subparsers.add_parser(
-        "lint", help="repository correctness gates (SimLint determinism rules, docs checks)")
-    lint.add_argument("paths", nargs="*", default=None,
-                      help="files or directories to lint (default: the repo's src/)")
-    lint.add_argument("--format", choices=["text", "json"], default="text",
-                      help="SimLint output format")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the SIM rule catalog and exit")
-    lint.add_argument("--docs", action="store_true",
-                      help="run the documentation gate (tools/check_docs.py: markdown "
-                           "link check + README quickstart execution) instead of SimLint")
     return parser
 
 
@@ -428,35 +410,6 @@ def _cmd_sim_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Dispatch to the shared ``tools/`` entry points (SimLint / docs gate).
-
-    The ``tools`` package lives at the repository root, next to ``src/`` —
-    it is CI tooling, not part of the installable library — so the root is
-    put on ``sys.path`` before importing it.
-    """
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parents[2]
-    if not (root / "tools").is_dir():
-        print(f"error: cannot find the repository's tools/ directory near {root}",
-              file=sys.stderr)
-        return 2
-    if str(root) not in sys.path:
-        sys.path.insert(0, str(root))
-    if args.docs:
-        from tools.check_docs import main as docs_main
-
-        return docs_main(["--root", str(root)])
-    from tools.simlint.runner import main as simlint_main
-
-    lint_args: List[str] = ["--format", args.format]
-    if args.list_rules:
-        lint_args.append("--list-rules")
-    lint_args.extend(args.paths if args.paths else [str(root / "src")])
-    return simlint_main(lint_args)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -470,8 +423,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_ckpt(args)
     if args.command == "sim":
         return _cmd_sim(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -144,14 +144,11 @@ class EgeriaController:
                 break
             self._pending_reference[ref_item["iteration"]] = ref_item["activation"]
         iteration = train_item["iteration"]
-        if iteration not in self._pending_reference:
-            # The reference pass for this batch has not run (or was dropped):
-            # discard the training activation rather than blocking.
-            stale = self.channels.training_output_queue.get()
-            if stale is not None and not self._pending_reference:
-                return None
-            return None
+        # The peeked activation is consumed either way: when the reference pass
+        # for its batch has not run (or was dropped) it is discarded, not waited for.
         self.channels.training_output_queue.get()
+        if iteration not in self._pending_reference:
+            return None
         reference_activation = self._pending_reference.pop(iteration)
         return iteration, train_item["path"], train_item["activation"], reference_activation
 

@@ -246,6 +246,36 @@ class _IterationPlan:
 WorkerLike = Union[GPUDevice, str]
 
 
+@dataclass(slots=True)
+class _Lookup:
+    """One iteration request as :meth:`EventDrivenEngine._resolve` resolves it:
+    worker names, clamped prefix, crossed links and (unless traced) the memo key."""
+
+    cost_model: CostModel
+    names: List[str]
+    worker_list: List[WorkerLike]
+    frozen_prefix: int
+    cached_fp: bool
+    policy: str
+    include_reference_overhead: bool
+    comm_seconds_per_byte: Optional[float]
+    link_timelines: List[BaseResourceTimeline]
+    key: Optional[Tuple]
+
+    def quiet(self, start_time: float) -> bool:
+        """Whether no crossed link carries traffic at or after ``start_time``."""
+        links = self.link_timelines
+        return not links or all(t.busy_until <= start_time for t in links)
+
+    def plan(self, engine: "EventDrivenEngine",
+             link_timelines: Sequence[BaseResourceTimeline]) -> "_IterationPlan":
+        """The request's static plan, priced on ``link_timelines``."""
+        return engine._build_plan(self.cost_model, self.worker_list, self.names,
+                                  self.frozen_prefix, self.cached_fp, self.policy,
+                                  self.include_reference_overhead,
+                                  self.comm_seconds_per_byte, link_timelines)
+
+
 class EventDrivenEngine:
     """Discrete-event simulator of training iterations over cluster resources.
 
@@ -591,57 +621,49 @@ class EventDrivenEngine:
         """
         if policy not in SchedulePolicy.ALL:
             raise ValueError(f"unknown policy {policy!r}; expected one of {SchedulePolicy.ALL}")
-        names = self._worker_names(workers)
-        worker_list = list(workers) if workers else list(names)
-        num_modules = len(cost_model.layer_modules)
-        frozen_prefix = max(0, min(frozen_prefix, num_modules))
-        link_names, link_timelines = self._resolve_links(link_resource)
-
-        key: Optional[Tuple] = None
+        lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
+                               include_reference_overhead, comm_seconds_per_byte,
+                               link_resource, keyed=trace is None)
+        key, names, links = lookup.key, lookup.names, lookup.link_timelines
         plan: Optional[_IterationPlan] = None
-        if trace is None:
-            key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
-                                  policy, include_reference_overhead, comm_seconds_per_byte,
-                                  link_names, link_timelines)
+        if key is not None:
             entry = self._cache.get(key)
-            if entry is not None and all(t.busy_until <= start_time for t in link_timelines):
-                if self.sanitizer is not None and self.sanitizer.should_spot_check():
-                    self._spot_check(entry, cost_model, worker_list, names, frozen_prefix,
-                                     cached_fp, policy, include_reference_overhead,
-                                     comm_seconds_per_byte, start_time, link_timelines,
-                                     job_name, job_weight)
-                self._fast_forward(entry, start_time, link_timelines, job_name, job_weight)
-                result = self._materialize(entry, names, start_time)
-                if self.observer is not None:
-                    self.observer.note_iteration(job_name, result, "replay",
-                                                 frozen_prefix, num_modules)
-                return result
+            if entry is not None and lookup.quiet(start_time):
+                result = self._replay(entry, lookup, start_time, job_name, job_weight)
+                return result if result is not None else self._materialize(
+                    entry, names, start_time)
             plan = self._plans.get(key)
-
         if plan is None:
-            plan = self._build_plan(cost_model, worker_list, names, frozen_prefix, cached_fp,
-                                    policy, include_reference_overhead, comm_seconds_per_byte,
-                                    link_timelines)
+            plan = lookup.plan(self, links)
             if key is not None:
                 self._plans[key] = plan
-        entry = self._simulate_live(plan, names, start_time, trace, link_timelines,
-                                    job_name, job_weight)
+        entry = self._simulate_live(plan, names, start_time, trace, links, job_name, job_weight)
         if key is not None and entry.cacheable:
             self._cache[key] = entry
         result = self._materialize(entry, names, start_time)
         if self.observer is not None:
-            self.observer.note_iteration(job_name, result, "live", frozen_prefix, num_modules)
+            self.observer.note_iteration(job_name, result, "live", lookup.frozen_prefix,
+                                         len(cost_model.layer_modules))
         return result
 
-    def _resolve_links(self, link_resource: Optional[Union[str, Sequence[str]]]
-                       ) -> Tuple[Tuple[str, ...], List[BaseResourceTimeline]]:
-        """Normalize a link spec into (names, timelines) — ``None`` means private."""
-        if link_resource is None:
-            return (), []
-        if isinstance(link_resource, str):
-            return (link_resource,), [self.resource_timeline(link_resource)]
-        link_names = tuple(link_resource)
-        return link_names, [self.resource_timeline(name) for name in link_names]
+    def _resolve(self, cost_model: CostModel, workers: Optional[Sequence[WorkerLike]],
+                 frozen_prefix: int, cached_fp: bool, policy: str,
+                 include_reference_overhead: bool, comm_seconds_per_byte: Optional[float],
+                 link_resource: Optional[Union[str, Sequence[str]]],
+                 keyed: bool = True) -> _Lookup:
+        """The one lookup behind :meth:`simulate_iteration`, :meth:`can_fast_forward`
+        and :meth:`fast_forward_batch` (unknown links raise ``KeyError`` here)."""
+        names = self._worker_names(workers)
+        worker_list = list(workers) if workers else list(names)
+        frozen_prefix = max(0, min(frozen_prefix, len(cost_model.layer_modules)))
+        link_names = (() if link_resource is None else (link_resource,)
+                      if isinstance(link_resource, str) else tuple(link_resource))
+        link_timelines = [self.resource_timeline(name) for name in link_names] if link_names else []
+        key = (self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
+                               policy, include_reference_overhead, comm_seconds_per_byte,
+                               link_names, link_timelines) if keyed else None)
+        return _Lookup(cost_model, names, worker_list, frozen_prefix, cached_fp, policy,
+                       include_reference_overhead, comm_seconds_per_byte, link_timelines, key)
 
     def _cache_key(self, cost_model: CostModel, names: List[str],
                    worker_list: List[WorkerLike], frozen_prefix: int, cached_fp: bool,
@@ -656,8 +678,8 @@ class EventDrivenEngine:
             # Bare worker *names* price communication as zero while
             # GPUDevice workers go through the all-reduce model — the
             # same names must not share an entry across the two forms.
-            all(isinstance(w, GPUDevice) for w in worker_list),
-            tuple(self.gpu_speed.get(name, 1.0) for name in names),
+            all([isinstance(w, GPUDevice) for w in worker_list]),
+            tuple([self.gpu_speed.get(name, 1.0) for name in names]),
             frozen_prefix,
             cached_fp,
             policy,
@@ -666,7 +688,7 @@ class EventDrivenEngine:
             link_names,
             # Effective link capacities: a mid-run set_capacity (degraded
             # link) must not replay entries priced at the old rate.
-            tuple(t.capacity_gbps for t in link_timelines),
+            tuple([t.capacity_gbps for t in link_timelines]),
         )
 
     def can_fast_forward(self, cost_model: CostModel,
@@ -687,18 +709,10 @@ class EventDrivenEngine:
         can use it to plan a multi-iteration batch before committing via
         :meth:`fast_forward_batch`.
         """
-        names = self._worker_names(workers)
-        worker_list = list(workers) if workers else list(names)
-        num_modules = len(cost_model.layer_modules)
-        frozen_prefix = max(0, min(frozen_prefix, num_modules))
-        link_names, link_timelines = self._resolve_links(link_resource)
-        key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
-                              policy, include_reference_overhead, comm_seconds_per_byte,
-                              link_names, link_timelines)
-        entry = self._cache.get(key)
-        if entry is None or not all(t.busy_until <= start_time for t in link_timelines):
-            return None
-        return entry
+        lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
+                               include_reference_overhead, comm_seconds_per_byte, link_resource)
+        entry = self._cache.get(lookup.key)
+        return entry if entry is not None and lookup.quiet(start_time) else None
 
     def fast_forward_batch(self, cost_model: CostModel, count: int,
                            workers: Optional[Sequence[WorkerLike]] = None,
@@ -725,31 +739,17 @@ class EventDrivenEngine:
         that call's ``result.total``); a full result is built only for an
         attached observer.
         """
-        names = self._worker_names(workers)
-        worker_list = list(workers) if workers else list(names)
-        num_modules = len(cost_model.layer_modules)
-        frozen_prefix = max(0, min(frozen_prefix, num_modules))
-        link_names, link_timelines = self._resolve_links(link_resource)
-        key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
-                              policy, include_reference_overhead, comm_seconds_per_byte,
-                              link_names, link_timelines)
+        lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
+                               include_reference_overhead, comm_seconds_per_byte, link_resource)
+        entry = self._cache.get(lookup.key)
         durations: List[float] = []
-        entry = self._cache.get(key)
         if entry is None:
             return durations
         start = start_time
         for _ in range(count):
-            if not all(t.busy_until <= start for t in link_timelines):
+            if not lookup.quiet(start):
                 break
-            if self.sanitizer is not None and self.sanitizer.should_spot_check():
-                self._spot_check(entry, cost_model, worker_list, names, frozen_prefix,
-                                 cached_fp, policy, include_reference_overhead,
-                                 comm_seconds_per_byte, start, link_timelines,
-                                 job_name, job_weight)
-            self._fast_forward(entry, start, link_timelines, job_name, job_weight)
-            if self.observer is not None:
-                self.observer.note_iteration(job_name, self._materialize(entry, names, start),
-                                             "replay", frozen_prefix, num_modules)
+            self._replay(entry, lookup, start, job_name, job_weight)
             duration = (start + entry.rel_end) - start
             durations.append(duration)
             start = start + duration
@@ -775,19 +775,20 @@ class EventDrivenEngine:
                                     for name, rel in zip(names, entry.worker_rel_end)},
         )
 
-    def _fast_forward(self, entry: _FastForwardEntry, start_time: float,
-                      link_timelines: List[BaseResourceTimeline], job_name: Optional[str],
-                      job_weight: float) -> None:
-        """Commit a memoized iteration's traffic at ``start_time`` in O(#reservations).
+    def _replay(self, entry: _FastForwardEntry, lookup: _Lookup, start_time: float,
+                job_name: Optional[str], job_weight: float) -> Optional[EngineIterationResult]:
+        """Replay a memoized iteration at ``start_time`` in O(#reservations).
 
-        The cached link reservations are re-committed at their translated
-        absolute times — the same ``start_time + rel`` arithmetic the live
-        loop performs, including its anti-self-contention clamp to the
-        previous window's committed end — so per-link byte audits and the
-        delays later jobs experience are exactly what an event-by-event
-        simulation would have produced.
+        Spot check (at the sanitizer's cadence), then the cached link
+        reservations re-committed at ``start_time + rel`` with the live
+        loop's anti-self-contention clamp — so byte audits and the delays
+        later jobs see are exactly the event-by-event ones — then the
+        observer's note; returns the result built for it (``None`` unobserved).
         """
+        if self.sanitizer is not None and self.sanitizer.should_spot_check():
+            self._spot_check(entry, lookup, start_time, job_name, job_weight)
         self.iterations_fast_forwarded += 1
+        link_timelines = lookup.link_timelines
         own_link_ends = [0.0] * len(link_timelines)
         for link_index, rel_request, seconds, num_bytes in entry.reservations:
             request = max(start_time + rel_request, own_link_ends[link_index])
@@ -795,13 +796,15 @@ class EventDrivenEngine:
                                                              num_bytes=num_bytes, job=job_name,
                                                              kind="allreduce", weight=job_weight)
             own_link_ends[link_index] = end
+        if self.observer is None:
+            return None
+        result = self._materialize(entry, lookup.names, start_time)
+        self.observer.note_iteration(job_name, result, "replay", lookup.frozen_prefix,
+                                     len(lookup.cost_model.layer_modules))
+        return result
 
-    def _spot_check(self, entry: _FastForwardEntry, cost_model: CostModel,
-                    worker_list: List[WorkerLike], names: List[str], frozen_prefix: int,
-                    cached_fp: bool, policy: str, include_reference_overhead: bool,
-                    comm_seconds_per_byte: Optional[float], start_time: float,
-                    link_timelines: List[BaseResourceTimeline], job_name: Optional[str],
-                    job_weight: float) -> None:
+    def _spot_check(self, entry: _FastForwardEntry, lookup: _Lookup, start_time: float,
+                    job_name: Optional[str], job_weight: float) -> None:
         """Re-simulate a memoized replay live on shadow state and compare.
 
         The live run uses deep-copied timelines (with the sanitizer and
@@ -814,7 +817,7 @@ class EventDrivenEngine:
         """
         saved_counters = (self.iterations_simulated, self.events_processed)
         shadows: List[BaseResourceTimeline] = []
-        for timeline in link_timelines:
+        for timeline in lookup.link_timelines:
             attached, timeline.sanitizer = timeline.sanitizer, None
             watching, timeline.observer = timeline.observer, None
             try:
@@ -823,10 +826,8 @@ class EventDrivenEngine:
                 timeline.sanitizer = attached
                 timeline.observer = watching
         # A plan priced afresh, so a stale table entry cannot vouch for itself.
-        plan = self._build_plan(cost_model, worker_list, names, frozen_prefix, cached_fp,
-                                policy, include_reference_overhead, comm_seconds_per_byte,
-                                shadows)
-        live = self._simulate_live(plan, names, start_time, None, shadows, job_name, job_weight)
+        live = self._simulate_live(lookup.plan(self, shadows), lookup.names, start_time, None,
+                                   shadows, job_name, job_weight)
         self.iterations_simulated, self.events_processed = saved_counters
         self.sanitizer.check_fast_forward(entry, live, job=job_name,
                                           start_time=start_time)

@@ -44,7 +44,8 @@ Those invariants are what the hypothesis property suite asserts; see
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from .cost_model import CostModel
@@ -104,20 +105,6 @@ class SharedResource:
             raise ValueError(f"resource {self.name!r}: latency must be non-negative")
         if self.policy not in self.POLICIES:
             raise ValueError(f"resource {self.name!r}: policy must be one of {self.POLICIES}")
-
-    def transfer_seconds(self, num_bytes: int, cap_gbps: Optional[float] = None) -> float:
-        """Uncontended time to move ``num_bytes`` through this resource.
-
-        ``cap_gbps`` bounds the effective bandwidth from the endpoint side —
-        e.g. a checkpoint write cannot outrun the writing machine's NIC even
-        when the storage target itself is faster.
-        """
-        if num_bytes <= 0:
-            return 0.0
-        bandwidth = self.bandwidth_gbps
-        if cap_gbps is not None:
-            bandwidth = min(bandwidth, float(cap_gbps))
-        return self.latency_seconds + CostModel.transfer_seconds_at(num_bytes, bandwidth)
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-data view of the resource (used in scheduler summaries)."""
@@ -244,10 +231,11 @@ class BaseResourceTimeline:
     def transfer_seconds(self, num_bytes: int, cap_gbps: Optional[float] = None) -> float:
         """Uncontended time to move ``num_bytes`` at the *current* capacity.
 
-        Matches :meth:`SharedResource.transfer_seconds` bit-for-bit while the
-        capacity equals the nominal bandwidth; after a :meth:`set_capacity`
-        new quotes price at the degraded (or restored) rate.  ``cap_gbps``
-        bounds the effective bandwidth from the endpoint side, as before.
+        Priced at the resource's nominal bandwidth until a
+        :meth:`set_capacity`; after one, new quotes price at the degraded (or
+        restored) rate.  ``cap_gbps`` bounds the effective bandwidth from the
+        endpoint side — a checkpoint write cannot outrun the writing
+        machine's NIC even when the storage target itself is faster.
         """
         if num_bytes <= 0:
             return 0.0
@@ -442,22 +430,9 @@ class ResourceTimeline(BaseResourceTimeline):
             return 0
         if self.sanitizer is not None:
             self.sanitizer.note_cancel(self, job, after_time)
-        queued = sorted((r for r in records[index:] if r.job != job),
-                        key=lambda r: (r.start, r.seq))
+        queued = [r for r in records[index:] if r.job != job]
         cancelled = len(records) - index - len(queued)
-        self._records = sorted(records[:index], key=lambda r: (r.start, r.seq))
-        self._starts = [r.start for r in self._records]
-        self._busy_until = max((r.end for r in self._records), default=0.0)
-        for record in queued:
-            # Re-place at the earliest feasible start: never before the
-            # original request, never before the cancellation instant (the
-            # transfer was demonstrably not on the wire by then).
-            earliest = max(record.earliest_start, after_time)
-            start = self._first_fit(earliest, record.seconds)
-            self._insert(ResourceOccupancy(start, start + record.seconds, record.num_bytes,
-                                           record.job, record.kind,
-                                           earliest_start=record.earliest_start,
-                                           seq=record.seq))
+        self._reflow(records[:index], queued, after_time, 1.0)
         if self.sanitizer is not None:
             self.sanitizer.note_cancelled(self)
         return cancelled
@@ -476,8 +451,8 @@ class ResourceTimeline(BaseResourceTimeline):
           — exact piecewise integration of the bytes still to move;
         * windows that had not started by ``at_time`` re-quote their full
           duration by the same ratio and re-flow first-fit in committed
-          ``(start, seq)`` order at ``max(earliest_start, at_time)``, the
-          same replay the cancellation path uses.
+          ``(start, seq)`` order at ``max(earliest_start, at_time)`` — the
+          one :meth:`_reflow` the cancellation path uses too.
 
         The fixed per-transfer latency share of a window scales with the
         ratio too — a documented approximation (see ``docs/faults.md``) that
@@ -492,28 +467,30 @@ class ResourceTimeline(BaseResourceTimeline):
         # can still be queued (a zero-length window at exactly ``at_time`` is
         # closed).
         index = bisect.bisect_left(self._starts, at_time)
-        closed = [record if record.end <= at_time else
-                  ResourceOccupancy(record.start, at_time + (record.end - at_time) * ratio,
-                                    record.num_bytes, record.job, record.kind,
-                                    earliest_start=record.earliest_start, seq=record.seq)
-                  for record in self._records[:index]]
+        kept = [record if record.end <= at_time else
+                replace(record, end=at_time + (record.end - at_time) * ratio)
+                for record in self._records[:index]]
         queued: List[ResourceOccupancy] = []
         for record in self._records[index:]:
-            (closed if record.end <= at_time else queued).append(record)
-        queued.sort(key=lambda r: (r.start, r.seq))
-        self._records = sorted(closed, key=lambda r: (r.start, r.seq))
-        self._starts = [r.start for r in self._records]
-        self._busy_until = max((r.end for r in self._records), default=0.0)
-        for record in queued:
-            seconds = record.seconds * ratio
-            earliest = max(record.earliest_start, at_time)
-            start = self._first_fit(earliest, seconds)
-            self._insert(ResourceOccupancy(start, start + seconds, record.num_bytes,
-                                           record.job, record.kind,
-                                           earliest_start=record.earliest_start,
-                                           seq=record.seq))
+            (kept if record.end <= at_time else queued).append(record)
+        self._reflow(kept, queued, at_time, ratio)
         if self.sanitizer is not None:
             self.sanitizer.note_capacity(self, at_time, old, new)
+
+    def _reflow(self, kept: List[ResourceOccupancy], queued: List[ResourceOccupancy],
+                after_time: float, ratio: float) -> None:
+        """Rebuild the queue from ``kept``, then re-place every ``queued`` window
+        in on-wire order, re-quoted to ``seconds * ratio`` (a cancel passes 1.0,
+        and ``x * 1.0 == x``), first-fit at ``max(earliest_start, after_time)``:
+        never before its request, nor before the instant that freed or re-priced
+        the link (the transfer was demonstrably not on the wire by then)."""
+        self._records = sorted(kept, key=lambda r: (r.start, r.seq))
+        self._starts = [r.start for r in self._records]
+        self._busy_until = max((r.end for r in self._records), default=0.0)
+        for record in sorted(queued, key=lambda r: (r.start, r.seq)):
+            seconds = record.seconds * ratio
+            start = self._first_fit(max(record.earliest_start, after_time), seconds)
+            self._insert(replace(record, start=start, end=start + seconds))
 
 
 @dataclass
@@ -810,22 +787,28 @@ class FairShareTimeline(BaseResourceTimeline):
             for t in self._transfers.values()))
 
     def _advance(self, target: float) -> None:
-        """Integrate the frontier state forward to ``target`` (the next arrival).
+        """Integrate the frontier state forward to ``target`` (the next arrival);
+        the completions crossed on the way become final."""
+        last = self._drain(self._remaining, self._frontier, target)
+        self._done_max_end = max(self._done_max_end, last)
+        self._frontier = target
 
-        Completions crossed on the way become final and land in the end
-        cache; a partial interval at the end positions the state exactly at
-        ``target``.  The arithmetic per breakpoint is exactly the reference
-        sweep's with ``target`` as its next-arrival bound — between
-        breakpoints each active transfer drains at ``weight / sum(weights)``
-        of the line rate (all weights 1.0: the classic ``1/len(active)``
-        even split, bit-for-bit); ties (simultaneous completions) resolve
-        exactly because tied transfers carry identical remaining-to-weight
-        ratios; a transfer running alone drains at exactly the full rate, so
-        its completion is ``now + remaining`` with no weight arithmetic —
-        the quiet-link case the engine's fast-forward replay relies on.
+    def _drain(self, remaining: Dict[int, float], now: float, target: float) -> float:
+        """Drain ``remaining`` from ``now`` toward ``target``; returns the last finish.
+
+        The one breakpoint loop: :meth:`_advance` drains the frontier state
+        to the next arrival, :meth:`_project` a scratch copy to infinity.
+        Crossed completions land in the end cache (chronologically, so the
+        last one — 0.0 if none — is the largest); a partial interval leaves
+        ``remaining`` exactly at ``target``.  Per breakpoint this is the
+        reference sweep's arithmetic: each active transfer drains at
+        ``weight / sum(weights)`` of the line rate, tied transfers carry
+        identical remaining-to-weight ratios and finish together, and a
+        transfer running alone drains at exactly the full rate
+        (``now + remaining``, the quiet-link case fast-forward relies on).
         """
-        remaining, weights = self._remaining, self._weights
-        now = self._frontier
+        weights = self._weights
+        last = 0.0
         while remaining:
             if len(remaining) == 1:
                 # Sole active transfer: full line rate regardless of weight
@@ -834,9 +817,7 @@ class FairShareTimeline(BaseResourceTimeline):
                 finish = self._end_time(now, remaining[solo_seq])
                 if finish <= target:
                     del remaining[solo_seq]
-                    self._ends[solo_seq] = finish
-                    self._done_max_end = max(self._done_max_end, finish)
-                    now = finish
+                    self._ends[solo_seq] = last = now = finish
                     continue
                 remaining[solo_seq] -= self._work(now, target)
                 break
@@ -851,16 +832,13 @@ class FairShareTimeline(BaseResourceTimeline):
                 for seq in done:
                     del remaining[seq]
                     self._ends[seq] = finish
-                self._done_max_end = max(self._done_max_end, finish)
-                now = finish
+                last = now = finish
             else:
                 served = self._work(now, target)
                 for seq in list(remaining):
                     remaining[seq] -= served * weights[seq] / total_weight
                 break
-        # Drained before target (idle gap) or stopped exactly at it: either
-        # way the frontier now sits at the arrival about to be admitted.
-        self._frontier = target
+        return last
 
     def _restore(self, position: int) -> None:
         """Set the live state to the one right after admission ``position - 1``
@@ -942,32 +920,8 @@ class FairShareTimeline(BaseResourceTimeline):
         so the last projected finish is the period's max end — what
         ``busy_until`` folds in.
         """
-        remaining = dict(self._remaining)
-        weights = self._weights
-        now = self._frontier
-        max_end = 0.0
-        while remaining:
-            if len(remaining) == 1:
-                (solo_seq,) = remaining
-                finish = self._end_time(now, remaining[solo_seq])
-                del remaining[solo_seq]
-                self._ends[solo_seq] = finish
-                max_end = finish
-                now = finish
-                continue
-            total_weight = sum(weights[seq] for seq in remaining)
-            ratios = {seq: left / weights[seq] for seq, left in remaining.items()}
-            min_ratio = min(ratios.values())
-            finish = self._end_time(now, min_ratio * total_weight)
-            done = [seq for seq, ratio in ratios.items() if ratio == min_ratio]
-            for seq in list(remaining):
-                remaining[seq] -= min_ratio * weights[seq]
-            for seq in done:
-                del remaining[seq]
-                self._ends[seq] = finish
-            max_end = finish
-            now = finish
-        self._busy_until = max(self._done_max_end, max_end)
+        last = self._drain(dict(self._remaining), self._frontier, math.inf)
+        self._busy_until = max(self._done_max_end, last)
 
 
 def build_timeline(resource: SharedResource) -> BaseResourceTimeline:

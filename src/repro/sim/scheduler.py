@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import zip_longest
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
                     TYPE_CHECKING)
@@ -608,16 +609,10 @@ class ClusterScheduler:
         # rejoin (so jobs re-placed onto the recovered rack quote at the
         # restored rate, not the outage floor).
         uplink = Cluster.tor_link_name(tor_index)
-        has_uplink = self.cluster.has_per_tor_fabric and uplink in self.engine.resources
-        if has_uplink:
-            self._push(at_time, "link_set_capacity",
-                       (uplink, self.TOR_DOWN_GBPS, "tor_failure"))
-        self._push(at_time, "gpus_down", (label, "rack", gpus))
-        if recover_at is not None:
-            if has_uplink:
-                nominal = self.engine.resource_timeline(uplink).resource.bandwidth_gbps
-                self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_recovered"))
-            self._push(recover_at, "gpus_up", (label, "rack", gpus))
+        if self.cluster.has_per_tor_fabric and uplink in self.engine.resources:
+            self._push_link_outage(uplink, self.TOR_DOWN_GBPS, at_time, recover_at,
+                                   "tor_failure", "tor_recovered")
+        self._push_outage(label, "rack", gpus, at_time, recover_at)
 
     def fail_tor(self, tor_index: int, at_time: float,
                  recover_at: Optional[float] = None) -> None:
@@ -636,10 +631,8 @@ class ClusterScheduler:
         if uplink not in self.engine.resources:
             raise ValueError(f"fail_tor requires per-ToR fabric resources; "
                              f"{uplink!r} is not registered on this cluster")
-        nominal = self.engine.resource_timeline(uplink).resource.bandwidth_gbps
-        self._push(at_time, "link_set_capacity", (uplink, self.TOR_DOWN_GBPS, "tor_failure"))
-        if recover_at is not None:
-            self._push(recover_at, "link_set_capacity", (uplink, nominal, "tor_recovered"))
+        self._push_link_outage(uplink, self.TOR_DOWN_GBPS, at_time, recover_at,
+                               "tor_failure", "tor_recovered")
 
     def degrade_link(self, resource: str, gbps: float, at_time: float,
                      restore_at: Optional[float] = None) -> None:
@@ -653,15 +646,22 @@ class ClusterScheduler:
         ``restore_at`` brings the resource back to its nominal bandwidth.
         """
         resource = str(resource)
-        timeline = self.engine.resource_timeline(resource)  # validates the name
+        self.engine.resource_timeline(resource)  # validates the name
         if gbps <= 0:
             raise ValueError("degraded capacity must be positive (use a small "
                              "floor like 1e-3 Gbps for a dead link)")
         self._require_recovery(at_time, restore_at)
-        self._push(at_time, "link_set_capacity", (resource, float(gbps), "link_degraded"))
+        self._push_link_outage(resource, gbps, at_time, restore_at,
+                               "link_degraded", "link_restored")
+
+    def _push_link_outage(self, resource: str, gbps: float, at_time: float,
+                          restore_at: Optional[float], down: str, up: str) -> None:
+        """Lower a link fault to ``link_set_capacity`` events: to ``gbps`` at
+        ``at_time`` (decision ``down``), back to nominal at ``restore_at`` (``up``)."""
+        self._push(at_time, "link_set_capacity", (resource, float(gbps), down))
         if restore_at is not None:
-            self._push(restore_at, "link_set_capacity",
-                       (resource, timeline.resource.bandwidth_gbps, "link_restored"))
+            nominal = self.engine.resource_timeline(resource).resource.bandwidth_gbps
+            self._push(restore_at, "link_set_capacity", (resource, nominal, up))
 
     def mark_preemptible(self, gpu_names: Sequence[str],
                          notice_seconds: float = 0.0) -> None:
@@ -716,33 +716,27 @@ class ClusterScheduler:
     # Placement
     # ------------------------------------------------------------------ #
     def _pick_gpus(self, count: int) -> Optional[List[GPUDevice]]:
-        """Choose ``count`` free GPUs under the configured placement, or None."""
+        """Choose ``count`` free GPUs under the configured placement, or None: the
+        first ``count`` of the free GPUs (machine order) as the policy's row orders them."""
         if count > len(self._free):
             return None
-        if self.placement == "fifo":
-            chosen = [gpu for gpu in self._all_gpus if gpu.name in self._free][:count]
-            return chosen if len(chosen) == count else None
-        if self.placement == "tor_pack":
-            return self._pick_gpus_tor_pack(count)
-        # round_robin: one free GPU per machine, cycling over machines.
-        by_machine: Dict[str, List[GPUDevice]] = {}
-        for gpu in self._all_gpus:
-            if gpu.name in self._free:
-                by_machine.setdefault(gpu.machine, []).append(gpu)
-        chosen: List[GPUDevice] = []
-        machine_order = [m.name for m in self.cluster.machines if m.name in by_machine]
-        while len(chosen) < count and machine_order:
-            for machine in list(machine_order):
-                pool = by_machine[machine]
-                chosen.append(pool.pop(0))
-                if not pool:
-                    machine_order.remove(machine)
-                if len(chosen) == count:
-                    break
-        return chosen if len(chosen) == count else None
+        free = [gpu for gpu in self._all_gpus if gpu.name in self._free]
+        return self._PLACERS[self.placement](self, free, count)[:count]
 
-    def _pick_gpus_tor_pack(self, count: int) -> Optional[List[GPUDevice]]:
-        """Rack-aware packing: fewest ToRs, preferring the tightest fit.
+    def _fifo_order(self, free: List[GPUDevice], count: int) -> List[GPUDevice]:
+        """``fifo``: the first free GPUs in machine order (locality)."""
+        return free
+
+    def _round_robin_order(self, free: List[GPUDevice], count: int) -> List[GPUDevice]:
+        """``round_robin``: one free GPU per machine, cycling over machines."""
+        by_machine: Dict[str, List[GPUDevice]] = {}
+        for gpu in free:
+            by_machine.setdefault(gpu.machine, []).append(gpu)
+        pools = [by_machine[m.name] for m in self.cluster.machines if m.name in by_machine]
+        return [gpu for column in zip_longest(*pools) for gpu in column if gpu is not None]
+
+    def _tor_pack_order(self, free: List[GPUDevice], count: int) -> List[GPUDevice]:
+        """``tor_pack``: rack-aware packing, fewest ToRs, preferring the tightest fit.
 
         If one rack can host the whole job, the rack with the *fewest* free
         GPUs that still fits is chosen (best fit, minimizing fragmentation);
@@ -750,20 +744,25 @@ class ClusterScheduler:
         spans as few ToRs as possible.  Ties break on the lower ToR index;
         within a rack, GPUs come in machine order — all deterministic.
         """
-        free_by_tor: Dict[int, List[GPUDevice]] = {}
-        for gpu in self._all_gpus:
-            if gpu.name in self._free:
-                free_by_tor.setdefault(self.cluster.tor_index(gpu.machine), []).append(gpu)
-        fitting = sorted((len(gpus), tor) for tor, gpus in free_by_tor.items()
-                         if len(gpus) >= count)
-        if fitting:
-            return free_by_tor[fitting[0][1]][:count]
-        chosen: List[GPUDevice] = []
-        for _free_count, tor in sorted(((-len(gpus), tor) for tor, gpus in free_by_tor.items())):
-            chosen.extend(free_by_tor[tor][: count - len(chosen)])
-            if len(chosen) == count:
-                return chosen
-        return None
+        by_tor: Dict[int, List[GPUDevice]] = {}
+        for gpu in free:
+            by_tor.setdefault(self.cluster.tor_index(gpu.machine), []).append(gpu)
+        fitting = sorted((len(gpus), tor) for tor, gpus in by_tor.items() if len(gpus) >= count)
+        racks = fitting[:1] or sorted((-len(gpus), tor) for tor, gpus in by_tor.items())
+        return [gpu for _free_count, tor in racks for gpu in by_tor[tor]]
+
+    #: The placement table: one row per ``placement`` (plain functions, as in ``_HANDLERS``).
+    _PLACERS: Dict[str, Callable[..., List[GPUDevice]]] = {
+        "fifo": _fifo_order,
+        "round_robin": _round_robin_order,
+        "tor_pack": _tor_pack_order,
+    }
+
+    def _claim(self, job_name: str, gpus: Sequence[GPUDevice]) -> None:
+        """Move ``gpus`` from the free pool onto ``job_name``'s allocation."""
+        for gpu in gpus:
+            del self._free[gpu.name]
+        self._allocations.setdefault(job_name, []).extend(gpus)
 
     def _try_place(self, now: float) -> None:
         """Strict-FIFO admission: place queued jobs head-first while GPUs last."""
@@ -773,9 +772,7 @@ class ClusterScheduler:
             if gpus is None:
                 return
             self._pending.pop(0)
-            for gpu in gpus:
-                del self._free[gpu.name]
-            self._allocations[job.name] = gpus
+            self._claim(job.name, gpus)
             self._route(job, gpus)
             record = self.records[job.name]
             if record.start_time is None:
@@ -785,19 +782,10 @@ class ClusterScheduler:
             self._trace(now, "job_start", job=job.name, workers=record.worker_names)
             delay = 0.0
             if job.name in self._needs_restore:
-                # Restore reads the *full* state (frozen prefix included) back
-                # from the shared storage resource before training continues —
-                # queueing behind any other job's in-flight transfers.
                 self._needs_restore.pop(job.name, None)
-                restore_bytes = job.restore_read_bytes(
-                    record.iterations_done, job.prefix_at(record.iterations_done))
-                delay = self._storage_seconds(job, restore_bytes, now, gpus, kind="restore")
-                record.restores += 1
-                record.restore_seconds += delay
-                record.restore_bytes_read += int(restore_bytes)
+                restore_bytes, delay = self._read_snapshot(job, now, gpus)
                 self._trace(now, "restore", job=job.name, seconds=delay,
-                            num_bytes=int(restore_bytes),
-                            from_iteration=record.iterations_done)
+                            num_bytes=restore_bytes, from_iteration=record.iterations_done)
             self._schedule_iteration(job, now + delay)
 
     def _release(self, job_name: str, gpus: Sequence[GPUDevice], now: float) -> None:
@@ -898,6 +886,28 @@ class ClusterScheduler:
                                                    weight=job.weight)
         return end - start_time
 
+    def _write_snapshot(self, job: SimJob, prefix: int, start_time: float,
+                        workers: Sequence[GPUDevice]) -> Tuple[int, float]:
+        """Queue the freezing-aware incremental snapshot of the job's booked
+        progress (the active suffix only); returns ``(bytes, seconds)``."""
+        num_bytes = int(job.checkpoint_write_bytes(self.records[job.name].iterations_done, prefix))
+        return num_bytes, self._storage_seconds(job, num_bytes, start_time, workers,
+                                                kind="checkpoint")
+
+    def _read_snapshot(self, job: SimJob, start_time: float,
+                       workers: Sequence[GPUDevice]) -> Tuple[int, float]:
+        """Read the *full* state (frozen prefix included) back before training
+        continues, queueing behind other jobs' transfers, and book the
+        restore on the job's record; returns ``(bytes, seconds)``."""
+        record = self.records[job.name]
+        num_bytes = int(job.restore_read_bytes(record.iterations_done,
+                                               job.prefix_at(record.iterations_done)))
+        seconds = self._storage_seconds(job, num_bytes, start_time, workers, kind="restore")
+        record.restores += 1
+        record.restore_seconds += seconds
+        record.restore_bytes_read += num_bytes
+        return num_bytes, seconds
+
     def _schedule_iteration(self, job: SimJob, now: float, allow_batch: bool = False) -> None:
         record = self.records[job.name]
         workers = self._allocations[job.name]
@@ -928,9 +938,7 @@ class ClusterScheduler:
             self._push(now + duration, "iteration_done",
                        (job.name, epoch, (duration,), 0.0, 0, False), job.name)
             return
-        ckpt_bytes = int(job.checkpoint_write_bytes(iteration_index, prefix))
-        ckpt_seconds = self._storage_seconds(job, ckpt_bytes, now + duration, workers,
-                                             kind="checkpoint")
+        ckpt_bytes, ckpt_seconds = self._write_snapshot(job, prefix, now + duration, workers)
         if job.async_checkpoint:
             # Overlapped write: compute is released at the iteration boundary
             # while the snapshot drains on the storage resource; it becomes a
@@ -1197,9 +1205,7 @@ class ClusterScheduler:
             added = self._pick_gpus(min(delta, len(self._free)))
             if added:
                 changed = True
-                for gpu in added:
-                    del self._free[gpu.name]
-                workers.extend(added)
+                self._claim(job_name, added)
             self._trace(now, "resize", job=job_name, delta=len(added or []),
                         workers=[gpu.name for gpu in workers])
         if not changed:
@@ -1225,19 +1231,12 @@ class ClusterScheduler:
         # both transfers are charged as link-bytes.
         delay = 0.0
         if job.checkpoint_every:
-            prefix = job.prefix_at(record.iterations_done)
-            write_bytes = int(job.checkpoint_write_bytes(record.iterations_done, prefix))
-            write_seconds = self._storage_seconds(job, write_bytes, now, old_workers,
-                                                  kind="checkpoint")
-            read_bytes = int(job.restore_read_bytes(record.iterations_done, prefix))
-            read_seconds = self._storage_seconds(job, read_bytes, now + write_seconds, workers,
-                                                 kind="restore")
+            write_bytes, write_seconds = self._write_snapshot(
+                job, job.prefix_at(record.iterations_done), now, old_workers)
+            _read_bytes, read_seconds = self._read_snapshot(job, now + write_seconds, workers)
             delay = write_seconds + read_seconds
             self._commit_checkpoint(record, record.iterations_done, record.samples_processed,
                                     write_seconds, write_bytes)
-            record.restores += 1
-            record.restore_seconds += read_seconds
-            record.restore_bytes_read += read_bytes
             self._trace(now, "migrate", job=job_name, seconds=delay)
         self._schedule_iteration(job, now + delay)
 
@@ -1358,10 +1357,8 @@ class ClusterScheduler:
         if last is not None and times_close(last, now):
             return  # another notice already snapshotted the job this instant
         self._last_proactive[victim] = now
-        prefix = job.prefix_at(record.iterations_done)
-        ckpt_bytes = int(job.checkpoint_write_bytes(record.iterations_done, prefix))
-        seconds = self._storage_seconds(job, ckpt_bytes, now, self._allocations[victim],
-                                        kind="checkpoint")
+        ckpt_bytes, seconds = self._write_snapshot(job, job.prefix_at(record.iterations_done),
+                                                   now, self._allocations[victim])
         self._push(now + seconds, "ckpt_done",
                    (victim, self._placement_epoch[victim],
                     record.iterations_done, record.samples_processed,

@@ -108,6 +108,30 @@ class TestDirectoryBackendAtomicity:
                      for name in files if name.startswith(".tmp_")]
         assert leftovers == []
 
+    def test_a_write_that_raises_midway_leaves_nothing_behind(self, tmp_path):
+        backend = DirectoryBackend(str(tmp_path / "store"))
+        backend.write_object("kept", np.arange(4, dtype=np.float32))
+        backend.write_manifest("ckpt-0000000001", {"step": 1})
+        store = (backend.objects_dir, backend.manifests_dir)
+        before = [sorted(os.listdir(directory)) for directory in store]
+        listed = backend.list_checkpoints()
+
+        # np.save writes the header, then fails pickling the payload.
+        unpicklable = np.array([lambda: None], dtype=object)
+        with pytest.raises(AttributeError, match="pickle"):
+            backend.write_object("broken", unpicklable)
+
+        def half_a_manifest(handle):
+            handle.write(b'{"step": 2')
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            backend._atomic_write(backend._manifest_path("ckpt-0000000002"), half_a_manifest)
+
+        assert [sorted(os.listdir(directory)) for directory in store] == before
+        assert not backend.has_object("broken")
+        assert backend.list_checkpoints() == listed == ["ckpt-0000000001"]
+
     def test_survives_reopen(self, tmp_path):
         root = str(tmp_path / "store")
         manager = CheckpointManager(DirectoryBackend(root))

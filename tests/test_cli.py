@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.scenario import preview_faults
 
 
 class TestParser:
@@ -238,6 +240,23 @@ class TestSimCommands:
         assert check_metrics(metrics, report) == []
         assert report["metrics"]  # observation implied by the export flags
 
+    def test_sim_faults_writes_the_previewed_plan(self, tmp_path, capsys):
+        scenario = str(Path(__file__).resolve().parents[1] / "examples" / "scenario_fault_storm.json")
+        out = tmp_path / "plan.json"
+        assert main(["sim", "faults", scenario, "--out", str(out)]) == 0
+        plan = json.loads(out.read_text())
+        assert plan["num_events"] == preview_faults(scenario)["num_events"]
+        assert plan["num_events"] == len(plan["events"]) > 0
+        assert f"{plan['num_events']} fault events" in capsys.readouterr().out
+
+    def test_sim_faults_rejects_a_malformed_scenario(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"cluster": {"num_machines": 2')
+        assert main(["sim", "faults", str(broken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(["sim", "faults", self._write(tmp_path, dict(self.SCENARIO, warp=1))]) == 2
+        assert "unknown scenario keys" in capsys.readouterr().err
+
     def test_sim_profile_prints_ranked_report(self, tmp_path, capsys):
         scenario = self._write(tmp_path, self.SCENARIO)
         out_path = str(tmp_path / "profile.json")
@@ -267,6 +286,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Final top1" in out
+
+    def test_compare_prints_a_vanilla_and_an_egeria_row(self, capsys):
+        assert main(["compare", "--workload", "resnet56_cifar10", "--scale", "tiny"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[:2] for row in rows] == [["resnet56_cifar10", "vanilla"],
+                                             ["resnet56_cifar10", "egeria"]]
 
     def test_train_egeria_prints_history(self, capsys):
         code = main(["train", "--workload", "resnet56_cifar10", "--system", "egeria", "--epochs", "2"])

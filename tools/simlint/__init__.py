@@ -31,7 +31,6 @@ during incremental adoption.  Run it as::
 
     python -m tools.simlint src/            # text output, exit 1 on findings
     python -m tools.simlint src/ --format json
-    repro lint                              # the CLI dispatcher
 
 See ``docs/correctness.md`` for every rule's rationale and fix pattern.
 """
