@@ -249,7 +249,7 @@ WorkerLike = Union[GPUDevice, str]
 @dataclass(slots=True)
 class _Lookup:
     """One iteration request as :meth:`EventDrivenEngine._resolve` resolves it:
-    worker names, clamped prefix, crossed links and (unless traced) the memo key."""
+    worker names, clamped prefix, crossed links and the memo key."""
 
     cost_model: CostModel
     names: List[str]
@@ -260,20 +260,7 @@ class _Lookup:
     include_reference_overhead: bool
     comm_seconds_per_byte: Optional[float]
     link_timelines: List[BaseResourceTimeline]
-    key: Optional[Tuple]
-
-    def quiet(self, start_time: float) -> bool:
-        """Whether no crossed link carries traffic at or after ``start_time``."""
-        links = self.link_timelines
-        return not links or all(t.busy_until <= start_time for t in links)
-
-    def plan(self, engine: "EventDrivenEngine",
-             link_timelines: Sequence[BaseResourceTimeline]) -> "_IterationPlan":
-        """The request's static plan, priced on ``link_timelines``."""
-        return engine._build_plan(self.cost_model, self.worker_list, self.names,
-                                  self.frozen_prefix, self.cached_fp, self.policy,
-                                  self.include_reference_overhead,
-                                  self.comm_seconds_per_byte, link_timelines)
+    key: Tuple
 
 
 class EventDrivenEngine:
@@ -622,19 +609,21 @@ class EventDrivenEngine:
         if policy not in SchedulePolicy.ALL:
             raise ValueError(f"unknown policy {policy!r}; expected one of {SchedulePolicy.ALL}")
         lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
-                               include_reference_overhead, comm_seconds_per_byte,
-                               link_resource, keyed=trace is None)
-        key, names, links = lookup.key, lookup.names, lookup.link_timelines
+                               include_reference_overhead, comm_seconds_per_byte, link_resource)
+        key = lookup.key if trace is None else None
+        names, links = lookup.names, lookup.link_timelines
         plan: Optional[_IterationPlan] = None
         if key is not None:
             entry = self._cache.get(key)
-            if entry is not None and lookup.quiet(start_time):
+            if entry is not None and all(t.busy_until <= start_time for t in links):
                 result = self._replay(entry, lookup, start_time, job_name, job_weight)
                 return result if result is not None else self._materialize(
                     entry, names, start_time)
             plan = self._plans.get(key)
         if plan is None:
-            plan = lookup.plan(self, links)
+            plan = self._build_plan(cost_model, lookup.worker_list, names, lookup.frozen_prefix,
+                                    cached_fp, policy, include_reference_overhead,
+                                    comm_seconds_per_byte, links)
             if key is not None:
                 self._plans[key] = plan
         entry = self._simulate_live(plan, names, start_time, trace, links, job_name, job_weight)
@@ -649,19 +638,20 @@ class EventDrivenEngine:
     def _resolve(self, cost_model: CostModel, workers: Optional[Sequence[WorkerLike]],
                  frozen_prefix: int, cached_fp: bool, policy: str,
                  include_reference_overhead: bool, comm_seconds_per_byte: Optional[float],
-                 link_resource: Optional[Union[str, Sequence[str]]],
-                 keyed: bool = True) -> _Lookup:
+                 link_resource: Optional[Union[str, Sequence[str]]]) -> _Lookup:
         """The one lookup behind :meth:`simulate_iteration`, :meth:`can_fast_forward`
         and :meth:`fast_forward_batch` (unknown links raise ``KeyError`` here)."""
         names = self._worker_names(workers)
         worker_list = list(workers) if workers else list(names)
         frozen_prefix = max(0, min(frozen_prefix, len(cost_model.layer_modules)))
-        link_names = (() if link_resource is None else (link_resource,)
-                      if isinstance(link_resource, str) else tuple(link_resource))
-        link_timelines = [self.resource_timeline(name) for name in link_names] if link_names else []
-        key = (self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
-                               policy, include_reference_overhead, comm_seconds_per_byte,
-                               link_names, link_timelines) if keyed else None)
+        link_names: Tuple[str, ...] = ()
+        link_timelines: List[BaseResourceTimeline] = []
+        if link_resource is not None:
+            link_names = (link_resource,) if isinstance(link_resource, str) else tuple(link_resource)
+            link_timelines = [self.resource_timeline(name) for name in link_names]
+        key = self._cache_key(cost_model, names, worker_list, frozen_prefix, cached_fp,
+                              policy, include_reference_overhead, comm_seconds_per_byte,
+                              link_names, link_timelines)
         return _Lookup(cost_model, names, worker_list, frozen_prefix, cached_fp, policy,
                        include_reference_overhead, comm_seconds_per_byte, link_timelines, key)
 
@@ -672,6 +662,7 @@ class EventDrivenEngine:
                    link_names: Tuple[str, ...],
                    link_timelines: Sequence[BaseResourceTimeline] = ()) -> Tuple:
         """The complete dynamics state a memoized iteration is keyed on."""
+        # Lists, not generators: built on every lookup, and cheaper at these lengths.
         return (
             cost_model.fingerprint(),
             tuple(names),
@@ -712,7 +703,9 @@ class EventDrivenEngine:
         lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
                                include_reference_overhead, comm_seconds_per_byte, link_resource)
         entry = self._cache.get(lookup.key)
-        return entry if entry is not None and lookup.quiet(start_time) else None
+        if entry is None or not all(t.busy_until <= start_time for t in lookup.link_timelines):
+            return None
+        return entry
 
     def fast_forward_batch(self, cost_model: CostModel, count: int,
                            workers: Optional[Sequence[WorkerLike]] = None,
@@ -745,9 +738,10 @@ class EventDrivenEngine:
         durations: List[float] = []
         if entry is None:
             return durations
+        links = lookup.link_timelines
         start = start_time
         for _ in range(count):
-            if not lookup.quiet(start):
+            if not all(t.busy_until <= start for t in links):
                 break
             self._replay(entry, lookup, start, job_name, job_weight)
             duration = (start + entry.rel_end) - start
@@ -826,8 +820,12 @@ class EventDrivenEngine:
                 timeline.sanitizer = attached
                 timeline.observer = watching
         # A plan priced afresh, so a stale table entry cannot vouch for itself.
-        live = self._simulate_live(lookup.plan(self, shadows), lookup.names, start_time, None,
-                                   shadows, job_name, job_weight)
+        plan = self._build_plan(lookup.cost_model, lookup.worker_list, lookup.names,
+                                lookup.frozen_prefix, lookup.cached_fp, lookup.policy,
+                                lookup.include_reference_overhead,
+                                lookup.comm_seconds_per_byte, shadows)
+        live = self._simulate_live(plan, lookup.names, start_time, None, shadows, job_name,
+                                   job_weight)
         self.iterations_simulated, self.events_processed = saved_counters
         self.sanitizer.check_fast_forward(entry, live, job=job_name,
                                           start_time=start_time)

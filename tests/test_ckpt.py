@@ -108,7 +108,7 @@ class TestDirectoryBackendAtomicity:
                      for name in files if name.startswith(".tmp_")]
         assert leftovers == []
 
-    def test_a_write_that_raises_midway_leaves_nothing_behind(self, tmp_path):
+    def test_a_write_that_raises_midway_leaves_nothing_behind(self, tmp_path, monkeypatch):
         backend = DirectoryBackend(str(tmp_path / "store"))
         backend.write_object("kept", np.arange(4, dtype=np.float32))
         backend.write_manifest("ckpt-0000000001", {"step": 1})
@@ -116,10 +116,13 @@ class TestDirectoryBackendAtomicity:
         before = [sorted(os.listdir(directory)) for directory in store]
         listed = backend.list_checkpoints()
 
-        # np.save writes the header, then fails pickling the payload.
-        unpicklable = np.array([lambda: None], dtype=object)
-        with pytest.raises(AttributeError, match="pickle"):
-            backend.write_object("broken", unpicklable)
+        def half_an_array(handle, array):
+            handle.write(b"\x93NUMPY")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", half_an_array)
+        with pytest.raises(OSError, match="disk full"):
+            backend.write_object("broken", np.arange(4, dtype=np.float32))
 
         def half_a_manifest(handle):
             handle.write(b'{"step": 2')

@@ -5,8 +5,7 @@ Usage::
 
     timeout 2400 python -m tools.linecov run --data .linecov -- python -m pytest -x -q
     python -m tools.linecov run --data .linecov -- python3 bench/run.py --workload sim_steady
-    python -m tools.linecov report --data .linecov       # never-entered functions, then blocks
-    python -m tools.linecov report --data .linecov --json  # the same as one JSON object
+    python -m tools.linecov report --data .linecov   # never-entered functions, then blocks
 
 ``run`` executes the command with a ``sitecustomize`` hook on
 ``PYTHONPATH`` that installs a ``sys.settrace`` collector in every Python
@@ -15,16 +14,15 @@ inherits the environment).  Only frames whose file lies under ``src/`` are
 traced line by line.  Each process writes ``linecov-<pid>.json`` into
 the ``--data`` directory when it exits: the lines it executed and the functions it entered,
 per file.  A forked child (a ``multiprocessing`` worker) writes its own file
-too, and any process stopped by ``SIGTERM`` writes its file before it dies;
-a process that leaves through ``os._exit`` otherwise writes nothing.  ``run``
-never empties that directory, so several commands accumulate.
+too, from threading's exit hook, which a pool worker shut down by
+``close()``/``join()`` runs before its ``os._exit``.  A process killed by a
+signal writes nothing, and the collector installs no signal handler, so the
+programs it observes keep their own.  ``run`` never empties that directory,
+so several commands accumulate.
 
-Under the collector, the pool restart in ``tests/test_sim_sweep.py`` can
-leave one sweep worker blocked on the pool's queue lock, and the parent then
-waits for it in the sweep module's ``atexit`` join (two of four full tier-1
-runs on a 2-vCPU host; never without the collector).  The parent's file is
-written before that join; wrap long runs in ``timeout``, because every
-process stopped by its ``SIGTERM`` writes its file first.
+Each file is written when the interpreter starts shutting down, before any
+``atexit`` handler runs, so a handler that hangs cannot lose it; wrap long
+runs in ``timeout`` all the same.
 
 Tools that pause tracing call ``sys.settrace(None)`` — pytest-benchmark does
 around every benchmarked call — so the collector wraps ``sys.settrace`` and
@@ -47,7 +45,6 @@ import atexit
 import contextlib
 import json
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -128,20 +125,12 @@ def _dump() -> None:
                     encoding="utf-8")
 
 
-def _terminated(signum: int, frame: Optional[FrameType]) -> None:
-    """Write this process's file, then die of the signal as it would have."""
-    _dump()
-    signal.signal(signum, signal.SIG_DFL)
-    os.kill(os.getpid(), signum)
-
-
 def _after_fork() -> None:
     """A forked child starts empty and writes its own file when it exits.
 
     A ``multiprocessing`` child leaves through ``os._exit`` right after
     ``threading._shutdown()``, so ``atexit`` never runs there: the child
-    writes from threading's exit hook, or from ``SIGTERM`` when its parent
-    terminates it.
+    writes from threading's exit hook.
     """
     for code in list(_todo):
         _todo[code] = _own_lines(code)
@@ -154,14 +143,13 @@ def install() -> None:
 
     The file is written when the interpreter starts shutting down, before
     any ``atexit`` handler runs (one that hangs cannot lose it), and again
-    after them; a process stopped by ``SIGTERM`` writes it before it dies.
+    after them.
     """
     sys.settrace = _settrace
     _real_settrace(_global)
     threading.settrace(_global)
     threading._register_atexit(_dump)
     atexit.register(_dump)
-    signal.signal(signal.SIGTERM, _terminated)
     os.register_at_fork(after_in_child=_after_fork)
 
 
@@ -223,17 +211,17 @@ def _blocks(missing: Set[int], executable: Set[int]) -> List[Tuple[int, int]]:
     return runs
 
 
-def report(data: Path, src: Path = SRC) -> Dict[str, object]:
+def report(data: Path) -> Dict[str, object]:
     """Never-entered ``src/`` functions and unexecuted blocks, merged over ``data``."""
     lines, entered, processes = load(data)
     never: List[Dict[str, object]] = []
     blocks: List[Dict[str, object]] = []
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         name = str(path.resolve())
         module = compile(path.read_text(encoding="utf-8"), name, "exec")
         executed = lines.get(name, set())
         called = entered.get(name, set())
-        relative = str(path.relative_to(src.parent))
+        relative = str(path.relative_to(SRC.parent))
         for code in [module, *_functions(module)]:
             own = _own_lines(code)
             if code is not module and code.co_firstlineno not in called:
@@ -275,19 +263,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument("cmd", nargs=argparse.REMAINDER, help="-- command and arguments")
     report_parser = commands.add_parser("report", help="merge the process files and print")
     report_parser.add_argument("--data", type=Path, required=True, help="directory of process files")
-    report_parser.add_argument("--src", type=Path, default=SRC, help="source tree (default src/)")
-    report_parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     if args.command == "run":
         command = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
         if not command:
             parser.error("run needs a command after --")
         return run(args.data, command)
-    result = report(args.data, args.src)
-    if args.json:
-        print(json.dumps(result, indent=1, sort_keys=True))
-    else:
-        _print(result)
+    _print(report(args.data))
     return 0
 
 
