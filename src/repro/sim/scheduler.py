@@ -82,6 +82,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 from .cluster import Cluster, GPUDevice
 from .cost_model import CostModel
 from .engine import EventDrivenEngine, SchedulePolicy
+from .sanitizer import CausalityViolation
 from .simtime import times_close
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
@@ -92,8 +93,13 @@ __all__ = ["SimJob", "JobRecord", "SchedulerResult", "ClusterScheduler"]
 
 #: The one event kind that only books a job's own progress.  Every other kind
 #: is a *barrier*: it may change placements, link traffic or speeds, so no
-#: batch of fast-forwarded iterations may run past one.
+#: batch of fast-forwarded iterations may run past one that reaches its job
+#: (:data:`ClusterScheduler._REACH`).
 _COMPLETION = "iteration_done"
+
+#: The reach key of a barrier kind without a :data:`ClusterScheduler._REACH`
+#: row: it may change any job.
+_EVERY = ("every", "")
 
 
 class _Cause(NamedTuple):
@@ -415,6 +421,11 @@ class ClusterScheduler:
         #: Times of the pending barrier events (a heap), pushed and popped
         #: alongside ``_heap`` so the earliest barrier is an O(1) read.
         self._barriers: List[float] = []
+        #: The same times, one heap per reach key (see :data:`_REACH`), so the
+        #: earliest barrier that can reach a link-free job is an O(1) read too.
+        self._reach: Dict[Tuple[str, str], List[float]] = {}
+        #: Under SimSan, each job's last committed batch ``(start, end)``.
+        self._batch_spans: Dict[str, Tuple[float, float]] = {}
         #: Per placed job ``(crossed links, shared resources it loads)``, and
         #: how many placed jobs load each resource — what tells a batch
         #: whether another job could put traffic on a link it crosses.
@@ -469,7 +480,22 @@ class ClusterScheduler:
         heapq.heappush(self._heap, (time, rank, self._seq, kind, payload))
         if kind != _COMPLETION:
             heapq.heappush(self._barriers, time)
+            for key in self._reach_keys(kind, payload):
+                heapq.heappush(self._reach.setdefault(key, []), time)
         self._seq += 1
+
+    def _reach_keys(self, kind: str, payload: Tuple) -> Tuple[Tuple[str, str], ...]:
+        """The reach keys of one barrier, per its :data:`_REACH` row."""
+        if kind not in self._REACH:
+            return (_EVERY,)
+        row = self._REACH[kind]
+        if row is None:
+            return ()
+        space, index = row
+        names = payload[index]
+        if isinstance(names, str):
+            return ((space, names),)
+        return tuple([(space, name) for name in names])
 
     def submit(self, job: SimJob) -> None:
         """Queue a job for admission at its ``arrival_time``.
@@ -971,14 +997,20 @@ class ClusterScheduler:
         plus that iteration's duration), re-committing every link window,
         and a single ``iteration_done`` event credits all K.
 
-        The horizon is the earliest pending *barrier* — any event other than
-        an iteration completion (arrival, resize, fault, recovery, speed
-        change, checkpoint drain, requeue ...).  Another job's completion
-        inside the window is not a barrier when it cannot reach this job: the
-        admission queue is empty, so a finishing job places nobody, and no
-        other placed job loads a link this job crosses, so nothing it
-        schedules lands on them (both can only change at a barrier).
-        Otherwise the horizon is the next heap event of any kind.
+        A job whose route crosses no link takes as its horizon the earliest
+        pending *barrier* (any event other than an iteration completion) that
+        reaches it per :data:`_REACH`: one naming the job or one of its GPUs,
+        or a kind without a row.  Whatever else happens meanwhile — foreign
+        faults, link changes, admissions, completions, checkpoint drains —
+        leaves its GPUs, speeds, memo key and links alone.
+
+        A link-crossing job takes the earliest pending barrier of any kind.
+        Another job's completion inside the window is not a barrier when it
+        cannot reach this job: the admission queue is empty, so a finishing
+        job places nobody, and no other placed job loads a link this job
+        crosses, so nothing it schedules lands on them (both can only change
+        at a barrier).  Otherwise its horizon is the next heap event of any
+        kind.
 
         If a fair-share revision or re-flow moves a crossed transfer's end
         past a later iteration's start, the engine truncates the batch there:
@@ -993,7 +1025,13 @@ class ClusterScheduler:
         iterations is possible; the caller falls back to the
         one-event-per-iteration path.
         """
-        if not self._pending and all(self._users[name] == 1 for name in links or ()):
+        if links is None:
+            horizon = math.inf
+            for key in (_EVERY, ("job", job.name), *[("gpu", gpu.name) for gpu in workers]):
+                times = self._reach.get(key)
+                if times and times[0] < horizon:
+                    horizon = times[0]
+        elif not self._pending and all(self._users[name] == 1 for name in links):
             horizon = self._barriers[0] if self._barriers else math.inf
         else:
             horizon = self._heap[0][0] if self._heap else math.inf
@@ -1039,6 +1077,8 @@ class ClusterScheduler:
         for offset, duration in enumerate(durations):
             job.begin_iteration(iteration_index + offset, sim_time=end)
             end = end + duration
+        if self.engine.sanitizer is not None and len(durations) > 1:
+            self._batch_spans[job.name] = (now, end)
         self._push(end, "iteration_done",
                    (job.name, self._placement_epoch[job.name], tuple(durations), 0.0, 0, False),
                    job.name)
@@ -1074,8 +1114,12 @@ class ClusterScheduler:
             now, _rank, _seq, kind, payload = heapq.heappop(self._heap)
             if kind != _COMPLETION:
                 heapq.heappop(self._barriers)  # the earliest barrier is this event
+                for key in self._reach_keys(kind, payload):
+                    heapq.heappop(self._reach[key])
             if sanitizer is not None:
                 sanitizer.check_event("scheduler", now, kind)
+                if kind != _COMPLETION:
+                    self._check_no_batch_across(now, kind, payload)
             # Only events that commit real work extend the makespan.  Knob
             # events (set_speed/resize/faults) may be timestamped past the
             # last completed work, and a *stale* completion — an iteration
@@ -1096,6 +1140,34 @@ class ClusterScheduler:
                                gpu_busy_seconds=dict(self.gpu_busy_seconds), trace=list(self.trace),
                                resources=self.engine.resources.summary(),
                                perf=self.engine.perf_counters())
+
+    def _check_no_batch_across(self, now: float, kind: str, payload: Tuple) -> None:
+        """SimSan: no job this barrier reaches holds a batch it cuts through.
+
+        Reach is read from the payload itself, not from :data:`_REACH`, so a
+        wrong row cannot vouch for itself: the barrier reaches a job whose
+        name, GPU or crossed link the payload names, and every job when its
+        kind has no row.  Raises :class:`CausalityViolation` when such a job's
+        last committed batch (K >= 2) started before ``now`` and ends at or
+        after it.
+        """
+        named = set()
+        for item in payload:
+            if isinstance(item, str):
+                named.add(item)
+            elif isinstance(item, tuple):
+                named.update(item)
+        for job_name, (start, end) in self._batch_spans.items():
+            if not start < now <= end:
+                continue
+            links = self._routes.get(job_name, (None, ()))[0] or []
+            held = [gpu.name for gpu in self._allocations.get(job_name, [])]
+            if kind in self._REACH and named.isdisjoint([job_name, *held, *links]):
+                continue
+            raise CausalityViolation(
+                f"scheduler: barrier {kind!r} at t={now!r} reaches job {job_name!r}, "
+                f"whose batch of iterations runs from t={start!r} to t={end!r}",
+                self.engine.sanitizer.provenance())
 
     def _apply_arrival(self, job_name: str, now: float) -> bool:
         self._pending.append(job_name)
@@ -1406,4 +1478,26 @@ class ClusterScheduler:
         "link_set_capacity": _apply_link_capacity,
         "spot_notice": _apply_spot_notice,
         "requeue": _apply_requeue,
+    }
+
+    #: The reach table: what a barrier kind can change, read from its payload
+    #: as ``(key space, payload index)`` — the job named there (``"job"``) or
+    #: the GPU(s) named there (``"gpu"``: one name or a tuple of them).  A
+    #: ``None`` row reaches no link-free job: only link-crossing jobs feel a
+    #: capacity change, and they stop at every barrier.  A kind with no row
+    #: reaches every job.  Nothing else a barrier does (placing a queued job,
+    #: failing another machine, writing another job's checkpoint) can change
+    #: a link-free job's GPUs, speeds, memo key or links.
+    _REACH: Dict[str, Optional[Tuple[str, int]]] = {
+        "arrival": ("job", 0),
+        "resize": ("job", 0),
+        "preempt": ("job", 0),
+        "resume": ("job", 0),
+        "requeue": ("job", 0),
+        "ckpt_done": ("job", 0),
+        "gpus_down": ("gpu", 2),
+        "gpus_up": ("gpu", 2),
+        "set_speed": ("gpu", 0),
+        "spot_notice": ("gpu", 0),
+        "link_set_capacity": None,
     }

@@ -166,6 +166,33 @@ class TestSchedulerCausality:
         assert any(entry.get("domain") == "scheduler"
                    for entry in excinfo.value.provenance)
 
+    def test_batch_across_a_barrier_that_reaches_its_job_is_caught(self, monkeypatch):
+        """The hand mutant that drops ``spot_notice``'s GPU reach lets a
+        link-free job batch through a notice on its own GPU; the check reads
+        reach from the payload, so the wrong row cannot vouch for itself."""
+        cluster = paper_testbed_cluster()
+        single = EventDrivenEngine(cluster).simulate_iteration(
+            _cost_model(), workers=cluster.all_gpus()[:2]).total
+
+        def run():
+            cluster = paper_testbed_cluster()
+            scheduler = ClusterScheduler(cluster, engine=EventDrivenEngine(cluster,
+                                                                          sanitize=True))
+            scheduler.submit(SimJob(name="spot", cost_model=_cost_model(), num_workers=2,
+                                    iterations=60))
+            scheduler.submit(SimJob(name="other", cost_model=_cost_model(num_modules=3),
+                                    num_workers=2, iterations=60))
+            scheduler.mark_preemptible(["node0:gpu1"], notice_seconds=10 * single)
+            scheduler.evict_spot("node0:gpu1", at_time=30.5 * single)
+            return scheduler.run()
+
+        assert run().perf["iterations_batched"] > 0
+        monkeypatch.setattr(ClusterScheduler, "_REACH",
+                            dict(ClusterScheduler._REACH, spot_notice=None))
+        with pytest.raises(CausalityViolation, match="barrier 'spot_notice'") as excinfo:
+            run()
+        assert excinfo.value.provenance
+
 
 class TestFastForwardSpotChecks:
     def test_poisoned_cache_entry_is_caught(self):

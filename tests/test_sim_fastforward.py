@@ -68,12 +68,15 @@ def three_modes(configure, cluster_factory=paper_testbed_cluster, **scheduler_kw
     """``configure(scheduler)`` run batched, per-iteration and live.
 
     Returns the three :class:`SchedulerResult` s after asserting the
-    refinement batched == per-iteration == live on :func:`result_dict`.
+    refinement batched == per-iteration == live on :func:`result_dict`.  The
+    batched run is sanitized, so SimSan also checks that no batch runs through
+    a barrier that reaches its job, whether or not the results would show it.
     """
     results = []
     for engine_cls, scheduler_cls in MODES:
         cluster = cluster_factory()
-        scheduler = scheduler_cls(cluster, engine=engine_cls(cluster), **scheduler_kwargs)
+        engine = engine_cls(cluster, sanitize=True if scheduler_cls is ClusterScheduler else None)
+        scheduler = scheduler_cls(cluster, engine=engine, **scheduler_kwargs)
         configure(scheduler)
         results.append(scheduler.run())
     batched, memoized, live = results
@@ -438,13 +441,16 @@ def racks_cluster(fabric_policy="fair"):
 
 class TestConcurrentBatching:
     """A steady job's batch runs past other jobs' iteration completions when
-    they cannot interact, and only then.
+    they cannot interact, and only then; a link-free job's batch also runs
+    past every barrier outside its reach, and only those.
 
     Two hand mutants of ``ClusterScheduler`` must (and do) fail this class and
     the property below: a horizon that ignores barriers (``horizon = math.inf``
     in the disjoint branch), and the tie key back to push order (``rank = 0``
     for every event in ``_push``).  So do dropping the empty-queue guard, the
-    link-users guard, or the checkpoint store from a job's loads.
+    link-users guard, or the checkpoint store from a job's loads, and emptying
+    the ``spot_notice``, ``set_speed``, ``gpus_down``, ``resize``, ``preempt``
+    or ``ckpt_done`` row of ``_REACH``.
     """
 
     def test_link_free_jobs_batch_past_each_other(self):
@@ -559,6 +565,91 @@ class TestConcurrentBatching:
                                          recover_at=31.0 * single)
         batched, _memoized, _live = three_modes(configure)
         assert batched.perf["mean_batch_size"] > 5
+
+    @staticmethod
+    def _reach_scenario(barrier, at, **job_a):
+        """``a`` runs link-free on ``node0`` and ``b`` on ``node1``, ``wide``
+        crosses the fabric from ``node2``/``node3``, and ``queued`` waits for
+        GPUs until one of them finishes, so every barrier at ``at`` single
+        iterations meets a non-empty admission queue."""
+        single = single_iteration_seconds()
+
+        def configure(scheduler):
+            scheduler.submit(SimJob("a", make_cost_model(), num_workers=2, iterations=80,
+                                    **job_a))
+            scheduler.submit(SimJob("b", make_cost_model((9000, 3000, 5000)), num_workers=2,
+                                    iterations=80))
+            scheduler.submit(SimJob("wide", make_cost_model(HEAVY), num_workers=4,
+                                    iterations=40))
+            scheduler.submit(SimJob("queued", make_cost_model(), num_workers=4, iterations=10))
+            if barrier is not None:
+                barrier(scheduler, at * single, single)
+        return configure
+
+    @staticmethod
+    def _batch_spans(configure):
+        """``(result, {job: [(start, end), ...]})``: the batches (K >= 2) a
+        sanitized production run commits, so SimSan's barrier check runs too."""
+        cluster = paper_testbed_cluster()
+        engine = EventDrivenEngine(cluster, sanitize=True)
+        spans = {}
+        commit = engine.fast_forward_batch
+
+        def spy(cost_model, count, **kwargs):
+            durations = commit(cost_model, count, **kwargs)
+            if len(durations) > 1:
+                end = kwargs["start_time"]
+                for duration in durations:
+                    end = end + duration
+                spans.setdefault(kwargs["job_name"], []).append((kwargs["start_time"], end))
+            return durations
+
+        engine.fast_forward_batch = spy
+        scheduler = ClusterScheduler(cluster, engine=engine)
+        configure(scheduler)
+        return scheduler.run(), spans
+
+    @pytest.mark.parametrize("barrier", [
+        lambda s, at, single: s.inject_failure("node1:gpu0", at, recover_at=at + 9 * single),
+        lambda s, at, single: s.degrade_link(Cluster.FABRIC, 1.0, at, restore_at=at + 9 * single),
+        lambda s, at, single: s.submit(SimJob("late", make_cost_model(), num_workers=2,
+                                              iterations=8, arrival_time=at)),
+    ], ids=["foreign_gpu_failure", "foreign_link_degrade", "arrival_behind_a_queue"])
+    def test_a_link_free_job_batches_through_barriers_that_cannot_reach_it(self, barrier):
+        configure = self._reach_scenario(barrier, 20.5)
+        three_modes(configure)
+        result, spans = self._batch_spans(configure)
+        at = 20.5 * single_iteration_seconds()
+        # One live iteration, then all 79 others in one batch across the barrier.
+        (start, end), = spans["a"]
+        assert start < at < end
+        assert result.jobs["a"].iterations_done == 80
+        assert result.jobs["queued"].start_time > at    # the queue was never empty
+
+    @pytest.mark.parametrize("barrier, job_a", [
+        (lambda s, at, single: (s.mark_preemptible(["node0:gpu1"], notice_seconds=4 * single),
+                                s.evict_spot("node0:gpu1", at + 4 * single)), {}),
+        (lambda s, at, single: s.set_gpu_speed("node0:gpu0", 0.5, at), {}),
+        (lambda s, at, single: s.inject_failure("node0:gpu1", at, recover_at=at + 9 * single),
+         {}),
+        (lambda s, at, single: s.resize_job("a", -1, at), {}),
+        (lambda s, at, single: (s.preempt_job("a", at), s.resume_job("a", at + 5 * single)), {}),
+        (None, {"checkpoint_every": 30, "async_checkpoint": True}),
+    ], ids=["spot_notice_on_its_gpu", "set_speed_on_its_gpu", "failure_of_its_gpu",
+            "its_resize", "its_preempt", "its_ckpt_done"])
+    def test_a_link_free_job_stops_strictly_before_a_barrier_that_reaches_it(self, barrier,
+                                                                             job_a):
+        configure = self._reach_scenario(barrier, 20.5, **job_a)
+        three_modes(configure)
+        result, spans = self._batch_spans(configure)
+        reaching = [entry["time"] for entry in result.trace
+                    if entry.get("job") == "a" and entry["kind"] in (
+                        "spot_notice", "job_evicted", "job_failed", "resize",
+                        "job_preempted", "checkpoint")
+                    or entry.get("gpu") == "node0:gpu0" and entry["kind"] == "set_speed"]
+        assert reaching and max(reaching) < result.jobs["a"].finish_time
+        assert len(spans["a"]) >= 2
+        assert not any(start < at <= end for at in reaching for start, end in spans["a"])
 
     def test_observed_equals_sanitized_equals_plain(self):
         def run(**engine_kwargs):
@@ -697,6 +788,37 @@ FAMILIES = {
 }
 
 
+#: Barrier kinds the property draws, each ``(kind, target, at)`` with
+#: ``target`` a GPU index in 0..7 on the 4 x 2 cluster (its machine, its rack's
+#: uplink or a job, by kind), so faults land on GPUs jobs do and do not own.
+BARRIERS = ("gpu_failure", "machine_failure", "link_degrade", "spot_notice", "set_speed",
+            "resize", "preempt")
+
+
+def arm_barrier(scheduler, kind, target, at, single, num_jobs):
+    gpu = f"node{target // 2}:gpu{target % 2}"
+    job = f"job{target % num_jobs}"
+    if kind == "gpu_failure":
+        scheduler.inject_failure(gpu, at_time=at * single, recover_at=(at + 6.0) * single)
+    elif kind == "machine_failure":
+        scheduler.fail_machine(f"node{target // 2}", at_time=at * single,
+                               recover_at=(at + 4.0) * single)
+    elif kind == "link_degrade":
+        link = (Cluster.tor_link_name(target % 2) if scheduler.cluster.has_per_tor_fabric
+                else Cluster.FABRIC)
+        scheduler.degrade_link(link, 0.5, at_time=at * single, restore_at=(at + 5.0) * single)
+    elif kind == "spot_notice":
+        scheduler.mark_preemptible([gpu], notice_seconds=3.0 * single)
+        scheduler.evict_spot(gpu, at_time=(at + 3.0) * single, rejoin_at=(at + 8.0) * single)
+    elif kind == "set_speed":
+        scheduler.set_gpu_speed(gpu, 0.5, at_time=at * single)
+    elif kind == "resize":
+        scheduler.resize_job(job, +1, at_time=at * single)
+    else:
+        scheduler.preempt_job(job, at_time=at * single)
+        scheduler.resume_job(job, at_time=(at + 5.0) * single)
+
+
 @given(
     family=st.sampled_from(sorted(FAMILIES)),
     shapes=st.lists(st.tuples(st.sampled_from([1, 2, 4]),            # workers
@@ -708,23 +830,33 @@ FAMILIES = {
     fabric_policy=st.sampled_from(["fifo", "fair"]),
     storage_policy=st.sampled_from(["fifo", "fair"]),
     late=st.booleans(),
-    knob=st.sampled_from([None, "fault", "resize", "preempt"]),
-    knob_at=st.floats(min_value=2.0, max_value=30.0),
+    barriers=st.lists(st.tuples(st.sampled_from(BARRIERS),
+                                st.integers(min_value=0, max_value=7),
+                                st.floats(min_value=2.0, max_value=30.0)),
+                      max_size=4),
 )
 @settings(max_examples=60, deadline=None)
 def test_concurrent_batching_equals_per_iteration_equals_live(family, shapes, topology,
                                                               fabric_policy, storage_policy,
-                                                              late, knob, knob_at):
+                                                              late, barriers):
     """Batched == per-iteration == live when several steady jobs run side by side.
 
     1/2/4 workers on 4 x 2 GPUs give link-free, link-disjoint and
-    link-sharing placements (and, past 8 GPUs, a queued job); coinciding
-    sync and async checkpoint cadences meet on a ``fifo`` or ``fair`` store;
-    a late arrival and one mid-run fault / resize / preempt are barriers no
-    batch may cross.  The existing single-job property never gets here: ten
-    iterations with ``checkpoint_every`` 2 cannot form a cross-job batch.
+    link-sharing placements; coinciding sync and async checkpoint cadences
+    meet on a ``fifo`` or ``fair`` store.  A job that cannot be placed at
+    t = 0 always waits in the admission queue, and a late arrival plus up to
+    four barriers — GPU and machine failures, link degrades, spot notices,
+    speed changes, resizes, preemptions — land on jobs they do and do not
+    reach; no batch may cross one that reaches it.  The existing single-job
+    property never gets here: ten iterations with ``checkpoint_every`` 2
+    cannot form a cross-job batch.
     """
     single = single_iteration_seconds(1)
+    placed = 0
+    for index, (workers, *_rest) in enumerate(shapes):
+        if placed + workers > 8 or late and index == len(shapes) - 1:
+            break
+        placed += workers
 
     def cluster():
         return Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2, num_tor_switches=2,
@@ -736,15 +868,12 @@ def test_concurrent_batching_equals_per_iteration_equals_live(family, shapes, to
             scheduler.submit(SimJob(
                 f"job{index}", FAMILIES[family](index), num_workers=workers,
                 iterations=iterations, checkpoint_every=cadence, async_checkpoint=overlapped,
-                arrival_time=knob_at * single / 2 if late and index == len(shapes) - 1 else 0.0))
-        if knob == "fault":
-            scheduler.inject_failure("node0:gpu1", at_time=knob_at * single,
-                                     recover_at=(knob_at + 6.0) * single)
-        elif knob == "resize":
-            scheduler.resize_job("job0", +1, at_time=knob_at * single)
-        elif knob == "preempt":
-            scheduler.preempt_job("job1", at_time=knob_at * single)
-            scheduler.resume_job("job1", at_time=(knob_at + 5.0) * single)
+                arrival_time=12.0 * single if late and index == len(shapes) - 1 else 0.0))
+        # The narrowest job that does not fit at t = 0.
+        scheduler.submit(SimJob("queued", make_cost_model(), num_workers=9 - placed,
+                                iterations=8))
+        for kind, target, at in barriers:
+            arm_barrier(scheduler, kind, target, at, single, len(shapes))
 
     three_modes(configure, cluster,
                 placement="tor_pack" if topology == "racks_packed" else "fifo")

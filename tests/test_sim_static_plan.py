@@ -488,13 +488,23 @@ class TestExactEvents:
         """``bench/run.py --workload sim_fault_storm --seed 0 --dump-scenario``, committed:
         the 169 cancels and capacity changes that displace something
         re-integrate the suffix behind the first slot they touch (62 982
-        ``_advance`` steps when each resweeped the history from t = 0)."""
+        ``_advance`` steps when each resweeped the history from t = 0).
+        Link-free jobs batch through the faults that cannot reach them
+        (167 batches of 770 iterations, 4 019 ``simulate_iteration`` and
+        3 848 ``can_fast_forward`` calls when every batch stopped at the
+        fleet's next barrier)."""
         scheduler = build_scenario(load_fixture("sim_fault_storm-seed0.json"))
         advances = count_advances(monkeypatch, scheduler)
+        calls = count_calls(monkeypatch, EventDrivenEngine,
+                            "simulate_iteration", "can_fast_forward")
         result = scheduler.run()
         perf = result.perf
         assert perf["events_processed"] == 26743
         assert perf["iterations_simulated"] == 717
+        assert perf["iterations_fast_forwarded"] == 4073
+        assert perf["fast_forward_batches"] == 165
+        assert perf["iterations_batched"] == 3803
+        assert calls == {"simulate_iteration": 986, "can_fast_forward": 897}
         assert perf["fair_rewind_reserves"] == 975
         assert perf["fair_incremental_reserves"] == 3920
         assert perf["fair_full_resweeps"] == 169
