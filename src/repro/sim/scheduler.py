@@ -73,7 +73,9 @@ seeded generator, so two runs with the same inputs produce identical
 from __future__ import annotations
 
 import heapq
+import inspect
 import math
+from functools import lru_cache
 from itertools import zip_longest
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
@@ -100,6 +102,13 @@ _COMPLETION = "iteration_done"
 #: The reach key of a barrier kind without a :data:`ClusterScheduler._REACH`
 #: row: it may change any job.
 _EVERY = ("every", "")
+
+
+@lru_cache(maxsize=None)
+def _payload_fields(handler: Callable[..., object]) -> Tuple[str, ...]:
+    """The payload field names of an event handler: its parameters between
+    ``self`` and ``now``."""
+    return tuple(inspect.signature(handler).parameters)[1:-1]
 
 
 class _Cause(NamedTuple):
@@ -1144,25 +1153,26 @@ class ClusterScheduler:
     def _check_no_batch_across(self, now: float, kind: str, payload: Tuple) -> None:
         """SimSan: no job this barrier reaches holds a batch it cuts through.
 
-        Reach is read from the payload itself, not from :data:`_REACH`, so a
-        wrong row cannot vouch for itself: the barrier reaches a job whose
-        name, GPU or crossed link the payload names, and every job when its
-        kind has no row.  Raises :class:`CausalityViolation` when such a job's
+        Reach is read from the handler's own payload fields, not from
+        :data:`_REACH`, so a wrong row cannot vouch for itself: the barrier
+        reaches the job its ``job_name`` names, every job holding a GPU its
+        ``gpu_name`` or ``gpus`` names, every job crossing its ``resource``,
+        and every job when its kind has no row.  Labels, causes and decisions
+        name no job, so a job called ``spot`` or ``node1`` is not reached
+        through them.  Raises :class:`CausalityViolation` when such a job's
         last committed batch (K >= 2) started before ``now`` and ends at or
         after it.
         """
-        named = set()
-        for item in payload:
-            if isinstance(item, str):
-                named.add(item)
-            elif isinstance(item, tuple):
-                named.update(item)
+        fields = dict(zip(_payload_fields(self._HANDLERS[kind]), payload))
+        gpus = (fields["gpu_name"],) if "gpu_name" in fields else fields.get("gpus", ())
         for job_name, (start, end) in self._batch_spans.items():
             if not start < now <= end:
                 continue
             links = self._routes.get(job_name, (None, ()))[0] or []
-            held = [gpu.name for gpu in self._allocations.get(job_name, [])]
-            if kind in self._REACH and named.isdisjoint([job_name, *held, *links]):
+            held = self._allocations.get(job_name, [])
+            if (kind in self._REACH and job_name != fields.get("job_name")
+                    and not any(gpu.name in gpus for gpu in held)
+                    and fields.get("resource") not in links):
                 continue
             raise CausalityViolation(
                 f"scheduler: barrier {kind!r} at t={now!r} reaches job {job_name!r}, "

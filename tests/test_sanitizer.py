@@ -193,6 +193,38 @@ class TestSchedulerCausality:
             run()
         assert excinfo.value.provenance
 
+    def test_job_named_like_a_cause_or_label_batches_across_foreign_outages(self):
+        """Only a barrier's job, GPU and link fields reach a job: link-free
+        jobs called ``spot`` and ``node0`` on ``node1`` / ``node2`` batch
+        through a spot eviction and a machine failure of ``node0``, whose
+        payloads carry ``spot`` as a cause and ``node0`` as a label."""
+        cluster = paper_testbed_cluster()
+        single = EventDrivenEngine(cluster).simulate_iteration(
+            _cost_model(), workers=cluster.all_gpus()[:2]).total
+        engine = EventDrivenEngine(cluster, sanitize=True)
+        batches = {}
+        commit = engine.fast_forward_batch
+
+        def spy(cost_model, count, **kwargs):
+            durations = commit(cost_model, count, **kwargs)
+            batches.setdefault(kwargs["job_name"], []).append(len(durations))
+            return durations
+
+        engine.fast_forward_batch = spy
+        scheduler = ClusterScheduler(cluster, engine=engine)
+        for name in ("victim", "spot", "node0"):
+            scheduler.submit(SimJob(name=name, cost_model=_cost_model(), num_workers=2,
+                                    iterations=60))
+        scheduler.mark_preemptible(["node0:gpu1"], notice_seconds=0.0)
+        scheduler.evict_spot("node0:gpu1", at_time=20.5 * single)
+        scheduler.fail_machine("node0", at_time=30.5 * single)
+        result = scheduler.run()
+        assert result.jobs["victim"].failures + result.jobs["victim"].evictions >= 1
+        for name in ("spot", "node0"):
+            assert result.jobs[name].failures == result.jobs[name].evictions == 0
+        # Each bystander ran one live iteration, then one batch across both outages.
+        assert batches["spot"] == batches["node0"] == [59]
+
 
 class TestFastForwardSpotChecks:
     def test_poisoned_cache_entry_is_caught(self):

@@ -69,19 +69,21 @@ def three_modes(configure, cluster_factory=paper_testbed_cluster, **scheduler_kw
 
     Returns the three :class:`SchedulerResult` s after asserting the
     refinement batched == per-iteration == live on :func:`result_dict`.  The
-    batched run is sanitized, so SimSan also checks that no batch runs through
-    a barrier that reaches its job, whether or not the results would show it.
+    batched run is repeated under SimSan and must equal the plain one field
+    for field, so SimSan also checks that no batch runs through a barrier
+    that reaches its job.
     """
-    results = []
-    for engine_cls, scheduler_cls in MODES:
+    def run(engine_cls, scheduler_cls, sanitize=None):
         cluster = cluster_factory()
-        engine = engine_cls(cluster, sanitize=True if scheduler_cls is ClusterScheduler else None)
-        scheduler = scheduler_cls(cluster, engine=engine, **scheduler_kwargs)
+        scheduler = scheduler_cls(cluster, engine=engine_cls(cluster, sanitize=sanitize),
+                                  **scheduler_kwargs)
         configure(scheduler)
-        results.append(scheduler.run())
-    batched, memoized, live = results
+        return scheduler.run()
+
+    batched, memoized, live = (run(*mode) for mode in MODES)
     assert result_dict(batched) == result_dict(memoized)
     assert result_dict(memoized) == result_dict(live)
+    assert run(*MODES[0], sanitize=True).as_dict() == batched.as_dict()
     return batched, memoized, live
 
 
@@ -830,6 +832,7 @@ def arm_barrier(scheduler, kind, target, at, single, num_jobs):
     fabric_policy=st.sampled_from(["fifo", "fair"]),
     storage_policy=st.sampled_from(["fifo", "fair"]),
     late=st.booleans(),
+    late_at=st.floats(min_value=1.0, max_value=15.0),
     barriers=st.lists(st.tuples(st.sampled_from(BARRIERS),
                                 st.integers(min_value=0, max_value=7),
                                 st.floats(min_value=2.0, max_value=30.0)),
@@ -838,7 +841,7 @@ def arm_barrier(scheduler, kind, target, at, single, num_jobs):
 @settings(max_examples=60, deadline=None)
 def test_concurrent_batching_equals_per_iteration_equals_live(family, shapes, topology,
                                                               fabric_policy, storage_policy,
-                                                              late, barriers):
+                                                              late, late_at, barriers):
     """Batched == per-iteration == live when several steady jobs run side by side.
 
     1/2/4 workers on 4 x 2 GPUs give link-free, link-disjoint and
@@ -868,7 +871,7 @@ def test_concurrent_batching_equals_per_iteration_equals_live(family, shapes, to
             scheduler.submit(SimJob(
                 f"job{index}", FAMILIES[family](index), num_workers=workers,
                 iterations=iterations, checkpoint_every=cadence, async_checkpoint=overlapped,
-                arrival_time=12.0 * single if late and index == len(shapes) - 1 else 0.0))
+                arrival_time=late_at * single if late and index == len(shapes) - 1 else 0.0))
         # The narrowest job that does not fit at t = 0.
         scheduler.submit(SimJob("queued", make_cost_model(), num_workers=9 - placed,
                                 iterations=8))
