@@ -71,9 +71,8 @@ def test_storage_contention_concurrent_vs_staggered(benchmark, scale):
 
 
 def test_topology_interference_rack_local_vs_cross_rack(benchmark):
-    data = benchmark.pedantic(lambda: run_topology_interference(seed=0),
-                              rounds=1, iterations=1)
-    rerun = run_topology_interference(seed=0)
+    data = benchmark.pedantic(run_topology_interference, rounds=1, iterations=1)
+    rerun = run_topology_interference()
     # Bit-for-bit determinism across two runs of the same scenario.
     assert data == rerun
 

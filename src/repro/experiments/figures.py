@@ -411,7 +411,7 @@ def run_multijob_cluster(workload_name: str = "resnet50_imagenet", scale: str = 
     prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
 
     cluster = paper_testbed_cluster()
-    scheduler = ClusterScheduler(cluster, placement=placement, seed=seed)
+    scheduler = ClusterScheduler(cluster, placement=placement)
     scheduler.set_gpu_speed(straggler_gpu, straggler_speed, at_time=0.0)
     scheduler.submit(SimJob("egeria", cost_model, num_workers=4, iterations=iterations,
                             policy=SchedulePolicy.EGERIA, frozen_prefix=prefix, cached_fp=True,
@@ -472,7 +472,7 @@ def run_freezing_replay(workload_name: str = "resnet56_cifar10", scale: str = "t
     layer_modules = parse_layer_modules(workload.make_model())
     cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
     cluster = paper_testbed_cluster()
-    scheduler = ClusterScheduler(cluster, placement="fifo", seed=seed)
+    scheduler = ClusterScheduler(cluster, placement="fifo")
     scheduler.submit(SimJob("egeria_replay", cost_model, num_workers=num_workers,
                             iterations=total_iterations, policy=SchedulePolicy.EGERIA,
                             frozen_prefix=prefix_at, cached_fp=True,
@@ -548,7 +548,7 @@ def run_fault_tolerance(workload_name: str = "resnet50_imagenet", scale: str = "
 
     def scenario(ckpt_every: Optional[int]) -> Dict[str, object]:
         cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster, placement="fifo", seed=seed)
+        scheduler = ClusterScheduler(cluster, placement="fifo")
         scheduler.submit(SimJob("job", cost_model, num_workers=4, iterations=iterations,
                                 policy=SchedulePolicy.EGERIA, frozen_prefix=prefix,
                                 cached_fp=True, include_reference_overhead=True,
@@ -603,7 +603,7 @@ def run_storage_contention(workload_name: str = "resnet50_imagenet", scale: str 
     cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
 
     def scenario(stagger: float, asynchronous: bool) -> Dict[str, object]:
-        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo", seed=seed)
+        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo")
         for name, arrival in (("a", 0.0), ("b", stagger)):
             scheduler.submit(SimJob(name, cost_model, num_workers=num_workers,
                                     iterations=iterations, checkpoint_every=checkpoint_every,
@@ -655,7 +655,7 @@ def run_trainer_backed_job(workload_name: str = "resnet56_cifar10", scale: str =
 
     job = TrainerJob("trainer", trainer, iterations=iterations, num_workers=num_workers,
                      policy=SchedulePolicy.EGERIA, checkpoint_every=checkpoint_every)
-    scheduler = ClusterScheduler(paper_testbed_cluster(), placement="round_robin", seed=seed)
+    scheduler = ClusterScheduler(paper_testbed_cluster(), placement="round_robin")
     scheduler.submit(job)
     scheduler.submit(SimJob("companion", job.cost_model, num_workers=num_workers,
                             iterations=max(iterations // 2, 1),
@@ -684,7 +684,7 @@ def run_trainer_backed_job(workload_name: str = "resnet56_cifar10", scale: str =
 # --------------------------------------------------------------------------- #
 def run_topology_interference(iterations: int = 4, num_workers: int = 4,
                               module_params: Sequence[int] = (400_000, 800_000, 600_000),
-                              batch_size: int = 4, seed: int = 0,
+                              batch_size: int = 4,
                               policies: Sequence[str] = ("fifo", "fair")) -> Dict[str, object]:
     """Rack-local vs cross-rack placement of two jobs on a per-ToR fabric.
 
@@ -717,7 +717,7 @@ def run_topology_interference(iterations: int = 4, num_workers: int = 4,
                                           num_tor_switches=2, nic_gbps=1.0,
                                           tor_uplink_gbps=1.0, per_tor_fabric=True,
                                           fabric_policy=policy))
-            scheduler = ClusterScheduler(cluster, placement=placement, seed=seed)
+            scheduler = ClusterScheduler(cluster, placement=placement)
             for name in ("a", "b"):
                 scheduler.submit(SimJob(name, cost_model, num_workers=num_workers,
                                         iterations=iterations))
@@ -782,7 +782,7 @@ def run_trainer_fault_tolerance(workload_name: str = "resnet56_cifar10", scale: 
                          policy=SchedulePolicy.EGERIA,
                          checkpoint_every=every if with_checkpoints else None)
         cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster, placement="fifo", seed=seed)
+        scheduler = ClusterScheduler(cluster, placement="fifo")
         scheduler.submit(job)
         if fail:
             nominal = EventDrivenEngine(paper_testbed_cluster()).simulate_iteration(

@@ -17,7 +17,7 @@ Scenario schema (all keys optional unless noted)::
       "resources": [{"name": "scratch", "bandwidth_gbps": 10.0, "kind": "storage",
                      "latency_seconds": 0.0001, "policy": "fifo"}],
       "placement": "fifo",
-      "seed": 0,
+      "seed": 0,                            # accepted; the scheduler draws nothing at random
       "observe": false,                     # or {"trace": true, "metrics": true}
       "jobs": [
         {"name": "a",                       # required, unique
@@ -216,8 +216,7 @@ def build_scenario(spec: Dict, default_policy: Optional[str] = None) -> ClusterS
                                sanitize=None if sanitize is None else bool(sanitize),
                                observe=_build_observer(spec.get("observe")))
     scheduler = ClusterScheduler(cluster, engine=engine,
-                                 placement=str(spec.get("placement", "fifo")),
-                                 seed=int(spec.get("seed", 0)))
+                                 placement=str(spec.get("placement", "fifo")))
     jobs = spec.get("jobs") or []
     if not isinstance(jobs, list):
         raise ValueError(f"scenario 'jobs' must be a list of objects, got {type(jobs).__name__}")

@@ -885,7 +885,7 @@ class TestFailureInjection:
             sim_cost_model, workers=cluster.workers(machines, gpus)).total
 
     def _run(self, sim_cost_model, checkpoint_every, iterations=20):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo", seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo")
         scheduler.submit(SimJob("job", sim_cost_model, num_workers=4, iterations=iterations,
                                 checkpoint_every=checkpoint_every))
         nominal = self._nominal_iteration(scheduler, sim_cost_model)
@@ -909,7 +909,7 @@ class TestFailureInjection:
         assert first.as_dict() == second.as_dict()
 
     def test_failed_gpu_not_reallocated_until_recovery(self, sim_cost_model):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo", seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo")
         scheduler.submit(SimJob("job", sim_cost_model, num_workers=4, iterations=10,
                                 checkpoint_every=3))
         nominal = self._nominal_iteration(scheduler, sim_cost_model)
@@ -931,7 +931,7 @@ class TestFailureInjection:
         and the from-scratch restart must reset its sample credit exactly."""
         batch = sim_cost_model.batch_size
         iterations = 20
-        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo", seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo")
         scheduler.submit(SimJob("job", sim_cost_model, num_workers=4, iterations=iterations))
         nominal = self._nominal_iteration(scheduler, sim_cost_model)
         scheduler.resize_job("job", -3, at_time=nominal * 2.5)      # 4 -> 1 worker
@@ -951,7 +951,7 @@ class TestFailureInjection:
 
 class TestPreemption:
     def test_preempt_resume_completes_and_excludes_paused_interval(self, sim_cost_model):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
         scheduler.submit(SimJob("p", sim_cost_model, num_workers=2, iterations=10,
                                 checkpoint_every=3))
         nominal = scheduler.engine.simulate_iteration(
@@ -971,7 +971,7 @@ class TestPreemption:
         """Rolling back to a checkpoint restores the samples_processed
         watermark; re-running the lost iterations re-credits them once."""
         batch = sim_cost_model.batch_size
-        scheduler = ClusterScheduler(paper_testbed_cluster(), seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
         scheduler.submit(SimJob("p", sim_cost_model, num_workers=2, iterations=9,
                                 checkpoint_every=3))
         nominal = scheduler.engine.simulate_iteration(
@@ -983,7 +983,7 @@ class TestPreemption:
         assert record.samples_processed == batch * 2 * 9
 
     def test_rollback_to_last_checkpoint(self, sim_cost_model):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
         scheduler.submit(SimJob("p", sim_cost_model, num_workers=2, iterations=9,
                                 checkpoint_every=3))
         nominal = scheduler.engine.simulate_iteration(
@@ -999,7 +999,7 @@ class TestPreemption:
 
 class TestMigration:
     def test_resize_charges_checkpoint_and_restore(self, sim_cost_model):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
         scheduler.submit(SimJob("m", sim_cost_model, num_workers=4, iterations=10,
                                 checkpoint_every=100))  # periodic ckpt never fires
         nominal = scheduler.engine.simulate_iteration(
@@ -1013,7 +1013,7 @@ class TestMigration:
         assert record.checkpoint_seconds > 0.0 and record.restore_seconds > 0.0
 
     def test_uncheckpointed_resize_stays_free(self, sim_cost_model):
-        scheduler = ClusterScheduler(paper_testbed_cluster(), seed=0)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
         scheduler.submit(SimJob("m", sim_cost_model, num_workers=4, iterations=10))
         nominal = scheduler.engine.simulate_iteration(
             sim_cost_model, workers=scheduler.cluster.workers(2, 2)).total

@@ -33,6 +33,7 @@ from repro.sim import (
 )
 from repro.sim.resources import ResourceOccupancy
 from repro.sim.sanitizer import sanitize_from_env
+from repro.sim.scheduler.loop import _Kind
 
 
 def _cost_model(num_modules=4, num_params=50_000):
@@ -187,11 +188,28 @@ class TestSchedulerCausality:
             return scheduler.run()
 
         assert run().perf["iterations_batched"] > 0
-        monkeypatch.setattr(ClusterScheduler, "_REACH",
-                            dict(ClusterScheduler._REACH, spot_notice=None))
+        notice = ClusterScheduler._KINDS["spot_notice"]
+        monkeypatch.setitem(ClusterScheduler._KINDS, "spot_notice", _Kind(notice.handler, None))
         with pytest.raises(CausalityViolation, match="barrier 'spot_notice'") as excinfo:
             run()
         assert excinfo.value.provenance
+
+    def test_a_barrier_naming_no_job_gpu_or_resource_reaches_every_job(self, monkeypatch):
+        """A payload that names no job, GPU or resource reaches every job,
+        whatever its row's reach says: a batch running through it is caught."""
+        def _apply_drill(self, label, now):
+            return None
+
+        monkeypatch.setitem(ClusterScheduler._KINDS, "drill", _Kind(_apply_drill, None))
+        cluster = paper_testbed_cluster()
+        single = EventDrivenEngine(cluster).simulate_iteration(
+            _cost_model(), workers=cluster.all_gpus()[:2]).total
+        scheduler = ClusterScheduler(cluster, engine=EventDrivenEngine(cluster, sanitize=True))
+        scheduler.submit(SimJob(name="a", cost_model=_cost_model(), num_workers=2,
+                                iterations=60))
+        scheduler._push(30.5 * single, "drill", ("rack0",))
+        with pytest.raises(CausalityViolation, match="barrier 'drill'"):
+            scheduler.run()
 
     def test_job_named_like_a_cause_or_label_batches_across_foreign_outages(self):
         """Only a barrier's job, GPU and link fields reach a job: link-free

@@ -235,7 +235,7 @@ class TestClusterScheduler:
 
     def test_deterministic_across_runs(self, cost_model, cluster):
         def scenario():
-            scheduler = ClusterScheduler(paper_testbed_cluster(), placement="round_robin", seed=7)
+            scheduler = ClusterScheduler(paper_testbed_cluster(), placement="round_robin")
             scheduler.set_gpu_speed("node1:gpu0", 0.8, at_time=0.0)
             scheduler.submit(self._job(cost_model, "a", num_workers=4, iterations=6,
                                        policy=SchedulePolicy.EGERIA, frozen_prefix=2, cached_fp=True))

@@ -450,9 +450,9 @@ class TestConcurrentBatching:
     the property below: a horizon that ignores barriers (``horizon = math.inf``
     in the disjoint branch), and the tie key back to push order (``rank = 0``
     for every event in ``_push``).  So do dropping the empty-queue guard, the
-    link-users guard, or the checkpoint store from a job's loads, and emptying
-    the ``spot_notice``, ``set_speed``, ``gpus_down``, ``resize``, ``preempt``
-    or ``ckpt_done`` row of ``_REACH``.
+    link-users guard, or the checkpoint store from a job's loads, and setting
+    the reach of the ``spot_notice``, ``set_speed``, ``gpus_down``, ``resize``,
+    ``preempt`` or ``ckpt_done`` row of ``ClusterScheduler._KINDS`` to ``None``.
     """
 
     def test_link_free_jobs_batch_past_each_other(self):

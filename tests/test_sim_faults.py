@@ -23,9 +23,12 @@ Five families of guarantees:
 
 import ast
 import dataclasses
+import functools
 import gc
+import importlib
 import inspect
 import json
+import pkgutil
 import weakref
 
 import pytest
@@ -49,6 +52,7 @@ from repro.sim import (
     run_scenario,
 )
 from repro.sim import scheduler as scheduler_module
+from repro.sim.scheduler import loop as scheduler_loop
 from repro.sim.faults import FAULT_KINDS
 
 
@@ -76,6 +80,13 @@ def two_rack_cluster(**overrides) -> Cluster:
 
 def kinds(result, kind):
     return [entry for entry in result.trace if entry["kind"] == kind]
+
+
+def scheduler_modules():
+    """Every module of the ``repro.sim.scheduler`` package, ``__init__`` first."""
+    return [scheduler_module] + [
+        importlib.import_module(f"{scheduler_module.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(scheduler_module.__path__)]
 
 
 # --------------------------------------------------------------------------- #
@@ -680,15 +691,34 @@ class TestScenarioIntegration:
 # --------------------------------------------------------------------------- #
 class TestEventTables:
     def test_every_pushed_kind_has_exactly_one_handler(self):
-        """The kinds ``_push`` is given in ``scheduler.py`` are the table's keys."""
-        tree = ast.parse(inspect.getsource(scheduler_module))
-        pushed = [node.args[1] for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "_push"]
+        """The kinds ``_push`` is given anywhere in the scheduler package are
+        the table's keys."""
+        pushed = []
+        for module in scheduler_modules():
+            tree = ast.parse(inspect.getsource(module))
+            pushed += [node.args[1] for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "_push"]
         assert pushed and all(isinstance(kind, ast.Constant) for kind in pushed)
-        handlers = ClusterScheduler._HANDLERS
-        assert {kind.value for kind in pushed} == set(handlers)
-        assert len(set(handlers.values())) == len(handlers)
+        kinds = ClusterScheduler._KINDS
+        assert {kind.value for kind in pushed} == set(kinds)
+        assert len({row.handler for row in kinds.values()}) == len(kinds)
+
+    def test_every_reach_is_a_payload_field_of_its_own_handler(self):
+        for kind, row in ClusterScheduler._KINDS.items():
+            fields = tuple(inspect.signature(row.handler).parameters)[1:-1]
+            assert row.fields == fields, kind
+            assert row.reach is None or row.reach in fields, kind
+        assert [kind for kind, row in ClusterScheduler._KINDS.items()
+                if row.reach is None] == ["link_set_capacity"]
+
+    @pytest.mark.parametrize("reach", ["gpu_name", "label"])
+    def test_a_reach_the_handler_lacks_fails_when_the_table_is_built(self, reach):
+        """``gpus_down``'s handler has no ``gpu_name`` field, and its
+        ``label`` names no job or GPU: the row is refused when it is made."""
+        handler = ClusterScheduler._KINDS["gpus_down"].handler
+        with pytest.raises(ValueError, match=repr(reach)):
+            scheduler_loop._Kind(handler, reach)
 
     def test_a_scheduler_is_freed_without_the_cyclic_collector(self):
         """A per-instance table of bound handlers ties each scheduler into a
@@ -714,7 +744,7 @@ class TestEventTables:
 
     def test_cause_table_counts_on_real_record_fields(self):
         fields = {field.name for field in dataclasses.fields(JobRecord)}
-        assert {cause.counter for cause in scheduler_module._CAUSES.values()} <= fields
+        assert {cause.counter for cause in scheduler_loop._CAUSES.values()} <= fields
 
     def test_every_fault_kind_names_a_scheduler_knob_and_a_domain(self):
         assert all(callable(getattr(ClusterScheduler, row.method))
@@ -741,6 +771,15 @@ class TestEventTables:
                 "spot_evicted", "job_failed", "job_evicted"} <= observed
 
 
+def test_scheduler_package_layout():
+    """Each module of the scheduler package stays under 600 lines, and the
+    package exports exactly its four public names."""
+    for module in scheduler_modules():
+        assert len(inspect.getsource(module).splitlines()) <= 600, module.__name__
+    assert sorted(scheduler_module.__all__) == ["ClusterScheduler", "JobRecord",
+                                                "SchedulerResult", "SimJob"]
+
+
 class TestStaleCompletions:
     """One generation counter: whatever ends a placement strands the
     ``iteration_done`` (and the draining ``ckpt_done``) it had in flight."""
@@ -757,15 +796,17 @@ class TestStaleCompletions:
     def _run(self, scheduler):
         """Run, returning the result and the ``iteration_done`` payloads ignored."""
         stale = []
-        handler = ClusterScheduler._HANDLERS["iteration_done"]
+        handler = ClusterScheduler._KINDS["iteration_done"].handler
 
+        @functools.wraps(handler)
         def spy(self, *payload):
             committed = handler(self, *payload)
             if not committed:
                 stale.append(payload)
             return committed
 
-        scheduler._HANDLERS = dict(ClusterScheduler._HANDLERS, iteration_done=spy)
+        scheduler._KINDS = dict(ClusterScheduler._KINDS,
+                                iteration_done=scheduler_loop._Kind(spy, "job_name"))
         return scheduler.run(), stale
 
     @pytest.fixture
