@@ -21,6 +21,7 @@ for the reader and asserted nowhere.  The event-by-event side is
 """
 
 import json
+import multiprocessing
 import os
 import time
 
@@ -36,9 +37,7 @@ from repro.sim import (
     SimJob,
     paper_testbed_cluster,
     run_sweep,
-    shutdown_pool,
 )
-from repro.sim import sweep as sweep_module
 
 #: The Table 1 workloads the TTA/agreement benches drive through the event
 #: backend (matching benchmarks/test_table1_tta_speedup.py).
@@ -151,7 +150,7 @@ def test_table1_multijob_scheduler_fast_forward(benchmark):
     assert (perf["fast_forward_batches"], perf["iterations_batched"]) == (18, 900 - 27)
 
 
-def test_table1_sweep_parallel_speedup(benchmark):
+def test_table1_sweep_parallel_speedup(benchmark, monkeypatch):
     """The 4-cell oversubscription sweep on 2 workers: a 2-process pool runs
     it and the merged output is identical to serial execution.  (How much
     wall-clock the pool buys depends on the box's cores and on how fast one
@@ -164,7 +163,14 @@ def test_table1_sweep_parallel_speedup(benchmark):
     # so the printed timing is not all pool start-up.
     for job in sweep["scenario"]["jobs"]:
         job["iterations"] = 2000
-    shutdown_pool()  # the pool below is this sweep's own, not a leftover
+    pool_sizes = []
+    build_pool = multiprocessing.context.BaseContext.Pool
+
+    def spy_pool(context, processes=None, *args, **kwargs):
+        pool_sizes.append(processes)
+        return build_pool(context, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", spy_pool)
 
     def run_both():
         start = time.perf_counter()
@@ -180,8 +186,7 @@ def test_table1_sweep_parallel_speedup(benchmark):
     assert parallel == serial  # worker count never changes the merged table
     assert [row["index"] for row in parallel["cells"]] == list(range(parallel["num_cells"])) \
         == [0, 1, 2, 3]
-    _pool, _method, pool_size, _base = sweep_module._POOL_STATE
-    assert pool_size == 2  # the second run really went through a 2-process pool
+    assert pool_sizes == [2]  # the second run really went through a 2-process pool
     available_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else (os.cpu_count() or 1)
     print(f"\nsweep serial {serial_seconds:.3f}s vs 2 workers {parallel_seconds:.3f}s "

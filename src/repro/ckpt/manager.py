@@ -45,17 +45,6 @@ class CheckpointInfo:
     bytes_written: int
     meta: Dict[str, Any]
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "checkpoint_id": self.checkpoint_id,
-            "step": self.step,
-            "num_tensors": self.num_tensors,
-            "num_new_tensors": self.num_new_tensors,
-            "payload_bytes": self.payload_bytes,
-            "bytes_written": self.bytes_written,
-            "meta": dict(self.meta),
-        }
-
 
 class CheckpointManager:
     """Saves/restores nested training states with incremental tensor storage."""

@@ -7,30 +7,14 @@ backward computation and gradient synchronization), and caches/prefetches the
 frozen prefix's activations to skip its forward pass as well.
 """
 
-from .cache import ActivationCache, CacheStats, Prefetcher
+from .cache import ActivationCache, Prefetcher
 from .config import EgeriaConfig
 from .controller import EgeriaController
-from .freezing import FreezeEvent, FreezingEngine
-from .hooks import ActivationRecorder
-from .modules import LayerModule, active_parameter_fraction, building_blocks, parse_layer_modules
-from .plasticity import (
-    PlasticityTracker,
-    direct_difference_loss,
-    moving_average,
-    similarity_matrix,
-    sp_loss,
-    windowed_slope,
-)
-from .queues import EvaluationChannels, SPSCQueue
-from .reference import ReferenceModel, ReferenceModelStats
-from .tasks import (
-    ClassificationTask,
-    QuestionAnsweringTask,
-    SegmentationTask,
-    TaskAdapter,
-    TranslationTask,
-    make_task,
-)
+from .freezing import FreezingEngine
+from .modules import parse_layer_modules
+from .plasticity import sp_loss
+from .reference import ReferenceModel
+from .tasks import ClassificationTask, TaskAdapter
 from .trainer import BaseTrainer, EgeriaTrainer
 from .worker import EgeriaWorker
 
@@ -41,29 +25,11 @@ __all__ = [
     "EgeriaController",
     "EgeriaWorker",
     "FreezingEngine",
-    "FreezeEvent",
     "ReferenceModel",
-    "ReferenceModelStats",
     "ActivationCache",
-    "CacheStats",
     "Prefetcher",
-    "ActivationRecorder",
-    "LayerModule",
     "parse_layer_modules",
-    "building_blocks",
-    "active_parameter_fraction",
-    "PlasticityTracker",
     "sp_loss",
-    "similarity_matrix",
-    "direct_difference_loss",
-    "moving_average",
-    "windowed_slope",
-    "SPSCQueue",
-    "EvaluationChannels",
     "TaskAdapter",
     "ClassificationTask",
-    "SegmentationTask",
-    "TranslationTask",
-    "QuestionAnsweringTask",
-    "make_task",
 ]

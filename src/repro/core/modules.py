@@ -222,11 +222,6 @@ def parse_layer_modules(model: Module, max_fraction: float = 0.25, pattern: Opti
     return layer_modules
 
 
-def total_parameters(layer_modules: Sequence[LayerModule]) -> int:
-    """Sum of parameters across an iterable of layer modules."""
-    return sum(m.num_params for m in layer_modules)
-
-
 def active_parameter_fraction(layer_modules: Sequence[LayerModule], model: Module) -> float:
     """Fraction of the *model's* parameters that currently require gradients.
 

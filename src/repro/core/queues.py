@@ -72,9 +72,6 @@ class SPSCQueue(Generic[T]):
     def empty(self) -> bool:
         return not self._items
 
-    def full(self) -> bool:
-        return len(self._items) >= self.maxsize
-
     def clear(self) -> None:
         self._items.clear()
 

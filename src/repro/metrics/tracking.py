@@ -64,9 +64,6 @@ class RunHistory:
     def losses(self) -> List[float]:
         return [r.train_loss for r in self.records]
 
-    def simulated_times(self) -> List[float]:
-        return [r.simulated_time for r in self.records]
-
     def frozen_fractions(self) -> List[float]:
         return [r.frozen_fraction for r in self.records]
 

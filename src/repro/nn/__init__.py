@@ -11,7 +11,6 @@ from .blocks import (
     BasicBlock,
     Bottleneck,
     ConvBNReLU,
-    FeedForward,
     InvertedResidual,
     MultiHeadAttention,
     PositionalEncoding,
@@ -20,7 +19,6 @@ from .blocks import (
 )
 from .layers import (
     AdaptiveAvgPool2d,
-    AvgPool2d,
     BatchNorm2d,
     Conv2d,
     Dropout,
@@ -31,32 +29,21 @@ from .layers import (
     Linear,
     MaxPool2d,
     ReLU,
-    ReLU6,
-    Sigmoid,
-    Tanh,
 )
-from .losses import CrossEntropyLoss, LabelSmoothingCrossEntropy, MSELoss, SpanExtractionLoss, cross_entropy
-from .module import Identity, Module, ModuleList, Parameter, Sequential
-from .tensor import Tensor, arange, concatenate, no_grad, ones, randn, stack, tensor, where, zeros
+from .losses import SpanExtractionLoss, cross_entropy
+from .module import Module, ModuleList, Sequential
+from .tensor import Tensor, concatenate, no_grad, zeros
 
 __all__ = [
     "functional",
     "init",
     "Tensor",
-    "tensor",
     "zeros",
-    "ones",
-    "randn",
-    "arange",
     "concatenate",
-    "stack",
-    "where",
     "no_grad",
     "Module",
     "ModuleList",
-    "Parameter",
     "Sequential",
-    "Identity",
     "Linear",
     "Conv2d",
     "BatchNorm2d",
@@ -64,12 +51,8 @@ __all__ = [
     "Embedding",
     "Dropout",
     "ReLU",
-    "ReLU6",
     "GELU",
-    "Tanh",
-    "Sigmoid",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Flatten",
     "ConvBNReLU",
@@ -77,13 +60,9 @@ __all__ = [
     "Bottleneck",
     "InvertedResidual",
     "MultiHeadAttention",
-    "FeedForward",
     "TransformerEncoderLayer",
     "TransformerDecoderLayer",
     "PositionalEncoding",
-    "CrossEntropyLoss",
-    "LabelSmoothingCrossEntropy",
-    "MSELoss",
     "SpanExtractionLoss",
     "cross_entropy",
 ]

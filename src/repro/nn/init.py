@@ -23,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "kaiming_normal",
-    "xavier_uniform",
     "xavier_normal",
     "uniform",
     "normal",
@@ -95,22 +93,6 @@ def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None, gain: floa
     """He-uniform initialisation suited to ReLU networks."""
     fan_in, _ = compute_fans(shape)
     bound = gain * math.sqrt(3.0 / max(fan_in, 1))
-    return _rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-@_random
-def kaiming_normal(shape, rng: Optional[np.random.Generator] = None, gain: float = math.sqrt(2.0)) -> np.ndarray:
-    """He-normal initialisation suited to ReLU networks."""
-    fan_in, _ = compute_fans(shape)
-    std = gain / math.sqrt(max(fan_in, 1))
-    return (_rng(rng).standard_normal(shape) * std).astype(np.float32)
-
-
-@_random
-def xavier_uniform(shape, rng: Optional[np.random.Generator] = None, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform initialisation suited to tanh/linear/attention layers."""
-    fan_in, fan_out = compute_fans(shape)
-    bound = gain * math.sqrt(6.0 / max(fan_in + fan_out, 1))
     return _rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
 
 

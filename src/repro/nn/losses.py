@@ -18,8 +18,6 @@ from .module import Module
 from .tensor import Tensor
 
 __all__ = [
-    "CrossEntropyLoss",
-    "LabelSmoothingCrossEntropy",
     "MSELoss",
     "SpanExtractionLoss",
     "cross_entropy",
@@ -55,29 +53,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, label_smoothing: float = 
         one_hot = one_hot * (1.0 - label_smoothing) + label_smoothing / num_classes
     nll = -(log_probs * Tensor(one_hot)).sum(axis=-1)
     return nll.mean()
-
-
-class CrossEntropyLoss(Module):
-    """Standard multi-class cross-entropy (classification, segmentation)."""
-
-    def __init__(self, ignore_index: Optional[int] = None):
-        super().__init__()
-        self.ignore_index = ignore_index
-
-    def forward(self, logits: Tensor, targets) -> Tensor:
-        return cross_entropy(logits, targets, ignore_index=self.ignore_index)
-
-
-class LabelSmoothingCrossEntropy(Module):
-    """Label-smoothed cross-entropy used for Transformer translation training."""
-
-    def __init__(self, smoothing: float = 0.1, ignore_index: Optional[int] = None):
-        super().__init__()
-        self.smoothing = smoothing
-        self.ignore_index = ignore_index
-
-    def forward(self, logits: Tensor, targets) -> Tensor:
-        return cross_entropy(logits, targets, label_smoothing=self.smoothing, ignore_index=self.ignore_index)
 
 
 class MSELoss(Module):

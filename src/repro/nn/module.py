@@ -81,10 +81,6 @@ class Module:
         self._buffers[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     # ------------------------------------------------------------------ #
     # Forward + hooks
     # ------------------------------------------------------------------ #
@@ -232,14 +228,8 @@ class Sequential(Module):
             x = module(x)
         return x
 
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules.values())
-
     def __len__(self) -> int:
         return len(self._modules)
-
-    def __getitem__(self, idx: int) -> Module:
-        return list(self._modules.values())[idx]
 
 
 class ModuleList(Module):

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "set_grad_enabled", "tensor", "zeros", "ones", "randn", "arange"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "zeros", "ones", "randn", "arange"]
 
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
@@ -46,12 +46,6 @@ _GRAD_ENABLED = True
 def is_grad_enabled() -> bool:
     """Return whether gradient tracking is currently enabled."""
     return _GRAD_ENABLED
-
-
-def set_grad_enabled(mode: bool) -> None:
-    """Globally enable or disable gradient tracking."""
-    global _GRAD_ENABLED
-    _GRAD_ENABLED = bool(mode)
 
 
 @contextlib.contextmanager
@@ -136,24 +130,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
-
     def __len__(self) -> int:
         return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
@@ -337,9 +319,6 @@ class Tensor:
 
             out._backward = _backward
         return out
-
-    def sqrt(self) -> "Tensor":
-        return self ** 0.5
 
     def relu(self) -> "Tensor":
         out = _make(np.maximum(self.data, 0.0), (self,), "relu")
@@ -562,11 +541,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------- #
 # Constructors
 # ---------------------------------------------------------------------- #
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Create a tensor from array-like data."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def zeros(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
 

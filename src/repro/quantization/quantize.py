@@ -59,10 +59,6 @@ class QuantizationSpec:
     is_float: bool = False
 
     @property
-    def num_levels(self) -> int:
-        return 2 ** self.bits
-
-    @property
     def qmax(self) -> int:
         return 2 ** (self.bits - 1) - 1
 

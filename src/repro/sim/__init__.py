@@ -10,15 +10,16 @@ checked against (``EventDrivenEngine.closed_form_deviation`` within 5% on
 the single-job configurations), not a mode to select.
 
 Cross-job contention is a first-class concept: clusters carry named
-finite-bandwidth :class:`SharedResource` s (the leaf–spine fabric —
-optionally broken into per-ToR uplinks plus a core — and the checkpoint
-storage target) whose per-resource timelines queue concurrent jobs'
-all-reduce buckets and checkpoint transfers under a pluggable discipline:
-first-fit FIFO serialization (:class:`ResourceTimeline`) or processor
-sharing (:class:`FairShareTimeline`), selected by ``policy`` per resource.
-:class:`TrainerJob` runs a *real* trainer inside the simulated cluster, and
-:func:`run_scenario` replays a plain-JSON scenario to a deterministic
-timeline/makespan report (the ``repro sim run`` CLI).
+finite-bandwidth :class:`~repro.sim.resources.SharedResource` s (the
+leaf–spine fabric — optionally broken into per-ToR uplinks plus a core — and
+the checkpoint storage target) whose per-resource timelines queue concurrent
+jobs' all-reduce buckets and checkpoint transfers under a pluggable
+discipline: first-fit FIFO serialization
+(:class:`~repro.sim.resources.ResourceTimeline`) or processor sharing
+(:class:`~repro.sim.resources.FairShareTimeline`), selected by ``policy`` per
+resource.  :class:`TrainerJob` runs a *real* trainer inside the simulated
+cluster, and :func:`run_scenario` replays a plain-JSON scenario to a
+deterministic timeline/makespan report (the ``repro sim run`` CLI).
 
 Robustness scenarios come from the fault model (:mod:`repro.sim.faults`,
 ``docs/faults.md``): correlated failure domains (machine/rack/ToR), mid-run
@@ -40,117 +41,47 @@ statically forbids determinism-breaking code patterns, and SimSan
 (:class:`SimSanitizer`, enabled via ``EventDrivenEngine(sanitize=True)`` or
 ``REPRO_SIMSAN=1``) checks the engine's runtime invariants — causality,
 non-negative durations, monotone ``busy_until``, byte and fair-share rate
-conservation, fast-forward/live agreement — raising :class:`SanitizerError`
-with event provenance when one breaks.
+conservation, fast-forward/live agreement — raising
+:class:`~repro.sim.sanitizer.SanitizerError` with event provenance when one
+breaks.
 
 Observability (``docs/observability.md``): SimScope (:mod:`repro.sim.observe`,
 enabled per scenario via ``"observe": true`` or the ``repro sim run
---trace-out/--metrics-out`` flags) attaches a :class:`SimObserver` that
-records a structured sim-time trace (Chrome ``trace_event`` JSON for
-Perfetto) and metric timelines (:class:`MetricsRegistry`) without perturbing
-the simulation, and :func:`profile_scenario` (``repro sim profile``) ranks
-the simulator's own hot functions under ``cProfile``.
+--trace-out/--metrics-out`` flags) attaches a
+:class:`~repro.sim.observe.SimObserver` that records a structured sim-time
+trace (Chrome ``trace_event`` JSON for Perfetto) and metric timelines
+(:class:`~repro.sim.observe.MetricsRegistry`) without perturbing the
+simulation, and :func:`profile_scenario` (``repro sim profile``) ranks the
+simulator's own hot functions under ``cProfile``.
 """
 
 from .allreduce import AllReduceModel
-from .cluster import Cluster, ClusterSpec, GPUDevice, Machine, paper_testbed_cluster, single_node_cluster
-from .cost_model import CostModel, GPUSpec, IterationBreakdown
-from .engine import (EngineIterationResult, EventDrivenEngine, EventQueue, SchedulePolicy,
-                     SimEvent)
-from .resources import (
-    BaseResourceTimeline,
-    FairShareTimeline,
-    ResourceOccupancy,
-    ResourcePool,
-    ResourceTimeline,
-    SharedResource,
-    build_timeline,
-)
-from .faults import FaultEvent, FaultPlan, apply_fault_plan, generate_fault_events, parse_faults
-from .sanitizer import (
-    ByteConservationViolation,
-    CausalityViolation,
-    FastForwardDivergence,
-    MonotonicityViolation,
-    NegativeDurationViolation,
-    RateConservationViolation,
-    SanitizerError,
-    SimSanitizer,
-)
-from .observe import (
-    MetricSeries,
-    MetricsRegistry,
-    SimObserver,
-    Tracer,
-    check_metrics,
-    check_trace,
-    diff_profiles,
-    profile_scenario,
-)
-from .scenario import build_scenario, preview_faults, run_scenario
-from .scheduler import ClusterScheduler, JobRecord, SchedulerResult, SimJob
-from .simtime import TIME_EPS, time_geq, time_leq, times_close
-from .sweep import build_cells, expand_grid, run_sweep, shutdown_pool
+from .cluster import Cluster, ClusterSpec, paper_testbed_cluster, single_node_cluster
+from .cost_model import CostModel
+from .engine import EventDrivenEngine, SchedulePolicy
+from .sanitizer import SimSanitizer
+from .observe import diff_profiles, profile_scenario
+from .scenario import preview_faults, run_scenario
+from .scheduler import ClusterScheduler, SimJob
+from .sweep import run_sweep
 from .trainer_job import TrainerJob
 
 __all__ = [
     "CostModel",
-    "GPUSpec",
-    "IterationBreakdown",
     "Cluster",
     "ClusterSpec",
-    "Machine",
-    "GPUDevice",
     "paper_testbed_cluster",
     "single_node_cluster",
     "AllReduceModel",
     "SchedulePolicy",
     "EventDrivenEngine",
-    "EngineIterationResult",
-    "EventQueue",
-    "SimEvent",
     "ClusterScheduler",
     "SimJob",
     "TrainerJob",
-    "JobRecord",
-    "SchedulerResult",
-    "SharedResource",
-    "ResourceOccupancy",
-    "BaseResourceTimeline",
-    "ResourceTimeline",
-    "FairShareTimeline",
-    "ResourcePool",
-    "build_timeline",
-    "build_scenario",
     "run_scenario",
     "preview_faults",
-    "FaultEvent",
-    "FaultPlan",
-    "parse_faults",
-    "generate_fault_events",
-    "apply_fault_plan",
-    "build_cells",
-    "expand_grid",
     "run_sweep",
-    "shutdown_pool",
     "SimSanitizer",
-    "SanitizerError",
-    "CausalityViolation",
-    "NegativeDurationViolation",
-    "MonotonicityViolation",
-    "ByteConservationViolation",
-    "RateConservationViolation",
-    "FastForwardDivergence",
-    "SimObserver",
-    "Tracer",
-    "MetricSeries",
-    "MetricsRegistry",
-    "check_trace",
-    "check_metrics",
     "profile_scenario",
     "diff_profiles",
-    "TIME_EPS",
-    "times_close",
-    "time_leq",
-    "time_geq",
 ]

@@ -71,7 +71,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 from .allreduce import AllReduceModel
 from .cluster import Cluster, GPUDevice
 from .cost_model import CostModel
-from .resources import BaseResourceTimeline, ResourcePool, SharedResource
+from .resources import BaseResourceTimeline, ResourcePool
 from .sanitizer import SimSanitizer, sanitize_from_env
 
 if TYPE_CHECKING:  # pragma: no cover - observers are attached, never imported here
@@ -135,10 +135,6 @@ class EventQueue:
         time, seq, kind, payload = heapq.heappop(self._heap)
         return SimEvent(time, seq, kind, payload)
 
-    def __len__(self) -> int:
-        """Number of pending events."""
-        return len(self._heap)
-
     def __bool__(self) -> bool:
         """Whether any event is still pending."""
         return bool(self._heap)
@@ -168,11 +164,6 @@ class EngineIterationResult:
     def total(self) -> float:
         """Wall-clock span of the iteration."""
         return self.end_time - self.start_time
-
-    @property
-    def compute(self) -> float:
-        """Nominal forward + backward compute seconds."""
-        return self.forward + self.backward
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-data timing breakdown (what the trainers record)."""
@@ -297,8 +288,8 @@ class EventDrivenEngine:
         """Bind the engine to a cluster's topology and shared resources."""
         self.cluster = cluster
         self.allreduce = allreduce or (AllReduceModel(cluster) if cluster is not None else None)
-        #: Shared-resource timelines (links + storage); populated from the
-        #: cluster's named resources, extendable with :meth:`add_resource`.
+        #: Shared-resource timelines (links + storage), adopted from the
+        #: cluster's named resources (see :meth:`resource_timeline`).
         self.resources = ResourcePool(cluster.resources.values() if cluster is not None else None)
         if sanitize is None:
             sanitize = sanitize_from_env()
@@ -330,10 +321,6 @@ class EventDrivenEngine:
     # ------------------------------------------------------------------ #
     # Scenario knobs
     # ------------------------------------------------------------------ #
-    def add_resource(self, resource: SharedResource) -> BaseResourceTimeline:
-        """Register an extra shared resource (name validated at use time)."""
-        return self.resources.add(resource)
-
     def resource_timeline(self, name: str) -> BaseResourceTimeline:
         """The named resource's timeline, syncing late cluster additions.
 
@@ -486,35 +473,6 @@ class EventDrivenEngine:
             reference_overhead=reference_overhead,
         )
 
-    def transfer_seconds(self, num_bytes: int, workers: Optional[Sequence[WorkerLike]] = None,
-                         seconds_per_byte: Optional[float] = None) -> float:
-        """Uncontended time to move ``num_bytes`` of state over the workers' uplinks.
-
-        Prices checkpoint writes and restore reads the same way gradient
-        buckets are priced: as link-bytes.  With an explicit
-        ``seconds_per_byte`` the cost is linear (the trainers' hook);
-        otherwise the bytes traverse the slowest NIC among the workers'
-        machines.  Without a cluster the transfer is free (single-node
-        storage is not modelled).  This is a pure pricing helper: it places
-        no occupancy on any shared resource — contended storage traffic goes
-        through :meth:`storage_transfer` instead.
-        """
-        if num_bytes <= 0:
-            return 0.0
-        if seconds_per_byte is not None:
-            return num_bytes * float(seconds_per_byte)
-        nic_gbps = self._worker_nic_cap_gbps(workers)
-        if nic_gbps is None:
-            return 0.0
-        latency = self.allreduce.latency_seconds if self.allreduce is not None else 0.0
-        return latency + CostModel.transfer_seconds_at(num_bytes, nic_gbps)
-
-    def _worker_nic_cap_gbps(self, workers: Optional[Sequence[WorkerLike]]) -> Optional[float]:
-        """Slowest NIC among the workers' machines (endpoint-side bandwidth cap)."""
-        if self.cluster is None:
-            return None
-        return self.cluster.slowest_nic_gbps(workers)
-
     def storage_transfer(self, num_bytes: int, start_time: float, resource: str,
                          workers: Optional[Sequence[WorkerLike]] = None,
                          job: Optional[str] = None, kind: str = "checkpoint",
@@ -533,9 +491,9 @@ class EventDrivenEngine:
         timeline = self.resource_timeline(resource)
         if num_bytes <= 0:
             return float(start_time), float(start_time)
+        nic_gbps = self.cluster.slowest_nic_gbps(workers) if self.cluster is not None else None
         return timeline.reserve_bytes(start_time, int(num_bytes), job=job, kind=kind,
-                                      cap_gbps=self._worker_nic_cap_gbps(workers),
-                                      weight=weight)
+                                      cap_gbps=nic_gbps, weight=weight)
 
     # ------------------------------------------------------------------ #
     # Core event loop

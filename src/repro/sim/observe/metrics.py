@@ -123,10 +123,6 @@ class MetricsRegistry:
         """The named series, or ``None`` when it never recorded."""
         return self._series.get(name)
 
-    def __len__(self) -> int:
-        """Number of registered series."""
-        return len(self._series)
-
     def summary(self) -> Dict[str, Dict[str, object]]:
         """Name-sorted compact statistics of every series (the sweep cell form)."""
         return {name: self._series[name].summary() for name in self.names()}

@@ -100,11 +100,6 @@ class SimObserver:
         self._total_gpus = 0
         self._finalized = False
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any pillar is recording (False for the null sink)."""
-        return self.tracer is not None or self.metrics is not None
-
     # ------------------------------------------------------------------ #
     # Engine hooks
     # ------------------------------------------------------------------ #
@@ -259,14 +254,3 @@ class SimObserver:
                     if self.metrics is not None and record.num_bytes:
                         self.metrics.counter_add(f"resource.bytes.{name}",
                                                  record.start, float(record.num_bytes))
-
-    # ------------------------------------------------------------------ #
-    # Export
-    # ------------------------------------------------------------------ #
-    def trace_dict(self) -> Optional[Dict[str, object]]:
-        """The Chrome trace object, or ``None`` when tracing is disabled."""
-        return self.tracer.as_dict() if self.tracer is not None else None
-
-    def metrics_dict(self) -> Optional[Dict[str, object]]:
-        """The full metrics export, or ``None`` when metrics are disabled."""
-        return self.metrics.as_dict() if self.metrics is not None else None

@@ -140,11 +140,6 @@ class ResourceOccupancy:
         """Committed duration of the window."""
         return self.end - self.start
 
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-data view of the window."""
-        return {"start": self.start, "end": self.end, "num_bytes": self.num_bytes,
-                "job": self.job, "kind": self.kind}
-
 
 class BaseResourceTimeline:
     """Shared bookkeeping for the per-resource scheduling disciplines.
@@ -977,10 +972,6 @@ class ResourcePool:
     def __contains__(self, name: object) -> bool:
         """Whether a resource of that name is registered."""
         return name in self._timelines
-
-    def __len__(self) -> int:
-        """Number of registered resources."""
-        return len(self._timelines)
 
     def get(self, name: str) -> Optional[BaseResourceTimeline]:
         """The named timeline, or ``None`` when unknown."""

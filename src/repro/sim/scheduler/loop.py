@@ -412,11 +412,12 @@ class ClusterScheduler(_API, _Placement, _Planner):
     # Fault tolerance: failures, recovery, preemption
     # ------------------------------------------------------------------ #
     def _apply_requeue(self, job_name: str, now: float) -> None:
-        """Admit a backoff-delayed job unless its state moved on meanwhile."""
-        if (job_name in self._allocations or job_name in self._pending
-                or job_name in self._paused or self.records[job_name].finish_time is not None):
-            self._trace(now, "requeue_ignored", job=job_name)
-            return
+        """Admit a backoff-delayed job.
+
+        Only this event re-admits a job a fault descheduled: until it fires
+        the job is neither placed, pending nor paused, so no fault can reach
+        it again, and each fault pushes exactly one ``requeue``.
+        """
         self._pending.append(job_name)
         self._trace(now, "job_requeued", job=job_name)
         self._try_place(now)

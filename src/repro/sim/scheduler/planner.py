@@ -15,11 +15,10 @@ class _Planner:
     """The iteration planner of :class:`~.loop.ClusterScheduler` (a mixin: the
     state it reads is declared in ``ClusterScheduler.__init__``)."""
 
-    def _storage_for(self, job: SimJob) -> Optional[str]:
+    @staticmethod
+    def _storage_for(job: SimJob) -> str:
         """The storage resource the job's checkpoint traffic queues on."""
-        if job.storage is not None:
-            return job.storage
-        return Cluster.CKPT_STORAGE if Cluster.CKPT_STORAGE in self.engine.resources else None
+        return job.storage if job.storage is not None else Cluster.CKPT_STORAGE
 
     def _links_for(self, job: SimJob, workers: Sequence[GPUDevice]) -> Optional[List[str]]:
         """The shared link(s) the job's all-reduce crosses (None if intra-machine).
@@ -37,7 +36,7 @@ class _Planner:
         crossed = self.cluster.links_crossed(list(workers))
         if crossed:
             return crossed
-        return [Cluster.FABRIC] if Cluster.FABRIC in self.engine.resources else None
+        return [Cluster.FABRIC]
 
     def _route(self, job: SimJob, workers: Optional[Sequence[GPUDevice]] = None) -> None:
         """Book the shared resources ``job`` loads from ``workers`` (``None``: off its GPUs).
@@ -53,9 +52,7 @@ class _Planner:
             return
         links = self._links_for(job, workers)
         loads = dict.fromkeys(links or ())
-        storage = self._storage_for(job)
-        if storage is not None:
-            loads[storage] = None
+        loads[self._storage_for(job)] = None
         self._routes[job.name] = (links, tuple(loads))
         for name in loads:
             self._users[name] = self._users.get(name, 0) + 1
@@ -64,10 +61,7 @@ class _Planner:
                          workers: Sequence[GPUDevice], kind: str) -> float:
         """Queue a checkpoint/restore transfer; returns its total duration
         (queueing wait included) from ``start_time``."""
-        storage = self._storage_for(job)
-        if storage is None:
-            return self.engine.transfer_seconds(num_bytes, workers)
-        _start, end = self.engine.storage_transfer(num_bytes, start_time, storage,
+        _start, end = self.engine.storage_transfer(num_bytes, start_time, self._storage_for(job),
                                                    workers, job=job.name, kind=kind,
                                                    weight=job.weight)
         return end - start_time

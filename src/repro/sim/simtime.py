@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["TIME_EPS", "times_close", "time_leq", "time_geq"]
+__all__ = ["TIME_EPS", "times_close"]
 
 #: Default absolute tolerance for simulated-time comparison, in simulated
 #: seconds.  Sim times in this repo are O(1e0..1e5) seconds built from
@@ -34,12 +34,3 @@ def times_close(a: float, b: float, *, eps: float = TIME_EPS) -> bool:
     """Whether two simulated timestamps are equal up to tolerance."""
     return math.isclose(a, b, rel_tol=TIME_REL, abs_tol=eps)
 
-
-def time_leq(a: float, b: float, *, eps: float = TIME_EPS) -> bool:
-    """Tolerant ``a <= b`` for simulated timestamps."""
-    return a <= b or times_close(a, b, eps=eps)
-
-
-def time_geq(a: float, b: float, *, eps: float = TIME_EPS) -> bool:
-    """Tolerant ``a >= b`` for simulated timestamps."""
-    return a >= b or times_close(a, b, eps=eps)

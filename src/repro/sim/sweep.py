@@ -23,32 +23,34 @@ Sweep schema::
         "jobs.0.num_workers": [2, 4]
       },
       "workers": 2,                        # default pool size (CLI --workers wins)
-      "seed": 0                            # base seed; cell i runs at seed + i
+      "seed": 0                            # base seed; cell i is labelled seed + i
     }
 
 Grid keys are dotted paths into the scenario dict; integer components index
 into lists (``jobs.0.num_workers``).  Cells are the cartesian product of the
 grid values in *key insertion order* (the last key varies fastest), each with
-a deterministic per-cell seed (``seed + cell index``) — so the cell list, the
-per-cell results and the merged table are identical no matter how many
-workers ran them or in which order they finished.  The parallel and serial
-paths produce byte-identical output (asserted by the sweep test suite and
-CI's ``sweep-smoke`` step); workers only buy wall-clock time.
+a per-cell seed (``seed + cell index``) — so the cell list, the per-cell
+results and the merged table are identical no matter how many workers ran
+them or in which order they finished.  The parallel and serial paths produce
+byte-identical output (asserted by the sweep test suite and CI's
+``sweep-smoke`` step); workers only buy wall-clock time.
+
+A cell's ``seed`` is a label: the scheduler draws nothing at random and does
+not read it.  To vary a stochastic fault stream across cells, put
+``faults.seed`` in the grid.
 """
 
 from __future__ import annotations
 
-import atexit
 import copy
 import itertools
-import json
 import multiprocessing
 import os
 from typing import Dict, List, Optional, Tuple, Union
 
 from .scenario import _check_keys, _read_spec, run_scenario
 
-__all__ = ["expand_grid", "build_cells", "run_sweep", "shutdown_pool"]
+__all__ = ["expand_grid", "build_cells", "run_sweep"]
 
 _SWEEP_KEYS = {"scenario", "scenario_file", "grid", "workers", "seed"}
 
@@ -122,20 +124,6 @@ def _resolve_base(sweep: Dict, base_dir: Optional[str] = None) -> Tuple[Dict, in
     return base_scenario, base_seed
 
 
-def _cell_scenario(base_scenario: Dict, params: Dict[str, object], seed: int) -> Dict:
-    """A cell's full scenario: deep-copied base + overrides + per-cell seed.
-
-    The single materialization path — the serial runner, the parent-side
-    :func:`build_cells` and the persistent pool workers all call it, so a
-    cell's scenario is byte-identical no matter where it is built.
-    """
-    scenario = copy.deepcopy(base_scenario)
-    for dotted_path, value in params.items():
-        _apply_override(scenario, dotted_path, value)
-    scenario["seed"] = seed
-    return scenario
-
-
 def build_cells(sweep: Dict, base_dir: Optional[str] = None) -> List[Dict[str, object]]:
     """Expand a sweep spec into fully-resolved cells, ready to run.
 
@@ -148,8 +136,12 @@ def build_cells(sweep: Dict, base_dir: Optional[str] = None) -> List[Dict[str, o
     base_scenario, base_seed = _resolve_base(sweep, base_dir)
     cells: List[Dict[str, object]] = []
     for index, params in enumerate(expand_grid(dict(sweep.get("grid") or {}))):
+        scenario = copy.deepcopy(base_scenario)
+        for dotted_path, value in params.items():
+            _apply_override(scenario, dotted_path, value)
+        scenario["seed"] = base_seed + index
         cells.append({"index": index, "params": params, "seed": base_seed + index,
-                      "scenario": _cell_scenario(base_scenario, params, base_seed + index)})
+                      "scenario": scenario})
     return cells
 
 
@@ -172,74 +164,6 @@ def _run_cell(cell: Dict[str, object]) -> Dict[str, object]:
     return row
 
 
-# --------------------------------------------------------------------- #
-# Persistent worker pool
-# --------------------------------------------------------------------- #
-#: The live pool and the configuration it was built for:
-#: ``(pool, start method, size, serialized base scenario)``.  A sweep whose
-#: configuration matches reuses the pool as-is; any mismatch tears it down
-#: and builds a fresh one, so reuse can never leak state across bases.
-_POOL_STATE: Optional[Tuple[object, str, int, str]] = None
-
-#: Per-worker read-only base scenario, installed once by :func:`_init_worker`
-#: when the worker process starts; cells then travel as (index, params, seed)
-#: deltas instead of full scenario dicts.
-_WORKER_BASE: Optional[Dict] = None
-
-
-def _init_worker(base_scenario: Dict) -> None:
-    """Pool initializer: cache the shared read-only base scenario."""
-    global _WORKER_BASE
-    _WORKER_BASE = base_scenario
-
-
-def _run_delta(delta: Tuple[int, Dict[str, object], int]) -> Dict[str, object]:
-    """Materialize and run one cell from its (index, params, seed) delta."""
-    index, params, seed = delta
-    if _WORKER_BASE is None:
-        raise RuntimeError("sweep worker used before _init_worker installed the base scenario")
-    return _run_cell({"index": index, "params": params, "seed": seed,
-                      "scenario": _cell_scenario(_WORKER_BASE, params, seed)})
-
-
-def shutdown_pool() -> None:
-    """Tear down the persistent sweep pool (no-op when none is live).
-
-    Registered via :mod:`atexit` so normal interpreter shutdown reaps the
-    workers; call it explicitly to reclaim the processes earlier (tests, long
-    sessions that are done sweeping).
-    """
-    global _POOL_STATE
-    if _POOL_STATE is None:
-        return
-    pool = _POOL_STATE[0]
-    _POOL_STATE = None
-    pool.close()
-    pool.join()
-
-
-atexit.register(shutdown_pool)
-
-
-def _ensure_pool(size: int, base_scenario: Dict):
-    """The persistent pool for ``(size, base scenario)``, (re)built on miss."""
-    global _POOL_STATE
-    # fork shares the already-imported interpreter state (cheap start,
-    # identical module versions); spawn is the fallback where fork does
-    # not exist.
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    base_key = json.dumps(base_scenario, sort_keys=True)
-    if _POOL_STATE is not None:
-        pool, live_method, live_size, live_key = _POOL_STATE
-        if (live_method, live_size, live_key) == (method, size, base_key):
-            return pool
-        shutdown_pool()
-    pool = multiprocessing.get_context(method).Pool(
-        size, initializer=_init_worker, initargs=(base_scenario,))
-    _POOL_STATE = (pool, method, size, base_key)
-    return pool
-
-
 def run_sweep(sweep: Union[str, Dict], workers: Optional[int] = None) -> Dict[str, object]:
     """Run every cell of a sweep (dict or path to a JSON file); merge results.
 
@@ -252,38 +176,39 @@ def run_sweep(sweep: Union[str, Dict], workers: Optional[int] = None) -> Dict[st
 
     where each row holds the cell's ``params``, ``seed``, ``makespan``,
     per-job records, utilization, per-resource occupancy and engine perf
-    counters.
-
-    Parallel sweeps run on a **persistent** worker pool: the first parallel
-    sweep pays the process spawns and ships the base scenario once (pool
-    initializer), subsequent sweeps with the same worker count and base
-    scenario reuse the live workers and dispatch each cell as a tiny
-    ``(index, params, seed)`` delta.  A different base or pool size rebuilds
-    the pool transparently; :func:`shutdown_pool` (also registered atexit)
-    reaps it.
+    counters.  The row's ``seed`` labels the cell and changes nothing it
+    runs; a grid over ``faults.seed`` varies a stochastic fault stream.
+    Parallel sweeps build their own pool and reap it before returning.
     """
     base_dir = os.path.dirname(os.path.abspath(sweep)) if isinstance(sweep, str) else None
     spec = _read_spec(sweep)
-    base_scenario, base_seed = _resolve_base(spec, base_dir)
-    deltas = [(index, params, base_seed + index)
-              for index, params in enumerate(expand_grid(dict(spec.get("grid") or {})))]
+    cells = build_cells(spec, base_dir)
     pool_size = int(workers if workers is not None else spec.get("workers", 1))
     if pool_size < 1:
         raise ValueError("workers must be at least 1")
-    pool_size = min(pool_size, len(deltas))
+    pool_size = min(pool_size, len(cells))
 
     if pool_size == 1:
-        rows = [_run_cell({"index": index, "params": params, "seed": seed,
-                           "scenario": _cell_scenario(base_scenario, params, seed)})
-                for index, params, seed in deltas]
+        rows = [_run_cell(cell) for cell in cells]
     else:
-        # pool.map returns results in cell order regardless of completion
-        # order, which keeps the merged table deterministic.
-        pool = _ensure_pool(pool_size, base_scenario)
-        rows = pool.map(_run_delta, deltas)
+        # fork shares the already-imported interpreter state (cheap start,
+        # identical module versions); spawn is the fallback where fork does
+        # not exist.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        pool = multiprocessing.get_context(method).Pool(pool_size)
+        try:
+            # pool.map returns results in cell order regardless of completion
+            # order, which keeps the merged table deterministic.
+            rows = pool.map(_run_cell, cells)
+        finally:
+            # close/join, never terminate: a worker that exits normally runs
+            # its exit hooks (tools/linecov.py writes its per-process file
+            # from one).
+            pool.close()
+            pool.join()
 
     return {
         "grid": dict(spec.get("grid") or {}),
-        "num_cells": len(deltas),
+        "num_cells": len(cells),
         "cells": rows,
     }

@@ -37,9 +37,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from repro.sim import (ClusterScheduler, CostModel, EventDrivenEngine, EventQueue,
-                       FairShareTimeline, GPUDevice, SchedulePolicy, SimEvent)
-from repro.sim.resources import ResourceTimeline, _FairTransfer
+from repro.sim import ClusterScheduler, CostModel, EventDrivenEngine, SchedulePolicy
+from repro.sim.cluster import GPUDevice
+from repro.sim.engine import EventQueue, SimEvent
+from repro.sim.resources import FairShareTimeline, ResourceTimeline, _FairTransfer
 
 
 def path_bandwidth_gbps(cluster, a: str, b: str) -> float:

@@ -26,13 +26,8 @@ from repro.metrics import (
     topk_accuracy,
     tta_speedup,
 )
-from repro.sim import (
-    AllReduceModel,
-    CostModel,
-    GPUSpec,
-    paper_testbed_cluster,
-    single_node_cluster,
-)
+from repro.sim import AllReduceModel, CostModel, paper_testbed_cluster, single_node_cluster
+from repro.sim.cost_model import GPUSpec
 
 
 class TestPWCCA:

@@ -223,7 +223,7 @@ class TestSimCommands:
         assert report["resources"]["core"]["total_bytes"] == 0
 
     def test_sim_run_trace_and_metrics_out(self, tmp_path, capsys):
-        from repro.sim import check_metrics, check_trace
+        from repro.sim.observe import check_metrics, check_trace
 
         scenario = self._write(tmp_path, self.SCENARIO)
         trace_path = str(tmp_path / "trace.json")

@@ -13,15 +13,12 @@ from repro.core import (
     EgeriaController,
     EgeriaTrainer,
     EgeriaWorker,
-    EvaluationChannels,
     FreezingEngine,
-    QuestionAnsweringTask,
     ReferenceModel,
-    SegmentationTask,
-    TranslationTask,
-    make_task,
     parse_layer_modules,
 )
+from repro.core.queues import EvaluationChannels
+from repro.core.tasks import QuestionAnsweringTask, SegmentationTask, TranslationTask, make_task
 from repro.data import DataLoader, make_dataset
 
 

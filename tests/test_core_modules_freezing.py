@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro import models
-from repro.core import (
-    EgeriaConfig,
-    FreezingEngine,
-    LayerModule,
-    active_parameter_fraction,
-    building_blocks,
-    parse_layer_modules,
-)
+from repro.core import EgeriaConfig, FreezingEngine, parse_layer_modules
+from repro.core.modules import LayerModule, active_parameter_fraction, building_blocks
 
 
 class TestLayerModuleParsing:

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
+from repro.core import sp_loss
+from repro.core.plasticity import (
     PlasticityTracker,
     direct_difference_loss,
     moving_average,
     similarity_matrix,
-    sp_loss,
     windowed_slope,
 )
 

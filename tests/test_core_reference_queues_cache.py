@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import models, nn
-from repro.core import ActivationCache, EvaluationChannels, Prefetcher, ReferenceModel, SPSCQueue
+from repro.core import ActivationCache, Prefetcher, ReferenceModel
+from repro.core.queues import EvaluationChannels, SPSCQueue
 from repro.core.hooks import ActivationRecorder
 from repro.data import DataLoader, make_dataset
 

@@ -16,7 +16,8 @@ import pytest
 
 from repro import models, nn
 from repro.ckpt import CheckpointManager, MemoryBackend
-from repro.core import ActivationRecorder, ReferenceModel, parse_layer_modules
+from repro.core import ReferenceModel, parse_layer_modules
+from repro.core.hooks import ActivationRecorder
 from repro.core.modules import building_blocks
 from repro.experiments import build_trainer, build_workload
 from repro.models import WORKLOADS

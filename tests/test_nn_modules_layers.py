@@ -7,6 +7,9 @@ import pytest
 
 from repro import nn
 from repro.nn import Tensor, init
+from repro.nn.layers import AvgPool2d, ReLU6, Sigmoid, Tanh
+from repro.nn.losses import MSELoss
+from repro.nn.module import Identity
 
 
 class TestModulePlumbing:
@@ -148,12 +151,12 @@ class TestLayers:
 
     def test_activations_shapes(self, rng):
         x = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
-        for layer in (nn.ReLU(), nn.ReLU6(), nn.GELU(), nn.Tanh(), nn.Sigmoid()):
+        for layer in (nn.ReLU(), ReLU6(), nn.GELU(), Tanh(), Sigmoid()):
             assert layer(x).shape == (3, 5)
 
     def test_relu6_caps(self):
         x = Tensor(np.array([-1.0, 3.0, 10.0], dtype=np.float32))
-        assert np.allclose(nn.ReLU6()(x).data, [0.0, 3.0, 6.0])
+        assert np.allclose(ReLU6()(x).data, [0.0, 3.0, 6.0])
 
     def test_flatten(self):
         x = Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32))
@@ -162,20 +165,20 @@ class TestLayers:
     def test_pool_layers(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 8, 8)).astype(np.float32))
         assert nn.MaxPool2d(2)(x).shape == (1, 2, 4, 4)
-        assert nn.AvgPool2d(2)(x).shape == (1, 2, 4, 4)
+        assert AvgPool2d(2)(x).shape == (1, 2, 4, 4)
         assert nn.AdaptiveAvgPool2d(1)(x).shape == (1, 2, 1, 1)
 
 
 class TestBlocks:
     def test_basic_block_identity_shortcut(self, rng):
         block = nn.BasicBlock(8, 8, rng=rng)
-        assert isinstance(block.shortcut, nn.Identity)
+        assert isinstance(block.shortcut, Identity)
         out = block(Tensor(rng.standard_normal((2, 8, 6, 6)).astype(np.float32)))
         assert out.shape == (2, 8, 6, 6)
 
     def test_basic_block_projection_shortcut(self, rng):
         block = nn.BasicBlock(4, 8, stride=2, rng=rng)
-        assert not isinstance(block.shortcut, nn.Identity)
+        assert not isinstance(block.shortcut, Identity)
         out = block(Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32)))
         assert out.shape == (2, 8, 3, 3)
 
@@ -265,7 +268,7 @@ class TestLosses:
         assert not np.isclose(loss_all.item(), loss_masked.item())
 
     def test_mse(self):
-        loss = nn.MSELoss()(Tensor([1.0, 2.0]), np.array([1.0, 4.0], dtype=np.float32))
+        loss = MSELoss()(Tensor([1.0, 2.0]), np.array([1.0, 4.0], dtype=np.float32))
         assert np.isclose(loss.item(), 2.0)
 
     def test_span_extraction_loss(self, rng):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concatenate, no_grad, stack, where
-from repro.nn.tensor import is_grad_enabled, zeros, ones, randn, arange
+from repro.nn import Tensor, concatenate, no_grad
+from repro.nn.tensor import arange, is_grad_enabled, ones, randn, stack, where, zeros
 
 
 def numeric_grad(fn, x, eps=1e-3):

@@ -21,18 +21,14 @@ from repro.sim import (
     ClusterScheduler,
     CostModel,
     EventDrivenEngine,
-    MetricsRegistry,
     SimJob,
-    SimObserver,
-    Tracer,
-    build_scenario,
-    check_metrics,
-    check_trace,
     paper_testbed_cluster,
     profile_scenario,
     run_scenario,
     run_sweep,
 )
+from repro.sim.observe import MetricsRegistry, SimObserver, Tracer, check_metrics, check_trace
+from repro.sim.scenario import build_scenario
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 

@@ -5,10 +5,12 @@ import pytest
 
 from repro import nn, optim
 from repro.nn import Tensor
+from repro.nn.losses import MSELoss
+from repro.nn.module import Parameter
 
 
 def make_param(value=1.0):
-    return nn.Parameter(np.array([value], dtype=np.float32))
+    return Parameter(np.array([value], dtype=np.float32))
 
 
 class TestSGD:
@@ -81,7 +83,7 @@ class TestSGD:
         losses = []
         for _ in range(30):
             pred = layer(Tensor(x))
-            loss = nn.MSELoss()(pred, y)
+            loss = MSELoss()(pred, y)
             opt.zero_grad()
             loss.backward()
             opt.step()

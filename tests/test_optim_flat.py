@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import optim_reference
 
-from repro import nn, optim
+from repro import optim
+from repro.nn.module import Parameter
 
 OPTIMIZERS = {
     "sgd": (optim.SGD, optim_reference.SGD),
@@ -30,7 +31,7 @@ OPTIMIZERS = {
 
 def _params(shapes, seed=0):
     rng = np.random.default_rng(seed)
-    return [nn.Parameter(rng.standard_normal(shape).astype(np.float32)) for shape in shapes]
+    return [Parameter(rng.standard_normal(shape).astype(np.float32)) for shape in shapes]
 
 
 def _laid_out(array, layout):
@@ -175,7 +176,7 @@ class TestContract:
         p, q = _params([(3, 4), (5,)])
         source = OPTIMIZERS[kind][0]([p, q], lr=0.1)
         _step(source, [p, q], seed=1)
-        target_params = [nn.Parameter(q.data.copy()), nn.Parameter(p.data.copy())]
+        target_params = [Parameter(q.data.copy()), Parameter(p.data.copy())]
         target = OPTIMIZERS[kind][0](target_params, lr=0.5)
         _step(target, target_params, seed=2)
         before = target.state_dict()

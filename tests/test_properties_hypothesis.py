@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlasticityTracker, SPSCQueue, moving_average, similarity_matrix, sp_loss, windowed_slope
+from repro.core import sp_loss
+from repro.core.plasticity import (
+    PlasticityTracker,
+    moving_average,
+    similarity_matrix,
+    windowed_slope,
+)
+from repro.core.queues import SPSCQueue
 from repro.core.modules import LayerModule
 from repro.data import DataLoader, make_dataset
 from repro.models.registry import WORKLOADS

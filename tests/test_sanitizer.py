@@ -14,25 +14,29 @@ import pytest
 
 from repro.core.modules import LayerModule
 from repro.sim import (
-    ByteConservationViolation,
-    CausalityViolation,
     ClusterScheduler,
     CostModel,
     EventDrivenEngine,
-    FairShareTimeline,
-    FastForwardDivergence,
-    MonotonicityViolation,
-    NegativeDurationViolation,
-    RateConservationViolation,
-    ResourceTimeline,
-    SanitizerError,
-    SharedResource,
     SimJob,
     SimSanitizer,
     paper_testbed_cluster,
 )
-from repro.sim.resources import ResourceOccupancy
-from repro.sim.sanitizer import sanitize_from_env
+from repro.sim.resources import (
+    FairShareTimeline,
+    ResourceOccupancy,
+    ResourceTimeline,
+    SharedResource,
+)
+from repro.sim.sanitizer import (
+    ByteConservationViolation,
+    CausalityViolation,
+    FastForwardDivergence,
+    MonotonicityViolation,
+    NegativeDurationViolation,
+    RateConservationViolation,
+    SanitizerError,
+    sanitize_from_env,
+)
 from repro.sim.scheduler.loop import _Kind
 
 

@@ -13,11 +13,11 @@ from repro.sim import (
     ClusterScheduler,
     CostModel,
     EventDrivenEngine,
-    EventQueue,
     SchedulePolicy,
     SimJob,
     paper_testbed_cluster,
 )
+from repro.sim.engine import EventQueue
 
 from oracles.sim_reference import closed_form_seconds
 

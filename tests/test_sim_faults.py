@@ -41,19 +41,21 @@ from repro.sim import (
     ClusterScheduler,
     ClusterSpec,
     CostModel,
-    FaultEvent,
-    FaultPlan,
-    JobRecord,
     SimJob,
-    apply_fault_plan,
-    generate_fault_events,
-    parse_faults,
     preview_faults,
     run_scenario,
 )
+from repro.sim.faults import (
+    FAULT_KINDS,
+    FaultEvent,
+    FaultPlan,
+    apply_fault_plan,
+    generate_fault_events,
+    parse_faults,
+)
 from repro.sim import scheduler as scheduler_module
+from repro.sim.scheduler import JobRecord
 from repro.sim.scheduler import loop as scheduler_loop
-from repro.sim.faults import FAULT_KINDS
 
 
 def synthetic_modules(param_counts=(400_000, 800_000, 600_000)):
@@ -297,6 +299,27 @@ class TestSpotCapacity:
         assert kinds(result, "proactive_checkpoint")  # the write was attempted
         assert kinds(result, "checkpoint_dropped")    # ...but never drained
         assert kinds(result, "job_evicted")[0]["restart_iteration"] == 0
+        assert result.jobs["a"].iterations_done == 10
+
+    def test_simultaneous_notices_on_one_job_write_one_snapshot(self):
+        # Both spot GPUs of one job get their notice at the same instant:
+        # the first notice snapshots the job, the second finds that write
+        # already queued this instant and adds none.
+        step = self._iteration()
+        scheduler = ClusterScheduler(self._cluster(), placement="tor_pack")
+        scheduler.submit(SimJob("a", make_cost_model(), num_workers=2, iterations=10,
+                                storage="ckpt-store"))
+        gpus = ["node0:gpu0", "node0:gpu1"]
+        scheduler.mark_preemptible(gpus, notice_seconds=3.0 * step)
+        for gpu in gpus:
+            scheduler.evict_spot(gpu, at_time=5.5 * step, rejoin_at=7.5 * step)
+        result = scheduler.run()
+        notices = kinds(result, "spot_notice")
+        assert [notice["job"] for notice in notices] == ["a", "a"]
+        assert notices[0]["time"] == notices[1]["time"]
+        assert len(kinds(result, "proactive_checkpoint")) == 1
+        assert len(kinds(result, "checkpoint")) == 1  # the one ckpt_done commit
+        assert result.jobs["a"].checkpoints_taken == 1
         assert result.jobs["a"].iterations_done == 10
 
     def test_evict_spot_requires_mark_preemptible(self):
@@ -771,13 +794,39 @@ class TestEventTables:
                 "spot_evicted", "job_failed", "job_evicted"} <= observed
 
 
-def test_scheduler_package_layout():
-    """Each module of the scheduler package stays under 600 lines, and the
-    package exports exactly its four public names."""
-    for module in scheduler_modules():
-        assert len(inspect.getsource(module).splitlines()) <= 600, module.__name__
-    assert sorted(scheduler_module.__all__) == ["ClusterScheduler", "JobRecord",
-                                                "SchedulerResult", "SimJob"]
+#: Each package's exact export list: the names code outside the tests imports
+#: from the package root (tests import the rest from their submodules).
+PACKAGE_EXPORTS = {
+    "repro.sim": {
+        "AllReduceModel", "Cluster", "ClusterScheduler", "ClusterSpec", "CostModel",
+        "EventDrivenEngine", "SchedulePolicy", "SimJob", "SimSanitizer", "TrainerJob",
+        "diff_profiles", "paper_testbed_cluster", "preview_faults", "profile_scenario",
+        "run_scenario", "run_sweep", "single_node_cluster"},
+    "repro.core": {
+        "ActivationCache", "BaseTrainer", "ClassificationTask", "EgeriaConfig",
+        "EgeriaController", "EgeriaTrainer", "EgeriaWorker", "FreezingEngine", "Prefetcher",
+        "ReferenceModel", "TaskAdapter", "parse_layer_modules", "sp_loss"},
+    "repro.nn": {
+        "AdaptiveAvgPool2d", "BasicBlock", "BatchNorm2d", "Bottleneck", "Conv2d", "ConvBNReLU",
+        "Dropout", "Embedding", "Flatten", "GELU", "InvertedResidual", "LayerNorm", "Linear",
+        "MaxPool2d", "Module", "ModuleList", "MultiHeadAttention", "PositionalEncoding", "ReLU",
+        "Sequential", "SpanExtractionLoss", "Tensor", "TransformerDecoderLayer",
+        "TransformerEncoderLayer", "concatenate", "cross_entropy", "functional", "init",
+        "no_grad", "zeros"},
+    "repro.sim.scheduler": {"ClusterScheduler", "JobRecord", "SchedulerResult", "SimJob"},
+}
+
+
+@pytest.mark.parametrize("package", sorted(PACKAGE_EXPORTS))
+def test_package_layout(package):
+    """Each package exports exactly its listed names, each of which resolves;
+    each module of the scheduler package stays under 600 lines."""
+    module = importlib.import_module(package)
+    assert sorted(module.__all__) == sorted(PACKAGE_EXPORTS[package])
+    assert all(hasattr(module, name) for name in module.__all__)
+    if module is scheduler_module:
+        for submodule in scheduler_modules():
+            assert len(inspect.getsource(submodule).splitlines()) <= 600, submodule.__name__
 
 
 class TestStaleCompletions:

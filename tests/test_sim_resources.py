@@ -36,14 +36,16 @@ from repro.sim import (
     ClusterSpec,
     CostModel,
     EventDrivenEngine,
+    SimJob,
+    TrainerJob,
+    paper_testbed_cluster,
+)
+from repro.sim.resources import (
     FairShareTimeline,
     ResourcePool,
     ResourceTimeline,
     SharedResource,
-    SimJob,
-    TrainerJob,
     build_timeline,
-    paper_testbed_cluster,
 )
 
 
@@ -816,8 +818,6 @@ class TestEngineSharedResources:
             EventDrivenEngine(comm_scale=2.0)
         engine = EventDrivenEngine()
         assert not hasattr(type(engine), "comm_scale")
-        # Per-byte pricing is unscaled: exactly bytes * seconds_per_byte.
-        assert engine.transfer_seconds(1000, seconds_per_byte=1e-9) == pytest.approx(1e-6)
 
 
 # --------------------------------------------------------------------------- #

@@ -43,8 +43,8 @@ from repro.sim import (
     EventDrivenEngine,
     SchedulePolicy,
     SimJob,
-    build_scenario,
 )
+from repro.sim.scenario import build_scenario
 from repro.sim.resources import FairShareTimeline
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

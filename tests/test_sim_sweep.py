@@ -6,13 +6,14 @@ order — because every cell is deterministic and carries its own seed.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from repro.cli import main
-from repro.sim import build_cells, expand_grid, run_sweep
-from repro.sim.sweep import _apply_override
+from repro.sim import run_sweep
+from repro.sim.sweep import _apply_override, build_cells, expand_grid
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE_SWEEP = os.path.join(REPO_ROOT, "examples", "sweep_oversubscription.json")
@@ -127,44 +128,18 @@ class TestRunSweep:
         assert [cell["scenario"]["seed"] for cell in build_cells(sweep)] == [7, 8, 9, 10]
 
 
-class TestPersistentPool:
+class TestPoolPerSweep:
     SWEEP = {"scenario": BASE_SCENARIO,
              "grid": {"cluster.storage_gbps": [5.0, 10.0, 20.0]}}
 
-    def test_pool_survives_and_is_reused_across_sweeps(self):
-        import repro.sim.sweep as sweep_mod
-
-        sweep_mod.shutdown_pool()
+    def test_each_parallel_sweep_reaps_its_own_pool(self):
+        """Two parallel sweeps in one process agree, and neither leaves a
+        worker process behind."""
         first = run_sweep(self.SWEEP, workers=2)
-        state = sweep_mod._POOL_STATE
-        assert state is not None
+        assert multiprocessing.active_children() == []
         second = run_sweep(self.SWEEP, workers=2)
-        assert sweep_mod._POOL_STATE is state  # same live pool, not a rebuild
+        assert multiprocessing.active_children() == []
         assert second == first
-
-    def test_pool_rebuilt_on_size_or_base_change(self):
-        import repro.sim.sweep as sweep_mod
-
-        run_sweep(self.SWEEP, workers=2)
-        pool_before = sweep_mod._POOL_STATE[0]
-        run_sweep(self.SWEEP, workers=3)
-        assert sweep_mod._POOL_STATE[0] is not pool_before
-
-        pool_before = sweep_mod._POOL_STATE[0]
-        other_base = dict(self.SWEEP, scenario=dict(BASE_SCENARIO, seed=99))
-        run_sweep(other_base, workers=3)
-        assert sweep_mod._POOL_STATE[0] is not pool_before
-
-    def test_shutdown_pool_reaps_and_is_idempotent(self):
-        import repro.sim.sweep as sweep_mod
-
-        result = run_sweep(self.SWEEP, workers=2)
-        assert sweep_mod._POOL_STATE is not None
-        sweep_mod.shutdown_pool()
-        assert sweep_mod._POOL_STATE is None
-        sweep_mod.shutdown_pool()  # no-op on an already-dead pool
-        # A fresh sweep transparently rebuilds and still matches.
-        assert run_sweep(self.SWEEP, workers=2) == result
 
 
 class TestSweepCli:
