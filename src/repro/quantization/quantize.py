@@ -84,6 +84,9 @@ def quantize_array(array: np.ndarray, spec: QuantizationSpec = INT8) -> Tuple[np
         return array.astype(np.float16), 1.0
     max_abs = float(np.max(np.abs(array))) if array.size else 0.0
     scale = max_abs / spec.qmax if max_abs > 0 else 1.0
+    if array.dtype.kind == "f" and array.dtype.type(scale) == 0:
+        # max_abs is a few subnormal steps, fewer than qmax: count the steps exactly.
+        scale = float(np.finfo(array.dtype).smallest_subnormal)
     quantized = np.clip(np.round(array / scale), -spec.qmax - 1, spec.qmax).astype(np.int8 if spec.bits <= 8 else np.int16)
     return quantized, scale
 

@@ -3,12 +3,13 @@
 The paper's multi-node experiments (Figure 10) run on a 5-machine cluster with
 2 V100 GPUs per machine, 40 Gbps NICs, and a leaf–spine topology with two ToR
 and two core switches (§6.1).  This module reproduces that setup as a
-networkx graph so the all-reduce cost model can derive the bottleneck
-bandwidth between any pair of workers, and so tests can verify topology
-properties (paths traverse ToR/core switches, intra-machine traffic stays
-local, etc.).
+read-only adjacency table (node -> ``{neighbour: Gbps}``) so the all-reduce
+cost model can derive the bottleneck bandwidth between any pair of workers,
+and so tests can verify topology properties (paths traverse ToR/core
+switches, intra-machine traffic stays local, etc.); a fixed three-tier tree
+needs no graph library.
 
-Besides the graph, every cluster registers **named shared resources** — the
+Besides the topology, every cluster registers **named shared resources** — the
 finite-bandwidth links and storage targets that concurrent jobs queue on
 (:mod:`repro.sim.resources`).  Two granularities of fabric exist:
 
@@ -23,10 +24,10 @@ finite-bandwidth links and storage targets that concurrent jobs queue on
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .resources import SharedResource
 
@@ -97,9 +98,9 @@ class ClusterSpec:
 
 
 class Cluster:
-    """Leaf–spine cluster graph with bandwidth-annotated links.
+    """Leaf–spine cluster topology with bandwidth-annotated links.
 
-    Besides the topology graph, the cluster registers **named shared
+    Besides the topology table, the cluster registers **named shared
     resources** — finite-bandwidth links and storage targets that concurrent
     jobs queue on (see :mod:`repro.sim.resources`).  Two defaults exist on
     every cluster: :data:`Cluster.FABRIC` (the leaf–spine fabric every
@@ -110,10 +111,10 @@ class Cluster:
     :meth:`links_crossed` reports which of them a worker set's all-reduce
     traverses — rack-local jobs never touch the core.
 
-    The topology is **frozen after construction** (``nx.freeze``): degraded
-    links and ToR failures act on the shared resources' timelines, never on
-    graph edges, so every bandwidth query below is priced once and read
-    from a table afterwards.
+    The topology is **read-only after construction** (``MappingProxyType``
+    all the way down): degraded links and ToR failures act on the shared
+    resources' timelines, never on topology links, so every bandwidth query
+    below is priced once and read from a table afterwards.
     """
 
     #: Default shared-link resource name (the flat leaf–spine fabric).
@@ -124,22 +125,23 @@ class Cluster:
     CORE = "core"
 
     def __init__(self, spec: Optional[ClusterSpec] = None):
-        """Build the topology graph and register the default shared resources."""
+        """Build the topology table and register the default shared resources."""
         self.spec = spec or ClusterSpec()
         self.machines: List[Machine] = [
             Machine(name=f"node{i}", num_gpus=self.spec.gpus_per_machine, nic_gbps=self.spec.nic_gbps)
             for i in range(self.spec.num_machines)
         ]
-        self.graph = nx.Graph()
         #: Machine name -> index of the ToR switch its NIC uplinks to.
         self._machine_tor: Dict[str, int] = {}
         #: Machine name -> NIC speed, the endpoint cap of storage transfers.
         self._machine_nic_gbps: Dict[str, float] = {}
         #: Bottleneck bandwidth per ordered node pair / ordered ring of
-        #: worker names, filled on first use (the graph cannot change).
+        #: worker names, filled on first use (the topology cannot change).
         self._path_gbps: Dict[Tuple[str, str], float] = {}
         self._ring_gbps: Dict[Tuple[str, ...], float] = {}
-        self._build_topology()
+        #: Node -> ``{neighbour: link Gbps}`` and node -> kind (``"switch"``,
+        #: ``"machine"`` or ``"gpu"``), both in build order and read-only.
+        self._links, self._kinds = self._build_topology()
         self.resources: Dict[str, SharedResource] = {}
         self._build_default_resources()
 
@@ -151,13 +153,12 @@ class Cluster:
     def _build_default_resources(self) -> None:
         """Register the default fabric/storage (and per-ToR) resources."""
         spec = self.spec
-        self.add_resource(SharedResource(
-            name=self.FABRIC,
-            bandwidth_gbps=spec.fabric_gbps if spec.fabric_gbps is not None else spec.tor_uplink_gbps,
-            kind="link",
-            latency_seconds=50e-6,
-            policy=spec.fabric_policy,
-        ))
+
+        def add_link(name: str, gbps: float) -> None:
+            self.add_resource(SharedResource(name=name, bandwidth_gbps=gbps, kind="link",
+                                             latency_seconds=50e-6, policy=spec.fabric_policy))
+
+        add_link(self.FABRIC, spec.fabric_gbps if spec.fabric_gbps is not None else spec.tor_uplink_gbps)
         self.add_resource(SharedResource(
             name=self.CKPT_STORAGE,
             bandwidth_gbps=spec.storage_gbps if spec.storage_gbps is not None else spec.nic_gbps,
@@ -167,22 +168,9 @@ class Cluster:
         ))
         if spec.per_tor_fabric:
             for tor_index in range(spec.num_tor_switches):
-                self.add_resource(SharedResource(
-                    name=self.tor_link_name(tor_index),
-                    bandwidth_gbps=spec.tor_uplink_gbps,
-                    kind="link",
-                    latency_seconds=50e-6,
-                    policy=spec.fabric_policy,
-                ))
-            core_gbps = (spec.core_gbps if spec.core_gbps is not None
-                         else spec.tor_uplink_gbps * spec.num_core_switches)
-            self.add_resource(SharedResource(
-                name=self.CORE,
-                bandwidth_gbps=core_gbps,
-                kind="link",
-                latency_seconds=50e-6,
-                policy=spec.fabric_policy,
-            ))
+                add_link(self.tor_link_name(tor_index), spec.tor_uplink_gbps)
+            add_link(self.CORE, spec.core_gbps if spec.core_gbps is not None
+                     else spec.tor_uplink_gbps * spec.num_core_switches)
 
     def add_resource(self, resource: SharedResource) -> SharedResource:
         """Register a named shared resource (duplicate names are rejected)."""
@@ -191,26 +179,27 @@ class Cluster:
         self.resources[resource.name] = resource
         return resource
 
-    def _build_topology(self) -> None:
-        """Wire machines, ToR and core switches into the bandwidth graph, then freeze it."""
+    def _build_topology(self) -> Tuple[Mapping[str, Mapping[str, float]], Mapping[str, str]]:
+        """Wire machines, ToR and core switches into the read-only bandwidth table."""
         spec = self.spec
         core_switches = [f"core{i}" for i in range(spec.num_core_switches)]
         tor_switches = [f"tor{i}" for i in range(spec.num_tor_switches)]
-        for switch in core_switches + tor_switches:
-            self.graph.add_node(switch, kind="switch")
-        for tor in tor_switches:
-            for core in core_switches:
-                self.graph.add_edge(tor, core, gbps=spec.tor_uplink_gbps)
+        kinds = dict.fromkeys(core_switches + tor_switches, "switch")
+        edges = [(tor, core, spec.tor_uplink_gbps) for tor in tor_switches for core in core_switches]
         for index, machine in enumerate(self.machines):
-            self.graph.add_node(machine.name, kind="machine")
+            kinds[machine.name] = "machine"
             tor_index = index % len(tor_switches)
             self._machine_tor[machine.name] = tor_index
             self._machine_nic_gbps[machine.name] = machine.nic_gbps
-            self.graph.add_edge(machine.name, tor_switches[tor_index], gbps=machine.nic_gbps)
+            edges.append((machine.name, tor_switches[tor_index], machine.nic_gbps))
             for gpu in machine.gpus():
-                self.graph.add_node(gpu.name, kind="gpu")
-                self.graph.add_edge(gpu.name, machine.name, gbps=machine.pcie_gbps)
-        nx.freeze(self.graph)
+                kinds[gpu.name] = "gpu"
+                edges.append((gpu.name, machine.name, machine.pcie_gbps))
+        links: Dict[str, Dict[str, float]] = {node: {} for node in kinds}
+        for u, v, gbps in edges:
+            links[u][v] = links[v][u] = gbps
+        return (MappingProxyType({node: MappingProxyType(nbrs) for node, nbrs in links.items()}),
+                MappingProxyType(kinds))
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -285,26 +274,34 @@ class Cluster:
     def path_bandwidth_gbps(self, a: str, b: str) -> float:
         """Bottleneck bandwidth along the shortest path between two nodes.
 
-        Priced once per ordered ``(a, b)``; an unknown node raises
-        ``KeyError`` (and is never remembered).
+        Priced once per ordered ``(a, b)`` by a breadth-first walk (every
+        shortest path in the tree crosses the same link classes); an unknown
+        node raises ``KeyError`` (and is never remembered).
         """
         if a == b:
             return float("inf")
         gbps = self._path_gbps.get((a, b))
         if gbps is None:
             for node in (a, b):
-                if node not in self.graph:
+                if node not in self._links:
                     raise KeyError(f"unknown topology node {node!r}; known kinds: "
                                    f"{self._node_kinds()}")
-            path = nx.shortest_path(self.graph, a, b)
-            gbps = min(self.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:]))
-            self._path_gbps[(a, b)] = gbps
+            bottleneck, queue = {a: float("inf")}, deque([a])
+            while b not in bottleneck:
+                if not queue:
+                    raise ValueError(f"no path between {a!r} and {b!r}")
+                node = queue.popleft()
+                for neighbour, link_gbps in self._links[node].items():
+                    if neighbour not in bottleneck:
+                        bottleneck[neighbour] = min(bottleneck[node], link_gbps)
+                        queue.append(neighbour)
+            gbps = self._path_gbps[(a, b)] = bottleneck[b]
         return gbps
 
     def _node_kinds(self) -> str:
-        """The graph's node kinds with one example each, for error messages."""
+        """The topology's node kinds with one example each, for error messages."""
         examples: Dict[str, str] = {}
-        for node, kind in self.graph.nodes(data="kind"):
+        for node, kind in self._kinds.items():
             examples.setdefault(kind, node)
         return ", ".join(f"{kind} (e.g. {node!r})" for kind, node in sorted(examples.items()))
 
@@ -348,8 +345,8 @@ class Cluster:
             "nic_gbps": self.spec.nic_gbps,
             "tor_uplink_gbps": self.spec.tor_uplink_gbps,
             "per_tor_fabric": self.spec.per_tor_fabric,
-            "nodes": self.graph.number_of_nodes(),
-            "links": self.graph.number_of_edges(),
+            "nodes": len(self._links),
+            "links": sum(len(neighbours) for neighbours in self._links.values()) // 2,
             "resources": {name: res.as_dict() for name, res in sorted(self.resources.items())},
         }
 

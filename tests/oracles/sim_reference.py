@@ -1,7 +1,8 @@
 """The simulator's topology pricing and live event loop as they were before the static plan.
 
 Every function here recomputes what production now prices once: the
-bottleneck of a path is a fresh ``nx.shortest_path`` walk, a ring's
+bottleneck of a path is a fresh ``nx.shortest_path`` walk over an
+``nx.Graph`` rebuilt from the cluster's topology table, a ring's
 bottleneck a fresh minimum over its hops, and :func:`simulate_live` is the
 event loop that re-derives segments, bucket bytes, transmit seconds and
 per-link floors *inside every iteration* and builds one ``SimEvent`` per
@@ -33,6 +34,7 @@ commits) to equal both bit for bit.
 from __future__ import annotations
 
 import heapq
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -43,12 +45,30 @@ from repro.sim.engine import EventQueue, SimEvent
 from repro.sim.resources import FairShareTimeline, ResourceTimeline, _FairTransfer
 
 
+_GRAPHS: "weakref.WeakKeyDictionary[object, nx.Graph]" = weakref.WeakKeyDictionary()
+
+
+def topology_graph(cluster) -> nx.Graph:
+    """The cluster's read-only topology table as an ``nx.Graph`` (built once per cluster)."""
+    graph = _GRAPHS.get(cluster)
+    if graph is None:
+        graph = nx.Graph()
+        for node, kind in cluster._kinds.items():
+            graph.add_node(node, kind=kind)
+        for node, neighbours in cluster._links.items():
+            for neighbour, gbps in neighbours.items():
+                graph.add_edge(node, neighbour, gbps=gbps)
+        _GRAPHS[cluster] = nx.freeze(graph)
+    return graph
+
+
 def path_bandwidth_gbps(cluster, a: str, b: str) -> float:
     """Bottleneck bandwidth along the shortest path between two nodes, walked afresh."""
     if a == b:
         return float("inf")
-    path = nx.shortest_path(cluster.graph, a, b)
-    bandwidths = [cluster.graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:])]
+    graph = topology_graph(cluster)
+    path = nx.shortest_path(graph, a, b)
+    bandwidths = [graph.edges[u, v]["gbps"] for u, v in zip(path, path[1:])]
     return min(bandwidths)
 
 

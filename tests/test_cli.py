@@ -268,6 +268,39 @@ class TestSimCommands:
         assert report["events_per_second"] > 0
         assert len(report["hot_functions"]) == 5
 
+    def test_sim_profile_diffs_against_a_baseline(self, tmp_path, capsys):
+        scenario = self._write(tmp_path, self.SCENARIO)
+        baseline_path = tmp_path / "a.json"
+        assert main(["sim", "profile", scenario, "--top", "5", "--out", str(baseline_path)]) == 0
+        baseline = json.loads(baseline_path.read_text())
+        capsys.readouterr()
+        current_path = tmp_path / "b.json"
+        assert main(["sim", "profile", scenario, "--top", "5", "--baseline", str(baseline_path),
+                     "--out", str(current_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"vs baseline {baseline_path}: wall {baseline['wall_seconds']:.3f}s -> " in out
+        assert "function(s) regressed" in out or "no per-function regressions" in out
+        diff = json.loads(current_path.read_text())["baseline_diff"]
+        assert diff["baseline_wall_seconds"] == baseline["wall_seconds"]
+        assert diff["wall_ratio"] == diff["wall_seconds"] / diff["baseline_wall_seconds"]
+        rows = diff["functions"]
+        assert {row["function"] for row in rows} >= {row["function"] for row in baseline["hot_functions"]}
+        assert [row["delta_cumtime"] for row in rows] == sorted(
+            (row["delta_cumtime"] for row in rows), reverse=True)
+        for row in rows:
+            assert row["status"] in ("common", "new", "gone")
+            assert row["delta_calls"] == row["calls"] - row["baseline_calls"]
+
+    def test_sim_profile_rejects_a_truncated_baseline(self, tmp_path, capsys):
+        scenario = self._write(tmp_path, self.SCENARIO)
+        baseline_path = tmp_path / "a.json"
+        assert main(["sim", "profile", scenario, "--out", str(baseline_path)]) == 0
+        text = baseline_path.read_text()
+        baseline_path.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(["sim", "profile", scenario, "--baseline", str(baseline_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_sim_profile_rejects_bad_scenarios(self, tmp_path, capsys):
         bad_key = dict(self.SCENARIO, warp=1)
         assert main(["sim", "profile", self._write(tmp_path, bad_key)]) == 2

@@ -1,5 +1,7 @@
 """Tests for post-training quantization and calibration observers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,22 @@ class TestQuantizeArray:
     def test_zero_array(self):
         x = np.zeros(10, dtype=np.float32)
         assert np.allclose(fake_quantize(x, INT8), 0.0)
+
+    @pytest.mark.parametrize("spec", [INT8, INT4])
+    def test_subnormal_tensor_keeps_the_symmetric_range_without_warnings(self, spec):
+        """A largest magnitude of a few float32 subnormal steps must not round the scale to 0."""
+        step = np.finfo(np.float32).smallest_subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, scale = quantize_array(np.array([1e-45, 0.0, -1e-45], np.float32), spec)
+            assert q.tolist() == [1, 0, -1]
+            assert scale == step
+            # Every tensor whose scale underflows is a whole number of steps within qmax.
+            steps = np.arange(-(spec.qmax // 2), spec.qmax // 2 + 1)
+            x = steps.astype(np.float32) * step
+            q, scale = quantize_array(x, spec)
+            assert q.tolist() == steps.tolist()
+            assert np.array_equal(dequantize_array(q, scale, spec), x)
 
     def test_precision_table_matches_paper(self):
         """Table 2: int8 is 3.59x faster than fp32, fp16 is 1.69x."""

@@ -8,8 +8,8 @@ guarantees tie production to it:
 
 * **tables == oracle** — every GPU pair and every ring order (repeated,
   reversed, with a repeated member) over hypothesis-drawn ``ClusterSpec``s;
-  failed lookups raise ``KeyError`` and are never remembered; the graph is
-  frozen after build;
+  failed lookups raise ``KeyError`` and are never remembered; the topology
+  table is read-only after build;
 * **plan == recompute** — ``_build_plan`` and a whole iteration across policy
   x ``frozen_prefix`` x ``cached_fp`` x ``include_reference_overhead`` x
   ``comm_seconds_per_byte`` x straggler speeds;
@@ -26,9 +26,9 @@ guarantees tie production to it:
 
 import itertools
 import json
+import operator
 from pathlib import Path
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,15 +139,25 @@ class TestTopologyTables:
         assert cluster.path_bandwidth_gbps("nope", "nope") == float("inf")
         assert cluster._path_gbps == {}
 
+    def test_disconnected_racks_raise_valueerror_and_are_never_remembered(self):
+        cluster = Cluster(ClusterSpec(num_machines=2, num_tor_switches=2, num_core_switches=0))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no path between 'node0:gpu0' and 'node1:gpu0'"):
+                cluster.path_bandwidth_gbps("node0:gpu0", "node1:gpu0")
+        assert cluster._path_gbps == {}
+        assert cluster.path_bandwidth_gbps("node0:gpu0", "node0:gpu1") == 128.0
+
     def test_mutating_the_graph_after_build_raises(self):
         cluster = Cluster()
-        assert nx.is_frozen(cluster.graph)
-        for mutate in (lambda g: g.add_edge("node0", "core0", gbps=1.0),
-                       lambda g: g.remove_edge("node0", "tor0"),
-                       lambda g: g.add_node("node9"),
-                       lambda g: g.remove_node("core0")):
-            with pytest.raises(nx.NetworkXError):
-                mutate(cluster.graph)
+        links, kinds = cluster._links, cluster._kinds
+        for mutate in (lambda: operator.setitem(links["node0"], "core0", 1.0),  # add a link
+                       lambda: operator.delitem(links["node0"], "tor0"),        # remove a link
+                       lambda: operator.setitem(links["tor0"], "core0", 1.0),   # re-price a link
+                       lambda: operator.setitem(links, "node9", {}),            # add a node
+                       lambda: operator.delitem(links, "core0"),                # remove a node
+                       lambda: operator.setitem(kinds, "node0", "switch")):     # re-kind a node
+            with pytest.raises(TypeError):
+                mutate()
 
 
 class _Named:
