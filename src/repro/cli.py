@@ -60,18 +60,37 @@ import sys
 from typing import List, Optional
 
 from .ckpt import CheckpointManager, DirectoryBackend
-from .experiments import (
-    SYSTEMS,
-    available_workloads,
-    build_trainer,
-    build_workload,
-    compare_systems,
-    format_rows,
-    run_trainer,
-)
 from .sim import diff_profiles, preview_faults, profile_scenario, run_scenario, run_sweep
 
 __all__ = ["main", "build_parser"]
+
+
+class _Choices:
+    """An argparse ``choices`` container read from :mod:`repro.experiments` on first use.
+
+    argparse only tests membership when a training command parses its
+    arguments and lists the names in an error or ``--help``, so building the
+    parser, and every ``sim`` command, imports none of the training stack.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def _names(self):
+        from . import experiments
+
+        names = getattr(experiments, self._name)
+        return names() if callable(names) else names
+
+    def __contains__(self, item) -> bool:
+        return item in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
+_WORKLOADS = _Choices("available_workloads")
+_SYSTEMS = _Choices("SYSTEMS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,16 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("list", help="list the available workloads and systems")
 
     train = subparsers.add_parser("train", help="train one workload with one system")
-    train.add_argument("--workload", required=True, choices=available_workloads())
-    train.add_argument("--system", default="egeria", choices=list(SYSTEMS))
+    train.add_argument("--workload", required=True, choices=_WORKLOADS, metavar="WORKLOAD",
+                       help="one of: %(choices)s")
+    train.add_argument("--system", default="egeria", choices=_SYSTEMS, metavar="SYSTEM",
+                       help="one of: %(choices)s (default: %(default)s)")
     train.add_argument("--scale", default="tiny", choices=["tiny", "small"])
     train.add_argument("--epochs", type=int, default=None, help="override the workload's epoch count")
     train.add_argument("--seed", type=int, default=0)
 
     compare = subparsers.add_parser("compare", help="compare systems on one workload (Table 1 row)")
-    compare.add_argument("--workload", required=True, choices=available_workloads())
-    compare.add_argument("--systems", nargs="+", default=["vanilla", "egeria"],
-                         choices=list(SYSTEMS))
+    compare.add_argument("--workload", required=True, choices=_WORKLOADS, metavar="WORKLOAD",
+                         help="one of: %(choices)s")
+    compare.add_argument("--systems", nargs="+", default=["vanilla", "egeria"], choices=_SYSTEMS,
+                         metavar="SYSTEM", help="any of: %(choices)s (default: vanilla egeria)")
     compare.add_argument("--scale", default="tiny", choices=["tiny", "small"])
     compare.add_argument("--seed", type=int, default=0)
 
@@ -102,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_sub = ckpt.add_subparsers(dest="ckpt_command", required=True)
 
     def add_training_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--workload", required=True, choices=available_workloads())
+        sub.add_argument("--workload", required=True, choices=_WORKLOADS, metavar="WORKLOAD",
+                         help="one of: %(choices)s")
         sub.add_argument("--system", default="egeria", choices=["vanilla", "egeria"])
         sub.add_argument("--scale", default="tiny", choices=["tiny", "small"])
         sub.add_argument("--epochs", type=int, default=None, help="override the workload's epoch count")
@@ -177,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list() -> int:
+    from .experiments import SYSTEMS, available_workloads, build_workload
+
     print("Workloads (Table 1):")
     for name in available_workloads():
         workload = build_workload(name, scale="tiny")
@@ -189,6 +214,8 @@ def _cmd_list() -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .experiments import build_workload, run_trainer
+
     workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
     result = run_trainer(args.system, workload, num_epochs=args.epochs)
     history = result["history"]
@@ -207,6 +234,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .experiments import build_workload, compare_systems, format_rows
+
     workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
     systems = list(dict.fromkeys(["vanilla"] + list(args.systems)))  # vanilla is the TTA anchor
     rows = compare_systems(workload, systems=systems)
@@ -236,6 +265,8 @@ def _cmd_ckpt(args: argparse.Namespace) -> int:
                   f"{meta.get('frozen_prefix', '?'):>7} {row['payload_bytes']:>12} "
                   f"{row['bytes_written']:>12} {row['num_new_tensors']:>4}/{row['num_tensors']:<4}")
         return 0
+
+    from .experiments import build_trainer, build_workload
 
     workload = build_workload(args.workload, scale=args.scale, seed=args.seed)
     trainer = build_trainer(args.system, workload)

@@ -350,7 +350,7 @@ def _softmax_input_grad(grad: np.ndarray, exp: np.ndarray, total: np.ndarray, in
     """The softmax input's gradient for the output gradient ``grad``, from :func:`_softmax_parts`."""
     exp_grad = grad * inv_total
     inv_total_grad = _unbroadcast(grad * exp, inv_total.shape)
-    exp_grad += np.broadcast_to(-1.0 * total ** -2.0 * inv_total_grad, exp.shape).astype(np.float32)
+    exp_grad += -1.0 * total ** -2.0 * inv_total_grad
     return exp * exp_grad
 
 
@@ -436,33 +436,66 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 
 def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float, running_mean: Optional[np.ndarray] = None,
-               running_var: Optional[np.ndarray] = None) -> Tensor:
-    """Batch normalisation over the channel axis of ``(N, C, H, W)``.
+               running_var: Optional[np.ndarray] = None, training: bool = False, momentum: float = 0.1) -> Tensor:
+    """Batch normalisation over the channel axis of ``(N, C, H, W)``, as ``torch.nn.functional.batch_norm``.
 
-    Normalises with the batch's statistics (training mode), or with
-    ``running_mean`` / ``running_var`` when they are given (inference mode);
-    updating the running statistics is the caller's business.
+    ``training`` normalises with the batch's statistics and, when the
+    running buffers are given, moves them in place towards the batch's
+    ``np.mean`` / ``np.var`` by ``momentum``; otherwise the running
+    statistics normalise (inference mode).
     """
-    running = None if running_mean is None else (running_mean, running_var)
-    return _normalize(x, weight, bias, eps, (0, 2, 3), (1, weight.shape[0], 1, 1), running, "batch_norm")
+    shape = (1, weight.shape[0], 1, 1)
+    if training:
+        update = None if running_mean is None else (running_mean, running_var, momentum)
+        return _normalize(x, weight, bias, eps, (0, 2, 3), shape, None, "batch_norm", update)
+    if running_mean is None or running_var is None:
+        raise ValueError("batch_norm in inference mode needs running_mean and running_var")
+    return _normalize(x, weight, bias, eps, (0, 2, 3), shape, (running_mean, running_var), "batch_norm")
+
+
+def _update_running(data: np.ndarray, total: np.ndarray, axis, running_mean: np.ndarray, running_var: np.ndarray,
+                    momentum: float) -> None:
+    """Move the running statistics towards the batch's ``np.mean`` / ``np.var`` over ``axis``.
+
+    ``total`` is ``data``'s sum over ``axis`` (kept dims), the sum that both
+    numpy reductions begin with: the mean divides it by the ``np.intp`` count
+    into float32, the variance sums the in-place squares of ``data - mean``
+    and divides that the same way.
+    """
+    count = np.intp(data.size // total.size)
+    mean = np.true_divide(total, count, out=np.empty_like(total), casting="unsafe")
+    deviation = np.subtract(data, mean)
+    np.square(deviation, out=deviation)
+    var = deviation.sum(axis=axis)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mean.reshape(running_mean.shape)
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
 
 
 def _normalize(x: Tensor, weight: Tensor, bias: Tensor, eps: float, axis, shape: Tuple[int, ...],
-               running: Optional[Tuple[np.ndarray, np.ndarray]], op: str) -> Tensor:
+               running: Optional[Tuple[np.ndarray, np.ndarray]], op: str,
+               update: Optional[Tuple[np.ndarray, np.ndarray, float]] = None) -> Tensor:
     """``(x - mean) / (var + eps) ** 0.5 * weight + bias`` as one graph node.
 
     ``weight`` and ``bias`` are viewed as ``shape``; ``mean`` and ``var`` are
     ``x``'s over ``axis`` (``Tensor.mean`` / ``Tensor.var``) unless the
-    ``running`` statistics are given.  Forward and backward replay the
-    composite (rule 4 in ``docs/performance.md``): the same numpy calls in the
-    composite's reverse-topological order, its pass-through copies included.
-    With batch statistics ``x`` receives four gradients, in this order: from
-    ``x - mean``, from ``mean``'s sum, from ``var``'s ``x - mu``, from ``mu``'s
-    sum (``mu`` is the mean ``var`` recomputes, equal to ``mean``).
+    ``running`` statistics are given.  ``update`` is ``(running_mean,
+    running_var, momentum)`` for :func:`_update_running`, which reuses the
+    batch sum.  Forward and backward replay the composite (rule 4 in
+    ``docs/performance.md``): the same numpy calls in the composite's
+    reverse-topological order, its pass-through copies included; a per-channel
+    term is added in place as a broadcast, never materialised (rule 8).  With
+    batch statistics ``x`` receives four gradients, in this order: from ``x -
+    mean``, from ``mean``'s sum, from ``var``'s ``x - mu``, from ``mu``'s sum
+    (``mu`` is the mean ``var`` recomputes, equal to ``mean``).
     """
     data = x.data
     if running is None:
         total = data.sum(axis=axis, keepdims=True)
+        if update is not None:
+            _update_running(data, total, axis, *update)
         scale = np.float32(1.0 / (data.size // total.size))
         centered = data + total * scale * _NEG_ONE
         var = (centered * centered).sum(axis=axis, keepdims=True) * scale
@@ -483,27 +516,31 @@ def _normalize(x: Tensor, weight: Tensor, bias: Tensor, eps: float, axis, shape:
             bias._accumulate(_unbroadcast(grad, shape).reshape(bias.shape))
         if not (x.requires_grad or weight.requires_grad):
             return
-        grad = grad.astype(np.float32)
+        grad = grad.astype(np.float32, copy=False)
         if weight.requires_grad:
             weight._accumulate(_unbroadcast(grad * x_hat, shape).reshape(weight.shape), fresh=True)
         if not x.requires_grad:
             return
         hat_grad = grad * weight_data
         centered_grad = hat_grad * inv_std
-        x._accumulate(centered_grad)
         if running is not None:
+            x._accumulate(centered_grad, fresh=True)
             return
         mean_grad = _unbroadcast(centered_grad, var.shape).astype(np.float32) * _NEG_ONE
-        x._accumulate(np.broadcast_to(mean_grad * scale, data.shape).astype(np.float32), fresh=True)
+        x._accumulate(centered_grad, fresh=True)
+        # x.grad exists from here on: each further gradient is added in place.
+        x.grad += mean_grad * scale
         inv_std_grad = _unbroadcast(hat_grad * centered, inv_std.shape)
         std_grad = -1.0 * std ** -2.0 * inv_std_grad
         var_grad = (0.5 * shifted ** -0.5 * std_grad).astype(np.float32)
+        # Materialised on purpose: a broadcast view changes the product's
+        # layout, and with it the order the ``mu`` sum below adds in.
         square_grad = np.broadcast_to(var_grad * scale, data.shape).astype(np.float32)
         centered_grad = square_grad * centered
-        centered_grad += square_grad * centered
-        x._accumulate(centered_grad)
+        centered_grad += centered_grad
+        x.grad += centered_grad
         mu_grad = _unbroadcast(centered_grad, var.shape).astype(np.float32) * _NEG_ONE
-        x._accumulate(np.broadcast_to(mu_grad * scale, data.shape).astype(np.float32), fresh=True)
+        x.grad += mu_grad * scale
 
     out._backward = _backward
     return out

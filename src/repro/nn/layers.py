@@ -104,16 +104,9 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
 
     def forward(self, x: Tensor) -> Tensor:
-        if not self.training:
-            return F.batch_norm(x, self.weight, self.bias, self.eps, self.running_mean, self.running_var)
-        batch_mean = x.data.mean(axis=(0, 2, 3))
-        batch_var = x.data.var(axis=(0, 2, 3))
-        # In-place update keeps the registered buffer and attribute in sync.
-        self.running_mean *= (1.0 - self.momentum)
-        self.running_mean += self.momentum * batch_mean
-        self.running_var *= (1.0 - self.momentum)
-        self.running_var += self.momentum * batch_var
-        return F.batch_norm(x, self.weight, self.bias, self.eps)
+        # The running buffers are updated in place, so the registered buffer and attribute stay one array.
+        return F.batch_norm(x, self.weight, self.bias, self.eps, self.running_mean, self.running_var,
+                            self.training, self.momentum)
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"

@@ -325,7 +325,7 @@ class Tensor:
         if out.requires_grad:
             def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate((self.data > 0) * grad, fresh=True)
+                    self._accumulate((self.data > 0).astype(np.float32) * grad, fresh=True)
 
             out._backward = _backward
         return out

@@ -81,7 +81,7 @@ export the full trace and time-series (see ``docs/observability.md``).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Union, TYPE_CHECKING
+from typing import Dict, List, NamedTuple, Optional, Union, TYPE_CHECKING
 
 from .cluster import Cluster, ClusterSpec
 from .cost_model import CostModel
@@ -147,6 +147,16 @@ def _check_keys(mapping: Dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
 
 
+class _SizedModule(NamedTuple):
+    """A module-list entry: all the cost model reads of a layer module is its size.
+
+    Not a ``repro.core`` ``LayerModule``, so a scenario without workload-backed
+    jobs never imports the training stack.
+    """
+
+    num_params: int
+
+
 def _job_cost_model(spec: Dict) -> CostModel:
     """Cost model from a named workload or an explicit module list."""
     has_workload = spec.get("workload") is not None
@@ -155,15 +165,10 @@ def _job_cost_model(spec: Dict) -> CostModel:
         raise ValueError(f"job {spec.get('name')!r}: give exactly one of 'workload' or 'modules'")
     batch_size = int(spec.get("batch_size", 32))
     if has_modules:
-        # Imported lazily: repro.core imports repro.sim at module load time,
-        # so a top-level import here would be circular.
-        from ..core.modules import LayerModule
-
         counts = [int(c) for c in spec["modules"]]
         if not counts or any(c <= 0 for c in counts):
             raise ValueError(f"job {spec.get('name')!r}: 'modules' must be positive param counts")
-        modules = [LayerModule(name=f"m{i}", paths=[], blocks=[], num_params=c, index=i)
-                   for i, c in enumerate(counts)]
+        modules = [_SizedModule(c) for c in counts]
         return CostModel(modules, batch_size=batch_size)
     from ..core.modules import parse_layer_modules
     from ..experiments.workloads import build_workload  # lazy: experiments -> sim

@@ -9,7 +9,8 @@ gradient instead of reading ``out.grad``).  ``linear``, ``softmax``,
 primitive ``Tensor`` ops that ``repro.nn`` computes as one graph node each:
 ``linear``/``softmax`` as ``repro.nn.functional`` had them,
 ``layer_norm``/``batch_norm`` as ``LayerNorm.forward``/``BatchNorm2d.forward``
-wrote them after the running statistics update, ``attention`` (with
+wrote them (``batch_norm`` with ``BatchNorm2d``'s ``np.mean`` / ``np.var``
+update of the running statistics), ``attention`` (with
 ``split_heads``/``merge_heads``) as ``MultiHeadAttention.forward`` computed
 it between its input and output projections.
 ``tests/test_nn_bit_identity.py`` requires the production code to reproduce
@@ -212,9 +213,20 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float) -> Tensor:
 
 
 def batch_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float, running_mean: Optional[np.ndarray] = None,
-               running_var: Optional[np.ndarray] = None) -> Tensor:
-    """Batch normalisation over the channel axis: batch statistics, or the running ones when given."""
-    if running_mean is None:
+               running_var: Optional[np.ndarray] = None, training: bool = False, momentum: float = 0.1) -> Tensor:
+    """Batch normalisation over the channel axis: batch statistics in training, else the running ones.
+
+    In training the running buffers (when given) move towards ``np.mean`` /
+    ``np.var`` of the batch first, as ``BatchNorm2d.forward`` updated them.
+    """
+    if training:
+        if running_mean is not None:
+            batch_mean = x.data.mean(axis=(0, 2, 3))
+            batch_var = x.data.var(axis=(0, 2, 3))
+            running_mean *= (1.0 - momentum)
+            running_mean += momentum * batch_mean
+            running_var *= (1.0 - momentum)
+            running_var += momentum * batch_var
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
     else:

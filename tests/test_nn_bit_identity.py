@@ -19,7 +19,15 @@ slab cache stores activation rows in memory order.  The reference
   ``x`` and of the upstream gradient, every trainable/frozen combination of
   ``x``, ``weight`` and ``bias``, and a residual consumer of ``x`` whose
   gradient arrives before or after the op's four (``x.grad`` sums them in
-  graph order);
+  graph order).  Train-mode ``batch_norm`` also moves the running buffers,
+  held to ``np.mean`` / ``np.var``, also over several steps at counts (63,
+  50, 45, 7) that are no power of two, where dividing by the count and
+  multiplying by its inverse round differently.  Both normalisations also
+  run at the models' own shapes, which the drawn sides (1-5) never reach,
+  and ``batch_norm`` at those four;
+* ReLU's input gradient against its boolean-mask form ``(data > 0) * grad``,
+  bit patterns (signed zeros, NaN) included, over every layout of the input
+  and of the gradient;
 * ``attention`` — ``MultiHeadAttention``'s core between its projections, one
   node in production.  Its cases draw every layout of the three inputs and of
   the upstream gradient, ``s_q != s_k``, no mask / a causal mask / a padding
@@ -50,7 +58,7 @@ from hypothesis import strategies as st
 from oracles import nn_reference, optim_reference
 
 from repro.experiments import available_workloads, build_trainer, build_workload, workloads
-from repro.nn import Dropout, Tensor, no_grad
+from repro.nn import BatchNorm2d, Dropout, Tensor, no_grad
 from repro.nn import functional as F
 
 
@@ -217,6 +225,49 @@ def test_pooling_is_unchanged(pool, shape, kernel, stride, kind):
         assert np.array_equal(want, got) and _strides(want) == _strides(got)
 
 
+def _bits(array):
+    """``array``'s float32 bit patterns: NaN compares equal to itself and ``-0.0`` differs from ``+0.0``."""
+    return array.view(np.uint32)
+
+
+@pytest.mark.parametrize("data_order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("grad_order", list(itertools.permutations(range(3))))
+def test_relu_backward_is_the_boolean_mask_times_the_gradient(data_order, grad_order):
+    """Signed zeros and NaN on both sides of the mask, every layout of the input and of the gradient."""
+    specials = np.array([0.0, -0.0, np.nan, -np.inf, np.inf, 1.5, -2.5, 1e-40], dtype=np.float32)
+    rng = np.random.default_rng(0)
+    shape = (4, 5, 6)
+    data = rng.standard_normal(shape).astype(np.float32)
+    data.reshape(-1)[rng.choice(data.size, 24, replace=False)] = rng.choice([0.0, -0.0, np.nan], 24)
+    grad = rng.choice(specials, shape).astype(np.float32)
+    data, grad = _laid_out(data, data_order), _laid_out(grad, grad_order)
+    x = Tensor(data.copy(order="K"), requires_grad=True)
+    x.relu().backward(grad.copy(order="K"))
+    want = (data > 0) * grad  # the boolean-mask form ``Tensor.relu`` had
+    assert np.array_equal(_bits(want), _bits(x.grad)) and _strides(want) == _strides(x.grad)
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 3, 7), (2, 3, 5, 5), (5, 2, 3, 3), (1, 4, 7, 1)])
+def test_batch_norm_running_buffers_follow_np_mean_and_np_var_over_steps(shape):
+    """Three train-mode steps on data whose channel means sit away from 0.  Dividing the sum by a count
+    that is no power of two and multiplying it by the count's inverse round differently here, for the
+    mean and for the variance; the one standard-normal step per shape of the model-shape test does not
+    tell the mean's two forms apart."""
+    layer = BatchNorm2d(shape[1], momentum=0.3)
+    running_mean = layer.running_mean.copy()
+    running_var = layer.running_var.copy()
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        data = (rng.standard_normal(shape) * 3 + rng.standard_normal((1, shape[1], 1, 1))).astype(np.float32)
+        layer(Tensor(data, requires_grad=True))
+        running_mean *= 1.0 - 0.3
+        running_mean += 0.3 * np.mean(data, axis=(0, 2, 3))
+        running_var *= 1.0 - 0.3
+        running_var += 0.3 * np.var(data, axis=(0, 2, 3))
+        assert np.array_equal(_bits(running_mean), _bits(layer.running_mean))
+        assert np.array_equal(_bits(running_var), _bits(layer.running_var))
+
+
 @st.composite
 def _attention_cases(draw):
     """Heads, sequence lengths, how q/k/v are made, layouts, mask, dropout, trainable inputs and a residual."""
@@ -308,6 +359,8 @@ def test_fused_attention_builds_no_closure_without_grad():
 
 
 FUSED_OPS = ["linear", "softmax", "layer_norm", "batch_norm", "batch_norm_running", "attention"]
+#: What ``_fused_op_results`` returns for every op but attention (``batch_norm`` adds its running buffers).
+RESULT_NAMES = ("output", "x.grad", "weight.grad", "bias.grad", "running_mean", "running_var")
 
 
 @st.composite
@@ -330,6 +383,7 @@ def _fused_op_cases(draw, op):
         "weight_order": draw(st.permutations(range(2))),
         "trainable": draw(st.tuples(st.booleans(), st.booleans(), st.booleans())),
         "residual": draw(st.sampled_from([None, "before", "after"])),
+        "running": op == "batch_norm" and draw(st.booleans()),
         "seed": draw(st.integers(0, 2 ** 16)),
     }
 
@@ -357,12 +411,15 @@ def _fused_op_results(module, case):
         out = module.softmax(x, axis=case["axis"])
     elif op == "layer_norm":
         out = module.layer_norm(x, *params, 1e-5)
-    elif op == "batch_norm":
-        out = module.batch_norm(x, *params, 1e-5)
     else:
-        running_mean = rng.standard_normal(x_shape[1]).astype(np.float32)
-        running_var = (rng.random(x_shape[1]) + 0.5).astype(np.float32)
-        out = module.batch_norm(x, *params, 1e-5, running_mean, running_var)
+        running = [rng.standard_normal(x_shape[1]).astype(np.float32),
+                   (rng.random(x_shape[1]) + 0.5).astype(np.float32)]
+        if op == "batch_norm":
+            # Training mode, moving the running buffers (when given) by the batch's statistics.
+            running = running if case["running"] else [None, None]
+            out = module.batch_norm(x, *params, 1e-5, *running, training=True, momentum=0.1)
+        else:
+            out = module.batch_norm(x, *params, 1e-5, *running)
     # A second consumer of x: the graph orders its gradient before or after the op's.
     total = out
     if case["residual"] is not None:
@@ -370,7 +427,8 @@ def _fused_op_results(module, case):
         total = out + side if case["residual"] == "after" else side + out
     if total.requires_grad:
         total.backward(_laid_out(rng.standard_normal(out.shape).astype(np.float32), case["grad_order"]))
-    return [out.data, x.grad] + [None if p is None else p.grad for p in params]
+    buffers = running if op == "batch_norm" else []
+    return [out.data, x.grad] + [None if p is None else p.grad for p in params] + buffers
 
 
 @pytest.mark.parametrize("op", FUSED_OPS)
@@ -380,8 +438,7 @@ def test_fused_op_is_bit_identical_to_its_composite(op, data):
     case = data.draw(_fused_op_cases(op))
     expected = _fused_op_results(nn_reference, case)
     actual = _fused_op_results(F, case)
-    names = ("output", "x.grad", "weight.grad", "bias.grad") if op != "attention" else \
-        ("output",) + tuple(f"grad of leaf {i}" for i in range(4))
+    names = RESULT_NAMES if op != "attention" else ("output",) + tuple(f"grad of leaf {i}" for i in range(4))
     for name, want, got in zip(names, expected, actual):
         assert (want is None) == (got is None), f"{name} of {case}"
         if want is not None:
@@ -389,13 +446,38 @@ def test_fused_op_is_bit_identical_to_its_composite(op, data):
             assert _strides(want) == _strides(got), f"strides differ: {name} of {case}"
 
 
+#: Axis orders by name: C order, the second axis fastest (channels-last), the first axis fastest.
+_ORDERS = {"c": lambda n: tuple(range(n)), "last": lambda n: (0, *range(2, n), 1), "first": lambda n: (*range(1, n), 0)}
+
+
+@pytest.mark.parametrize("op,x_shape", [
+    *[("batch_norm", shape) for shape in [(16, 6, 16, 16), (16, 12, 8, 8), (16, 24, 4, 4), (16, 48, 2, 2),
+                                          (16, 48, 1, 1), (3, 5, 3, 7), (2, 3, 5, 5), (5, 2, 3, 3), (1, 4, 7, 1)]],
+    *[("layer_norm", shape) for shape in [(16, 10, 32), (16, 9, 32)]],
+])
+@pytest.mark.parametrize("x_order", ["c", "last", "first"])
+@pytest.mark.parametrize("grad_order", ["c", "last"])
+@pytest.mark.parametrize("residual", [None, "before", "after"])
+def test_normalisation_is_bit_identical_at_the_models_shapes(op, x_shape, x_order, grad_order, residual):
+    """The shapes the CNN's BatchNorms and the transformer's LayerNorms see, which the drawn
+    cases (sides 1-5) never reach: a layout change inside the backward (say, ``square_grad``
+    as a broadcast view) moves bits here."""
+    case = {"op": op, "x_shape": x_shape, "bias": True, "x_order": _ORDERS[x_order](len(x_shape)),
+            "grad_order": _ORDERS[grad_order](len(x_shape)), "trainable": (True, True, True),
+            "residual": residual, "running": True, "seed": 0}
+    expected = _fused_op_results(nn_reference, case)
+    actual = _fused_op_results(F, case)
+    for name, want, got in zip(RESULT_NAMES, expected, actual):
+        assert np.array_equal(want, got) and _strides(want) == _strides(got), f"{name} of {case}"
+
+
 def _trajectory(name, system, seed, tmp_path):
-    """A 2-epoch run: ``(losses, metrics, freezing timeline, final parameter bytes), backward_nodes``."""
+    """A 2-epoch run: ``(losses, metrics, freezing timeline, final parameter and buffer bytes), backward_nodes``."""
     overrides = {"cache_dir": str(tmp_path / f"{name}-{system}-{seed}")} if system == "egeria" else {}
     trainer = build_trainer(system, build_workload(name, scale="tiny", seed=seed), **overrides)
     history = trainer.fit(2)
     timeline = trainer.freezing_timeline() if system == "egeria" else []
-    parameters = [(path, param.data.tobytes()) for path, param in trainer.model.named_parameters()]
+    parameters = [(path, array.tobytes()) for path, array in trainer.model.state_dict().items()]
     if system == "egeria":
         trainer.close()
     return (history.losses(), history.metrics(), timeline, parameters), trainer.backward_nodes

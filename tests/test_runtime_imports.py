@@ -1,7 +1,9 @@
-"""The runtime imports no graph library: ``networkx`` is a test-only dependency.
+"""What a fresh interpreter imports: no graph library anywhere, no training stack for ``repro sim``.
 
-The check runs in a fresh interpreter because the test process itself has
-``networkx`` loaded by ``tests/oracles/sim_reference.py``.
+``networkx`` is a test-only dependency.  The checks run in a fresh
+interpreter because the test process itself has ``networkx`` loaded by
+``tests/oracles/sim_reference.py`` and the whole training stack by the other
+tests.
 """
 
 import json
@@ -10,9 +12,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 ENTRY_POINTS = ("repro", "repro.experiments", "repro.sim.scenario", "repro.cli", "repro.ckpt", "repro.core")
+
+
+#: The packages that train a model; a ``repro sim`` command needs none of them.
+TRAINING_STACK = ("repro.nn", "repro.core", "repro.models", "repro.optim", "repro.data", "repro.experiments")
+
+
+def _loaded_modules(probe: str) -> list:
+    """``probe`` runs in a fresh interpreter and prints a JSON list of module names."""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+                            check=True, timeout=120)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def test_entry_points_import_no_networkx():
@@ -22,7 +37,19 @@ def test_entry_points_import_no_networkx():
         "    importlib.import_module(name)\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0].startswith('networkx'))))\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
-                            check=True, timeout=120)
-    assert json.loads(result.stdout) == []
+    assert _loaded_modules(probe) == []
+
+
+def test_sim_run_without_workload_jobs_imports_no_training_stack(tmp_path):
+    """``repro sim run`` on a scenario whose jobs are module lists: parser, scenario and report only."""
+    scenario = ROOT / "tests" / "fixtures" / "sim_steady-seed0.json"
+    assert all("modules" in job for job in json.loads(scenario.read_text())["jobs"])
+    probe = (
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        f"assert main(['sim', 'run', {str(scenario)!r}, '--out', {str(tmp_path / 'report.json')!r}]) == 0\n"
+        f"stack = {TRAINING_STACK!r}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(stack))))\n"
+    )
+    assert _loaded_modules(probe) == []
+    assert json.loads((tmp_path / "report.json").read_text())["num_jobs"] == 4
