@@ -9,7 +9,6 @@ that Table 1 and Figure 8 report.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -47,14 +46,11 @@ def build_trainer(system: str, workload: Workload, comm_seconds_per_byte: float 
 
     if system == "vanilla":
         return VanillaTrainer(model, **common)
-    if system == "egeria":
-        cache_dir = overrides.pop("cache_dir", tempfile.mkdtemp(prefix="egeria_run_"))
-        cfg = EgeriaConfig(**{**egeria_config.__dict__, "cache_dir": cache_dir, **overrides})
-        return EgeriaTrainer(model, workload.model_factory, config=cfg, **common)
-    if system == "skipconv":
-        cache_dir = overrides.pop("cache_dir", tempfile.mkdtemp(prefix="skipconv_run_"))
-        cfg = EgeriaConfig(**{**egeria_config.__dict__, "cache_dir": cache_dir, **overrides})
-        return SkipConvTrainer(model, workload.model_factory, config=cfg, **common)
+    if system in ("egeria", "skipconv"):
+        # No cache_dir override: the activation cache then owns (and removes) its directory.
+        cfg = EgeriaConfig(**{**egeria_config.__dict__, **overrides})
+        trainer_cls = EgeriaTrainer if system == "egeria" else SkipConvTrainer
+        return trainer_cls(model, workload.model_factory, config=cfg, **common)
     if system == "autofreeze":
         # Tuned to reach a similar speedup to Egeria (the paper's protocol):
         # freeze eagerly on the gradient-norm signal.

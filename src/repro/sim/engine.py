@@ -65,7 +65,8 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 from .allreduce import AllReduceModel
@@ -211,10 +212,11 @@ class _IterationPlan:
     """Everything about one iteration that other jobs cannot change.
 
     A pure function of the dynamics key (:meth:`EventDrivenEngine._cache_key`):
-    the compute segments, what each worker's GPU makes of them, and what each
-    gradient bucket costs on the ring and on every crossed link at its
-    current capacity.  The live loop adds only what depends on the links'
-    other traffic — reservations, the ``cacheable`` test and the event order.
+    the compute segments, what each worker's GPU makes of them and the order
+    of their events, and what each gradient bucket costs on the ring and on
+    every crossed link at its current capacity.  The live loop adds only what
+    depends on the links' other traffic — reservations, the ``cacheable``
+    test and where the buckets fall among the compute events.
     """
 
     #: ``(phase, module_index, nominal seconds)`` in execution order.
@@ -230,6 +232,44 @@ class _IterationPlan:
     backward: float
     cache_overhead: float
     reference_overhead: float
+    #: The compute half, shared by every plan with these segments and durations.
+    schedule: _Schedule
+
+
+#: ``(events, compute_end)``: ``(rel time, kind, payload, seq, pushed)`` per
+#: compute event in processing order, where ``seq`` and ``pushed`` (after the
+#: event's handler ran) count compute pushes only, and each worker's last
+#: segment end.  No link traffic moves either.
+_Schedule = Tuple[Tuple[Tuple[float, str, Tuple, int, int], ...], Tuple[float, ...]]
+
+
+def _compute_schedule(segments: Sequence[Tuple[str, int, float]],
+                      durations: Sequence[Sequence[float]]) -> _Schedule:
+    """Run the compute half of an iteration through the event heap once."""
+    num_workers, num_segments = len(durations), len(segments)
+    queue = EventQueue()
+    events: List[Tuple[float, str, Tuple, int, int]] = []
+    compute_end = [0.0] * num_workers
+    bucket_done_workers: Dict[int, int] = {}
+    if segments:
+        for worker_pos in range(num_workers):
+            queue.push(0.0 + durations[worker_pos][0], "segment_done", (worker_pos, 0))
+    while queue:
+        now, seq, kind, payload = heapq.heappop(queue._heap)
+        if kind == "segment_done":
+            worker_pos, seg_index = payload
+            compute_end[worker_pos] = now
+            phase, module_index, _nominal = segments[seg_index]
+            if phase == "backward":
+                done = bucket_done_workers.get(module_index, 0) + 1
+                bucket_done_workers[module_index] = done
+                if done == num_workers:
+                    queue.push(now, "bucket_ready", (module_index,))
+            if seg_index + 1 < num_segments:
+                queue.push(now + durations[worker_pos][seg_index + 1], "segment_done",
+                           (worker_pos, seg_index + 1))
+        events.append((now, kind, payload, seq, queue._seq))
+    return tuple(events), tuple(compute_end)
 
 
 #: A worker handed to the engine: either a topology-aware GPU device or a
@@ -308,6 +348,9 @@ class EventDrivenEngine:
         #: for contended (uncacheable) iterations too, which is where the
         #: live loop spends its time.
         self._plans: Dict[Tuple, _IterationPlan] = {}
+        #: Compute schedules by ``(segments, durations)``: a plan re-priced
+        #: for another link capacity shares its predecessor's.
+        self._schedules: Dict[Tuple, _Schedule] = {}
         #: Lightweight perf counters: live events processed, iterations
         #: simulated event by event vs fast-forwarded from the cache.
         self.events_processed = 0
@@ -350,9 +393,10 @@ class EventDrivenEngine:
     # Fast-forward cache management and counters
     # ------------------------------------------------------------------ #
     def clear_fast_forward_cache(self) -> None:
-        """Drop every memoized iteration and plan (e.g. after mutating a cost model)."""
+        """Drop every memoized iteration, plan and schedule (e.g. after mutating a cost model)."""
         self._cache.clear()
         self._plans.clear()
+        self._schedules.clear()
 
     def perf_counters(self) -> Dict[str, object]:
         """Deterministic plain-data view of the engine's perf counters.
@@ -460,10 +504,15 @@ class EventDrivenEngine:
                 max(transmit, CostModel.transfer_seconds_at(num_bytes, timeline.capacity_gbps))
                 for timeline in link_timelines) if transmit > 0.0 else ()
             buckets[module_index] = (transmit, num_bytes, link_seconds)
+        timing = (tuple(segments), tuple(tuple(nominal / speed for _phase, _index, nominal in segments)
+                                         for speed in map(self.speed_factor, names)))
+        schedule = self._schedules.get(timing)
+        if schedule is None:
+            schedule = self._schedules[timing] = _compute_schedule(*timing)
         return _IterationPlan(
-            segments=tuple(segments),
-            durations=tuple(tuple(nominal / speed for _phase, _index, nominal in segments)
-                            for speed in map(self.speed_factor, names)),
+            segments=timing[0],
+            durations=timing[1],
+            schedule=schedule,
             buckets=buckets,
             front_first=policy in (SchedulePolicy.BYTESCHEDULER,
                                    SchedulePolicy.EGERIA_BYTESCHEDULER),
@@ -777,11 +826,12 @@ class EventDrivenEngine:
             finally:
                 timeline.sanitizer = attached
                 timeline.observer = watching
-        # A plan priced afresh, so a stale table entry cannot vouch for itself.
+        # A plan and schedule priced afresh, so a stale table entry cannot vouch for itself.
         plan = self._build_plan(lookup.cost_model, lookup.worker_list, lookup.names,
                                 lookup.frozen_prefix, lookup.cached_fp, lookup.policy,
                                 lookup.include_reference_overhead,
                                 lookup.comm_seconds_per_byte, shadows)
+        plan = replace(plan, schedule=_compute_schedule(plan.segments, plan.durations))
         live = self._simulate_live(plan, lookup.names, start_time, None, shadows, job_name,
                                    job_weight)
         self.iterations_simulated, self.events_processed = saved_counters
@@ -792,28 +842,28 @@ class EventDrivenEngine:
                        trace: Optional[List[SimEvent]],
                        link_timelines: List[BaseResourceTimeline], job_name: Optional[str],
                        job_weight: float) -> _FastForwardEntry:
-        """Run the event loop once, in relative time, and record its resolution.
+        """Run one iteration's events, in relative time, and record its resolution.
 
-        The loop is anchored at 0; shared-resource reservations are placed at
-        ``start_time + rel`` as they happen.  A reservation that comes back
-        delayed or stretched (another job's traffic on the link) feeds its
-        completion back into the loop and marks the iteration uncacheable.
-        Everything the other jobs cannot change comes priced in ``plan``.
+        The plan's compute schedule is merged with the one bucket on the link
+        in the order the event heap would pop them, ``seq`` rebuilt as it
+        would have assigned it.  Shared-resource reservations are placed at
+        ``start_time + rel`` as they happen; one that comes back delayed or
+        stretched (another job's traffic on the link) feeds its completion
+        back into the loop and marks the iteration uncacheable.
         """
         segments, durations, buckets = plan.segments, plan.durations, plan.buckets
-        front_first = plan.front_first
-        num_workers, num_segments = len(names), len(segments)
-
-        queue = EventQueue()
-        #: Popped raw as ``(time, seq, kind, payload)``: a ``SimEvent`` is
-        #: built per event only for a requested trace.
-        heap = queue._heap
+        front_first, num_segments = plan.front_first, len(segments)
+        events, compute_end = plan.schedule
+        num_compute = len(events)
+        position = 0  # compute events taken from the schedule
+        #: Compute pushes made before each bucket's push: the heap numbered
+        #: compute event ``seq`` after every bucket with a mark <= ``seq``.
+        marks: List[int] = []
+        #: The bucket on the link as ``(time, seq, payload)`` — at most one.
+        comm: Optional[Tuple[float, int, Tuple[int, float]]] = None
         num_events = 0
-        compute_end = [0.0] * num_workers
-        bucket_done_workers: Dict[int, int] = {}
         pending_buckets: List[Tuple[float, int]] = []  # min-heap of (priority, module_index)
         ready_counter = 0
-        link_busy = False
         comm_busy_total = 0.0
         comm_end = 0.0
         reservations: List[Tuple[int, float, float, int]] = []
@@ -829,17 +879,15 @@ class EventDrivenEngine:
             sanitizer.reset_clock("engine", 0.0)
             sanitizer.note("live_iteration", job=job_name, start_time=start_time)
 
-        def start_segment(worker_pos: int, seg_index: int, now: float) -> None:
-            duration = durations[worker_pos][seg_index]
-            if sanitizer is not None:
-                phase, module_index, _nominal = segments[seg_index]
-                sanitizer.check_duration(duration, f"{phase} segment of module "
-                                                   f"{module_index} on {names[worker_pos]}")
-            queue.push(now + duration, "segment_done", (worker_pos, seg_index))
+        def check_segment(worker_pos: int, seg_index: int) -> None:
+            phase, module_index, _nominal = segments[seg_index]
+            sanitizer.check_duration(durations[worker_pos][seg_index],
+                                     f"{phase} segment of module {module_index} on "
+                                     f"{names[worker_pos]}")
 
         def start_next_bucket(now: float) -> None:
-            nonlocal link_busy, cacheable
-            if link_busy or not pending_buckets:
+            nonlocal comm, cacheable
+            if comm is not None or not pending_buckets:
                 return
             _priority, module_index = heapq.heappop(pending_buckets)
             transmit, num_bytes, link_seconds_of = buckets[module_index]
@@ -874,32 +922,37 @@ class EventDrivenEngine:
                         # state, so the iteration must not be memoized.
                         cacheable = False
                         end = max(end, link_end - start_time)
-            link_busy = True
-            queue.push(end, "comm_done", (module_index, transmit))
+            pushed = events[position - 1][4]  # a bucket_ready has been processed
+            comm = (end, pushed + len(marks), (module_index, transmit))
+            marks.append(pushed)
 
-        if segments:
-            for worker_pos in range(num_workers):
-                start_segment(worker_pos, 0, 0.0)
+        if sanitizer is not None and segments:
+            for worker_pos in range(len(names)):
+                check_segment(worker_pos, 0)
 
-        while heap:
-            now, seq, kind, payload = heapq.heappop(heap)
+        # Two-way merge in the heap's (time, seq) order: the schedule's next
+        # compute event against the bucket in flight.
+        while True:
+            if position < num_compute:
+                now, kind, payload, seq, _pushed = events[position]
+                # simlint: disable=SIM004 -- the event heap's exact (time, seq) order: a tolerance would reorder events the heap kept apart and move the trace and the bucket order
+                if comm is not None and (comm[0] < now or comm[0] == now
+                                         and comm[1] < seq + bisect_right(marks, seq)):
+                    (now, seq, payload), kind, comm = comm, "comm_done", None
+                else:
+                    position += 1
+            elif comm is not None:
+                (now, seq, payload), kind, comm = comm, "comm_done", None
+            else:
+                break
             num_events += 1
             if trace is not None:
+                if kind != "comm_done":
+                    seq += bisect_right(marks, seq)
                 trace.append(SimEvent(start_time + now, seq, kind, payload))
             if sanitizer is not None:
                 sanitizer.check_event("engine", now, kind, job=job_name)
-            if kind == "segment_done":
-                worker_pos, seg_index = payload
-                compute_end[worker_pos] = now
-                phase, module_index, _nominal = segments[seg_index]
-                if phase == "backward":
-                    done = bucket_done_workers.get(module_index, 0) + 1
-                    bucket_done_workers[module_index] = done
-                    if done == num_workers:
-                        queue.push(now, "bucket_ready", (module_index,))
-                if seg_index + 1 < num_segments:
-                    start_segment(worker_pos, seg_index + 1, now)
-            elif kind == "bucket_ready":
+            if kind == "bucket_ready":
                 (module_index,) = payload
                 # ByteScheduler transmits front (high-priority) modules first;
                 # the vanilla framework sends buckets in readiness order
@@ -910,10 +963,11 @@ class EventDrivenEngine:
                 start_next_bucket(now)
             elif kind == "comm_done":
                 _module_index, duration = payload
-                link_busy = False
                 comm_busy_total += duration
                 comm_end = max(comm_end, now)
                 start_next_bucket(now)
+            elif sanitizer is not None and payload[1] + 1 < num_segments:
+                check_segment(payload[0], payload[1] + 1)  # the segment this one starts
 
         self.iterations_simulated += 1
         self.events_processed += num_events
@@ -928,7 +982,7 @@ class EventDrivenEngine:
             reference_overhead=plan.reference_overhead,
             rel_end=max(compute_end_max, comm_end),
             num_events=num_events,
-            worker_rel_end=tuple(compute_end),
+            worker_rel_end=compute_end,
             reservations=tuple(reservations),
             cacheable=cacheable,
         )

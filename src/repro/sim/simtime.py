@@ -6,11 +6,11 @@ Simulated times are floats accumulated through long chains of additions
 values is a latent heisenbug — SimLint's SIM004 rule forbids it inside the
 simulator core and points here instead.
 
-The one sanctioned exception is the fast-forward replay check in
-``engine.py``, where *bit-exact* equality is the memoization contract: a
-cached iteration may only be replayed when it reproduces the live run
-exactly, so tolerance would be wrong there (and the ``==`` carries a
-justified inline suppression).
+The sanctioned exceptions are where *bit-exact* equality is the contract —
+the fast-forward replay check in ``engine.py`` (a cached iteration may only
+be replayed when it reproduces the live run exactly) and the live loop's
+``(time, seq)`` merge that must order events as the event heap did — and
+each ``==`` carries a justified inline suppression.
 """
 
 from __future__ import annotations

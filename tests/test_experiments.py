@@ -4,6 +4,8 @@ These run heavily truncated versions of the benchmark experiments so the test
 suite stays fast while still exercising the end-to-end wiring.
 """
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.experiments import (
     SCALES,
     SYSTEMS,
     available_workloads,
+    build_trainer,
     build_workload,
     compare_systems,
     format_rows,
@@ -86,6 +89,33 @@ class TestRunners:
         assert "egeria" in text and "workload" in text
         as_dict = rows[0].as_dict()
         assert "final_metric" in as_dict
+
+
+class TestCacheDirectoryOwnership:
+    """``build_trainer`` makes no directory itself: a passed ``cache_dir`` stays
+    the caller's, and without one the activation cache owns and removes its own."""
+
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @pytest.mark.parametrize("system", ["egeria", "skipconv"])
+    def test_a_passed_cache_dir_creates_nothing(self, system, temp_root, tmp_path):
+        cache_dir = tmp_path / "cache"
+        trainer = build_trainer(system, build_workload("resnet56_cifar10", scale="tiny"),
+                                cache_dir=str(cache_dir))
+        assert list(temp_root.iterdir()) == []
+        assert trainer.cache.cache_dir == str(cache_dir)
+        trainer.close()
+        assert cache_dir.is_dir()
+
+    @pytest.mark.parametrize("system", ["egeria", "skipconv"])
+    def test_run_trainer_leaves_the_temp_directory_empty(self, system, temp_root):
+        run_trainer(system, build_workload("resnet56_cifar10", scale="tiny"), num_epochs=2)
+        assert list(temp_root.iterdir()) == []
 
 
 class TestAnalyticHarnesses:

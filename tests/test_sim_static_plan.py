@@ -17,6 +17,10 @@ guarantees tie production to it:
   ``degrade_link``, ``fail_tor`` + recovery, elastic resize / migration and
   ``clear_fast_forward_cache`` the next iteration equals, bit for bit, what an
   engine that never re-uses a plan (``sim_reference.LiveEngine``) and the oracle compute;
+* **merged loop == heap loop** — the live loop's merge of the stored compute
+  schedule with the one bucket in flight resolves hypothesis-drawn
+  iterations built to make events meet at one instant exactly as the
+  oracle's event heap does: entry, trace (``seq`` included) and link windows;
 * **exact counters** — the benchmark's ``sim_contended`` and
   ``sim_fault_storm`` seed-0 scenarios process exactly the parent's events
   with a pinned number of fair-share integration steps, ``sim_steady``
@@ -24,9 +28,11 @@ guarantees tie production to it:
   the parent's event list (``tests/fixtures/sim_live_trace.json``).
 """
 
+import dataclasses
 import itertools
 import json
 import operator
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -44,8 +50,12 @@ from repro.sim import (
     SchedulePolicy,
     SimJob,
 )
-from repro.sim.scenario import build_scenario
+from repro.sim import engine as engine_module
+from repro.sim.cost_model import GPUSpec
+from repro.sim.engine import EventQueue
 from repro.sim.resources import FairShareTimeline
+from repro.sim.sanitizer import FastForwardDivergence
+from repro.sim.scenario import build_scenario
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -541,3 +551,187 @@ class TestExactEvents:
         assert perf["iterations_batched"] == 31932
         assert result.makespan == 6921.927202988215
         assert calls == {"simulate_iteration": 68, "can_fast_forward": 64}
+
+
+# --------------------------------------------------------------------------- #
+# Compute schedule: the merged live loop against the oracle's event heap
+# --------------------------------------------------------------------------- #
+#: Dyadic compute prices: every sum is exact, so segment ends, bucket-ready
+#: times and bucket completions land on the same float when they should.
+TIE_GPU = GPUSpec(fp_seconds_per_param=2.0 ** -20, bp_fp_ratio=2.0)
+
+
+@st.composite
+def tie_cases(draw):
+    """An iteration whose events meet at one instant: zero-parameter modules,
+    equal speeds, zero-time buckets, buckets as long as a segment, a single
+    worker, a link another job already loads."""
+    params = draw(st.lists(st.sampled_from([0, 1, 2, 4, 64]), min_size=1, max_size=5))
+    num_workers = draw(st.integers(1, 3))
+    return dict(
+        params=params,
+        num_workers=num_workers,
+        speeds=draw(st.lists(st.sampled_from([1.0, 1.0, 0.5, 2.0, 0.75, 1.5]),
+                             min_size=num_workers, max_size=num_workers)),
+        # zero: free buckets; per_byte: a bucket lasts one, two or four
+        # segments of its module (the last backs buckets up); ring / link / preloaded: placed GPUs, priced by the ring,
+        # on the links they cross, which another job already loads.
+        comm=draw(st.sampled_from(["zero", "per_byte", "ring", "link", "preloaded"])),
+        per_byte=draw(st.sampled_from([2.0 ** -18, 2.0 ** -17, 2.0 ** -15])),
+        frozen_prefix=draw(st.integers(0, len(params))),
+        cached_fp=draw(st.booleans()),
+        include_reference_overhead=draw(st.booleans()),
+        policy=draw(st.sampled_from(SchedulePolicy.ALL)),
+        start_time=draw(st.sampled_from([0.0, 1.25])),
+    )
+
+
+def merged_and_heap(case, sanitize):
+    """Two iterations of ``case`` through production's merged loop and the oracle's heap.
+
+    Returns ``[(entry, trace, oracle entry, oracle trace)]`` and both engines;
+    the second iteration runs on the memoized schedule.
+    """
+    cost_model = CostModel([LayerModule(name=f"m{i}", paths=[], blocks=[], num_params=p, index=i)
+                            for i, p in enumerate(case["params"])], batch_size=16, gpu=TIE_GPU)
+    engine = EventDrivenEngine(slow_fabric_cluster(), sanitize=sanitize)
+    twin = EventDrivenEngine(slow_fabric_cluster(), sanitize=False)
+    placed = case["comm"] in ("ring", "link", "preloaded")
+    count = case["num_workers"]
+    link_names = []
+    if placed:
+        link_names = engine.cluster.links_crossed(engine.cluster.all_gpus()[::2][:count])
+    per_byte = {"zero": 0.0, "per_byte": case["per_byte"]}.get(case["comm"])
+
+    def workers_of(target):
+        return (target.cluster.all_gpus()[::2][:count] if placed
+                else [f"w{i}" for i in range(count)])
+
+    for target in (engine, twin):
+        for name, factor in zip(target._worker_names(workers_of(target)), case["speeds"]):
+            target.set_gpu_speed(name, factor)
+        if case["comm"] == "preloaded":
+            for name in link_names:
+                target.resource_timeline(name).reserve(case["start_time"] + 2.0 ** -16, 2.0 ** -10,
+                                                       num_bytes=4096, job="other",
+                                                       kind="allreduce")
+    workers, twin_workers = workers_of(engine), workers_of(twin)
+    names = engine._worker_names(workers)
+    links = [engine.resource_timeline(name) for name in link_names]
+    profile = (case["frozen_prefix"], case["cached_fp"], case["policy"],
+               case["include_reference_overhead"], per_byte)
+    runs = []
+    for start_time in (case["start_time"], case["start_time"] + 0.5):
+        plan = engine._build_plan(cost_model, list(workers), names, *profile, links)
+        trace, oracle_trace = [], []
+        entry = engine._simulate_live(plan, names, start_time, trace, links, "job", 2.0)
+        expected = sim_reference.simulate_live(
+            twin, cost_model, workers=twin_workers, frozen_prefix=case["frozen_prefix"],
+            cached_fp=case["cached_fp"], policy=case["policy"],
+            include_reference_overhead=case["include_reference_overhead"],
+            comm_seconds_per_byte=per_byte, start_time=start_time, trace=oracle_trace,
+            link_resource=link_names, job_name="job", job_weight=2.0)
+        runs.append((dataclasses.asdict(entry), trace, expected, oracle_trace))
+    return runs, engine, twin
+
+
+def meets_at_one_instant(trace):
+    """Whether a bucket completion shares its instant with a compute event."""
+    kinds = defaultdict(set)
+    for event in trace:
+        kinds[event.time].add(event.kind == "comm_done")
+    return any(len(both) == 2 for both in kinds.values())
+
+
+TIE_EXAMPLE = dict(params=[4, 0, 4], num_workers=2, speeds=[1.0, 1.0], comm="per_byte",
+                   per_byte=2.0 ** -17, frozen_prefix=0, cached_fp=False,
+                   include_reference_overhead=False, policy=SchedulePolicy.VANILLA,
+                   start_time=0.0)
+
+
+class TestMergedLoopEqualsTheHeap:
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_cases())
+    def test_merged_loop_equals_the_heap_loop_on_tied_events(self, sanitize, case):
+        runs, engine, twin = merged_and_heap(case, sanitize)
+        for entry, trace, expected, oracle_trace in runs:
+            assert entry == expected
+            assert trace == oracle_trace
+        assert windows(engine) == windows(twin)
+        assert len(engine._schedules) == 1  # the second iteration re-used it
+
+    def test_the_tie_example_meets_at_one_instant(self):
+        """A bucket as long as the backward segment running beside it completes
+        at that segment's instant: the tie the merge breaks by the heap's ``seq``."""
+        runs, _engine, _twin = merged_and_heap(TIE_EXAMPLE, sanitize=False)
+        for entry, trace, expected, oracle_trace in runs:
+            assert meets_at_one_instant(oracle_trace)
+            assert (entry, trace) == (expected, oracle_trace)
+
+
+class TestComputeSchedule:
+    def test_contended_scenario_builds_one_schedule_per_timing(self, monkeypatch):
+        """``sim_contended`` seed 0: 16 schedules serve its 799 live iterations,
+        so 480 compute events go through the event heap (23 970 when every
+        iteration re-ran its compute half) and the live loop pushes none of
+        its 28 764 events (it pushed every one)."""
+        scheduler = build_scenario(load_fixture("sim_contended-seed0.json"))
+        built = []
+        compute_schedule = engine_module._compute_schedule
+        monkeypatch.setattr(engine_module, "_compute_schedule",
+                            lambda *args: built.append(schedule := compute_schedule(*args))
+                            or schedule)
+        pushes = count_calls(monkeypatch, EventQueue, "push")
+        live_pushes = [0]
+        simulate_live = EventDrivenEngine._simulate_live
+
+        def counted(self, *args):
+            before = pushes["push"]
+            entry = simulate_live(self, *args)
+            live_pushes[0] += pushes["push"] - before
+            return entry
+
+        monkeypatch.setattr(EventDrivenEngine, "_simulate_live", counted)
+        perf = scheduler.run().perf
+        assert perf["iterations_simulated"] == 799
+        assert perf["events_processed"] == 28764
+        assert len(built) == len(scheduler.engine._schedules) == 16
+        assert sum(len(events) for events, _compute_end in built) == 480
+        assert pushes == {"push": 480}
+        assert live_pushes == [0]
+
+    def test_set_capacity_reuses_the_schedule_and_set_gpu_speed_builds_one(self):
+        engine = EventDrivenEngine(slow_fabric_cluster())
+        cost_model = make_cost_model()
+        workers = engine.cluster.workers(num_machines=3, gpus_per_machine=1)
+        kwargs = dict(workers=workers, link_resource=engine.cluster.links_crossed(workers),
+                      job_name="a")
+        engine.simulate_iteration(cost_model, **kwargs)
+        (first,) = engine._plans.values()
+        engine.resource_timeline("core").set_capacity(10.0, 0.05)
+        engine.simulate_iteration(cost_model, start_time=20.0, **kwargs)
+        assert len(engine._plans) == 2 and len(engine._schedules) == 1
+        assert all(plan.schedule is first.schedule for plan in engine._plans.values())
+        engine.set_gpu_speed(workers[1].name, 0.5)
+        engine.simulate_iteration(cost_model, start_time=40.0, **kwargs)
+        assert len(engine._plans) == 3 and len(engine._schedules) == 2
+        engine.clear_fast_forward_cache()
+        assert not engine._schedules
+
+    def test_a_corrupted_schedule_is_caught_by_the_spot_check(self):
+        """The spot check prices its schedule afresh, so a stale memo entry
+        cannot vouch for the iteration it produced."""
+        engine = EventDrivenEngine(sanitize=True)
+        engine.sanitizer.spot_check_every = 1
+        cost_model = make_cost_model()
+        kwargs = dict(workers=["w0", "w1"], comm_seconds_per_byte=2e-9)
+        honest = engine.simulate_iteration(cost_model, **kwargs)
+        ((timing, (events, compute_end)),) = engine._schedules.items()
+        engine._schedules[timing] = (events, tuple(2.0 * end for end in compute_end))
+        engine._cache.clear()
+        engine._plans.clear()
+        stale = engine.simulate_iteration(cost_model, **kwargs)  # live, memoized
+        assert stale.per_worker_compute_end != honest.per_worker_compute_end
+        with pytest.raises(FastForwardDivergence, match="worker_rel_end"):
+            engine.simulate_iteration(cost_model, **kwargs)
