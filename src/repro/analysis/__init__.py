@@ -1,21 +1,17 @@
-"""``repro.analysis`` — post hoc layer-convergence analysis (PWCCA/SVCCA).
+"""``repro.analysis`` — post hoc layer-convergence analysis (PWCCA).
 
 The motivation-side tooling of the paper: PWCCA distance against a
-fully-trained model (Figure 1), SVCCA, freezable-region detection and the
+fully-trained model (Figure 1), freezable-region detection and the
 theoretical compute-saving estimate.
 """
 
 from .convergence import ConvergenceAnalyzer, freezable_regions, theoretical_saving
 from .pwcca import cca_correlations, pwcca_distance, pwcca_similarity
-from .svcca import svcca_distance, svcca_similarity, truncate_to_variance
 
 __all__ = [
     "pwcca_similarity",
     "pwcca_distance",
     "cca_correlations",
-    "svcca_similarity",
-    "svcca_distance",
-    "truncate_to_variance",
     "ConvergenceAnalyzer",
     "freezable_regions",
     "theoretical_saving",

@@ -1,7 +1,7 @@
 """Post hoc layer-convergence analysis (the Figure 1 experiment).
 
 :class:`ConvergenceAnalyzer` reproduces the paper's motivation study: track
-the PWCCA distance (or SVCCA, or SP-loss plasticity) of each layer module's
+the PWCCA distance (or SP-loss plasticity) of each layer module's
 activations against a *fully-trained* snapshot of the same model across
 training, then identify the "freezable regions" — epochs where a module's
 score is stable — and the theoretical compute saving from freezing inside

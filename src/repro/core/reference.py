@@ -8,8 +8,11 @@ activations for plasticity evaluation.  The reference is refreshed
 periodically from newer snapshots because "a stale reference model can
 amplify the inherent fluctuations in SGD training".
 
-In this reproduction the "CPU execution" is the same numpy code path; what is
-preserved is (a) the quantization error injected into the reference
+In this reproduction the "CPU execution" is the same numpy code path, and
+every model, CNNs included, gets weight-only fake quantization
+(:func:`~repro.quantization.quantize_state_dict`): activations stay float32,
+with no static activation calibration (``docs/fidelity.md``).  What is
+preserved is (a) the weight-rounding error carried into the reference
 activations, (b) the snapshot/update cadence and staleness accounting, and
 (c) the cost accounting (generation time, per-forward speedup factor) used by
 the overhead analysis in §6.5 and Table 2.

@@ -1,12 +1,12 @@
-"""``repro.data`` — synthetic datasets, data loader and stateless augmentation.
+"""``repro.data`` — synthetic datasets and the data loader.
 
 Replaces the paper's CIFAR-10/ImageNet/VOC/WMT16/SQuAD with learnable
 synthetic surrogates of the same shape, plus a :class:`DataLoader` that knows
-its future sample indices (the property the activation prefetcher exploits)
-and stateless augmentation that keeps cached activations valid.
+its future sample indices (the property the activation prefetcher exploits).
+No workload augments its inputs, so a sample's cached activations stay valid
+across epochs without the paper's stateless augmentation (§4.3).
 """
 
-from .augmentation import StatelessAugmentation, random_horizontal_flip, random_noise_jitter, random_translate
 from .dataloader import DataLoader
 from .datasets import (
     Batch,
@@ -27,8 +27,4 @@ __all__ = [
     "SyntheticTranslation",
     "SyntheticQuestionAnswering",
     "make_dataset",
-    "StatelessAugmentation",
-    "random_horizontal_flip",
-    "random_translate",
-    "random_noise_jitter",
 ]

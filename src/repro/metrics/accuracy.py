@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["top1_accuracy", "topk_accuracy", "mean_iou", "perplexity_from_loss", "f1_spans", "span_f1_single"]
+__all__ = ["top1_accuracy", "mean_iou", "perplexity_from_loss", "f1_spans", "span_f1_single"]
 
 
 def top1_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -19,18 +19,6 @@ def top1_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
     predictions = np.asarray(logits).argmax(axis=-1)
     targets = np.asarray(targets)
     return float((predictions == targets).mean()) if targets.size else 0.0
-
-
-def topk_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose target is within the top-k predictions."""
-    logits = np.asarray(logits)
-    targets = np.asarray(targets)
-    if targets.size == 0:
-        return 0.0
-    k = min(k, logits.shape[-1])
-    topk = np.argsort(-logits, axis=-1)[..., :k]
-    hits = (topk == targets[..., None]).any(axis=-1)
-    return float(hits.mean())
 
 
 def mean_iou(predictions: np.ndarray, targets: np.ndarray, num_classes: int) -> float:

@@ -5,20 +5,18 @@ ResNet-50/56, MobileNetV2, DeepLabv3, Transformer-Base/Tiny and BERT-Base,
 plus a registry that maps Table 1's workloads to factories.
 """
 
-from .bert import BertForQuestionAnswering, BertLite, bert_lite, bert_qa_lite, pretrain_bert_lite
+from .bert import BertForQuestionAnswering, BertLite, bert_qa_lite, pretrain_bert_lite
 from .deeplab import ASPPLite, DeepLabV3Lite, deeplabv3_lite
 from .mobilenet import MobileNetV2, mobilenet_v2_lite
 from .registry import WORKLOADS, WorkloadSpec, get_workload, list_workloads, register_workload
-from .resnet import CifarResNet, ImageNetResNet, resnet8, resnet18_lite, resnet20, resnet50_lite, resnet56
+from .resnet import CifarResNet, ImageNetResNet, resnet8, resnet50_lite, resnet56
 from .transformer import TransformerMT, transformer_base_lite, transformer_tiny
 
 __all__ = [
     "CifarResNet",
     "ImageNetResNet",
     "resnet8",
-    "resnet20",
     "resnet56",
-    "resnet18_lite",
     "resnet50_lite",
     "MobileNetV2",
     "mobilenet_v2_lite",
@@ -30,7 +28,6 @@ __all__ = [
     "transformer_tiny",
     "BertLite",
     "BertForQuestionAnswering",
-    "bert_lite",
     "bert_qa_lite",
     "pretrain_bert_lite",
     "WorkloadSpec",

@@ -21,7 +21,7 @@ import numpy as np
 from .. import nn
 from .chain import ChainModel
 
-__all__ = ["BertLite", "BertForQuestionAnswering", "bert_lite", "bert_qa_lite", "pretrain_bert_lite"]
+__all__ = ["BertLite", "BertForQuestionAnswering", "bert_qa_lite", "pretrain_bert_lite"]
 
 
 class BertEncoderLayer(nn.Module):
@@ -88,11 +88,6 @@ class BertForQuestionAnswering(ChainModel):
         """Return ``(start_logits, end_logits)``, each of shape ``(N, S)``."""
         logits = super().forward_from(tail_path, hidden)
         return logits[:, :, 0], logits[:, :, 1]
-
-
-def bert_lite(num_layers: int = 12, seed: int = 0, **kwargs) -> BertLite:
-    """Default 12-layer BERT-lite encoder."""
-    return BertLite(num_layers=num_layers, seed=seed, **kwargs)
 
 
 def bert_qa_lite(num_layers: int = 12, seed: int = 0, **kwargs) -> BertForQuestionAnswering:

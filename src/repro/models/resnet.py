@@ -17,7 +17,7 @@ import numpy as np
 from .. import nn
 from .chain import ChainModel
 
-__all__ = ["CifarResNet", "resnet56", "resnet20", "resnet8", "ImageNetResNet", "resnet50_lite", "resnet18_lite"]
+__all__ = ["CifarResNet", "resnet56", "resnet8", "ImageNetResNet", "resnet50_lite"]
 
 
 class CifarResNet(ChainModel):
@@ -66,11 +66,6 @@ class CifarResNet(ChainModel):
 def resnet56(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
     """The paper's ResNet-56 for CIFAR-10 (three stages of 9 basic blocks)."""
     return CifarResNet(depth=56, num_classes=num_classes, width=width, seed=seed)
-
-
-def resnet20(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
-    """ResNet-20: same structure as ResNet-56 with 3 blocks per stage."""
-    return CifarResNet(depth=20, num_classes=num_classes, width=width, seed=seed)
 
 
 def resnet8(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
@@ -122,8 +117,3 @@ class ImageNetResNet(ChainModel):
 def resnet50_lite(num_classes: int = 100, base_width: int = 8, seed: int = 0) -> ImageNetResNet:
     """Width-scaled ResNet-50 (stages 3-4-6-3 of bottleneck blocks)."""
     return ImageNetResNet(stage_blocks=(3, 4, 6, 3), num_classes=num_classes, base_width=base_width, seed=seed)
-
-
-def resnet18_lite(num_classes: int = 100, base_width: int = 8, seed: int = 0) -> ImageNetResNet:
-    """Smaller 2-2-2-2 bottleneck variant for fast integration tests."""
-    return ImageNetResNet(stage_blocks=(2, 2, 2, 2), num_classes=num_classes, base_width=base_width, seed=seed)

@@ -28,7 +28,6 @@ __all__ = [
     "linear",
     "conv2d",
     "max_pool2d",
-    "avg_pool2d",
     "adaptive_avg_pool2d",
     "softmax",
     "log_softmax",
@@ -284,40 +283,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
     return out
 
 
-def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    cols, _, _ = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
-    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
-    out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-
-    out = _make(out_data, (x,), "avg_pool2d")
-    if out.requires_grad:
-        def _backward(grad):
-            if not x.requires_grad:
-                return
-            grad = grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
-            grad_cols = np.broadcast_to(grad, (n, c, kernel * kernel, out_h * out_w)).reshape(
-                n * c, kernel * kernel, out_h * out_w
-            )
-            grad_x = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w), kernel, stride, 0)
-            x._accumulate(grad_x.reshape(n, c, h, w), fresh=True)
-
-        out._backward = _backward
-    return out
-
-
 def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
-    """Adaptive average pooling; only the common ``output_size=1`` (global) case
-    plus exact divisors are supported."""
-    n, c, h, w = x.shape
-    if output_size == 1:
-        return x.mean(axis=(2, 3), keepdims=True)
-    assert h % output_size == 0 and w % output_size == 0, "adaptive pooling requires exact divisors"
-    return avg_pool2d(x, kernel=h // output_size, stride=h // output_size)
+    """Global average pooling: the only ``output_size`` a model uses is 1."""
+    if output_size != 1:
+        raise ValueError(f"adaptive_avg_pool2d supports output_size=1 only, got {output_size}")
+    return x.mean(axis=(2, 3), keepdims=True)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -1,9 +1,9 @@
 """Weight initialisation schemes for the ``repro.nn`` layers.
 
-Provides Kaiming (He) and Xavier (Glorot) initialisers along with simple
-uniform/normal/constant fills.  All initialisers take an explicit
-``numpy.random.Generator`` so model construction is fully deterministic given
-a seed — a requirement for reproducible benchmark runs.
+Provides the Kaiming (He) initialiser along with normal and constant fills.
+The random initialisers take an explicit ``numpy.random.Generator`` so model
+construction is fully deterministic given a seed — a requirement for
+reproducible benchmark runs.
 
 A model built only to receive a snapshot (the reference model) is constructed
 under :func:`skip_random_init`: its random initialisers then hand back
@@ -23,8 +23,6 @@ import numpy as np
 
 __all__ = [
     "kaiming_uniform",
-    "xavier_normal",
-    "uniform",
     "normal",
     "zeros",
     "ones",
@@ -94,19 +92,6 @@ def kaiming_uniform(shape, rng: Optional[np.random.Generator] = None, gain: floa
     fan_in, _ = compute_fans(shape)
     bound = gain * math.sqrt(3.0 / max(fan_in, 1))
     return _rng(rng).uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-@_random
-def xavier_normal(shape, rng: Optional[np.random.Generator] = None, gain: float = 1.0) -> np.ndarray:
-    """Glorot-normal initialisation."""
-    fan_in, fan_out = compute_fans(shape)
-    std = gain * math.sqrt(2.0 / max(fan_in + fan_out, 1))
-    return (_rng(rng).standard_normal(shape) * std).astype(np.float32)
-
-
-@_random
-def uniform(shape, low: float = -0.1, high: float = 0.1, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    return _rng(rng).uniform(low, high, size=shape).astype(np.float32)
 
 
 @_random

@@ -30,10 +30,7 @@ __all__ = [
     "ReLU",
     "ReLU6",
     "GELU",
-    "Tanh",
-    "Sigmoid",
     "MaxPool2d",
-    "AvgPool2d",
     "AdaptiveAvgPool2d",
     "Flatten",
 ]
@@ -191,16 +188,6 @@ class GELU(Module):
         return x * 0.5 * (inner.tanh() + 1.0)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
 class MaxPool2d(Module):
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
@@ -209,16 +196,6 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class AdaptiveAvgPool2d(Module):

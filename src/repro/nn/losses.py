@@ -2,9 +2,8 @@
 
 The per-task losses used in the paper's evaluation (§6.1): cross-entropy for
 image classification and segmentation, label-smoothed cross-entropy for
-machine translation (fairseq defaults), mean-squared error for regression
-sanity checks, and the span extraction loss used when fine-tuning the BERT
-model on the synthetic SQuAD-like dataset.
+machine translation (fairseq defaults), and the span extraction loss used
+when fine-tuning the BERT model on the synthetic SQuAD-like dataset.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .module import Module
 from .tensor import Tensor
 
 __all__ = [
-    "MSELoss",
     "SpanExtractionLoss",
     "cross_entropy",
 ]
@@ -53,15 +51,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, label_smoothing: float = 
         one_hot = one_hot * (1.0 - label_smoothing) + label_smoothing / num_classes
     nll = -(log_probs * Tensor(one_hot)).sum(axis=-1)
     return nll.mean()
-
-
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, predictions: Tensor, targets) -> Tensor:
-        targets = targets if isinstance(targets, Tensor) else Tensor(targets)
-        diff = predictions - targets
-        return (diff * diff).mean()
 
 
 class SpanExtractionLoss(Module):

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "zeros", "ones", "randn", "arange"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled", "zeros"]
 
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
@@ -330,17 +330,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = _make(sig, (self,), "sigmoid")
-        if out.requires_grad:
-            def _backward(grad):
-                if self.requires_grad:
-                    self._accumulate(sig * (1.0 - sig) * grad, fresh=True)
-
-            out._backward = _backward
-        return out
-
     def tanh(self) -> "Tensor":
         t = np.tanh(self.data)
         out = _make(t, (self,), "tanh")
@@ -394,11 +383,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def swapaxes(self, a: int, b: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(tuple(axes))
-
     def __getitem__(self, index) -> "Tensor":
         out = _make(self.data[index], (self,), "getitem")
         if out.requires_grad:
@@ -407,18 +391,6 @@ class Tensor:
                     scattered = np.zeros_like(self.data)
                     np.add.at(scattered, index, grad)
                     self._accumulate(scattered, fresh=True)
-
-            out._backward = _backward
-        return out
-
-    def pad(self, pad_width) -> "Tensor":
-        """Zero-pad the tensor.  ``pad_width`` follows ``np.pad`` convention."""
-        out = _make(np.pad(self.data, pad_width), (self,), "pad")
-        if out.requires_grad:
-            def _backward(grad):
-                if self.requires_grad:
-                    slices = tuple(slice(p[0], p[0] + s) for p, s in zip(pad_width, self.shape))
-                    self._accumulate(grad[slices])
 
             out._backward = _backward
         return out
@@ -482,7 +454,7 @@ def _make(data: np.ndarray, prev: Sequence[Tensor], op: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------- #
-# Free-standing graph ops that combine multiple tensors
+# Free-standing graph op that combines multiple tensors
 # ---------------------------------------------------------------------- #
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
@@ -504,55 +476,8 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    out = _make(data, tensors, "stack")
-    if out.requires_grad:
-        def _backward(grad):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    idx = [slice(None)] * data.ndim
-                    idx[axis] = i
-                    t._accumulate(grad[tuple(idx)])
-
-        out._backward = _backward
-    return out
-
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with gradient support for both branches."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    out = _make(np.where(cond, a.data, b.data), (a, b), "where")
-    if out.requires_grad:
-        def _backward(grad):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(np.where(cond, grad, 0.0), a.shape), fresh=True)
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.shape), fresh=True)
-
-        out._backward = _backward
-    return out
-
-
 # ---------------------------------------------------------------------- #
 # Constructors
 # ---------------------------------------------------------------------- #
 def zeros(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def randn(*shape, requires_grad: bool = False, rng: Optional[np.random.Generator] = None) -> Tensor:
-    gen = rng if rng is not None else np.random.default_rng()
-    return Tensor(gen.standard_normal(shape).astype(np.float32), requires_grad=requires_grad)
-
-
-def arange(n: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.arange(n, dtype=np.float32), requires_grad=requires_grad)

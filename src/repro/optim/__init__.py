@@ -1,22 +1,20 @@
 """``repro.optim`` — optimizers and learning-rate schedulers.
 
 Provides the training-loop plumbing the paper's evaluation relies on: SGD for
-CNN workloads, Adam/AdamW for Transformer and BERT, plus the step-decay,
-inverse-square-root, linear, lambda (poly) and cyclical LR schedules whose
-drops drive Egeria's unfreezing rule.
+CNN workloads, Adam/AdamW for Transformer and BERT, plus the multi-step,
+inverse-square-root, linear and lambda (poly) LR schedules the workloads use,
+whose drops drive Egeria's unfreezing rule, and the cyclical schedule of
+§4.2.2's customised unfreeze, which no workload uses.
 """
 
 from .adam import Adam, AdamW
 from .lr_scheduler import (
-    CosineAnnealingLR,
     CyclicalLR,
-    ExponentialLR,
     InverseSquareRootLR,
     LambdaLR,
     LinearDecayLR,
     LRScheduler,
     MultiStepLR,
-    StepLR,
 )
 from .optimizer import Optimizer
 from .sgd import SGD
@@ -27,10 +25,7 @@ __all__ = [
     "Adam",
     "AdamW",
     "LRScheduler",
-    "StepLR",
     "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "InverseSquareRootLR",
     "LinearDecayLR",
     "LambdaLR",

@@ -1,14 +1,16 @@
 """Learning-rate schedulers.
 
-The paper evaluates with several schedules (§6.1): step decay for CV models,
-inverse square root for Transformer training, a linear schedule for BERT
-fine-tuning, and a Lambda schedule for DeepLabv3.  The unfreezing mechanism
-of Egeria (§4.2.2 / Algorithm 1 lines 19–26) watches the current LR through
-these schedulers: "restart training all the frozen layers if the LR has
-dropped over a factor of 10 since the frontmost layers' freeze".
+The paper evaluates with several schedules (§6.1): step decay at milestones
+for CV models, inverse square root for Transformer training, a linear
+schedule for BERT fine-tuning, and a Lambda schedule for DeepLabv3.  The
+unfreezing mechanism of Egeria (§4.2.2 / Algorithm 1 lines 19–26) watches
+the current LR through these schedulers: "restart training all the frozen
+layers if the LR has dropped over a factor of 10 since the frontmost layers'
+freeze".
 
-Cyclical schedules (cosine annealing with restarts, triangular cyclical LR)
-are also provided; they trigger the user-customisable unfreeze path instead.
+The triangular :class:`CyclicalLR` is §4.2.2's cyclical case: it triggers the
+user-customisable unfreeze path instead.  No registry workload uses it, so
+only tests reach that path.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from .optimizer import Optimizer
 
 __all__ = [
     "LRScheduler",
-    "StepLR",
     "MultiStepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
     "InverseSquareRootLR",
     "LinearDecayLR",
     "LambdaLR",
@@ -34,7 +33,7 @@ __all__ = [
 class LRScheduler:
     """Base class: computes the LR for an epoch/step and writes it into the optimizer."""
 
-    #: Whether the schedule is periodic (cosine/cyclical) — Egeria uses this to
+    #: Whether the schedule is periodic (cyclical) — Egeria uses this to
     #: pick between the LR-drop unfreeze rule and the customised unfreeze rule.
     cyclical: bool = False
 
@@ -72,18 +71,6 @@ class LRScheduler:
         return [self.get_lr(e) for e in range(num_epochs)]
 
 
-class StepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs (CV default)."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1, base_lr: Optional[float] = None):
-        self.step_size = step_size
-        self.gamma = gamma
-        super().__init__(optimizer, base_lr)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (max(epoch, 0) // self.step_size)
-
-
 class MultiStepLR(LRScheduler):
     """Decay the LR by ``gamma`` at each milestone epoch.
 
@@ -100,34 +87,6 @@ class MultiStepLR(LRScheduler):
     def get_lr(self, epoch: int) -> float:
         passed = sum(1 for m in self.milestones if epoch >= m)
         return self.base_lr * self.gamma ** passed
-
-
-class ExponentialLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95, base_lr: Optional[float] = None):
-        self.gamma = gamma
-        super().__init__(optimizer, base_lr)
-
-    def get_lr(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** max(epoch, 0)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine annealing, optionally with warm restarts (SGDR)."""
-
-    cyclical = True
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0, restarts: bool = False,
-                 base_lr: Optional[float] = None):
-        self.t_max = max(t_max, 1)
-        self.eta_min = eta_min
-        self.restarts = restarts
-        super().__init__(optimizer, base_lr)
-
-    def get_lr(self, epoch: int) -> float:
-        t = max(epoch, 0) % self.t_max if self.restarts else min(max(epoch, 0), self.t_max)
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1.0 + math.cos(math.pi * t / self.t_max))
 
 
 class InverseSquareRootLR(LRScheduler):

@@ -1,11 +1,10 @@
 """``repro.quantization`` — post-training quantization for the reference model.
 
-Implements the int8/int4/fp16 precisions of the paper's Table 2, fake
-quantization of model snapshots, and activation-range calibration observers
-(the "static quantization" path used for CNNs).
+Implements the int8/int4/fp16 precisions of the paper's Table 2 and
+weight-only fake quantization of model snapshots, which every reference
+model uses (CNNs included: no activation calibration).
 """
 
-from .observers import ActivationCalibrator, MinMaxObserver, MovingAverageObserver
 from .quantize import (
     FLOAT16,
     FLOAT32,
@@ -15,7 +14,6 @@ from .quantize import (
     QuantizationSpec,
     dequantize_array,
     fake_quantize,
-    quantization_error,
     quantize_array,
     quantize_state_dict,
 )
@@ -31,8 +29,4 @@ __all__ = [
     "dequantize_array",
     "fake_quantize",
     "quantize_state_dict",
-    "quantization_error",
-    "MinMaxObserver",
-    "MovingAverageObserver",
-    "ActivationCalibrator",
 ]

@@ -7,21 +7,22 @@ convolutional networks.  int8 "reduces the reference memory footprint by 3–4x
 and accelerates the forward pass by ~2x on CPUs", and Table 2 shows it is the
 sweet spot between speed and reference fidelity.
 
-This module provides:
+This reproduction quantizes weights only, the same way for every model:
+activations stay float32, so no model gets the paper's activation-calibrated
+static quantization (``docs/fidelity.md``).  This module provides:
 
 * :func:`quantize_array` / :func:`dequantize_array` — symmetric per-tensor
   affine quantization of a float array to ``int8``/``int4``/``float16``;
 * :class:`QuantizationSpec` — precision configuration with footprint and
   speedup factors mirroring the paper's Table 2;
-* :func:`quantize_model` — return a *new* model whose parameters have been
-  quantize–dequantized (fake quantization), which is exactly what matters for
-  plasticity evaluation: the reference activations carry the quantization
-  error of a true int8 model while the arithmetic stays in numpy float32.
+* :func:`quantize_state_dict` — quantize–dequantize (fake-quantize) every
+  entry of a model snapshot, which the reference model loads: its
+  activations carry the rounding error of int8 weights while the arithmetic
+  stays in numpy float32.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -37,7 +38,6 @@ __all__ = [
     "dequantize_array",
     "fake_quantize",
     "quantize_state_dict",
-    "quantization_error",
     "PRECISIONS",
 ]
 
@@ -121,7 +121,3 @@ def quantize_state_dict(state: Dict[str, np.ndarray], spec: QuantizationSpec = I
             quantized[key] = fake_quantize(np.asarray(value, dtype=np.float32), spec)
     return quantized
 
-
-def quantization_error(array: np.ndarray, spec: QuantizationSpec = INT8) -> float:
-    """Mean absolute error introduced by quantizing ``array``."""
-    return float(np.mean(np.abs(array - fake_quantize(array, spec))))

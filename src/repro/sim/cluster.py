@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -41,9 +42,14 @@ class GPUDevice:
     machine: str
     index: int
 
-    @property
+    @cached_property
     def name(self) -> str:
-        """Canonical ``machine:gpuN`` identifier used across the stack."""
+        """Canonical ``machine:gpuN`` identifier used across the stack.
+
+        Formatted once per device: the engine reads it for every worker of
+        every iteration it resolves.  The cache lives in the instance
+        ``__dict__``, outside the fields, so equality and hashing ignore it.
+        """
         return f"{self.machine}:gpu{self.index}"
 
 

@@ -1,7 +1,7 @@
 """The ``nn`` substrate's reference formulations: slow, obviously correct, moved verbatim from ``repro.nn``.
 
 ``conv2d`` here is the im2col + ``np.einsum(optimize=True)`` formulation,
-``max_pool2d``/``avg_pool2d`` the pooling ops over the same helpers and
+``max_pool2d`` the pooling op over the same helpers and
 ``accumulate`` the copy-always gradient accumulation (only the backward
 closures' signature follows the acyclic-graph rule: they receive the node's
 gradient instead of reading ``out.grad``).  ``linear``, ``softmax``,
@@ -154,34 +154,6 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
         np.put_along_axis(grad_cols, argmax[:, :, None, :], out_grad.reshape(n, c, 1, out_h * out_w), axis=2)
         grad_cols = grad_cols.reshape(n * c, kernel * kernel, out_h * out_w)
         grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, 0)
-        accumulate(x, grad_x.reshape(n, c, h, w))
-
-    if requires:
-        out._backward = _backward
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
-    """Average pooling over im2col windows."""
-    stride = stride or kernel
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    cols, _, _ = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, 0)
-    cols = cols.reshape(n, c, kernel * kernel, out_h * out_w)
-    out_data = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-
-    requires = is_grad_enabled() and x.requires_grad
-    out = Tensor(out_data, requires_grad=requires, _prev=(x,) if requires else (), _op="avg_pool2d")
-
-    def _backward(out_grad):
-        if not x.requires_grad:
-            return
-        grad = out_grad.reshape(n, c, 1, out_h * out_w) / (kernel * kernel)
-        grad_cols = np.broadcast_to(grad, (n, c, kernel * kernel, out_h * out_w)).reshape(
-            n * c, kernel * kernel, out_h * out_w
-        )
-        grad_x = col2im(np.ascontiguousarray(grad_cols), (n * c, 1, h, w), kernel, stride, 0)
         accumulate(x, grad_x.reshape(n, c, h, w))
 
     if requires:

@@ -1,4 +1,8 @@
-"""Tests for the analysis (PWCCA/SVCCA), simulation (cost/cluster/all-reduce) and metrics packages."""
+"""Tests for the analysis (PWCCA), simulation (cost/cluster/all-reduce) and metrics packages."""
+
+import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -9,10 +13,7 @@ from repro.analysis import (
     freezable_regions,
     pwcca_distance,
     pwcca_similarity,
-    svcca_distance,
-    svcca_similarity,
     theoretical_saving,
-    truncate_to_variance,
 )
 from repro.core import parse_layer_modules
 from repro.metrics import (
@@ -23,10 +24,10 @@ from repro.metrics import (
     perplexity_from_loss,
     span_f1_single,
     top1_accuracy,
-    topk_accuracy,
     tta_speedup,
 )
 from repro.sim import AllReduceModel, CostModel, paper_testbed_cluster, single_node_cluster
+from repro.sim.cluster import GPUDevice
 from repro.sim.cost_model import GPUSpec
 
 
@@ -77,18 +78,6 @@ class TestPWCCA:
         # kept canonical correlations are ~1, so the renormalized projection
         # weighting must report near-perfect similarity.
         assert similarity > 0.95
-
-
-class TestSVCCA:
-    def test_truncate_to_variance(self, rng):
-        x = rng.standard_normal((40, 20)).astype(np.float32)
-        reduced = truncate_to_variance(x, variance_fraction=0.9, max_dims=5)
-        assert reduced.shape[0] == 40 and reduced.shape[1] <= 5
-
-    def test_similarity_and_distance(self, rng):
-        a = rng.standard_normal((32, 10)).astype(np.float32)
-        assert svcca_similarity(a, a) > 0.9
-        assert svcca_distance(a, a) < 0.1
 
 
 class TestConvergenceHelpers:
@@ -205,11 +194,48 @@ class TestClusterAndAllReduce:
         assert allreduce.seconds_per_byte([cluster.workers()[0]]) == 0.0
 
 
+class TestGPUDeviceName:
+    """``GPUDevice.name`` is cached per instance; the cache must stay invisible."""
+
+    def test_name_is_machine_colon_gpu_index(self):
+        device = GPUDevice("m3", 1)
+        assert device.name == "m3:gpu1"
+        assert device.name is device.name
+
+    def test_equality_and_hash_ignore_the_cached_name(self):
+        read, unread = GPUDevice("m0", 2), GPUDevice("m0", 2)
+        hash_before = hash(read)
+        assert read.name == "m0:gpu2"
+        assert read == unread and hash(read) == hash(unread) == hash_before
+        assert read != GPUDevice("m0", 3)
+        assert {read: 1}[unread] == 1
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_and_deepcopy_keep_the_device(self, read_first):
+        device = GPUDevice("m1", 0)
+        if read_first:
+            assert device.name == "m1:gpu0"
+        for clone in (pickle.loads(pickle.dumps(device)), copy.deepcopy(device)):
+            assert clone == device and hash(clone) == hash(device)
+            assert clone.name == "m1:gpu0"
+
+    def test_fields_stay_frozen(self):
+        device = GPUDevice("m0", 0)
+        assert device.name == "m0:gpu0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            device.index = 1
+
+    def test_cluster_workers_carry_their_names(self):
+        cluster = paper_testbed_cluster()
+        workers = cluster.workers(num_machines=2, gpus_per_machine=2)
+        assert [w.name for w in workers] == [f"{w.machine}:gpu{w.index}" for w in workers]
+        assert len({w.name for w in workers}) == len(workers)
+
+
 class TestMetrics:
-    def test_top1_and_topk(self):
+    def test_top1(self):
         logits = np.array([[0.1, 0.9], [0.8, 0.2]])
         assert top1_accuracy(logits, np.array([1, 0])) == 1.0
-        assert topk_accuracy(logits, np.array([0, 1]), k=2) == 1.0
 
     def test_mean_iou_perfect_and_disjoint(self):
         pred = np.array([[0, 1], [1, 0]])
@@ -225,6 +251,30 @@ class TestMetrics:
         assert span_f1_single(0, 1, 4, 5) == 0.0
         assert 0.0 < span_f1_single(2, 5, 3, 5) < 1.0
         assert f1_spans([1], [2], [1], [2]) == 1.0
+
+    def test_top1_counts_the_share_of_arg_max_hits(self):
+        logits = np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.0], [0.0, 0.1, 0.7], [0.3, 0.3, 0.4]])
+        assert top1_accuracy(logits, np.array([1, 0, 1, 0])) == 0.5
+
+    def test_top1_of_no_samples_is_zero(self):
+        assert top1_accuracy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)) == 0.0
+
+    def test_mean_iou_averages_only_classes_that_occur(self):
+        pred = np.array([0, 0, 1, 1])
+        target = np.array([0, 1, 1, 1])
+        # class 0: 1/2, class 1: 2/3, class 2 occurs nowhere and is skipped.
+        assert mean_iou(pred, target, 3) == pytest.approx((1 / 2 + 2 / 3) / 2)
+        assert mean_iou(np.array([]), np.array([]), 3) == 0.0
+
+    def test_perplexity_is_capped_at_exp_30(self):
+        assert perplexity_from_loss(30.0) == perplexity_from_loss(1e9) == pytest.approx(np.exp(30.0))
+        assert perplexity_from_loss(1.0) == pytest.approx(np.e)
+
+    def test_span_f1_partial_overlap_and_empty_batch(self):
+        # predicted 2..5 (4 tokens), gold 3..5 (3 tokens): precision 3/4, recall 1.
+        assert span_f1_single(2, 5, 3, 5) == pytest.approx(2 * 0.75 / 1.75)
+        assert span_f1_single(5, 2, 2, 5) == 0.0
+        assert f1_spans([], [], [], []) == 0.0
 
     def _history(self, metrics, times, higher=True):
         history = RunHistory(name="test", higher_is_better=higher)

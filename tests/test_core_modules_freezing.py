@@ -41,7 +41,7 @@ class TestLayerModuleParsing:
         assert len(stage3_groups) >= len(stage1_groups)
 
     def test_groups_never_cross_stage_boundaries(self):
-        model = models.resnet20()
+        model = models.CifarResNet(depth=20)
         for module in parse_layer_modules(model, max_fraction=0.9):
             stages = {p.split(".")[0] for p in module.paths}
             assert len(stages) == 1

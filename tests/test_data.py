@@ -1,11 +1,10 @@
-"""Tests for synthetic datasets, the look-ahead data loader and augmentation."""
+"""Tests for synthetic datasets and the look-ahead data loader."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
     DataLoader,
-    StatelessAugmentation,
     SyntheticImageClassification,
     SyntheticQuestionAnswering,
     SyntheticSegmentation,
@@ -264,37 +263,3 @@ class TestDataLoader:
         loader = DataLoader(ds, batch_size=4, shuffle=False)
         loader.set_epoch(0)
         assert np.array_equal(loader.next_batch().indices, [0, 1, 2, 3])
-
-
-class TestAugmentation:
-    def test_stateless_replay_identical(self, rng):
-        aug = StatelessAugmentation(base_seed=42)
-        image = rng.standard_normal((3, 8, 8)).astype(np.float32)
-        first = aug.apply_sample(image, sample_index=7)
-        second = aug.apply_sample(image, sample_index=7)
-        assert np.allclose(first, second)
-
-    def test_different_samples_get_different_augmentation(self, rng):
-        aug = StatelessAugmentation(base_seed=42, jitter=False)
-        image = rng.standard_normal((3, 8, 8)).astype(np.float32)
-        outputs = [aug.apply_sample(image, sample_index=i) for i in range(10)]
-        assert any(not np.allclose(outputs[0], other) for other in outputs[1:])
-
-    def test_apply_batch_shape(self, rng):
-        aug = StatelessAugmentation(base_seed=0)
-        images = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
-        out = aug.apply_batch(images, indices=[0, 1, 2, 3])
-        assert out.shape == images.shape
-
-    def test_translate_preserves_shape_and_zero_fills(self, rng):
-        from repro.data.augmentation import random_translate
-        image = np.ones((1, 6, 6), dtype=np.float32)
-        out = random_translate(image, np.random.default_rng(1), max_shift=2)
-        assert out.shape == image.shape
-        assert out.sum() <= image.sum()
-
-    def test_flip_probability_zero_is_identity(self, rng):
-        from repro.data.augmentation import random_horizontal_flip
-        image = rng.standard_normal((3, 4, 4)).astype(np.float32)
-        out = random_horizontal_flip(image, np.random.default_rng(0), probability=0.0)
-        assert np.allclose(out, image)

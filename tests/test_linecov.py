@@ -73,3 +73,38 @@ def test_own_lines_leave_out_the_def_line():
     (function,) = [const for const in code.co_consts if hasattr(const, "co_lines")]
     assert linecov._own_lines(function) == {2, 3}
     assert linecov._own_lines(code) == {1}
+
+
+def _subcommands(parser, prefix=()):
+    """Every ``repro`` subcommand path, e.g. ``("sim", "run")``, read off the parser."""
+    import argparse
+
+    paths = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = _subcommands(sub, (*prefix, name))
+                paths.extend(nested or [(*prefix, name)])
+    return paths
+
+
+def test_preset_names_every_entry_point():
+    """A new example, workload or subcommand cannot drop out of the never-entered count."""
+    from repro.cli import build_parser
+    from repro.models.registry import WORKLOADS
+
+    root = linecov.ROOT
+    words = {word for command in linecov.PRESET for word in command}
+    examples = {f"examples/{path.name}" for pattern in ("*.py", "*.json")
+                for path in (root / "examples").glob(pattern)}
+    assert examples and examples <= words
+
+    bench = {row["name"] for row in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+    bench_runs = {words[words.index("--workload") + 1] for words in linecov.PRESET
+                  if "bench/run.py" in words}
+    assert bench and bench <= bench_runs
+
+    cli = [words[words.index("repro.cli") + 1:] for words in linecov.PRESET if "repro.cli" in words]
+    assert set(WORKLOADS) <= {args[args.index("--workload") + 1] for args in cli if "--workload" in args}
+    for path in _subcommands(build_parser()):
+        assert any(tuple(args[:len(path)]) == path for args in cli), path

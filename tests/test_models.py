@@ -48,7 +48,7 @@ class TestCifarResNet:
         assert feats.shape == (1, 64, 4, 4)
 
     def test_module_sequence_paths_resolve(self):
-        model = models.resnet20()
+        model = models.CifarResNet(depth=20)
         for path in model.module_sequence:
             assert model.get_submodule(path) is not None
 
@@ -59,7 +59,7 @@ class TestImageNetResNet:
         assert [len(model.get_submodule(f"layer{i}")._modules) for i in range(1, 5)] == [3, 4, 6, 3]
 
     def test_forward_shape(self, rng):
-        model = models.resnet18_lite(num_classes=7, base_width=4, seed=0)
+        model = models.ImageNetResNet(stage_blocks=(2, 2, 2, 2), num_classes=7, base_width=4, seed=0)
         out = model(nn.Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32)))
         assert out.shape == (2, 7)
 
@@ -123,7 +123,7 @@ class TestTransformer:
 
 class TestBert:
     def test_bert_lite_forward(self):
-        model = models.bert_lite(num_layers=2, vocab_size=32, d_model=16, num_heads=2, d_ff=32)
+        model = models.BertLite(num_layers=2, vocab_size=32, d_model=16, num_heads=2, d_ff=32)
         tokens = np.random.default_rng(0).integers(0, 32, size=(2, 6))
         out = model(tokens)
         assert out.shape == (2, 6, 16)

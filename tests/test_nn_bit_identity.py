@@ -7,7 +7,7 @@ equal ``.strides``: BatchNorm sums the conv output in memory order and the
 slab cache stores activation rows in memory order.  The reference
 (``tests/oracles/nn_reference.py``) has one row per production op:
 
-* ``conv2d`` / ``max_pool2d`` / ``avg_pool2d`` — im2col +
+* ``conv2d`` / ``max_pool2d`` — im2col +
   ``einsum(optimize=True)``; ``accumulate`` — the copy-always gradient
   accumulation.  Every conv case runs each layout of ``x``, ``weight`` and
   the upstream gradient under every trainable/frozen combination of ``x``,
@@ -206,7 +206,7 @@ def test_conv2d_agrees_to_rounding_on_degenerate_shapes(case):
     _assert_conv_matches_oracle(*shape, exact=False, seed=seed)
 
 
-@pytest.mark.parametrize("pool", ["max_pool2d", "avg_pool2d"])
+@pytest.mark.parametrize("pool", ["max_pool2d"])
 @pytest.mark.parametrize("shape,kernel,stride", [
     ((2, 3, 8, 8), 2, None), ((2, 4, 7, 7), 3, 2), ((3, 2, 6, 6), 3, 1), ((2, 5, 4, 4), 4, None), ((1, 1, 5, 5), 2, 2),
 ])
@@ -491,7 +491,6 @@ def test_training_trajectory_equals_the_oracle_substrate(name, system, seed, tmp
     actual, _ = _trajectory(name, system, seed, tmp_path / "actual")
     monkeypatch.setattr(F, "conv2d", nn_reference.conv2d)
     monkeypatch.setattr(F, "max_pool2d", nn_reference.max_pool2d)
-    monkeypatch.setattr(F, "avg_pool2d", nn_reference.avg_pool2d)
     monkeypatch.setattr(F, "linear", nn_reference.linear)
     monkeypatch.setattr(F, "softmax", nn_reference.softmax)
     monkeypatch.setattr(F, "layer_norm", nn_reference.layer_norm)

@@ -97,18 +97,36 @@ class TestPooling:
         assert x.grad[0, 0, 3, 3] == 1.0
         assert x.grad[0, 0, 0, 0] == 0.0
 
-    def test_avg_pool(self):
-        x = Tensor(np.ones((1, 2, 4, 4), dtype=np.float32), requires_grad=True)
-        out = F.avg_pool2d(x, 2)
-        assert np.allclose(out.data, 1.0)
-        out.sum().backward()
-        assert np.allclose(x.grad, 0.25)
-
     def test_adaptive_avg_pool_global(self):
         x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
         out = F.adaptive_avg_pool2d(x, 1)
         assert out.shape == (1, 2, 1, 1)
         assert np.isclose(out.data[0, 0, 0, 0], 1.5)
+
+    def test_adaptive_avg_pool_rejects_other_sizes(self):
+        x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="output_size=1 only"):
+            F.adaptive_avg_pool2d(x, 2)
+
+    @pytest.mark.parametrize("size", [0, 3, 4])
+    def test_adaptive_avg_pool_rejects_every_size_but_one(self, size):
+        x = Tensor(np.zeros((1, 2, 4, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match=f"got {size}"):
+            F.adaptive_avg_pool2d(x, size)
+
+    def test_adaptive_avg_pool_is_the_spatial_sum_times_the_reciprocal_count(self, rng):
+        data = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        out = F.adaptive_avg_pool2d(Tensor(data))
+        expected = data.sum(axis=(2, 3), keepdims=True) * np.float32(1.0 / 30)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == expected.tobytes()
+
+    def test_adaptive_avg_pool_spreads_the_gradient_evenly(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 2)).astype(np.float32), requires_grad=True)
+        upstream = rng.standard_normal((2, 3, 1, 1)).astype(np.float32)
+        (F.adaptive_avg_pool2d(x) * Tensor(upstream)).sum().backward()
+        assert x.grad.shape == (2, 3, 4, 2)
+        assert np.allclose(x.grad, np.broadcast_to(upstream / 8.0, x.grad.shape))
 
 
 class TestSoftmaxAndEmbedding:

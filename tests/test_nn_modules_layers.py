@@ -7,8 +7,7 @@ import pytest
 
 from repro import nn
 from repro.nn import Tensor, init
-from repro.nn.layers import AvgPool2d, ReLU6, Sigmoid, Tanh
-from repro.nn.losses import MSELoss
+from repro.nn.layers import ReLU6
 from repro.nn.module import Identity
 
 
@@ -151,7 +150,7 @@ class TestLayers:
 
     def test_activations_shapes(self, rng):
         x = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
-        for layer in (nn.ReLU(), ReLU6(), nn.GELU(), Tanh(), Sigmoid()):
+        for layer in (nn.ReLU(), ReLU6(), nn.GELU()):
             assert layer(x).shape == (3, 5)
 
     def test_relu6_caps(self):
@@ -165,7 +164,6 @@ class TestLayers:
     def test_pool_layers(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 8, 8)).astype(np.float32))
         assert nn.MaxPool2d(2)(x).shape == (1, 2, 4, 4)
-        assert AvgPool2d(2)(x).shape == (1, 2, 4, 4)
         assert nn.AdaptiveAvgPool2d(1)(x).shape == (1, 2, 1, 1)
 
 
@@ -267,10 +265,6 @@ class TestLosses:
         loss_masked = nn.cross_entropy(logits, targets, ignore_index=0)
         assert not np.isclose(loss_all.item(), loss_masked.item())
 
-    def test_mse(self):
-        loss = MSELoss()(Tensor([1.0, 2.0]), np.array([1.0, 4.0], dtype=np.float32))
-        assert np.isclose(loss.item(), 2.0)
-
     def test_span_extraction_loss(self, rng):
         start = Tensor(rng.standard_normal((3, 8)).astype(np.float32), requires_grad=True)
         end = Tensor(rng.standard_normal((3, 8)).astype(np.float32), requires_grad=True)
@@ -292,15 +286,7 @@ class TestInit:
         bound = math.sqrt(2.0) * math.sqrt(3.0 / 32)
         assert np.abs(w).max() <= bound + 1e-6
 
-    def test_xavier_std(self):
-        rng = np.random.default_rng(0)
-        w = init.xavier_normal((200, 100), rng=rng)
-        expected = math.sqrt(2.0 / 300)
-        assert abs(w.std() - expected) < 0.2 * expected
-
     def test_constant_fills(self):
         assert np.allclose(init.zeros((3, 3)), 0.0)
         assert np.allclose(init.ones((2,)), 1.0)
         assert init.normal((100,), std=0.02, rng=np.random.default_rng(0)).std() < 0.05
-        u = init.uniform((100,), -0.5, 0.5, rng=np.random.default_rng(0))
-        assert u.min() >= -0.5 and u.max() <= 0.5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, concatenate, no_grad
-from repro.nn.tensor import arange, is_grad_enabled, ones, randn, stack, where, zeros
+from repro.nn.tensor import is_grad_enabled, zeros
 
 
 def numeric_grad(fn, x, eps=1e-3):
@@ -145,20 +145,9 @@ class TestReductionsAndShape:
         a[2:4].sum().backward()
         assert np.allclose(a.grad, [0, 0, 1, 1, 0, 0])
 
-    def test_pad(self):
-        a = Tensor(np.ones((2, 2)), requires_grad=True)
-        padded = a.pad(((1, 1), (0, 0)))
-        assert padded.shape == (4, 2)
-        padded.sum().backward()
-        assert np.allclose(a.grad, np.ones((2, 2)))
-
-    def test_swapaxes(self):
-        a = Tensor(np.zeros((2, 3, 4)))
-        assert a.swapaxes(1, 2).shape == (2, 4, 3)
-
 
 class TestNonlinearities:
-    @pytest.mark.parametrize("op", ["relu", "sigmoid", "tanh", "exp"])
+    @pytest.mark.parametrize("op", ["relu", "tanh", "exp"])
     def test_gradcheck_elementwise(self, op, rng):
         x_np = rng.standard_normal(5).astype(np.float64) * 0.5
         x = Tensor(x_np.astype(np.float32), requires_grad=True)
@@ -229,31 +218,10 @@ class TestCombinators:
         assert a.grad.shape == (2, 2)
         assert b.grad.shape == (3, 2)
 
-    def test_stack(self):
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        out = stack([a, b], axis=0)
-        assert out.shape == (2, 3)
-        out.sum().backward()
-        assert np.allclose(a.grad, np.ones(3))
-
-    def test_where(self):
-        cond = np.array([True, False, True])
-        a = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        b = Tensor([10.0, 20.0, 30.0], requires_grad=True)
-        out = where(cond, a, b)
-        assert np.allclose(out.data, [1.0, 20.0, 3.0])
-        out.sum().backward()
-        assert np.allclose(a.grad, [1.0, 0.0, 1.0])
-        assert np.allclose(b.grad, [0.0, 1.0, 0.0])
-
 
 class TestConstructors:
-    def test_zeros_ones_randn_arange(self):
+    def test_zeros(self):
         assert zeros(2, 3).shape == (2, 3)
-        assert np.allclose(ones(2).data, [1.0, 1.0])
-        assert randn(4, rng=np.random.default_rng(0)).shape == (4,)
-        assert np.allclose(arange(3).data, [0.0, 1.0, 2.0])
 
     def test_repr_and_len(self):
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
@@ -338,11 +306,10 @@ class TestGradientAliasing:
         mixed = x.reshape(3, 4) + y.transpose(1, 0).reshape(3, 4) + x.transpose(1, 0)
         joined = concatenate([doubled.reshape(3, 4), mixed, y.clone()], axis=0)
         picked = joined[np.array([0, 0, 5, 8])]
-        padded = picked.pad(((1, 0), (0, 2)))
-        stacked = stack([padded.sum(axis=0), padded[1]], axis=0)
-        loss = (stacked * stacked).sum() + where(y.data > 0, y, y * 0.5).sum()
+        rows = concatenate([picked.sum(axis=0).reshape(1, 4), picked[1].reshape(1, 4)], axis=0)
+        loss = (rows * rows).sum() + (y * 0.5).sum()
         loss.backward()
-        return [x, y, doubled, mixed, joined, picked, padded, stacked, loss]
+        return [x, y, doubled, mixed, joined, picked, rows, loss]
 
     def test_no_two_gradients_share_memory(self):
         tensors = self._graph()

@@ -1,4 +1,5 @@
-"""What a fresh interpreter imports: no graph library anywhere, no training stack for ``repro sim``.
+"""What a fresh interpreter imports: no graph library anywhere, no training stack for
+``repro sim``, and a pinned number of ``repro`` modules per entry point.
 
 ``networkx`` is a test-only dependency.  The checks run in a fresh
 interpreter because the test process itself has ``networkx`` loaded by
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -53,3 +56,19 @@ def test_sim_run_without_workload_jobs_imports_no_training_stack(tmp_path):
     )
     assert _loaded_modules(probe) == []
     assert json.loads((tmp_path / "report.json").read_text())["num_jobs"] == 4
+
+
+#: ``repro`` modules a fresh interpreter holds after importing each entry point.
+#: An exact counter: a module added to or cut from an entry point's import
+#: graph shows here.
+REPRO_MODULES = {"repro.experiments": 85, "repro.core": 59, "repro.cli": 33, "repro.sim.scenario": 28}
+
+
+@pytest.mark.parametrize("entry_point", sorted(REPRO_MODULES))
+def test_entry_point_loads_a_pinned_number_of_repro_modules(entry_point):
+    probe = (
+        "import importlib, json, sys\n"
+        f"importlib.import_module({entry_point!r})\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'repro' or m.startswith('repro.'))))\n"
+    )
+    assert len(_loaded_modules(probe)) == REPRO_MODULES[entry_point]

@@ -120,7 +120,11 @@ def test_fault_storm_scenario_is_hash_seed_independent():
 #: when link-free jobs began batching through barriers that cannot reach them:
 #: only their batching counters moved (``_BATCHING_KEYS``; on the seed-0
 #: fixture 167 / 770 / 4.61 -> 165 / 3803 / 23.05).
+#: ``examples/scenario_fault_domains.json`` (explicit ``fail_tor``, stochastic
+#: rack / ToR / spot domains) was hashed at 95c6e9d, when it was added.
 _PINNED_REPORTS = {
+    "examples/scenario_fault_domains.json":
+        "b7b03dddfaa3c90297740908705ee483b2ccf101fd9dbfbf3d1708b9788fe554",
     "examples/scenario_fault_storm.json":
         "8192d64d7893647d79c2481fe76028945d2ff7df695554cde7fdaf09a1fff7e6",
     "examples/scenario_faults.json":
@@ -138,6 +142,8 @@ _BATCHING_KEYS = ("fast_forward_batches", "iterations_batched", "mean_batch_size
 #: The same reports without :data:`_BATCHING_KEYS`, measured at 2ea51b2 (before
 #: per-job batch horizons): how a run is batched must never move anything else.
 _PINNED_WITHOUT_BATCHING = {
+    "examples/scenario_fault_domains.json":
+        "c6486334d3a559666e0fe343bec92b2f06c05f18e3753c9b4578fd362ab2e3d9",
     "examples/scenario_fault_storm.json":
         "0179562f32a21aec418270bfb9b0354744615eae057c58c52e71fa583c2aafec",
     "examples/scenario_faults.json":

@@ -5,6 +5,7 @@ Usage::
 
     timeout 2400 python -m tools.linecov run --data .linecov -- python -m pytest -x -q
     python -m tools.linecov run --data .linecov -- python3 bench/run.py --workload sim_steady
+    python -m tools.linecov run --preset --data .linecov
     python -m tools.linecov report --data .linecov   # never-entered functions, then blocks
 
 ``run`` executes the command with a ``sitecustomize`` hook on
@@ -19,6 +20,13 @@ too, from threading's exit hook, which a pool worker shut down by
 signal writes nothing, and the collector installs no signal handler, so the
 programs it observes keep their own.  ``run`` never empties that directory,
 so several commands accumulate.
+
+``run --preset`` runs :data:`PRESET` instead of one command: every entry
+point outside ``tests/`` (each ``repro`` subcommand, example, ``bench/``
+workload and registry workload, ``pytest benchmarks`` and
+``tools.fingerprint --check``), one after another.  Its never-entered count
+is the number a change to ``src/`` is measured by; it takes about a quarter
+of an hour on two cores.
 
 Each file is written when the interpreter starts shutting down, before any
 ``atexit`` handler runs, so a handler that hangs cannot lose it; wrap long
@@ -162,17 +170,103 @@ _module.install()
 """
 
 
-def run(data: Path, command: Sequence[str]) -> int:
-    """Run ``command`` with the collector installed in each of its Python processes."""
+def run(data: Path, command: Sequence[str], env: Optional[Dict[str, str]] = None,
+        **popen: object) -> int:
+    """Run ``command`` with the collector installed in each of its Python processes.
+
+    ``env`` replaces the inherited environment and ``popen`` (``cwd``,
+    ``stdout``) goes to :func:`subprocess.call`.
+    """
     data.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="linecov-hook-") as hook:
         Path(hook, "sitecustomize.py").write_text(_HOOK.format(path=str(Path(__file__).resolve())),
                                                   encoding="utf-8")
-        env = dict(os.environ)
+        env = dict(os.environ if env is None else env)
         env[ENV_DATA] = str(data.resolve())
         env["PYTHONPATH"] = os.pathsep.join(
             part for part in (hook, env.get("PYTHONPATH", "")) if part)
-        return subprocess.call(list(command), env=env)
+        return subprocess.call(list(command), env=env, **popen)
+
+
+# --------------------------------------------------------------------------- #
+# Preset
+# --------------------------------------------------------------------------- #
+_REPRO = ("python", "-m", "repro.cli")
+_SYSTEMS = ("vanilla", "egeria", "autofreeze", "skipconv", "static_freeze", "freezeout")
+_SCENARIOS = ("examples/scenario_faults.json", "examples/scenario_fault_storm.json",
+              "examples/scenario_fault_domains.json")
+#: ``sim`` commands run four ways, as ``(environment, flags)``: plain, with
+#: fair-share links, and both under SimSan (whose fair-rate check needs both).
+_FAIR = ("--policy", "fair")
+_SIM_MODES = (((), ()), ((), _FAIR), (("REPRO_SIMSAN=1",), ()), (("REPRO_SIMSAN=1",), _FAIR))
+
+#: What ``run --preset`` runs, in order, from the repository root with ``src``
+#: on ``PYTHONPATH``.  ``python`` is this interpreter, ``{tmp}`` one scratch
+#: directory for the whole run, and leading ``NAME=value`` words set the
+#: environment.  ``tests/test_linecov.py`` checks that it names every
+#: example, ``bench/`` workload, registry workload and ``repro`` subcommand.
+PRESET: Tuple[Tuple[str, ...], ...] = (
+    *(("python", "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "3",
+       "--trace", "1")
+      for workload in ("train_cnn_egeria", "train_cnn_vanilla", "train_xfmr_egeria", "ckpt_cycle",
+                       "sim_contended", "sim_steady", "sim_fault_storm")),
+    *(("python", f"examples/{name}.py")
+      for name in ("quickstart", "image_classification_freezing", "distributed_training",
+                   "translation_and_finetuning")),
+    (*_REPRO, "list"),
+    (*_REPRO, "train", "--workload", "resnet56_cifar10", "--system", "egeria"),
+    *((*_REPRO, "compare", "--workload", workload, "--systems", *_SYSTEMS)
+      for workload in ("resnet56_cifar10", "resnet50_imagenet", "mobilenet_v2_cifar10",
+                       "deeplabv3_voc", "transformer_tiny_wmt16", "transformer_base_wmt16",
+                       "bert_squad")),
+    (*_REPRO, "ckpt", "save", "--workload", "resnet56_cifar10", "--epochs", "3",
+     "--dir", "{tmp}/ckpt"),
+    (*_REPRO, "ckpt", "inspect", "--dir", "{tmp}/ckpt"),
+    (*_REPRO, "ckpt", "restore", "--workload", "resnet56_cifar10", "--epochs", "4",
+     "--dir", "{tmp}/ckpt"),
+    # Adam's buffers take the other restore path (``Adam._load_buffer_state``).
+    (*_REPRO, "ckpt", "save", "--workload", "transformer_tiny_wmt16", "--epochs", "2",
+     "--dir", "{tmp}/ckpt-adam"),
+    (*_REPRO, "ckpt", "restore", "--workload", "transformer_tiny_wmt16", "--epochs", "3",
+     "--dir", "{tmp}/ckpt-adam"),
+    *((*env, *_REPRO, "sim", command, scenario, *flags)
+      for env, flags in _SIM_MODES for command in ("run", "faults") for scenario in _SCENARIOS),
+    (*_REPRO, "sim", "run", "examples/scenario_fault_storm.json", "--out", "{tmp}/report.json",
+     "--trace-out", "{tmp}/trace.json", "--metrics-out", "{tmp}/metrics.json"),
+    ("python", "tools/check_trace.py", "--trace", "{tmp}/trace.json",
+     "--metrics", "{tmp}/metrics.json", "--report", "{tmp}/report.json"),
+    (*_REPRO, "sim", "profile", "examples/scenario_faults.json", "--out", "{tmp}/profile.json"),
+    (*_REPRO, "sim", "profile", "examples/scenario_faults.json", "--policy", "fair",
+     "--baseline", "{tmp}/profile.json"),
+    ("REPRO_SIMSAN=1", *_REPRO, "sim", "profile", "examples/scenario_faults.json"),
+    (*_REPRO, "sim", "sweep", "examples/sweep_oversubscription.json"),
+    ("REPRO_SIMSAN=1", *_REPRO, "sim", "sweep", "examples/sweep_oversubscription.json"),
+    ("python", "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"),
+    ("python", "-m", "tools.fingerprint", "--check"),
+)
+
+
+def run_preset(data: Path) -> int:
+    """Run every :data:`PRESET` command under the collector; 1 if any of them failed."""
+    base = {name: value for name, value in os.environ.items() if name != "REPRO_SIMSAN"}
+    base["PYTHONPATH"] = os.pathsep.join(part for part in (str(SRC), base.get("PYTHONPATH", ""))
+                                         if part)
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="linecov-preset-") as scratch:
+        for index, words in enumerate(PRESET, 1):
+            print(f"[{index}/{len(PRESET)}] {' '.join(words)}", flush=True)
+            env, argv = dict(base), []
+            for word in words:
+                if not argv and "=" in word:
+                    name, value = word.split("=", 1)
+                    env[name] = value
+                else:
+                    argv.append(sys.executable if word == "python" else word.format(tmp=scratch))
+            code = run(data, argv, env=env, cwd=ROOT, stdout=subprocess.DEVNULL)
+            if code:
+                failed += 1
+                print(f"  exit {code}", flush=True)
+    return 1 if failed else 0
 
 
 # --------------------------------------------------------------------------- #
@@ -260,14 +354,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
     run_parser = commands.add_parser("run", help="run a command under the collector")
     run_parser.add_argument("--data", type=Path, required=True, help="directory for the process files")
+    run_parser.add_argument("--preset", action="store_true",
+                            help="run the PRESET command list instead of one command")
     run_parser.add_argument("cmd", nargs=argparse.REMAINDER, help="-- command and arguments")
     report_parser = commands.add_parser("report", help="merge the process files and print")
     report_parser.add_argument("--data", type=Path, required=True, help="directory of process files")
     args = parser.parse_args(argv)
     if args.command == "run":
         command = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
+        if args.preset:
+            if command:
+                parser.error("run --preset takes no command")
+            return run_preset(args.data)
         if not command:
-            parser.error("run needs a command after --")
+            parser.error("run needs a command after -- (or --preset)")
         return run(args.data, command)
     _print(report(args.data))
     return 0
