@@ -11,16 +11,14 @@ ignores the layers' actual convergence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..core.modules import LayerModule
 from ..core.tasks import TaskAdapter
 from ..core.trainer import BaseTrainer
 from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..sim.cost_model import CostModel
 
 __all__ = ["FreezeOutTrainer", "freezeout_schedule"]
 
@@ -49,11 +47,8 @@ class FreezeOutTrainer(BaseTrainer):
     def __init__(self, model: Module, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
                  scheduler: Optional[LRScheduler] = None, total_epochs: int = 50, t0: float = 0.5,
-                 cubed: bool = True, cost_model: Optional[CostModel] = None,
-                 layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "freezeout"):
-        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler,
-                         cost_model, layer_modules, comm_seconds_per_byte, name=name)
+                 cubed: bool = True, name: str = "freezeout"):
+        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, name=name)
         self.total_epochs = max(total_epochs, 1)
         freezable = max(len(self.layer_modules) - 1, 1)
         self.schedule = freezeout_schedule(freezable, t0=t0, cubed=cubed)

@@ -17,7 +17,7 @@ comparison protocol).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..sim.cost_model import CostModel
 
 __all__ = ["GradientFreezeTrainer", "module_gradient_norm"]
 
@@ -63,10 +62,8 @@ class GradientFreezeTrainer(BaseTrainer):
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
                  scheduler: Optional[LRScheduler] = None, eval_interval_iters: int = 20,
                  norm_share_threshold: float = 0.05, patience: int = 3, smoothing: float = 0.7,
-                 cost_model: Optional[CostModel] = None, layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "autofreeze"):
-        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler,
-                         cost_model, layer_modules, comm_seconds_per_byte, name=name)
+                 name: str = "autofreeze"):
+        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, name=name)
         self.eval_interval_iters = max(eval_interval_iters, 1)
         self.norm_share_threshold = norm_share_threshold
         self.patience = max(patience, 1)

@@ -17,10 +17,9 @@ freezes, reproducing the accuracy loss of Figure 8.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..core.config import EgeriaConfig
-from ..core.modules import LayerModule
 from ..core.plasticity import direct_difference_loss
 from ..core.tasks import TaskAdapter
 from ..core.trainer import EgeriaTrainer
@@ -28,7 +27,6 @@ from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..sim.cost_model import CostModel
 
 __all__ = ["SkipConvTrainer"]
 
@@ -39,10 +37,9 @@ class SkipConvTrainer(EgeriaTrainer):
     def __init__(self, model: Module, model_factory, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
                  scheduler: Optional[LRScheduler] = None, config: Optional[EgeriaConfig] = None,
-                 cost_model: Optional[CostModel] = None, layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, aggressiveness: float = 2.0, name: str = "skipconv"):
+                 aggressiveness: float = 2.0, name: str = "skipconv"):
         super().__init__(model, model_factory, task, train_loader, eval_loader, optimizer, scheduler,
-                         config, cost_model, layer_modules, comm_seconds_per_byte, name=name)
+                         config, name=name)
         # Swap the convergence signal: direct tensor difference instead of SP loss.
         self.engine.metric = direct_difference_loss
         # The direct-difference signal is flatter, which makes the slope test

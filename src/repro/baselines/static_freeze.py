@@ -9,16 +9,14 @@ prematurely can hurt accuracy by nearly 2%."
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..core.modules import LayerModule
 from ..core.tasks import TaskAdapter
 from ..core.trainer import BaseTrainer
 from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..sim.cost_model import CostModel
 
 __all__ = ["StaticFreezeTrainer"]
 
@@ -38,10 +36,8 @@ class StaticFreezeTrainer(BaseTrainer):
     def __init__(self, model: Module, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
                  scheduler: Optional[LRScheduler] = None, freeze_schedule: Optional[Dict[int, int]] = None,
-                 cost_model: Optional[CostModel] = None, layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "static_freeze"):
-        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler,
-                         cost_model, layer_modules, comm_seconds_per_byte, name=name)
+                 name: str = "static_freeze"):
+        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, name=name)
         self.freeze_schedule: Dict[int, int] = dict(freeze_schedule or {})
         self._frozen_prefix = 0
         self.freeze_events: List[Dict[str, int]] = []

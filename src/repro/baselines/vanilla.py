@@ -7,16 +7,14 @@ target every accelerated run must reach.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..core.modules import LayerModule
 from ..core.tasks import TaskAdapter
 from ..core.trainer import BaseTrainer
 from ..data.dataloader import DataLoader
 from ..nn.module import Module
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
-from ..sim.cost_model import CostModel
 
 __all__ = ["VanillaTrainer"]
 
@@ -26,8 +24,5 @@ class VanillaTrainer(BaseTrainer):
 
     def __init__(self, model: Module, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
-                 scheduler: Optional[LRScheduler] = None, cost_model: Optional[CostModel] = None,
-                 layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "vanilla"):
-        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler,
-                         cost_model, layer_modules, comm_seconds_per_byte, name=name)
+                 scheduler: Optional[LRScheduler] = None, name: str = "vanilla"):
+        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, name=name)

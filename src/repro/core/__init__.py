@@ -5,6 +5,8 @@ training system that evaluates per-layer training plasticity against a
 quantized reference model, freezes converged layer modules (skipping their
 backward computation and gradient synchronization), and caches/prefetches the
 frozen prefix's activations to skip its forward pass as well.
+
+:class:`TrainerJob` is the one way a trainer runs on a simulated cluster.
 """
 
 from .cache import ActivationCache, Prefetcher
@@ -16,12 +18,14 @@ from .plasticity import sp_loss
 from .reference import ReferenceModel
 from .tasks import ClassificationTask, TaskAdapter
 from .trainer import BaseTrainer, EgeriaTrainer
+from .trainer_job import TrainerJob
 from .worker import EgeriaWorker
 
 __all__ = [
     "EgeriaConfig",
     "EgeriaTrainer",
     "BaseTrainer",
+    "TrainerJob",
     "EgeriaController",
     "EgeriaWorker",
     "FreezingEngine",

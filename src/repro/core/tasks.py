@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import nn
 from ..data.datasets import Batch
-from ..metrics.accuracy import f1_spans, mean_iou, perplexity_from_loss, top1_accuracy
+from ..metrics.accuracy import f1_spans, mean_iou, perplexity_from_loss
 
 __all__ = [
     "TaskAdapter",
@@ -33,7 +33,6 @@ __all__ = [
     "SegmentationTask",
     "TranslationTask",
     "QuestionAnsweringTask",
-    "make_task",
 ]
 
 
@@ -189,16 +188,3 @@ class QuestionAnsweringTask(TaskAdapter):
                 pred_ends = end_logits.data.argmax(axis=-1)
                 f1_scores.append(f1_spans(pred_starts, pred_ends, batch.targets[:, 0], batch.targets[:, 1]))
         return float(np.mean(f1_scores)) if f1_scores else 0.0
-
-
-def make_task(task_name: str, **kwargs) -> TaskAdapter:
-    """Build the adapter for one of the paper's four task types."""
-    factories = {
-        "image_classification": ClassificationTask,
-        "semantic_segmentation": SegmentationTask,
-        "machine_translation": TranslationTask,
-        "question_answering": QuestionAnsweringTask,
-    }
-    if task_name not in factories:
-        raise KeyError(f"unknown task {task_name!r}; known: {sorted(factories)}")
-    return factories[task_name](**kwargs)

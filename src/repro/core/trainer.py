@@ -19,7 +19,7 @@ TTA/speedup numbers are computed from (see DESIGN.md's substitution table).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ..nn.tensor import Tensor
 from ..optim.lr_scheduler import LRScheduler
 from ..optim.optimizer import Optimizer
 from ..sim.cost_model import CostModel
-from ..sim.engine import EventDrivenEngine, SchedulePolicy
+from ..sim.engine import EventDrivenEngine
 from .cache import ActivationCache, Prefetcher
 from .config import EgeriaConfig
 from .controller import EgeriaController
@@ -100,20 +100,18 @@ class BaseTrainer:
         loss and evaluation logic.
     scheduler:
         Optional LR scheduler stepped once per epoch.
-    cost_model:
-        Optional :class:`~repro.sim.CostModel`; when omitted one is built from
-        the model's layer modules.
-    comm_seconds_per_byte:
-        Per-byte gradient synchronization cost (0 for single-GPU training).
     name:
         Label recorded in the run history.
+
+    Simulated time prices each iteration on one GPU, from a
+    :class:`~repro.sim.CostModel` over the model's layer modules.  A
+    multi-worker run on a cluster wraps the trainer in a
+    :class:`~repro.core.trainer_job.TrainerJob` instead.
     """
 
     def __init__(self, model: Module, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
-                 scheduler: Optional[LRScheduler] = None, cost_model: Optional[CostModel] = None,
-                 layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "baseline"):
+                 scheduler: Optional[LRScheduler] = None, name: str = "baseline"):
         if optimizer is None:
             raise ValueError("an optimizer is required")
         self.model = model
@@ -122,17 +120,12 @@ class BaseTrainer:
         self.eval_loader = eval_loader
         self.optimizer = optimizer
         self.scheduler = scheduler
-        self.layer_modules: List[LayerModule] = list(layer_modules) if layer_modules is not None \
-            else parse_layer_modules(model)
-        self.cost_model = cost_model or CostModel(self.layer_modules, batch_size=train_loader.batch_size)
-        self.comm_seconds_per_byte = comm_seconds_per_byte
+        self.layer_modules: List[LayerModule] = parse_layer_modules(model)
+        self.cost_model = CostModel(self.layer_modules, batch_size=train_loader.batch_size)
         self.name = name
 
-        #: Simulated time comes from the discrete-event engine; see
-        #: :meth:`configure_simulation` for pricing multi-worker runs.
+        #: Simulated time comes from the discrete-event engine.
         self.sim_engine: EventDrivenEngine = EventDrivenEngine()
-        self.sim_workers = None
-        self.sim_policy = SchedulePolicy.VANILLA
 
         self.iteration = 0
         self.simulated_time = 0.0
@@ -194,39 +187,14 @@ class BaseTrainer:
         self.optimizer.step()
         return float(loss.item())
 
-    def configure_simulation(self, engine: Optional[EventDrivenEngine] = None,
-                             workers=None, policy: str = SchedulePolicy.VANILLA) -> None:
-        """Select the engine, workers and policy that price simulated time.
-
-        Every iteration is replayed through the discrete-event
-        :class:`~repro.sim.engine.EventDrivenEngine`, which prices per-GPU
-        compute and per-link communication events and therefore reflects
-        stragglers, heterogeneous GPU speeds and bucket serialization.
-        """
-        self.sim_engine = engine or EventDrivenEngine()
-        self.sim_workers = list(workers) if workers else None
-        if self.sim_workers is not None and len(self.sim_workers) > 1 and \
-                self.sim_engine.allreduce is None:
-            # Without an all-reduce model every gradient bucket would be
-            # priced at zero and communication silently vanish from the
-            # simulated time — require a cluster-backed engine instead.
-            raise ValueError("multi-worker event simulation requires an engine built over a "
-                             "Cluster (EventDrivenEngine(cluster)) so communication can be priced")
-        self.sim_policy = policy
-
     def _account_iteration_time(self) -> None:
-        # Multi-worker runs price communication through the engine's
-        # all-reduce model; single-worker runs reuse the trainer's linear
-        # per-byte coefficient, as ``CostModel.iteration`` prices it.
-        scalar_comm = self.comm_seconds_per_byte if self.sim_workers is None else None
+        # One GPU, so no gradient synchronization: a zero per-byte cost.
         result = self.sim_engine.simulate_iteration(
             self.cost_model,
-            workers=self.sim_workers,
             frozen_prefix=self.frozen_prefix(),
             cached_fp=self.uses_cached_fp(),
-            policy=self.sim_policy,
             include_reference_overhead=self.include_reference_overhead(),
-            comm_seconds_per_byte=scalar_comm,
+            comm_seconds_per_byte=0.0,
         )
         self.simulated_time += result.total
 
@@ -387,10 +355,8 @@ class EgeriaTrainer(BaseTrainer):
     def __init__(self, model: Module, model_factory, task: TaskAdapter, train_loader: DataLoader,
                  eval_loader: Optional[DataLoader] = None, optimizer: Optional[Optimizer] = None,
                  scheduler: Optional[LRScheduler] = None, config: Optional[EgeriaConfig] = None,
-                 cost_model: Optional[CostModel] = None, layer_modules: Optional[Sequence[LayerModule]] = None,
-                 comm_seconds_per_byte: float = 0.0, name: str = "egeria"):
-        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, cost_model,
-                         layer_modules, comm_seconds_per_byte, name=name)
+                 name: str = "egeria"):
+        super().__init__(model, task, train_loader, eval_loader, optimizer, scheduler, name=name)
         self.config = config or EgeriaConfig()
         self.engine = FreezingEngine(self.layer_modules, self.config)
         self.channels = EvaluationChannels()

@@ -1,8 +1,9 @@
 """Trainer-backed cluster jobs: a real trainer driving a simulated job.
 
-Everything else in :mod:`repro.sim` prices *synthetic* jobs — a frozen-prefix
-schedule and a byte estimate stand in for real training.  :class:`TrainerJob`
-closes the loop: it wraps a live :class:`~repro.core.trainer.BaseTrainer` /
+:mod:`repro.sim` prices *synthetic* jobs — a frozen-prefix schedule and a
+byte estimate stand in for real training — and knows nothing of the trainer.
+:class:`TrainerJob` is the one bridge from the training side: it wraps a live
+:class:`~repro.core.trainer.BaseTrainer` /
 :class:`~repro.core.trainer.EgeriaTrainer` and advances it one *real*
 iteration per simulated iteration, so
 
@@ -29,8 +30,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ..metrics.tracking import EpochRecord, RunHistory
-from .engine import SchedulePolicy
-from .scheduler import SimJob
+from ..sim.engine import SchedulePolicy
+from ..sim.scheduler import SimJob
 
 __all__ = ["TrainerJob"]
 

@@ -42,7 +42,7 @@ from .. import nn
 from ..analysis import ConvergenceAnalyzer
 from ..baselines import DistributedThroughputComparison
 from ..ckpt import CheckpointManager, MemoryBackend
-from ..core import EgeriaConfig, EgeriaTrainer, parse_layer_modules, sp_loss
+from ..core import EgeriaConfig, EgeriaTrainer, TrainerJob, parse_layer_modules, sp_loss
 from ..core.hooks import ActivationRecorder
 from ..core.reference import ReferenceModel
 from ..metrics.tracking import RunHistory
@@ -57,7 +57,6 @@ from ..sim import (
     EventDrivenEngine,
     SchedulePolicy,
     SimJob,
-    TrainerJob,
     paper_testbed_cluster,
     single_node_cluster,
 )

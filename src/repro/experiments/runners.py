@@ -24,7 +24,6 @@ from ..baselines import (
 from ..core.config import EgeriaConfig
 from ..core.trainer import BaseTrainer, EgeriaTrainer
 from ..metrics.tracking import RunHistory, tta_speedup
-from ..sim import Cluster, EventDrivenEngine
 from .workloads import Workload
 
 __all__ = ["SYSTEMS", "build_trainer", "run_trainer", "compare_systems", "ComparisonRow"]
@@ -33,15 +32,15 @@ __all__ = ["SYSTEMS", "build_trainer", "run_trainer", "compare_systems", "Compar
 SYSTEMS = ("vanilla", "egeria", "autofreeze", "skipconv", "static_freeze", "freezeout")
 
 
-def build_trainer(system: str, workload: Workload, comm_seconds_per_byte: float = 0.0,
-                  config: Optional[EgeriaConfig] = None, **overrides) -> BaseTrainer:
+def build_trainer(system: str, workload: Workload, config: Optional[EgeriaConfig] = None,
+                  **overrides) -> BaseTrainer:
     model = workload.make_model()
     optimizer = workload.make_optimizer(model)
     scheduler = workload.make_scheduler(optimizer)
     train_loader = workload.train_loader()
     eval_loader = workload.eval_loader()
     common = dict(task=workload.task, train_loader=train_loader, eval_loader=eval_loader,
-                  optimizer=optimizer, scheduler=scheduler, comm_seconds_per_byte=comm_seconds_per_byte)
+                  optimizer=optimizer, scheduler=scheduler)
     egeria_config = config or workload.egeria_config
 
     if system == "vanilla":
@@ -74,27 +73,19 @@ def build_trainer(system: str, workload: Workload, comm_seconds_per_byte: float 
 
 
 def run_trainer(system: str, workload: Workload, num_epochs: Optional[int] = None,
-                comm_seconds_per_byte: float = 0.0, config: Optional[EgeriaConfig] = None,
-                sim_cluster: Optional[Cluster] = None,
-                sim_num_machines: Optional[int] = None, sim_gpus_per_machine: Optional[int] = None,
-                checkpoint_manager=None, checkpoint_every: int = 1,
-                **overrides) -> Dict[str, object]:
+                config: Optional[EgeriaConfig] = None, checkpoint_manager=None,
+                checkpoint_every: int = 1, **overrides) -> Dict[str, object]:
     """Train one system on one workload; returns history, trainer summary, etc.
 
-    Simulated time is accounted through the discrete-event engine; with a
-    ``sim_cluster`` the engine also prices per-link communication for
-    ``sim_num_machines`` x ``sim_gpus_per_machine`` workers (otherwise the
-    single-GPU compute timeline is replayed event by event).
+    Simulated time is the single-GPU compute timeline, replayed event by
+    event; a multi-worker run goes through a
+    :class:`~repro.core.trainer_job.TrainerJob` on a cluster scheduler.
 
     With a ``checkpoint_manager`` (see :mod:`repro.ckpt`) the trainer saves a
     full training-state snapshot every ``checkpoint_every`` epochs; the
     result dict then carries the per-checkpoint ``"checkpoints"`` history.
     """
-    trainer = build_trainer(system, workload, comm_seconds_per_byte, config, **overrides)
-    if sim_cluster is not None:
-        workers = sim_cluster.workers(num_machines=sim_num_machines,
-                                      gpus_per_machine=sim_gpus_per_machine)
-        trainer.configure_simulation(engine=EventDrivenEngine(sim_cluster), workers=workers)
+    trainer = build_trainer(system, workload, config, **overrides)
     if checkpoint_manager is not None:
         trainer.configure_checkpointing(checkpoint_manager, checkpoint_every=checkpoint_every)
     history = trainer.fit(num_epochs or workload.num_epochs)

@@ -1,7 +1,8 @@
 """Accuracy metrics used in the paper's evaluation (Table 1).
 
-Top-1 accuracy for image classification, mean IoU for semantic segmentation,
-perplexity for machine translation and span F1 for question answering.
+Mean IoU for semantic segmentation, perplexity for machine translation and
+span F1 for question answering; image classification's top-1 accuracy is
+counted inline by ``repro.core.tasks.ClassificationTask.evaluate``.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["top1_accuracy", "mean_iou", "perplexity_from_loss", "f1_spans", "span_f1_single"]
-
-
-def top1_accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of samples whose arg-max prediction matches the target."""
-    predictions = np.asarray(logits).argmax(axis=-1)
-    targets = np.asarray(targets)
-    return float((predictions == targets).mean()) if targets.size else 0.0
+__all__ = ["mean_iou", "perplexity_from_loss", "f1_spans", "span_f1_single"]
 
 
 def mean_iou(predictions: np.ndarray, targets: np.ndarray, num_classes: int) -> float:

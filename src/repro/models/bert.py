@@ -19,9 +19,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .. import nn
+from ..optim import Adam
 from .chain import ChainModel
 
-__all__ = ["BertLite", "BertForQuestionAnswering", "bert_qa_lite", "pretrain_bert_lite"]
+__all__ = ["BertLite", "BertForQuestionAnswering", "pretrain_bert_lite"]
 
 
 class BertEncoderLayer(nn.Module):
@@ -90,11 +91,6 @@ class BertForQuestionAnswering(ChainModel):
         return logits[:, :, 0], logits[:, :, 1]
 
 
-def bert_qa_lite(num_layers: int = 12, seed: int = 0, **kwargs) -> BertForQuestionAnswering:
-    """BERT-lite with the SQuAD-style span head attached."""
-    return BertForQuestionAnswering(encoder=BertLite(num_layers=num_layers, seed=seed, **kwargs), seed=seed)
-
-
 def pretrain_bert_lite(model: BertLite, num_steps: int = 30, batch_size: int = 8, seq_len: int = 16,
                        lr: float = 5e-3, seed: int = 0) -> BertLite:
     """Run a short masked-token prediction pass to produce a "pre-trained" BERT.
@@ -110,8 +106,6 @@ def pretrain_bert_lite(model: BertLite, num_steps: int = 30, batch_size: int = 8
     """
     if nn.init.random_init_skipped():
         return model
-    from ..optim import Adam  # local import to avoid a package cycle
-
     rng = np.random.default_rng(seed)
     head = nn.Linear(model.d_model, model.vocab_size, rng=rng)
     optimizer = Adam(list(model.parameters()) + list(head.parameters()), lr=lr)

@@ -18,7 +18,7 @@ from ..nn import functional as F
 from .chain import ChainModel
 from .resnet import CifarResNet
 
-__all__ = ["ASPPLite", "DeepLabV3Lite", "deeplabv3_lite"]
+__all__ = ["ASPPLite", "DeepLabV3Lite"]
 
 
 class ASPPLite(nn.Module):
@@ -72,8 +72,3 @@ class DeepLabV3Lite(ChainModel):
         logits = F.upsample_nearest(logits, self.output_stride)
         # Returns (N, num_classes, H, W); the loss flattens spatial dims.
         return logits.transpose(0, 2, 3, 1)
-
-
-def deeplabv3_lite(num_classes: int = 8, seed: int = 0) -> DeepLabV3Lite:
-    """Default DeepLabv3-lite configuration used by the Figure 8b benchmark."""
-    return DeepLabV3Lite(num_classes=num_classes, seed=seed)

@@ -17,7 +17,7 @@ import numpy as np
 from .. import nn
 from .chain import ChainModel
 
-__all__ = ["CifarResNet", "resnet56", "resnet8", "ImageNetResNet", "resnet50_lite"]
+__all__ = ["CifarResNet", "resnet8", "ImageNetResNet"]
 
 
 class CifarResNet(ChainModel):
@@ -61,11 +61,6 @@ class CifarResNet(ChainModel):
     def features(self, x: nn.Tensor) -> nn.Tensor:
         """Backbone features before global pooling."""
         return self.run_stages(x, stop=-1)
-
-
-def resnet56(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
-    """The paper's ResNet-56 for CIFAR-10 (three stages of 9 basic blocks)."""
-    return CifarResNet(depth=56, num_classes=num_classes, width=width, seed=seed)
 
 
 def resnet8(num_classes: int = 10, width: float = 1.0, seed: int = 0) -> CifarResNet:
@@ -112,8 +107,3 @@ class ImageNetResNet(ChainModel):
 
         self.set_stages(["conv1", ("layer1", ["bn1", "relu", "maxpool"]), "layer2", "layer3", "layer4",
                          ("fc", ["avgpool", "flatten"])])
-
-
-def resnet50_lite(num_classes: int = 100, base_width: int = 8, seed: int = 0) -> ImageNetResNet:
-    """Width-scaled ResNet-50 (stages 3-4-6-3 of bottleneck blocks)."""
-    return ImageNetResNet(stage_blocks=(3, 4, 6, 3), num_classes=num_classes, base_width=base_width, seed=seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import nn
 
-__all__ = ["TransformerMT", "transformer_base_lite", "transformer_tiny"]
+__all__ = ["TransformerMT", "transformer_tiny"]
 
 
 def causal_mask(size: int) -> np.ndarray:
@@ -110,12 +110,6 @@ class TransformerMT(nn.Module):
         memory = self.encode(src_tokens, tail_path, hidden)
         decoded = self.decode(tgt_tokens, memory)
         return self.generator(decoded)
-
-
-def transformer_base_lite(vocab_size: int = 128, seed: int = 0) -> TransformerMT:
-    """6+6-layer Transformer with scaled-down model dimension (paper: Transformer-Base)."""
-    return TransformerMT(vocab_size=vocab_size, d_model=32, num_heads=4, d_ff=64,
-                         num_encoder_layers=6, num_decoder_layers=6, seed=seed)
 
 
 def transformer_tiny(vocab_size: int = 64, seed: int = 0) -> TransformerMT:

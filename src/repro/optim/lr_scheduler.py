@@ -9,7 +9,7 @@ layers if the LR has dropped over a factor of 10 since the frontmost layers'
 freeze".
 
 The triangular :class:`CyclicalLR` is §4.2.2's cyclical case: it triggers the
-user-customisable unfreeze path instead.  No registry workload uses it, so
+user-customisable unfreeze path instead.  No workload uses it, so
 only tests reach that path.
 """
 

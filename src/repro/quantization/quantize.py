@@ -77,16 +77,27 @@ def quantize_array(array: np.ndarray, spec: QuantizationSpec = INT8) -> Tuple[np
     Returns ``(quantized_values, scale)``.  Integer precisions use symmetric
     per-tensor quantization (zero point fixed at 0, like PyTorch's default for
     weights); float precisions return the cast array with scale 1.
+
+    Non-finite entries (a diverged snapshot) never reach the integer cast:
+    the scale comes from the finite entries alone (1 when there are none),
+    NaN quantizes to 0 and ±inf to ±``qmax``.
     """
     if spec.is_float:
         if spec.bits == 32:
             return array.astype(np.float32), 1.0
         return array.astype(np.float16), 1.0
     max_abs = float(np.max(np.abs(array))) if array.size else 0.0
+    all_finite = np.isfinite(max_abs)
+    if not all_finite:
+        finite_entries = np.abs(array[np.isfinite(array)])
+        max_abs = float(np.max(finite_entries)) if finite_entries.size else 0.0
     scale = max_abs / spec.qmax if max_abs > 0 else 1.0
     if array.dtype.kind == "f" and array.dtype.type(scale) == 0:
         # max_abs is a few subnormal steps, fewer than qmax: count the steps exactly.
         scale = float(np.finfo(array.dtype).smallest_subnormal)
+    if not all_finite:
+        limit = spec.qmax * scale
+        array = np.nan_to_num(array, nan=0.0, posinf=limit, neginf=-limit)
     quantized = np.clip(np.round(array / scale), -spec.qmax - 1, spec.qmax).astype(np.int8 if spec.bits <= 8 else np.int16)
     return quantized, scale
 

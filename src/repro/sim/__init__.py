@@ -17,9 +17,13 @@ jobs' all-reduce buckets and checkpoint transfers under a pluggable
 discipline: first-fit FIFO serialization
 (:class:`~repro.sim.resources.ResourceTimeline`) or processor sharing
 (:class:`~repro.sim.resources.FairShareTimeline`), selected by ``policy`` per
-resource.  :class:`TrainerJob` runs a *real* trainer inside the simulated
-cluster, and :func:`run_scenario` replays a plain-JSON scenario to a
-deterministic timeline/makespan report (the ``repro sim run`` CLI).
+resource.  :func:`run_scenario` replays a plain-JSON scenario — jobs given as
+per-module parameter-count lists — to a deterministic timeline/makespan
+report (the ``repro sim run`` CLI).
+
+The package imports no other ``repro`` package (SimLint SIM007 holds the
+layer table): it prices anything that reads as a list of module sizes.  A
+real trainer enters a cluster through :class:`repro.core.TrainerJob`.
 
 Robustness scenarios come from the fault model (:mod:`repro.sim.faults`,
 ``docs/faults.md``): correlated failure domains (machine/rack/ToR), mid-run
@@ -51,8 +55,8 @@ enabled per scenario via ``"observe": true`` or the ``repro sim run
 :class:`~repro.sim.observe.SimObserver` that records a structured sim-time
 trace (Chrome ``trace_event`` JSON for Perfetto) and metric timelines
 (:class:`~repro.sim.observe.MetricsRegistry`) without perturbing the
-simulation, and :func:`profile_scenario` (``repro sim profile``) ranks the
-simulator's own hot functions under ``cProfile``.
+simulation, and :func:`profile_scenario` (:mod:`repro.sim.profile`, ``repro
+sim profile``) ranks the simulator's own hot functions under ``cProfile``.
 """
 
 from .allreduce import AllReduceModel
@@ -60,11 +64,10 @@ from .cluster import Cluster, ClusterSpec, paper_testbed_cluster, single_node_cl
 from .cost_model import CostModel
 from .engine import EventDrivenEngine, SchedulePolicy
 from .sanitizer import SimSanitizer
-from .observe import diff_profiles, profile_scenario
+from .profile import diff_profiles, profile_scenario
 from .scenario import preview_faults, run_scenario
 from .scheduler import ClusterScheduler, SimJob
 from .sweep import run_sweep
-from .trainer_job import TrainerJob
 
 __all__ = [
     "CostModel",
@@ -77,7 +80,6 @@ __all__ = [
     "EventDrivenEngine",
     "ClusterScheduler",
     "SimJob",
-    "TrainerJob",
     "run_scenario",
     "preview_faults",
     "run_sweep",

@@ -25,13 +25,20 @@ time (plus a small prefetch overhead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-if TYPE_CHECKING:  # type-only: a runtime import would cycle through repro.core
-    from ..core.modules import LayerModule
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 __all__ = ["GPUSpec", "IterationBreakdown", "CostModel"]
+
+
+class SizedModule(Protocol):
+    """All the cost model reads of a layer module: its parameter count.
+
+    A training model's ``repro.core`` layer modules qualify, and so does a
+    scenario's plain list of per-module sizes.
+    """
+
+    num_params: int
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,8 @@ class CostModel:
     Parameters
     ----------
     layer_modules:
-        The front-to-back module decomposition of the training model.
+        The front-to-back module decomposition of the training model; only
+        each module's ``num_params`` is read.
     batch_size:
         Mini-batch size per worker.
     gpu:
@@ -107,7 +115,7 @@ class CostModel:
         (the paper measures "up to 1.5%", §6.5).
     """
 
-    def __init__(self, layer_modules: Sequence[LayerModule], batch_size: int = 32,
+    def __init__(self, layer_modules: Sequence[SizedModule], batch_size: int = 32,
                  gpu: Optional[GPUSpec] = None, cache_overhead_fraction: float = 0.15,
                  reference_overhead_fraction: float = 0.015):
         """Capture the module decomposition and accelerator description."""
@@ -117,7 +125,7 @@ class CostModel:
         self.cache_overhead_fraction = cache_overhead_fraction
         self.reference_overhead_fraction = reference_overhead_fraction
         self._module_params_key: Optional[Tuple[int, ...]] = None
-        self._module_params_src: Optional[List[LayerModule]] = None
+        self._module_params_src: Optional[List[SizedModule]] = None
 
     def fingerprint(self) -> Tuple:
         """Hashable digest of every parameter that shapes iteration timing.
@@ -146,15 +154,15 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # Per-module primitives
     # ------------------------------------------------------------------ #
-    def module_forward_time(self, module: LayerModule) -> float:
+    def module_forward_time(self, module: SizedModule) -> float:
         """Seconds of forward compute one module costs per iteration."""
         return self.gpu.fp_seconds_per_param * module.num_params * self.batch_size
 
-    def module_backward_time(self, module: LayerModule) -> float:
+    def module_backward_time(self, module: SizedModule) -> float:
         """Seconds of backward compute one module costs per iteration."""
         return self.module_forward_time(module) * self.gpu.bp_fp_ratio
 
-    def module_gradient_bytes(self, module: LayerModule) -> int:
+    def module_gradient_bytes(self, module: SizedModule) -> int:
         """Gradient payload of one module (fp32 parameters)."""
         return module.num_params * 4
 

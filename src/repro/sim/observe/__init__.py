@@ -2,8 +2,8 @@
 
 The simulator's headline guarantees (determinism, bit-identical fast-forward,
 byte conservation) are enforced by SimLint and SimSan; *SimScope* is the layer
-that makes a run's behaviour **visible**.  Three pillars, all reading sim time
-from the event loop (never the wall clock) and all transparent — an observed
+that makes a run's behaviour **visible**.  Two pillars, both reading sim time
+from the event loop (never the wall clock) and both transparent — an observed
 run is bit-identical to a plain run:
 
 * :class:`Tracer` (:mod:`repro.sim.observe.trace`) — structured sim-time
@@ -16,11 +16,10 @@ run is bit-identical to a plain run:
   gauges and histograms sampled in sim time: cluster utilization, per-link
   throughput and queue depth, job queue latency, fast-forward cache hit
   rate, frozen-prefix fraction — exported as JSON or CSV time-series and
-  summarized per-cell in ``repro sim sweep`` output;
-* :func:`profile_scenario` (:mod:`repro.sim.observe.profile`) — the
-  profiling harness behind ``repro sim profile``: runs a scenario under
-  ``cProfile`` and reports ranked hot functions plus wall-clock events/sec
-  in a machine-readable report.
+  summarized per-cell in ``repro sim sweep`` output.
+
+The profiling harness behind ``repro sim profile`` replays whole scenarios,
+so it sits above this package, in :mod:`repro.sim.profile`.
 
 :class:`SimObserver` (:mod:`repro.sim.observe.observer`) is the hook surface
 the engine, scheduler and resource timelines call into, mirroring SimSan's
@@ -37,7 +36,6 @@ Perfetto workflow and the overhead budget.
 from .checker import check_metrics, check_trace
 from .metrics import MetricSeries, MetricsRegistry
 from .observer import SimObserver
-from .profile import diff_profiles, profile_scenario
 from .trace import Tracer
 
 __all__ = [
@@ -45,8 +43,6 @@ __all__ = [
     "MetricSeries",
     "MetricsRegistry",
     "SimObserver",
-    "profile_scenario",
-    "diff_profiles",
     "check_trace",
     "check_metrics",
 ]

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 from .metrics import MetricsRegistry
 from .trace import Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine attaches us)
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..engine import EngineIterationResult
     from ..resources import BaseResourceTimeline, ResourcePool
 

@@ -22,6 +22,8 @@ import pstats
 import time
 from typing import Dict, List, Optional, Union
 
+from .scenario import run_scenario
+
 __all__ = ["profile_scenario", "diff_profiles"]
 
 #: ``sort`` choices mapped to their pstats row column.
@@ -69,8 +71,6 @@ def profile_scenario(scenario: Union[str, Dict[str, object]], top: int = 25,
     """
     if sort not in _SORT_COLUMNS:
         raise ValueError(f"sort must be one of {_SORT_COLUMNS}, got {sort!r}")
-    from ..scenario import run_scenario  # late: scenario imports this package
-
     profiler = cProfile.Profile()
     begin = time.perf_counter()  # simlint: disable=SIM001 -- host-side profiling harness, never feeds sim time
     profiler.enable()

@@ -21,9 +21,7 @@ Scenario schema (all keys optional unless noted)::
       "observe": false,                     # or {"trace": true, "metrics": true}
       "jobs": [
         {"name": "a",                       # required, unique
-         "workload": "resnet50_imagenet",   # cost model source ...
-         "scale": "tiny",
-         "modules": [1000, 2000, ...],      # ... or explicit per-module params
+         "modules": [1000, 2000, ...],      # required: per-module parameter counts
          "batch_size": 32,
          "num_workers": 4, "iterations": 10,
          "policy": "vanilla", "frozen_prefix": 0, "cached_fp": false,
@@ -48,10 +46,14 @@ Every fault-event reference (GPU/machine/resource names, recovery ordering)
 is validated here at build time with a pointed error, as is
 resume-before-preempt ordering in the ``resumes`` list.
 
-Jobs take their cost model either from a named experiment workload
-(``workload``/``scale``) or from an explicit ``modules`` list of per-module
-parameter counts; exactly one of the two must be given.  Unknown keys raise
-``ValueError`` so typos fail loudly instead of silently changing the run.
+A job's cost model is its ``modules`` list of per-module parameter counts —
+all :class:`~repro.sim.cost_model.CostModel` reads of a model.  A training
+workload's list is one line on the training side::
+
+    [m.num_params for m in parse_layer_modules(build_workload(name, scale).make_model())]
+
+Unknown keys raise ``ValueError`` so typos fail loudly instead of silently
+changing the run.
 
 Resource scheduling disciplines (``"fifo"`` first-fit serialization vs
 ``"fair"`` processor sharing — see :mod:`repro.sim.resources` and
@@ -99,7 +101,7 @@ _CLUSTER_KEYS = {"num_machines", "gpus_per_machine", "nic_gbps", "tor_uplink_gbp
                  "num_tor_switches", "num_core_switches", "fabric_gbps", "storage_gbps",
                  "fabric_policy", "storage_policy", "per_tor_fabric", "core_gbps"}
 _RESOURCE_KEYS = {"name", "bandwidth_gbps", "kind", "latency_seconds", "policy"}
-_JOB_KEYS = {"name", "workload", "scale", "modules", "batch_size", "num_workers",
+_JOB_KEYS = {"name", "modules", "batch_size", "num_workers",
              "iterations", "policy", "frozen_prefix", "cached_fp",
              "include_reference_overhead", "arrival_time", "checkpoint_every",
              "storage", "link", "async_checkpoint", "weight"}
@@ -148,34 +150,20 @@ def _check_keys(mapping: Dict, allowed: set, where: str) -> None:
 
 
 class _SizedModule(NamedTuple):
-    """A module-list entry: all the cost model reads of a layer module is its size.
-
-    Not a ``repro.core`` ``LayerModule``, so a scenario without workload-backed
-    jobs never imports the training stack.
-    """
+    """A module-list entry: all the cost model reads of a layer module is its size."""
 
     num_params: int
 
 
 def _job_cost_model(spec: Dict) -> CostModel:
-    """Cost model from a named workload or an explicit module list."""
-    has_workload = spec.get("workload") is not None
-    has_modules = spec.get("modules") is not None
-    if has_workload == has_modules:
-        raise ValueError(f"job {spec.get('name')!r}: give exactly one of 'workload' or 'modules'")
-    batch_size = int(spec.get("batch_size", 32))
-    if has_modules:
-        counts = [int(c) for c in spec["modules"]]
-        if not counts or any(c <= 0 for c in counts):
-            raise ValueError(f"job {spec.get('name')!r}: 'modules' must be positive param counts")
-        modules = [_SizedModule(c) for c in counts]
-        return CostModel(modules, batch_size=batch_size)
-    from ..core.modules import parse_layer_modules
-    from ..experiments.workloads import build_workload  # lazy: experiments -> sim
-
-    workload = build_workload(str(spec["workload"]), scale=str(spec.get("scale", "tiny")))
-    modules = parse_layer_modules(workload.make_model())
-    return CostModel(modules, batch_size=int(spec.get("batch_size", workload.batch_size)))
+    """Cost model from a job's ``modules`` list of per-module parameter counts."""
+    if spec.get("modules") is None:
+        raise ValueError(f"job {spec.get('name')!r}: 'modules' is required")
+    counts = [int(c) for c in spec["modules"]]
+    if not counts or any(c <= 0 for c in counts):
+        raise ValueError(f"job {spec.get('name')!r}: 'modules' must be positive param counts")
+    return CostModel([_SizedModule(c) for c in counts],
+                     batch_size=int(spec.get("batch_size", 32)))
 
 
 def _read_spec(scenario: Union[str, Dict]) -> Dict:

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
 from ..cost_model import CostModel
 from ..engine import SchedulePolicy
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from ...metrics.tracking import RunHistory
+
+class RunSeries(Protocol):
+    """All a job record reads of a trainer-backed job's training history."""
+
+    def losses(self) -> List[float]:
+        """Per-iteration training loss."""
+
+    def frozen_fractions(self) -> List[float]:
+        """Per-iteration fraction of parameters frozen."""
 
 
 @dataclass
@@ -43,7 +50,7 @@ class SimJob:
 
     The ``begin_iteration``/``iteration_profile``/``checkpoint_write_bytes``
     /``restore_read_bytes``/``rollback`` hooks are the scheduler's interface
-    to the job; :class:`~repro.sim.trainer_job.TrainerJob` overrides them to
+    to the job; :class:`~repro.core.trainer_job.TrainerJob` overrides them to
     run a *real* trainer (live freezing decisions, content-addressed
     checkpoint bytes) inside the simulated cluster.
     """
@@ -87,14 +94,14 @@ class SimJob:
         plotted against cluster time.
         """
 
-    def run_history(self) -> Optional["RunHistory"]:
+    def run_history(self) -> Optional[RunSeries]:
         """Per-iteration training history to expose on the job's record.
 
         The base (cost-model-only) job has no real training signal and
-        returns ``None``; :class:`~repro.sim.trainer_job.TrainerJob` returns
-        its live :class:`~repro.metrics.tracking.RunHistory` (loss and
-        frozen-fraction series).  The scheduler attaches the returned object
-        to :attr:`JobRecord.history` at submit time.
+        returns ``None``; :class:`~repro.core.trainer_job.TrainerJob` returns
+        its live run history (loss and frozen-fraction series).  The
+        scheduler attaches the returned object to :attr:`JobRecord.history`
+        at submit time.
         """
         return None
 
@@ -163,7 +170,7 @@ class JobRecord:
     #: Live per-iteration training history (loss, frozen fraction) for
     #: trainer-backed jobs; ``None`` for cost-model-only jobs, which keeps
     #: their serialized records byte-identical to earlier revisions.
-    history: Optional["RunHistory"] = None
+    history: Optional[RunSeries] = None
 
     @property
     def queueing_delay(self) -> Optional[float]:

@@ -458,5 +458,5 @@ def closed_form_seconds(trainer) -> float:
     """``CostModel.iteration`` total of the iteration ``trainer`` is about to account."""
     return trainer.cost_model.iteration(
         frozen_prefix=trainer.frozen_prefix(), cached_fp=trainer.uses_cached_fp(),
-        comm_seconds_per_byte=trainer.comm_seconds_per_byte,
+        comm_seconds_per_byte=0.0,
         include_reference_overhead=trainer.include_reference_overhead()).total

@@ -23,7 +23,6 @@ from repro.metrics import (
     mean_iou,
     perplexity_from_loss,
     span_f1_single,
-    top1_accuracy,
     tta_speedup,
 )
 from repro.sim import AllReduceModel, CostModel, paper_testbed_cluster, single_node_cluster
@@ -233,10 +232,6 @@ class TestGPUDeviceName:
 
 
 class TestMetrics:
-    def test_top1(self):
-        logits = np.array([[0.1, 0.9], [0.8, 0.2]])
-        assert top1_accuracy(logits, np.array([1, 0])) == 1.0
-
     def test_mean_iou_perfect_and_disjoint(self):
         pred = np.array([[0, 1], [1, 0]])
         assert mean_iou(pred, pred, 2) == 1.0
@@ -251,13 +246,6 @@ class TestMetrics:
         assert span_f1_single(0, 1, 4, 5) == 0.0
         assert 0.0 < span_f1_single(2, 5, 3, 5) < 1.0
         assert f1_spans([1], [2], [1], [2]) == 1.0
-
-    def test_top1_counts_the_share_of_arg_max_hits(self):
-        logits = np.array([[0.1, 0.9, 0.0], [0.8, 0.2, 0.0], [0.0, 0.1, 0.7], [0.3, 0.3, 0.4]])
-        assert top1_accuracy(logits, np.array([1, 0, 1, 0])) == 0.5
-
-    def test_top1_of_no_samples_is_zero(self):
-        assert top1_accuracy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)) == 0.0
 
     def test_mean_iou_averages_only_classes_that_occur(self):
         pred = np.array([0, 0, 1, 1])

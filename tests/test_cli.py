@@ -174,6 +174,18 @@ class TestSimCommands:
         captured = capsys.readouterr()
         assert message in captured.err and not captured.out
 
+    @pytest.mark.parametrize("job, message", [
+        ({"workload": "resnet56_cifar10", "scale": "tiny"}, "unknown job keys ['scale', 'workload']"),
+        ({}, "job 'a': 'modules' is required"),
+        ({"modules": [1000, 0]}, "job 'a': 'modules' must be positive param counts"),
+    ])
+    def test_sim_run_jobs_are_module_lists(self, tmp_path, capsys, job, message):
+        """A job's cost model is its ``modules`` list; the workload-backed form is gone."""
+        spec = dict(self.SCENARIO, jobs=[{"name": "a", "num_workers": 2, **job}])
+        assert main(["sim", "run", self._write(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
     def _assert_wrong_types_rejected(self, command, tmp_path, capsys):
         """A value of the wrong JSON type is a reported error, not a traceback."""
         for wrong in ({"cluster": {"num_machines": "two"}}, {"jobs": 5}, {"jobs": [7]}):

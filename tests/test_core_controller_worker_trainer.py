@@ -18,7 +18,7 @@ from repro.core import (
     parse_layer_modules,
 )
 from repro.core.queues import EvaluationChannels
-from repro.core.tasks import QuestionAnsweringTask, SegmentationTask, TranslationTask, make_task
+from repro.core.tasks import QuestionAnsweringTask, SegmentationTask, TranslationTask
 from repro.data import DataLoader, make_dataset
 
 
@@ -110,14 +110,6 @@ class TestControllerWorkerProtocol:
 
 
 class TestTaskAdapters:
-    def test_make_task_factory(self):
-        assert isinstance(make_task("image_classification"), ClassificationTask)
-        assert isinstance(make_task("semantic_segmentation"), SegmentationTask)
-        assert isinstance(make_task("machine_translation"), TranslationTask)
-        assert isinstance(make_task("question_answering"), QuestionAnsweringTask)
-        with pytest.raises(KeyError):
-            make_task("reinforcement_learning")
-
     def test_classification_loss_and_eval(self, tiny_model, tiny_dataset):
         task = ClassificationTask()
         batch = tiny_dataset.get_batch(np.arange(8))
@@ -167,7 +159,7 @@ class TestTaskAdapters:
 
     def test_qa_task(self):
         task = QuestionAnsweringTask()
-        model = models.bert_qa_lite(num_layers=2, vocab_size=64, d_model=16, num_heads=2, d_ff=32)
+        model = models.BertForQuestionAnswering(num_layers=2, vocab_size=64, d_model=16, num_heads=2, d_ff=32)
         dataset = make_dataset("synthetic_squad", num_samples=16, vocab_size=64, seq_len=12, seed=0)
         batch = dataset.get_batch(np.arange(4))
         loss = task.loss(task.forward(model, batch), batch)

@@ -28,7 +28,7 @@ class TestLayerModuleParsing:
         assert tiny_layer_modules[0].paths[0] == "conv1"
 
     def test_large_stage_split_by_max_fraction(self):
-        model = models.resnet56()
+        model = models.CifarResNet(depth=56)
         modules = parse_layer_modules(model, max_fraction=0.2)
         total = sum(m.num_params for m in modules)
         # No group (except possibly a single indivisible block) exceeds ~the budget.

@@ -19,19 +19,16 @@ from repro.ckpt import CheckpointManager, MemoryBackend
 from repro.core import ReferenceModel, parse_layer_modules
 from repro.core.hooks import ActivationRecorder
 from repro.core.modules import building_blocks
-from repro.experiments import build_trainer, build_workload
-from repro.models import WORKLOADS
+from repro.core.tasks import TranslationTask
+from repro.experiments import available_workloads, build_trainer, build_workload
 from repro.nn.layers import BatchNorm2d, Dropout
 
-_RNG = np.random.default_rng(0)
 
-
-def _inputs(spec):
-    """A small input tuple for a registry workload's model."""
-    if spec.task in ("image_classification", "semantic_segmentation"):
-        return (nn.Tensor(_RNG.standard_normal((2, 3, 16, 16)).astype(np.float32)),)
-    tokens = _RNG.integers(1, 30, size=(2, 6))
-    return (tokens, tokens[:, ::-1].copy()) if spec.task == "machine_translation" else (tokens,)
+def _model_and_inputs(name):
+    """A workload's tiny-scale model, its task, and one evaluation batch's model inputs."""
+    workload = build_workload(name, scale="tiny")
+    batch = next(iter(workload.eval_loader()))
+    return workload.make_model(), workload.task, workload.task.input_tensors(batch)
 
 
 def _scalar(outputs) -> nn.Tensor:
@@ -51,12 +48,10 @@ def _tail_output(model, tail_path, inputs):
 # ---------------------------------------------------------------------- #
 # Ownership invariant
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", available_workloads())
 def test_layer_modules_own_everything_upstream_of_their_tails(name):
-    spec = WORKLOADS[name]
-    model = spec.model_factory()
+    model, _task, inputs = _model_and_inputs(name)
     layer_modules = parse_layer_modules(model)
-    inputs = _inputs(spec)
 
     # No orphans: every parameter the forward pass uses belongs to a layer
     # module or to the last building block (the head that never freezes).
@@ -74,12 +69,10 @@ def test_layer_modules_own_everything_upstream_of_their_tails(name):
         assert tail.requires_grad is False, f"{name}: prefix {k} still builds a graph"
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name", available_workloads())
 def test_forward_from_resumes_bit_identically_and_prunes_backward(name):
     """``forward_from`` == the full forward; backward visits only the suffix's nodes."""
-    spec = WORKLOADS[name]
-    model = spec.model_factory()
-    inputs = _inputs(spec)
+    model, task, inputs = _model_and_inputs(name)
     resumable = 0
     for layer_module in parse_layer_modules(model):
         layer_module.freeze()
@@ -96,7 +89,7 @@ def test_forward_from_resumes_bit_identically_and_prunes_backward(name):
         # The resumed model *is* the model truncated to the suffix: same node count.
         assert _scalar(resumed).backward() == full_nodes
     assert resumable >= 1
-    if spec.task == "machine_translation":
+    if isinstance(task, TranslationTask):
         assert not model.can_resume_from("decoder.0")  # its output alone lacks the memory
 
 

@@ -91,7 +91,7 @@ def _subcommands(parser, prefix=()):
 def test_preset_names_every_entry_point():
     """A new example, workload or subcommand cannot drop out of the never-entered count."""
     from repro.cli import build_parser
-    from repro.models.registry import WORKLOADS
+    from repro.experiments import available_workloads
 
     root = linecov.ROOT
     words = {word for command in linecov.PRESET for word in command}
@@ -105,6 +105,6 @@ def test_preset_names_every_entry_point():
     assert bench and bench <= bench_runs
 
     cli = [words[words.index("repro.cli") + 1:] for words in linecov.PRESET if "repro.cli" in words]
-    assert set(WORKLOADS) <= {args[args.index("--workload") + 1] for args in cli if "--workload" in args}
+    assert set(available_workloads()) <= {args[args.index("--workload") + 1] for args in cli if "--workload" in args}
     for path in _subcommands(build_parser()):
         assert any(tuple(args[:len(path)]) == path for args in cli), path

@@ -1,10 +1,9 @@
-"""Tests for the seven evaluation models and the workload registry."""
+"""Tests for the seven evaluation models, at the paper's depths and at the workloads' sizes."""
 
 import numpy as np
 import pytest
 
 from repro import models, nn
-from repro.core import parse_layer_modules
 
 
 class TestCifarResNet:
@@ -13,7 +12,7 @@ class TestCifarResNet:
             models.CifarResNet(depth=10)
 
     def test_resnet56_structure(self):
-        model = models.resnet56()
+        model = models.CifarResNet(depth=56)
         # 3 stages x 9 basic blocks + conv1 + fc in the module sequence.
         assert len(model.module_sequence) == 3 * 9 + 2
         assert model.module_sequence[0] == "conv1"
@@ -29,7 +28,7 @@ class TestCifarResNet:
 
     def test_deep_stage_dominates_parameters(self):
         """Figure 11: stage 3 holds ~75% of ResNet-56's parameters."""
-        model = models.resnet56()
+        model = models.CifarResNet(depth=56)
         stage_params = []
         for stage in ("layer1", "layer2", "layer3"):
             stage_params.append(sum(p.size for p in model.get_submodule(stage).parameters()))
@@ -55,7 +54,7 @@ class TestCifarResNet:
 
 class TestImageNetResNet:
     def test_resnet50_lite_stage_counts(self):
-        model = models.resnet50_lite()
+        model = models.ImageNetResNet(stage_blocks=(3, 4, 6, 3))
         assert [len(model.get_submodule(f"layer{i}")._modules) for i in range(1, 5)] == [3, 4, 6, 3]
 
     def test_forward_shape(self, rng):
@@ -64,7 +63,7 @@ class TestImageNetResNet:
         assert out.shape == (2, 7)
 
     def test_module_sequence_counts_blocks(self):
-        model = models.resnet50_lite()
+        model = models.ImageNetResNet(stage_blocks=(3, 4, 6, 3))
         # conv1 + 16 bottleneck blocks + fc
         assert len(model.module_sequence) == 1 + 16 + 1
 
@@ -82,7 +81,7 @@ class TestMobileNetV2:
 
 class TestDeepLab:
     def test_output_is_dense_prediction(self, rng):
-        model = models.deeplabv3_lite(num_classes=5)
+        model = models.DeepLabV3Lite(num_classes=5)
         out = model(nn.Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32)))
         assert out.shape == (2, 16, 16, 5)
 
@@ -95,7 +94,7 @@ class TestDeepLab:
 
 class TestTransformer:
     def test_base_and_tiny_layer_counts(self):
-        base = models.transformer_base_lite()
+        base = models.TransformerMT(num_encoder_layers=6, num_decoder_layers=6)
         tiny = models.transformer_tiny()
         assert base.num_encoder_layers == 6 and base.num_decoder_layers == 6
         assert tiny.num_encoder_layers == 2 and tiny.num_decoder_layers == 2
@@ -129,7 +128,7 @@ class TestBert:
         assert out.shape == (2, 6, 16)
 
     def test_qa_head_outputs_spans(self):
-        model = models.bert_qa_lite(num_layers=2, vocab_size=32, d_model=16, num_heads=2, d_ff=32)
+        model = models.BertForQuestionAnswering(num_layers=2, vocab_size=32, d_model=16, num_heads=2, d_ff=32)
         tokens = np.random.default_rng(0).integers(0, 32, size=(3, 6))
         start, end = model(tokens)
         assert start.shape == (3, 6) and end.shape == (3, 6)
@@ -165,32 +164,6 @@ class TestBert:
         assert reference is not training_model
 
     def test_module_sequence_has_12_layers_by_default(self):
-        model = models.bert_qa_lite()
+        model = models.BertForQuestionAnswering(num_layers=12)
         encoder_layers = [p for p in model.module_sequence if p.startswith("encoder.layers.")]
         assert len(encoder_layers) == 12
-
-
-class TestRegistry:
-    def test_seven_workloads_registered(self):
-        assert len(models.WORKLOADS) == 7
-
-    def test_get_workload_and_unknown(self):
-        spec = models.get_workload("resnet56_cifar10")
-        assert spec.paper_layer_modules == 54
-        with pytest.raises(KeyError):
-            models.get_workload("unknown_model")
-
-    def test_list_by_task(self):
-        cv = models.list_workloads(task="image_classification")
-        assert len(cv) == 3
-
-    def test_paper_speedups_within_reported_range(self):
-        for spec in models.list_workloads():
-            assert 0.19 <= spec.paper_tta_speedup <= 0.43
-
-    def test_factories_produce_parseable_models(self):
-        for name in ("resnet56_cifar10", "transformer_tiny_wmt16"):
-            spec = models.get_workload(name)
-            model = spec.model_factory()
-            modules = parse_layer_modules(model)
-            assert len(modules) >= 2

@@ -233,15 +233,12 @@ class TestConstructors:
 # Graph lifetime and gradient aliasing (the substrate's acyclic-graph and
 # fresh-vs-pass-through rules, see the repro.nn.tensor module docstring)
 # ---------------------------------------------------------------------- #
-def _registry_model_and_inputs(name):
-    from repro.models import WORKLOADS
+def _workload_model_and_inputs(name):
+    """A workload's tiny-scale model and one evaluation batch's model inputs."""
+    from repro.experiments import build_workload
 
-    rng = np.random.default_rng(0)
-    model = WORKLOADS[name].model_factory()
-    if WORKLOADS[name].task == "machine_translation":
-        tokens = rng.integers(1, 30, size=(2, 6))
-        return model, (tokens, tokens[:, ::-1].copy())
-    return model, (Tensor(rng.standard_normal((2, 3, 16, 16)).astype(np.float32)),)
+    workload = build_workload(name, scale="tiny")
+    return workload.make_model(), workload.task.input_tensors(next(iter(workload.eval_loader())))
 
 
 class TestGraphLifetime:
@@ -250,7 +247,7 @@ class TestGraphLifetime:
         import gc
         import weakref
 
-        model, inputs = _registry_model_and_inputs(name)
+        model, inputs = _workload_model_and_inputs(name)
         captured = []
         handle = next(model.children()).register_forward_hook(lambda _m, _i, out: captured.append(out))
         gc.collect()
@@ -270,7 +267,7 @@ class TestGraphLifetime:
             gc.enable()
 
     def test_no_grad_and_frozen_forwards_attach_no_closure(self):
-        model, inputs = _registry_model_and_inputs("resnet56_cifar10")
+        model, inputs = _workload_model_and_inputs("resnet56_cifar10")
         captured = []
         for module in model.modules():
             module.register_forward_hook(lambda _m, _i, out: captured.append(out))

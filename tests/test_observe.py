@@ -407,7 +407,7 @@ class TestTrainerJobHistory:
         return VanillaTrainer(model, ClassificationTask(), train_loader, None, optimizer)
 
     def test_job_record_carries_per_iteration_history(self):
-        from repro.sim import TrainerJob
+        from repro.core import TrainerJob
 
         job = TrainerJob("t", self._trainer(), iterations=6, num_workers=2)
         scheduler = ClusterScheduler(paper_testbed_cluster())

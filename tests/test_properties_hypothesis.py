@@ -15,7 +15,7 @@ from repro.core.plasticity import (
 from repro.core.queues import SPSCQueue
 from repro.core.modules import LayerModule
 from repro.data import DataLoader, make_dataset
-from repro.models.registry import WORKLOADS
+from repro.experiments import available_workloads, build_workload
 from repro.nn import Tensor
 from repro.nn.tensor import _unbroadcast
 from repro.quantization import INT8, fake_quantize
@@ -141,9 +141,9 @@ def test_quantization_preserves_sign(seed):
 
 
 # --------------------------------------------------------------------------- #
-# state_dict round-trip across every registry model (checkpoint correctness)
+# state_dict round-trip across every workload's model (checkpoint correctness)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
+@pytest.mark.parametrize("workload_name", available_workloads())
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=3, deadline=None)
 def test_model_state_dict_roundtrip_exact(workload_name, seed):
@@ -151,16 +151,16 @@ def test_model_state_dict_roundtrip_exact(workload_name, seed):
 
     This is the foundation of the checkpoint subsystem's bit-exact resume:
     ``load_state_dict(state_dict())`` must be the identity for every model
-    the registry can train, including buffers (BatchNorm statistics).
+    a workload trains, including buffers (BatchNorm statistics).
     """
-    spec = WORKLOADS[workload_name]
-    model = spec.model_factory()
+    workload = build_workload(workload_name, scale="tiny")
+    model = workload.make_model()
     rng = np.random.default_rng(seed)
     perturbed = {key: (value + rng.standard_normal(value.shape).astype(value.dtype)
                        if np.issubdtype(value.dtype, np.floating) else value)
                  for key, value in model.state_dict().items()}
 
-    twin = spec.model_factory()
+    twin = workload.make_model()
     twin.load_state_dict(perturbed)
     roundtripped = twin.state_dict()
     assert set(roundtripped) == set(perturbed)

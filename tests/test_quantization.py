@@ -71,6 +71,21 @@ class TestQuantizeArray:
             assert q.tolist() == steps.tolist()
             assert np.array_equal(dequantize_array(q, scale, spec), x)
 
+    @pytest.mark.parametrize("spec", [INT8, INT4])
+    def test_non_finite_entries_never_reach_the_integer_cast(self, spec):
+        """NaN quantizes to 0 and ±inf to ±qmax, on the scale of the finite entries."""
+        with np.errstate(invalid="raise"):
+            x = np.array([np.nan, np.inf, -np.inf, 1.0, -2.0], np.float32)
+            q, scale = quantize_array(x, spec)
+            assert q[:3].tolist() == [0, spec.qmax, -spec.qmax]
+            finite_q, finite_scale = quantize_array(x[3:], spec)
+            assert (q[3:].tolist(), scale) == (finite_q.tolist(), finite_scale)
+            assert fake_quantize(x, spec)[:3].tolist() == [0.0, 2.0, -2.0]
+            # No finite entry at all: scale 1, so ±inf dequantize to ±qmax.
+            q, scale = quantize_array(np.array([np.nan, np.inf, -np.inf], np.float32), spec)
+            assert (q.tolist(), scale) == ([0, spec.qmax, -spec.qmax], 1.0)
+            assert fake_quantize(np.full(3, np.nan, np.float32), spec).tolist() == [0.0] * 3
+
     def test_precision_table_matches_paper(self):
         """Table 2: int8 is 3.59x faster than fp32, fp16 is 1.69x."""
         assert PRECISIONS["int8"].cpu_speedup == pytest.approx(3.59)

@@ -1,5 +1,6 @@
-"""What a fresh interpreter imports: no graph library anywhere, no training stack for
-``repro sim``, and a pinned number of ``repro`` modules per entry point.
+"""What a fresh interpreter imports: no graph library anywhere, nothing outside
+``repro.sim`` for ``import repro.sim``, no training stack for ``repro sim``, and a
+pinned number of ``repro`` modules per entry point.
 
 ``networkx`` is a test-only dependency.  The checks run in a fresh
 interpreter because the test process itself has ``networkx`` loaded by
@@ -58,10 +59,22 @@ def test_sim_run_without_workload_jobs_imports_no_training_stack(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["num_jobs"] == 4
 
 
+def test_sim_imports_only_itself():
+    """The simulator stands alone: ``import repro.sim`` loads the root package and ``repro.sim.*``."""
+    probe = (
+        "import json, sys\n"
+        "import repro.sim\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro.'))))\n"
+    )
+    loaded = _loaded_modules(probe)
+    assert "repro.sim.scenario" in loaded
+    assert [m for m in loaded if not m.startswith("repro.sim.") and m != "repro.sim"] == []
+
+
 #: ``repro`` modules a fresh interpreter holds after importing each entry point.
 #: An exact counter: a module added to or cut from an entry point's import
 #: graph shows here.
-REPRO_MODULES = {"repro.experiments": 85, "repro.core": 59, "repro.cli": 33, "repro.sim.scenario": 28}
+REPRO_MODULES = {"repro.experiments": 79, "repro.core": 54, "repro.cli": 24, "repro.sim.scenario": 19}
 
 
 @pytest.mark.parametrize("entry_point", sorted(REPRO_MODULES))

@@ -319,18 +319,3 @@ class TestTrainerEventBackend:
         monkeypatch.setattr(trainer, "_account_iteration_time", account_both)
         trainer.fit(num_epochs=2)
         assert closed and trainer.simulated_time == pytest.approx(sum(closed), rel=0.05)
-
-    def test_event_backend_with_cluster_workers_adds_comm(self):
-        cluster = paper_testbed_cluster()
-        trainer = self._trainer()
-        trainer.configure_simulation(engine=EventDrivenEngine(cluster),
-                                     workers=cluster.workers(2, 2))
-        trainer.fit(num_epochs=1)
-        single = self._trainer()
-        single.fit(num_epochs=1)
-        assert trainer.simulated_time > single.simulated_time
-
-    def test_multi_worker_without_cluster_engine_rejected(self):
-        # Without an all-reduce model the buckets would silently cost zero.
-        with pytest.raises(ValueError):
-            self._trainer().configure_simulation(workers=["gpu0", "gpu1"])

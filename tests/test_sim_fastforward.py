@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt import CheckpointManager, MemoryBackend
-from repro.core import ClassificationTask
+from repro.core import ClassificationTask, TrainerJob
 from repro.core.modules import LayerModule
 from repro.baselines import VanillaTrainer
 from repro.data import DataLoader, make_dataset
@@ -36,7 +36,6 @@ from repro.sim import (
     EventDrivenEngine,
     SchedulePolicy,
     SimJob,
-    TrainerJob,
     paper_testbed_cluster,
     run_scenario,
 )

@@ -647,11 +647,11 @@ class TestScenarioIntegration:
         import numpy as np
 
         from repro.ckpt import CheckpointManager, MemoryBackend
-        from repro.core import ClassificationTask
+        from repro.core import ClassificationTask, TrainerJob
         from repro.baselines import VanillaTrainer
         from repro.data import DataLoader, make_dataset
         from repro import models, optim
-        from repro.sim import EventDrivenEngine, TrainerJob, paper_testbed_cluster
+        from repro.sim import EventDrivenEngine, paper_testbed_cluster
 
         def run(evict):
             full = make_dataset("synthetic_cifar10", num_samples=48, num_classes=4,
@@ -799,13 +799,13 @@ class TestEventTables:
 PACKAGE_EXPORTS = {
     "repro.sim": {
         "AllReduceModel", "Cluster", "ClusterScheduler", "ClusterSpec", "CostModel",
-        "EventDrivenEngine", "SchedulePolicy", "SimJob", "SimSanitizer", "TrainerJob",
-        "diff_profiles", "paper_testbed_cluster", "preview_faults", "profile_scenario",
-        "run_scenario", "run_sweep", "single_node_cluster"},
+        "EventDrivenEngine", "SchedulePolicy", "SimJob", "SimSanitizer", "diff_profiles",
+        "paper_testbed_cluster", "preview_faults", "profile_scenario", "run_scenario",
+        "run_sweep", "single_node_cluster"},
     "repro.core": {
         "ActivationCache", "BaseTrainer", "ClassificationTask", "EgeriaConfig",
         "EgeriaController", "EgeriaTrainer", "EgeriaWorker", "FreezingEngine", "Prefetcher",
-        "ReferenceModel", "TaskAdapter", "parse_layer_modules", "sp_loss"},
+        "ReferenceModel", "TaskAdapter", "TrainerJob", "parse_layer_modules", "sp_loss"},
     "repro.nn": {
         "AdaptiveAvgPool2d", "BasicBlock", "BatchNorm2d", "Bottleneck", "Conv2d", "ConvBNReLU",
         "Dropout", "Embedding", "Flatten", "GELU", "InvertedResidual", "LayerNorm", "Linear",

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oracles import sim_reference
 
 from repro.ckpt import CheckpointManager, MemoryBackend
-from repro.core import ClassificationTask
+from repro.core import ClassificationTask, TrainerJob
 from repro.core.modules import LayerModule
 from repro.baselines import VanillaTrainer
 from repro.data import DataLoader, make_dataset
@@ -37,7 +37,6 @@ from repro.sim import (
     CostModel,
     EventDrivenEngine,
     SimJob,
-    TrainerJob,
     paper_testbed_cluster,
 )
 from repro.sim.resources import (
@@ -1132,6 +1131,15 @@ class TestTrainerJob:
         clean_state = clean_trainer.model.state_dict()
         failed_state = failed_trainer.model.state_dict()
         assert all(np.array_equal(clean_state[key], failed_state[key]) for key in clean_state)
+
+    def test_multi_worker_trainer_job_is_charged_for_communication(self):
+        """Two data-parallel workers pay the gradient all-reduce one worker does not."""
+        finish = {}
+        for workers in (1, 2):
+            scheduler = ClusterScheduler(paper_testbed_cluster())
+            scheduler.submit(TrainerJob("t", self._trainer(), iterations=6, num_workers=workers))
+            finish[workers] = scheduler.run().jobs["t"].finish_time
+        assert finish[2] > finish[1]
 
     def test_trainer_job_epochs_wrap_and_step_the_lr_schedule(self):
         trainer = self._trainer()

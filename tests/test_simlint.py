@@ -16,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from tools.simlint import ALL_RULES, lint_paths, lint_source, rule_index
+from tools.simlint.rules import LAYERS
 from tools.simlint.runner import lint_file, load_baseline, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +30,8 @@ FIXTURE_EXPECTATIONS = {
     "time_equality.py": ("SIM004", [9, 14], [20]),
     "mutable_default.py": ("SIM005", [6, 12, 18], [24]),
     "public_api.py": ("SIM006", [7, 7, 7, 11, 19, 19, 19], [24, 24, 24]),
+    "repro/sim/upward_imports.py": ("SIM007", [10, 16, 17, 22, 23], []),
+    "repro/core/layered_imports.py": ("SIM007", [6, 11], []),
 }
 
 
@@ -56,6 +59,41 @@ class TestRuleFixtures:
         finding = result.findings[0]
         assert finding.render().startswith(f"{finding.path}:{finding.line}:")
         assert "time.time()" in finding.snippet
+
+
+class TestLayerTable:
+    def test_table_names_every_package(self):
+        """A new ``src/repro`` package must take its place in SIM007's table."""
+        root = REPO_ROOT / "src" / "repro"
+        packages = {path.parent.name for path in root.glob("*/__init__.py")} | {"cli", ""}
+        assert set(LAYERS) == packages
+
+    def test_table_is_acyclic(self):
+        """Each package reaches only packages strictly below it."""
+        def below(package, seen=()):
+            assert package not in seen, seen
+            return set().union(*(below(lower, seen + (package,)) | {lower}
+                                 for lower in LAYERS[package]))
+        assert all(package not in below(package) for package in LAYERS)
+
+    def test_relative_imports_resolve_from_a_subpackage(self):
+        """``repro/sim/scheduler/jobs.py``'s old ``TYPE_CHECKING`` import reached ``repro.metrics``."""
+        source = ('"""Doc."""\nfrom typing import TYPE_CHECKING\nfrom ..engine import SchedulePolicy\n'
+                  "from . import loop\nif TYPE_CHECKING:\n    from ...metrics.tracking import RunHistory\n")
+        result = lint_source("src/repro/sim/scheduler/jobs.py", source)
+        assert [(f.rule, f.line) for f in result.findings] == [("SIM007", 6)]
+        assert "repro.metrics" in result.findings[0].message
+
+    def test_files_outside_repro_are_not_checked(self):
+        source = '"""Doc."""\nfrom repro.experiments import build_workload\n'
+        assert not lint_source("tools/helper.py", source).findings
+
+    def test_absolute_and_aliased_imports_count(self):
+        source = ('"""Doc."""\nimport repro.core.trainer as trainer\n'
+                  "from repro import sim, cli\nimport repro\n")
+        result = lint_source("src/repro/sim/example.py", source)
+        assert [(f.rule, f.line) for f in result.findings] == [("SIM007", 2), ("SIM007", 3)]
+        assert "repro.cli" in result.findings[1].message
 
 
 class TestSuppressions:

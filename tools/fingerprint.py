@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Training fingerprints: what every registry workload computes, epoch by epoch, as exact digests.
+"""Training fingerprints: what every workload computes, epoch by epoch, as exact digests.
 
 Usage::
 
@@ -137,7 +137,7 @@ def fingerprint_run(workload: str, system: str, seed: int, epochs: Optional[int]
 
 
 def fingerprints(seeds: int, log=None) -> Dict[str, object]:
-    """Every row for seeds ``0 .. seeds-1``: workloads in registry order, then systems, then seeds."""
+    """Every row for seeds ``0 .. seeds-1``: workloads in ``available_workloads()`` order, then systems, then seeds."""
     runs = []
     for name in available_workloads():
         for system in SYSTEMS:

@@ -23,7 +23,7 @@ so several commands accumulate.
 
 ``run --preset`` runs :data:`PRESET` instead of one command: every entry
 point outside ``tests/`` (each ``repro`` subcommand, example, ``bench/``
-workload and registry workload, ``pytest benchmarks`` and
+workload and Table 1 workload, ``pytest benchmarks`` and
 ``tools.fingerprint --check``), one after another.  Its never-entered count
 is the number a change to ``src/`` is measured by; it takes about a quarter
 of an hour on two cores.
@@ -204,7 +204,7 @@ _SIM_MODES = (((), ()), ((), _FAIR), (("REPRO_SIMSAN=1",), ()), (("REPRO_SIMSAN=
 #: on ``PYTHONPATH``.  ``python`` is this interpreter, ``{tmp}`` one scratch
 #: directory for the whole run, and leading ``NAME=value`` words set the
 #: environment.  ``tests/test_linecov.py`` checks that it names every
-#: example, ``bench/`` workload, registry workload and ``repro`` subcommand.
+#: example, ``bench/`` workload, Table 1 workload and ``repro`` subcommand.
 PRESET: Tuple[Tuple[str, ...], ...] = (
     *(("python", "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "3",
        "--trace", "1")

@@ -5,8 +5,9 @@ fast-forward replay, byte-conserving re-flow, worker-count-independent sweep
 output.  Those invariants die quietly when nondeterminism leaks into the
 code: a wall-clock read inside the event loop, an unseeded global RNG, a
 ``set`` whose iteration order feeds event scheduling.  SimLint statically
-forbids those bug classes with a plugin-based AST analyzer where every rule
-is a visitor class with a stable id:
+forbids those bug classes, and the imports that would tie the simulator to
+the training stack, with a plugin-based AST analyzer where every rule is a
+visitor class with a stable id:
 
 ========  ==============================================================
 SIM001    no wall-clock reads inside ``repro.sim`` (sim time must flow
@@ -18,6 +19,9 @@ SIM004    float ``==`` / ``!=`` on simulated timestamps (use the
           ``repro.sim.simtime`` tolerance helpers, or justify exactness)
 SIM005    mutable default arguments
 SIM006    missing type annotations / docstrings on ``repro.sim`` public API
+SIM007    an import of a ``repro`` package that the layer table
+          (``rules.LAYERS``) does not allow — lazy and ``TYPE_CHECKING``
+          imports included
 ========  ==============================================================
 
 Findings can be suppressed inline with a *justified* comment::

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple, Type
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Type
 
 from .report import Finding
 
@@ -495,6 +495,83 @@ class PublicApiRule(Rule):
             self.report(node, f"public function {label!r} is missing a return annotation")
 
 
+#: The layer table (SIM007): the other ``repro`` packages each ``src/repro``
+#: package may import.  ``""`` is the root ``repro/__init__.py``, which any
+#: package may import.  Stated once here; ``docs/architecture.md`` points at it.
+_LOWEST = ("nn", "data", "metrics", "quantization", "ckpt", "sim")
+LAYERS: Dict[str, FrozenSet[str]] = {
+    **{package: frozenset() for package in ("",) + _LOWEST},
+    "optim": frozenset({"nn"}),
+    "models": frozenset({"nn", "optim"}),
+    "core": frozenset({"nn", "optim", "data", "metrics", "quantization", "sim"}),
+    "analysis": frozenset({"nn", "core"}),
+    "baselines": frozenset({"nn", "optim", "data", "core", "sim"}),
+    "experiments": frozenset(_LOWEST + ("optim", "models", "core", "analysis", "baselines")),
+}
+LAYERS["cli"] = frozenset(LAYERS) - {""}
+
+
+def repro_module(path: str) -> Optional[Tuple[str, ...]]:
+    """Dotted parts of the ``repro`` module a file path holds, else None.
+
+    Reads the path from its last ``repro`` directory: ``src/repro/sim/engine.py``
+    is ``("repro", "sim", "engine")`` and a package's ``__init__.py`` is the
+    package itself.
+    """
+    parts = path.replace("\\", "/").split("/")
+    if "repro" not in parts[:-1] or not parts[-1].endswith(".py"):
+        return None
+    start = len(parts) - 1 - parts[:-1][::-1].index("repro") - 1
+    module = parts[start:-1] + [parts[-1][:-3]]
+    return tuple(module[:-1] if module[-1] == "__init__" else module)
+
+
+class LayerImportRule(Rule):
+    """SIM007: every ``repro`` import follows the layer table.
+
+    :data:`LAYERS` says which ``repro`` packages each package may import;
+    anything else is a cycle or an upward dependency that the table forbids.
+    Every import counts — module level, inside a function and under
+    ``TYPE_CHECKING`` — since a lazy import is still a dependency.  Files
+    outside a known ``repro`` package are not checked.
+    """
+
+    id = "SIM007"
+    title = "repro package imports a package the layer table does not allow"
+    sim_core_only = False
+
+    def check(self, tree: ast.AST) -> None:
+        module = repro_module(self.path)
+        package = module[1] if module is not None and len(module) > 1 else ""
+        if module is None or package not in LAYERS:
+            return
+        # The package relative imports start from.
+        here = list(module if self.path.endswith("__init__.py") else module[:-1])
+        for node in ast.walk(tree):
+            for target in self._targets(node, here):
+                if target not in (package, "") and target not in LAYERS[package]:
+                    where = f"repro.{package}" if package else "repro"
+                    allowed = ", ".join(sorted(LAYERS[package])) or "no other package"
+                    self.report(node, f"{where} may not import repro.{target}; the layer "
+                                      f"table allows {allowed}")
+
+    @staticmethod
+    def _targets(node: ast.AST, here: List[str]) -> List[str]:
+        """The ``repro`` packages one import statement reaches (root: ``""``)."""
+        if isinstance(node, ast.Import):
+            dotted = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = here[:max(len(here) - node.level + 1, 0)] if node.level else []
+            base += node.module.split(".") if node.module else []
+            # ``from repro import sim`` names the package in the alias.
+            dotted = [base + [alias.name] for alias in node.names] if base == ["repro"] \
+                else [base]
+        else:
+            return []
+        return [parts[1] if len(parts) > 1 else "" for parts in dotted
+                if parts and parts[0] == "repro"]
+
+
 #: Every registered rule, in id order — the runner instantiates each per file.
 ALL_RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
@@ -503,6 +580,7 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     FloatTimeEqualityRule,
     MutableDefaultRule,
     PublicApiRule,
+    LayerImportRule,
 )
 
 
