@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 

@@ -17,7 +17,7 @@ calculator from the guideline formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["EgeriaConfig"]

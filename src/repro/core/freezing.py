@@ -16,7 +16,7 @@ user-provided ``custom_unfreeze`` hook.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np

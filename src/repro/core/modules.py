@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..nn.module import Module, Parameter
 

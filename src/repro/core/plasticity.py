@@ -21,9 +21,8 @@ compared against the tolerance ``T`` in Algorithm 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 

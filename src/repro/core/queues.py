@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Generic, Optional, TypeVar
+from typing import Deque, Generic, Optional, TypeVar
 
 __all__ = ["SPSCQueue", "EvaluationChannels"]
 

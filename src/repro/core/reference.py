@@ -20,10 +20,9 @@ the overhead analysis in §6.5 and Table 2.
 
 from __future__ import annotations
 
-import copy
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np

@@ -31,9 +31,7 @@ Index
 
 from __future__ import annotations
 
-import copy
 import hashlib
-import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,14 +40,13 @@ from .. import nn
 from ..analysis import ConvergenceAnalyzer
 from ..baselines import DistributedThroughputComparison
 from ..ckpt import CheckpointManager, MemoryBackend
-from ..core import EgeriaConfig, EgeriaTrainer, TrainerJob, parse_layer_modules, sp_loss
+from ..core import TrainerJob, parse_layer_modules
 from ..core.hooks import ActivationRecorder
 from ..core.reference import ReferenceModel
 from ..metrics.tracking import RunHistory
 from ..quantization import PRECISIONS
 from ..core.modules import LayerModule
 from ..sim import (
-    AllReduceModel,
     Cluster,
     ClusterScheduler,
     ClusterSpec,
@@ -58,9 +55,8 @@ from ..sim import (
     SchedulePolicy,
     SimJob,
     paper_testbed_cluster,
-    single_node_cluster,
 )
-from .runners import ComparisonRow, build_trainer, compare_systems, run_trainer
+from .runners import build_trainer, compare_systems, run_trainer
 from .workloads import Workload, available_workloads, build_workload
 
 __all__ = [

@@ -10,9 +10,7 @@ that Table 1 and Figure 8 report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines import (
     FreezeOutTrainer,

@@ -18,10 +18,8 @@ sample counts, epochs and model width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
-
-import numpy as np
 
 from .. import models
 from ..core.config import EgeriaConfig

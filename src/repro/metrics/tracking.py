@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 __all__ = ["EpochRecord", "RunHistory", "tta_speedup"]
 
 

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import functional as F
-from . import init
 from .layers import BatchNorm2d, Conv2d, Dropout, LayerNorm, Linear, ReLU, ReLU6
 from .module import Identity, Module, Sequential
 from .tensor import Tensor

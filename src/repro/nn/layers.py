@@ -18,7 +18,7 @@ import numpy as np
 from . import functional as F
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor
 
 __all__ = [
     "Linear",

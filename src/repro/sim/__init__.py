@@ -60,7 +60,7 @@ sim profile``) ranks the simulator's own hot functions under ``cProfile``.
 """
 
 from .allreduce import AllReduceModel
-from .cluster import Cluster, ClusterSpec, paper_testbed_cluster, single_node_cluster
+from .cluster import Cluster, ClusterSpec, paper_testbed_cluster
 from .cost_model import CostModel
 from .engine import EventDrivenEngine, SchedulePolicy
 from .sanitizer import SimSanitizer
@@ -74,7 +74,6 @@ __all__ = [
     "Cluster",
     "ClusterSpec",
     "paper_testbed_cluster",
-    "single_node_cluster",
     "AllReduceModel",
     "SchedulePolicy",
     "EventDrivenEngine",

@@ -10,7 +10,7 @@ synchronized volume by excluding frozen layers' gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .cluster import Cluster, GPUDevice
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .resources import SharedResource
 
-__all__ = ["GPUDevice", "Machine", "ClusterSpec", "Cluster", "paper_testbed_cluster", "single_node_cluster"]
+__all__ = ["GPUDevice", "Machine", "ClusterSpec", "Cluster", "paper_testbed_cluster"]
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,3 @@ def paper_testbed_cluster() -> Cluster:
     """The 5-node, 2xV100-per-node, 40 Gbps leaf–spine testbed of §6.1."""
     return Cluster(ClusterSpec(num_machines=5, gpus_per_machine=2, nic_gbps=40.0,
                                tor_uplink_gbps=100.0, num_tor_switches=2, num_core_switches=2))
-
-
-def single_node_cluster(num_gpus: int = 8) -> Cluster:
-    """The single 8x2080Ti machine used for Transformer-Tiny."""
-    return Cluster(ClusterSpec(num_machines=1, gpus_per_machine=num_gpus, nic_gbps=40.0))

@@ -726,18 +726,16 @@ class EventDrivenEngine:
                            job_weight: float = 1.0) -> List[float]:
         """Replay up to ``count`` consecutive memoized iterations back to back.
 
-        Each iteration goes through exactly the per-iteration fast-forward
-        pipeline — quiet-link check, sanitizer spot-check cadence, reservation
-        re-commit, observer note, counter bump — at a start time accumulated
-        with the same float arithmetic the one-event-per-iteration path uses
+        Starts accumulate with the per-iteration path's float arithmetic
         (``next_start = start + ((start + rel_end) - start)``), so results,
         audits and metrics are bit-identical to ``count`` separate
-        :meth:`simulate_iteration` calls.  The batch is truncated (possibly
-        to empty) at the first iteration whose crossed links are no longer
-        quiet — the caller must then fall back to live simulation for the
-        remainder.  Returns the committed iterations' durations (each one
-        that call's ``result.total``); a full result is built only for an
-        attached observer.
+        :meth:`simulate_iteration` calls.  Each iteration goes through
+        :meth:`_replay` only when there are link windows to re-commit, a
+        sanitizer or an observer; otherwise it is one float add, and links
+        quiet at ``start_time`` stay quiet.  The batch is truncated (possibly
+        to empty) at the first iteration whose crossed links are busy — the
+        caller falls back to live simulation for the remainder.  Returns the
+        committed iterations' durations (each one that call's ``result.total``).
         """
         lookup = self._resolve(cost_model, workers, frozen_prefix, cached_fp, policy,
                                include_reference_overhead, comm_seconds_per_byte, link_resource)
@@ -746,14 +744,19 @@ class EventDrivenEngine:
         if entry is None:
             return durations
         links = lookup.link_timelines
+        rel_end = entry.rel_end
         start = start_time
+        replay = entry.reservations or self.sanitizer is not None or self.observer is not None
         for _ in range(count):
-            if not all(t.busy_until <= start for t in links):
+            if links and (replay or not durations) and not all(t.busy_until <= start for t in links):
                 break
-            self._replay(entry, lookup, start, job_name, job_weight)
-            duration = (start + entry.rel_end) - start
+            if replay:
+                self._replay(entry, lookup, start, job_name, job_weight)
+            duration = (start + rel_end) - start
             durations.append(duration)
             start = start + duration
+        if not replay:
+            self.iterations_fast_forwarded += len(durations)
         if len(durations) > 1:
             self.fast_forward_batches += 1
             self.iterations_batched += len(durations)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from .simtime import TIME_EPS
 

@@ -83,7 +83,7 @@ export the full trace and time-series (see ``docs/observability.md``).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Optional, Union, TYPE_CHECKING
+from typing import Dict, NamedTuple, Optional, Union, TYPE_CHECKING
 
 from .cluster import Cluster, ClusterSpec
 from .cost_model import CostModel

@@ -48,9 +48,9 @@ class SimJob:
     twice as fast as a weight-1 competitor's.  The default 1.0 keeps the
     even split; FIFO resources ignore weights entirely.
 
-    The ``begin_iteration``/``iteration_profile``/``checkpoint_write_bytes``
-    /``restore_read_bytes``/``rollback`` hooks are the scheduler's interface
-    to the job; :class:`~repro.core.trainer_job.TrainerJob` overrides them to
+    The ``begin_iteration``/``iteration_profile``/``profile_span``/``rollback``
+    and checkpoint-bytes hooks are the scheduler's interface to the job;
+    :class:`~repro.core.trainer_job.TrainerJob` overrides them to
     run a *real* trainer (live freezing decisions, content-addressed
     checkpoint bytes) inside the simulated cluster.
     """
@@ -108,6 +108,16 @@ class SimJob:
     def iteration_profile(self, iteration: int) -> Tuple[int, bool, bool]:
         """``(frozen_prefix, cached_fp, include_reference_overhead)`` for pricing."""
         return (self.prefix_at(iteration), self.cached_fp, self.include_reference_overhead)
+
+    def profile_span(self, iteration: int, limit: int) -> int:
+        """How many of the ``limit >= 1`` iterations from ``iteration`` on share its
+        :meth:`iteration_profile` (pure; O(1) for an int ``frozen_prefix``)."""
+        if not callable(self.frozen_prefix) and type(self).iteration_profile is SimJob.iteration_profile:
+            return limit
+        span, profile = 1, self.iteration_profile(iteration)
+        while span < limit and self.iteration_profile(iteration + span) == profile:
+            span += 1
+        return span
 
     def checkpoint_write_bytes(self, iteration: int, frozen_prefix: int) -> int:
         """Bytes the checkpoint completing iteration ``iteration`` writes."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import heapq
 import inspect
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..cluster import Cluster, GPUDevice
@@ -301,10 +303,9 @@ class ClusterScheduler(_API, _Placement, _Planner):
         samples = job.cost_model.batch_size * len(names)
         record.iterations_done += len(durations)
         record.iteration_seconds.extend(durations)
-        for duration in durations:
-            record.samples_processed += samples
-            for name in names:
-                self.gpu_busy_seconds[name] += duration
+        record.samples_processed += samples * len(durations)
+        for name in names:
+            self.gpu_busy_seconds[name] = reduce(add, durations, self.gpu_busy_seconds[name])
         if ckpt_taken:
             self._commit_checkpoint(record, record.iterations_done, record.samples_processed,
                                     ckpt_seconds, ckpt_bytes)

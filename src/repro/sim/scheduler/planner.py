@@ -156,10 +156,8 @@ class _Planner:
         share one constant pricing profile, (b) end strictly before both the
         next checkpoint-writing iteration and the *horizon*, and (c) start
         from a quiet fast-forward cache hit.  The engine replays the K
-        cached iterations back to back with the exact per-iteration float
-        arithmetic of the unbatched path (each start is the previous start
-        plus that iteration's duration), re-committing every link window,
-        and a single ``iteration_done`` event credits all K.
+        cached iterations back to back (``fast_forward_batch``) and a
+        single ``iteration_done`` event credits all K.
 
         A job whose route crosses no link takes as its horizon the earliest
         pending *barrier* (any event other than an iteration completion) that
@@ -209,7 +207,7 @@ class _Planner:
                         - (iteration_index % job.checkpoint_every))
         if limit < 2:
             return False
-        prefix, cached_fp, include_reference = profile = job.iteration_profile(iteration_index)
+        prefix, cached_fp, include_reference = job.iteration_profile(iteration_index)
         entry = self.engine.can_fast_forward(
             job.cost_model, workers=workers, frozen_prefix=prefix,
             cached_fp=cached_fp, policy=job.policy,
@@ -220,13 +218,13 @@ class _Planner:
         count = 0
         start = now
         while count < limit:
-            if count and job.iteration_profile(iteration_index + count) != profile:
-                break
             end = start + entry.rel_end
             start = start + (end - start)
             if not start < horizon:
                 break
             count += 1
+        if count >= 2:
+            count = job.profile_span(iteration_index, count)
         if count < 2:
             return False
         durations = self.engine.fast_forward_batch(
@@ -236,10 +234,13 @@ class _Planner:
             link_resource=links, job_name=job.name, job_weight=job.weight)
         if not durations:
             return False
-        # The hook runs for what the engine committed, never for the plan.
+        # The hook runs for what the engine committed, never for the plan,
+        # and only when the job has one.
+        hook = type(job).begin_iteration is not SimJob.begin_iteration
         end = now
         for offset, duration in enumerate(durations):
-            job.begin_iteration(iteration_index + offset, sim_time=end)
+            if hook:
+                job.begin_iteration(iteration_index + offset, sim_time=end)
             end = end + duration
         if self.engine.sanitizer is not None and len(durations) > 1:
             self._batch_spans[job.name] = (now, end)

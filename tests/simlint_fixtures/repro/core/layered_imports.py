@@ -10,3 +10,7 @@ def _lazy_baseline() -> object:
     """Positive case: ``core`` sits below ``baselines``, however late the import."""
     from ..baselines import VanillaTrainer
     return VanillaTrainer
+
+
+#: Every imported name is read, so only SIM007 fires here.
+__all__ = ["Tensor", "SchedulePolicy", "parse_layer_modules", "quantization", "experiments"]

@@ -22,3 +22,7 @@ def _workload_modules(name: str) -> int:
     from ..core.modules import parse_layer_modules
     from ..experiments.workloads import build_workload
     return len(parse_layer_modules(build_workload(name).make_model()))
+
+
+#: Every imported name is read, so only SIM007 fires here.
+__all__ = ["RunHistory", "engine", "SimJob", "repro", "EpochRecord", "LayerModule"]

@@ -6,8 +6,9 @@ from tools import abtest
 
 METRICS = [{"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
            {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
-#: A bound wide enough that no case below but the regression ones crosses it.
-BOUND = 10.0
+#: A bound wide enough that no case below but the regression ones crosses it,
+#: and narrow enough that a tenth of it (the minimum effect) stays inside their gaps.
+BOUND = 0.5
 
 
 def test_nine_of_ten_wins_and_a_gap_beyond_the_base_iqr_is_better():
@@ -28,6 +29,19 @@ def test_a_gap_inside_the_base_iqr_is_unresolved_even_with_every_pair_won():
     base = [90.0, 110.0, 95.0, 105.0, 100.0, 92.0, 108.0, 97.0, 103.0, 100.0]
     head = [b + 1.0 for b in base]
     assert abtest.verdict(base, head, higher_is_better=True, bound=BOUND) == "unresolved"
+
+
+def test_a_gap_below_a_tenth_of_the_bound_is_unresolved_however_many_pairs_agree():
+    # sim_contended peak_rss_mb at AB_41: +0.3 % in the median, 1 of 10 pairs
+    # won, a gap beyond the base's IQR; the bound is 15 %.
+    base = [45.9921875, 45.953125, 45.9609375, 46.03515625, 45.91796875,
+            45.9609375, 46.046875, 46.06640625, 46.12109375, 46.12109375]
+    head = [46.17578125, 46.08984375, 46.12890625, 46.12109375, 46.01953125,
+            46.17578125, 46.1953125, 46.19921875, 46.1875, 46.08984375]
+    assert abtest.pair_wins(base, head, higher_is_better=False) == (1, 9)
+    assert abtest.verdict(base, head, higher_is_better=False, bound=0.15) == "unresolved"
+    # The same pairs against a bound ten times narrower clear the minimum effect.
+    assert abtest.verdict(base, head, higher_is_better=False, bound=0.015) == "worse"
 
 
 def test_ties_win_nothing():

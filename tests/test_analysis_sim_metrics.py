@@ -25,8 +25,8 @@ from repro.metrics import (
     span_f1_single,
     tta_speedup,
 )
-from repro.sim import AllReduceModel, CostModel, paper_testbed_cluster, single_node_cluster
-from repro.sim.cluster import GPUDevice
+from repro.sim import AllReduceModel, CostModel, paper_testbed_cluster
+from repro.sim.cluster import Cluster, ClusterSpec, GPUDevice
 from repro.sim.cost_model import GPUSpec
 
 
@@ -172,7 +172,7 @@ class TestClusterAndAllReduce:
         assert cluster.worker_bottleneck_gbps(workers) == pytest.approx(40.0)
 
     def test_single_machine_detection(self):
-        cluster = single_node_cluster(num_gpus=8)
+        cluster = Cluster(ClusterSpec(num_machines=1, gpus_per_machine=8, nic_gbps=40.0))
         workers = cluster.workers(num_machines=1, gpus_per_machine=8)
         assert cluster.is_single_machine(workers)
 

@@ -801,7 +801,7 @@ PACKAGE_EXPORTS = {
         "AllReduceModel", "Cluster", "ClusterScheduler", "ClusterSpec", "CostModel",
         "EventDrivenEngine", "SchedulePolicy", "SimJob", "SimSanitizer", "diff_profiles",
         "paper_testbed_cluster", "preview_faults", "profile_scenario", "run_scenario",
-        "run_sweep", "single_node_cluster"},
+        "run_sweep"},
     "repro.core": {
         "ActivationCache", "BaseTrainer", "ClassificationTask", "EgeriaConfig",
         "EgeriaController", "EgeriaTrainer", "EgeriaWorker", "FreezingEngine", "Prefetcher",

@@ -29,6 +29,7 @@ guarantees tie production to it:
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import operator
@@ -49,6 +50,7 @@ from repro.sim import (
     EventDrivenEngine,
     SchedulePolicy,
     SimJob,
+    paper_testbed_cluster,
 )
 from repro.sim import engine as engine_module
 from repro.sim.cost_model import GPUSpec
@@ -551,6 +553,103 @@ class TestExactEvents:
         assert perf["iterations_batched"] == 31932
         assert result.makespan == 6921.927202988215
         assert calls == {"simulate_iteration": 68, "can_fast_forward": 64}
+
+
+def result_digest(result):
+    return hashlib.sha256(json.dumps(result.as_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestBatchDoesOnlyItsWork:
+    """A batch of memo hits calls the per-iteration pipeline only for the work
+    there is: ``_replay`` for link reservations, a sanitizer or an observer,
+    ``begin_iteration`` for a job that overrides it, and the profile once.
+    The results are the parent's, digest for digest."""
+
+    def _run(self, monkeypatch, fixture, sanitize):
+        scheduler = build_scenario(dict(load_fixture(fixture), sanitize=sanitize))
+        engine_calls = count_calls(monkeypatch, EventDrivenEngine, "_replay")
+        job_calls = count_calls(monkeypatch, SimJob, "begin_iteration", "iteration_profile",
+                                "profile_span")
+        result = scheduler.run()
+        return result, {**engine_calls, **job_calls}
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_steady_replays_and_begins_only_its_unbatched_iterations(self, monkeypatch,
+                                                                     sanitize):
+        """31 996 ``_replay``, 32 000 ``begin_iteration`` and 32 000
+        ``iteration_profile`` calls when every batched iteration made each.
+        Under SimSan every memo hit still replays, for the spot-check cadence."""
+        result, calls = self._run(monkeypatch, "sim_steady-seed0.json", sanitize)
+        perf = result.perf
+        assert perf["iterations_batched"] == 31932
+        unbatched = perf["iterations_fast_forwarded"] - perf["iterations_batched"]
+        assert unbatched == 64
+        assert calls == {"_replay": perf["iterations_fast_forwarded"] if sanitize else unbatched,
+                         "begin_iteration": 68, "iteration_profile": 132, "profile_span": 64}
+        # A plain SimJob's hook is a no-op: no batched iteration calls it.
+        assert calls["begin_iteration"] == 32000 - perf["iterations_batched"]
+        assert result_digest(result) == (
+            "5bc593972686c5aaf7b63371ecc1ff7a95a18e95c2cd4e934083c45204aab970")
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_storm_replays_only_batches_that_reserve_links(self, monkeypatch, sanitize):
+        """4 073 ``_replay``, 4 790 ``begin_iteration`` and 5 637
+        ``iteration_profile`` calls when every batched iteration made each;
+        51 batched iterations cross a link and still re-commit their windows."""
+        result, calls = self._run(monkeypatch, "sim_fault_storm-seed0.json", sanitize)
+        perf = result.perf
+        assert (perf["fast_forward_batches"], perf["iterations_batched"]) == (165, 3803)
+        assert calls == {"_replay": 4073 if sanitize else 321, "begin_iteration": 986,
+                         "iteration_profile": 1883, "profile_span": 166}
+        assert result_digest(result) == (
+            "9bc88344b8356274cec49bf54934e272e8497ea8815176c2a7a17d23fe08c6ce")
+
+    def test_a_changing_callable_prefix_splits_the_batch_where_it_changes(self, monkeypatch):
+        """The prefix changes at iterations 9 and 17 of a run that would
+        otherwise be one batch of 29: three batches, split where it changes."""
+        batches = []
+        commit = EventDrivenEngine.fast_forward_batch
+
+        def recorded(self, cost_model, count, **kwargs):
+            durations = commit(self, cost_model, count, **kwargs)
+            batches.append((kwargs["frozen_prefix"], count, len(durations)))
+            return durations
+
+        monkeypatch.setattr(EventDrivenEngine, "fast_forward_batch", recorded)
+
+        def run(scheduler_cls):
+            scheduler = scheduler_cls(paper_testbed_cluster())
+            scheduler.submit(SimJob("a", make_cost_model(), iterations=30,
+                                    frozen_prefix=lambda i: 0 if i < 9 else (2 if i < 17 else 3)))
+            return scheduler.run()
+
+        batched = run(ClusterScheduler)
+        assert batches == [(0, 8, 8), (2, 7, 7), (3, 12, 12)]
+        per_iteration = run(sim_reference.PerIterationScheduler).as_dict()
+        for counter in ("fast_forward_batches", "iterations_batched", "mean_batch_size"):
+            per_iteration["perf"].pop(counter)
+            batched.perf.pop(counter)
+        assert batched.as_dict() == per_iteration
+
+    def test_profile_span_is_constant_time_for_an_int_prefix(self, monkeypatch):
+        calls = count_calls(monkeypatch, SimJob, "prefix_at")
+        job = SimJob("a", make_cost_model(), frozen_prefix=2)
+        assert job.profile_span(5, 10 ** 9) == 10 ** 9
+        assert calls == {"prefix_at": 0}
+        changing = SimJob("b", make_cost_model(), frozen_prefix=lambda i: i // 4)
+        assert [changing.profile_span(i, 10) for i in (0, 3, 4)] == [4, 1, 4]
+        assert changing.profile_span(0, 2) == 2
+        assert calls == {"prefix_at": 5 + 2 + 5 + 2}  # each span reads one past its end
+
+    def test_profile_span_follows_an_overridden_iteration_profile(self):
+        """An int prefix does not make a span constant when the job prices
+        its iterations itself: the span still ends where the profile changes."""
+        class Reprofiled(SimJob):
+            def iteration_profile(self, iteration):
+                return (self.frozen_prefix, iteration >= 7, self.include_reference_overhead)
+
+        job = Reprofiled("a", make_cost_model(), frozen_prefix=2)
+        assert [job.profile_span(i, 10) for i in (0, 6, 7)] == [7, 1, 10]
 
 
 # --------------------------------------------------------------------------- #

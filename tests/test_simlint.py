@@ -32,6 +32,7 @@ FIXTURE_EXPECTATIONS = {
     "public_api.py": ("SIM006", [7, 7, 7, 11, 19, 19, 19], [24, 24, 24]),
     "repro/sim/upward_imports.py": ("SIM007", [10, 16, 17, 22, 23], []),
     "repro/core/layered_imports.py": ("SIM007", [6, 11], []),
+    "unread_import.py": ("SIM008", [6, 7, 12, 25], [11]),
 }
 
 
@@ -52,6 +53,12 @@ class TestRuleFixtures:
         """The fixture table covers the whole rule catalog."""
         covered = {rule for rule, _, _ in FIXTURE_EXPECTATIONS.values()}
         assert covered == set(rule_index())
+
+    def test_package_init_reexports_are_not_unread_imports(self):
+        """An ``__init__.py``'s imports are its exports; elsewhere they must be read."""
+        source = '"""Package."""\n\nfrom .engine import EventDrivenEngine\n'
+        assert lint_source("pkg/__init__.py", source).ok
+        assert [f.rule for f in lint_source("pkg/module.py", source).findings] == ["SIM008"]
 
     def test_findings_carry_provenance(self):
         """Findings render as path:line:col and keep the offending snippet."""
@@ -79,18 +86,20 @@ class TestLayerTable:
     def test_relative_imports_resolve_from_a_subpackage(self):
         """``repro/sim/scheduler/jobs.py``'s old ``TYPE_CHECKING`` import reached ``repro.metrics``."""
         source = ('"""Doc."""\nfrom typing import TYPE_CHECKING\nfrom ..engine import SchedulePolicy\n'
-                  "from . import loop\nif TYPE_CHECKING:\n    from ...metrics.tracking import RunHistory\n")
+                  "from . import loop\nif TYPE_CHECKING:\n    from ...metrics.tracking import RunHistory\n"
+                  '__all__ = ["SchedulePolicy", "loop", "RunHistory"]\n')
         result = lint_source("src/repro/sim/scheduler/jobs.py", source)
         assert [(f.rule, f.line) for f in result.findings] == [("SIM007", 6)]
         assert "repro.metrics" in result.findings[0].message
 
     def test_files_outside_repro_are_not_checked(self):
-        source = '"""Doc."""\nfrom repro.experiments import build_workload\n'
+        source = '"""Doc."""\nfrom repro.experiments import build_workload\n__all__ = ["build_workload"]\n'
         assert not lint_source("tools/helper.py", source).findings
 
     def test_absolute_and_aliased_imports_count(self):
         source = ('"""Doc."""\nimport repro.core.trainer as trainer\n'
-                  "from repro import sim, cli\nimport repro\n")
+                  "from repro import sim, cli\nimport repro\n"
+                  '__all__ = ["trainer", "sim", "cli", "repro"]\n')
         result = lint_source("src/repro/sim/example.py", source)
         assert [(f.rule, f.line) for f in result.findings] == [("SIM007", 2), ("SIM007", 3)]
         assert "repro.cli" in result.findings[1].message

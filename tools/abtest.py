@@ -42,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Share of the pairs the working tree must win for a "better" (or lose for a "worse") verdict.
 WIN_SHARE = 0.9
+#: Share of a metric's bound the median gap must exceed for a "better" or "worse" verdict.
+MIN_EFFECT = 0.1
 #: Measurement window of the untimed warm-up run each tree gets per workload.
 WARMUP_SECONDS = 2.0
 
@@ -71,9 +73,10 @@ def verdict(base: Sequence[float], head: Sequence[float], higher_is_better: bool
     more than ``bound``, a share of the base's median.  Otherwise the
     working tree is "better" when it wins at least :data:`WIN_SHARE` of the
     pairs (see :func:`pair_wins`) *and* its median beats the base's by more
-    than the base's interquartile distance; "worse" is the same rule with
-    the sides swapped.  Anything else, and a single pair, cannot be told
-    apart from the noise of these runs.
+    than both the base's interquartile distance and :data:`MIN_EFFECT` of
+    the bound; "worse" is the same rule with the sides swapped.  Anything
+    else, and a single pair, cannot be told apart from the noise of these
+    runs or is too small to matter.
     """
     wins, losses = pair_wins(base, head, higher_is_better)
     sign = 1.0 if higher_is_better else -1.0
@@ -83,9 +86,10 @@ def verdict(base: Sequence[float], head: Sequence[float], higher_is_better: bool
         return "regressed"
     if len(base) < 2:
         return "unresolved"  # one pair has no spread to beat
-    if wins >= WIN_SHARE * len(base) and gap > q3 - q1:
+    floor = max(q3 - q1, MIN_EFFECT * bound * abs(median_base))
+    if wins >= WIN_SHARE * len(base) and gap > floor:
         return "better"
-    if losses >= WIN_SHARE * len(base) and -gap > q3 - q1:
+    if losses >= WIN_SHARE * len(base) and -gap > floor:
         return "worse"
     return "unresolved"
 

@@ -22,6 +22,8 @@ SIM006    missing type annotations / docstrings on ``repro.sim`` public API
 SIM007    an import of a ``repro`` package that the layer table
           (``rules.LAYERS``) does not allow — lazy and ``TYPE_CHECKING``
           imports included
+SIM008    an imported name that nothing reads (``__all__`` counts as a
+          read; package ``__init__.py`` re-exports are exempt)
 ========  ==============================================================
 
 Findings can be suppressed inline with a *justified* comment::

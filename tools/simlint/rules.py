@@ -572,6 +572,60 @@ class LayerImportRule(Rule):
                 if parts and parts[0] == "repro"]
 
 
+class UnreadImportRule(Rule):
+    """SIM008: every imported name is read.
+
+    A name an import binds and nothing reads is a dependency nobody uses:
+    it costs import time and hides which module really needs what.  A name
+    counts as read when the module loads it anywhere (a quoted annotation
+    included) or lists it in ``__all__``.  Package ``__init__.py`` files are
+    exempt — their imports are the package's re-exports — and so are
+    ``from __future__`` imports.
+    """
+
+    id = "SIM008"
+    title = "imported name never read"
+    sim_core_only = False
+
+    def check(self, tree: ast.AST) -> None:
+        if self.path.replace("\\", "/").endswith("__init__.py"):
+            return
+        read: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.arg, ast.AnnAssign)):
+                read.update(_quoted_names(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read.update(_quoted_names(node.returns))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                read.update(element.value for element in getattr(node.value, "elts", ())
+                            if isinstance(element, ast.Constant))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".", 1)[0]
+                    if bound != "*" and bound not in read:
+                        self.report(node, f"imported name {bound!r} is never read")
+
+
+def _quoted_names(annotation: Optional[ast.AST]) -> Set[str]:
+    """The names a quoted (string) annotation inside ``annotation`` loads."""
+    names: Set[str] = set()
+    for node in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name))
+    return names
+
+
 #: Every registered rule, in id order — the runner instantiates each per file.
 ALL_RULES: Tuple[Type[Rule], ...] = (
     WallClockRule,
@@ -581,6 +635,7 @@ ALL_RULES: Tuple[Type[Rule], ...] = (
     MutableDefaultRule,
     PublicApiRule,
     LayerImportRule,
+    UnreadImportRule,
 )
 
 
