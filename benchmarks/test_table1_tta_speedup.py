@@ -3,7 +3,7 @@
 The paper reports 19%–43% TTA speedups across seven model/dataset workloads
 without accuracy loss.  This bench trains vanilla and Egeria on each scaled
 workload, computes the TTA speedup against the vanilla converged accuracy and
-prints the paper-vs-measured rows recorded in EXPERIMENTS.md.
+prints the paper-vs-measured rows.
 """
 
 from conftest import print_rows

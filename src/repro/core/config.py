@@ -11,8 +11,8 @@ The paper uses three hyperparameters (§4.2.2 "Hyperparameters guideline"):
 
 plus the reference-model update period and the bootstrapping exit criterion
 (training-loss changing rate below 10%).  :class:`EgeriaConfig` collects all
-of them with the paper's defaults, and provides the recommended-``n``
-calculator from the guideline formula.
+of them with the paper's defaults; each workload sets ``n`` by hand
+(``docs/fidelity.md``).
 """
 
 from __future__ import annotations
@@ -107,23 +107,3 @@ class EgeriaConfig:
             raise ValueError("unfreeze_lr_drop_factor must exceed 1")
         if self.reference_precision not in ("int8", "int4", "float16", "float32"):
             raise ValueError(f"unknown reference precision {self.reference_precision!r}")
-
-    @staticmethod
-    def recommended_eval_interval(total_iterations: int, num_layer_modules: int, freeze_window: int = 10,
-                                  has_lr_schedule: bool = True) -> int:
-        """Guideline value of ``n`` from §4.2.2.
-
-        The paper's worked example: ResNet-56, 7 layer modules, W=10,
-        ~78k iterations → n ≈ 78k / (10*2) / 7 / (1 + 0.5 + 0.25) ≈ 300.
-        The ``(1 + 0.5 + 0.25)`` term accounts for bootstrapping, smoothing
-        delay and the window halving after unfreezes.
-        """
-        denominator = (freeze_window * 2) * max(num_layer_modules, 1) * (1 + 0.5 + 0.25)
-        if not has_lr_schedule:
-            denominator = (freeze_window * 2) * max(num_layer_modules, 1)
-        return max(int(round(total_iterations / denominator)), 1)
-
-    def scaled_for(self, total_iterations: int, num_layer_modules: int) -> "EgeriaConfig":
-        """Return a copy with ``eval_interval_iters`` set by the guideline."""
-        interval = self.recommended_eval_interval(total_iterations, num_layer_modules, self.freeze_window)
-        return EgeriaConfig(**{**self.__dict__, "eval_interval_iters": interval})

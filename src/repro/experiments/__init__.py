@@ -7,8 +7,6 @@ baseline, and one ``run_*`` function per table/figure (used by the
 """
 
 from .figures import (
-    run_checkpoint_overhead,
-    run_fault_tolerance,
     run_fig1_pwcca_convergence,
     run_fig2_premature_freezing,
     run_fig4_plasticity_trends,
@@ -17,15 +15,9 @@ from .figures import (
     run_fig10_distributed,
     run_fig11_freezing_decisions,
     run_fig12_hyperparameters,
-    run_freezing_replay,
-    run_multijob_cluster,
     run_overhead_analysis,
-    run_storage_contention,
     run_table1_tta,
     run_table2_reference_precision,
-    run_topology_interference,
-    run_trainer_backed_job,
-    run_trainer_fault_tolerance,
 )
 from .runners import SYSTEMS, ComparisonRow, build_trainer, compare_systems, format_rows, run_trainer
 from .workloads import SCALES, Workload, available_workloads, build_workload
@@ -49,14 +41,6 @@ __all__ = [
     "run_fig8_end_to_end",
     "run_fig9_breakdown",
     "run_fig10_distributed",
-    "run_multijob_cluster",
-    "run_freezing_replay",
-    "run_checkpoint_overhead",
-    "run_fault_tolerance",
-    "run_storage_contention",
-    "run_topology_interference",
-    "run_trainer_backed_job",
-    "run_trainer_fault_tolerance",
     "run_fig11_freezing_decisions",
     "run_fig12_hyperparameters",
     "run_overhead_analysis",

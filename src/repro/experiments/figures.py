@@ -3,8 +3,8 @@
 Each ``run_*`` function reproduces one table/figure of the evaluation (or
 motivation) section and returns plain dict/list data that the corresponding
 benchmark under ``benchmarks/`` prints and sanity-checks.  The experiments run
-on the scaled synthetic workloads of :mod:`repro.experiments.workloads`; see
-EXPERIMENTS.md for the paper-vs-measured comparison.
+on the scaled synthetic workloads of :mod:`repro.experiments.workloads`;
+``docs/fidelity.md`` lists where they depart from the paper.
 
 Index
 -----
@@ -15,14 +15,6 @@ Index
 * :func:`run_fig8_end_to_end`         — Figure 8 (accuracy curves vs baselines)
 * :func:`run_fig9_breakdown`          — Figure 9 (BP freezing vs FP caching)
 * :func:`run_fig10_distributed`       — Figure 10 (distributed throughput)
-* :func:`run_multijob_cluster`        — beyond-paper: multi-job cluster scenario
-* :func:`run_freezing_replay`         — beyond-paper: Egeria timeline replayed in the simulator
-* :func:`run_checkpoint_overhead`     — beyond-paper: freezing-aware checkpoint byte curve
-* :func:`run_fault_tolerance`         — beyond-paper: failure injection, resume vs from-scratch
-* :func:`run_storage_contention`      — beyond-paper: concurrent vs staggered checkpointers on shared storage
-* :func:`run_trainer_backed_job`      — beyond-paper: a real EgeriaTrainer inside the cluster simulator
-* :func:`run_topology_interference`   — beyond-paper: rack-local vs cross-rack placement on per-ToR fabric
-* :func:`run_trainer_fault_tolerance` — beyond-paper: TrainerJob failure injection, bit-exact resume vs restart
 * :func:`run_fig11_freezing_decisions`— Figure 11 (freeze/unfreeze timeline)
 * :func:`run_table2_reference_precision` — Table 2 (int8/fp16/fp32 reference)
 * :func:`run_fig12_hyperparameters`   — Figure 12 (sensitivity of n, W, T)
@@ -31,7 +23,6 @@ Index
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -39,24 +30,14 @@ import numpy as np
 from .. import nn
 from ..analysis import ConvergenceAnalyzer
 from ..baselines import DistributedThroughputComparison
-from ..ckpt import CheckpointManager, MemoryBackend
-from ..core import TrainerJob, parse_layer_modules
+from ..core import parse_layer_modules
 from ..core.hooks import ActivationRecorder
 from ..core.reference import ReferenceModel
 from ..metrics.tracking import RunHistory
 from ..quantization import PRECISIONS
 from ..core.modules import LayerModule
-from ..sim import (
-    Cluster,
-    ClusterScheduler,
-    ClusterSpec,
-    CostModel,
-    EventDrivenEngine,
-    SchedulePolicy,
-    SimJob,
-    paper_testbed_cluster,
-)
-from .runners import build_trainer, compare_systems, run_trainer
+from ..sim import CostModel, EventDrivenEngine, SchedulePolicy, paper_testbed_cluster
+from .runners import compare_systems, run_trainer
 from .workloads import Workload, available_workloads, build_workload
 
 __all__ = [
@@ -67,12 +48,6 @@ __all__ = [
     "run_fig8_end_to_end",
     "run_fig9_breakdown",
     "run_fig10_distributed",
-    "run_multijob_cluster",
-    "run_freezing_replay",
-    "run_checkpoint_overhead",
-    "run_fault_tolerance",
-    "run_storage_contention",
-    "run_trainer_backed_job",
     "run_fig11_freezing_decisions",
     "run_table2_reference_precision",
     "run_fig12_hyperparameters",
@@ -90,6 +65,19 @@ def _prefix_for_fraction(layer_modules: Sequence[LayerModule], frozen_fraction: 
         running += module.num_params
         prefix += 1
     return prefix
+
+
+def _train_epoch(task, model: nn.Module, optimizer, loader, epoch: int) -> None:
+    """One plain training pass over ``loader``'s batches of ``epoch``."""
+    loader.set_epoch(epoch)
+    while True:
+        batch = loader.next_batch()
+        if batch is None:
+            return
+        loss = task.loss(task.forward(model, batch), batch)
+        optimizer.zero_grad()
+        loss.backward()
+        optimizer.step()
 
 
 # --------------------------------------------------------------------------- #
@@ -112,15 +100,7 @@ def run_fig1_pwcca_convergence(scale: str = "tiny", snapshot_every: int = 2, see
     snapshots: Dict[int, Dict[str, np.ndarray]] = {}
     for epoch in range(workload.num_epochs):
         scheduler.step(epoch)
-        loader.set_epoch(epoch)
-        while True:
-            batch = loader.next_batch()
-            if batch is None:
-                break
-            loss = task.loss(task.forward(model, batch), batch)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        _train_epoch(task, model, optimizer, loader, epoch)
         if epoch % snapshot_every == 0 or epoch == workload.num_epochs - 1:
             snapshots[epoch] = model.state_dict()
 
@@ -218,15 +198,7 @@ def run_fig4_plasticity_trends(scale: str = "tiny", reference_fraction: float = 
 
     for epoch in range(workload.num_epochs):
         scheduler.step(epoch)
-        loader.set_epoch(epoch)
-        while True:
-            batch = loader.next_batch()
-            if batch is None:
-                break
-            loss = task.loss(task.forward(model, batch), batch)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        _train_epoch(task, model, optimizer, loader, epoch)
         if epoch == reference_epoch:
             reference_model = workload.make_model()
             reference_model.load_state_dict(model.state_dict())
@@ -384,434 +356,6 @@ def run_fig10_distributed(workload_name: str = "resnet50_imagenet", scale: str =
 
 
 # --------------------------------------------------------------------------- #
-# Beyond the paper — multi-job cluster scenario on the event-driven engine
-# --------------------------------------------------------------------------- #
-def run_multijob_cluster(workload_name: str = "resnet50_imagenet", scale: str = "tiny",
-                         iterations: int = 25, placement: str = "round_robin",
-                         straggler_gpu: str = "node0:gpu0", straggler_speed: float = 0.6,
-                         frozen_fraction: float = 0.4, seed: int = 0) -> Dict[str, object]:
-    """Several training jobs sharing the paper's testbed, with a straggler.
-
-    An Egeria job (frozen prefix + cached FP) and a vanilla job train
-    concurrently on the 5-machine cluster; a third job arrives immediately
-    but must queue until GPUs free up, and the vanilla job loses two workers
-    mid-run (elastic leave).  One GPU is a straggler, which gates every
-    all-reduce of the job placed on it.  Returns a plain-data dict that is
-    bit-for-bit deterministic for a fixed seed — the property the multi-job
-    benchmark asserts by running it twice.
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    layer_modules = parse_layer_modules(workload.make_model())
-    cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
-
-    cluster = paper_testbed_cluster()
-    scheduler = ClusterScheduler(cluster, placement=placement)
-    scheduler.set_gpu_speed(straggler_gpu, straggler_speed, at_time=0.0)
-    scheduler.submit(SimJob("egeria", cost_model, num_workers=4, iterations=iterations,
-                            policy=SchedulePolicy.EGERIA, frozen_prefix=prefix, cached_fp=True,
-                            include_reference_overhead=True))
-    scheduler.submit(SimJob("vanilla", cost_model, num_workers=4, iterations=iterations,
-                            policy=SchedulePolicy.VANILLA))
-    scheduler.submit(SimJob("queued", cost_model, num_workers=4, iterations=max(iterations // 2, 1),
-                            policy=SchedulePolicy.VANILLA))
-    # Elastic leave: the vanilla job gives up two workers partway through.
-    first_iteration = scheduler.engine.simulate_iteration(cost_model, workers=cluster.workers(2, 2)).total
-    scheduler.resize_job("vanilla", -2, at_time=first_iteration * (iterations // 2))
-    result = scheduler.run()
-    return {
-        "workload": workload_name,
-        "frozen_prefix": prefix,
-        "placement": placement,
-        "straggler": {"gpu": straggler_gpu, "speed": straggler_speed},
-        "result": result.as_dict(),
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — Egeria freezing timeline replayed through the simulator
-# --------------------------------------------------------------------------- #
-def run_freezing_replay(workload_name: str = "resnet56_cifar10", scale: str = "tiny",
-                        num_workers: int = 4, seed: int = 0) -> Dict[str, object]:
-    """Replay a real Egeria freezing timeline inside the cluster simulator.
-
-    Trains the workload with Egeria, converts its freeze/unfreeze events into
-    a ``iteration -> frozen_prefix`` step function, and feeds that callable to
-    :attr:`SimJob.frozen_prefix` — so the simulated job's iterations shorten
-    mid-run exactly when the real run froze modules, the cluster-level view
-    of Figure 11.
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    egeria = run_trainer("egeria", workload)
-    timeline = egeria["timeline"]
-    total_iterations = int(egeria["summary"]["iteration"])
-
-    # Freeze events advance the prefix front-to-back; an unfreeze resets it.
-    steps: List[tuple] = [(0, 0)]
-    for event in timeline:
-        if event["action"] in ("freeze", "refreeze"):
-            prefix = int(event["module_index"]) + 1
-        else:
-            prefix = 0
-        steps.append((int(event["iteration"]), prefix))
-
-    def prefix_at(iteration: int) -> int:
-        prefix = 0
-        for start, value in steps:
-            if iteration >= start:
-                prefix = value
-            else:
-                break
-        return prefix
-
-    layer_modules = parse_layer_modules(workload.make_model())
-    cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    cluster = paper_testbed_cluster()
-    scheduler = ClusterScheduler(cluster, placement="fifo")
-    scheduler.submit(SimJob("egeria_replay", cost_model, num_workers=num_workers,
-                            iterations=total_iterations, policy=SchedulePolicy.EGERIA,
-                            frozen_prefix=prefix_at, cached_fp=True,
-                            include_reference_overhead=True))
-    result = scheduler.run()
-    record = result.jobs["egeria_replay"]
-    return {
-        "workload": workload_name,
-        "total_iterations": total_iterations,
-        "num_freeze_events": sum(1 for e in timeline if e["action"] in ("freeze", "refreeze")),
-        "prefix_series": [prefix_at(i) for i in range(total_iterations)],
-        "iteration_seconds": list(record.iteration_seconds),
-        "makespan": result.makespan,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — freezing-aware checkpoint overhead curve (next to Fig. 9)
-# --------------------------------------------------------------------------- #
-def run_checkpoint_overhead(workload_name: str = "resnet56_cifar10", scale: str = "tiny",
-                            seed: int = 0) -> Dict[str, object]:
-    """Per-checkpoint write volume of an Egeria run, one checkpoint per epoch.
-
-    The storage analogue of the Figure 9 iteration-time breakdown: tensors
-    are content-addressed, the frozen prefix is immutable between freeze
-    events, so the ``model``/``optimizer`` bytes each checkpoint writes fall
-    as the prefix advances.  Rows carry the total and the per-section bytes
-    (the quantized reference snapshot rewrites on its own update cadence).
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    manager = CheckpointManager(MemoryBackend())
-    result = run_trainer("egeria", workload, checkpoint_manager=manager, checkpoint_every=1)
-    rows: List[Dict[str, object]] = []
-    for info in result["checkpoints"]:
-        sections = info.get("bytes_written_by_section", {})
-        rows.append({
-            "step": info["step"],
-            "epoch": info["meta"]["epoch"],
-            "frozen_prefix": info["meta"]["frozen_prefix"],
-            "frozen_fraction": info["meta"]["frozen_fraction"],
-            "bytes_written": info["bytes_written"],
-            "payload_bytes": info["payload_bytes"],
-            "model_state_bytes": sections.get("model", 0) + sections.get("optimizer", 0),
-            "reference_bytes": sections.get("egeria", 0),
-        })
-    return {
-        "workload": workload_name,
-        "rows": rows,
-        "timeline": result["timeline"],
-        "full_payload_bytes": rows[0]["payload_bytes"] if rows else 0,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — failure injection: resume-from-checkpoint vs from-scratch
-# --------------------------------------------------------------------------- #
-def run_fault_tolerance(workload_name: str = "resnet50_imagenet", scale: str = "tiny",
-                        iterations: int = 30, checkpoint_every: int = 5,
-                        fail_gpu: str = "node0:gpu0", fail_after_fraction: float = 0.6,
-                        frozen_fraction: float = 0.4, seed: int = 0) -> Dict[str, object]:
-    """Deterministic failure-injection scenario, with and without checkpoints.
-
-    One 4-worker job trains on the paper's testbed; ``fail_gpu`` dies after
-    ~``fail_after_fraction`` of the run.  With ``checkpoint_every`` set the
-    job restarts from its last incremental checkpoint (restore read charged
-    as link-bytes); without, it restarts from scratch.  Returns both runs'
-    records so the benchmark can assert the makespan win.
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    layer_modules = parse_layer_modules(workload.make_model())
-    cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-    prefix = _prefix_for_fraction(layer_modules, frozen_fraction)
-
-    def scenario(ckpt_every: Optional[int]) -> Dict[str, object]:
-        cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster, placement="fifo")
-        scheduler.submit(SimJob("job", cost_model, num_workers=4, iterations=iterations,
-                                policy=SchedulePolicy.EGERIA, frozen_prefix=prefix,
-                                cached_fp=True, include_reference_overhead=True,
-                                checkpoint_every=ckpt_every))
-        nominal = scheduler.engine.simulate_iteration(
-            cost_model, workers=cluster.workers(2, 2), frozen_prefix=prefix, cached_fp=True,
-            include_reference_overhead=True).total
-        scheduler.inject_failure(fail_gpu, at_time=nominal * iterations * fail_after_fraction)
-        return scheduler.run().as_dict()
-
-    with_checkpoint = scenario(checkpoint_every)
-    from_scratch = scenario(None)
-    return {
-        "workload": workload_name,
-        "iterations": iterations,
-        "checkpoint_every": checkpoint_every,
-        "frozen_prefix": prefix,
-        "fail_gpu": fail_gpu,
-        "with_checkpoint": with_checkpoint,
-        "from_scratch": from_scratch,
-        "makespan_saving": (from_scratch["makespan"] - with_checkpoint["makespan"])
-                           / from_scratch["makespan"] if from_scratch["makespan"] else 0.0,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — storage contention: concurrent vs staggered checkpointers
-# --------------------------------------------------------------------------- #
-def run_storage_contention(workload_name: str = "resnet50_imagenet", scale: str = "tiny",
-                           iterations: int = 12, checkpoint_every: int = 2,
-                           num_workers: int = 2, seed: int = 0) -> Dict[str, object]:
-    """Two identical checkpointing jobs sharing one storage resource.
-
-    Three deterministic variants of the same two-job scenario:
-
-    * **concurrent** — both jobs arrive at t=0, so every periodic checkpoint
-      hits the shared storage target at the same instant and the second
-      writer queues behind the first;
-    * **staggered** — the second job arrives one iteration later, so the
-      writes interleave without overlapping and nobody waits;
-    * **concurrent_async** — the concurrent arrival pattern with overlapped
-      (async) checkpoint writes: compute is released at the iteration
-      boundary while the snapshot drains in the background.
-
-    Each job is confined to a single machine (``num_workers`` ≤ the
-    per-machine GPU count with FIFO packing), so the *only* shared resource
-    in play is the storage target — the cleanest demonstration that resource
-    queues, not fudge factors, produce the contention.
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    layer_modules = parse_layer_modules(workload.make_model())
-    cost_model = CostModel(layer_modules, batch_size=workload.batch_size)
-
-    def scenario(stagger: float, asynchronous: bool) -> Dict[str, object]:
-        scheduler = ClusterScheduler(paper_testbed_cluster(), placement="fifo")
-        for name, arrival in (("a", 0.0), ("b", stagger)):
-            scheduler.submit(SimJob(name, cost_model, num_workers=num_workers,
-                                    iterations=iterations, checkpoint_every=checkpoint_every,
-                                    async_checkpoint=asynchronous, arrival_time=arrival))
-        return scheduler.run().as_dict()
-
-    concurrent = scenario(0.0, asynchronous=False)
-    # Stagger by one steady-state iteration: checkpoints then interleave
-    # instead of colliding.
-    stagger = concurrent["jobs"]["a"]["mean_iteration_seconds"]
-    staggered = scenario(stagger, asynchronous=False)
-    concurrent_async = scenario(0.0, asynchronous=True)
-    return {
-        "workload": workload_name,
-        "iterations": iterations,
-        "checkpoint_every": checkpoint_every,
-        "stagger_seconds": stagger,
-        "concurrent": concurrent,
-        "staggered": staggered,
-        "concurrent_async": concurrent_async,
-        "storage_resource": Cluster.CKPT_STORAGE,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — a real EgeriaTrainer driving a simulated cluster job
-# --------------------------------------------------------------------------- #
-def run_trainer_backed_job(workload_name: str = "resnet56_cifar10", scale: str = "tiny",
-                           num_workers: int = 4, checkpoint_every: Optional[int] = None,
-                           seed: int = 0) -> Dict[str, object]:
-    """Run a live Egeria trainer as a cluster job through the scheduler.
-
-    The :class:`TrainerJob` adapter executes one real training iteration per
-    simulated iteration: the trainer's live freezing decisions set the frozen
-    prefix the engine prices, and every periodic checkpoint is an actual
-    content-addressed :class:`~repro.ckpt.CheckpointManager` snapshot whose
-    *incremental* ``bytes_written`` — not the ``CKPT_STATE_MULTIPLIER``
-    estimate — is what the shared storage resource is charged with.  A
-    vanilla synthetic job shares the cluster so the trainer-backed job also
-    contends for the fabric.  Deterministic for a fixed seed.
-    """
-    workload = build_workload(workload_name, scale=scale, seed=seed)
-    trainer = build_trainer("egeria", workload)
-    manager = CheckpointManager(MemoryBackend())
-    trainer.configure_checkpointing(manager, checkpoint_every=1)
-    iterations_per_epoch = len(trainer.train_loader)
-    iterations = iterations_per_epoch * workload.num_epochs
-    checkpoint_every = checkpoint_every or max(iterations_per_epoch // 2, 1)
-
-    job = TrainerJob("trainer", trainer, iterations=iterations, num_workers=num_workers,
-                     policy=SchedulePolicy.EGERIA, checkpoint_every=checkpoint_every)
-    scheduler = ClusterScheduler(paper_testbed_cluster(), placement="round_robin")
-    scheduler.submit(job)
-    scheduler.submit(SimJob("companion", job.cost_model, num_workers=num_workers,
-                            iterations=max(iterations // 2, 1),
-                            policy=SchedulePolicy.VANILLA))
-    result = scheduler.run()
-    record = result.jobs["trainer"]
-    summary = {
-        "workload": workload_name,
-        "iterations": iterations,
-        "checkpoint_every": checkpoint_every,
-        "result": result.as_dict(),
-        "prefix_series": list(job.prefix_series),
-        "max_frozen_prefix": max(job.prefix_series) if job.prefix_series else 0,
-        "num_checkpoints": len(job.checkpoint_infos),
-        "simulated_checkpoint_bytes": record.checkpoint_bytes_written,
-        "actual_checkpoint_bytes": sum(info["bytes_written"] for info in manager.history()),
-        "actual_payload_bytes": [info["payload_bytes"] for info in manager.history()],
-        "final_frozen_fraction": trainer.frozen_fraction(),
-    }
-    trainer.close()
-    return summary
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — per-ToR fabric: placement locality changes interference
-# --------------------------------------------------------------------------- #
-def run_topology_interference(iterations: int = 4, num_workers: int = 4,
-                              module_params: Sequence[int] = (400_000, 800_000, 600_000),
-                              batch_size: int = 4,
-                              policies: Sequence[str] = ("fifo", "fair")) -> Dict[str, object]:
-    """Rack-local vs cross-rack placement of two jobs on a per-ToR fabric.
-
-    A 4-machine, 2-rack cluster declares per-ToR uplink resources plus a
-    core fabric (``ClusterSpec.per_tor_fabric``), with NIC and uplink speeds
-    equal so rack-local and cross-rack rings have identical *uncontended*
-    all-reduce cost — any completion-time difference between placements is
-    pure shared-resource interference.  Two comm-heavy jobs run under each
-    scheduling discipline (``fifo`` first-fit serialization, ``fair``
-    processor sharing) in two placements:
-
-    * ``tor_pack`` — each job packs into its own rack, queueing only on its
-      own ToR's uplink (disjoint resources: no cross-job interference, and
-      the core carries zero bytes);
-    * ``round_robin`` — both jobs interleave across both racks, sharing both
-      uplinks *and* the core.
-
-    Deterministic for fixed inputs; the benchmark asserts rack-local
-    placement beats cross-rack under every discipline and that the
-    discipline never changes per-link byte totals, only their timing.
-    """
-    cost_model = CostModel(
-        [LayerModule(name=f"m{i}", paths=[], blocks=[], num_params=int(params), index=i)
-         for i, params in enumerate(module_params)],
-        batch_size=batch_size)
-    variants: Dict[str, Dict[str, object]] = {}
-    for policy in policies:
-        for placement in ("tor_pack", "round_robin"):
-            cluster = Cluster(ClusterSpec(num_machines=4, gpus_per_machine=2,
-                                          num_tor_switches=2, nic_gbps=1.0,
-                                          tor_uplink_gbps=1.0, per_tor_fabric=True,
-                                          fabric_policy=policy))
-            scheduler = ClusterScheduler(cluster, placement=placement)
-            for name in ("a", "b"):
-                scheduler.submit(SimJob(name, cost_model, num_workers=num_workers,
-                                        iterations=iterations))
-            variants[f"{policy}/{placement}"] = scheduler.run().as_dict()
-    return {
-        "iterations": iterations,
-        "num_workers": num_workers,
-        "policies": list(policies),
-        "core_resource": Cluster.CORE,
-        "variants": variants,
-    }
-
-
-# --------------------------------------------------------------------------- #
-# Beyond the paper — trainer-backed fault injection: bit-exact resume
-# --------------------------------------------------------------------------- #
-def _model_digest(model) -> str:
-    """Order-independent SHA-256 digest of a model's full parameter state."""
-    digest = hashlib.sha256()
-    state = model.state_dict()
-    for key in sorted(state):
-        digest.update(key.encode("utf-8"))
-        digest.update(np.ascontiguousarray(state[key]).tobytes())
-    return digest.hexdigest()
-
-
-def run_trainer_fault_tolerance(workload_name: str = "resnet56_cifar10", scale: str = "tiny",
-                                num_workers: int = 2, checkpoint_every: Optional[int] = None,
-                                fail_gpu: str = "node0:gpu0",
-                                fail_after_fraction: float = 0.45,
-                                seed: int = 0) -> Dict[str, object]:
-    """Failure injection against a **live trainer** running in the scheduler.
-
-    Three variants of the same :class:`TrainerJob` scenario — the ROADMAP's
-    outstanding trainer-backed fault-injection benchmark:
-
-    * ``clean`` — the reference run, no failure;
-    * ``resumed`` — ``fail_gpu`` dies mid-run; the job rolls back to its
-      last *real* checkpoint (the live trainer restores bit-exactly and the
-      data loader re-seeks), pays the restore read on shared storage, and
-      replays the lost iterations;
-    * ``scratch`` — the same failure without periodic checkpoints: the
-      job's simulated progress restarts from zero.
-
-    Returns the three scheduler records plus SHA-256 digests of each run's
-    final model state.  The benchmark asserts the recovery contract:
-    ``resumed`` reproduces ``clean``'s weights exactly (rollback is
-    bit-exact, not merely approximate) while finishing earlier than
-    ``scratch``.
-    """
-    def scenario(fail: bool, with_checkpoints: bool) -> Dict[str, object]:
-        workload = build_workload(workload_name, scale=scale, seed=seed)
-        trainer = build_trainer("egeria", workload)
-        manager = None
-        if with_checkpoints:
-            manager = CheckpointManager(MemoryBackend())
-            trainer.configure_checkpointing(manager, checkpoint_every=1)
-        per_epoch = len(trainer.train_loader)
-        iterations = per_epoch * workload.num_epochs
-        every = checkpoint_every or max(per_epoch // 2, 1)
-        job = TrainerJob("trainer", trainer, iterations=iterations, num_workers=num_workers,
-                         policy=SchedulePolicy.EGERIA,
-                         checkpoint_every=every if with_checkpoints else None)
-        cluster = paper_testbed_cluster()
-        scheduler = ClusterScheduler(cluster, placement="fifo")
-        scheduler.submit(job)
-        if fail:
-            nominal = EventDrivenEngine(paper_testbed_cluster()).simulate_iteration(
-                trainer.cost_model, workers=cluster.workers(1, num_workers)).total
-            scheduler.inject_failure(fail_gpu,
-                                     at_time=nominal * iterations * fail_after_fraction)
-        result = scheduler.run()
-        summary = {
-            "iterations": iterations,
-            "checkpoint_every": every if with_checkpoints else None,
-            "result": result.as_dict(),
-            "model_digest": _model_digest(trainer.model),
-            "trainer_iteration": trainer.iteration,
-            "num_checkpoints": len(job.checkpoint_infos),
-        }
-        trainer.close()
-        return summary
-
-    clean = scenario(fail=False, with_checkpoints=True)
-    resumed = scenario(fail=True, with_checkpoints=True)
-    scratch = scenario(fail=True, with_checkpoints=False)
-    return {
-        "workload": workload_name,
-        "clean": clean,
-        "resumed": resumed,
-        "scratch": scratch,
-        "bit_exact_resume": clean["model_digest"] == resumed["model_digest"],
-        "makespan_saving": (scratch["result"]["makespan"] - resumed["result"]["makespan"])
-                           / scratch["result"]["makespan"]
-                           if scratch["result"]["makespan"] else 0.0,
-    }
-
-
-# --------------------------------------------------------------------------- #
 # Figure 11 — freezing/unfreezing decision timeline
 # --------------------------------------------------------------------------- #
 def run_fig11_freezing_decisions(scale: str = "tiny", seed: int = 0) -> Dict[str, object]:
@@ -862,15 +406,7 @@ def _reference_accuracy_gap(workload: Workload, precision: str) -> float:
     task = workload.task
     # Train briefly so the snapshot is meaningful.
     for epoch in range(max(workload.num_epochs // 3, 2)):
-        loader.set_epoch(epoch)
-        while True:
-            batch = loader.next_batch()
-            if batch is None:
-                break
-            loss = task.loss(task.forward(model, batch), batch)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        _train_epoch(task, model, optimizer, loader, epoch)
     eval_loader = workload.eval_loader()
     fp32_accuracy = task.evaluate(model, iter(eval_loader))
     reference = ReferenceModel(workload.model_factory, precision=precision)
@@ -883,7 +419,7 @@ def _reference_accuracy_gap(workload: Workload, precision: str) -> float:
 # Figure 12 — hyperparameter sensitivity
 # --------------------------------------------------------------------------- #
 def run_fig12_hyperparameters(scale: str = "tiny", seed: int = 0) -> List[Dict[str, object]]:
-    """Sweep W, n and T around the guideline values (Figure 12)."""
+    """Sweep W, n and T around the workload's hand-set values (Figure 12)."""
     workload = build_workload("resnet56_cifar10", scale=scale, seed=seed)
     chosen = workload.egeria_config
     variants = {

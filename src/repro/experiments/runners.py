@@ -71,21 +71,14 @@ def build_trainer(system: str, workload: Workload, config: Optional[EgeriaConfig
 
 
 def run_trainer(system: str, workload: Workload, num_epochs: Optional[int] = None,
-                config: Optional[EgeriaConfig] = None, checkpoint_manager=None,
-                checkpoint_every: int = 1, **overrides) -> Dict[str, object]:
+                config: Optional[EgeriaConfig] = None, **overrides) -> Dict[str, object]:
     """Train one system on one workload; returns history, trainer summary, etc.
 
     Simulated time is the single-GPU compute timeline, replayed event by
     event; a multi-worker run goes through a
     :class:`~repro.core.trainer_job.TrainerJob` on a cluster scheduler.
-
-    With a ``checkpoint_manager`` (see :mod:`repro.ckpt`) the trainer saves a
-    full training-state snapshot every ``checkpoint_every`` epochs; the
-    result dict then carries the per-checkpoint ``"checkpoints"`` history.
     """
     trainer = build_trainer(system, workload, config, **overrides)
-    if checkpoint_manager is not None:
-        trainer.configure_checkpointing(checkpoint_manager, checkpoint_every=checkpoint_every)
     history = trainer.fit(num_epochs or workload.num_epochs)
     result: Dict[str, object] = {
         "system": system,
@@ -97,8 +90,6 @@ def run_trainer(system: str, workload: Workload, num_epochs: Optional[int] = Non
         "wall_time": history.total_wall_time(),
         "frozen_fraction": trainer.frozen_fraction(),
     }
-    if checkpoint_manager is not None:
-        result["checkpoints"] = checkpoint_manager.history()
     if isinstance(trainer, EgeriaTrainer):
         result["summary"] = trainer.summary()
         result["timeline"] = trainer.freezing_timeline()

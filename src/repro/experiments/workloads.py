@@ -78,11 +78,12 @@ SCALES: Dict[str, Dict[str, float]] = {
 
 
 def _cv_config(num_epochs: int, iters_per_epoch: int) -> EgeriaConfig:
-    """Egeria hyperparameters following the §4.2.2 guideline at this scale.
+    """Egeria hyperparameters for this scale, set by hand.
 
-    The guideline scales ``n`` so that every layer module can be evaluated and
-    frozen within the run; at these miniature scales that means evaluating
-    every couple of iterations and using a short freeze window.
+    §4.2.2's guideline scales ``n`` so that every layer module can be
+    evaluated and frozen within the run; at these miniature scales that means
+    evaluating every couple of iterations and using a short freeze window
+    (``docs/fidelity.md``).
     """
     return EgeriaConfig(
         eval_interval_iters=max(iters_per_epoch // 4, 2),

@@ -896,6 +896,7 @@ class TestFailureInjection:
         scratch = self._run(sim_cost_model, checkpoint_every=None)
         assert with_ckpt.jobs["job"].iterations_done == 20
         assert scratch.jobs["job"].iterations_done == 20
+        assert with_ckpt.jobs["job"].failures == scratch.jobs["job"].failures == 1
         assert with_ckpt.jobs["job"].checkpoints_taken > 0
         assert with_ckpt.jobs["job"].restores == 1
         assert with_ckpt.jobs["job"].restore_seconds > 0.0

@@ -255,13 +255,3 @@ class TestEgeriaConfig:
             EgeriaConfig(unfreeze_lr_drop_factor=1.0)
         with pytest.raises(ValueError):
             EgeriaConfig(reference_precision="int2")
-
-    def test_recommended_eval_interval_matches_paper_example(self):
-        """§4.2.2: ResNet-56, 7 modules, W=10, ~78k iterations -> n ~= 300."""
-        n = EgeriaConfig.recommended_eval_interval(78_000, num_layer_modules=7, freeze_window=10)
-        assert 250 <= n <= 350
-
-    def test_scaled_for(self):
-        config = EgeriaConfig(freeze_window=10)
-        scaled = config.scaled_for(total_iterations=78_000, num_layer_modules=7)
-        assert scaled.eval_interval_iters == EgeriaConfig.recommended_eval_interval(78_000, 7, 10)

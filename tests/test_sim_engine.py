@@ -243,7 +243,13 @@ class TestClusterScheduler:
             scheduler.submit(self._job(cost_model, "c", num_workers=4, iterations=3))
             return scheduler.run().as_dict()
 
-        assert scenario() == scenario()
+        report = scenario()
+        assert report == scenario()
+        # "c" queues behind "a" and "b"; every job finishes inside the makespan.
+        assert report["jobs"]["c"]["queueing_delay"] > 0.0
+        for job in report["jobs"].values():
+            assert 0.0 < job["finish_time"] <= report["makespan"]
+            assert job["mean_iteration_seconds"] > 0.0
 
     def test_validation_errors(self, cost_model, cluster):
         scheduler = ClusterScheduler(cluster)

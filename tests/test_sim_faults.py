@@ -28,6 +28,7 @@ import gc
 import importlib
 import inspect
 import json
+import pathlib
 import pkgutil
 import weakref
 
@@ -35,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.modules import LayerModule
 from repro.sim import (
     Cluster,
@@ -819,14 +821,32 @@ PACKAGE_EXPORTS = {
 
 @pytest.mark.parametrize("package", sorted(PACKAGE_EXPORTS))
 def test_package_layout(package):
-    """Each package exports exactly its listed names, each of which resolves;
-    each module of the scheduler package stays under 600 lines."""
+    """Each package exports exactly its listed names, each of which resolves."""
     module = importlib.import_module(package)
     assert sorted(module.__all__) == sorted(PACKAGE_EXPORTS[package])
     assert all(hasattr(module, name) for name in module.__all__)
-    if module is scheduler_module:
-        for submodule in scheduler_modules():
-            assert len(inspect.getsource(submodule).splitlines()) <= 600, submodule.__name__
+
+
+#: The modules that were over :data:`MODULE_LINE_CAP` when the cap first
+#: covered all of ``src/``, each held to its length then.  A ceiling may only
+#: go down, and a module that gets under the cap leaves this table.
+MODULE_LINE_CEILINGS = {
+    "repro/core/trainer.py": 608,
+    "repro/sim/engine.py": 1082,
+    "repro/sim/resources.py": 1014,
+}
+MODULE_LINE_CAP = 600
+
+
+def test_every_src_module_stays_under_its_line_cap():
+    root = pathlib.Path(repro.__file__).resolve().parent
+    lengths = {path.relative_to(root.parent).as_posix(): len(path.read_text().splitlines())
+               for path in root.rglob("*.py")}
+    for name, ceiling in MODULE_LINE_CEILINGS.items():
+        assert MODULE_LINE_CAP < lengths[name] <= ceiling, name
+    over = {name: length for name, length in lengths.items()
+            if length > MODULE_LINE_CAP and name not in MODULE_LINE_CEILINGS}
+    assert over == {}
 
 
 class TestStaleCompletions:

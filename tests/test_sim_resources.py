@@ -28,6 +28,7 @@ from repro.core import ClassificationTask, TrainerJob
 from repro.core.modules import LayerModule
 from repro.baselines import VanillaTrainer
 from repro.data import DataLoader, make_dataset
+from repro.experiments import build_trainer, build_workload
 from repro import models, optim
 from repro.sim import (
     AllReduceModel,
@@ -675,6 +676,7 @@ class TestPerTorTopology:
         local, cross = run("tor_pack"), run("round_robin")
         assert local.makespan < cross.makespan * 0.9, \
             f"rack-local not measurably faster under {policy}"
+        assert local.jobs["b"].completion_seconds < cross.jobs["b"].completion_seconds
         # Rack-local: no core traffic; cross-rack: all buckets cross the core.
         assert local.resources[Cluster.CORE]["total_bytes"] == 0
         assert cross.resources[Cluster.CORE]["total_bytes"] > 0
@@ -841,6 +843,9 @@ class TestSchedulerSharedStorage:
         staggered = self._run(stagger=stagger)
         assert concurrent.jobs["b"].completion_seconds > staggered.jobs["b"].completion_seconds
         assert concurrent.jobs["b"].checkpoint_seconds > staggered.jobs["b"].checkpoint_seconds
+        # Staggering changes only the queueing, never the bytes stored.
+        assert concurrent.resources[Cluster.CKPT_STORAGE]["total_bytes"] == \
+            staggered.resources[Cluster.CKPT_STORAGE]["total_bytes"]
 
     def test_async_checkpoint_overlaps_with_compute(self):
         sync = self._run(asynchronous=False)
@@ -1071,78 +1076,118 @@ class TestCapacityChanges:
 # TrainerJob: a real trainer inside the simulated cluster
 # --------------------------------------------------------------------------- #
 class TestTrainerJob:
-    def _trainer(self):
+    """Each test runs twice: a small ``VanillaTrainer`` for eight iterations,
+    and the Table 1 CNN's ``EgeriaTrainer`` for its whole tiny run, whose live
+    freezing decisions must reach the simulated job."""
+
+    @pytest.fixture(params=["vanilla", "egeria"])
+    def kind(self, request):
+        return request.param
+
+    def _trainer(self, kind):
+        """A fresh trainer of ``kind`` and the number of iterations in one run."""
+        if kind == "egeria":
+            workload = build_workload("resnet56_cifar10", "tiny", 0)
+            trainer = build_trainer("egeria", workload)
+            return trainer, len(trainer.train_loader) * workload.num_epochs
         full = make_dataset("synthetic_cifar10", num_samples=48, num_classes=4,
                             image_size=8, noise=0.8, seed=0)
         train_ds, _eval_ds = full.split(eval_fraction=0.25)
         train_loader = DataLoader(train_ds, batch_size=8, seed=0)
         model = models.resnet8(num_classes=4, width=0.5, seed=0)
         optimizer = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
-        return VanillaTrainer(model, ClassificationTask(), train_loader, None, optimizer)
+        return VanillaTrainer(model, ClassificationTask(), train_loader, None, optimizer), 8
 
-    def test_trainer_backed_job_runs_and_charges_real_bytes(self):
-        trainer = self._trainer()
-        manager = CheckpointManager(MemoryBackend())
-        trainer.configure_checkpointing(manager, checkpoint_every=1)
-        job = TrainerJob("t", trainer, iterations=8, num_workers=2, checkpoint_every=3)
-        scheduler = ClusterScheduler(paper_testbed_cluster())
-        scheduler.submit(job)
-        result = scheduler.run()
+    def test_trainer_backed_job_runs_and_charges_real_bytes(self, kind):
+        def run():
+            trainer, iterations = self._trainer(kind)
+            manager = CheckpointManager(MemoryBackend())
+            trainer.configure_checkpointing(manager, checkpoint_every=1)
+            job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
+                             checkpoint_every=3)
+            scheduler = ClusterScheduler(paper_testbed_cluster())
+            scheduler.submit(job)
+            return trainer, manager, job, scheduler.run()
+
+        trainer, manager, job, result = run()
+        iterations = job.iterations
         record = result.jobs["t"]
-        assert record.iterations_done == 8
-        assert trainer.iteration == 8  # the real trainer actually stepped
-        assert record.checkpoints_taken == 2
-        # Simulated checkpoint volume is the manager's actual incremental bytes.
+        assert record.iterations_done == iterations
+        assert trainer.iteration == iterations  # the real trainer actually stepped
+        assert record.checkpoints_taken == iterations // 3
+        # Simulated checkpoint volume is the manager's actual incremental bytes,
+        # and content addressing writes less than the full payloads.
         assert record.checkpoint_bytes_written == \
             sum(info["bytes_written"] for info in manager.history())
-        assert len(job.prefix_series) == 8
+        assert record.checkpoint_bytes_written < \
+            sum(info["payload_bytes"] for info in manager.history())
+        assert len(job.prefix_series) == len(record.iteration_seconds) == iterations
+        # Egeria's live freezing decisions advance the priced prefix, and the
+        # iterations run at the deepest prefix are faster than unfrozen ones.
+        deepest = max(job.prefix_series)
+        assert (deepest > 0) == (kind == "egeria")
+        if deepest:
+            seconds = {prefix: [s for s, p in zip(record.iteration_seconds, job.prefix_series)
+                                if p == prefix] for prefix in (0, deepest)}
+            assert max(seconds[deepest]) < min(seconds[0])
+        # The same seed reproduces every record and prefix decision.
+        _, _, rerun_job, rerun = run()
+        assert rerun.as_dict() == result.as_dict()
+        assert rerun_job.prefix_series == job.prefix_series
 
-    def test_trainer_job_rollback_after_failure_is_bit_exact(self):
+    def test_trainer_job_rollback_after_failure_is_bit_exact(self, kind):
         """A failed trainer-backed job replays to the same final weights.
 
         The rollback path restores the live trainer from the matching real
         checkpoint and re-seeks the data loader, so the re-executed
-        iterations reproduce the clean run exactly — weights and all.
+        iterations reproduce the clean run exactly — weights and all — and
+        still finish before a restart from scratch.
         """
         import numpy as np
 
-        def run(fail: bool):
-            trainer = self._trainer()
-            manager = CheckpointManager(MemoryBackend())
-            trainer.configure_checkpointing(manager, checkpoint_every=1)
-            job = TrainerJob("t", trainer, iterations=8, num_workers=2, checkpoint_every=2)
+        def run(fail: bool, checkpoints: bool = True):
+            trainer, iterations = self._trainer(kind)
+            if checkpoints:
+                trainer.configure_checkpointing(CheckpointManager(MemoryBackend()),
+                                                checkpoint_every=1)
+            job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
+                             checkpoint_every=2 if checkpoints else None)
             scheduler = ClusterScheduler(paper_testbed_cluster())
             scheduler.submit(job)
             if fail:
                 nominal = EventDrivenEngine(paper_testbed_cluster()).simulate_iteration(
                     trainer.cost_model, workers=paper_testbed_cluster().workers(1, 2)).total
-                scheduler.inject_failure("node0:gpu0", at_time=nominal * 4.5)
-            result = scheduler.run()
-            return trainer, result
+                scheduler.inject_failure("node0:gpu0", at_time=nominal * (iterations / 2 + 0.5))
+            return trainer, scheduler.run()
 
         clean_trainer, clean = run(fail=False)
         failed_trainer, failed = run(fail=True)
-        assert failed.jobs["t"].failures == 1
+        _, scratch = run(fail=True, checkpoints=False)
+        iterations = clean_trainer.iteration
+        for result in (failed, scratch):
+            assert result.jobs["t"].failures == 1
+            assert result.jobs["t"].iterations_done == iterations
         assert failed.jobs["t"].restores == 1
-        assert failed.jobs["t"].iterations_done == 8
-        assert failed_trainer.iteration == 8
-        # Recovery costs time but never correctness.
-        assert failed.makespan > clean.makespan
+        assert failed.jobs["t"].restore_seconds > 0.0
+        assert failed_trainer.iteration == iterations
+        # Recovery costs time but never correctness, and beats starting over.
+        assert clean.makespan < failed.makespan < scratch.makespan
         clean_state = clean_trainer.model.state_dict()
         failed_state = failed_trainer.model.state_dict()
         assert all(np.array_equal(clean_state[key], failed_state[key]) for key in clean_state)
 
-    def test_multi_worker_trainer_job_is_charged_for_communication(self):
+    def test_multi_worker_trainer_job_is_charged_for_communication(self, kind):
         """Two data-parallel workers pay the gradient all-reduce one worker does not."""
         finish = {}
         for workers in (1, 2):
             scheduler = ClusterScheduler(paper_testbed_cluster())
-            scheduler.submit(TrainerJob("t", self._trainer(), iterations=6, num_workers=workers))
+            scheduler.submit(TrainerJob("t", self._trainer(kind)[0], iterations=6,
+                                        num_workers=workers))
             finish[workers] = scheduler.run().jobs["t"].finish_time
         assert finish[2] > finish[1]
 
-    def test_trainer_job_epochs_wrap_and_step_the_lr_schedule(self):
-        trainer = self._trainer()
+    def test_trainer_job_epochs_wrap_and_step_the_lr_schedule(self, kind):
+        trainer, _ = self._trainer(kind)
         per_epoch = len(trainer.train_loader)
         job = TrainerJob("t", trainer, iterations=per_epoch + 2)
         scheduler = ClusterScheduler(paper_testbed_cluster())
