@@ -1080,7 +1080,7 @@ class TestTrainerJob:
     and the Table 1 CNN's ``EgeriaTrainer`` for its whole tiny run, whose live
     freezing decisions must reach the simulated job."""
 
-    @pytest.fixture(params=["vanilla", "egeria"])
+    @pytest.fixture(scope="class", params=["vanilla", "egeria"])
     def kind(self, request):
         return request.param
 
@@ -1098,83 +1098,120 @@ class TestTrainerJob:
         optimizer = optim.SGD(model.parameters(), lr=0.1, momentum=0.9)
         return VanillaTrainer(model, ClassificationTask(), train_loader, None, optimizer), 8
 
-    def test_trainer_backed_job_runs_and_charges_real_bytes(self, kind):
-        def run():
-            trainer, iterations = self._trainer(kind)
-            manager = CheckpointManager(MemoryBackend())
-            trainer.configure_checkpointing(manager, checkpoint_every=1)
-            job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
-                             checkpoint_every=3)
-            scheduler = ClusterScheduler(paper_testbed_cluster())
-            scheduler.submit(job)
-            return trainer, manager, job, scheduler.run()
+    def _charged_run(self, kind):
+        """One whole run of ``kind`` on two workers, checkpointed every third
+        iteration: ``(trainer, manager, job, result)``."""
+        trainer, iterations = self._trainer(kind)
+        manager = CheckpointManager(MemoryBackend())
+        trainer.configure_checkpointing(manager, checkpoint_every=1)
+        job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
+                         checkpoint_every=3)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
+        scheduler.submit(job)
+        return trainer, manager, job, scheduler.run()
 
-        trainer, manager, job, result = run()
+    @pytest.fixture(scope="class")
+    def charged(self, kind):
+        return self._charged_run(kind)
+
+    def _recovery_run(self, kind, fail: bool, checkpoints: bool = True):
+        """One whole run of ``kind`` on two workers, checkpointed every second
+        iteration or not at all, and with or without a GPU failure halfway."""
+        trainer, iterations = self._trainer(kind)
+        if checkpoints:
+            trainer.configure_checkpointing(CheckpointManager(MemoryBackend()),
+                                            checkpoint_every=1)
+        job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
+                         checkpoint_every=2 if checkpoints else None)
+        scheduler = ClusterScheduler(paper_testbed_cluster())
+        scheduler.submit(job)
+        if fail:
+            nominal = EventDrivenEngine(paper_testbed_cluster()).simulate_iteration(
+                trainer.cost_model, workers=paper_testbed_cluster().workers(1, 2)).total
+            scheduler.inject_failure("node0:gpu0", at_time=nominal * (iterations / 2 + 0.5))
+        return trainer, scheduler.run()
+
+    @pytest.fixture(scope="class")
+    def recovery(self, kind):
+        """A clean run, a failed run that rolls back to its last checkpoint,
+        and a failed run with no checkpoint that restarts from scratch."""
+        return {"clean": self._recovery_run(kind, fail=False),
+                "rollback": self._recovery_run(kind, fail=True),
+                "scratch": self._recovery_run(kind, fail=True, checkpoints=False)}
+
+    def test_trainer_backed_job_runs_and_charges_real_bytes(self, charged):
+        trainer, manager, job, result = charged
         iterations = job.iterations
         record = result.jobs["t"]
         assert record.iterations_done == iterations
         assert trainer.iteration == iterations  # the real trainer actually stepped
         assert record.checkpoints_taken == iterations // 3
-        # Simulated checkpoint volume is the manager's actual incremental bytes,
-        # and content addressing writes less than the full payloads.
+        # Simulated checkpoint volume is the manager's actual incremental bytes.
         assert record.checkpoint_bytes_written == \
             sum(info["bytes_written"] for info in manager.history())
-        assert record.checkpoint_bytes_written < \
-            sum(info["payload_bytes"] for info in manager.history())
         assert len(job.prefix_series) == len(record.iteration_seconds) == iterations
-        # Egeria's live freezing decisions advance the priced prefix, and the
-        # iterations run at the deepest prefix are faster than unfrozen ones.
+
+    def test_checkpoint_bytes_stay_below_the_full_payload(self, charged):
+        """Content addressing writes less than the full payloads."""
+        _, manager, _, result = charged
+        assert 0 < result.jobs["t"].checkpoint_bytes_written < \
+            sum(info["payload_bytes"] for info in manager.history())
+
+    def test_prefix_advances_only_when_the_trainer_freezes(self, kind, charged):
+        """Egeria's live freezing decisions reach the priced prefix; a vanilla
+        trainer stays unfrozen."""
+        _, _, job, _ = charged
+        assert (max(job.prefix_series) > 0) == (kind == "egeria")
+
+    @pytest.mark.parametrize("kind", ["egeria"], indirect=True)
+    def test_iterations_at_the_deepest_prefix_are_faster_than_unfrozen(self, charged):
+        _, _, job, result = charged
         deepest = max(job.prefix_series)
-        assert (deepest > 0) == (kind == "egeria")
-        if deepest:
-            seconds = {prefix: [s for s, p in zip(record.iteration_seconds, job.prefix_series)
-                                if p == prefix] for prefix in (0, deepest)}
-            assert max(seconds[deepest]) < min(seconds[0])
-        # The same seed reproduces every record and prefix decision.
-        _, _, rerun_job, rerun = run()
+        seconds = {prefix: [s for s, p in zip(result.jobs["t"].iteration_seconds,
+                                              job.prefix_series) if p == prefix]
+                   for prefix in (0, deepest)}
+        assert deepest > 0 and seconds[deepest] and seconds[0]
+        assert max(seconds[deepest]) < min(seconds[0])
+
+    def test_trainer_backed_job_is_deterministic(self, kind, charged):
+        """The same seed reproduces every record and prefix decision."""
+        _, _, job, result = charged
+        _, _, rerun_job, rerun = self._charged_run(kind)
         assert rerun.as_dict() == result.as_dict()
         assert rerun_job.prefix_series == job.prefix_series
 
-    def test_trainer_job_rollback_after_failure_is_bit_exact(self, kind):
+    def test_trainer_job_rollback_after_failure_is_bit_exact(self, recovery):
         """A failed trainer-backed job replays to the same final weights.
 
         The rollback path restores the live trainer from the matching real
         checkpoint and re-seeks the data loader, so the re-executed
-        iterations reproduce the clean run exactly — weights and all — and
-        still finish before a restart from scratch.
+        iterations reproduce the clean run exactly — weights and all.
         """
         import numpy as np
 
-        def run(fail: bool, checkpoints: bool = True):
-            trainer, iterations = self._trainer(kind)
-            if checkpoints:
-                trainer.configure_checkpointing(CheckpointManager(MemoryBackend()),
-                                                checkpoint_every=1)
-            job = TrainerJob("t", trainer, iterations=iterations, num_workers=2,
-                             checkpoint_every=2 if checkpoints else None)
-            scheduler = ClusterScheduler(paper_testbed_cluster())
-            scheduler.submit(job)
-            if fail:
-                nominal = EventDrivenEngine(paper_testbed_cluster()).simulate_iteration(
-                    trainer.cost_model, workers=paper_testbed_cluster().workers(1, 2)).total
-                scheduler.inject_failure("node0:gpu0", at_time=nominal * (iterations / 2 + 0.5))
-            return trainer, scheduler.run()
-
-        clean_trainer, clean = run(fail=False)
-        failed_trainer, failed = run(fail=True)
-        _, scratch = run(fail=True, checkpoints=False)
+        clean_trainer, clean = recovery["clean"]
+        failed_trainer, failed = recovery["rollback"]
         iterations = clean_trainer.iteration
-        for result in (failed, scratch):
-            assert result.jobs["t"].failures == 1
-            assert result.jobs["t"].iterations_done == iterations
+        assert failed.jobs["t"].failures == 1
         assert failed.jobs["t"].restores == 1
         assert failed.jobs["t"].restore_seconds > 0.0
+        assert failed.jobs["t"].iterations_done == iterations
         assert failed_trainer.iteration == iterations
-        # Recovery costs time but never correctness, and beats starting over.
-        assert clean.makespan < failed.makespan < scratch.makespan
+        # Recovery costs time but never correctness.
+        assert failed.makespan > clean.makespan
         clean_state = clean_trainer.model.state_dict()
         failed_state = failed_trainer.model.state_dict()
         assert all(np.array_equal(clean_state[key], failed_state[key]) for key in clean_state)
+
+    def test_trainer_job_rollback_beats_restart_from_scratch(self, recovery):
+        """With no checkpoint the same failure costs the whole first half."""
+        clean_trainer, _ = recovery["clean"]
+        _, failed = recovery["rollback"]
+        _, scratch = recovery["scratch"]
+        assert scratch.jobs["t"].failures == 1
+        assert scratch.jobs["t"].restores == 0
+        assert scratch.jobs["t"].iterations_done == clean_trainer.iteration
+        assert failed.makespan < scratch.makespan
 
     def test_multi_worker_trainer_job_is_charged_for_communication(self, kind):
         """Two data-parallel workers pay the gradient all-reduce one worker does not."""
